@@ -1,0 +1,48 @@
+"""Golden artifacts: a full run of the `{"scale": 0.05}` scenario, seed 0.
+
+Every artifact except `regressions.csv` must match its recorded sha256 byte
+for byte. The regressions go through LAPACK, so their numbers are compared
+with a relative tolerance instead; the text fields must match exactly.
+"""
+
+import csv
+import hashlib
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from meritmatch.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+RTOL = 1e-9
+NUMERIC = ("estimate", "std_error", "t_stat", "p_value", "n_obs", "n_clusters")
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_small_scenario_artifacts_match_golden(tmp_path):
+    golden = json.loads((GOLDEN / "artifacts_scale005_seed0.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(golden["config"]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--seed", str(golden["seed"]), "--out", str(out)]) == 0
+
+    for name, digest in golden["sha256"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    got = _rows(out / "regressions.csv")
+    want = _rows(GOLDEN / "regressions_scale005_seed0.csv")
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key in g:
+            if key in NUMERIC and w[key]:
+                assert math.isclose(float(g[key]), float(w[key]), rel_tol=RTOL), (w["spec_id"], key)
+            else:
+                assert g[key] == w[key], (w["spec_id"], key)
