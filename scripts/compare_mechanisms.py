@@ -2,9 +2,15 @@
 """Run all four admission rules on one simulated cohort and compare outcomes.
 
 For a single year's applicant pool, runs the merit-capped Boston algorithm
-(on truthful lists), the serial-dictatorship benchmark, pure Boston, the
-grouped two-list variant, and the decentralized single-application
-equilibrium, then prints admitted-set overlap and summary statistics.
+(on the truncated truthful lists applicants submit), the serial-dictatorship
+benchmark, pure Boston, the grouped two-list variant, and the decentralized
+single-application equilibrium, then prints summary statistics.
+
+The last line checks the equivalence guarantee: on complete lists ranked by
+utility and under one lottery, merit-capped Boston and serial dictatorship
+admit the same set. It does not hold for truncated lists, where serial
+dictatorship fills the seats merit-pool members leave empty from below the
+pool.
 
 Usage:
     python scripts/compare_mechanisms.py [--seed 0] [--scale 1.0]
@@ -17,6 +23,7 @@ import numpy as np
 
 from meritmatch.core import SeededRng
 from meritmatch.mechanisms import (
+    PreferenceList,
     admitted_set,
     run_decentralized,
     run_grouped_centralized,
@@ -41,10 +48,9 @@ def summarize(name, assignment, applicants, scenario):
     scores = np.array([by_id[a].score for a in admitted]) if admitted else np.array([0.0])
     urban_share = np.mean([by_id[a].birth_prefecture in urban_ids for a in admitted]) if admitted else 0.0
     print(
-        f"{name:24s} admitted={len(admitted):5d} unassigned={len(assignment.unassigned):5d}"
+        f"{name:38s} admitted={len(admitted):5d} unassigned={len(assignment.unassigned):5d}"
         f"  min score={scores.min():6.1f}  mean score={scores.mean():6.1f}  urban share={urban_share:.3f}"
     )
-    return admitted
 
 
 def main() -> int:
@@ -64,20 +70,20 @@ def main() -> int:
     print(f"cohort: {len(applicants)} applicants, {sum(s.capacity for s in scenario.schools)} seats\n")
 
     truthful = [t for t in (truthful_ranking(a) for a in applicants) if t.ranked]
-    merit = summarize(
-        "merit-capped Boston",
+    summarize(
+        "merit-capped Boston (truncated lists)",
         run_meritocratic_boston(scenario.schools, applicants, truthful, lottery_rng),
         applicants,
         scenario,
     )
-    dictator = summarize(
-        "serial dictatorship",
+    summarize(
+        "serial dictatorship (truncated lists)",
         run_serial_dictatorship_da(scenario.schools, applicants, truthful, lottery_rng),
         applicants,
         scenario,
     )
     summarize(
-        "pure Boston",
+        "pure Boston (truncated lists)",
         run_immediate_acceptance(scenario.schools, applicants, truthful, lottery_rng),
         applicants,
         scenario,
@@ -101,8 +107,17 @@ def main() -> int:
     )
     print(f"\ncutoff iteration: {iters} rounds, residual {resid:.3g}")
     print(f"cutoffs: {[round(c, 1) for c in beliefs.cutoffs]}")
-    same = merit == dictator
-    print(f"\nmerit-capped Boston and serial dictatorship admit the same set: {same}")
+
+    school_ids = sorted(s.id for s in scenario.schools)
+    complete = [
+        PreferenceList(a.id, tuple(sorted(school_ids, key=lambda s: (-a.utility[s - 1], s)))) for a in applicants
+    ]
+    draws = lottery_rng.generator().random(len(applicants))
+    lottery = dict(zip(sorted(a.id for a in applicants), draws))
+    merit = admitted_set(run_meritocratic_boston(scenario.schools, applicants, complete, lottery=lottery))
+    dictator = admitted_set(run_serial_dictatorship_da(scenario.schools, applicants, complete, lottery=lottery))
+    print(f"\ncomplete lists: merit-capped Boston admits {len(merit)}, serial dictatorship {len(dictator)}")
+    print(f"merit-capped Boston and serial dictatorship admit the same set on complete lists: {merit == dictator}")
     return 0
 
 

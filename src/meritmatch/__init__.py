@@ -33,8 +33,6 @@ from .mechanisms import (
 from .strategy import (
     BehaviorParams,
     CutoffBeliefs,
-    admit_probability,
-    choose_single_application,
     equilibrium_cutoffs,
     submit_applications,
     truthful_ranking,

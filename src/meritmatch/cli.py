@@ -47,7 +47,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             out_dir=out_dir,
             stages=tuple(s.strip() for s in args.stages.split(",") if s.strip()),
             jobs=args.jobs,
-            format=args.format,
         )
         artifacts = run(manifest)
     except (ConfigError, DomainError) as exc:
@@ -96,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default="out", help=f"output directory (env {OUT_DIR_ENV} overrides)")
     run_p.add_argument("--stages", default="simulate,metrics,estimate", help="comma list of stages")
     run_p.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
-    run_p.add_argument("--format", default="csv", choices=["csv"])
     run_p.set_defaults(func=_cmd_run)
 
     diff_p = sub.add_parser("diff-regimes", help="regime means and trend-controlled differences")

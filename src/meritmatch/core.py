@@ -88,9 +88,6 @@ class Assignment:
     placed: dict[int, Placement]
     unassigned: frozenset[int]
 
-    def applicant_ids(self) -> frozenset[int]:
-        return frozenset(self.placed) | self.unassigned
-
 
 @dataclass(frozen=True)
 class SeededRng:
@@ -114,17 +111,6 @@ class SeededRng:
 def distance(a: Prefecture, b: Prefecture) -> float:
     """Euclidean distance in km between two prefectures' planar coordinates."""
     return math.hypot(a.coord[0] - b.coord[0], a.coord[1] - b.coord[1])
-
-
-def prefecture_by_id(prefectures: Sequence[Prefecture], pref_id: int) -> Prefecture:
-    for p in prefectures:
-        if p.id == pref_id:
-            return p
-    raise DomainError(f"unknown prefecture id: {pref_id}")
-
-
-def distance_by_id(prefectures: Sequence[Prefecture], a: int, b: int) -> float:
-    return distance(prefecture_by_id(prefectures, a), prefecture_by_id(prefectures, b))
 
 
 def distance_matrix(prefectures: Sequence[Prefecture]) -> np.ndarray:
@@ -286,10 +272,6 @@ _SCHOOL_HOSTS: list[tuple[int, str]] = [
     (7, "Kagoshima"),
     (8, "Aichi"),
 ]
-
-# Selectivity order used for the default prestige values (most selective first).
-SELECTIVITY_ORDER: tuple[int, ...] = (1, 3, 4, 2, 8, 6, 5, 7)
-
 
 def build_prefectures(rows: Iterable[tuple[str, float, float, float, float]]) -> list[Prefecture]:
     """Construct prefectures from (name, x_km, y_km, weight, edu_index) rows.

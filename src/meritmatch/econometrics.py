@@ -64,7 +64,6 @@ class RegressionResult:
     n_absorbed_unit: int
     n_absorbed_time: int
     r2_within: float
-    bootstrap_p: np.ndarray | None = None  # reserved for wild-cluster bootstrap
 
     def coef(self, name: str) -> float:
         return float(self.beta[self.names.index(name)])

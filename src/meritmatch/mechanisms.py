@@ -3,9 +3,8 @@ decentralized single-application, and the grouped two-list variant.
 
 All mechanisms are pure functions from (schools, applicants, submitted
 applications, rng) to an Assignment. Ties in exam scores are broken by
-lottery: one uniform draw per applicant per mechanism run, reused across the
-pool-selection step and all rounds (a `redraw_each_round` toggle draws fresh
-numbers per step instead; under tie-free scores the two settings coincide).
+lottery: one uniform draw per applicant per mechanism run (`_tie_breaks`),
+reused across the pool-selection step and all rounds.
 
 With a single common score priority on the school side, applicant-proposing
 deferred acceptance collapses to a serial dictatorship: process applicants in
@@ -139,9 +138,7 @@ def _boston_rounds(
     by_id: Mapping[int, Applicant],
     prefs: Sequence[PreferenceList],
     eligible: frozenset[int],
-    tie: dict[int, float],
-    gen: np.random.Generator | None,
-    redraw_each_round: bool,
+    tie: Mapping[int, float],
 ) -> Assignment:
     """Round r: applicants still held propose, in score order, to the r-th
     school on their list; a school accepts while seats remain. Exhausted
@@ -156,10 +153,6 @@ def _boston_rounds(
 
     r = 1
     while active:
-        if redraw_each_round and gen is not None:
-            fresh = gen.random(len(active))
-            for aid, u in zip(sorted(active), fresh):
-                tie[aid] = u
         active = _priority_sorted(active, scores, tie)
         held = []
         for aid in active:
@@ -185,7 +178,6 @@ def run_meritocratic_boston(
     rng: SeededRng | None = None,
     *,
     lottery: Mapping[int, float] | None = None,
-    redraw_each_round: bool = False,
 ) -> Assignment:
     """Merit-capped Boston: select the top-K applicants by score (K = total
     capacity), then run Boston rounds among them. Applicants outside the pool
@@ -195,17 +187,10 @@ def run_meritocratic_boston(
     submitters = [by_id[p.applicant_id] for p in prefs]
     if not submitters:
         return Assignment(placed={}, unassigned=frozenset())
-    gen = rng.generator() if rng is not None and lottery is None else None
-    ids = sorted(p.applicant_id for p in prefs)
-    if lottery is not None:
-        tie = _tie_breaks(ids, None, lottery)
-    elif gen is not None:
-        tie = dict(zip(ids, gen.random(len(ids))))
-    else:
-        tie = {i: 0.0 for i in ids}
+    tie = _tie_breaks((p.applicant_id for p in prefs), rng, lottery)
     total_capacity = sum(s.capacity for s in schools)
     pool = select_merit_pool(submitters, total_capacity, lottery=tie)
-    return _boston_rounds(schools, by_id, prefs, pool.selected, dict(tie), gen, redraw_each_round)
+    return _boston_rounds(schools, by_id, prefs, pool.selected, tie)
 
 
 def run_immediate_acceptance(
@@ -215,21 +200,13 @@ def run_immediate_acceptance(
     rng: SeededRng | None = None,
     *,
     lottery: Mapping[int, float] | None = None,
-    redraw_each_round: bool = False,
 ) -> Assignment:
     """Pure Boston baseline: identical rounds, no merit-pool restriction."""
     by_id = _index_applicants(applicants)
     _check_prefs(schools, by_id, prefs)
-    gen = rng.generator() if rng is not None and lottery is None else None
-    ids = sorted(p.applicant_id for p in prefs)
-    if lottery is not None:
-        tie = _tie_breaks(ids, None, lottery)
-    elif gen is not None:
-        tie = dict(zip(ids, gen.random(len(ids))))
-    else:
-        tie = {i: 0.0 for i in ids}
+    tie = _tie_breaks((p.applicant_id for p in prefs), rng, lottery)
     eligible = frozenset(p.applicant_id for p in prefs)
-    return _boston_rounds(schools, by_id, prefs, eligible, tie, gen, redraw_each_round)
+    return _boston_rounds(schools, by_id, prefs, eligible, tie)
 
 
 def run_serial_dictatorship_da(
@@ -361,7 +338,6 @@ def run_grouped_centralized(
     rng: SeededRng | None = None,
     *,
     lottery: Mapping[int, float] | None = None,
-    redraw_each_round: bool = False,
 ) -> Assignment:
     """Merit-capped Boston over lists constrained to at most one school per
     group (so at most two entries)."""
@@ -373,6 +349,4 @@ def run_grouped_centralized(
             hits = [sid for sid in p.ranked if sid in g]
             if len(hits) > 1:
                 raise DomainError(f"applicant {p.applicant_id} lists {len(hits)} schools from one group")
-    return run_meritocratic_boston(
-        schools, applicants, grouped_prefs, rng, lottery=lottery, redraw_each_round=redraw_each_round
-    )
+    return run_meritocratic_boston(schools, applicants, grouped_prefs, rng, lottery=lottery)

@@ -11,7 +11,6 @@ between 0 and 100 km.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -49,13 +48,12 @@ class PanelRow:
 
 @dataclass(frozen=True)
 class YearRecord:
-    """One simulated year, carrying what the panel builder needs."""
+    """One simulated year as the panel builder reads it (see `year_record`)."""
 
     year: int
     regime: RegimeKind
-    assignment: Assignment
-    birth_prefecture: Mapping[int, int]  # applicant id -> prefecture id
-    applicants_by_prefecture: Mapping[int, int]  # eligible-pool counts (graduate proxy)
+    entrants: np.ndarray  # (P, S) int: entrants by birth prefecture id and school, schools by id
+    cohort: np.ndarray  # (P,) int: applicants by birth prefecture id (graduate proxy)
 
 
 def first_choice(application: PreferenceList | SingleApplication) -> int:
@@ -110,6 +108,25 @@ def year_outcome(
     )
 
 
+def year_record(
+    assignment: Assignment,
+    birth_prefecture: Mapping[int, int],
+    prefectures: Sequence[Prefecture],
+    schools: Sequence[School],
+    year: int,
+    regime: RegimeKind,
+) -> YearRecord:
+    """Count one year's entrants per (birth prefecture, school) and its
+    cohort per prefecture; `birth_prefecture` covers every applicant."""
+    school_index = {s.id: k for k, s in enumerate(sorted(schools, key=lambda s: s.id))}
+    entrants = np.zeros((len(prefectures), len(schools)), dtype=np.int64)
+    for aid, placement in assignment.placed.items():
+        entrants[birth_prefecture[aid], school_index[placement.school_id]] += 1
+    births = np.fromiter(birth_prefecture.values(), dtype=np.int64, count=len(birth_prefecture))
+    cohort = np.bincount(births, minlength=len(prefectures))
+    return YearRecord(year=year, regime=regime, entrants=entrants, cohort=cohort)
+
+
 def build_panel(
     records: Sequence[YearRecord],
     prefectures: Sequence[Prefecture],
@@ -139,21 +156,16 @@ def build_panel(
 
     rows: list[PanelRow] = []
     for rec in sorted(records, key=lambda r: r.year):
-        counts_all = {p.id: 0 for p in prefs_sorted}
-        counts_school = {(p.id, s.id): 0 for p in prefs_sorted for s in schools_sorted}
-        for aid, placement in rec.assignment.placed.items():
-            b = rec.birth_prefecture[aid]
-            counts_all[b] += 1
-            counts_school[(b, placement.school_id)] += 1
         centralized = rec.regime.is_centralized
+        entrants = rec.entrants.tolist()
         for p in prefs_sorted:
-            grads = float(rec.applicants_by_prefecture.get(p.id, 0))
+            grads = float(rec.cohort[p.id])
             rows.append(
                 PanelRow(
                     prefecture_id=p.id,
                     year=rec.year,
                     school_id=None,
-                    entrants=counts_all[p.id],
+                    entrants=sum(entrants[p.id]),
                     centralized=centralized,
                     located_in=bool(nearest[p.id] == 0.0),
                     within_100km=bool(0.0 < nearest[p.id] <= 100.0),
@@ -162,14 +174,14 @@ def build_panel(
                     middle_school_grads=grads,
                 )
             )
-            for s in schools_sorted:
+            for k, s in enumerate(schools_sorted):
                 d = school_dist[s.id][p.id]
                 rows.append(
                     PanelRow(
                         prefecture_id=p.id,
                         year=rec.year,
                         school_id=s.id,
-                        entrants=counts_school[(p.id, s.id)],
+                        entrants=entrants[p.id][k],
                         centralized=centralized,
                         located_in=bool(d == 0.0),
                         within_100km=bool(0.0 < d <= 100.0),

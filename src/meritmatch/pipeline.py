@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -24,13 +24,10 @@ import numpy as np
 from . import __version__
 from .core import (
     DomainError,
-    Prefecture,
-    Regime,
     RegimeKind,
     School,
     SeededRng,
     build_prefectures,
-    default_prefectures,
     load_geography,
     load_schools,
     validate_market,
@@ -52,6 +49,7 @@ from .metrics import (
     PanelRow,
     YearOutcome,
     YearRecord,
+    _fmt,
     build_panel,
     panel_to_columns,
     read_panel_csv,
@@ -59,15 +57,9 @@ from .metrics import (
     write_panel_csv,
     write_year_outcomes_csv,
     year_outcome,
+    year_record,
 )
-from .popgen import (
-    DEFAULT_GROUPS,
-    PopulationConfig,
-    Scenario,
-    default_schools,
-    generate_applicants,
-    regime_schedule,
-)
+from .popgen import DEFAULT_GROUPS, PopulationConfig, Scenario, build_scenario, generate_applicants
 from .strategy import BehaviorParams, equilibrium_cutoffs, single_applications, submit_applications
 
 
@@ -99,7 +91,6 @@ class RunManifest:
     out_dir: str = "out"
     stages: tuple[str, ...] = STAGES
     jobs: int = 1
-    format: str = "csv"
 
     def __post_init__(self) -> None:
         if self.seeds < 1:
@@ -109,8 +100,6 @@ class RunManifest:
         for s in self.stages:
             if s not in STAGES:
                 raise ConfigError(f"unknown stage {s!r}; valid stages are {', '.join(STAGES)}")
-        if self.format != "csv":
-            raise ConfigError(f"unsupported format {self.format!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 
@@ -147,25 +136,25 @@ def _check_keys(mapping: Mapping, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(str, unknown))}")
 
 
-def _population_from(mapping: Mapping, where: str) -> PopulationConfig:
-    fields = {f.name for f in PopulationConfig.__dataclass_fields__.values()}
-    _check_keys(mapping, fields, where)
-    try:
-        cfg = dict(mapping)
-        if "prestige" in cfg:
-            cfg["prestige"] = tuple(float(v) for v in cfg["prestige"])
-        return PopulationConfig(**cfg)
-    except (TypeError, DomainError) as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+def _groups_from(raw) -> tuple[frozenset[int], frozenset[int]]:
+    if len(raw) != 2:
+        raise ConfigError("groups must be a pair of school-id lists")
+    return (frozenset(int(s) for s in raw[0]), frozenset(int(s) for s in raw[1]))
 
 
-def _behavior_from(mapping: Mapping, where: str) -> BehaviorParams:
-    fields = {f.name for f in BehaviorParams.__dataclass_fields__.values()}
-    _check_keys(mapping, fields, where)
+def _resolved(where: str, behavior: Mapping, population: Mapping, groups, **scenario) -> ResolvedConfig:
+    """Validate the config pieces and build the scenario from them."""
+    _check_keys(population, PopulationConfig.__dataclass_fields__, f"{where} population")
+    _check_keys(behavior, BehaviorParams.__dataclass_fields__, f"{where} behavior")
     try:
-        return BehaviorParams(**mapping)
+        params = BehaviorParams(**behavior)
+        built = build_scenario(population=population, groups=groups, **scenario)
     except (TypeError, DomainError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc
+    violations = validate_market(built.prefectures, built.schools)
+    if violations:
+        raise InvariantError("; ".join(str(v) for v in violations))
+    return ResolvedConfig(scenario=built, behavior=params, groups=groups)
 
 
 def resolve_config(config_path: str | Path | None) -> ResolvedConfig:
@@ -190,60 +179,21 @@ def resolve_config(config_path: str | Path | None) -> ResolvedConfig:
 
 def _resolve_dict(raw: Mapping, base_dir: Path | None = None) -> ResolvedConfig:
     _check_keys(raw, _CONFIG_KEYS, "config")
-    scale = float(raw.get("scale", 1.0))
-    if scale <= 0:
-        raise ConfigError("scale must be positive")
 
-    pop_overrides = dict(raw.get("population", {}))
-    if "applicants_per_year" not in pop_overrides:
-        pop_overrides["applicants_per_year"] = max(1, int(round(10777 * scale)))
-    population = _population_from(pop_overrides, "population")
-    behavior = _behavior_from(raw.get("behavior", {}), "behavior")
+    def _path(key: str) -> Path:
+        path = Path(raw[key])
+        return base_dir / path if base_dir is not None and not path.is_absolute() else path
 
-    if "geography" in raw:
-        geo_path = Path(raw["geography"])
-        if base_dir is not None and not geo_path.is_absolute():
-            geo_path = base_dir / geo_path
-        prefectures = load_geography(geo_path)
-    else:
-        prefectures = default_prefectures()
-
-    groups_raw = raw.get("groups", [sorted(DEFAULT_GROUPS[0]), sorted(DEFAULT_GROUPS[1])])
-    if len(groups_raw) != 2:
-        raise ConfigError("groups must be a pair of school-id lists")
-    groups = (frozenset(int(s) for s in groups_raw[0]), frozenset(int(s) for s in groups_raw[1]))
-
-    if "schools" in raw:
-        school_path = Path(raw["schools"])
-        if base_dir is not None and not school_path.is_absolute():
-            school_path = base_dir / school_path
-        schools = load_schools(school_path)
-        population = replace(population, prestige=tuple(s.prestige for s in sorted(schools, key=lambda s: s.id)))
-    else:
-        if "capacities" in raw:
-            capacities = [int(c) for c in raw["capacities"]]
-        else:
-            capacities = [max(1, int(round(251 * scale)))] * 8
-        schools = default_schools(prefectures, capacities, population.prestige)
-
-    scenario = Scenario(
-        prefectures=tuple(prefectures),
-        schools=tuple(schools),
-        population=population,
-        schedule=tuple(_schedule_with_groups(population, groups)),
+    return _resolved(
+        "config",
+        raw.get("behavior", {}),
+        raw.get("population", {}),
+        _groups_from(raw.get("groups", DEFAULT_GROUPS)),
+        scale=float(raw.get("scale", 1.0)),
+        prefectures=load_geography(_path("geography")) if "geography" in raw else None,
+        schools=load_schools(_path("schools")) if "schools" in raw else None,
+        capacities=raw.get("capacities"),
     )
-    _validate_resolved(scenario)
-    return ResolvedConfig(scenario=scenario, behavior=behavior, groups=groups)
-
-
-def _schedule_with_groups(population: PopulationConfig, groups) -> list[Regime]:
-    out = []
-    for r in regime_schedule(population.year_start, population.year_end):
-        if r.kind == RegimeKind.GROUPED_CENTRALIZED:
-            out.append(Regime(kind=r.kind, year=r.year, groups=groups))
-        else:
-            out.append(r)
-    return out
 
 
 def _resolve_locked(raw: Mapping, path: Path) -> ResolvedConfig:
@@ -252,33 +202,19 @@ def _resolve_locked(raw: Mapping, path: Path) -> ResolvedConfig:
     _check_keys(cfg, {"population", "behavior", "groups", "geography", "schools"}, "lockfile config")
     try:
         prefectures = build_prefectures([tuple(row) for row in cfg["geography"]])
-        population = _population_from(cfg["population"], "lockfile population")
-        behavior = _behavior_from(cfg["behavior"], "lockfile behavior")
-        groups = (frozenset(int(s) for s in cfg["groups"][0]), frozenset(int(s) for s in cfg["groups"][1]))
         schools = [
             School(id=int(r[0]), prefecture_id=int(r[1]), capacity=int(r[2]), prestige=float(r[3]))
             for r in cfg["schools"]
         ]
+        groups = _groups_from(cfg["groups"])
+        behavior, population = cfg["behavior"], cfg["population"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed lockfile {path}: {exc}") from exc
-    scenario = Scenario(
-        prefectures=tuple(prefectures),
-        schools=tuple(schools),
-        population=population,
-        schedule=tuple(_schedule_with_groups(population, groups)),
-    )
-    _validate_resolved(scenario)
-    return ResolvedConfig(scenario=scenario, behavior=behavior, groups=groups)
+    return _resolved("lockfile", behavior, population, groups, prefectures=prefectures, schools=schools)
 
 
 class InvariantError(RuntimeError):
     """A market invariant failed validation."""
-
-
-def _validate_resolved(scenario: Scenario) -> None:
-    violations = validate_market(scenario.prefectures, scenario.schools)
-    if violations:
-        raise InvariantError("; ".join(str(v) for v in violations))
 
 
 # -- simulation ----------------------------------------------------------------
@@ -329,18 +265,7 @@ def simulate_seed(scenario: Scenario, behavior: BehaviorParams, seed: int) -> Se
         outcomes.append(
             year_outcome(apps, assignment, prefectures, schools, birth, year, regime.kind)
         )
-        by_pref: dict[int, int] = {p.id: 0 for p in prefectures}
-        for a in applicants:
-            by_pref[a.birth_prefecture] += 1
-        records.append(
-            YearRecord(
-                year=year,
-                regime=regime.kind,
-                assignment=assignment,
-                birth_prefecture=birth,
-                applicants_by_prefecture=by_pref,
-            )
-        )
+        records.append(year_record(assignment, birth, prefectures, schools, year, regime.kind))
     return SeedResult(
         seed=seed,
         outcomes=tuple(outcomes),
@@ -569,14 +494,6 @@ def pooled_rows(per_seed: Sequence[RegressionRow]) -> list[RegressionRow]:
 # -- artifact writing ----------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def write_regressions_csv(path: str | Path, rows: Sequence[RegressionRow]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -609,7 +526,7 @@ def _lock_payload(manifest: RunManifest, resolved: ResolvedConfig) -> dict:
         "seed": manifest.seed,
         "seeds": manifest.seeds,
         "stages": list(manifest.stages),
-        "format": manifest.format,
+        "format": "csv",
         "config": config,
     }
 
@@ -625,12 +542,13 @@ def run(manifest: RunManifest) -> dict[str, Path]:
     """Execute the manifest; returns artifact name -> path.
 
     Stage dependencies: metrics needs simulate in the same invocation;
-    estimate can run alone only when the metrics CSVs are already on disk.
-    Partially written files are removed on failure.
+    estimate can run alone only when the metrics CSVs, year_outcomes.csv and
+    a manifest.lock whose version_hash, seed and seeds match this manifest
+    are already on disk. Partially written files are removed on failure.
     """
     stages = set(manifest.stages)
     if "metrics" in stages and "simulate" not in stages:
-        raise ConfigError("the metrics stage needs simulate in the same run (assignments are not persisted)")
+        raise ConfigError("the metrics stage needs simulate in the same run (entrant counts are not persisted)")
     resolved = resolve_config(manifest.config_path)
     out_dir = Path(manifest.out_dir)
     try:
@@ -641,10 +559,18 @@ def run(manifest: RunManifest) -> dict[str, Path]:
     if "estimate" in stages and "metrics" not in stages:
         if "simulate" in stages:
             raise ConfigError("estimate needs the metrics stage when simulate runs in the same invocation")
-        needed = [out_dir / f for f in ARTIFACTS_BY_STAGE["metrics"]] + [out_dir / "year_outcomes.csv"]
+        needed = [out_dir / f for f in ARTIFACTS_BY_STAGE["metrics"] + ARTIFACTS_BY_STAGE["simulate"]]
         missing = [str(f) for f in needed if not f.exists()]
         if missing:
             raise ConfigError(f"estimate without metrics requires existing inputs; missing: {', '.join(missing)}")
+        expected = _lock_payload(manifest, resolved)
+        try:
+            lock = json.loads((out_dir / "manifest.lock").read_text())
+            stale = [k for k in ("version_hash", "seed", "seeds") if lock[k] != expected[k]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"unreadable {out_dir / 'manifest.lock'}: {exc}") from exc
+        if stale:
+            raise ConfigError(f"{out_dir / 'manifest.lock'} is from another run: {', '.join(stale)} differ")
 
     seeds = list(range(manifest.seed, manifest.seed + manifest.seeds))
     written: list[Path] = []

@@ -9,8 +9,8 @@ linear distance cost plus idiosyncratic noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -111,11 +111,15 @@ def generate_applicants(
     ]
 
 
-def regime_schedule(year_start: int = 1900, year_end: int = 1930) -> list[Regime]:
+def regime_schedule(
+    year_start: int = 1900,
+    year_end: int = 1930,
+    groups: tuple[frozenset[int], frozenset[int]] = DEFAULT_GROUPS,
+) -> list[Regime]:
     """The admission-rule chronology: single applications in 1900, a unified
     exam with decentralized admissions in 1901, centralized assignment in
-    1902-1907 and 1917-1918, the grouped two-list variant in 1926-1927, and
-    the unified-exam decentralized rule in all remaining years."""
+    1902-1907 and 1917-1918, the grouped two-list variant (over `groups`) in
+    1926-1927, and the unified-exam decentralized rule in all remaining years."""
     out = []
     for year in range(year_start, year_end + 1):
         if year <= 1900:
@@ -126,8 +130,7 @@ def regime_schedule(year_start: int = 1900, year_end: int = 1930) -> list[Regime
             kind = RegimeKind.GROUPED_CENTRALIZED
         else:
             kind = RegimeKind.DECENTRALIZED_UNIFIED_EXAM
-        groups = DEFAULT_GROUPS if kind == RegimeKind.GROUPED_CENTRALIZED else None
-        out.append(Regime(kind=kind, year=year, groups=groups))
+        out.append(Regime(kind=kind, year=year, groups=groups if kind == RegimeKind.GROUPED_CENTRALIZED else None))
     return out
 
 
@@ -145,6 +148,44 @@ class Scenario:
         raise DomainError(f"year {year} not in the schedule")
 
 
+def build_scenario(
+    scale: float = 1.0,
+    population: Mapping | None = None,
+    prefectures: Sequence[Prefecture] | None = None,
+    schools: Sequence[School] | None = None,
+    capacities: Sequence[int] | None = None,
+    groups: tuple[frozenset[int], frozenset[int]] = DEFAULT_GROUPS,
+) -> Scenario:
+    """A scenario from its config pieces; every omitted piece is the default.
+
+    `scale` shrinks or grows the default applicants (10777 a year) and seats
+    (251 a school) together, preserving selectivity. `population` overrides
+    PopulationConfig fields. Given `schools`, their prestige replaces the
+    population's; otherwise the eight default schools are placed with
+    `capacities` (or the scaled default).
+    """
+    if scale <= 0:
+        raise DomainError("scale must be positive")
+    overrides = dict(population or {})
+    overrides.setdefault("applicants_per_year", max(1, int(round(10777 * scale))))
+    if "prestige" in overrides:
+        overrides["prestige"] = tuple(float(v) for v in overrides["prestige"])
+    config = PopulationConfig(**overrides)
+    prefectures = default_prefectures() if prefectures is None else prefectures
+    if schools is None:
+        if capacities is None:
+            capacities = [max(1, int(round(251 * scale)))] * 8
+        schools = default_schools(prefectures, capacities, config.prestige)
+    else:
+        config = replace(config, prestige=tuple(s.prestige for s in sorted(schools, key=lambda s: s.id)))
+    return Scenario(
+        prefectures=tuple(prefectures),
+        schools=tuple(schools),
+        population=config,
+        schedule=tuple(regime_schedule(config.year_start, config.year_end, groups)),
+    )
+
+
 def default_scenario(scale: float = 1.0, **config_overrides) -> Scenario:
     """The shipped 47-prefecture, 8-school scenario over 1900-1930.
 
@@ -152,17 +193,4 @@ def default_scenario(scale: float = 1.0, **config_overrides) -> Scenario:
     year. `scale` shrinks or grows applicants and capacities together,
     preserving selectivity (useful for fast tests).
     """
-    if scale <= 0:
-        raise DomainError("scale must be positive")
-    prefectures = default_prefectures()
-    per_school = max(1, int(round(251 * scale)))
-    overrides = dict(config_overrides)
-    overrides.setdefault("applicants_per_year", max(1, int(round(10777 * scale))))
-    config = PopulationConfig(**overrides)
-    schools = default_schools(prefectures, capacities=[per_school] * 8, prestige=config.prestige)
-    return Scenario(
-        prefectures=tuple(prefectures),
-        schools=tuple(schools),
-        population=config,
-        schedule=tuple(regime_schedule(config.year_start, config.year_end)),
-    )
+    return build_scenario(scale, config_overrides)

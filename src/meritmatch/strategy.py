@@ -79,22 +79,6 @@ def truthful_ranking(applicant: Applicant) -> PreferenceList:
     return PreferenceList(applicant_id=applicant.id, ranked=tuple(sid for _, sid in entries))
 
 
-def admit_probability(score: float, cutoff: float, sigma: float) -> float:
-    """Probability of clearing `cutoff` given score uncertainty `sigma`.
-
-    sigma=0 degenerates to the step function, with 1/2 exactly at the cutoff.
-    """
-    if sigma < 0:
-        raise DomainError("sigma must be >= 0")
-    if cutoff == float("-inf"):
-        return 1.0
-    if sigma == 0:
-        if score > cutoff:
-            return 1.0
-        return 0.5 if score == cutoff else 0.0
-    return float(ndtr((score - cutoff) / sigma))
-
-
 def _best_single_choices(
     scores: np.ndarray,
     utilities: np.ndarray,
@@ -114,27 +98,6 @@ def _best_single_choices(
     best = np.argmax(ev, axis=1)  # first max -> lowest school index
     best[~np.isfinite(ev[np.arange(len(best)), best])] = -1
     return best
-
-
-def choose_single_application(
-    applicant: Applicant,
-    beliefs: CutoffBeliefs,
-    params: BehaviorParams,
-) -> SingleApplication | None:
-    """Apply to the school maximizing admission probability times surplus,
-    among schools better than the outside option; None means abstain."""
-    utilities = np.array([applicant.utility])
-    cutoffs = np.array(beliefs.cutoffs)
-    choice = _best_single_choices(
-        np.array([applicant.score]),
-        utilities,
-        np.array([applicant.outside_option]),
-        cutoffs,
-        params.score_noise_sd,
-    )[0]
-    if choice < 0:
-        return None
-    return SingleApplication(applicant_id=applicant.id, school_id=beliefs.school_ids[choice])
 
 
 def _applicant_arrays(applicants: Sequence[Applicant]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -251,20 +214,14 @@ def submit_applications(
     applicants: Sequence[Applicant],
     regime: Regime,
     params: BehaviorParams,
-    rng: SeededRng | None = None,
-    beliefs: CutoffBeliefs | None = None,
-) -> list[PreferenceList] | list[SingleApplication]:
-    """Applications submitted under a regime.
+) -> list[PreferenceList]:
+    """Ranked lists submitted under a centralized regime.
 
-    Centralized: full truthful rankings. Decentralized (with or without the
-    unified exam): equilibrium single applications (beliefs computed here
-    unless supplied). Grouped centralized: truthful one-per-group lists.
-    Empty rankings / abstentions are dropped.
+    Centralized: full truthful rankings. Grouped centralized: truthful
+    one-per-group lists. Empty rankings are dropped. Decentralized years have
+    no ranked lists: their single applications come from
+    `equilibrium_cutoffs` and `single_applications`.
     """
-    if regime.kind in (RegimeKind.DECENTRALIZED, RegimeKind.DECENTRALIZED_UNIFIED_EXAM):
-        if beliefs is None:
-            beliefs, _, _ = equilibrium_cutoffs(schools, applicants, params, rng)
-        return single_applications(schools, applicants, beliefs, params)
     if regime.kind == RegimeKind.CENTRALIZED:
         out = [truthful_ranking(a) for a in applicants]
         return [p for p in out if p.ranked]
@@ -273,4 +230,4 @@ def submit_applications(
             raise DomainError("grouped regime requires groups")
         out = [grouped_ranking(a, regime.groups) for a in applicants]
         return [p for p in out if p.ranked]
-    raise DomainError(f"unknown regime kind: {regime.kind!r}")
+    raise DomainError(f"no ranked lists under regime kind {regime.kind!r}")

@@ -3,8 +3,9 @@
 These deliberately re-derive results with the plainest possible code, so the
 package implementations are checked against a second, structurally different
 route: a literal step-by-step executor for the centralized assignment rounds,
-a per-school sort for the decentralized rule, subset/assignment enumeration
-for the dominance check, and dummy-variable OLS for the within estimator.
+a per-school sort for the decentralized rule, a per-applicant loop for the
+single-application choice, subset/assignment enumeration for the dominance
+check, and dummy-variable OLS for the within estimator.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.special import ndtr
+
+from meritmatch.core import DomainError
+from meritmatch.mechanisms import SingleApplication
 
 
 def printed_steps_assignment(schools, applicants, prefs, tie):
@@ -70,6 +75,39 @@ def per_school_top(schools, applicants, apps, tie):
             placed[aid] = s.id
     unassigned = {a.applicant_id for a in apps} - set(placed)
     return placed, unassigned
+
+
+def admit_probability(score, cutoff, sigma):
+    """Probability of clearing `cutoff` given score uncertainty `sigma`.
+
+    sigma=0 degenerates to the step function, with 1/2 exactly at the cutoff.
+    """
+    if sigma < 0:
+        raise DomainError("sigma must be >= 0")
+    if cutoff == float("-inf"):
+        return 1.0
+    if sigma == 0:
+        if score > cutoff:
+            return 1.0
+        return 0.5 if score == cutoff else 0.0
+    return float(ndtr((score - cutoff) / sigma))
+
+
+def choose_single_application(applicant, beliefs, params):
+    """One applicant's single application: the school maximizing admission
+    probability times surplus among schools better than the outside option,
+    the lowest school id on ties; None means abstain."""
+    best = None
+    for sid, cutoff, utility in zip(beliefs.school_ids, beliefs.cutoffs, applicant.utility):
+        surplus = utility - applicant.outside_option
+        if surplus <= 0:
+            continue
+        value = admit_probability(applicant.score, cutoff, params.score_noise_sd) * surplus
+        if best is None or value > best[0]:
+            best = (value, sid)
+    if best is None:
+        return None
+    return SingleApplication(applicant_id=applicant.id, school_id=best[1])
 
 
 def dominates_all_feasible_sets(scores_by_id, admitted, total_capacity):

@@ -75,6 +75,20 @@ def test_estimate_stage_reruns_from_disk(config_path, tmp_path):
     assert (out / "regressions.csv").read_bytes() == original
 
 
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_estimate_rejects_lock_from_another_run(config_path, tmp_path):
+    out = tmp_path / "staged"
+    assert _run_cli(config_path, out, ("--stages", "simulate,metrics")) == 0
+    assert _run_cli(config_path, out, ("--stages", "estimate")) == 0
+    estimated = (out / "regressions.csv").read_bytes()
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**SMALL_CONFIG, "scale": 0.03}))
+    assert _run_cli(other, out, ("--stages", "estimate")) == 2
+    assert _run_cli(config_path, out, ("--stages", "estimate", "--seed", "7")) == 2
+    assert _run_cli(config_path, out, ("--stages", "estimate", "--seeds", "2")) == 2
+    assert (out / "regressions.csv").read_bytes() == estimated
+
+
 def test_metrics_without_simulate_is_config_error(config_path, tmp_path, capsys):
     code = _run_cli(config_path, tmp_path / "x", ("--stages", "metrics"))
     assert code == 2
@@ -252,7 +266,7 @@ def test_manifest_validation():
     with pytest.raises(ConfigError):
         RunManifest(stages=("simulate", "bogus"))
     with pytest.raises(ConfigError):
-        RunManifest(format="parquet")
+        RunManifest(stages=("Simulate",))  # stage names are case-sensitive
     with pytest.raises(ConfigError):
         RunManifest(jobs=0)
 

@@ -14,7 +14,6 @@ from meritmatch.core import (
     default_prefectures,
     default_schools,
     distance,
-    distance_by_id,
     distance_matrix,
     load_geography,
     load_schools,
@@ -52,8 +51,9 @@ def test_tokyo_kanagawa_within_urban_band():
 
 def test_unknown_prefecture_id_is_domain_error():
     prefs = default_prefectures()
+    prefs[-1] = _pref(99, 0.0, 0.0)
     with pytest.raises(DomainError):
-        distance_by_id(prefs, 0, 99)
+        distance_matrix(prefs)
 
 
 def test_distance_is_a_metric_on_default_geography():

@@ -325,7 +325,7 @@ def test_admitted_set_all_unassigned():
     assert admitted_set(a) == set()
 
 
-# -- shared lottery and redraw toggle ---------------------------------------------
+# -- shared lottery ----------------------------------------------------------------
 
 
 def test_same_rng_gives_same_pool_across_mechanisms():
@@ -336,32 +336,6 @@ def test_same_rng_gives_same_pool_across_mechanisms():
     b = run_meritocratic_boston(schools, applicants, prefs, rng)
     d = run_serial_dictatorship_da(schools, applicants, prefs, rng)
     assert admitted_set(b) == admitted_set(d)
-
-
-def test_redraw_equals_single_draw_without_ties():
-    gen = np.random.default_rng(3)
-    schools = mk_schools(1, 2, 1)
-    for seed in range(30):
-        scores = gen.permutation(np.arange(1.0, 8.0))  # distinct
-        applicants = [mk_applicant(i, float(scores[i]), 3) for i in range(7)]
-        prefs = [
-            PreferenceList(i, tuple(int(s) for s in gen.permutation(3) + 1)) for i in range(7)
-        ]
-        single = run_meritocratic_boston(schools, applicants, prefs, SeededRng(seed))
-        redraw = run_meritocratic_boston(
-            schools, applicants, prefs, SeededRng(seed), redraw_each_round=True
-        )
-        assert single.placed == redraw.placed
-
-
-def test_redraw_changes_draws_with_ties():
-    applicants = [mk_applicant(i, 1.0, 1) for i in range(30)]
-    prefs = [PreferenceList(i, (1,)) for i in range(30)]
-    schools = mk_schools(10)
-    single = run_meritocratic_boston(schools, applicants, prefs, SeededRng(0))
-    redraw = run_meritocratic_boston(schools, applicants, prefs, SeededRng(0), redraw_each_round=True)
-    # both valid assignments of 10 of 30 tied applicants
-    assert len(single.placed) == len(redraw.placed) == 10
 
 
 # -- truncated-list counterexample -------------------------------------------------

@@ -10,7 +10,6 @@ from meritmatch.metrics import (
     PANEL_COLUMNS,
     YEAR_OUTCOME_COLUMNS,
     PanelRow,
-    YearRecord,
     build_panel,
     panel_to_columns,
     read_panel_csv,
@@ -18,6 +17,7 @@ from meritmatch.metrics import (
     write_panel_csv,
     write_year_outcomes_csv,
     year_outcome,
+    year_record,
 )
 from meritmatch.popgen import default_scenario, generate_applicants
 from meritmatch.pipeline import simulate_seed
@@ -120,17 +120,8 @@ def test_centralized_flag_follows_schedule(small_run):
 
 def test_panel_row_count_is_47_by_31():
     sc = default_scenario(scale=0.01)
-    records = []
-    for regime in sc.schedule:
-        records.append(
-            YearRecord(
-                year=regime.year,
-                regime=regime.kind,
-                assignment=Assignment({}, frozenset()),
-                birth_prefecture={},
-                applicants_by_prefecture={},
-            )
-        )
+    empty = Assignment({}, frozenset())
+    records = [year_record(empty, {}, sc.prefectures, sc.schools, r.year, r.kind) for r in sc.schedule]
     rows = build_panel(records, sc.prefectures, sc.schools)
     all_rows = [r for r in rows if r.school_id is None]
     assert len(all_rows) == 1457  # 47 prefectures x 31 years
@@ -139,7 +130,7 @@ def test_panel_row_count_is_47_by_31():
 
 def test_build_panel_needs_both_regimes():
     sc = default_scenario(scale=0.01)
-    rec = YearRecord(1900, RegimeKind.DECENTRALIZED, Assignment({}, frozenset()), {}, {})
+    rec = year_record(Assignment({}, frozenset()), {}, sc.prefectures, sc.schools, 1900, RegimeKind.DECENTRALIZED)
     with pytest.raises(DomainError):
         build_panel([rec], sc.prefectures, sc.schools)
     with pytest.raises(DomainError):

@@ -11,8 +11,6 @@ from meritmatch.popgen import default_scenario, generate_applicants
 from meritmatch.strategy import (
     BehaviorParams,
     CutoffBeliefs,
-    admit_probability,
-    choose_single_application,
     equilibrium_cutoffs,
     grouped_ranking,
     single_applications,
@@ -21,6 +19,7 @@ from meritmatch.strategy import (
 )
 
 from conftest import mk_schools
+from oracles import admit_probability, choose_single_application
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -47,7 +46,7 @@ def test_truthful_ranking_ties_break_to_lower_school_id():
     assert truthful_ranking(a).ranked == (2, 3, 1)
 
 
-# -- admit probability ------------------------------------------------------------
+# -- admit probability (scalar reference in oracles.py) -----------------------------
 
 
 def test_admit_probability_half_at_cutoff():
@@ -69,7 +68,7 @@ def test_admit_probability_no_cutoff():
     assert admit_probability(1.0, -math.inf, 0.0) == 1.0
 
 
-# -- single application choice -----------------------------------------------------
+# -- single application choice (scalar reference in oracles.py) ----------------------
 
 
 def test_choose_single_only_one_acceptable_school():
@@ -235,16 +234,20 @@ def test_submit_centralized_full_truthful_list():
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
-def test_submit_unified_exam_identical_to_decentralized():
+def test_decentralized_applications_match_scalar_choice():
+    # both decentralized regimes apply through the equilibrium path the
+    # pipeline uses; ranked lists exist only under the centralized ones
     sc = default_scenario(scale=0.05)
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1910, SeededRng(5))
     params = BehaviorParams()
-    rng = SeededRng(5).substream("strategy", 1910)
-    dec = submit_applications(sc.schools, apps, Regime(RegimeKind.DECENTRALIZED, 1900), params, rng)
-    due = submit_applications(
-        sc.schools, apps, Regime(RegimeKind.DECENTRALIZED_UNIFIED_EXAM, 1910), params, rng
-    )
-    assert dec == due
+    beliefs, _, _ = equilibrium_cutoffs(sc.schools, apps, params, SeededRng(5).substream("strategy", 1910))
+    singles = single_applications(sc.schools, apps, beliefs, params)
+    expected = [choose_single_application(a, beliefs, params) for a in sorted(apps, key=lambda a: a.id)]
+    assert singles == [e for e in expected if e is not None]
+    assert 0 < len(singles) < len(apps)
+    for kind in (RegimeKind.DECENTRALIZED, RegimeKind.DECENTRALIZED_UNIFIED_EXAM):
+        with pytest.raises(DomainError):
+            submit_applications(sc.schools, apps, Regime(kind, 1910), params)
 
 
 def test_submit_grouped_constraint_forces_one_per_group():
