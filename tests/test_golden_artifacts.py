@@ -1,4 +1,5 @@
-"""Golden artifacts: a full run of the `{"scale": 0.05}` scenario, seed 0.
+"""Golden artifacts: a full run of the `{"scale": 0.05}` scenario, seed 0,
+and the simulated series of the default (full-scale) scenario, seed 0.
 
 Every artifact except `regressions.csv` must match its recorded sha256 byte
 for byte. The regressions go through LAPACK, so their numbers are compared
@@ -46,3 +47,16 @@ def test_small_scenario_artifacts_match_golden(tmp_path):
                 assert math.isclose(float(g[key]), float(w[key]), rel_tol=RTOL), (w["spec_id"], key)
             else:
                 assert g[key] == w[key], (w["spec_id"], key)
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_default_scenario_series_match_golden(tmp_path):
+    golden = json.loads((GOLDEN / "artifacts_full_seed0.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(golden["config"]))
+    out = tmp_path / "out"
+    args = ["run", "--config", str(config), "--seed", str(golden["seed"]), "--out", str(out)]
+    assert main(args + ["--stages", "simulate,metrics"]) == 0
+
+    for name, digest in golden["sha256"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
