@@ -8,6 +8,7 @@ __version__ = "0.1.0"
 from .core import (
     Applicant,
     Assignment,
+    Cohort,
     DomainError,
     Placement,
     Prefecture,
@@ -19,6 +20,7 @@ from .core import (
     validate_market,
 )
 from .mechanisms import (
+    Applications,
     MeritPool,
     PreferenceList,
     SingleApplication,

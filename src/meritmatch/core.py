@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +51,59 @@ class Applicant:
     score: float
     utility: tuple[float, ...]  # cardinal value of each school, indexed by school id - 1
     outside_option: float
+
+
+def require_increasing(ids: np.ndarray, duplicate: str) -> None:
+    """Raise DomainError unless `ids` strictly increase; a repeated id is
+    reported with the `duplicate` format string."""
+    bad = ids[1:] <= ids[:-1]
+    if bad.any():
+        k = int(bad.argmax())
+        raise DomainError(duplicate.format(ids[k]) if ids[k] == ids[k + 1] else "ids must be in increasing order")
+
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """One year's applicants as columns, one row per applicant in increasing
+    id order. `utility[:, k]` is the value of the school with id k + 1."""
+
+    ids: np.ndarray  # (n,) int
+    birth: np.ndarray  # (n,) int, birth prefecture id
+    score: np.ndarray  # (n,) float
+    utility: np.ndarray  # (n, S) float
+    outside: np.ndarray  # (n,) float, outside option
+
+    def __post_init__(self) -> None:
+        require_increasing(self.ids, "duplicate applicant id {}")
+
+    @classmethod
+    def of(cls, applicants: "Cohort | Sequence[Applicant]") -> "Cohort":
+        """The cohort of `applicants` (a Cohort is returned as it is)."""
+        if isinstance(applicants, Cohort):
+            return applicants
+        rows = sorted(applicants, key=lambda a: a.id)
+        return cls(
+            ids=np.array([a.id for a in rows], dtype=np.int64),
+            birth=np.array([a.birth_prefecture for a in rows], dtype=np.int64),
+            score=np.array([a.score for a in rows], dtype=float),
+            utility=np.array([a.utility for a in rows], dtype=float).reshape(len(rows), -1 if rows else 0),
+            outside=np.array([a.outside_option for a in rows], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[Applicant]:
+        columns = (self.ids, self.birth, self.score, self.utility, self.outside)
+        for i, b, s, u, o in zip(*(c.tolist() for c in columns)):
+            yield Applicant(id=i, birth_prefecture=b, score=s, utility=tuple(u), outside_option=o)
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """Row index of each id; an id outside the cohort is a DomainError."""
+        rows = np.searchsorted(self.ids, ids)
+        if len(ids) and (not len(self.ids) or (self.ids.take(rows, mode="clip") != ids).any()):
+            raise DomainError(f"unknown applicant {np.setdiff1d(ids, self.ids)[0]}")
+        return rows
 
 
 class RegimeKind(str, Enum):

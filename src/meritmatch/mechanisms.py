@@ -1,10 +1,16 @@
 """Admission mechanisms: merit-capped Boston, serial dictatorship, pure Boston,
 decentralized single-application, and the grouped two-list variant.
 
-All mechanisms are pure functions from (schools, applicants, submitted
-applications, rng) to an Assignment. Ties in exam scores are broken by
-lottery: one uniform draw per applicant per mechanism run (`_tie_breaks`),
-reused across the pool-selection step and all rounds.
+All mechanisms are pure functions from (schools, cohort, submitted
+applications, rng) to an Assignment. The cohort is a `Cohort`; submitted
+applications are `Applications`, one row per submitter holding the school ids
+of the list, best first (a single application is a list of length one).
+Sequences of `Applicant`, `PreferenceList` or `SingleApplication` are
+accepted too and converted by `Cohort.of` and `Applications.of`, so every
+input runs through the same array code. Ties in exam scores are broken by
+lottery: one uniform draw per submitter per mechanism run, in increasing id
+order (`_tie_breaks`), reused across the pool-selection step and all rounds.
+Priority is higher score, then lower draw, then lower id.
 
 With a single common score priority on the school side, applicant-proposing
 deferred acceptance collapses to a serial dictatorship: process applicants in
@@ -17,11 +23,11 @@ is therefore the deferred-acceptance benchmark for this market.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import Applicant, Assignment, DomainError, Placement, School, SeededRng
+from .core import Applicant, Assignment, Cohort, DomainError, Placement, School, SeededRng, require_increasing
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,41 @@ class SingleApplication:
     school_id: int
 
 
+@dataclass(frozen=True, eq=False)
+class Applications:
+    """Submitted applications as arrays, one row per submitter in increasing
+    applicant id: row i is applicant `ids[i]`'s list, `schools[i, :lengths[i]]`,
+    most preferred first, padded with 0."""
+
+    ids: np.ndarray  # (m,) int
+    schools: np.ndarray  # (m, L) int school ids
+    lengths: np.ndarray  # (m,) int
+
+    def __post_init__(self) -> None:
+        require_increasing(self.ids, "applicant {} submitted more than one application")
+
+    @classmethod
+    def of(cls, apps: "Applications | Sequence[PreferenceList] | Sequence[SingleApplication]") -> "Applications":
+        """The arrays of `apps` (an Applications is returned as it is)."""
+        if isinstance(apps, Applications):
+            return apps
+        apps = sorted(apps, key=lambda a: a.applicant_id)
+        lists = [(a.school_id,) if isinstance(a, SingleApplication) else tuple(a.ranked) for a in apps]
+        width = max(map(len, lists), default=0)
+        return cls(
+            ids=np.array([a.applicant_id for a in apps], dtype=np.int64),
+            schools=np.array([r + (0,) * (width - len(r)) for r in lists], dtype=np.int64).reshape(len(lists), width),
+            lengths=np.array([len(r) for r in lists], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[PreferenceList]:
+        for i, row, k in zip(self.ids.tolist(), self.schools.tolist(), self.lengths.tolist()):
+            yield PreferenceList(applicant_id=i, ranked=tuple(row[:k]))
+
+
 @dataclass(frozen=True)
 class MeritPool:
     selected: frozenset[int]
@@ -47,63 +88,82 @@ def admitted_set(assignment: Assignment) -> set[int]:
     return set(assignment.placed)
 
 
-# -- tie-break plumbing -------------------------------------------------------
+# -- shared plumbing ----------------------------------------------------------
 
 
-def _tie_breaks(ids: Iterable[int], rng: SeededRng | None, lottery: Mapping[int, float] | None) -> dict[int, float]:
-    """One tie-break number per applicant; lower wins among equal scores.
+def _tie_breaks(ids: np.ndarray, rng: SeededRng | None, lottery: Mapping[int, float] | None) -> np.ndarray:
+    """One tie-break number per id of the increasing `ids`; lower wins among
+    equal scores.
 
     An explicit `lottery` mapping overrides the rng draw, which lets callers
     run two mechanisms under the same lottery realization.
     """
-    ordered = sorted(set(ids))
     if lottery is not None:
-        missing = [i for i in ordered if i not in lottery]
+        missing = [i for i in ids.tolist() if i not in lottery]
         if missing:
             raise DomainError(f"lottery mapping missing applicant ids {missing[:5]}")
-        return {i: float(lottery[i]) for i in ordered}
+        return np.array([float(lottery[i]) for i in ids.tolist()])
     if rng is None:
-        return {i: 0.0 for i in ordered}
-    draws = rng.generator().random(len(ordered))
-    return dict(zip(ordered, draws))
+        return np.zeros(len(ids))
+    return rng.generator().random(len(ids))
 
 
-def _priority_sorted(ids: Iterable[int], scores: Mapping[int, float], tie: Mapping[int, float]) -> list[int]:
-    return sorted(ids, key=lambda i: (-scores[i], tie[i], i))
+def _priority(ids: np.ndarray, scores: np.ndarray, ties: np.ndarray) -> np.ndarray:
+    """Row positions in priority order: higher score, lower tie-break, lower id."""
+    return np.lexsort((ids, ties, -scores))
 
 
-def _index_applicants(applicants: Sequence[Applicant]) -> dict[int, Applicant]:
-    by_id = {}
-    for a in applicants:
-        if a.id in by_id:
-            raise DomainError(f"duplicate applicant id {a.id}")
-        by_id[a.id] = a
-    return by_id
+@dataclass(frozen=True)
+class _Market:
+    """One mechanism run's validated input, rows in increasing applicant id."""
+
+    ids: np.ndarray  # (m,) submitters
+    scores: np.ndarray  # (m,)
+    choice: np.ndarray  # (m, L) 0-based school index of each list entry
+    lengths: np.ndarray  # (m,)
+    school_ids: np.ndarray  # (S,) increasing
+    caps: np.ndarray  # (S,)
 
 
-def _check_prefs(schools: Sequence[School], by_id: Mapping[int, Applicant], prefs: Sequence[PreferenceList]) -> None:
+def _market(
+    schools: Sequence[School],
+    applicants: Cohort | Sequence[Applicant],
+    apps: Applications | Sequence[PreferenceList] | Sequence[SingleApplication],
+) -> _Market:
+    """Convert and check a mechanism's input: every submitter is in the
+    cohort, and every list names known schools, each at most once."""
     if not schools:
         raise DomainError("no schools")
-    school_ids = {s.id for s in schools}
-    seen = set()
-    for p in prefs:
-        if p.applicant_id in seen:
-            raise DomainError(f"applicant {p.applicant_id} submitted two preference lists")
-        seen.add(p.applicant_id)
-        if p.applicant_id not in by_id:
-            raise DomainError(f"preference list from unknown applicant {p.applicant_id}")
-        if len(set(p.ranked)) != len(p.ranked):
-            raise DomainError(f"applicant {p.applicant_id} lists a school twice")
-        for sid in p.ranked:
-            if sid not in school_ids:
-                raise DomainError(f"applicant {p.applicant_id} lists unknown school {sid}")
+    cohort = Cohort.of(applicants)
+    apps = Applications.of(apps)
+    scores = cohort.score[cohort.rows(apps.ids)]
+    by_id = sorted(schools, key=lambda s: s.id)
+    school_ids = np.array([s.id for s in by_id], dtype=np.int64)
+    lists, width = apps.schools, apps.schools.shape[1]
+    choice = np.searchsorted(school_ids, lists)
+    listed = np.arange(width) < apps.lengths[:, None]
+    unknown = listed & (school_ids.take(choice, mode="clip") != lists)
+    if unknown.any():
+        row, col = np.argwhere(unknown)[0]
+        raise DomainError(f"applicant {apps.ids[row]} lists unknown school {lists[row, col]}")
+    entries = np.sort(np.where(listed, choice, -1 - np.arange(width)), axis=1)
+    twice = (entries[:, 1:] == entries[:, :-1]).any(axis=1)
+    if twice.any():
+        raise DomainError(f"applicant {apps.ids[twice][0]} lists a school twice")
+    caps = np.array([s.capacity for s in by_id], dtype=np.int64)
+    return _Market(ids=apps.ids, scores=scores, choice=choice, lengths=apps.lengths, school_ids=school_ids, caps=caps)
 
 
 # -- merit pool ---------------------------------------------------------------
 
 
+def _check_capacity(total_capacity: int) -> None:
+    if total_capacity <= 0:
+        raise DomainError(f"total capacity must be positive, got {total_capacity}")
+
+
 def select_merit_pool(
-    applicants: Sequence[Applicant],
+    applicants: Cohort | Sequence[Applicant],
     total_capacity: int,
     rng: SeededRng | None = None,
     *,
@@ -111,70 +171,60 @@ def select_merit_pool(
 ) -> MeritPool:
     """Top-K applicants by exam score, K = total capacity, lottery among
     cutoff ties."""
-    if total_capacity <= 0:
-        raise DomainError(f"total capacity must be positive, got {total_capacity}")
-    by_id = _index_applicants(applicants)
-    if total_capacity >= len(by_id):
-        return MeritPool(selected=frozenset(by_id), cutoff_score=float("-inf"), lottery_used=False)
-    scores = {i: a.score for i, a in by_id.items()}
-    tie = _tie_breaks(by_id, rng, lottery)
-    order = _priority_sorted(by_id, scores, tie)
+    _check_capacity(total_capacity)
+    cohort = Cohort.of(applicants)
+    if total_capacity >= len(cohort):
+        return MeritPool(selected=frozenset(cohort.ids.tolist()), cutoff_score=float("-inf"), lottery_used=False)
+    order = _priority(cohort.ids, cohort.score, _tie_breaks(cohort.ids, rng, lottery))
     selected = order[:total_capacity]
-    cutoff = scores[selected[-1]]
-    n_above = sum(1 for a in by_id.values() if a.score > cutoff)
-    n_tied = sum(1 for a in by_id.values() if a.score == cutoff)
+    cutoff = float(cohort.score[selected[-1]])
     return MeritPool(
-        selected=frozenset(selected),
+        selected=frozenset(cohort.ids[selected].tolist()),
         cutoff_score=cutoff,
-        lottery_used=n_above + n_tied > total_capacity,
+        lottery_used=bool(np.count_nonzero(cohort.score >= cutoff) > total_capacity),
     )
 
 
 # -- Boston rounds ------------------------------------------------------------
 
 
-def _boston_rounds(
-    schools: Sequence[School],
-    by_id: Mapping[int, Applicant],
-    prefs: Sequence[PreferenceList],
-    eligible: frozenset[int],
-    tie: Mapping[int, float],
-) -> Assignment:
-    """Round r: applicants still held propose, in score order, to the r-th
-    school on their list; a school accepts while seats remain. Exhausted
-    lists leave the applicant unassigned; seats are never backfilled."""
-    seats = {s.id: s.capacity for s in schools}
-    scores = {i: by_id[i].score for i in by_id}
-    ranked = {p.applicant_id: p.ranked for p in prefs}
+def _boston(market: _Market, ties: np.ndarray, merit_capped: bool) -> Assignment:
+    """Round r: applicants still held propose, in priority order, to the r-th
+    school on their list, and each school admits its proposers in that order
+    while seats remain. Exhausted lists leave the applicant unassigned; seats
+    are never backfilled. With `merit_capped`, only the top total-capacity
+    submitters by priority are held at the start.
 
+    The rounds walk Python lists: on the tiny markets of the exhaustive tests
+    a per-round numpy top-k costs several times more, and at full scale both
+    take a few milliseconds a year."""
+    held = _priority(market.ids, market.scores, ties)
+    if merit_capped:
+        total = int(market.caps.sum())
+        _check_capacity(total)
+        held = held[:total]
+    ids, lists, lengths = market.ids[held].tolist(), market.choice[held].tolist(), market.lengths[held].tolist()
+    school_ids, seats = market.school_ids.tolist(), market.caps.tolist()
     placed: dict[int, Placement] = {}
-    unassigned: set[int] = {p.applicant_id for p in prefs if p.applicant_id not in eligible}
-    active = [p.applicant_id for p in prefs if p.applicant_id in eligible]
-
-    r = 1
-    while active:
-        active = _priority_sorted(active, scores, tie)
-        held = []
-        for aid in active:
-            lst = ranked[aid]
-            if len(lst) < r:
-                unassigned.add(aid)
-                continue
-            sid = lst[r - 1]
-            if seats[sid] > 0:
-                seats[sid] -= 1
-                placed[aid] = Placement(school_id=sid, admission_round=r, preference_rank_obtained=r)
-            else:
-                held.append(aid)
-        active = held
-        r += 1
-    return Assignment(placed=placed, unassigned=frozenset(unassigned))
+    waiting = range(len(ids))
+    for r in range(market.choice.shape[1]):
+        still = []
+        for j in waiting:
+            if lengths[j] > r:
+                k = lists[j][r]
+                if seats[k] > 0:
+                    seats[k] -= 1
+                    placed[ids[j]] = Placement(school_id=school_ids[k], admission_round=r + 1, preference_rank_obtained=r + 1)
+                else:
+                    still.append(j)
+        waiting = still
+    return Assignment(placed=placed, unassigned=frozenset(market.ids.tolist()).difference(placed))
 
 
 def run_meritocratic_boston(
     schools: Sequence[School],
-    applicants: Sequence[Applicant],
-    prefs: Sequence[PreferenceList],
+    applicants: Cohort | Sequence[Applicant],
+    prefs: Applications | Sequence[PreferenceList],
     rng: SeededRng | None = None,
     *,
     lottery: Mapping[int, float] | None = None,
@@ -182,37 +232,29 @@ def run_meritocratic_boston(
     """Merit-capped Boston: select the top-K applicants by score (K = total
     capacity), then run Boston rounds among them. Applicants outside the pool
     are unassigned regardless of their lists."""
-    by_id = _index_applicants(applicants)
-    _check_prefs(schools, by_id, prefs)
-    submitters = [by_id[p.applicant_id] for p in prefs]
-    if not submitters:
+    market = _market(schools, applicants, prefs)
+    if not len(market.ids):
         return Assignment(placed={}, unassigned=frozenset())
-    tie = _tie_breaks((p.applicant_id for p in prefs), rng, lottery)
-    total_capacity = sum(s.capacity for s in schools)
-    pool = select_merit_pool(submitters, total_capacity, lottery=tie)
-    return _boston_rounds(schools, by_id, prefs, pool.selected, tie)
+    return _boston(market, _tie_breaks(market.ids, rng, lottery), merit_capped=True)
 
 
 def run_immediate_acceptance(
     schools: Sequence[School],
-    applicants: Sequence[Applicant],
-    prefs: Sequence[PreferenceList],
+    applicants: Cohort | Sequence[Applicant],
+    prefs: Applications | Sequence[PreferenceList],
     rng: SeededRng | None = None,
     *,
     lottery: Mapping[int, float] | None = None,
 ) -> Assignment:
     """Pure Boston baseline: identical rounds, no merit-pool restriction."""
-    by_id = _index_applicants(applicants)
-    _check_prefs(schools, by_id, prefs)
-    tie = _tie_breaks((p.applicant_id for p in prefs), rng, lottery)
-    eligible = frozenset(p.applicant_id for p in prefs)
-    return _boston_rounds(schools, by_id, prefs, eligible, tie)
+    market = _market(schools, applicants, prefs)
+    return _boston(market, _tie_breaks(market.ids, rng, lottery), merit_capped=False)
 
 
 def run_serial_dictatorship_da(
     schools: Sequence[School],
-    applicants: Sequence[Applicant],
-    prefs: Sequence[PreferenceList],
+    applicants: Cohort | Sequence[Applicant],
+    prefs: Applications | Sequence[PreferenceList],
     rng: SeededRng | None = None,
     *,
     lottery: Mapping[int, float] | None = None,
@@ -222,23 +264,18 @@ def run_serial_dictatorship_da(
     deferred acceptance under the market's single common score priority (see
     module docstring). admission_round is 1 for every placement; the rank
     obtained is the list position of the school received."""
-    by_id = _index_applicants(applicants)
-    _check_prefs(schools, by_id, prefs)
-    scores = {p.applicant_id: by_id[p.applicant_id].score for p in prefs}
-    tie = _tie_breaks(scores, rng, lottery)
-    seats = {s.id: s.capacity for s in schools}
+    market = _market(schools, applicants, prefs)
+    order = _priority(market.ids, market.scores, _tie_breaks(market.ids, rng, lottery))
+    ids, lists, lengths = market.ids[order].tolist(), market.choice[order].tolist(), market.lengths[order].tolist()
+    school_ids, seats = market.school_ids.tolist(), market.caps.tolist()
     placed: dict[int, Placement] = {}
-    unassigned: set[int] = set()
-    ranked = {p.applicant_id: p.ranked for p in prefs}
-    for aid in _priority_sorted(scores, scores, tie):
-        choice = next((k for k, sid in enumerate(ranked[aid], start=1) if seats[sid] > 0), None)
-        if choice is None:
-            unassigned.add(aid)
-        else:
-            sid = ranked[aid][choice - 1]
-            seats[sid] -= 1
-            placed[aid] = Placement(school_id=sid, admission_round=1, preference_rank_obtained=choice)
-    return Assignment(placed=placed, unassigned=frozenset(unassigned))
+    for aid, listed, length in zip(ids, lists, lengths):
+        for rank, k in enumerate(listed[:length], start=1):
+            if seats[k] > 0:
+                seats[k] -= 1
+                placed[aid] = Placement(school_id=school_ids[k], admission_round=1, preference_rank_obtained=rank)
+                break
+    return Assignment(placed=placed, unassigned=frozenset(ids).difference(placed))
 
 
 # -- decentralized single-application ----------------------------------------
@@ -283,48 +320,27 @@ def _admit_top_per_school(
 
 def run_decentralized(
     schools: Sequence[School],
-    applicants: Sequence[Applicant],
-    apps: Sequence[SingleApplication],
+    applicants: Cohort | Sequence[Applicant],
+    apps: Applications | Sequence[SingleApplication],
     rng: SeededRng | None = None,
     *,
     lottery: Mapping[int, float] | None = None,
 ) -> Assignment:
     """Each school independently admits its top-capacity applicants by score;
     everyone else is unassigned."""
-    by_id = _index_applicants(applicants)
-    if not schools:
-        raise DomainError("no schools")
-    school_ids = sorted(s.id for s in schools)
-    id_to_idx = {sid: k for k, sid in enumerate(school_ids)}
-    seen: set[int] = set()
-    for app in apps:
-        if app.applicant_id in seen:
-            raise DomainError(f"applicant {app.applicant_id} submitted more than one application")
-        seen.add(app.applicant_id)
-        if app.applicant_id not in by_id:
-            raise DomainError(f"application from unknown applicant {app.applicant_id}")
-        if app.school_id not in id_to_idx:
-            raise DomainError(f"applicant {app.applicant_id} applied to unknown school {app.school_id}")
-    if not apps:
+    market = _market(schools, applicants, apps)
+    multiple = market.lengths != 1
+    if multiple.any():
+        raise DomainError(f"applicant {market.ids[multiple][0]} did not apply to exactly one school")
+    if not len(market.ids):
         return Assignment(placed={}, unassigned=frozenset())
-
-    ordered = sorted(apps, key=lambda a: a.applicant_id)
-    ids = [a.applicant_id for a in ordered]
-    tie_map = _tie_breaks(ids, rng, lottery)
-    school_idx = np.array([id_to_idx[a.school_id] for a in ordered], dtype=np.int64)
-    scores = np.array([by_id[a.applicant_id].score for a in ordered])
-    ties = np.array([tie_map[i] for i in ids])
-    caps = np.array([s.capacity for s in sorted(schools, key=lambda s: s.id)], dtype=np.int64)
-
-    admitted, _ = _admit_top_per_school(school_idx, scores, ties, caps)
-    placed = {}
-    unassigned = set()
-    for k, app in enumerate(ordered):
-        if admitted[k]:
-            placed[app.applicant_id] = Placement(school_id=app.school_id, admission_round=1, preference_rank_obtained=1)
-        else:
-            unassigned.add(app.applicant_id)
-    return Assignment(placed=placed, unassigned=frozenset(unassigned))
+    choice = market.choice[:, 0]
+    admitted, _ = _admit_top_per_school(choice, market.scores, _tie_breaks(market.ids, rng, lottery), market.caps)
+    placed = {
+        aid: Placement(school_id=sid, admission_round=1, preference_rank_obtained=1)
+        for aid, sid in zip(market.ids[admitted].tolist(), market.school_ids[choice[admitted]].tolist())
+    }
+    return Assignment(placed=placed, unassigned=frozenset(market.ids[~admitted].tolist()))
 
 
 # -- grouped centralized (two lists, one school per group) --------------------
@@ -332,8 +348,8 @@ def run_decentralized(
 
 def run_grouped_centralized(
     schools: Sequence[School],
-    applicants: Sequence[Applicant],
-    grouped_prefs: Sequence[PreferenceList],
+    applicants: Cohort | Sequence[Applicant],
+    grouped_prefs: Applications | Sequence[PreferenceList],
     groups: tuple[frozenset[int], frozenset[int]],
     rng: SeededRng | None = None,
     *,
@@ -344,9 +360,11 @@ def run_grouped_centralized(
     school_ids = {s.id for s in schools}
     if set(groups[0]) | set(groups[1]) != school_ids or set(groups[0]) & set(groups[1]):
         raise DomainError("groups must partition the school set")
-    for p in grouped_prefs:
-        for g in groups:
-            hits = [sid for sid in p.ranked if sid in g]
-            if len(hits) > 1:
-                raise DomainError(f"applicant {p.applicant_id} lists {len(hits)} schools from one group")
-    return run_meritocratic_boston(schools, applicants, grouped_prefs, rng, lottery=lottery)
+    apps = Applications.of(grouped_prefs)
+    listed = np.arange(apps.schools.shape[1]) < apps.lengths[:, None]
+    for g in groups:
+        hits = np.count_nonzero(listed & np.isin(apps.schools, list(g)), axis=1)
+        if (hits > 1).any():
+            k = int(np.argmax(hits > 1))
+            raise DomainError(f"applicant {apps.ids[k]} lists {hits[k]} schools from one group")
+    return run_meritocratic_boston(schools, applicants, apps, rng, lottery=lottery)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Assignment, DomainError, Prefecture, RegimeKind, School, distance_matrix
-from .mechanisms import PreferenceList, SingleApplication
+from .core import Applicant, Assignment, Cohort, DomainError, Prefecture, RegimeKind, School, distance_matrix
+from .mechanisms import Applications, PreferenceList, SingleApplication
 
 
 @dataclass(frozen=True)
@@ -56,42 +56,45 @@ class YearRecord:
     cohort: np.ndarray  # (P,) int: applicants by birth prefecture id (graduate proxy)
 
 
-def first_choice(application: PreferenceList | SingleApplication) -> int:
-    if isinstance(application, SingleApplication):
-        return application.school_id
-    return application.ranked[0]
+def _entrant_births(assignment: Assignment, cohort: Cohort) -> np.ndarray:
+    """Birth prefecture of each placed applicant, in admission order."""
+    ids = np.fromiter(assignment.placed, dtype=np.int64, count=len(assignment.placed))
+    return cohort.birth[cohort.rows(ids)]
 
 
 def year_outcome(
-    applications: Sequence[PreferenceList] | Sequence[SingleApplication],
+    applications: Applications | Sequence[PreferenceList] | Sequence[SingleApplication],
     assignment: Assignment,
     prefectures: Sequence[Prefecture],
     schools: Sequence[School],
-    birth_prefecture: Mapping[int, int],
+    cohort: Cohort | Sequence[Applicant],
     year: int,
     regime: RegimeKind,
+    distances: np.ndarray | None = None,
 ) -> YearOutcome:
     """Outcome statistics for one year.
 
     The first-choice share is taken over submitted applications (the first
     list entry, or the single application). Distance and the urban share are
-    taken over placed applicants; with zero entrants they are reported as
-    missing rather than zero.
+    taken over placed applicants, summed in admission order; with zero
+    entrants they are reported as missing rather than zero. `distances` is
+    `distance_matrix(prefectures)`, if already computed.
     """
-    n_apps = len(applications)
+    apps = Applications.of(applications)
+    n_apps = len(apps)
     share_first = None
     if n_apps:
-        share_first = sum(1 for a in applications if first_choice(a) == 1) / n_apps
+        share_first = int(np.count_nonzero(apps.schools[:, :1] == 1)) / n_apps
 
     host = {s.id: s.prefecture_id for s in schools}
-    dmat = distance_matrix(prefectures)
+    dmat = distance_matrix(prefectures) if distances is None else distances
     urban = {p.id: p.urban for p in prefectures}
 
     dist_sum = 0.0
     urban_count = 0
     n_placed = len(assignment.placed)
-    for aid, placement in assignment.placed.items():
-        b = birth_prefecture[aid]
+    births = _entrant_births(assignment, Cohort.of(cohort)).tolist()
+    for b, placement in zip(births, assignment.placed.values()):
         dist_sum += dmat[b, host[placement.school_id]]
         urban_count += urban[b]
     mean_dist = float(dist_sum / n_placed) if n_placed else None
@@ -110,21 +113,21 @@ def year_outcome(
 
 def year_record(
     assignment: Assignment,
-    birth_prefecture: Mapping[int, int],
+    cohort: Cohort | Sequence[Applicant],
     prefectures: Sequence[Prefecture],
     schools: Sequence[School],
     year: int,
     regime: RegimeKind,
 ) -> YearRecord:
     """Count one year's entrants per (birth prefecture, school) and its
-    cohort per prefecture; `birth_prefecture` covers every applicant."""
-    school_index = {s.id: k for k, s in enumerate(sorted(schools, key=lambda s: s.id))}
+    cohort per prefecture."""
+    cohort = Cohort.of(cohort)
+    school_ids = np.array(sorted(s.id for s in schools))
+    placed_at = np.fromiter((p.school_id for p in assignment.placed.values()), dtype=np.int64, count=len(assignment.placed))
     entrants = np.zeros((len(prefectures), len(schools)), dtype=np.int64)
-    for aid, placement in assignment.placed.items():
-        entrants[birth_prefecture[aid], school_index[placement.school_id]] += 1
-    births = np.fromiter(birth_prefecture.values(), dtype=np.int64, count=len(birth_prefecture))
-    cohort = np.bincount(births, minlength=len(prefectures))
-    return YearRecord(year=year, regime=regime, entrants=entrants, cohort=cohort)
+    np.add.at(entrants, (_entrant_births(assignment, cohort), np.searchsorted(school_ids, placed_at)), 1)
+    counts = np.bincount(cohort.birth, minlength=len(prefectures))
+    return YearRecord(year=year, regime=regime, entrants=entrants, cohort=counts)
 
 
 def build_panel(

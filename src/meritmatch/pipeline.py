@@ -28,6 +28,7 @@ from .core import (
     School,
     SeededRng,
     build_prefectures,
+    distance_matrix,
     load_geography,
     load_schools,
     validate_market,
@@ -172,9 +173,14 @@ def resolve_config(config_path: str | Path | None) -> ResolvedConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must contain a JSON object")
-    if raw.get("locked"):
-        return _resolve_locked(raw, path)
-    return _resolve_dict(raw, base_dir=path.parent)
+    try:
+        if raw.get("locked"):
+            return _resolve_locked(raw, path)
+        return _resolve_dict(raw, base_dir=path.parent)
+    except (ConfigError, DomainError):
+        raise
+    except (TypeError, ValueError) as exc:  # a value of the wrong type
+        raise ConfigError(f"bad value in config {path}: {exc}") from exc
 
 
 def _resolve_dict(raw: Mapping, base_dir: Path | None = None) -> ResolvedConfig:
@@ -238,6 +244,7 @@ def simulate_seed(scenario: Scenario, behavior: BehaviorParams, seed: int) -> Se
     root = SeededRng(seed)
     prefectures = scenario.prefectures
     schools = scenario.schools
+    distances = distance_matrix(prefectures)
     outcomes: list[YearOutcome] = []
     records: list[YearRecord] = []
     eq_log: list[tuple[int, int, float]] = []
@@ -245,27 +252,26 @@ def simulate_seed(scenario: Scenario, behavior: BehaviorParams, seed: int) -> Se
 
     for regime in scenario.schedule:
         year = regime.year
-        applicants = generate_applicants(scenario.population, prefectures, schools, year, root)
+        cohort = generate_applicants(scenario.population, prefectures, schools, year, root, distances)
         lottery_rng = root.substream("lottery", year)
         if regime.kind.is_centralized:
-            apps = submit_applications(schools, applicants, regime, behavior)
+            apps = submit_applications(cohort, regime)
             if regime.kind == RegimeKind.GROUPED_CENTRALIZED:
-                assignment = run_grouped_centralized(schools, applicants, apps, regime.groups, lottery_rng)
+                assignment = run_grouped_centralized(schools, cohort, apps, regime.groups, lottery_rng)
             else:
-                assignment = run_meritocratic_boston(schools, applicants, apps, lottery_rng)
+                assignment = run_meritocratic_boston(schools, cohort, apps, lottery_rng)
         else:
             beliefs, iters, resid = equilibrium_cutoffs(
-                schools, applicants, behavior, root.substream("strategy", year), initial=beliefs
+                schools, cohort, behavior, root.substream("strategy", year), initial=beliefs
             )
             eq_log.append((year, iters, resid))
-            apps = single_applications(schools, applicants, beliefs, behavior)
-            assignment = run_decentralized(schools, applicants, apps, lottery_rng)
+            apps = single_applications(schools, cohort, beliefs, behavior)
+            assignment = run_decentralized(schools, cohort, apps, lottery_rng)
 
-        birth = {a.id: a.birth_prefecture for a in applicants}
         outcomes.append(
-            year_outcome(apps, assignment, prefectures, schools, birth, year, regime.kind)
+            year_outcome(apps, assignment, prefectures, schools, cohort, year, regime.kind, distances)
         )
-        records.append(year_record(assignment, birth, prefectures, schools, year, regime.kind))
+        records.append(year_record(assignment, cohort, prefectures, schools, year, regime.kind))
     return SeedResult(
         seed=seed,
         outcomes=tuple(outcomes),

@@ -1,10 +1,11 @@
 """Synthetic yearly applicant populations.
 
 Cohorts are drawn fresh each year from a year-invariant configuration, so
-regime switches are the only time-varying treatment. The urban advantage
-enters only through the education-infrastructure channel: a prefecture's
-edu_index shifts its mean exam score. Preferences are prestige minus a
-linear distance cost plus idiosyncratic noise.
+regime switches are the only time-varying treatment. A year's draw is
+returned as one `Cohort` of arrays, with applicant ids 0..n-1. The urban
+advantage enters only through the education-infrastructure channel: a
+prefecture's edu_index shifts its mean exam score. Preferences are prestige
+minus a linear distance cost plus idiosyncratic noise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    Applicant,
+    Cohort,
     DomainError,
     Prefecture,
     Regime,
@@ -75,9 +76,11 @@ def generate_applicants(
     schools: Sequence[School],
     year: int,
     rng: SeededRng,
-) -> list[Applicant]:
+    distances: np.ndarray | None = None,
+) -> Cohort:
     """Draw one year's cohort. The draw uses a ("popgen", year) substream of
-    `rng`, so a cohort depends only on (seed, year), not on draw order."""
+    `rng`, so a cohort depends only on (seed, year), not on draw order.
+    `distances` is `distance_matrix(prefectures)`, if already computed."""
     gen = rng.substream("popgen", year).generator()
     n = config.cohort_size(year)
     n_prefs = len(prefectures)
@@ -89,7 +92,7 @@ def generate_applicants(
     schools_sorted = sorted(schools, key=lambda s: s.id)
     if len(config.prestige) != len(schools_sorted):
         raise DomainError("prestige vector length does not match the school count")
-    dmat = distance_matrix(prefectures)
+    dmat = distance_matrix(prefectures) if distances is None else distances
     school_dist = dmat[:, [s.prefecture_id for s in schools_sorted]]  # (P, S)
     prestige = np.array(config.prestige)
 
@@ -99,16 +102,7 @@ def generate_applicants(
     utilities = prestige[None, :] - config.distance_cost * school_dist[birth] + noise
     outside = gen.normal(config.outside_option_mean, config.outside_option_sd, size=n)
 
-    return [
-        Applicant(
-            id=i,
-            birth_prefecture=int(birth[i]),
-            score=float(scores[i]),
-            utility=tuple(float(u) for u in utilities[i]),
-            outside_option=float(outside[i]),
-        )
-        for i in range(n)
-    ]
+    return Cohort(ids=np.arange(n), birth=birth, score=scores, utility=utilities, outside=outside)
 
 
 def regime_schedule(

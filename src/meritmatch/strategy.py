@@ -1,6 +1,11 @@
 """Application behavior: truthful rankings for the centralized regimes and a
 self-selection equilibrium for the decentralized single-application regime.
 
+Everything here reads a year's `Cohort` (a sequence of `Applicant`s is
+converted by `Cohort.of`) and returns `Applications`: ranked lists come from
+one stable argsort of each applicant's utilities, single applications from
+the vectorized best response `_best_single_choices`.
+
 The decentralized model is a rational-expectations fixed point: applicants
 hold beliefs about each school's admission cutoff, smooth the acceptance
 event with a normal CDF over their own score uncertainty, and apply to the
@@ -20,8 +25,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .core import Applicant, DomainError, Regime, RegimeKind, School, SeededRng
-from .mechanisms import PreferenceList, SingleApplication, _admit_top_per_school
+from .core import Applicant, Cohort, DomainError, Regime, RegimeKind, School, SeededRng
+from .mechanisms import Applications, PreferenceList, _admit_top_per_school
 
 
 @dataclass(frozen=True)
@@ -67,16 +72,46 @@ class CutoffBeliefs:
             raise DomainError(f"no belief for school {school_id}") from None
 
 
+def _truthful_lists(cohort: Cohort) -> Applications:
+    """Every applicant's list, possibly empty: the schools strictly better than
+    the outside option, best first; equal utilities break toward the lower
+    school id."""
+    ranked = np.argsort(-cohort.utility, axis=1, kind="stable") + 1
+    lengths = np.count_nonzero(cohort.utility > cohort.outside[:, None], axis=1)
+    listed = np.arange(ranked.shape[1]) < lengths[:, None]
+    return Applications(ids=cohort.ids, schools=np.where(listed, ranked, 0), lengths=lengths)
+
+
+def _grouped_lists(cohort: Cohort, groups: tuple[frozenset[int], frozenset[int]]) -> Applications:
+    """Every applicant's list under the one-school-per-group constraint: the
+    best acceptable school of each group (the lower id on ties), groups ordered
+    by that school's utility (the lower id on ties)."""
+    if not len(cohort):
+        return Applications.of([])
+    rows = np.arange(len(cohort))
+    best_u, best_id = [], []
+    for g in groups:
+        cols = np.array(sorted(g)) - 1
+        u = cohort.utility[:, cols]
+        u = np.where(u > cohort.outside[:, None], u, -np.inf)
+        k = np.argmax(u, axis=1)
+        best_u.append(u[rows, k])
+        best_id.append(cols[k] + 1)
+    u, sids = np.stack(best_u, axis=1), np.stack(best_id, axis=1)
+    ranked = np.take_along_axis(sids, np.lexsort((sids, -u)), axis=1)
+    lengths = np.count_nonzero(np.isfinite(u), axis=1)
+    listed = np.arange(len(groups)) < lengths[:, None]
+    return Applications(ids=cohort.ids, schools=np.where(listed, ranked, 0), lengths=lengths)
+
+
 def truthful_ranking(applicant: Applicant) -> PreferenceList:
-    """Schools strictly better than the outside option, best first; equal
-    utilities break toward the lower school id."""
-    entries = [
-        (u, sid)
-        for sid, u in enumerate(applicant.utility, start=1)
-        if u > applicant.outside_option
-    ]
-    entries.sort(key=lambda e: (-e[0], e[1]))
-    return PreferenceList(applicant_id=applicant.id, ranked=tuple(sid for _, sid in entries))
+    """One applicant's truthful list (see `_truthful_lists`)."""
+    return next(iter(_truthful_lists(Cohort.of([applicant]))))
+
+
+def grouped_ranking(applicant: Applicant, groups: tuple[frozenset[int], frozenset[int]]) -> PreferenceList:
+    """One applicant's truthful one-per-group list (see `_grouped_lists`)."""
+    return next(iter(_grouped_lists(Cohort.of([applicant]), groups)))
 
 
 def _best_single_choices(
@@ -100,15 +135,6 @@ def _best_single_choices(
     return best
 
 
-def _applicant_arrays(applicants: Sequence[Applicant]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    ids = np.array(sorted(a.id for a in applicants), dtype=np.int64)
-    by_id = {a.id: a for a in applicants}
-    scores = np.array([by_id[i].score for i in ids])
-    utilities = np.array([by_id[i].utility for i in ids])
-    outside = np.array([by_id[i].outside_option for i in ids])
-    return ids, scores, utilities, outside
-
-
 def _belief_floor(scores: np.ndarray, sigma: float) -> float:
     """A cutoff level behaviorally equivalent to "no cutoff": every applicant
     clears it with probability ~1 even under score uncertainty."""
@@ -117,7 +143,7 @@ def _belief_floor(scores: np.ndarray, sigma: float) -> float:
 
 def equilibrium_cutoffs(
     schools: Sequence[School],
-    applicants: Sequence[Applicant],
+    applicants: Cohort | Sequence[Applicant],
     params: BehaviorParams,
     rng: SeededRng | None = None,
     initial: CutoffBeliefs | None = None,
@@ -134,13 +160,14 @@ def equilibrium_cutoffs(
     schools_sorted = sorted(schools, key=lambda s: s.id)
     school_ids = tuple(s.id for s in schools_sorted)
     caps = np.array([s.capacity for s in schools_sorted], dtype=np.int64)
-    if not applicants:
+    cohort = Cohort.of(applicants)
+    if not len(cohort):
         beliefs = CutoffBeliefs(school_ids=school_ids, cutoffs=tuple([-math.inf] * len(school_ids)))
         return beliefs, 1, 0.0
-    ids, scores, utilities, outside = _applicant_arrays(applicants)
+    scores, utilities, outside = cohort.score, cohort.utility, cohort.outside
     if utilities.shape[1] != len(school_ids):
         raise DomainError("applicant utility vectors do not match the school count")
-    ties = rng.generator().random(len(ids)) if rng is not None else np.zeros(len(ids))
+    ties = rng.generator().random(len(cohort)) if rng is not None else np.zeros(len(cohort))
 
     floor = _belief_floor(scores, params.score_noise_sd)
     if initial is not None:
@@ -173,61 +200,41 @@ def equilibrium_cutoffs(
 
 def single_applications(
     schools: Sequence[School],
-    applicants: Sequence[Applicant],
+    applicants: Cohort | Sequence[Applicant],
     beliefs: CutoffBeliefs,
     params: BehaviorParams,
-) -> list[SingleApplication]:
-    """Best-response single applications against given cutoff beliefs."""
-    if not applicants:
-        return []
-    ids, scores, utilities, outside = _applicant_arrays(applicants)
-    cutoffs = np.array(beliefs.cutoffs)
-    choice = _best_single_choices(scores, utilities, outside, cutoffs, params.score_noise_sd)
-    return [
-        SingleApplication(applicant_id=int(aid), school_id=beliefs.school_ids[c])
-        for aid, c in zip(ids, choice)
-        if c >= 0
-    ]
+) -> Applications:
+    """Best-response single applications against given cutoff beliefs, in
+    increasing applicant id; abstainers submit nothing."""
+    cohort = Cohort.of(applicants)
+    if not len(cohort):
+        return Applications.of([])
+    choice = _best_single_choices(
+        cohort.score, cohort.utility, cohort.outside, np.array(beliefs.cutoffs), params.score_noise_sd
+    )
+    applied = choice >= 0
+    return Applications(
+        ids=cohort.ids[applied],
+        schools=np.array(beliefs.school_ids, dtype=np.int64)[choice[applied], None],
+        lengths=np.ones(np.count_nonzero(applied), dtype=np.int64),
+    )
 
 
-def grouped_ranking(
-    applicant: Applicant,
-    groups: tuple[frozenset[int], frozenset[int]],
-) -> PreferenceList:
-    """Truthful list under the one-school-per-group constraint: the best
-    acceptable school of each group, groups ordered by that school's utility."""
-    entries = []
-    for g in groups:
-        best = None
-        for sid in sorted(g):
-            u = applicant.utility[sid - 1]
-            if u > applicant.outside_option and (best is None or u > best[0]):
-                best = (u, sid)
-        if best is not None:
-            entries.append(best)
-    entries.sort(key=lambda e: (-e[0], e[1]))
-    return PreferenceList(applicant_id=applicant.id, ranked=tuple(sid for _, sid in entries))
-
-
-def submit_applications(
-    schools: Sequence[School],
-    applicants: Sequence[Applicant],
-    regime: Regime,
-    params: BehaviorParams,
-) -> list[PreferenceList]:
+def submit_applications(applicants: Cohort | Sequence[Applicant], regime: Regime) -> Applications:
     """Ranked lists submitted under a centralized regime.
 
     Centralized: full truthful rankings. Grouped centralized: truthful
-    one-per-group lists. Empty rankings are dropped. Decentralized years have
-    no ranked lists: their single applications come from
+    one-per-group lists. Empty rankings are not submitted. Decentralized years
+    have no ranked lists: their single applications come from
     `equilibrium_cutoffs` and `single_applications`.
     """
     if regime.kind == RegimeKind.CENTRALIZED:
-        out = [truthful_ranking(a) for a in applicants]
-        return [p for p in out if p.ranked]
-    if regime.kind == RegimeKind.GROUPED_CENTRALIZED:
+        lists = _truthful_lists(Cohort.of(applicants))
+    elif regime.kind == RegimeKind.GROUPED_CENTRALIZED:
         if regime.groups is None:
             raise DomainError("grouped regime requires groups")
-        out = [grouped_ranking(a, regime.groups) for a in applicants]
-        return [p for p in out if p.ranked]
-    raise DomainError(f"no ranked lists under regime kind {regime.kind!r}")
+        lists = _grouped_lists(Cohort.of(applicants), regime.groups)
+    else:
+        raise DomainError(f"no ranked lists under regime kind {regime.kind!r}")
+    keep = lists.lengths > 0
+    return Applications(ids=lists.ids[keep], schools=lists.schools[keep], lengths=lists.lengths[keep])

@@ -3,9 +3,11 @@
 These deliberately re-derive results with the plainest possible code, so the
 package implementations are checked against a second, structurally different
 route: a literal step-by-step executor for the centralized assignment rounds,
-a per-school sort for the decentralized rule, a per-applicant loop for the
-single-application choice, subset/assignment enumeration for the dominance
-check, and dummy-variable OLS for the within estimator.
+dict-based Boston rounds and per-applicant truthful rankings (the scalar code
+the array mechanisms replaced), a per-school sort for the decentralized rule,
+a per-applicant loop for the single-application choice, subset/assignment
+enumeration for the dominance check, and dummy-variable OLS for the within
+estimator.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import itertools
 import numpy as np
 from scipy.special import ndtr
 
-from meritmatch.core import DomainError
-from meritmatch.mechanisms import SingleApplication
+from meritmatch.core import Assignment, DomainError, Placement
+from meritmatch.mechanisms import PreferenceList, SingleApplication
 
 
 def printed_steps_assignment(schools, applicants, prefs, tie):
@@ -60,6 +62,75 @@ def printed_steps_assignment(schools, applicants, prefs, tie):
         held = still_held
         r += 1
     return placed, unassigned, pool_set
+
+
+def scalar_boston_rounds(schools, applicants, prefs, tie, merit_capped=True):
+    """Boston rounds over dicts, one applicant at a time. Priority is (higher
+    score, lower tie, lower id); with `merit_capped` only the top
+    total-capacity submitters take part. Round r: applicants still held
+    propose, in priority order, to the r-th school on their list; a school
+    accepts while seats remain. Exhausted lists leave the applicant
+    unassigned; seats are never backfilled. Returns an Assignment whose
+    `placed` is in admission order."""
+    seats = {s.id: s.capacity for s in schools}
+    scores = {a.id: a.score for a in applicants}
+    ranked = {p.applicant_id: p.ranked for p in prefs}
+
+    def by_priority(ids):
+        return sorted(ids, key=lambda i: (-scores[i], tie[i], i))
+
+    eligible = set(by_priority(ranked))
+    if merit_capped:
+        eligible = set(by_priority(ranked)[: sum(seats.values())])
+    placed = {}
+    unassigned = {i for i in ranked if i not in eligible}
+    active = [i for i in ranked if i in eligible]
+    r = 1
+    while active:
+        active = by_priority(active)
+        held = []
+        for aid in active:
+            lst = ranked[aid]
+            if len(lst) < r:
+                unassigned.add(aid)
+                continue
+            sid = lst[r - 1]
+            if seats[sid] > 0:
+                seats[sid] -= 1
+                placed[aid] = Placement(school_id=sid, admission_round=r, preference_rank_obtained=r)
+            else:
+                held.append(aid)
+        active = held
+        r += 1
+    return Assignment(placed=placed, unassigned=frozenset(unassigned))
+
+
+def scalar_truthful_ranking(applicant):
+    """Schools strictly better than the outside option, best first; equal
+    utilities break toward the lower school id."""
+    entries = [
+        (u, sid)
+        for sid, u in enumerate(applicant.utility, start=1)
+        if u > applicant.outside_option
+    ]
+    entries.sort(key=lambda e: (-e[0], e[1]))
+    return PreferenceList(applicant_id=applicant.id, ranked=tuple(sid for _, sid in entries))
+
+
+def scalar_grouped_ranking(applicant, groups):
+    """Truthful list under the one-school-per-group constraint: the best
+    acceptable school of each group, groups ordered by that school's utility."""
+    entries = []
+    for g in groups:
+        best = None
+        for sid in sorted(g):
+            u = applicant.utility[sid - 1]
+            if u > applicant.outside_option and (best is None or u > best[0]):
+                best = (u, sid)
+        if best is not None:
+            entries.append(best)
+    entries.sort(key=lambda e: (-e[0], e[1]))
+    return PreferenceList(applicant_id=applicant.id, ranked=tuple(sid for _, sid in entries))
 
 
 def per_school_top(schools, applicants, apps, tie):

@@ -130,6 +130,16 @@ def test_unknown_population_key_rejected(tmp_path):
     assert _run_cli(bad, tmp_path / "out") == 2
 
 
+@pytest.mark.parametrize("config", [{"scale": "abc"}, {"capacities": ["x"] * 8}], ids=["scale", "capacities"])
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, config):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert _run_cli(bad, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert err.count("\n") == 1
+
+
 def test_invalid_json_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -6,6 +6,8 @@ import pytest
 
 from meritmatch.core import Assignment, DomainError, Placement, RegimeKind, SeededRng
 from meritmatch.mechanisms import PreferenceList, SingleApplication
+
+from conftest import mk_applicant
 from meritmatch.metrics import (
     PANEL_COLUMNS,
     YEAR_OUTCOME_COLUMNS,
@@ -39,8 +41,8 @@ def test_year_outcome_everyone_unassigned():
     sc = default_scenario(scale=0.01)
     apps = [SingleApplication(1, 1), SingleApplication(2, 2)]
     assignment = Assignment(placed={}, unassigned=frozenset({1, 2}))
-    birth = {1: 12, 2: 0}
-    out = year_outcome(apps, assignment, sc.prefectures, sc.schools, birth, 1900, RegimeKind.DECENTRALIZED)
+    cohort = [mk_applicant(1, 50.0, 8, birth=12), mk_applicant(2, 50.0, 8, birth=0)]
+    out = year_outcome(apps, assignment, sc.prefectures, sc.schools, cohort, 1900, RegimeKind.DECENTRALIZED)
     assert out.share_first_choice_school1 == 0.5
     assert out.mean_enrollment_distance_km is None
     assert out.tokyo_area_entrant_share is None
@@ -56,7 +58,8 @@ def test_year_outcome_single_tokyo_admit():
         placed={1: Placement(school_id=1, admission_round=1, preference_rank_obtained=1)},
         unassigned=frozenset(),
     )
-    out = year_outcome(apps, assignment, sc.prefectures, sc.schools, {1: tokyo.id}, 1902, RegimeKind.CENTRALIZED)
+    cohort = [mk_applicant(1, 50.0, 8, birth=tokyo.id)]
+    out = year_outcome(apps, assignment, sc.prefectures, sc.schools, cohort, 1902, RegimeKind.CENTRALIZED)
     assert out.share_first_choice_school1 == 1.0
     assert out.mean_enrollment_distance_km == 0.0  # school 1 sits in Tokyo
     assert out.tokyo_area_entrant_share == 1.0
@@ -65,7 +68,7 @@ def test_year_outcome_single_tokyo_admit():
 
 def test_year_outcome_no_applications():
     sc = default_scenario(scale=0.01)
-    out = year_outcome([], Assignment({}, frozenset()), sc.prefectures, sc.schools, {}, 1900, RegimeKind.DECENTRALIZED)
+    out = year_outcome([], Assignment({}, frozenset()), sc.prefectures, sc.schools, [], 1900, RegimeKind.DECENTRALIZED)
     assert out.share_first_choice_school1 is None
 
 
@@ -121,7 +124,7 @@ def test_centralized_flag_follows_schedule(small_run):
 def test_panel_row_count_is_47_by_31():
     sc = default_scenario(scale=0.01)
     empty = Assignment({}, frozenset())
-    records = [year_record(empty, {}, sc.prefectures, sc.schools, r.year, r.kind) for r in sc.schedule]
+    records = [year_record(empty, [], sc.prefectures, sc.schools, r.year, r.kind) for r in sc.schedule]
     rows = build_panel(records, sc.prefectures, sc.schools)
     all_rows = [r for r in rows if r.school_id is None]
     assert len(all_rows) == 1457  # 47 prefectures x 31 years
@@ -130,7 +133,7 @@ def test_panel_row_count_is_47_by_31():
 
 def test_build_panel_needs_both_regimes():
     sc = default_scenario(scale=0.01)
-    rec = year_record(Assignment({}, frozenset()), {}, sc.prefectures, sc.schools, 1900, RegimeKind.DECENTRALIZED)
+    rec = year_record(Assignment({}, frozenset()), [], sc.prefectures, sc.schools, 1900, RegimeKind.DECENTRALIZED)
     with pytest.raises(DomainError):
         build_panel([rec], sc.prefectures, sc.schools)
     with pytest.raises(DomainError):
@@ -174,7 +177,7 @@ def test_missing_distance_serialized_as_empty_field(tmp_path):
         Assignment({}, frozenset({1})),
         sc.prefectures,
         sc.schools,
-        {1: 0},
+        [mk_applicant(1, 50.0, 8, birth=0)],
         1900,
         RegimeKind.DECENTRALIZED,
     )

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meritmatch.core import Applicant, DomainError, Regime, RegimeKind, SeededRng
+from meritmatch.core import Applicant, Cohort, DomainError, Regime, RegimeKind, SeededRng
 from meritmatch.mechanisms import PreferenceList, SingleApplication, _admit_top_per_school
 from meritmatch.popgen import default_scenario, generate_applicants
 from meritmatch.strategy import (
@@ -176,11 +176,12 @@ def test_equilibrium_damping_one_is_undamped():
     beliefs, _, _ = equilibrium_cutoffs(schools, apps, params)
 
     # manual undamped iteration with the same floor convention
-    from meritmatch.strategy import _applicant_arrays, _belief_floor, _best_single_choices
+    from meritmatch.strategy import _belief_floor, _best_single_choices
 
-    ids, scores, utils, outside = _applicant_arrays(apps)
+    cohort = Cohort.of(apps)
+    scores, utils, outside = cohort.score, cohort.utility, cohort.outside
     floor = _belief_floor(scores, 4.0)
-    ties = np.zeros(len(ids))
+    ties = np.zeros(len(cohort))
     caps = np.array([1, 1])
     cut = np.full(2, floor)
     under = np.ones(2, dtype=bool)
@@ -212,7 +213,7 @@ def test_equilibrium_shift_invariance():
         else:
             assert c1 - c0 == pytest.approx(shift, abs=1e-8)
     # admission probabilities for any fixed applicant are unchanged
-    a0 = apps[0]
+    a0 = next(iter(apps))
     for sid in base.school_ids:
         p0 = admit_probability(a0.score, base.cutoff(sid), params.score_noise_sd)
         p1 = admit_probability(a0.score + shift, moved.cutoff(sid), params.score_noise_sd)
@@ -220,17 +221,16 @@ def test_equilibrium_shift_invariance():
     # and the chosen applications coincide
     apps0 = single_applications(sc.schools, apps, base, params)
     apps1 = single_applications(sc.schools, shifted, moved, params)
-    assert [a.school_id for a in apps0] == [a.school_id for a in apps1]
+    assert list(apps0) == list(apps1)
 
 
 # -- submit_applications ------------------------------------------------------------
 
 
 def test_submit_centralized_full_truthful_list():
-    sc = default_scenario(scale=0.01)
     a = _app(1, 55.0, tuple(10.0 - i for i in range(8)), outside=0.0)
-    out = submit_applications(sc.schools, [a], Regime(RegimeKind.CENTRALIZED, 1902), BehaviorParams())
-    assert out == [PreferenceList(applicant_id=1, ranked=(1, 2, 3, 4, 5, 6, 7, 8))]
+    out = submit_applications([a], Regime(RegimeKind.CENTRALIZED, 1902))
+    assert list(out) == [PreferenceList(applicant_id=1, ranked=(1, 2, 3, 4, 5, 6, 7, 8))]
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
@@ -242,12 +242,12 @@ def test_decentralized_applications_match_scalar_choice():
     params = BehaviorParams()
     beliefs, _, _ = equilibrium_cutoffs(sc.schools, apps, params, SeededRng(5).substream("strategy", 1910))
     singles = single_applications(sc.schools, apps, beliefs, params)
-    expected = [choose_single_application(a, beliefs, params) for a in sorted(apps, key=lambda a: a.id)]
-    assert singles == [e for e in expected if e is not None]
+    expected = [choose_single_application(a, beliefs, params) for a in apps]
+    assert list(singles) == [PreferenceList(e.applicant_id, (e.school_id,)) for e in expected if e is not None]
     assert 0 < len(singles) < len(apps)
     for kind in (RegimeKind.DECENTRALIZED, RegimeKind.DECENTRALIZED_UNIFIED_EXAM):
         with pytest.raises(DomainError):
-            submit_applications(sc.schools, apps, Regime(kind, 1910), params)
+            submit_applications(apps, Regime(kind, 1910))
 
 
 def test_submit_grouped_constraint_forces_one_per_group():
@@ -259,25 +259,20 @@ def test_submit_grouped_constraint_forces_one_per_group():
 
 
 def test_submit_grouped_via_dispatch():
-    sc = default_scenario(scale=0.01)
     groups = (frozenset({1, 3, 5, 7}), frozenset({2, 4, 6, 8}))
     a = _app(1, 55.0, (9.0, 8.0, 1, 1, 1, 1, 1, 1), outside=0.5)
-    out = submit_applications(
-        sc.schools, [a], Regime(RegimeKind.GROUPED_CENTRALIZED, 1926, groups), BehaviorParams()
-    )
-    assert out == [PreferenceList(applicant_id=1, ranked=(1, 2))]
+    out = submit_applications([a], Regime(RegimeKind.GROUPED_CENTRALIZED, 1926, groups))
+    assert list(out) == [PreferenceList(applicant_id=1, ranked=(1, 2))]
 
 
 def test_submit_unknown_regime_rejected():
-    sc = default_scenario(scale=0.01)
     with pytest.raises(DomainError):
-        submit_applications(sc.schools, [], Regime("bogus", 1900), BehaviorParams())
+        submit_applications([], Regime("bogus", 1900))
 
 
 def test_grouped_regime_requires_groups():
-    sc = default_scenario(scale=0.01)
     with pytest.raises(DomainError):
-        submit_applications(sc.schools, [], Regime(RegimeKind.GROUPED_CENTRALIZED, 1926), BehaviorParams())
+        submit_applications([], Regime(RegimeKind.GROUPED_CENTRALIZED, 1926))
 
 
 def test_beliefs_accessor_unknown_school():
@@ -304,6 +299,6 @@ def test_centralized_first_choices_more_aggressive_than_decentralized():
             sc.schools, apps, params, SeededRng(seed).substream("strategy", 1900)
         )
         singles = single_applications(sc.schools, apps, beliefs, params)
-        dec_share = sum(1 for s in singles if s.school_id == 1) / len(singles)
+        dec_share = sum(1 for s in singles if s.ranked == (1,)) / len(singles)
         wins += cen_share > dec_share
     assert wins == 20
