@@ -98,7 +98,7 @@ def main() -> int:
     beliefs, iters, resid = equilibrium_cutoffs(
         scenario.schools, applicants, behavior, root.substream("strategy", args.year)
     )
-    singles = single_applications(scenario.schools, applicants, beliefs, behavior)
+    singles = single_applications(applicants, beliefs, behavior)
     summarize(
         "decentralized (eqm)",
         run_decentralized(scenario.schools, applicants, singles, lottery_rng),

@@ -40,7 +40,7 @@ from .strategy import (
     truthful_ranking,
 )
 from .popgen import PopulationConfig, Scenario, default_scenario, generate_applicants, regime_schedule
-from .metrics import PanelRow, YearOutcome, build_panel, year_outcome
+from .metrics import YearOutcome, build_panel, year_outcome
 from .econometrics import (
     RegressionResult,
     RegressionSpec,

@@ -2,7 +2,9 @@
 
 Produces the per-year outcome series (first-choice share for the top school,
 mean enrollment distance, urban entrant share) and the prefecture-by-year
-panels used for estimation, plus their CSV forms. Enrollment distance is
+panels used for estimation, plus their CSV forms. A panel is a dict of column
+arrays, built from the year records' entrant counts and read back from CSV in
+the form the estimators take. Enrollment distance is
 birth prefecture to school prefecture throughout. Distance bands are
 exclusive: "located in" means distance zero, "within 100 km" means strictly
 between 0 and 100 km.
@@ -13,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,20 +32,6 @@ class YearOutcome:
     tokyo_area_entrant_share: float | None  # None when nobody was placed
     entrants_total: int
     unassigned_total: int
-
-
-@dataclass(frozen=True)
-class PanelRow:
-    prefecture_id: int
-    year: int
-    school_id: int | None  # None for the all-schools panel
-    entrants: int
-    centralized: bool
-    located_in: bool
-    within_100km: bool
-    tokyo: bool
-    near_tokyo: bool
-    middle_school_grads: float
 
 
 @dataclass(frozen=True)
@@ -130,70 +118,67 @@ def year_record(
     return YearRecord(year=year, regime=regime, entrants=entrants, cohort=counts)
 
 
+def panel_grid(years: Sequence[int], n_prefectures: int) -> dict[str, np.ndarray]:
+    """The `year` and `prefecture_id` columns of one seed's panel: every
+    (year, prefecture) pair, year-major, both ascending."""
+    return {
+        "prefecture_id": np.tile(np.arange(n_prefectures, dtype=np.int64), len(years)),
+        "year": np.repeat(np.asarray(years, dtype=np.int64), n_prefectures),
+    }
+
+
 def build_panel(
     records: Sequence[YearRecord],
     prefectures: Sequence[Prefecture],
     schools: Sequence[School],
-) -> list[PanelRow]:
-    """Panel rows for every (prefecture, year) and (prefecture, year, school).
+) -> dict[int | None, dict[str, np.ndarray]]:
+    """One seed's panels as estimator columns over `panel_grid`: the
+    all-schools panel under `None`, then one panel per school id, ascending.
 
-    Requires years under both a centralized and a decentralized rule, since
-    the panels exist to contrast the two.
+    Entrants and the 0/1 flags are float columns. Requires years under both a
+    centralized and a decentralized rule, since the panels exist to contrast
+    the two.
     """
     kinds = {r.regime for r in records}
     if not any(k.is_centralized for k in kinds) or not any(not k.is_centralized for k in kinds):
         raise DomainError("panel requires years under both centralized and decentralized rules")
+    records = sorted(records, key=lambda r: r.year)
     years = [r.year for r in records]
     if len(set(years)) != len(years):
         raise DomainError("duplicate years in panel records")
 
-    prefs_sorted = sorted(prefectures, key=lambda p: p.id)
-    schools_sorted = sorted(schools, key=lambda s: s.id)
+    school_ids = sorted(s.id for s in schools)
+    host = {s.id: s.prefecture_id for s in schools}
     dmat = distance_matrix(prefectures)
-    host = {s.id: s.prefecture_id for s in schools_sorted}
-    tokyo = next(p for p in prefs_sorted if p.name == "Tokyo")
+    tokyo = next(p.id for p in prefectures if p.name == "Tokyo")
+    is_tokyo = np.arange(len(prefectures)) == tokyo
+    near_tokyo = (0.0 < dmat[:, tokyo]) & (dmat[:, tokyo] <= 100.0)
+    # the last axis runs over the panels, all schools first
+    to_school = dmat[:, [host[s] for s in school_ids]]
+    dist = np.column_stack([to_school.min(axis=1), to_school])  # (prefecture, panel): to the (nearest) school
+    by_school = np.stack([r.entrants for r in records])  # (year, prefecture, school)
+    entrants = np.concatenate([by_school.sum(axis=2, keepdims=True), by_school], axis=2)
 
-    school_dist = {s.id: dmat[:, host[s.id]] for s in schools_sorted}
-    nearest = np.min(np.stack([school_dist[s.id] for s in schools_sorted]), axis=0)
-    d_tokyo = dmat[:, tokyo.id]
+    def per_prefecture(flag: np.ndarray) -> np.ndarray:
+        return np.tile(flag.astype(float), len(years))
 
-    rows: list[PanelRow] = []
-    for rec in sorted(records, key=lambda r: r.year):
-        centralized = rec.regime.is_centralized
-        entrants = rec.entrants.tolist()
-        for p in prefs_sorted:
-            grads = float(rec.cohort[p.id])
-            rows.append(
-                PanelRow(
-                    prefecture_id=p.id,
-                    year=rec.year,
-                    school_id=None,
-                    entrants=sum(entrants[p.id]),
-                    centralized=centralized,
-                    located_in=bool(nearest[p.id] == 0.0),
-                    within_100km=bool(0.0 < nearest[p.id] <= 100.0),
-                    tokyo=p.id == tokyo.id,
-                    near_tokyo=bool(0.0 < d_tokyo[p.id] <= 100.0),
-                    middle_school_grads=grads,
-                )
-            )
-            for k, s in enumerate(schools_sorted):
-                d = school_dist[s.id][p.id]
-                rows.append(
-                    PanelRow(
-                        prefecture_id=p.id,
-                        year=rec.year,
-                        school_id=s.id,
-                        entrants=entrants[p.id][k],
-                        centralized=centralized,
-                        located_in=bool(d == 0.0),
-                        within_100km=bool(0.0 < d <= 100.0),
-                        tokyo=p.id == tokyo.id,
-                        near_tokyo=bool(0.0 < d_tokyo[p.id] <= 100.0),
-                        middle_school_grads=grads,
-                    )
-                )
-    return rows
+    shared = {
+        **panel_grid(years, len(prefectures)),
+        "centralized": np.repeat([float(r.regime.is_centralized) for r in records], len(prefectures)),
+        "tokyo": per_prefecture(is_tokyo),
+        "near_tokyo": per_prefecture(near_tokyo),
+        "tokyo_area": per_prefecture(is_tokyo | near_tokyo),
+        "middle_school_grads": np.stack([r.cohort for r in records]).ravel().astype(float),
+    }
+    return {
+        key: {
+            **shared,
+            "entrants": entrants[:, :, k].ravel().astype(float),
+            "located_in": per_prefecture(dist[:, k] == 0.0),
+            "within_100km": per_prefecture((0.0 < dist[:, k]) & (dist[:, k] <= 100.0)),
+        }
+        for k, key in enumerate([None, *school_ids])
+    }
 
 
 # -- CSV emission --------------------------------------------------------------
@@ -208,6 +193,8 @@ YEAR_OUTCOME_COLUMNS = [
     "entrants_total",
     "unassigned_total",
 ]
+
+PANEL_FLAGS = ("centralized", "located_in", "within_100km", "tokyo", "near_tokyo")
 
 PANEL_COLUMNS = [
     "seed",
@@ -254,53 +241,69 @@ def write_year_outcomes_csv(path: str | Path, rows: Sequence[tuple[int, YearOutc
             )
 
 
-def write_panel_csv(path: str | Path, rows: Sequence[tuple[int, PanelRow]]) -> None:
+def write_panel_csv(
+    path: str | Path,
+    panels: Mapping[int, Mapping[str, np.ndarray]],
+    school_id: int | None = None,
+) -> None:
+    """Write one panel (`build_panel`'s `school_id` key) of each seed, seeds in
+    the mapping's order; the all-schools panel has an empty school_id."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PANEL_COLUMNS)
-        for seed, row in rows:
-            writer.writerow(
-                [
-                    seed,
-                    row.prefecture_id,
-                    row.year,
-                    _fmt(row.school_id),
-                    row.entrants,
-                    _fmt(row.centralized),
-                    _fmt(row.located_in),
-                    _fmt(row.within_100km),
-                    _fmt(row.tokyo),
-                    _fmt(row.near_tokyo),
-                    _fmt(row.middle_school_grads),
-                ]
-            )
-
-
-def read_panel_csv(path: str | Path) -> tuple[list[int], list[PanelRow]]:
-    """Read back a panel CSV; returns (seeds, rows) aligned by index."""
-    seeds: list[int] = []
-    rows: list[PanelRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != PANEL_COLUMNS:
-            raise DomainError(f"panel file must have columns {PANEL_COLUMNS}, got {reader.fieldnames}")
-        for rec in reader:
-            seeds.append(int(rec["seed"]))
-            rows.append(
-                PanelRow(
-                    prefecture_id=int(rec["prefecture_id"]),
-                    year=int(rec["year"]),
-                    school_id=int(rec["school_id"]) if rec["school_id"] else None,
-                    entrants=int(rec["entrants"]),
-                    centralized=rec["centralized"] == "1",
-                    located_in=rec["located_in"] == "1",
-                    within_100km=rec["within_100km"] == "1",
-                    tokyo=rec["tokyo"] == "1",
-                    near_tokyo=rec["near_tokyo"] == "1",
-                    middle_school_grads=float(rec["middle_school_grads"]),
+        for seed, cols in panels.items():
+            n = len(cols["year"])
+            writer.writerows(
+                zip(
+                    [seed] * n,
+                    cols["prefecture_id"].tolist(),
+                    cols["year"].tolist(),
+                    [_fmt(school_id)] * n,
+                    *(cols[c].astype(np.int64).tolist() for c in ("entrants",) + PANEL_FLAGS),
+                    cols["middle_school_grads"].tolist(),
                 )
             )
-    return seeds, rows
+
+
+def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[int, dict[str, np.ndarray]]:
+    """Read back a panel CSV written for `school_id` as `build_panel` columns
+    per seed, seeds in file order. A wrong header, a malformed value, another
+    school_id or a seed whose rows are not contiguous is a DomainError."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != PANEL_COLUMNS:
+            raise DomainError(f"panel file must have columns {PANEL_COLUMNS}, got {header}")
+        try:
+            fields = {col[0]: col[1:] for col in zip(PANEL_COLUMNS, *reader, strict=True)}
+        except ValueError as exc:
+            raise DomainError(f"{path}: every row must have {len(PANEL_COLUMNS)} fields") from exc
+
+    def parse(name: str, dtype) -> np.ndarray:
+        try:
+            return np.array(fields[name], dtype=dtype)
+        except ValueError as exc:
+            raise DomainError(f"{path}: bad {name} value: {exc}") from exc
+
+    if set(fields["school_id"]) - {_fmt(school_id)}:
+        raise DomainError(f"{path}: school_id must be {_fmt(school_id)!r} in every row")
+    cols = {name: parse(name, np.int64) for name in ("prefecture_id", "year", "entrants") + PANEL_FLAGS}
+    cols["entrants"] = cols["entrants"].astype(float)
+    for name in PANEL_FLAGS:
+        if np.any((cols[name] != 0) & (cols[name] != 1)):
+            raise DomainError(f"{path}: {name} must be 0 or 1")
+        cols[name] = cols[name].astype(float)
+    cols["tokyo_area"] = np.maximum(cols["tokyo"], cols["near_tokyo"])
+    cols["middle_school_grads"] = parse("middle_school_grads", float)
+
+    seed = parse("seed", np.int64)
+    starts = [0, *(np.flatnonzero(seed[1:] != seed[:-1]) + 1).tolist()] if len(seed) else []
+    if len(set(seed[starts].tolist())) != len(starts):
+        raise DomainError(f"{path}: the rows of each seed must be contiguous")
+    return {
+        int(seed[a]): {name: col[a:b] for name, col in cols.items()}
+        for a, b in zip(starts, starts[1:] + [len(seed)])
+    }
 
 
 def read_year_outcomes_csv(path: str | Path) -> list[dict]:
@@ -310,33 +313,20 @@ def read_year_outcomes_csv(path: str | Path) -> list[dict]:
         reader = csv.DictReader(fh)
         if reader.fieldnames != YEAR_OUTCOME_COLUMNS:
             raise DomainError(f"outcome file must have columns {YEAR_OUTCOME_COLUMNS}, got {reader.fieldnames}")
-        for rec in reader:
-            out.append(
-                {
-                    "seed": int(rec["seed"]),
-                    "year": int(rec["year"]),
-                    "regime": RegimeKind(rec["regime"]),
-                    "share_first_choice_school1": float(rec["share_first_choice_school1"]) if rec["share_first_choice_school1"] else None,
-                    "mean_enrollment_distance_km": float(rec["mean_enrollment_distance_km"]) if rec["mean_enrollment_distance_km"] else None,
-                    "tokyo_area_entrant_share": float(rec["tokyo_area_entrant_share"]) if rec["tokyo_area_entrant_share"] else None,
-                    "entrants_total": int(rec["entrants_total"]),
-                    "unassigned_total": int(rec["unassigned_total"]),
-                }
-            )
+        try:
+            for rec in reader:
+                out.append(
+                    {
+                        "seed": int(rec["seed"]),
+                        "year": int(rec["year"]),
+                        "regime": RegimeKind(rec["regime"]),
+                        "share_first_choice_school1": float(rec["share_first_choice_school1"]) if rec["share_first_choice_school1"] else None,
+                        "mean_enrollment_distance_km": float(rec["mean_enrollment_distance_km"]) if rec["mean_enrollment_distance_km"] else None,
+                        "tokyo_area_entrant_share": float(rec["tokyo_area_entrant_share"]) if rec["tokyo_area_entrant_share"] else None,
+                        "entrants_total": int(rec["entrants_total"]),
+                        "unassigned_total": int(rec["unassigned_total"]),
+                    }
+                )
+        except (TypeError, ValueError) as exc:  # a short row or an unparsable value
+            raise DomainError(f"{path}, line {reader.line_num}: {exc}") from exc
     return out
-
-
-def panel_to_columns(rows: Sequence[PanelRow]) -> dict[str, np.ndarray]:
-    """Column arrays for the estimators, with float indicator columns."""
-    return {
-        "prefecture_id": np.array([r.prefecture_id for r in rows], dtype=np.int64),
-        "year": np.array([r.year for r in rows], dtype=np.int64),
-        "entrants": np.array([r.entrants for r in rows], dtype=float),
-        "centralized": np.array([float(r.centralized) for r in rows]),
-        "located_in": np.array([float(r.located_in) for r in rows]),
-        "within_100km": np.array([float(r.within_100km) for r in rows]),
-        "tokyo": np.array([float(r.tokyo) for r in rows]),
-        "near_tokyo": np.array([float(r.near_tokyo) for r in rows]),
-        "tokyo_area": np.array([float(r.tokyo or r.near_tokyo) for r in rows]),
-        "middle_school_grads": np.array([r.middle_school_grads for r in rows]),
-    }

@@ -47,12 +47,11 @@ from .mechanisms import (
     run_meritocratic_boston,
 )
 from .metrics import (
-    PanelRow,
     YearOutcome,
     YearRecord,
     _fmt,
     build_panel,
-    panel_to_columns,
+    panel_grid,
     read_panel_csv,
     read_year_outcomes_csv,
     write_panel_csv,
@@ -69,7 +68,6 @@ class ConfigError(ValueError):
 
 
 STAGES = ("simulate", "metrics", "estimate")
-SCHOOL_IDS = tuple(range(1, 9))
 
 REGRESSION_COLUMNS = [
     "spec_id",
@@ -265,7 +263,7 @@ def simulate_seed(scenario: Scenario, behavior: BehaviorParams, seed: int) -> Se
                 schools, cohort, behavior, root.substream("strategy", year), initial=beliefs
             )
             eq_log.append((year, iters, resid))
-            apps = single_applications(schools, cohort, beliefs, behavior)
+            apps = single_applications(cohort, beliefs, behavior)
             assignment = run_decentralized(schools, cohort, apps, lottery_rng)
 
         outcomes.append(
@@ -310,12 +308,11 @@ def _row_from_result(spec_id: str, seed: int, res: RegressionResult, coefficient
     )
 
 
-def local_monopoly_regression(school_rows: Sequence[PanelRow]) -> RegressionResult:
+def local_monopoly_regression(school_panel: Mapping[str, Sequence]) -> RegressionResult:
     """Per-school spec: entrants on centralized x located-in and
     centralized x within-100km with the graduate-pool control, two-way fixed
     effects, clustered by prefecture."""
-    cols = panel_to_columns(school_rows)
-    cols = with_interaction(cols, "centralized", "located_in")
+    cols = with_interaction(school_panel, "centralized", "located_in")
     cols = with_interaction(cols, "centralized", "within_100km")
     spec = RegressionSpec(
         outcome="entrants",
@@ -328,11 +325,11 @@ def local_monopoly_regression(school_rows: Sequence[PanelRow]) -> RegressionResu
     return fe_ols(cols, spec)
 
 
-def tokyo_gradient_regression(all_rows: Sequence[PanelRow]) -> RegressionResult:
+def tokyo_gradient_regression(all_panel: Mapping[str, Sequence]) -> RegressionResult:
     """All-schools spec: entrants on centralized x Tokyo and
     centralized x near-Tokyo, controlling for the school-location bands and
     the graduate pool."""
-    cols = panel_to_columns(all_rows)
+    cols = all_panel
     for b in ("tokyo", "near_tokyo", "located_in", "within_100km"):
         cols = with_interaction(cols, "centralized", b)
     spec = RegressionSpec(
@@ -437,20 +434,19 @@ def diff_regimes(outcome_dicts: Sequence[Mapping]) -> list[DiffRegimeRow]:
 
 
 def seed_regressions(
-    panel_rows: Sequence[PanelRow],
+    panel: Mapping[int | None, Mapping[str, Sequence]],
     outcome_dicts: Sequence[Mapping],
     seed: int,
 ) -> list[RegressionRow]:
-    """The regression battery for one seed's panels and outcome series."""
+    """The regression battery for one seed's panels (`build_panel`'s form)
+    and outcome series."""
     rows: list[RegressionRow] = []
-    all_rows = [r for r in panel_rows if r.school_id is None]
-    res = did_centralization(panel_to_columns(all_rows))
+    res = did_centralization(panel[None])
     rows.append(_row_from_result("did_tokyo_area", seed, res, "centralized_x_tokyo_area"))
-    res = tokyo_gradient_regression(all_rows)
+    res = tokyo_gradient_regression(panel[None])
     rows.append(_row_from_result("tokyo_gradient", seed, res, "centralized_x_tokyo"))
-    for s in sorted({r.school_id for r in panel_rows if r.school_id is not None}):
-        school_rows = [r for r in panel_rows if r.school_id == s]
-        res = local_monopoly_regression(school_rows)
+    for s in sorted(k for k in panel if k is not None):
+        res = local_monopoly_regression(panel[s])
         rows.append(_row_from_result(f"local_monopoly_s{s}", seed, res, "centralized_x_located_in"))
     table = _outcome_series(outcome_dicts)
     for m in TREND_METRICS:
@@ -537,25 +533,26 @@ def _lock_payload(manifest: RunManifest, resolved: ResolvedConfig) -> dict:
     }
 
 
-ARTIFACTS_BY_STAGE = {
-    "simulate": ["year_outcomes.csv", "manifest.lock"],
-    "metrics": ["panel_all.csv"] + [f"panel_school_{s}.csv" for s in SCHOOL_IDS],
-    "estimate": ["regressions.csv"],
-}
+def _panel_files(scenario: Scenario) -> dict[int | None, str]:
+    """The panel CSV of each `build_panel` key: all schools, then each school id."""
+    return {None: "panel_all.csv", **{s: f"panel_school_{s}.csv" for s in sorted(x.id for x in scenario.schools)}}
 
 
 def run(manifest: RunManifest) -> dict[str, Path]:
     """Execute the manifest; returns artifact name -> path.
 
     Stage dependencies: metrics needs simulate in the same invocation;
-    estimate can run alone only when the metrics CSVs, year_outcomes.csv and
-    a manifest.lock whose version_hash, seed and seeds match this manifest
-    are already on disk. Partially written files are removed on failure.
+    estimate can run alone only when the panel CSVs of the configured
+    schools, year_outcomes.csv and a manifest.lock whose version_hash, seed
+    and seeds match this manifest are already on disk, and each panel holds
+    every seed's full year x prefecture grid. Partially written files are
+    removed on failure.
     """
     stages = set(manifest.stages)
     if "metrics" in stages and "simulate" not in stages:
         raise ConfigError("the metrics stage needs simulate in the same run (entrant counts are not persisted)")
     resolved = resolve_config(manifest.config_path)
+    panel_files = _panel_files(resolved.scenario)
     out_dir = Path(manifest.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -565,7 +562,7 @@ def run(manifest: RunManifest) -> dict[str, Path]:
     if "estimate" in stages and "metrics" not in stages:
         if "simulate" in stages:
             raise ConfigError("estimate needs the metrics stage when simulate runs in the same invocation")
-        needed = [out_dir / f for f in ARTIFACTS_BY_STAGE["metrics"] + ARTIFACTS_BY_STAGE["simulate"]]
+        needed = [out_dir / f for f in [*panel_files.values(), "year_outcomes.csv", "manifest.lock"]]
         missing = [str(f) for f in needed if not f.exists()]
         if missing:
             raise ConfigError(f"estimate without metrics requires existing inputs; missing: {', '.join(missing)}")
@@ -609,15 +606,12 @@ def run(manifest: RunManifest) -> dict[str, Path]:
             lock = _lock_payload(manifest, resolved)
             _emit("manifest.lock", lambda p: Path(p).write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n"))
 
-        panel_by_seed: dict[int, list[PanelRow]] = {}
+        panels: dict[int, dict] = {}  # seed -> build_panel's panels
         if "metrics" in stages:
             for r in results:
-                panel_by_seed[r.seed] = build_panel(r.records, resolved.scenario.prefectures, resolved.scenario.schools)
-            all_rows = [(s, row) for s in seeds for row in panel_by_seed[s] if row.school_id is None]
-            _emit("panel_all.csv", lambda p: write_panel_csv(p, all_rows))
-            for sid in SCHOOL_IDS:
-                school_rows = [(s, row) for s in seeds for row in panel_by_seed[s] if row.school_id == sid]
-                _emit(f"panel_school_{sid}.csv", lambda p, rows=school_rows: write_panel_csv(p, rows))
+                panels[r.seed] = build_panel(r.records, resolved.scenario.prefectures, resolved.scenario.schools)
+            for key, name in panel_files.items():
+                _emit(name, lambda p, key=key: write_panel_csv(p, {s: panels[s][key] for s in seeds}, key))
 
         if "estimate" in stages:
             if "metrics" in stages:
@@ -625,17 +619,28 @@ def run(manifest: RunManifest) -> dict[str, Path]:
                     r.seed: [_outcome_as_dict(r.seed, o) for o in r.outcomes] for r in results
                 }
             else:
-                panel_by_seed = _read_panels_from_disk(out_dir)
-                outcome_dicts = read_year_outcomes_csv(out_dir / "year_outcomes.csv")
+                years = sorted(r.year for r in resolved.scenario.schedule)
+                grid = panel_grid(years, len(resolved.scenario.prefectures))
+                panels = {s: {} for s in seeds}
+                for key, name in panel_files.items():
+                    by_seed = read_panel_csv(out_dir / name, key)
+                    if list(by_seed) != seeds or any(
+                        not np.array_equal(by_seed[s][c], grid[c]) for s in seeds for c in grid
+                    ):
+                        raise DomainError(
+                            f"{out_dir / name} must hold the full year x prefecture grid of seeds "
+                            f"{seeds} in (seed, year, prefecture) order"
+                        )
+                    for s in seeds:
+                        panels[s][key] = by_seed[s]
                 outcome_dicts_by_seed = {}
-                for d in outcome_dicts:
+                for d in read_year_outcomes_csv(out_dir / "year_outcomes.csv"):
                     outcome_dicts_by_seed.setdefault(d["seed"], []).append(d)
-                seeds = sorted(panel_by_seed)
+                if sorted(outcome_dicts_by_seed) != seeds:
+                    raise DomainError(f"{out_dir / 'year_outcomes.csv'} must hold the years of seeds {seeds}")
             reg_rows: list[RegressionRow] = []
             for s in seeds:
-                reg_rows.extend(
-                    seed_regressions(panel_by_seed[s], outcome_dicts_by_seed[s], s)
-                )
+                reg_rows.extend(seed_regressions(panels[s], outcome_dicts_by_seed[s], s))
             reg_rows.extend(pooled_rows([r for r in reg_rows if r.seed != "pooled"]))
             _emit("regressions.csv", lambda p: write_regressions_csv(p, reg_rows))
     except Exception:
@@ -664,16 +669,3 @@ def _outcome_as_dict(seed: int, out: YearOutcome) -> dict:
         "entrants_total": out.entrants_total,
         "unassigned_total": out.unassigned_total,
     }
-
-
-def _read_panels_from_disk(out_dir: Path) -> dict[int, list[PanelRow]]:
-    panel_by_seed: dict[int, list[PanelRow]] = {}
-    seeds, rows = read_panel_csv(out_dir / "panel_all.csv")
-    for s, row in zip(seeds, rows):
-        panel_by_seed.setdefault(s, []).append(row)
-    for sid in SCHOOL_IDS:
-        path = out_dir / f"panel_school_{sid}.csv"
-        seeds, rows = read_panel_csv(path)
-        for s, row in zip(seeds, rows):
-            panel_by_seed.setdefault(s, []).append(row)
-    return panel_by_seed

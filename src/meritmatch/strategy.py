@@ -199,7 +199,6 @@ def equilibrium_cutoffs(
 
 
 def single_applications(
-    schools: Sequence[School],
     applicants: Cohort | Sequence[Applicant],
     beliefs: CutoffBeliefs,
     params: BehaviorParams,

@@ -5,19 +5,21 @@ package implementations are checked against a second, structurally different
 route: a literal step-by-step executor for the centralized assignment rounds,
 dict-based Boston rounds and per-applicant truthful rankings (the scalar code
 the array mechanisms replaced), a per-school sort for the decentralized rule,
-a per-applicant loop for the single-application choice, subset/assignment
-enumeration for the dominance check, and dummy-variable OLS for the within
-estimator.
+a per-applicant loop for the single-application choice, one object per
+(prefecture, year, school) for the panels (the row builder the column panels
+replaced), subset/assignment enumeration for the dominance check, and
+dummy-variable OLS for the within estimator.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from meritmatch.core import Assignment, DomainError, Placement
+from meritmatch.core import Assignment, DomainError, Placement, distance_matrix
 from meritmatch.mechanisms import PreferenceList, SingleApplication
 
 
@@ -179,6 +181,73 @@ def choose_single_application(applicant, beliefs, params):
     if best is None:
         return None
     return SingleApplication(applicant_id=applicant.id, school_id=best[1])
+
+
+@dataclass(frozen=True)
+class PanelRow:
+    prefecture_id: int
+    year: int
+    school_id: int | None  # None for the all-schools panel
+    entrants: int
+    centralized: bool
+    located_in: bool
+    within_100km: bool
+    tokyo: bool
+    near_tokyo: bool
+    middle_school_grads: float
+
+
+def row_build_panel(records, prefectures, schools):
+    """Panel rows for every (prefecture, year) and (prefecture, year, school),
+    year-major; within a prefecture the all-schools row comes first."""
+    prefs_sorted = sorted(prefectures, key=lambda p: p.id)
+    schools_sorted = sorted(schools, key=lambda s: s.id)
+    dmat = distance_matrix(prefectures)
+    host = {s.id: s.prefecture_id for s in schools_sorted}
+    tokyo = next(p for p in prefs_sorted if p.name == "Tokyo")
+
+    school_dist = {s.id: dmat[:, host[s.id]] for s in schools_sorted}
+    nearest = np.min(np.stack([school_dist[s.id] for s in schools_sorted]), axis=0)
+    d_tokyo = dmat[:, tokyo.id]
+
+    rows = []
+    for rec in sorted(records, key=lambda r: r.year):
+        centralized = rec.regime.is_centralized
+        entrants = rec.entrants.tolist()
+        for p in prefs_sorted:
+            grads = float(rec.cohort[p.id])
+            near = bool(0.0 < d_tokyo[p.id] <= 100.0)
+            rows.append(
+                PanelRow(
+                    p.id, rec.year, None, sum(entrants[p.id]), centralized,
+                    bool(nearest[p.id] == 0.0), bool(0.0 < nearest[p.id] <= 100.0), p.id == tokyo.id, near, grads,
+                )
+            )
+            for k, s in enumerate(schools_sorted):
+                d = school_dist[s.id][p.id]
+                rows.append(
+                    PanelRow(
+                        p.id, rec.year, s.id, entrants[p.id][k], centralized,
+                        bool(d == 0.0), bool(0.0 < d <= 100.0), p.id == tokyo.id, near, grads,
+                    )
+                )
+    return rows
+
+
+def panel_to_columns(rows):
+    """Column arrays for the estimators, with float indicator columns."""
+    return {
+        "prefecture_id": np.array([r.prefecture_id for r in rows], dtype=np.int64),
+        "year": np.array([r.year for r in rows], dtype=np.int64),
+        "entrants": np.array([r.entrants for r in rows], dtype=float),
+        "centralized": np.array([float(r.centralized) for r in rows]),
+        "located_in": np.array([float(r.located_in) for r in rows]),
+        "within_100km": np.array([float(r.within_100km) for r in rows]),
+        "tokyo": np.array([float(r.tokyo) for r in rows]),
+        "near_tokyo": np.array([float(r.near_tokyo) for r in rows]),
+        "tokyo_area": np.array([float(r.tokyo or r.near_tokyo) for r in rows]),
+        "middle_school_grads": np.array([r.middle_school_grads for r in rows]),
+    }
 
 
 def dominates_all_feasible_sets(scores_by_id, admitted, total_capacity):

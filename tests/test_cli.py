@@ -339,3 +339,73 @@ def test_partial_outputs_removed_on_failure(config_path, tmp_path, monkeypatch):
     monkeypatch.setattr(pl, "build_panel", original)
     leftovers = sorted(p.name for p in out.iterdir()) if out.exists() else []
     assert leftovers == []
+
+
+def _schools_config(tmp_path, n_schools):
+    """SMALL_CONFIG with a schools CSV: the default schools, cut to
+    `n_schools` or extended by copies of school 8 with new ids."""
+    from meritmatch.core import School, save_schools
+
+    schools = list(resolve_config(None).scenario.schools)[:n_schools]
+    last = schools[-1]
+    schools += [
+        School(id=sid, prefecture_id=last.prefecture_id, capacity=5, prestige=last.prestige - 0.1 * (sid - last.id))
+        for sid in range(last.id + 1, n_schools + 1)
+    ]
+    save_schools(schools, tmp_path / f"schools{n_schools}.csv")
+    cfg = tmp_path / f"schools{n_schools}.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "schools": f"schools{n_schools}.csv"}))
+    return cfg
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_school_panels_follow_configured_schools(tmp_path):
+    six = _schools_config(tmp_path, 6)
+    out = tmp_path / "six"
+    assert _run_cli(six, out, ("--stages", "simulate,metrics")) == 0
+    panels = sorted(p.name for p in out.glob("panel_*.csv"))
+    assert panels == ["panel_all.csv"] + [f"panel_school_{s}.csv" for s in range(1, 7)]
+    assert _run_cli(six, out, ("--stages", "estimate")) == 0
+
+    nine = _schools_config(tmp_path, 9)
+    in_process, staged = tmp_path / "nine", tmp_path / "nine_staged"
+    assert _run_cli(nine, in_process, ("--seeds", "2")) == 0
+    assert (in_process / "panel_school_9.csv").exists()
+    with open(in_process / "regressions.csv", newline="") as fh:
+        specs = {r["spec_id"] for r in csv.DictReader(fh)}
+    assert {f"local_monopoly_s{s}" for s in range(1, 10)} <= specs
+    assert _run_cli(nine, staged, ("--seeds", "2", "--stages", "simulate,metrics")) == 0
+    assert _run_cli(nine, staged, ("--seeds", "2", "--stages", "estimate")) == 0
+    assert (staged / "regressions.csv").read_bytes() == (in_process / "regressions.csv").read_bytes()
+
+
+def _first_row_field_to_x(index):
+    def corrupt(lines):
+        fields = lines[1].split(",")
+        fields[index] = "x"
+        return [lines[0], ",".join(fields)] + lines[2:]
+
+    return corrupt
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("panel_all.csv", _first_row_field_to_x(4)),  # entrants
+        ("panel_school_3.csv", lambda lines: lines[:5] + lines[6:]),  # one data row deleted
+        ("panel_school_3.csv", lambda lines: lines[:1] + lines[48:95] + lines[1:48] + lines[95:]),  # 1901 before 1900
+        ("year_outcomes.csv", _first_row_field_to_x(6)),  # entrants_total
+    ],
+    ids=["non-numeric entrants", "missing panel row", "panel years out of order", "non-numeric outcome"],
+)
+def test_estimate_rejects_malformed_inputs(config_path, tmp_path, capsys, name, corrupt):
+    out = tmp_path / "bad"
+    assert _run_cli(config_path, out, ("--seeds", "2")) == 0
+    estimated = (out / "regressions.csv").read_bytes()
+    path = out / name
+    path.write_text("".join(corrupt(path.read_text().splitlines(keepends=True))))
+    capsys.readouterr()
+    assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "estimate")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (out / "regressions.csv").read_bytes() == estimated

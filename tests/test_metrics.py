@@ -8,12 +8,11 @@ from meritmatch.core import Assignment, DomainError, Placement, RegimeKind, Seed
 from meritmatch.mechanisms import PreferenceList, SingleApplication
 
 from conftest import mk_applicant
+from oracles import panel_to_columns, row_build_panel
 from meritmatch.metrics import (
     PANEL_COLUMNS,
     YEAR_OUTCOME_COLUMNS,
-    PanelRow,
     build_panel,
-    panel_to_columns,
     read_panel_csv,
     read_year_outcomes_csv,
     write_panel_csv,
@@ -81,54 +80,81 @@ def test_default_decentralized_distance_in_calibration_band():
     assert 150.0 <= out.mean_enrollment_distance_km <= 250.0
 
 
+def _assert_columns_equal(got, expected):
+    assert got.keys() == expected.keys()
+    for name, col in expected.items():
+        assert got[name].dtype == col.dtype, name
+        assert np.array_equal(got[name], col), name
+
+
+def _empty_records(sc):
+    empty = Assignment({}, frozenset())
+    return [year_record(empty, [], sc.prefectures, sc.schools, r.year, r.kind) for r in sc.schedule]
+
+
+@pytest.mark.parametrize("which", ["small_run", "empty"])
+def test_build_panel_matches_row_oracle(which, request):
+    if which == "small_run":
+        sc, res = request.getfixturevalue("small_run")
+        records = res.records
+    else:
+        sc = default_scenario(scale=0.01)
+        records = _empty_records(sc)
+    panels = build_panel(records, sc.prefectures, sc.schools)
+    rows = row_build_panel(records, sc.prefectures, sc.schools)
+    assert list(panels) == [None] + sorted(s.id for s in sc.schools)
+    for key, cols in panels.items():
+        _assert_columns_equal(cols, panel_to_columns([r for r in rows if r.school_id == key]))
+
+
 def test_accounting_identity(small_run):
     sc, res = small_run
-    rows = build_panel(res.records, sc.prefectures, sc.schools)
+    panels = build_panel(res.records, sc.prefectures, sc.schools)
+    everyone = panels[None]
     for rec, out in zip(res.records, res.outcomes):
-        total = sum(r.entrants for r in rows if r.school_id is None and r.year == rec.year)
+        total = everyone["entrants"][everyone["year"] == rec.year].sum()
         assert total == out.entrants_total
         # school panels add up to the all-school panel per prefecture
         for pid in range(0, 47, 7):
-            all_count = next(
-                r.entrants for r in rows if r.school_id is None and r.year == rec.year and r.prefecture_id == pid
-            )
-            school_sum = sum(
-                r.entrants for r in rows if r.school_id is not None and r.year == rec.year and r.prefecture_id == pid
-            )
-            assert school_sum == all_count
+
+            def entrants_at(cols):
+                return cols["entrants"][(cols["year"] == rec.year) & (cols["prefecture_id"] == pid)].item()
+
+            school_sum = sum(entrants_at(cols) for key, cols in panels.items() if key is not None)
+            assert school_sum == entrants_at(everyone)
 
 
 def test_flag_geometry(small_run):
     sc, res = small_run
-    rows = build_panel(res.records, sc.prefectures, sc.schools)
+    panels = build_panel(res.records, sc.prefectures, sc.schools)
     tokyo = next(p for p in sc.prefectures if p.name == "Tokyo")
     host_of_1 = next(s for s in sc.schools if s.id == 1).prefecture_id
     assert host_of_1 == tokyo.id
-    for r in rows:
-        assert not (r.located_in and r.within_100km)  # bands are exclusive
-        if r.school_id == 1:
-            assert r.located_in == (r.prefecture_id == tokyo.id)
-        if r.prefecture_id == tokyo.id:
-            assert r.tokyo and not r.near_tokyo
-        if r.tokyo or r.near_tokyo:
-            assert sc.prefectures[r.prefecture_id].urban
+    urban = np.array([p.urban for p in sc.prefectures])
+    for key, cols in panels.items():
+        located_in, within_100km = cols["located_in"] == 1.0, cols["within_100km"] == 1.0
+        is_tokyo, near_tokyo = cols["tokyo"] == 1.0, cols["near_tokyo"] == 1.0
+        in_tokyo = cols["prefecture_id"] == tokyo.id
+        assert not np.any(located_in & within_100km)  # bands are exclusive
+        if key == 1:
+            assert np.array_equal(located_in, in_tokyo)
+        assert np.all(is_tokyo[in_tokyo]) and not np.any(near_tokyo[in_tokyo])
+        assert np.all(urban[cols["prefecture_id"][is_tokyo | near_tokyo]])
 
 
 def test_centralized_flag_follows_schedule(small_run):
     sc, res = small_run
-    rows = build_panel(res.records, sc.prefectures, sc.schools)
-    for r in rows:
-        assert r.centralized == (r.year >= 1902)
+    for cols in build_panel(res.records, sc.prefectures, sc.schools).values():
+        assert np.array_equal(cols["centralized"] == 1.0, cols["year"] >= 1902)
 
 
 def test_panel_row_count_is_47_by_31():
     sc = default_scenario(scale=0.01)
-    empty = Assignment({}, frozenset())
-    records = [year_record(empty, [], sc.prefectures, sc.schools, r.year, r.kind) for r in sc.schedule]
-    rows = build_panel(records, sc.prefectures, sc.schools)
-    all_rows = [r for r in rows if r.school_id is None]
-    assert len(all_rows) == 1457  # 47 prefectures x 31 years
-    assert len(rows) == 1457 * 9  # plus one panel per school
+    panels = build_panel(_empty_records(sc), sc.prefectures, sc.schools)
+    assert len(panels[None]["year"]) == 1457  # 47 prefectures x 31 years
+    assert len(panels) == 9  # plus one panel per school
+    for cols in panels.values():
+        assert {len(col) for col in cols.values()} == {1457}
 
 
 def test_build_panel_needs_both_regimes():
@@ -142,13 +168,21 @@ def test_build_panel_needs_both_regimes():
 
 def test_csv_roundtrip(tmp_path, small_run):
     sc, res = small_run
-    rows = build_panel(res.records, sc.prefectures, sc.schools)
+    panels = build_panel(res.records, sc.prefectures, sc.schools)
     panel_path = tmp_path / "panel_all.csv"
-    seeded = [(0, r) for r in rows if r.school_id is None]
-    write_panel_csv(panel_path, seeded)
-    seeds, loaded = read_panel_csv(panel_path)
-    assert seeds == [0] * len(loaded)
-    assert loaded == [r for _, r in seeded]
+    write_panel_csv(panel_path, {0: panels[None]})
+    loaded = read_panel_csv(panel_path)
+    assert list(loaded) == [0]
+    _assert_columns_equal(loaded[0], panels[None])
+
+    school_path = tmp_path / "panel_school_3.csv"
+    write_panel_csv(school_path, {4: panels[3], 2: panels[3]}, 3)
+    loaded = read_panel_csv(school_path, 3)
+    assert list(loaded) == [4, 2]
+    for cols in loaded.values():
+        _assert_columns_equal(cols, panels[3])
+    with pytest.raises(DomainError):
+        read_panel_csv(school_path)  # written for school 3, read as the all-schools panel
 
     out_path = tmp_path / "year_outcomes.csv"
     write_year_outcomes_csv(out_path, [(0, o) for o in res.outcomes])
@@ -159,7 +193,7 @@ def test_csv_roundtrip(tmp_path, small_run):
 
 def test_csv_headers_are_stable(tmp_path):
     write_year_outcomes_csv(tmp_path / "a.csv", [])
-    write_panel_csv(tmp_path / "b.csv", [])
+    write_panel_csv(tmp_path / "b.csv", {})
     assert (tmp_path / "a.csv").read_text().strip() == ",".join(YEAR_OUTCOME_COLUMNS)
     assert (tmp_path / "b.csv").read_text().strip() == ",".join(PANEL_COLUMNS)
 
@@ -198,10 +232,34 @@ def test_reader_rejects_wrong_schema(tmp_path):
         read_year_outcomes_csv(path)
 
 
-def test_panel_to_columns_tokyo_area(small_run):
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0,0,1900,,x,0,0,0,0,0,2.0",  # entrants not an integer
+        "0,0,1900,,1,2,0,0,0,0,2.0",  # flag neither 0 nor 1
+        "0,0,1900,,1,0,0,0,0,0,abc",  # graduates not a number
+        "0,0,1900,4,1,0,0,0,0,0,2.0",  # a school row in the all-schools panel
+        "0,0,1900,,1,0,0,0,0,0",  # short row
+        "1,0,1900,,1,0,0,0,0,0,2.0\r\n0,1,1900,,1,0,0,0,0,0,2.0",  # seed 0's rows split by seed 1
+    ],
+)
+def test_panel_reader_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "panel_all.csv"
+    path.write_text(",".join(PANEL_COLUMNS) + "\r\n0,2,1900,,1,0,0,0,0,0,2.0\r\n" + row + "\r\n")
+    with pytest.raises(DomainError):
+        read_panel_csv(path)
+
+
+def test_outcome_reader_rejects_unparsable_value(tmp_path):
+    path = tmp_path / "year_outcomes.csv"
+    path.write_text(",".join(YEAR_OUTCOME_COLUMNS) + "\r\n0,1900,decentralized,0.5,,,x,3\r\n")
+    with pytest.raises(DomainError):
+        read_year_outcomes_csv(path)
+
+
+def test_panel_tokyo_area(small_run):
     sc, res = small_run
-    rows = [r for r in build_panel(res.records, sc.prefectures, sc.schools) if r.school_id is None]
-    cols = panel_to_columns(rows)
+    cols = build_panel(res.records, sc.prefectures, sc.schools)[None]
     assert np.array_equal(
         cols["tokyo_area"], np.maximum(cols["tokyo"], cols["near_tokyo"])
     )

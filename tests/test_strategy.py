@@ -219,8 +219,8 @@ def test_equilibrium_shift_invariance():
         p1 = admit_probability(a0.score + shift, moved.cutoff(sid), params.score_noise_sd)
         assert p1 == pytest.approx(p0, abs=1e-9)
     # and the chosen applications coincide
-    apps0 = single_applications(sc.schools, apps, base, params)
-    apps1 = single_applications(sc.schools, shifted, moved, params)
+    apps0 = single_applications(apps, base, params)
+    apps1 = single_applications(shifted, moved, params)
     assert list(apps0) == list(apps1)
 
 
@@ -241,7 +241,7 @@ def test_decentralized_applications_match_scalar_choice():
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1910, SeededRng(5))
     params = BehaviorParams()
     beliefs, _, _ = equilibrium_cutoffs(sc.schools, apps, params, SeededRng(5).substream("strategy", 1910))
-    singles = single_applications(sc.schools, apps, beliefs, params)
+    singles = single_applications(apps, beliefs, params)
     expected = [choose_single_application(a, beliefs, params) for a in apps]
     assert list(singles) == [PreferenceList(e.applicant_id, (e.school_id,)) for e in expected if e is not None]
     assert 0 < len(singles) < len(apps)
@@ -298,7 +298,7 @@ def test_centralized_first_choices_more_aggressive_than_decentralized():
         beliefs, _, _ = equilibrium_cutoffs(
             sc.schools, apps, params, SeededRng(seed).substream("strategy", 1900)
         )
-        singles = single_applications(sc.schools, apps, beliefs, params)
+        singles = single_applications(apps, beliefs, params)
         dec_share = sum(1 for s in singles if s.ranked == (1,)) / len(singles)
         wins += cen_share > dec_share
     assert wins == 20
