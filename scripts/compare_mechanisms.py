@@ -95,9 +95,7 @@ def main() -> int:
         applicants,
         scenario,
     )
-    beliefs, iters, resid = equilibrium_cutoffs(
-        scenario.schools, applicants, behavior, root.substream("strategy", args.year)
-    )
+    beliefs, iters, resid = equilibrium_cutoffs(scenario.schools, applicants, behavior)
     singles = single_applications(applicants, beliefs, behavior)
     summarize(
         "decentralized (eqm)",

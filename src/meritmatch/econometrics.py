@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
+import scipy.special
 
 from .core import DomainError
 
@@ -152,9 +152,12 @@ def _sandwich(bread: np.ndarray, meat: np.ndarray) -> np.ndarray:
 
 
 def _p_values(t_stats: np.ndarray, df: float, method: str) -> np.ndarray:
+    # ndtr(-x) and stdtr(df, -x) are what scipy.stats.norm.sf and
+    # scipy.stats.t.sf evaluate; importing scipy.stats would about double the
+    # package's import time
     if method == "normal":
-        return 2.0 * scipy.stats.norm.sf(np.abs(t_stats))
-    return 2.0 * scipy.stats.t.sf(np.abs(t_stats), df=max(df, 1.0))
+        return 2.0 * scipy.special.ndtr(-np.abs(t_stats))
+    return 2.0 * scipy.special.stdtr(max(df, 1.0), -np.abs(t_stats))
 
 
 def fe_ols(panel: Mapping[str, Sequence], spec: RegressionSpec) -> RegressionResult:

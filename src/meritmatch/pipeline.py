@@ -259,9 +259,7 @@ def simulate_seed(scenario: Scenario, behavior: BehaviorParams, seed: int) -> Se
             else:
                 assignment = run_meritocratic_boston(schools, cohort, apps, lottery_rng)
         else:
-            beliefs, iters, resid = equilibrium_cutoffs(
-                schools, cohort, behavior, root.substream("strategy", year), initial=beliefs
-            )
+            beliefs, iters, resid = equilibrium_cutoffs(schools, cohort, behavior, initial=beliefs)
             eq_log.append((year, iters, resid))
             apps = single_applications(cohort, beliefs, behavior)
             assignment = run_decentralized(schools, cohort, apps, lottery_rng)

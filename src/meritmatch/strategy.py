@@ -9,8 +9,13 @@ the vectorized best response `_best_single_choices`.
 The decentralized model is a rational-expectations fixed point: applicants
 hold beliefs about each school's admission cutoff, smooth the acceptance
 event with a normal CDF over their own score uncertainty, and apply to the
-school maximizing admission probability times surplus. Realized cutoffs feed
-back into beliefs with damping until they settle. This model is a
+school maximizing admission probability times surplus. A school's realized
+cutoff is an order statistic, the capacity-th highest score among its
+applicants (the market-clearing cutoff of Azevedo & Leshno 2016), so the
+iteration sorts the cohort by score once and draws no tie-break: which of
+several equally scored applicants would be admitted does not move that
+score. Realized cutoffs feed back into beliefs with damping until they
+settle. Beliefs are matched to utility columns by school id. This model is a
 construction of this package, calibrated only to reproduce qualitative
 regime differences; treat its parameters as simulation knobs, not estimates.
 """
@@ -25,8 +30,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .core import Applicant, Cohort, DomainError, Regime, RegimeKind, School, SeededRng
-from .mechanisms import Applications, PreferenceList, _admit_top_per_school
+from .core import Applicant, Cohort, DomainError, Regime, RegimeKind, School
+from .mechanisms import Applications, PreferenceList
 
 
 @dataclass(frozen=True)
@@ -65,11 +70,25 @@ class CutoffBeliefs:
     school_ids: tuple[int, ...]
     cutoffs: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        if len(self.school_ids) != len(self.cutoffs):
+            raise DomainError(f"{len(self.school_ids)} school ids for {len(self.cutoffs)} cutoffs")
+        if len(set(self.school_ids)) != len(self.school_ids):
+            raise DomainError("school ids of cutoff beliefs are not unique")
+
     def cutoff(self, school_id: int) -> float:
         try:
             return self.cutoffs[self.school_ids.index(school_id)]
         except ValueError:
             raise DomainError(f"no belief for school {school_id}") from None
+
+    def lined_up(self, school_ids: Sequence[int]) -> np.ndarray:
+        """The cutoffs of `school_ids`, in that order; DomainError when a
+        school has no belief or a belief names another school."""
+        unknown = set(self.school_ids) - set(school_ids)
+        if unknown:
+            raise DomainError(f"belief for unknown school {min(unknown)}")
+        return np.array([self.cutoff(s) for s in school_ids], dtype=float)
 
 
 def _truthful_lists(cohort: Cohort) -> Applications:
@@ -116,23 +135,34 @@ def grouped_ranking(applicant: Applicant, groups: tuple[frozenset[int], frozense
 
 def _best_single_choices(
     scores: np.ndarray,
-    utilities: np.ndarray,
-    outside: np.ndarray,
+    surplus: np.ndarray,
     cutoffs: np.ndarray,
     sigma: float,
 ) -> np.ndarray:
-    """Vectorized best single application: 0-based school index, -1 = abstain."""
+    """Vectorized best single application: 0-based school index, -1 = abstain.
+    `surplus` is each applicant's utility minus outside option."""
     if sigma == 0:
         diff = scores[:, None] - cutoffs[None, :]
         prob = np.where(diff > 0, 1.0, np.where(diff == 0, 0.5, 0.0))
         prob = np.where(np.isinf(cutoffs)[None, :] & (cutoffs < 0)[None, :], 1.0, prob)
     else:
         prob = ndtr((scores[:, None] - cutoffs[None, :]) / sigma)
-    surplus = utilities - outside[:, None]
     ev = np.where(surplus > 0, prob * surplus, -np.inf)
     best = np.argmax(ev, axis=1)  # first max -> lowest school index
     best[~np.isfinite(ev[np.arange(len(best)), best])] = -1
     return best
+
+
+def _realized_cutoffs(choice: np.ndarray, scores: np.ndarray, caps: Sequence[int]) -> np.ndarray:
+    """Each school's realized cutoff: the capacity-th highest score among the
+    applicants choosing it, -inf where it did not fill. `choice` holds 0-based
+    school indices (-1 = abstain) with rows in non-increasing `scores`."""
+    cutoffs = np.full(len(caps), -np.inf)
+    for j, cap in enumerate(caps):
+        rows = np.flatnonzero(choice == j)
+        if 0 < cap <= len(rows):
+            cutoffs[j] = scores[rows[cap - 1]]
+    return cutoffs
 
 
 def _belief_floor(scores: np.ndarray, sigma: float) -> float:
@@ -145,41 +175,45 @@ def equilibrium_cutoffs(
     schools: Sequence[School],
     applicants: Cohort | Sequence[Applicant],
     params: BehaviorParams,
-    rng: SeededRng | None = None,
+    *,
     initial: CutoffBeliefs | None = None,
 ) -> tuple[CutoffBeliefs, int, float]:
     """Rational-expectations cutoffs for the single-application regime.
 
-    Iterates best responses against beliefs, admits top-capacity applicants
-    per school, and moves beliefs toward realized marginal admitted scores
-    with damping. Undersubscribed schools are held at a finite floor during
-    the iteration (so damping stays well defined) and reported as -inf in
-    the returned beliefs. Returns (beliefs, iterations used, final
-    residual); non-convergence is flagged by residual >= tol, not raised.
+    Iterates best responses against beliefs and moves beliefs toward the
+    realized cutoffs with damping. A realized cutoff is the order statistic
+    of `_realized_cutoffs`, read from the cohort sorted by score once per
+    call; no tie-break is drawn, because it cannot change that score.
+    Undersubscribed schools are held at a finite floor during the iteration
+    (so damping stays well defined) and reported as -inf in the returned
+    beliefs. `initial` beliefs are read by school id and must name exactly
+    the given schools. Returns (beliefs, iterations used, final residual);
+    non-convergence is flagged by residual >= tol, not raised.
     """
     schools_sorted = sorted(schools, key=lambda s: s.id)
     school_ids = tuple(s.id for s in schools_sorted)
-    caps = np.array([s.capacity for s in schools_sorted], dtype=np.int64)
+    caps = [s.capacity for s in schools_sorted]
     cohort = Cohort.of(applicants)
     if not len(cohort):
         beliefs = CutoffBeliefs(school_ids=school_ids, cutoffs=tuple([-math.inf] * len(school_ids)))
         return beliefs, 1, 0.0
-    scores, utilities, outside = cohort.score, cohort.utility, cohort.outside
-    if utilities.shape[1] != len(school_ids):
+    if cohort.utility.shape[1] != len(school_ids):
         raise DomainError("applicant utility vectors do not match the school count")
-    ties = rng.generator().random(len(cohort)) if rng is not None else np.zeros(len(cohort))
+    order = np.argsort(-cohort.score)
+    scores = cohort.score[order]
+    surplus = (cohort.utility - cohort.outside[:, None])[order]
 
     floor = _belief_floor(scores, params.score_noise_sd)
+    cutoffs = np.full(len(school_ids), floor)
     if initial is not None:
-        cutoffs = np.array([max(c, floor) if math.isfinite(c) else floor for c in initial.cutoffs])
-    else:
-        cutoffs = np.full(len(school_ids), floor)
+        start = initial.lined_up(school_ids)
+        cutoffs = np.where(np.isfinite(start), np.maximum(start, floor), floor)
     undersubscribed = np.ones(len(school_ids), dtype=bool)
     iterations = 0
     residual = math.inf
     for iterations in range(1, params.max_iter + 1):
-        choice = _best_single_choices(scores, utilities, outside, cutoffs, params.score_noise_sd)
-        _, realized = _admit_top_per_school(choice, scores, ties, caps)
+        choice = _best_single_choices(scores, surplus, cutoffs, params.score_noise_sd)
+        realized = _realized_cutoffs(choice, scores, caps)
         undersubscribed = np.isneginf(realized)
         target = np.where(undersubscribed, floor, realized)
         new = (1 - params.damping) * cutoffs + params.damping * target
@@ -204,17 +238,21 @@ def single_applications(
     params: BehaviorParams,
 ) -> Applications:
     """Best-response single applications against given cutoff beliefs, in
-    increasing applicant id; abstainers submit nothing."""
+    increasing applicant id; abstainers submit nothing. Utility column k is
+    the school with id k + 1, whose cutoff `beliefs` must hold; a belief for
+    any other school is a DomainError."""
     cohort = Cohort.of(applicants)
     if not len(cohort):
         return Applications.of([])
+    school_ids = np.arange(1, cohort.utility.shape[1] + 1, dtype=np.int64)
+    cutoffs = beliefs.lined_up(school_ids.tolist())
     choice = _best_single_choices(
-        cohort.score, cohort.utility, cohort.outside, np.array(beliefs.cutoffs), params.score_noise_sd
+        cohort.score, cohort.utility - cohort.outside[:, None], cutoffs, params.score_noise_sd
     )
     applied = choice >= 0
     return Applications(
         ids=cohort.ids[applied],
-        schools=np.array(beliefs.school_ids, dtype=np.int64)[choice[applied], None],
+        schools=school_ids[choice[applied], None],
         lengths=np.ones(np.count_nonzero(applied), dtype=np.int64),
     )
 

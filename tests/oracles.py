@@ -5,22 +5,24 @@ package implementations are checked against a second, structurally different
 route: a literal step-by-step executor for the centralized assignment rounds,
 dict-based Boston rounds and per-applicant truthful rankings (the scalar code
 the array mechanisms replaced), a per-school sort for the decentralized rule,
-a per-applicant loop for the single-application choice, one object per
-(prefecture, year, school) for the panels (the row builder the column panels
-replaced), subset/assignment enumeration for the dominance check, and
-dummy-variable OLS for the within estimator.
+a per-applicant loop for the single-application choice, the lexsort cutoff
+loop the order-statistic loop replaced, one object per (prefecture, year,
+school) for the panels (the row builder the column panels replaced),
+subset/assignment enumeration for the dominance check, and dummy-variable OLS
+for the within estimator.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from meritmatch.core import Assignment, DomainError, Placement, distance_matrix
-from meritmatch.mechanisms import PreferenceList, SingleApplication
+from meritmatch.mechanisms import PreferenceList, SingleApplication, _admit_top_per_school
 
 
 def printed_steps_assignment(schools, applicants, prefs, tie):
@@ -171,7 +173,8 @@ def choose_single_application(applicant, beliefs, params):
     probability times surplus among schools better than the outside option,
     the lowest school id on ties; None means abstain."""
     best = None
-    for sid, cutoff, utility in zip(beliefs.school_ids, beliefs.cutoffs, applicant.utility):
+    for sid, utility in enumerate(applicant.utility, start=1):
+        cutoff = beliefs.cutoff(sid)
         surplus = utility - applicant.outside_option
         if surplus <= 0:
             continue
@@ -181,6 +184,46 @@ def choose_single_application(applicant, beliefs, params):
     if best is None:
         return None
     return SingleApplication(applicant_id=applicant.id, school_id=best[1])
+
+
+def lexsort_equilibrium_cutoffs(schools, applicants, params, ties, initial=None):
+    """The cutoff loop `equilibrium_cutoffs` replaced: every iteration
+    recomputes each applicant's best response in id order and admits each
+    school's top capacity by (score, `ties`) through `_admit_top_per_school`,
+    whose lowest admitted score is the realized cutoff. Returns (cutoffs in
+    increasing school id, iterations, residual); initial beliefs are read by
+    position, as that loop read them."""
+    caps = np.array([s.capacity for s in sorted(schools, key=lambda s: s.id)], dtype=np.int64)
+    scores, utilities, outside = applicants.score, applicants.utility, applicants.outside
+    sigma = params.score_noise_sd
+    floor = float(scores.min()) - 6.0 * max(sigma, 1.0) - 1.0
+    if initial is not None:
+        cutoffs = np.array([max(c, floor) if math.isfinite(c) else floor for c in initial.cutoffs])
+    else:
+        cutoffs = np.full(len(caps), floor)
+    undersubscribed = np.ones(len(caps), dtype=bool)
+    iterations = 0
+    residual = math.inf
+    for iterations in range(1, params.max_iter + 1):
+        if sigma == 0:
+            diff = scores[:, None] - cutoffs[None, :]
+            prob = np.where(diff > 0, 1.0, np.where(diff == 0, 0.5, 0.0))
+            prob = np.where(np.isinf(cutoffs)[None, :] & (cutoffs < 0)[None, :], 1.0, prob)
+        else:
+            prob = ndtr((scores[:, None] - cutoffs[None, :]) / sigma)
+        surplus = utilities - outside[:, None]
+        ev = np.where(surplus > 0, prob * surplus, -np.inf)
+        choice = np.argmax(ev, axis=1)
+        choice[~np.isfinite(ev[np.arange(len(choice)), choice])] = -1
+        _, realized = _admit_top_per_school(choice, scores, ties, caps)
+        undersubscribed = np.isneginf(realized)
+        target = np.where(undersubscribed, floor, realized)
+        new = (1 - params.damping) * cutoffs + params.damping * target
+        residual = float(np.max(np.abs(new - cutoffs)))
+        cutoffs = new
+        if residual < params.tol:
+            break
+    return np.where(undersubscribed, -np.inf, cutoffs), iterations, residual
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -409,3 +411,13 @@ def test_estimate_rejects_malformed_inputs(config_path, tmp_path, capsys, name, 
     assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "estimate")) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert (out / "regressions.csv").read_bytes() == estimated
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone took about half of a cold start
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, meritmatch.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import pytest
 from meritmatch.core import DomainError
 from meritmatch.econometrics import (
     RegressionSpec,
+    _p_values,
     did_centralization,
     event_study,
     fe_ols,
@@ -390,3 +391,12 @@ def test_with_interaction_names_and_values():
     panel = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 0.5])}
     cols = with_interaction(panel, "a", "b")
     assert np.allclose(cols["a_x_b"], [3.0, 1.0])
+
+
+@pytest.mark.parametrize("df", [1.0, 3.0, 27.0, 46.0, 1e6])
+def test_p_values_equal_scipy_stats_bitwise(df):
+    import scipy.stats
+
+    t = np.array([0.0, -5e-324, 1e-300, 1e-8, -0.7, 1.96, 3.5, -40.0, 40.0, np.inf, -np.inf])
+    assert _p_values(t, df, "t").tobytes() == (2.0 * scipy.stats.t.sf(np.abs(t), df)).tobytes()
+    assert _p_values(t, df, "normal").tobytes() == (2.0 * scipy.stats.norm.sf(np.abs(t))).tobytes()

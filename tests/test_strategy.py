@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meritmatch.core import Applicant, Cohort, DomainError, Regime, RegimeKind, SeededRng
 from meritmatch.mechanisms import PreferenceList, SingleApplication, _admit_top_per_school
@@ -11,6 +13,7 @@ from meritmatch.popgen import default_scenario, generate_applicants
 from meritmatch.strategy import (
     BehaviorParams,
     CutoffBeliefs,
+    _realized_cutoffs,
     equilibrium_cutoffs,
     grouped_ranking,
     single_applications,
@@ -19,7 +22,7 @@ from meritmatch.strategy import (
 )
 
 from conftest import mk_schools
-from oracles import admit_probability, choose_single_application
+from oracles import admit_probability, choose_single_application, lexsort_equilibrium_cutoffs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -146,9 +149,7 @@ def test_equilibrium_default_scenario_golden():
     sc = default_scenario()
     params = BehaviorParams()
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(0))
-    beliefs, iters, resid = equilibrium_cutoffs(
-        sc.schools, apps, params, SeededRng(0).substream("strategy", 1900)
-    )
+    beliefs, iters, resid = equilibrium_cutoffs(sc.schools, apps, params)
     golden = json.loads((GOLDEN / "equilibrium_seed0.json").read_text())
     assert resid < params.tol
     assert iters == golden["iterations"]
@@ -163,8 +164,8 @@ def test_equilibrium_deterministic_given_seed():
     sc = default_scenario(scale=0.05)
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
     params = BehaviorParams()
-    r1 = equilibrium_cutoffs(sc.schools, apps, params, SeededRng(11))
-    r2 = equilibrium_cutoffs(sc.schools, apps, params, SeededRng(11))
+    r1 = equilibrium_cutoffs(sc.schools, apps, params)
+    r2 = equilibrium_cutoffs(sc.schools, apps, params)
     assert r1[0] == r2[0] and r1[1] == r2[1] and r1[2] == r2[2]
 
 
@@ -186,7 +187,7 @@ def test_equilibrium_damping_one_is_undamped():
     cut = np.full(2, floor)
     under = np.ones(2, dtype=bool)
     for _ in range(7):
-        choice = _best_single_choices(scores, utils, outside, cut, 4.0)
+        choice = _best_single_choices(scores, utils - outside[:, None], cut, 4.0)
         _, realized = _admit_top_per_school(choice, scores, ties, caps)
         under = np.isneginf(realized)
         cut = np.where(under, floor, realized)
@@ -204,9 +205,8 @@ def test_equilibrium_shift_invariance():
         Applicant(a.id, a.birth_prefecture, a.score + shift, a.utility, a.outside_option)
         for a in apps
     ]
-    rng = SeededRng(9).substream("strategy", 1905)
-    base, _, _ = equilibrium_cutoffs(sc.schools, apps, params, rng)
-    moved, _, _ = equilibrium_cutoffs(sc.schools, shifted, params, rng)
+    base, _, _ = equilibrium_cutoffs(sc.schools, apps, params)
+    moved, _, _ = equilibrium_cutoffs(sc.schools, shifted, params)
     for c0, c1 in zip(base.cutoffs, moved.cutoffs):
         if math.isinf(c0):
             assert math.isinf(c1)
@@ -222,6 +222,135 @@ def test_equilibrium_shift_invariance():
     apps0 = single_applications(apps, base, params)
     apps1 = single_applications(shifted, moved, params)
     assert list(apps0) == list(apps1)
+
+
+# -- cutoffs as order statistics ---------------------------------------------------
+
+
+@st.composite
+def school_choices(draw, max_schools=4, max_applicants=12):
+    """Choices of -1 (abstain) or a 0-based school, scores in {1, 2, 3} so
+    whole groups tie, lottery draws in {0, 0.5}, capacities from 0 to above
+    demand; some schools end up chosen by nobody."""
+    n_schools = draw(st.integers(1, max_schools))
+    n = draw(st.integers(0, max_applicants))
+    choice = np.array(draw(st.lists(st.integers(-1, n_schools - 1), min_size=n, max_size=n)), dtype=np.int64)
+    scores = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=float)
+    ties = np.array(draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=n, max_size=n)))
+    caps = np.array(draw(st.lists(st.integers(0, max_applicants + 1), min_size=n_schools, max_size=n_schools)))
+    return choice, scores, ties, caps, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(school_choices())
+def test_realized_cutoff_is_capacity_th_score(market):
+    choice, scores, ties, caps, shuffle = market
+    # rows in decreasing score, equal scores in an arbitrary order
+    order = np.lexsort((np.array(shuffle, dtype=np.int64), -scores))
+    realized = _realized_cutoffs(choice[order], scores[order], caps.tolist())
+    _, expected = _admit_top_per_school(choice, scores, ties, caps)
+    assert realized.tobytes() == expected.tobytes()
+
+
+@st.composite
+def single_application_markets(draw, max_schools=3, max_applicants=10):
+    n_schools = draw(st.integers(1, max_schools))
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=max_applicants, unique=True))
+    score = st.one_of(st.integers(40, 44).map(float), st.floats(0, 100))
+    applicants = [
+        _app(
+            i,
+            draw(score),
+            [float(draw(st.integers(0, 6))) for _ in range(n_schools)],
+            outside=float(draw(st.integers(0, 3))),
+        )
+        for i in ids
+    ]
+    schools = mk_schools(*draw(st.lists(st.integers(0, 4), min_size=n_schools, max_size=n_schools)))
+    params = BehaviorParams(
+        score_noise_sd=draw(st.sampled_from([0.0, 1.0, 5.0, 14.0])),
+        max_iter=draw(st.integers(1, 25)),
+        tol=draw(st.sampled_from([0.25, 1e-6])),
+        damping=draw(st.sampled_from([0.3, 0.5, 1.0])),
+    )
+    initial = None
+    if draw(st.booleans()):
+        cut = st.one_of(st.just(-math.inf), st.floats(-50, 150))
+        initial = CutoffBeliefs(tuple(range(1, n_schools + 1)), tuple(draw(cut) for _ in range(n_schools)))
+    return schools, applicants, params, initial
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+@settings(max_examples=300, deadline=None)
+@given(single_application_markets(), st.randoms(use_true_random=False))
+def test_equilibrium_matches_lexsort_loop(market, random):
+    schools, applicants, params, initial = market
+    cohort = Cohort.of(applicants)
+    ties = np.array([random.random() for _ in range(len(cohort))])
+    beliefs, iterations, residual = equilibrium_cutoffs(schools, applicants, params, initial=initial)
+    expected, expected_iterations, expected_residual = lexsort_equilibrium_cutoffs(
+        schools, cohort, params, ties, initial
+    )
+    assert np.array(beliefs.cutoffs).tobytes() == expected.tobytes()
+    assert (iterations, residual) == (expected_iterations, expected_residual)
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_equilibrium_matches_lexsort_loop_on_scaled_scenario():
+    # warm-started years at scale 0.05, most of which end at max_iter
+    sc = default_scenario(scale=0.05)
+    params = BehaviorParams()
+    beliefs, at_max_iter = None, 0
+    for year in range(1900, 1906):
+        cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, year, SeededRng(3))
+        ties = SeededRng(year).generator().random(len(cohort))
+        expected = lexsort_equilibrium_cutoffs(sc.schools, cohort, params, ties, beliefs)
+        beliefs, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params, initial=beliefs)
+        assert np.array(beliefs.cutoffs).tobytes() == expected[0].tobytes()
+        assert (iterations, residual) == expected[1:]
+        at_max_iter += iterations == params.max_iter
+    assert at_max_iter > 0
+
+
+# -- beliefs are read by school id --------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_beliefs_are_read_by_school_id_not_position():
+    sc = default_scenario(scale=0.05)
+    params = BehaviorParams()
+    cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
+    beliefs, _, _ = equilibrium_cutoffs(sc.schools, cohort, params)
+    reversed_beliefs = CutoffBeliefs(beliefs.school_ids[::-1], beliefs.cutoffs[::-1])
+    assert all(reversed_beliefs.cutoff(s) == beliefs.cutoff(s) for s in beliefs.school_ids)
+
+    singles = list(single_applications(cohort, beliefs, params))
+    assert list(single_applications(cohort, reversed_beliefs, params)) == singles
+    expected = [choose_single_application(a, reversed_beliefs, params) for a in cohort]
+    assert singles == [PreferenceList(e.applicant_id, (e.school_id,)) for e in expected if e is not None]
+
+    warm = equilibrium_cutoffs(sc.schools, cohort, params, initial=beliefs)
+    assert equilibrium_cutoffs(sc.schools, cohort, params, initial=reversed_beliefs) == warm
+
+
+def test_beliefs_for_missing_or_unknown_schools_rejected():
+    sc = default_scenario(scale=0.05)
+    params = BehaviorParams()
+    cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
+    three = CutoffBeliefs((1, 2, 3), (60.0, 50.0, 40.0))
+    extra = CutoffBeliefs(tuple(range(1, 10)), (50.0,) * 9)
+    for beliefs in (three, extra):
+        with pytest.raises(DomainError):
+            single_applications(cohort, beliefs, params)
+        with pytest.raises(DomainError):
+            equilibrium_cutoffs(sc.schools, cohort, params, initial=beliefs)
+
+
+def test_beliefs_reject_mismatched_or_repeated_ids():
+    with pytest.raises(DomainError):
+        CutoffBeliefs((1, 2), (1.0,))
+    with pytest.raises(DomainError):
+        CutoffBeliefs((1, 1), (1.0, 2.0))
 
 
 # -- submit_applications ------------------------------------------------------------
@@ -240,7 +369,7 @@ def test_decentralized_applications_match_scalar_choice():
     sc = default_scenario(scale=0.05)
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1910, SeededRng(5))
     params = BehaviorParams()
-    beliefs, _, _ = equilibrium_cutoffs(sc.schools, apps, params, SeededRng(5).substream("strategy", 1910))
+    beliefs, _, _ = equilibrium_cutoffs(sc.schools, apps, params)
     singles = single_applications(apps, beliefs, params)
     expected = [choose_single_application(a, beliefs, params) for a in apps]
     assert list(singles) == [PreferenceList(e.applicant_id, (e.school_id,)) for e in expected if e is not None]
@@ -295,9 +424,7 @@ def test_centralized_first_choices_more_aggressive_than_decentralized():
         apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(seed))
         truthful = [t for t in (truthful_ranking(a) for a in apps) if t.ranked]
         cen_share = sum(1 for t in truthful if t.ranked[0] == 1) / len(truthful)
-        beliefs, _, _ = equilibrium_cutoffs(
-            sc.schools, apps, params, SeededRng(seed).substream("strategy", 1900)
-        )
+        beliefs, _, _ = equilibrium_cutoffs(sc.schools, apps, params)
         singles = single_applications(apps, beliefs, params)
         dec_share = sum(1 for s in singles if s.ranked == (1,)) / len(singles)
         wins += cen_share > dec_share
