@@ -224,6 +224,9 @@ def validate_market(
     school_ids = [s.id for s in schools]
     if len(set(school_ids)) != len(school_ids):
         out.append(Violation("duplicate_school_id", "school ids are not unique"))
+    if sorted(school_ids) != list(range(1, len(schools) + 1)):
+        # utility column k belongs to school k + 1 (see `Cohort`)
+        out.append(Violation("school_ids", f"school ids are not 1..{len(schools)} without gaps"))
     pref_id_set = {p.id for p in prefectures}
     for s in schools:
         if s.capacity <= 0:

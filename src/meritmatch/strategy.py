@@ -4,7 +4,7 @@ self-selection equilibrium for the decentralized single-application regime.
 Everything here reads a year's `Cohort` (a sequence of `Applicant`s is
 converted by `Cohort.of`) and returns `Applications`: ranked lists come from
 one stable argsort of each applicant's utilities, single applications from
-the vectorized best response `_best_single_choices`.
+the vectorized best response `_best_response`.
 
 The decentralized model is a rational-expectations fixed point: applicants
 hold beliefs about each school's admission cutoff, smooth the acceptance
@@ -15,7 +15,11 @@ applicants (the market-clearing cutoff of Azevedo & Leshno 2016), so the
 iteration sorts the cohort by score once and draws no tie-break: which of
 several equally scored applicants would be admitted does not move that
 score. Realized cutoffs feed back into beliefs with damping until they
-settle. Beliefs are matched to utility columns by school id. This model is a
+settle, or until the cutoff vector repeats one it held before: each
+iteration is a pure function of the cutoffs, so from then on the iteration
+runs through that cycle forever, and the state it would hold after `max_iter`
+iterations is read off the cycle instead of computed. Beliefs are matched to
+utility columns by school id. This model is a
 construction of this package, calibrated only to reproduce qualitative
 regime differences; treat its parameters as simulation knobs, not estimates.
 """
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -44,7 +48,10 @@ class BehaviorParams:
     roughly damping times the score spacing at the margin, around 1e-1 at
     desk scale. Cutoff wiggle of that size shifts admission probabilities by
     well under one percent; tighter tolerances are reachable on small or
-    lucky instances but not generically.
+    lucky instances but not generically. In floating point the cycle turns
+    exact after some 50 iterations at damping 0.5: the cutoff vector repeats
+    bit for bit, with a period of 2 to a few dozen iterations, and
+    `equilibrium_cutoffs` stops there with the state of iteration `max_iter`.
     """
 
     score_noise_sd: float = 14.0  # applicant's uncertainty about own standing
@@ -65,7 +72,9 @@ class BehaviorParams:
 
 @dataclass(frozen=True)
 class CutoffBeliefs:
-    """Anticipated admission cutoff per school (-inf for undersubscribed)."""
+    """Anticipated admission cutoff per school (-inf for undersubscribed).
+    A NaN cutoff is a DomainError: the best response would silently make
+    every applicant who finds that school acceptable abstain."""
 
     school_ids: tuple[int, ...]
     cutoffs: tuple[float, ...]
@@ -75,6 +84,9 @@ class CutoffBeliefs:
             raise DomainError(f"{len(self.school_ids)} school ids for {len(self.cutoffs)} cutoffs")
         if len(set(self.school_ids)) != len(self.school_ids):
             raise DomainError("school ids of cutoff beliefs are not unique")
+        for school_id, cutoff in zip(self.school_ids, self.cutoffs):
+            if math.isnan(cutoff):
+                raise DomainError(f"cutoff belief for school {school_id} is NaN")
 
     def cutoff(self, school_id: int) -> float:
         try:
@@ -133,35 +145,48 @@ def grouped_ranking(applicant: Applicant, groups: tuple[frozenset[int], frozense
     return next(iter(_grouped_lists(Cohort.of([applicant]), groups)))
 
 
-def _best_single_choices(
-    scores: np.ndarray,
-    surplus: np.ndarray,
-    cutoffs: np.ndarray,
-    sigma: float,
-) -> np.ndarray:
-    """Vectorized best single application: 0-based school index, -1 = abstain.
-    `surplus` is each applicant's utility minus outside option."""
-    if sigma == 0:
-        diff = scores[:, None] - cutoffs[None, :]
-        prob = np.where(diff > 0, 1.0, np.where(diff == 0, 0.5, 0.0))
-        prob = np.where(np.isinf(cutoffs)[None, :] & (cutoffs < 0)[None, :], 1.0, prob)
-    else:
-        prob = ndtr((scores[:, None] - cutoffs[None, :]) / sigma)
-    ev = np.where(surplus > 0, prob * surplus, -np.inf)
-    best = np.argmax(ev, axis=1)  # first max -> lowest school index
-    best[~np.isfinite(ev[np.arange(len(best)), best])] = -1
-    return best
+def _best_response(scores: np.ndarray, surplus: np.ndarray, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized best single application as a function of the cutoffs: each
+    applicant's 0-based school index, -1 = abstain (the best expected value is
+    not finite: no acceptable school, or a NaN utility). `surplus` is each
+    applicant's utility minus outside option. The mask of non-positive
+    surplus and one (n, S) buffer are set up once; each call recomputes the
+    expected values in that buffer."""
+    column = scores[:, None]
+    unacceptable = ~(surplus > 0)
+    ev = np.empty(surplus.shape)
+    rows = np.arange(len(scores))
+
+    def choose(cutoffs: np.ndarray) -> np.ndarray:
+        np.subtract(column, cutoffs, out=ev)
+        if sigma == 0:
+            np.copyto(ev, np.where(ev > 0, 1.0, np.where(ev == 0, 0.5, 0.0)))
+            ev[:, np.isneginf(cutoffs)] = 1.0
+        else:
+            np.divide(ev, sigma, out=ev)
+            ndtr(ev, out=ev)
+        np.multiply(ev, surplus, out=ev)
+        np.copyto(ev, -np.inf, where=unacceptable)
+        best = np.argmax(ev, axis=1)  # first max -> lowest school index
+        best[~np.isfinite(ev[rows, best])] = -1
+        return best
+
+    return choose
 
 
 def _realized_cutoffs(choice: np.ndarray, scores: np.ndarray, caps: Sequence[int]) -> np.ndarray:
     """Each school's realized cutoff: the capacity-th highest score among the
     applicants choosing it, -inf where it did not fill. `choice` holds 0-based
     school indices (-1 = abstain) with rows in non-increasing `scores`."""
+    caps = np.asarray(caps)
+    # rows grouped by choice (abstainers first), each group in row order; in
+    # the narrowest integer type that holds the choices numpy radix-sorts
+    grouped = np.argsort(choice.astype(np.min_scalar_type(-1 - len(caps))), kind="stable")
+    counts = np.bincount(choice + 1, minlength=len(caps) + 1)
+    starts = np.cumsum(counts)[:-1]
+    filled = (caps > 0) & (caps <= counts[1:])
     cutoffs = np.full(len(caps), -np.inf)
-    for j, cap in enumerate(caps):
-        rows = np.flatnonzero(choice == j)
-        if 0 < cap <= len(rows):
-            cutoffs[j] = scores[rows[cap - 1]]
+    cutoffs[filled] = scores[grouped[starts[filled] + caps[filled] - 1]]
     return cutoffs
 
 
@@ -188,11 +213,19 @@ def equilibrium_cutoffs(
     (so damping stays well defined) and reported as -inf in the returned
     beliefs. `initial` beliefs are read by school id and must name exactly
     the given schools. Returns (beliefs, iterations used, final residual);
-    non-convergence is flagged by residual >= tol, not raised.
+    non-convergence is flagged by residual >= tol and a RuntimeWarning, not
+    raised.
+
+    When the cutoffs after iteration b equal, bit for bit, those after an
+    earlier iteration a, the iteration is periodic from a with period
+    b - a and none of its residuals is below tol. The loop then stops and
+    returns the state the full loop would hold after `max_iter` iterations,
+    (`max_iter` - a) mod (b - a) steps into the cycle, with `max_iter` as
+    the iteration count: the result equals that of running every iteration.
     """
     schools_sorted = sorted(schools, key=lambda s: s.id)
     school_ids = tuple(s.id for s in schools_sorted)
-    caps = [s.capacity for s in schools_sorted]
+    caps = np.array([s.capacity for s in schools_sorted])
     cohort = Cohort.of(applicants)
     if not len(cohort):
         beliefs = CutoffBeliefs(school_ids=school_ids, cutoffs=tuple([-math.inf] * len(school_ids)))
@@ -201,7 +234,7 @@ def equilibrium_cutoffs(
         raise DomainError("applicant utility vectors do not match the school count")
     order = np.argsort(-cohort.score)
     scores = cohort.score[order]
-    surplus = (cohort.utility - cohort.outside[:, None])[order]
+    choose = _best_response(scores, (cohort.utility - cohort.outside[:, None])[order], params.score_noise_sd)
 
     floor = _belief_floor(scores, params.score_noise_sd)
     cutoffs = np.full(len(school_ids), floor)
@@ -211,9 +244,11 @@ def equilibrium_cutoffs(
     undersubscribed = np.ones(len(school_ids), dtype=bool)
     iterations = 0
     residual = math.inf
+    # history[k] is the state after k iterations; seen maps its cutoffs to k
+    history = [(cutoffs, undersubscribed, residual)]
+    seen = {cutoffs.tobytes(): 0}
     for iterations in range(1, params.max_iter + 1):
-        choice = _best_single_choices(scores, surplus, cutoffs, params.score_noise_sd)
-        realized = _realized_cutoffs(choice, scores, caps)
+        realized = _realized_cutoffs(choose(cutoffs), scores, caps)
         undersubscribed = np.isneginf(realized)
         target = np.where(undersubscribed, floor, realized)
         new = (1 - params.damping) * cutoffs + params.damping * target
@@ -221,6 +256,17 @@ def equilibrium_cutoffs(
         cutoffs = new
         if residual < params.tol:
             break
+        first = seen.setdefault(cutoffs.tobytes(), iterations)
+        if first < iterations:
+            # The states after `first` repeat with this period and none of
+            # their residuals is below tol: jump to the state after max_iter.
+            # Entry `first` itself came from a state before the cycle.
+            r = (params.max_iter - first) % (iterations - first)
+            if r:
+                cutoffs, undersubscribed, residual = history[first + r]
+            iterations = params.max_iter
+            break
+        history.append((cutoffs, undersubscribed, residual))
     if residual >= params.tol:
         warnings.warn(
             f"cutoff iteration did not converge in {params.max_iter} iterations (residual {residual:.3g})",
@@ -246,9 +292,7 @@ def single_applications(
         return Applications.of([])
     school_ids = np.arange(1, cohort.utility.shape[1] + 1, dtype=np.int64)
     cutoffs = beliefs.lined_up(school_ids.tolist())
-    choice = _best_single_choices(
-        cohort.score, cohort.utility - cohort.outside[:, None], cutoffs, params.score_noise_sd
-    )
+    choice = _best_response(cohort.score, cohort.utility - cohort.outside[:, None], params.score_noise_sd)(cutoffs)
     applied = choice >= 0
     return Applications(
         ids=cohort.ids[applied],

@@ -381,6 +381,21 @@ def test_school_panels_follow_configured_schools(tmp_path):
     assert (staged / "regressions.csv").read_bytes() == (in_process / "regressions.csv").read_bytes()
 
 
+def test_school_ids_other_than_one_to_s_are_invariant_violation(tmp_path, capsys):
+    from meritmatch.core import School, save_schools
+
+    renumbered = [
+        School(s.id + 1, s.prefecture_id, s.capacity, s.prestige) for s in resolve_config(None).scenario.schools
+    ]
+    save_schools(renumbered, tmp_path / "schools.csv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "schools": "schools.csv"}))
+    out = tmp_path / "out"
+    assert _run_cli(cfg, out, ("--stages", "simulate")) == 4
+    assert "school_ids: school ids are not 1..8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _first_row_field_to_x(index):
     def corrupt(lines):
         fields = lines[1].split(",")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meritmatch import strategy
 from meritmatch.core import Applicant, Cohort, DomainError, Regime, RegimeKind, SeededRng
 from meritmatch.mechanisms import PreferenceList, SingleApplication, _admit_top_per_school
 from meritmatch.popgen import default_scenario, generate_applicants
@@ -177,7 +178,7 @@ def test_equilibrium_damping_one_is_undamped():
     beliefs, _, _ = equilibrium_cutoffs(schools, apps, params)
 
     # manual undamped iteration with the same floor convention
-    from meritmatch.strategy import _belief_floor, _best_single_choices
+    from meritmatch.strategy import _belief_floor, _best_response
 
     cohort = Cohort.of(apps)
     scores, utils, outside = cohort.score, cohort.utility, cohort.outside
@@ -187,7 +188,7 @@ def test_equilibrium_damping_one_is_undamped():
     cut = np.full(2, floor)
     under = np.ones(2, dtype=bool)
     for _ in range(7):
-        choice = _best_single_choices(scores, utils - outside[:, None], cut, 4.0)
+        choice = _best_response(scores, utils - outside[:, None], 4.0)(cut)
         _, realized = _admit_top_per_school(choice, scores, ties, caps)
         under = np.isneginf(realized)
         cut = np.where(under, floor, realized)
@@ -269,7 +270,7 @@ def single_application_markets(draw, max_schools=3, max_applicants=10):
     schools = mk_schools(*draw(st.lists(st.integers(0, 4), min_size=n_schools, max_size=n_schools)))
     params = BehaviorParams(
         score_noise_sd=draw(st.sampled_from([0.0, 1.0, 5.0, 14.0])),
-        max_iter=draw(st.integers(1, 25)),
+        max_iter=draw(st.integers(1, 200)),
         tol=draw(st.sampled_from([0.25, 1e-6])),
         damping=draw(st.sampled_from([0.3, 0.5, 1.0])),
     )
@@ -297,19 +298,47 @@ def test_equilibrium_matches_lexsort_loop(market, random):
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_equilibrium_matches_lexsort_loop_on_scaled_scenario():
-    # warm-started years at scale 0.05, most of which end at max_iter
+    # warm-started years at scale 0.05, most of which end at max_iter; the
+    # iteration limits put max_iter at several offsets into each year's cycle
+    sc = default_scenario(scale=0.05)
+    for max_iter in (37, 100, 250):
+        params = BehaviorParams(max_iter=max_iter)
+        beliefs, at_max_iter = None, 0
+        for year in range(1900, 1906):
+            cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, year, SeededRng(3))
+            ties = SeededRng(year).generator().random(len(cohort))
+            expected = lexsort_equilibrium_cutoffs(sc.schools, cohort, params, ties, beliefs)
+            beliefs, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params, initial=beliefs)
+            assert np.array(beliefs.cutoffs).tobytes() == expected[0].tobytes()
+            assert (iterations, residual) == expected[1:]
+            at_max_iter += iterations == max_iter
+        assert at_max_iter > 0
+
+
+def test_equilibrium_stops_at_exact_cycle(monkeypatch):
+    # a year that ends non-converged at max_iter evaluates fewer best
+    # responses than max_iter once its cutoffs repeat bit for bit
+    evaluations = 0
+    best_response = strategy._best_response
+
+    def counted_best_response(*args):
+        choose = best_response(*args)
+
+        def counted(cutoffs):
+            nonlocal evaluations
+            evaluations += 1
+            return choose(cutoffs)
+
+        return counted
+
+    monkeypatch.setattr(strategy, "_best_response", counted_best_response)
     sc = default_scenario(scale=0.05)
     params = BehaviorParams()
-    beliefs, at_max_iter = None, 0
-    for year in range(1900, 1906):
-        cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, year, SeededRng(3))
-        ties = SeededRng(year).generator().random(len(cohort))
-        expected = lexsort_equilibrium_cutoffs(sc.schools, cohort, params, ties, beliefs)
-        beliefs, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params, initial=beliefs)
-        assert np.array(beliefs.cutoffs).tobytes() == expected[0].tobytes()
-        assert (iterations, residual) == expected[1:]
-        at_max_iter += iterations == params.max_iter
-    assert at_max_iter > 0
+    cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
+    with pytest.warns(RuntimeWarning, match="cutoff iteration did not converge"):
+        _, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params)
+    assert iterations == params.max_iter and residual >= params.tol
+    assert evaluations < params.max_iter
 
 
 # -- beliefs are read by school id --------------------------------------------------
@@ -351,6 +380,13 @@ def test_beliefs_reject_mismatched_or_repeated_ids():
         CutoffBeliefs((1, 2), (1.0,))
     with pytest.raises(DomainError):
         CutoffBeliefs((1, 1), (1.0, 2.0))
+
+
+def test_beliefs_reject_nan_cutoff():
+    # a NaN belief would make every applicant who finds school 1 acceptable abstain
+    with pytest.raises(DomainError, match="school 1 is NaN"):
+        CutoffBeliefs((1, 2), (math.nan, 50.0))
+    assert CutoffBeliefs((1, 2), (-math.inf, math.inf)).cutoffs == (-math.inf, math.inf)
 
 
 # -- submit_applications ------------------------------------------------------------
