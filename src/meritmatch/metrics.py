@@ -4,7 +4,8 @@ Produces the per-year outcome series (first-choice share for the top school,
 mean enrollment distance, urban entrant share) and the prefecture-by-year
 panels used for estimation, plus their CSV forms. A panel is a dict of column
 arrays, built from the year records' entrant counts and read back from CSV in
-the form the estimators take. Enrollment distance is
+the form the estimators take: each panel file in one C-level `np.loadtxt`
+parse, as read-only columns. Enrollment distance is
 birth prefecture to school prefecture throughout. Distance bands are
 exclusive: "located in" means distance zero, "within 100 km" means strictly
 between 0 and 100 km.
@@ -13,6 +14,8 @@ between 0 and 100 km.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -267,37 +270,50 @@ def write_panel_csv(
 
 def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[int, dict[str, np.ndarray]]:
     """Read back a panel CSV written for `school_id` as `build_panel` columns
-    per seed, seeds in file order. A wrong header, a malformed value, another
-    school_id or a seed whose rows are not contiguous is a DomainError."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PANEL_COLUMNS:
-            raise DomainError(f"panel file must have columns {PANEL_COLUMNS}, got {header}")
-        try:
-            fields = {col[0]: col[1:] for col in zip(PANEL_COLUMNS, *reader, strict=True)}
-        except ValueError as exc:
-            raise DomainError(f"{path}: every row must have {len(PANEL_COLUMNS)} fields") from exc
+    per seed, seeds in file order; the columns are read-only.
 
-    def parse(name: str, dtype) -> np.ndarray:
-        try:
-            return np.array(fields[name], dtype=dtype)
-        except ValueError as exc:
-            raise DomainError(f"{path}: bad {name} value: {exc}") from exc
-
-    if set(fields["school_id"]) - {_fmt(school_id)}:
-        raise DomainError(f"{path}: school_id must be {_fmt(school_id)!r} in every row")
-    cols = {name: parse(name, np.int64) for name in ("prefecture_id", "year", "entrants") + PANEL_FLAGS}
-    cols["entrants"] = cols["entrants"].astype(float)
+    The rows are parsed in one `np.loadtxt` call into a structured array, so no
+    Python object is made per field. A wrong header, a row without exactly the
+    panel's fields, a malformed value (an integer column written as a float
+    included), another school_id or a seed whose rows are not contiguous is a
+    DomainError.
+    """
+    data = Path(path).read_bytes()
+    body = io.BytesIO(data)  # shares the bytes of `data`
+    header = body.readline().decode(errors="replace").rstrip("\r\n")
+    if header.split(",") != PANEL_COLUMNS:
+        raise DomainError(f"panel file must have columns {PANEL_COLUMNS}, got {header!r}")
+    start = body.tell()
+    if start == len(data):
+        return {}
+    expected_id = _fmt(school_id)
+    # school_id one character wider than the expected id, so a longer id cannot be truncated into a match
+    kinds = {"school_id": f"U{len(expected_id) + 1}", "middle_school_grads": float}
+    dtype = [(name, kinds.get(name, np.int64)) for name in PANEL_COLUMNS]
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x only warns (DeprecationWarning) when it parses an integer field via float
+            warnings.simplefilter("error")
+            table = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+    except (ValueError, Warning) as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+    if len(table) != data.count(b"\n", start) + (not data.endswith(b"\n")):  # loadtxt skips blank lines
+        raise DomainError(f"{path}: every row must have {len(PANEL_COLUMNS)} fields")
+    if np.any(table["school_id"] != expected_id):
+        raise DomainError(f"{path}: school_id must be {expected_id!r} in every row")
     for name in PANEL_FLAGS:
-        if np.any((cols[name] != 0) & (cols[name] != 1)):
+        if np.any((table[name] != 0) & (table[name] != 1)):
             raise DomainError(f"{path}: {name} must be 0 or 1")
-        cols[name] = cols[name].astype(float)
-    cols["tokyo_area"] = np.maximum(cols["tokyo"], cols["near_tokyo"])
-    cols["middle_school_grads"] = parse("middle_school_grads", float)
 
-    seed = parse("seed", np.int64)
-    starts = [0, *(np.flatnonzero(seed[1:] != seed[:-1]) + 1).tolist()] if len(seed) else []
+    cols = {name: table[name].copy() for name in ("prefecture_id", "year")}
+    cols.update({name: table[name].astype(float) for name in ("entrants",) + PANEL_FLAGS})
+    cols["tokyo_area"] = np.maximum(cols["tokyo"], cols["near_tokyo"])
+    cols["middle_school_grads"] = table["middle_school_grads"].copy()
+    for col in cols.values():
+        col.flags.writeable = False
+
+    seed = table["seed"]
+    starts = [0, *(np.flatnonzero(seed[1:] != seed[:-1]) + 1).tolist()]
     if len(set(seed[starts].tolist())) != len(starts):
         raise DomainError(f"{path}: the rows of each seed must be contiguous")
     return {
@@ -307,7 +323,9 @@ def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[int, 
 
 
 def read_year_outcomes_csv(path: str | Path) -> list[dict]:
-    """Read back the year-outcome series as dicts with typed fields."""
+    """Read back the year-outcome series as dicts with typed fields. A wrong
+    header, a row without exactly the header's fields or an unparsable value is
+    a DomainError."""
     out: list[dict] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -315,6 +333,8 @@ def read_year_outcomes_csv(path: str | Path) -> list[dict]:
             raise DomainError(f"outcome file must have columns {YEAR_OUTCOME_COLUMNS}, got {reader.fieldnames}")
         try:
             for rec in reader:
+                if None in rec:  # DictReader files the fields past the header under None
+                    raise DomainError(f"{path}, line {reader.line_num}: every row must have {len(YEAR_OUTCOME_COLUMNS)} fields")
                 out.append(
                     {
                         "seed": int(rec["seed"]),

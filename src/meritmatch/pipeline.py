@@ -536,15 +536,73 @@ def _panel_files(scenario: Scenario) -> dict[int | None, str]:
     return {None: "panel_all.csv", **{s: f"panel_school_{s}.csv" for s in sorted(x.id for x in scenario.schools)}}
 
 
+# the columns a school panel has of its own; the rest it shares with panel_all
+_SCHOOL_COLUMNS = ("entrants", "located_in", "within_100km")
+
+
+def _panels_from_disk(
+    out_dir: Path, panel_files: Mapping[int | None, str], seeds: list[int], scenario: Scenario
+) -> dict[int, dict]:
+    """Each seed's panels, read back for an estimate-only run.
+
+    Every file must hold exactly `seeds`, each with the full year x
+    prefecture grid. A school panel must repeat the shared columns of
+    panel_all.csv bit for bit; it then reuses panel_all's read-only arrays and
+    keeps copies of its own `_SCHOOL_COLUMNS`, so that no view keeps the
+    columns of its file alive.
+    """
+    grid = panel_grid(sorted(r.year for r in scenario.schedule), len(scenario.prefectures))
+    panels: dict[int, dict] = {s: {} for s in seeds}
+    for key, name in panel_files.items():  # panel_all.csv first
+        path = out_dir / name
+        by_seed = read_panel_csv(path, key)
+        if list(by_seed) != seeds or any(not np.array_equal(by_seed[s][c], grid[c]) for s in seeds for c in grid):
+            raise DomainError(
+                f"{path} must hold the full year x prefecture grid of seeds {seeds} in (seed, year, prefecture) order"
+            )
+        for s in seeds:
+            cols = by_seed[s]
+            if key is not None:
+                base = panels[s][None]
+                for c in base:
+                    if c not in _SCHOOL_COLUMNS and cols[c].tobytes() != base[c].tobytes():
+                        raise DomainError(f"{path}: column {c} of seed {s} differs from {panel_files[None]}")
+                cols = {c: cols[c].copy() if c in _SCHOOL_COLUMNS else col for c, col in base.items()}
+            panels[s][key] = cols
+    return panels
+
+
+def _outcomes_from_disk(path: Path, seeds: list[int], scenario: Scenario) -> dict[int, list[dict]]:
+    """Each seed's year outcomes, read back for an estimate-only run: exactly
+    the schedule's years, ascending, each under the schedule's regime."""
+    by_seed: dict[int, list[dict]] = {}
+    for d in read_year_outcomes_csv(path):
+        by_seed.setdefault(d["seed"], []).append(d)
+    if sorted(by_seed) != seeds:
+        raise DomainError(f"{path} must hold the years of seeds {seeds}")
+    schedule = [(r.year, r.kind) for r in sorted(scenario.schedule, key=lambda r: r.year)]
+    for s in seeds:
+        if [(d["year"], d["regime"]) for d in by_seed[s]] != schedule:
+            raise DomainError(
+                f"{path}: seed {s} must have one row per year {schedule[0][0]}-{schedule[-1][0]}, "
+                "ascending, under the schedule's regime"
+            )
+    return by_seed
+
+
 def run(manifest: RunManifest) -> dict[str, Path]:
     """Execute the manifest; returns artifact name -> path.
 
     Stage dependencies: metrics needs simulate in the same invocation;
     estimate can run alone only when the panel CSVs of the configured
     schools, year_outcomes.csv and a manifest.lock whose version_hash, seed
-    and seeds match this manifest are already on disk, and each panel holds
-    every seed's full year x prefecture grid. Partially written files are
-    removed on failure.
+    and seeds match this manifest are already on disk. Then each panel must
+    hold every seed's full year x prefecture grid, each school panel must
+    repeat panel_all.csv's shared columns bit for bit, and year_outcomes.csv
+    must hold for each seed exactly the schedule's years, ascending, under
+    the schedule's regimes; anything else is a DomainError raised before
+    regressions.csv is written. Partially written files are removed on
+    failure.
     """
     stages = set(manifest.stages)
     if "metrics" in stages and "simulate" not in stages:
@@ -617,25 +675,8 @@ def run(manifest: RunManifest) -> dict[str, Path]:
                     r.seed: [_outcome_as_dict(r.seed, o) for o in r.outcomes] for r in results
                 }
             else:
-                years = sorted(r.year for r in resolved.scenario.schedule)
-                grid = panel_grid(years, len(resolved.scenario.prefectures))
-                panels = {s: {} for s in seeds}
-                for key, name in panel_files.items():
-                    by_seed = read_panel_csv(out_dir / name, key)
-                    if list(by_seed) != seeds or any(
-                        not np.array_equal(by_seed[s][c], grid[c]) for s in seeds for c in grid
-                    ):
-                        raise DomainError(
-                            f"{out_dir / name} must hold the full year x prefecture grid of seeds "
-                            f"{seeds} in (seed, year, prefecture) order"
-                        )
-                    for s in seeds:
-                        panels[s][key] = by_seed[s]
-                outcome_dicts_by_seed = {}
-                for d in read_year_outcomes_csv(out_dir / "year_outcomes.csv"):
-                    outcome_dicts_by_seed.setdefault(d["seed"], []).append(d)
-                if sorted(outcome_dicts_by_seed) != seeds:
-                    raise DomainError(f"{out_dir / 'year_outcomes.csv'} must hold the years of seeds {seeds}")
+                panels = _panels_from_disk(out_dir, panel_files, seeds, resolved.scenario)
+                outcome_dicts_by_seed = _outcomes_from_disk(out_dir / "year_outcomes.csv", seeds, resolved.scenario)
             reg_rows: list[RegressionRow] = []
             for s in seeds:
                 reg_rows.extend(seed_regressions(panels[s], outcome_dicts_by_seed[s], s))

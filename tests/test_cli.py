@@ -396,11 +396,11 @@ def test_school_ids_other_than_one_to_s_are_invariant_violation(tmp_path, capsys
     assert not out.exists()
 
 
-def _first_row_field_to_x(index):
+def _first_row_field_to(index, value="x"):
     def corrupt(lines):
-        fields = lines[1].split(",")
-        fields[index] = "x"
-        return [lines[0], ",".join(fields)] + lines[2:]
+        fields = lines[1].rstrip("\n").split(",")
+        fields[index] = value
+        return [lines[0], ",".join(fields) + "\n"] + lines[2:]
 
     return corrupt
 
@@ -409,12 +409,25 @@ def _first_row_field_to_x(index):
 @pytest.mark.parametrize(
     "name, corrupt",
     [
-        ("panel_all.csv", _first_row_field_to_x(4)),  # entrants
+        ("panel_all.csv", _first_row_field_to(4)),  # entrants
         ("panel_school_3.csv", lambda lines: lines[:5] + lines[6:]),  # one data row deleted
         ("panel_school_3.csv", lambda lines: lines[:1] + lines[48:95] + lines[1:48] + lines[95:]),  # 1901 before 1900
-        ("year_outcomes.csv", _first_row_field_to_x(6)),  # entrants_total
+        ("year_outcomes.csv", _first_row_field_to(6)),  # entrants_total
+        ("year_outcomes.csv", lambda lines: lines[:5] + lines[6:]),  # seed 0's 1904 row deleted
+        ("year_outcomes.csv", lambda lines: lines[:6] + lines[5:]),  # seed 0's 1904 row twice
+        ("panel_school_3.csv", _first_row_field_to(10, "0.5")),  # middle_school_grads, unlike panel_all.csv
+        ("panel_school_3.csv", _first_row_field_to(5, "1")),  # centralized in a decentralized year
     ],
-    ids=["non-numeric entrants", "missing panel row", "panel years out of order", "non-numeric outcome"],
+    ids=[
+        "non-numeric entrants",
+        "missing panel row",
+        "panel years out of order",
+        "non-numeric outcome",
+        "missing outcome row",
+        "duplicated outcome row",
+        "school panel graduates differ",
+        "school panel regime differs",
+    ],
 )
 def test_estimate_rejects_malformed_inputs(config_path, tmp_path, capsys, name, corrupt):
     out = tmp_path / "bad"
@@ -424,8 +437,33 @@ def test_estimate_rejects_malformed_inputs(config_path, tmp_path, capsys, name, 
     path.write_text("".join(corrupt(path.read_text().splitlines(keepends=True))))
     capsys.readouterr()
     assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "estimate")) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err  # the check that fails names the file
     assert (out / "regressions.csv").read_bytes() == estimated
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_estimate_only_panels_share_read_only_columns(config_path, tmp_path, monkeypatch):
+    import meritmatch.pipeline as pl
+
+    out = tmp_path / "out"
+    assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "simulate,metrics")) == 0
+    seen = []
+    estimate = pl.seed_regressions
+    monkeypatch.setattr(pl, "seed_regressions", lambda panel, *args: seen.append(panel) or estimate(panel, *args))
+    assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "estimate")) == 0
+    assert len(seen) == 2
+    for panel in seen:
+        assert list(panel) == [None, *range(1, 9)]
+        for school in range(1, 9):
+            for c, col in panel[school].items():
+                if c in ("entrants", "located_in", "within_100km"):
+                    assert col.base is None  # its own copy, not a view of the file's columns
+                else:
+                    assert col is panel[None][c]
+        for c in ("year", "centralized", "middle_school_grads"):
+            with pytest.raises(ValueError, match="read-only"):
+                panel[3][c][0] = 1
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -241,6 +241,11 @@ def test_reader_rejects_wrong_schema(tmp_path):
         "0,0,1900,4,1,0,0,0,0,0,2.0",  # a school row in the all-schools panel
         "0,0,1900,,1,0,0,0,0,0",  # short row
         "1,0,1900,,1,0,0,0,0,0,2.0\r\n0,1,1900,,1,0,0,0,0,0,2.0",  # seed 0's rows split by seed 1
+        "0,0,1900,,1,0,0,0,0,0,2.0,7",  # long row
+        "0,0,1900,,1.5,0,0,0,0,0,2.0",  # entrants written as a float
+        "0,0,1e3,,1,0,0,0,0,0,2.0",  # year written as a float
+        "0,,1900,,1,0,0,0,0,0,2.0",  # empty prefecture_id
+        "\r\n0,1,1900,,1,0,0,0,0,0,2.0",  # blank line
     ],
 )
 def test_panel_reader_rejects_malformed_rows(tmp_path, row):
@@ -255,6 +260,20 @@ def test_outcome_reader_rejects_unparsable_value(tmp_path):
     path.write_text(",".join(YEAR_OUTCOME_COLUMNS) + "\r\n0,1900,decentralized,0.5,,,x,3\r\n")
     with pytest.raises(DomainError):
         read_year_outcomes_csv(path)
+
+
+def test_outcome_reader_rejects_extra_field(tmp_path):
+    path = tmp_path / "year_outcomes.csv"
+    path.write_text(",".join(YEAR_OUTCOME_COLUMNS) + "\r\n0,1900,decentralized,0.5,,,2,3,9\r\n")
+    with pytest.raises(DomainError, match="8 fields"):
+        read_year_outcomes_csv(path)
+
+
+def test_panel_reader_rejects_longer_school_id(tmp_path):
+    path = tmp_path / "panel_school_3.csv"
+    path.write_text(",".join(PANEL_COLUMNS) + "\r\n0,0,1900,3,1,0,0,0,0,0,2.0\r\n0,1,1900,33,1,0,0,0,0,0,2.0\r\n")
+    with pytest.raises(DomainError, match="school_id"):
+        read_panel_csv(path, 3)
 
 
 def test_panel_tokyo_area(small_run):
