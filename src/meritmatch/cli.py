@@ -62,8 +62,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_diff_regimes(args: argparse.Namespace) -> int:
     try:
-        outcome_dicts = read_year_outcomes_csv(args.year_outcomes)
-        rows = diff_regimes(outcome_dicts)
+        rows = diff_regimes(read_year_outcomes_csv(args.year_outcomes))
     except (ConfigError, DomainError) as exc:
         return _fail("config", exc)
     except OSError as exc:

@@ -75,6 +75,9 @@ class Cohort:
 
     def __post_init__(self) -> None:
         require_increasing(self.ids, "duplicate applicant id {}")
+        bad = ~np.isfinite(self.score)
+        if bad.any():  # a NaN would sort silently in the mechanisms' priority order
+            raise DomainError(f"applicant {self.ids[bad.argmax()]} has non-finite score")
 
     @classmethod
     def of(cls, applicants: "Cohort | Sequence[Applicant]") -> "Cohort":
@@ -187,12 +190,10 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
-def validate_market(
-    prefectures: Sequence[Prefecture],
-    schools: Sequence[School],
-    applicants: Sequence[Applicant] = (),
-) -> list[Violation]:
-    """Check all type invariants; returns every violation found (empty = ok)."""
+def validate_market(prefectures: Sequence[Prefecture], schools: Sequence[School]) -> list[Violation]:
+    """Check the invariants of a geography and its schools; returns every
+    violation found (empty = ok). Applicants are checked where they are built
+    (see `Cohort`)."""
     out: list[Violation] = []
 
     ids = [p.id for p in prefectures]
@@ -237,22 +238,6 @@ def validate_market(
     if len(set(prestiges)) != len(prestiges):
         out.append(Violation("prestige_ties", "school prestiges are not strictly ordered (ties present)"))
 
-    n_schools = len(schools)
-    seen_app_ids: set[int] = set()
-    for a in applicants:
-        if a.id in seen_app_ids:
-            out.append(Violation("duplicate_applicant_id", f"applicant id {a.id} appears twice"))
-        seen_app_ids.add(a.id)
-        if a.birth_prefecture not in pref_id_set:
-            out.append(Violation("unknown_prefecture", f"applicant {a.id} born in unknown prefecture {a.birth_prefecture}"))
-        if len(a.utility) != n_schools:
-            out.append(Violation("utility_length", f"applicant {a.id} has {len(a.utility)} utilities for {n_schools} schools"))
-        if not all(math.isfinite(u) for u in a.utility):
-            out.append(Violation("utility_not_finite", f"applicant {a.id} has non-finite utility"))
-        if not math.isfinite(a.score):
-            out.append(Violation("score_not_finite", f"applicant {a.id} has non-finite score"))
-        if not math.isfinite(a.outside_option):
-            out.append(Violation("outside_not_finite", f"applicant {a.id} has non-finite outside option"))
     return out
 
 

@@ -2,11 +2,13 @@
 
 Produces the per-year outcome series (first-choice share for the top school,
 mean enrollment distance, urban entrant share) and the prefecture-by-year
-panels used for estimation, plus their CSV forms. A panel is a dict of column
-arrays, built from the year records' entrant counts and read back from CSV in
-the form the estimators take: each panel file in one C-level `np.loadtxt`
-parse, as read-only columns. Enrollment distance is
-birth prefecture to school prefecture throughout. Distance bands are
+panels used for estimation, plus their CSV forms. A year outcome is a
+`YearOutcome` from simulation to estimator: `year_outcomes.csv` is read back
+as the (seed, YearOutcome) rows it was written from. A panel is a dict of
+column arrays, built from the year records' entrant counts and read back from
+CSV in the form the estimators take: each panel file in one C-level
+`np.loadtxt` parse, as read-only columns. Enrollment distance is birth
+prefecture to school prefecture throughout. Distance bands are
 exclusive: "located in" means distance zero, "within 100 km" means strictly
 between 0 and 100 km.
 """
@@ -322,31 +324,31 @@ def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[int, 
     }
 
 
-def read_year_outcomes_csv(path: str | Path) -> list[dict]:
-    """Read back the year-outcome series as dicts with typed fields. A wrong
-    header, a row without exactly the header's fields or an unparsable value is
-    a DomainError."""
-    out: list[dict] = []
+def read_year_outcomes_csv(path: str | Path) -> list[tuple[int, YearOutcome]]:
+    """Read back the (seed, outcome) rows that `write_year_outcomes_csv` wrote,
+    in file order. A wrong header, a row without exactly the header's fields,
+    an unparsable value or a second row for one (seed, year) is a DomainError
+    naming the line."""
+    rows: list[tuple[int, YearOutcome]] = []
+    seen: set[tuple[int, int]] = set()
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != YEAR_OUTCOME_COLUMNS:
-            raise DomainError(f"outcome file must have columns {YEAR_OUTCOME_COLUMNS}, got {reader.fieldnames}")
-        try:
-            for rec in reader:
-                if None in rec:  # DictReader files the fields past the header under None
-                    raise DomainError(f"{path}, line {reader.line_num}: every row must have {len(YEAR_OUTCOME_COLUMNS)} fields")
-                out.append(
-                    {
-                        "seed": int(rec["seed"]),
-                        "year": int(rec["year"]),
-                        "regime": RegimeKind(rec["regime"]),
-                        "share_first_choice_school1": float(rec["share_first_choice_school1"]) if rec["share_first_choice_school1"] else None,
-                        "mean_enrollment_distance_km": float(rec["mean_enrollment_distance_km"]) if rec["mean_enrollment_distance_km"] else None,
-                        "tokyo_area_entrant_share": float(rec["tokyo_area_entrant_share"]) if rec["tokyo_area_entrant_share"] else None,
-                        "entrants_total": int(rec["entrants_total"]),
-                        "unassigned_total": int(rec["unassigned_total"]),
-                    }
-                )
-        except (TypeError, ValueError) as exc:  # a short row or an unparsable value
-            raise DomainError(f"{path}, line {reader.line_num}: {exc}") from exc
-    return out
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != YEAR_OUTCOME_COLUMNS:
+            raise DomainError(f"outcome file must have columns {YEAR_OUTCOME_COLUMNS}, got {header}")
+        for rec in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(rec) != len(YEAR_OUTCOME_COLUMNS):
+                raise DomainError(f"{where}: every row must have {len(YEAR_OUTCOME_COLUMNS)} fields")
+            seed, year, regime, *statistics, entrants, unassigned = rec
+            try:  # an empty statistic is a missing one
+                stats = (float(v) if v else None for v in statistics)
+                row = int(seed), YearOutcome(int(year), RegimeKind(regime), *stats, int(entrants), int(unassigned))
+            except ValueError as exc:
+                raise DomainError(f"{where}: {exc}") from exc
+            key = (row[0], row[1].year)
+            if key in seen:
+                raise DomainError(f"{where}: a second row for seed {key[0]}, year {key[1]}")
+            seen.add(key)
+            rows.append(row)
+    return rows

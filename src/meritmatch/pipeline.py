@@ -354,16 +354,16 @@ TREND_METRICS = (
 )
 
 
-def _outcome_series(outcome_dicts: Sequence[Mapping]) -> dict[str, np.ndarray]:
-    """Average outcome rows by year across seeds into one time series."""
-    years = sorted({d["year"] for d in outcome_dicts})
+def _outcome_series(outcomes: Sequence[YearOutcome]) -> dict[str, np.ndarray]:
+    """Average year outcomes by year across seeds into one time series."""
+    years = sorted({o.year for o in outcomes})
     series: dict[str, list] = {m: [] for m in TREND_METRICS}
     centralized = []
     for y in years:
-        rows = [d for d in outcome_dicts if d["year"] == y]
-        centralized.append(float(rows[0]["regime"].is_centralized))
+        rows = [o for o in outcomes if o.year == y]
+        centralized.append(float(rows[0].regime.is_centralized))
         for m in TREND_METRICS:
-            vals = [r[m] for r in rows if r[m] is not None]
+            vals = [getattr(o, m) for o in rows if getattr(o, m) is not None]
             series[m].append(float(np.mean(vals)) if vals else np.nan)
     y0 = years[0]
     table = {
@@ -403,16 +403,18 @@ class DiffRegimeRow:
     trend_p_value: float
 
 
-def diff_regimes(outcome_dicts: Sequence[Mapping]) -> list[DiffRegimeRow]:
+def diff_regimes(rows: Sequence[tuple[int, YearOutcome]]) -> list[DiffRegimeRow]:
     """Per-metric regime means, difference, and the quadratic-trend-controlled
-    regime coefficient (Newey-West, lag 3). Multi-seed series are averaged
-    within year first."""
-    kinds = {d["regime"] for d in outcome_dicts}
+    regime coefficient (Newey-West, lag 3) of the (seed, outcome) rows that
+    `read_year_outcomes_csv` returns. Multi-seed series are averaged within
+    year first."""
+    outcomes = [o for _, o in rows]
+    kinds = {o.regime for o in outcomes}
     if not any(k.is_centralized for k in kinds):
         raise DomainError("no centralized years in the outcome series")
     if not any(not k.is_centralized for k in kinds):
         raise DomainError("no decentralized years in the outcome series")
-    table = _outcome_series(outcome_dicts)
+    table = _outcome_series(outcomes)
     cen = table["centralized"] == 1.0
     out = []
     for m in TREND_METRICS:
@@ -433,11 +435,11 @@ def diff_regimes(outcome_dicts: Sequence[Mapping]) -> list[DiffRegimeRow]:
 
 def seed_regressions(
     panel: Mapping[int | None, Mapping[str, Sequence]],
-    outcome_dicts: Sequence[Mapping],
+    outcomes: Sequence[YearOutcome],
     seed: int,
 ) -> list[RegressionRow]:
     """The regression battery for one seed's panels (`build_panel`'s form)
-    and outcome series."""
+    and year outcomes."""
     rows: list[RegressionRow] = []
     res = did_centralization(panel[None])
     rows.append(_row_from_result("did_tokyo_area", seed, res, "centralized_x_tokyo_area"))
@@ -446,22 +448,9 @@ def seed_regressions(
     for s in sorted(k for k in panel if k is not None):
         res = local_monopoly_regression(panel[s])
         rows.append(_row_from_result(f"local_monopoly_s{s}", seed, res, "centralized_x_located_in"))
-    table = _outcome_series(outcome_dicts)
+    table = _outcome_series(outcomes)
     for m in TREND_METRICS:
-        res = trend_regression(table, m)
-        rows.append(
-            RegressionRow(
-                spec_id=f"trend_{m}",
-                seed=seed,
-                coefficient="centralized",
-                estimate=res.coef("centralized"),
-                std_error=res.se_of("centralized"),
-                t_stat=float(res.t_stats[res.names.index("centralized")]),
-                p_value=res.p_of("centralized"),
-                n_obs=res.n_obs,
-                n_clusters=None,
-            )
-        )
+        rows.append(_row_from_result(f"trend_{m}", seed, trend_regression(table, m), "centralized"))
     return rows
 
 
@@ -543,7 +532,7 @@ _SCHOOL_COLUMNS = ("entrants", "located_in", "within_100km")
 def _panels_from_disk(
     out_dir: Path, panel_files: Mapping[int | None, str], seeds: list[int], scenario: Scenario
 ) -> dict[int, dict]:
-    """Each seed's panels, read back for an estimate-only run.
+    """Each seed's panels, read back for the estimate stage.
 
     Every file must hold exactly `seeds`, each with the full year x
     prefecture grid. A school panel must repeat the shared columns of
@@ -572,22 +561,50 @@ def _panels_from_disk(
     return panels
 
 
-def _outcomes_from_disk(path: Path, seeds: list[int], scenario: Scenario) -> dict[int, list[dict]]:
-    """Each seed's year outcomes, read back for an estimate-only run: exactly
+def _outcomes_from_disk(path: Path, seeds: list[int], scenario: Scenario) -> dict[int, list[YearOutcome]]:
+    """Each seed's year outcomes, read back for the estimate stage: exactly
     the schedule's years, ascending, each under the schedule's regime."""
-    by_seed: dict[int, list[dict]] = {}
-    for d in read_year_outcomes_csv(path):
-        by_seed.setdefault(d["seed"], []).append(d)
+    by_seed: dict[int, list[YearOutcome]] = {}
+    for seed, outcome in read_year_outcomes_csv(path):
+        by_seed.setdefault(seed, []).append(outcome)
     if sorted(by_seed) != seeds:
         raise DomainError(f"{path} must hold the years of seeds {seeds}")
     schedule = [(r.year, r.kind) for r in sorted(scenario.schedule, key=lambda r: r.year)]
     for s in seeds:
-        if [(d["year"], d["regime"]) for d in by_seed[s]] != schedule:
+        if [(o.year, o.regime) for o in by_seed[s]] != schedule:
             raise DomainError(
                 f"{path}: seed {s} must have one row per year {schedule[0][0]}-{schedule[-1][0]}, "
                 "ascending, under the schedule's regime"
             )
     return by_seed
+
+
+def _simulate_and_write(
+    manifest: RunManifest, resolved: ResolvedConfig, seeds: list[int], panel_files: Mapping[int | None, str], emit
+) -> None:
+    """The simulate stage, then the metrics stage if the manifest names it:
+    write year_outcomes.csv and manifest.lock, then the panel CSVs."""
+    if manifest.jobs > 1 and len(seeds) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=manifest.jobs) as pool:
+            futures = {
+                s: pool.submit(simulate_seed, resolved.scenario, resolved.behavior, s)
+                for s in seeds
+            }
+            results = [futures[s].result() for s in seeds]
+    else:
+        results = [simulate_seed(resolved.scenario, resolved.behavior, s) for s in seeds]
+
+    outcome_rows = [(r.seed, out) for r in results for out in r.outcomes]
+    emit("year_outcomes.csv", lambda p: write_year_outcomes_csv(p, outcome_rows))
+    lock = _lock_payload(manifest, resolved)
+    emit("manifest.lock", lambda p: Path(p).write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n"))
+
+    if "metrics" in manifest.stages:
+        panels: dict[int, dict] = {}  # seed -> build_panel's panels
+        for r in results:
+            panels[r.seed] = build_panel(r.records, resolved.scenario.prefectures, resolved.scenario.schools)
+        for key, name in panel_files.items():
+            emit(name, lambda p, key=key: write_panel_csv(p, {s: panels[s][key] for s in seeds}, key))
 
 
 def run(manifest: RunManifest) -> dict[str, Path]:
@@ -596,13 +613,14 @@ def run(manifest: RunManifest) -> dict[str, Path]:
     Stage dependencies: metrics needs simulate in the same invocation;
     estimate can run alone only when the panel CSVs of the configured
     schools, year_outcomes.csv and a manifest.lock whose version_hash, seed
-    and seeds match this manifest are already on disk. Then each panel must
-    hold every seed's full year x prefecture grid, each school panel must
-    repeat panel_all.csv's shared columns bit for bit, and year_outcomes.csv
-    must hold for each seed exactly the schedule's years, ascending, under
-    the schedule's regimes; anything else is a DomainError raised before
-    regressions.csv is written. Partially written files are removed on
-    failure.
+    and seeds match this manifest are already on disk. The estimate stage
+    always reads its inputs from those files, also when the earlier stages
+    wrote them in this invocation. Each panel must hold every seed's full
+    year x prefecture grid, each school panel must repeat panel_all.csv's
+    shared columns bit for bit, and year_outcomes.csv must hold for each seed
+    exactly the schedule's years, ascending, under the schedule's regimes;
+    anything else is a DomainError raised before regressions.csv is written.
+    Partially written files are removed on failure.
     """
     stages = set(manifest.stages)
     if "metrics" in stages and "simulate" not in stages:
@@ -644,42 +662,14 @@ def run(manifest: RunManifest) -> dict[str, Path]:
         artifacts[name] = path
 
     try:
-        need_sim = "simulate" in stages
-        results: list[SeedResult] = []
-        if need_sim:
-            if manifest.jobs > 1 and len(seeds) > 1:
-                with concurrent.futures.ProcessPoolExecutor(max_workers=manifest.jobs) as pool:
-                    futures = {
-                        s: pool.submit(simulate_seed, resolved.scenario, resolved.behavior, s)
-                        for s in seeds
-                    }
-                    results = [futures[s].result() for s in seeds]
-            else:
-                results = [simulate_seed(resolved.scenario, resolved.behavior, s) for s in seeds]
-
-            outcome_rows = [(r.seed, out) for r in results for out in r.outcomes]
-            _emit("year_outcomes.csv", lambda p: write_year_outcomes_csv(p, outcome_rows))
-            lock = _lock_payload(manifest, resolved)
-            _emit("manifest.lock", lambda p: Path(p).write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n"))
-
-        panels: dict[int, dict] = {}  # seed -> build_panel's panels
-        if "metrics" in stages:
-            for r in results:
-                panels[r.seed] = build_panel(r.records, resolved.scenario.prefectures, resolved.scenario.schools)
-            for key, name in panel_files.items():
-                _emit(name, lambda p, key=key: write_panel_csv(p, {s: panels[s][key] for s in seeds}, key))
-
+        if "simulate" in stages:  # returns before the estimate stage, so its results are released
+            _simulate_and_write(manifest, resolved, seeds, panel_files, _emit)
         if "estimate" in stages:
-            if "metrics" in stages:
-                outcome_dicts_by_seed = {
-                    r.seed: [_outcome_as_dict(r.seed, o) for o in r.outcomes] for r in results
-                }
-            else:
-                panels = _panels_from_disk(out_dir, panel_files, seeds, resolved.scenario)
-                outcome_dicts_by_seed = _outcomes_from_disk(out_dir / "year_outcomes.csv", seeds, resolved.scenario)
+            panels = _panels_from_disk(out_dir, panel_files, seeds, resolved.scenario)
+            outcomes = _outcomes_from_disk(out_dir / "year_outcomes.csv", seeds, resolved.scenario)
             reg_rows: list[RegressionRow] = []
             for s in seeds:
-                reg_rows.extend(seed_regressions(panels[s], outcome_dicts_by_seed[s], s))
+                reg_rows.extend(seed_regressions(panels[s], outcomes[s], s))
             reg_rows.extend(pooled_rows([r for r in reg_rows if r.seed != "pooled"]))
             _emit("regressions.csv", lambda p: write_regressions_csv(p, reg_rows))
     except Exception:
@@ -696,15 +686,3 @@ def run(manifest: RunManifest) -> dict[str, Path]:
         raise
     return artifacts
 
-
-def _outcome_as_dict(seed: int, out: YearOutcome) -> dict:
-    return {
-        "seed": seed,
-        "year": out.year,
-        "regime": out.regime,
-        "share_first_choice_school1": out.share_first_choice_school1,
-        "mean_enrollment_distance_km": out.mean_enrollment_distance_km,
-        "tokyo_area_entrant_share": out.tokyo_area_entrant_share,
-        "entrants_total": out.entrants_total,
-        "unassigned_total": out.unassigned_total,
-    }

@@ -23,7 +23,7 @@ from meritmatch.mechanisms import (
     run_serial_dictatorship_da,
 )
 from meritmatch.metrics import build_panel
-from meritmatch.pipeline import _outcome_as_dict, seed_regressions, simulate_seed
+from meritmatch.pipeline import seed_regressions, simulate_seed
 from meritmatch.popgen import default_scenario
 from meritmatch.strategy import BehaviorParams
 
@@ -217,8 +217,7 @@ def full_scale_summaries():
         t0 = time.perf_counter()
         result = simulate_seed(scenario, behavior, seed)
         rows = build_panel(result.records, scenario.prefectures, scenario.schools)
-        outcome_dicts = [_outcome_as_dict(seed, o) for o in result.outcomes]
-        regressions = seed_regressions(rows, outcome_dicts, seed)
+        regressions = seed_regressions(rows, result.outcomes, seed)
         elapsed = time.perf_counter() - t0
 
         cen = [o for o in result.outcomes if o.regime.is_centralized]

@@ -253,6 +253,20 @@ def test_diff_regimes_requires_both_regimes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+def test_diff_regimes_rejects_repeated_seed_year(tmp_path, capsys):
+    from meritmatch.metrics import YEAR_OUTCOME_COLUMNS
+
+    path = tmp_path / "year_outcomes.csv"
+    regimes = ["decentralized"] * 2 + ["centralized"] * 4 + ["decentralized"] * 2
+    rows = [f"0,{1900 + k},{regime},0.3,200.0,0.17,100,10" for k, regime in enumerate(regimes)]
+    rows.insert(5, rows[4])  # 1904 twice
+    path.write_text("\r\n".join([",".join(YEAR_OUTCOME_COLUMNS), *rows]) + "\r\n")
+    assert main(["diff-regimes", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config: {path}, line 7: a second row for seed 0, year 1904\n"
+
+
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_artifact_headers_are_stable(config_path, tmp_path):
     from meritmatch.metrics import PANEL_COLUMNS, YEAR_OUTCOME_COLUMNS
@@ -443,15 +457,21 @@ def test_estimate_rejects_malformed_inputs(config_path, tmp_path, capsys, name, 
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
-def test_estimate_only_panels_share_read_only_columns(config_path, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "stages", [("simulate,metrics", "estimate"), ("simulate,metrics,estimate",)], ids=["staged", "one process"]
+)
+def test_estimate_only_panels_share_read_only_columns(config_path, tmp_path, monkeypatch, stages):
+    # a one-process run estimates from the files it wrote, read back like an estimate-only run's
     import meritmatch.pipeline as pl
 
     out = tmp_path / "out"
-    assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "simulate,metrics")) == 0
+    *earlier, last = stages
+    for stage in earlier:
+        assert _run_cli(config_path, out, ("--seeds", "2", "--stages", stage)) == 0
     seen = []
     estimate = pl.seed_regressions
     monkeypatch.setattr(pl, "seed_regressions", lambda panel, *args: seen.append(panel) or estimate(panel, *args))
-    assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "estimate")) == 0
+    assert _run_cli(config_path, out, ("--seeds", "2", "--stages", last)) == 0
     assert len(seen) == 2
     for panel in seen:
         assert list(panel) == [None, *range(1, 9)]

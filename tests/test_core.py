@@ -6,6 +6,7 @@ import pytest
 
 from meritmatch.core import (
     Applicant,
+    Cohort,
     DomainError,
     Prefecture,
     School,
@@ -110,10 +111,13 @@ def test_validate_market_collects_multiple_violations():
         Prefecture(p.id, p.name, p.coord, p.urban, p.pop_weight * 0.5, p.edu_index) for p in prefs
     ]
     schools = [School(id=1, prefecture_id=999, capacity=-3, prestige=1.0)]
-    bad_applicant = Applicant(id=0, birth_prefecture=0, score=float("nan"), utility=(1.0,), outside_option=0.0)
-    violations = validate_market(shrunk, schools, [bad_applicant])
+    violations = validate_market(shrunk, schools)
     codes = {v.code for v in violations}
-    assert {"weights_not_normalized", "nonpositive_capacity", "unknown_prefecture", "score_not_finite"} <= codes
+    assert {"weights_not_normalized", "nonpositive_capacity", "unknown_prefecture"} <= codes
+    # applicants are checked where their cohort is built
+    bad_applicant = Applicant(id=0, birth_prefecture=0, score=float("nan"), utility=(1.0,), outside_option=0.0)
+    with pytest.raises(DomainError, match="applicant 0 has non-finite score"):
+        Cohort.of([bad_applicant])
 
 
 def test_seeded_rng_reproducible_and_stream_separated():

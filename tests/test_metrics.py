@@ -1,8 +1,12 @@
 import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meritmatch.core import Assignment, DomainError, Placement, RegimeKind, SeededRng
 from meritmatch.mechanisms import PreferenceList, SingleApplication
@@ -12,6 +16,7 @@ from oracles import panel_to_columns, row_build_panel
 from meritmatch.metrics import (
     PANEL_COLUMNS,
     YEAR_OUTCOME_COLUMNS,
+    YearOutcome,
     build_panel,
     read_panel_csv,
     read_year_outcomes_csv,
@@ -186,9 +191,25 @@ def test_csv_roundtrip(tmp_path, small_run):
 
     out_path = tmp_path / "year_outcomes.csv"
     write_year_outcomes_csv(out_path, [(0, o) for o in res.outcomes])
-    loaded_out = read_year_outcomes_csv(out_path)
-    assert [d["year"] for d in loaded_out] == [o.year for o in res.outcomes]
-    assert loaded_out[0]["regime"] == res.outcomes[0].regime
+    assert read_year_outcomes_csv(out_path) == [(0, o) for o in res.outcomes]
+
+
+@st.composite
+def _outcome_rows(draw):
+    keys = draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(1800, 2000)), unique=True, max_size=6))
+    statistic = st.none() | st.floats(allow_nan=False)
+    count = st.integers(0, 10**6)
+    fields = st.tuples(st.sampled_from(RegimeKind), statistic, statistic, statistic, count, count)
+    return [(seed, YearOutcome(year, *draw(fields))) for seed, year in keys]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_outcome_rows())
+def test_year_outcomes_csv_round_trip(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "year_outcomes.csv"
+        write_year_outcomes_csv(path, rows)
+        assert read_year_outcomes_csv(path) == rows
 
 
 def test_csv_headers_are_stable(tmp_path):
@@ -220,7 +241,7 @@ def test_missing_distance_serialized_as_empty_field(tmp_path):
     with open(path, newline="") as fh:
         rec = next(csv.DictReader(fh))
     assert rec["mean_enrollment_distance_km"] == ""
-    assert read_year_outcomes_csv(path)[0]["mean_enrollment_distance_km"] is None
+    assert read_year_outcomes_csv(path) == [(0, out)]
 
 
 def test_reader_rejects_wrong_schema(tmp_path):
@@ -265,8 +286,18 @@ def test_outcome_reader_rejects_unparsable_value(tmp_path):
 def test_outcome_reader_rejects_extra_field(tmp_path):
     path = tmp_path / "year_outcomes.csv"
     path.write_text(",".join(YEAR_OUTCOME_COLUMNS) + "\r\n0,1900,decentralized,0.5,,,2,3,9\r\n")
-    with pytest.raises(DomainError, match="8 fields"):
+    with pytest.raises(DomainError) as info:
         read_year_outcomes_csv(path)
+    assert str(info.value) == f"{path}, line 2: every row must have 8 fields"  # the location once
+
+
+def test_outcome_reader_rejects_repeated_seed_year(tmp_path):
+    path = tmp_path / "year_outcomes.csv"
+    rows = ["0,1900,decentralized,0.5,,,2,3", "1,1900,decentralized,0.5,,,2,3", "0,1900,decentralized,0.5,,,2,3"]
+    path.write_text("\r\n".join([",".join(YEAR_OUTCOME_COLUMNS), *rows]) + "\r\n")
+    with pytest.raises(DomainError, match=r"line 4: a second row for seed 0, year 1900") as info:
+        read_year_outcomes_csv(path)
+    assert str(path) in str(info.value)
 
 
 def test_panel_reader_rejects_longer_school_id(tmp_path):
