@@ -21,30 +21,23 @@ import sys
 
 import numpy as np
 
-from meritmatch.core import SeededRng
+from meritmatch.core import Regime, RegimeKind, SeededRng
 from meritmatch.mechanisms import (
     PreferenceList,
-    admitted_set,
     run_decentralized,
     run_grouped_centralized,
     run_immediate_acceptance,
     run_meritocratic_boston,
     run_serial_dictatorship_da,
 )
-from meritmatch.popgen import DEFAULT_GROUPS, default_scenario, generate_applicants
-from meritmatch.strategy import (
-    BehaviorParams,
-    equilibrium_cutoffs,
-    grouped_ranking,
-    single_applications,
-    truthful_ranking,
-)
+from meritmatch.popgen import DEFAULT_GROUPS, build_scenario, generate_applicants
+from meritmatch.strategy import BehaviorParams, equilibrium_cutoffs, single_applications, submit_applications
 
 
 def summarize(name, assignment, applicants, scenario):
     urban_ids = {p.id for p in scenario.prefectures if p.urban}
     by_id = {a.id: a for a in applicants}
-    admitted = admitted_set(assignment)
+    admitted = set(assignment.placed)
     scores = np.array([by_id[a].score for a in admitted]) if admitted else np.array([0.0])
     urban_share = np.mean([by_id[a].birth_prefecture in urban_ids for a in admitted]) if admitted else 0.0
     print(
@@ -60,7 +53,7 @@ def main() -> int:
     parser.add_argument("--year", type=int, default=1900)
     args = parser.parse_args()
 
-    scenario = default_scenario(scale=args.scale)
+    scenario = build_scenario(args.scale)
     behavior = BehaviorParams()
     root = SeededRng(args.seed)
     applicants = generate_applicants(
@@ -69,7 +62,7 @@ def main() -> int:
     lottery_rng = root.substream("lottery", args.year)
     print(f"cohort: {len(applicants)} applicants, {sum(s.capacity for s in scenario.schools)} seats\n")
 
-    truthful = [t for t in (truthful_ranking(a) for a in applicants) if t.ranked]
+    truthful = submit_applications(applicants, Regime(RegimeKind.CENTRALIZED, args.year))
     summarize(
         "merit-capped Boston (truncated lists)",
         run_meritocratic_boston(scenario.schools, applicants, truthful, lottery_rng),
@@ -88,7 +81,7 @@ def main() -> int:
         applicants,
         scenario,
     )
-    grouped_lists = [g for g in (grouped_ranking(a, DEFAULT_GROUPS) for a in applicants) if g.ranked]
+    grouped_lists = submit_applications(applicants, Regime(RegimeKind.GROUPED_CENTRALIZED, args.year, DEFAULT_GROUPS))
     summarize(
         "grouped two-list",
         run_grouped_centralized(scenario.schools, applicants, grouped_lists, DEFAULT_GROUPS, lottery_rng),
@@ -112,8 +105,8 @@ def main() -> int:
     ]
     draws = lottery_rng.generator().random(len(applicants))
     lottery = dict(zip(sorted(a.id for a in applicants), draws))
-    merit = admitted_set(run_meritocratic_boston(scenario.schools, applicants, complete, lottery=lottery))
-    dictator = admitted_set(run_serial_dictatorship_da(scenario.schools, applicants, complete, lottery=lottery))
+    merit = set(run_meritocratic_boston(scenario.schools, applicants, complete, lottery=lottery).placed)
+    dictator = set(run_serial_dictatorship_da(scenario.schools, applicants, complete, lottery=lottery).placed)
     print(f"\ncomplete lists: merit-capped Boston admits {len(merit)}, serial dictatorship {len(dictator)}")
     print(f"merit-capped Boston and serial dictatorship admit the same set on complete lists: {merit == dictator}")
     return 0

@@ -4,8 +4,14 @@
 subset) and writes the CSV artifacts; `meritmatch diff-regimes` summarizes an
 emitted year-outcome series by admission regime.
 
-Exit codes: 0 ok, 2 config error, 3 IO error, 4 invariant violation. Errors
-print a single machine-parsable line `error: <category>: <message>`.
+Exit codes: 0 ok, 2 config error or malformed artifact, 3 IO error, 4
+invariant violation. Errors print a single machine-parsable line
+`error: <category>: <message>`, the category being `config`, `artifact`,
+`io` or `invariant`. `artifact` (exit 2) reports an artifact read back from
+disk that is malformed or does not fit the run: a panel CSV or
+year_outcomes.csv under `run --stages estimate`, or the input of
+`diff-regimes`. A bad config file, or a geography or school CSV it names,
+is a `config` error.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import sys
 
 from .core import DomainError
 from .metrics import read_year_outcomes_csv
-from .pipeline import ConfigError, InvariantError, RunManifest, diff_regimes, run
+from .pipeline import ArtifactError, ConfigError, InvariantError, RunManifest, diff_regimes, run
 
 OUT_DIR_ENV = "MERITMATCH_OUT"
 
@@ -34,7 +40,7 @@ DIFF_COLUMNS = [
 def _fail(category: str, exc: Exception) -> int:
     message = str(exc).splitlines()[0] if str(exc) else exc.__class__.__name__
     print(f"error: {category}: {message}", file=sys.stderr)
-    return {"config": 2, "io": 3, "invariant": 4}[category]
+    return {"config": 2, "artifact": 2, "io": 3, "invariant": 4}[category]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -49,6 +55,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             jobs=args.jobs,
         )
         artifacts = run(manifest)
+    except ArtifactError as exc:
+        return _fail("artifact", exc)
     except (ConfigError, DomainError) as exc:
         return _fail("config", exc)
     except InvariantError as exc:
@@ -63,8 +71,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_diff_regimes(args: argparse.Namespace) -> int:
     try:
         rows = diff_regimes(read_year_outcomes_csv(args.year_outcomes))
-    except (ConfigError, DomainError) as exc:
-        return _fail("config", exc)
+    except DomainError as exc:
+        return _fail("artifact", exc)
     except OSError as exc:
         return _fail("io", exc)
     writer = csv.writer(sys.stdout)

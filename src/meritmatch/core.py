@@ -133,7 +133,6 @@ class Regime:
 @dataclass(frozen=True)
 class Placement:
     school_id: int
-    admission_round: int  # round in which the applicant was admitted, >= 1
     preference_rank_obtained: int  # position of the school on the submitted list, >= 1
 
 
@@ -392,14 +391,6 @@ def load_geography(path: str | Path) -> list[Prefecture]:
     return build_prefectures(rows)
 
 
-def save_geography(prefectures: Sequence[Prefecture], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GEOGRAPHY_COLUMNS)
-        for p in prefectures:
-            writer.writerow([p.id, p.name, p.coord[0], p.coord[1], p.pop_weight, p.edu_index])
-
-
 def load_schools(path: str | Path) -> list[School]:
     """Load schools from a CSV with columns id,prefecture_id,capacity,prestige."""
     out = []
@@ -418,10 +409,3 @@ def load_schools(path: str | Path) -> list[School]:
             )
     return out
 
-
-def save_schools(schools: Sequence[School], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCHOOL_COLUMNS)
-        for s in schools:
-            writer.writerow([s.id, s.prefecture_id, s.capacity, s.prestige])

@@ -1,16 +1,15 @@
 """Least-squares estimators for simulated panels and series.
 
 Provides two-way fixed-effects OLS via iterated within-demeaning with
-classical, heteroskedasticity-robust, or cluster-robust (CR0) covariance;
-trend OLS with Newey-West (Bartlett) covariance; an event-study wrapper; and
-the centralization difference-in-differences convenience spec.
+classical or cluster-robust (CR0) covariance; trend OLS with Newey-West
+(Bartlett) covariance; and the centralization difference-in-differences
+spec.
 
 Conventions, chosen once and used by tests as the contract:
   * CR0 sandwich carries the finite-sample factor G/(G-1) * (N-1)/(N-K),
     where K counts regressors plus absorbed fixed-effect parameters.
   * p-values use a t distribution with G-1 degrees of freedom under
-    clustering and N-K otherwise; `df_method="normal"` switches to the
-    normal approximation.
+    clustering and N-K otherwise.
   * Newey-West applies no finite-sample scaling, so lag 0 equals HC0.
 """
 
@@ -36,19 +35,16 @@ class RegressionSpec:
     unit: str | None = None
     time: str | None = None
     cluster: str | None = None
-    covariance: str = "classical"  # classical | hc | cluster | newey-west
+    covariance: str = "classical"  # classical | cluster | newey-west
     nw_lags: int = 0
-    df_method: str = "t"  # t | normal
 
     def __post_init__(self) -> None:
-        if self.covariance not in ("classical", "hc", "cluster", "newey-west"):
+        if self.covariance not in ("classical", "cluster", "newey-west"):
             raise DomainError(f"unknown covariance mode {self.covariance!r}")
         if self.covariance == "cluster" and self.cluster is None:
             raise DomainError("cluster-robust covariance requires a cluster column")
         if self.nw_lags < 0:
             raise DomainError("nw_lags must be >= 0")
-        if self.df_method not in ("t", "normal"):
-            raise DomainError(f"unknown df_method {self.df_method!r}")
 
 
 @dataclass(frozen=True)
@@ -110,24 +106,23 @@ def two_way_demean(
     time_codes: np.ndarray | None,
     n_units: int = 0,
     n_times: int = 0,
-    tol: float = DEMEAN_TOL,
-    max_sweeps: int = DEMEAN_MAX_SWEEPS,
 ) -> tuple[np.ndarray, int]:
     """Alternate unit/time demeaning until the largest per-sweep change falls
-    below `tol`. Balanced two-way panels converge exactly in one sweep (the
-    second sweep only confirms it)."""
+    below `DEMEAN_TOL`, for at most `DEMEAN_MAX_SWEEPS` sweeps. Balanced
+    two-way panels converge exactly in one sweep (the second sweep only
+    confirms it)."""
     Z = np.array(Z, dtype=float)
     if unit_codes is None and time_codes is None:
         return Z, 0
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, DEMEAN_MAX_SWEEPS + 1):
         prev = Z.copy()
         if unit_codes is not None:
             Z = _group_demean(Z, unit_codes, n_units)
         if time_codes is not None:
             Z = _group_demean(Z, time_codes, n_times)
         change = float(np.max(np.abs(Z - prev))) if Z.size else 0.0
-        if change < tol:
+        if change < DEMEAN_TOL:
             break
     return Z, sweeps
 
@@ -151,12 +146,9 @@ def _sandwich(bread: np.ndarray, meat: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def _p_values(t_stats: np.ndarray, df: float, method: str) -> np.ndarray:
-    # ndtr(-x) and stdtr(df, -x) are what scipy.stats.norm.sf and
-    # scipy.stats.t.sf evaluate; importing scipy.stats would about double the
-    # package's import time
-    if method == "normal":
-        return 2.0 * scipy.special.ndtr(-np.abs(t_stats))
+def _p_values(t_stats: np.ndarray, df: float) -> np.ndarray:
+    # stdtr(df, -x) is what scipy.stats.t.sf evaluates; importing scipy.stats
+    # would about double the package's import time
     return 2.0 * scipy.special.stdtr(max(df, 1.0), -np.abs(t_stats))
 
 
@@ -215,10 +207,6 @@ def fe_ols(panel: Mapping[str, Sequence], spec: RegressionSpec) -> RegressionRes
         sigma2 = float(resid @ resid) / df_resid
         cov = sigma2 * bread
         df = float(df_resid)
-    elif spec.covariance == "hc":
-        meat = (Xt * resid[:, None] ** 2).T @ Xt
-        cov = _sandwich(bread, meat)
-        df = float(df_resid)
     else:  # cluster
         codes, G = _codes(panel, spec.cluster, n)
         scores = Xt * resid[:, None]
@@ -235,7 +223,7 @@ def fe_ols(panel: Mapping[str, Sequence], spec: RegressionSpec) -> RegressionRes
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    p = _p_values(t_stats, df, spec.df_method)
+    p = _p_values(t_stats, df)
 
     sst = float(np.sum((yt - yt.mean()) ** 2))
     ssr = float(resid @ resid)
@@ -291,7 +279,7 @@ def newey_west_ols(table: Mapping[str, Sequence], spec: RegressionSpec) -> Regre
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    p = _p_values(t_stats, float(df_resid), spec.df_method)
+    p = _p_values(t_stats, float(df_resid))
     sst = float(np.sum((y - y.mean()) ** 2))
     ssr = float(resid @ resid)
     return RegressionResult(
@@ -309,84 +297,25 @@ def newey_west_ols(table: Mapping[str, Sequence], spec: RegressionSpec) -> Regre
     )
 
 
-@dataclass(frozen=True)
-class EventStudyPoint:
-    period: object
-    estimate: float
-    se: float
-
-
-def event_study(
-    panel: Mapping[str, Sequence],
-    outcome: str,
-    flag: str,
-    time: str,
-    base_period,
-    unit: str,
-    cluster: str | None = None,
-) -> list[EventStudyPoint]:
-    """Per-period coefficients of flag x 1{period}, base period omitted.
-
-    Runs fe_ols with unit and time effects absorbed; clustering is optional.
-    """
-    n = len(np.asarray(panel[time]))
-    times = np.asarray(panel[time])
-    periods = sorted(set(times.tolist()))
-    if base_period not in periods:
-        raise DomainError(f"base period {base_period!r} not present in column {time!r}")
-    flag_arr = _column(panel, flag, n)
-    cols = dict(panel)
-    names = []
-    for t in periods:
-        if t == base_period:
-            continue
-        name = f"{flag}_x_{t}"
-        cols[name] = flag_arr * (times == t).astype(float)
-        names.append(name)
-    spec = RegressionSpec(
-        outcome=outcome,
-        regressors=tuple(names),
-        unit=unit,
-        time=time,
-        cluster=cluster,
-        covariance="cluster" if cluster is not None else "classical",
-    )
-    res = fe_ols(cols, spec)
-    out = []
-    for t in periods:
-        if t == base_period:
-            continue
-        name = f"{flag}_x_{t}"
-        out.append(EventStudyPoint(period=t, estimate=res.coef(name), se=res.se_of(name)))
-    return out
-
-
-def with_interaction(panel: Mapping[str, Sequence], a: str, b: str, name: str | None = None) -> dict:
-    """Copy of the panel with an a*b interaction column added."""
+def with_interaction(panel: Mapping[str, Sequence], a: str, b: str) -> dict:
+    """Copy of the panel with an `{a}_x_{b}` interaction column added."""
     n = len(np.asarray(panel[a]))
     cols = dict(panel)
-    cols[name or f"{a}_x_{b}"] = _column(panel, a, n) * _column(panel, b, n)
+    cols[f"{a}_x_{b}"] = _column(panel, a, n) * _column(panel, b, n)
     return cols
 
 
-def did_centralization(
-    panel: Mapping[str, Sequence],
-    outcome: str = "entrants",
-    unit: str = "prefecture_id",
-    time: str = "year",
-    treated_flag: str = "tokyo_area",
-    regime_flag: str = "centralized",
-) -> RegressionResult:
-    """Difference-in-differences on the regime switch: outcome regressed on
-    centralized x treated-area with two-way fixed effects and clustering by
-    unit, and no further controls."""
-    cols = with_interaction(panel, regime_flag, treated_flag)
+def did_centralization(panel: Mapping[str, Sequence]) -> RegressionResult:
+    """Difference-in-differences on the regime switch: entrants regressed on
+    centralized x tokyo_area with prefecture and year fixed effects,
+    clustering by prefecture, and no further controls."""
+    cols = with_interaction(panel, "centralized", "tokyo_area")
     spec = RegressionSpec(
-        outcome=outcome,
-        regressors=(f"{regime_flag}_x_{treated_flag}",),
-        unit=unit,
-        time=time,
-        cluster=unit,
+        outcome="entrants",
+        regressors=("centralized_x_tokyo_area",),
+        unit="prefecture_id",
+        time="year",
+        cluster="prefecture_id",
         covariance="cluster",
     )
     return fe_ols(cols, spec)

@@ -84,10 +84,6 @@ class MeritPool:
     lottery_used: bool
 
 
-def admitted_set(assignment: Assignment) -> set[int]:
-    return set(assignment.placed)
-
-
 # -- shared plumbing ----------------------------------------------------------
 
 
@@ -214,7 +210,7 @@ def _boston(market: _Market, ties: np.ndarray, merit_capped: bool) -> Assignment
                 k = lists[j][r]
                 if seats[k] > 0:
                     seats[k] -= 1
-                    placed[ids[j]] = Placement(school_id=school_ids[k], admission_round=r + 1, preference_rank_obtained=r + 1)
+                    placed[ids[j]] = Placement(school_id=school_ids[k], preference_rank_obtained=r + 1)
                 else:
                     still.append(j)
         waiting = still
@@ -262,8 +258,8 @@ def run_serial_dictatorship_da(
     """Serial dictatorship in score order: each applicant takes the highest
     school on their list with a free seat. Equivalent to applicant-proposing
     deferred acceptance under the market's single common score priority (see
-    module docstring). admission_round is 1 for every placement; the rank
-    obtained is the list position of the school received."""
+    module docstring). The rank obtained is the list position of the school
+    received."""
     market = _market(schools, applicants, prefs)
     order = _priority(market.ids, market.scores, _tie_breaks(market.ids, rng, lottery))
     ids, lists, lengths = market.ids[order].tolist(), market.choice[order].tolist(), market.lengths[order].tolist()
@@ -273,7 +269,7 @@ def run_serial_dictatorship_da(
         for rank, k in enumerate(listed[:length], start=1):
             if seats[k] > 0:
                 seats[k] -= 1
-                placed[aid] = Placement(school_id=school_ids[k], admission_round=1, preference_rank_obtained=rank)
+                placed[aid] = Placement(school_id=school_ids[k], preference_rank_obtained=rank)
                 break
     return Assignment(placed=placed, unassigned=frozenset(ids).difference(placed))
 
@@ -337,7 +333,7 @@ def run_decentralized(
     choice = market.choice[:, 0]
     admitted, _ = _admit_top_per_school(choice, market.scores, _tie_breaks(market.ids, rng, lottery), market.caps)
     placed = {
-        aid: Placement(school_id=sid, admission_round=1, preference_rank_obtained=1)
+        aid: Placement(school_id=sid, preference_rank_obtained=1)
         for aid, sid in zip(market.ids[admitted].tolist(), market.school_ids[choice[admitted]].tolist())
     }
     return Assignment(placed=placed, unassigned=frozenset(market.ids[~admitted].tolist()))

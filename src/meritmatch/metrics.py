@@ -24,8 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Applicant, Assignment, Cohort, DomainError, Prefecture, RegimeKind, School, distance_matrix
-from .mechanisms import Applications, PreferenceList, SingleApplication
+from .core import Assignment, Cohort, DomainError, Prefecture, RegimeKind, School, distance_matrix
+from .mechanisms import Applications
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,11 @@ def _entrant_births(assignment: Assignment, cohort: Cohort) -> np.ndarray:
 
 
 def year_outcome(
-    applications: Applications | Sequence[PreferenceList] | Sequence[SingleApplication],
+    apps: Applications,
     assignment: Assignment,
     prefectures: Sequence[Prefecture],
     schools: Sequence[School],
-    cohort: Cohort | Sequence[Applicant],
+    cohort: Cohort,
     year: int,
     regime: RegimeKind,
     distances: np.ndarray | None = None,
@@ -73,7 +73,6 @@ def year_outcome(
     entrants they are reported as missing rather than zero. `distances` is
     `distance_matrix(prefectures)`, if already computed.
     """
-    apps = Applications.of(applications)
     n_apps = len(apps)
     share_first = None
     if n_apps:
@@ -86,7 +85,7 @@ def year_outcome(
     dist_sum = 0.0
     urban_count = 0
     n_placed = len(assignment.placed)
-    births = _entrant_births(assignment, Cohort.of(cohort)).tolist()
+    births = _entrant_births(assignment, cohort).tolist()
     for b, placement in zip(births, assignment.placed.values()):
         dist_sum += dmat[b, host[placement.school_id]]
         urban_count += urban[b]
@@ -106,7 +105,7 @@ def year_outcome(
 
 def year_record(
     assignment: Assignment,
-    cohort: Cohort | Sequence[Applicant],
+    cohort: Cohort,
     prefectures: Sequence[Prefecture],
     schools: Sequence[School],
     year: int,
@@ -114,7 +113,6 @@ def year_record(
 ) -> YearRecord:
     """Count one year's entrants per (birth prefecture, school) and its
     cohort per prefecture."""
-    cohort = Cohort.of(cohort)
     school_ids = np.array(sorted(s.id for s in schools))
     placed_at = np.fromiter((p.school_id for p in assignment.placed.values()), dtype=np.int64, count=len(assignment.placed))
     entrants = np.zeros((len(prefectures), len(schools)), dtype=np.int64)

@@ -2,10 +2,10 @@
 compute metrics, run the regression battery, and emit CSV artifacts.
 
 All randomness flows from one root seed through named streams (popgen/year,
-strategy/year, lottery/year), so re-running any stage from the same manifest
-reproduces artifacts byte for byte. The resolved configuration, including the
-full geography and school tables, is written to manifest.lock; a lockfile is
-itself a valid --config input and replays the run exactly.
+lottery/year), so re-running any stage from the same manifest reproduces
+artifacts byte for byte. The resolved configuration, including the full
+geography and school tables, is written to manifest.lock; a lockfile is itself
+a valid --config input and replays the run exactly.
 """
 
 from __future__ import annotations
@@ -221,6 +221,11 @@ class InvariantError(RuntimeError):
     """A market invariant failed validation."""
 
 
+class ArtifactError(DomainError):
+    """An artifact read back for the estimate stage is malformed or does not
+    match this run's configuration."""
+
+
 # -- simulation ----------------------------------------------------------------
 
 
@@ -377,9 +382,9 @@ def _outcome_series(outcomes: Sequence[YearOutcome]) -> dict[str, np.ndarray]:
     return table
 
 
-def trend_regression(table: Mapping[str, np.ndarray], metric: str, nw_lags: int = 3) -> RegressionResult:
+def trend_regression(table: Mapping[str, np.ndarray], metric: str) -> RegressionResult:
     """Regime coefficient for one outcome series with quadratic trend controls
-    and Newey-West inference. Years with a missing metric are dropped."""
+    and Newey-West inference (lag 3). Years with a missing metric are dropped."""
     keep = np.isfinite(np.asarray(table[metric], dtype=float))
     filtered = {k: np.asarray(v)[keep] for k, v in table.items()}
     spec = RegressionSpec(
@@ -387,7 +392,7 @@ def trend_regression(table: Mapping[str, np.ndarray], metric: str, nw_lags: int 
         regressors=("centralized", "trend", "trend_sq"),
         time="year",
         covariance="newey-west",
-        nw_lags=nw_lags,
+        nw_lags=3,
     )
     # spec.time is used only to sort rows for the HAC weights
     return newey_west_ols(filtered, spec)
@@ -619,7 +624,8 @@ def run(manifest: RunManifest) -> dict[str, Path]:
     year x prefecture grid, each school panel must repeat panel_all.csv's
     shared columns bit for bit, and year_outcomes.csv must hold for each seed
     exactly the schedule's years, ascending, under the schedule's regimes;
-    anything else is a DomainError raised before regressions.csv is written.
+    anything else is an ArtifactError raised before regressions.csv is
+    written.
     Partially written files are removed on failure.
     """
     stages = set(manifest.stages)
@@ -665,8 +671,11 @@ def run(manifest: RunManifest) -> dict[str, Path]:
         if "simulate" in stages:  # returns before the estimate stage, so its results are released
             _simulate_and_write(manifest, resolved, seeds, panel_files, _emit)
         if "estimate" in stages:
-            panels = _panels_from_disk(out_dir, panel_files, seeds, resolved.scenario)
-            outcomes = _outcomes_from_disk(out_dir / "year_outcomes.csv", seeds, resolved.scenario)
+            try:
+                panels = _panels_from_disk(out_dir, panel_files, seeds, resolved.scenario)
+                outcomes = _outcomes_from_disk(out_dir / "year_outcomes.csv", seeds, resolved.scenario)
+            except DomainError as exc:
+                raise ArtifactError(str(exc)) from exc
             reg_rows: list[RegressionRow] = []
             for s in seeds:
                 reg_rows.extend(seed_regressions(panels[s], outcomes[s], s))

@@ -135,12 +135,6 @@ class Scenario:
     population: PopulationConfig
     schedule: tuple[Regime, ...]
 
-    def regime_for(self, year: int) -> Regime:
-        for r in self.schedule:
-            if r.year == year:
-                return r
-        raise DomainError(f"year {year} not in the schedule")
-
 
 def build_scenario(
     scale: float = 1.0,
@@ -150,7 +144,9 @@ def build_scenario(
     capacities: Sequence[int] | None = None,
     groups: tuple[frozenset[int], frozenset[int]] = DEFAULT_GROUPS,
 ) -> Scenario:
-    """A scenario from its config pieces; every omitted piece is the default.
+    """A scenario from its config pieces; every omitted piece is the default,
+    so `build_scenario()` is the shipped 47-prefecture, 8-school scenario over
+    1900-1930.
 
     `scale` shrinks or grows the default applicants (10777 a year) and seats
     (251 a school) together, preserving selectivity. `population` overrides
@@ -179,12 +175,3 @@ def build_scenario(
         schedule=tuple(regime_schedule(config.year_start, config.year_end, groups)),
     )
 
-
-def default_scenario(scale: float = 1.0, **config_overrides) -> Scenario:
-    """The shipped 47-prefecture, 8-school scenario over 1900-1930.
-
-    Total capacity is 8 x 251 = 2008 seats against 10777 applicants per
-    year. `scale` shrinks or grows applicants and capacities together,
-    preserving selectivity (useful for fast tests).
-    """
-    return build_scenario(scale, config_overrides)

@@ -1,10 +1,9 @@
 """Application behavior: truthful rankings for the centralized regimes and a
 self-selection equilibrium for the decentralized single-application regime.
 
-Everything here reads a year's `Cohort` (a sequence of `Applicant`s is
-converted by `Cohort.of`) and returns `Applications`: ranked lists come from
-one stable argsort of each applicant's utilities, single applications from
-the vectorized best response `_best_response`.
+Everything here reads a year's `Cohort` and returns `Applications`: ranked
+lists come from one stable argsort of each applicant's utilities, single
+applications from the vectorized best response `_best_response`.
 
 The decentralized model is a rational-expectations fixed point: applicants
 hold beliefs about each school's admission cutoff, smooth the acceptance
@@ -34,8 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .core import Applicant, Cohort, DomainError, Regime, RegimeKind, School
-from .mechanisms import Applications, PreferenceList
+from .core import Cohort, DomainError, Regime, RegimeKind, School
+from .mechanisms import Applications
 
 
 @dataclass(frozen=True)
@@ -135,16 +134,6 @@ def _grouped_lists(cohort: Cohort, groups: tuple[frozenset[int], frozenset[int]]
     return Applications(ids=cohort.ids, schools=np.where(listed, ranked, 0), lengths=lengths)
 
 
-def truthful_ranking(applicant: Applicant) -> PreferenceList:
-    """One applicant's truthful list (see `_truthful_lists`)."""
-    return next(iter(_truthful_lists(Cohort.of([applicant]))))
-
-
-def grouped_ranking(applicant: Applicant, groups: tuple[frozenset[int], frozenset[int]]) -> PreferenceList:
-    """One applicant's truthful one-per-group list (see `_grouped_lists`)."""
-    return next(iter(_grouped_lists(Cohort.of([applicant]), groups)))
-
-
 def _best_response(scores: np.ndarray, surplus: np.ndarray, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized best single application as a function of the cutoffs: each
     applicant's 0-based school index, -1 = abstain (the best expected value is
@@ -198,7 +187,7 @@ def _belief_floor(scores: np.ndarray, sigma: float) -> float:
 
 def equilibrium_cutoffs(
     schools: Sequence[School],
-    applicants: Cohort | Sequence[Applicant],
+    cohort: Cohort,
     params: BehaviorParams,
     *,
     initial: CutoffBeliefs | None = None,
@@ -226,7 +215,6 @@ def equilibrium_cutoffs(
     schools_sorted = sorted(schools, key=lambda s: s.id)
     school_ids = tuple(s.id for s in schools_sorted)
     caps = np.array([s.capacity for s in schools_sorted])
-    cohort = Cohort.of(applicants)
     if not len(cohort):
         beliefs = CutoffBeliefs(school_ids=school_ids, cutoffs=tuple([-math.inf] * len(school_ids)))
         return beliefs, 1, 0.0
@@ -279,7 +267,7 @@ def equilibrium_cutoffs(
 
 
 def single_applications(
-    applicants: Cohort | Sequence[Applicant],
+    cohort: Cohort,
     beliefs: CutoffBeliefs,
     params: BehaviorParams,
 ) -> Applications:
@@ -287,7 +275,6 @@ def single_applications(
     increasing applicant id; abstainers submit nothing. Utility column k is
     the school with id k + 1, whose cutoff `beliefs` must hold; a belief for
     any other school is a DomainError."""
-    cohort = Cohort.of(applicants)
     if not len(cohort):
         return Applications.of([])
     school_ids = np.arange(1, cohort.utility.shape[1] + 1, dtype=np.int64)
@@ -301,7 +288,7 @@ def single_applications(
     )
 
 
-def submit_applications(applicants: Cohort | Sequence[Applicant], regime: Regime) -> Applications:
+def submit_applications(cohort: Cohort, regime: Regime) -> Applications:
     """Ranked lists submitted under a centralized regime.
 
     Centralized: full truthful rankings. Grouped centralized: truthful
@@ -310,11 +297,11 @@ def submit_applications(applicants: Cohort | Sequence[Applicant], regime: Regime
     `equilibrium_cutoffs` and `single_applications`.
     """
     if regime.kind == RegimeKind.CENTRALIZED:
-        lists = _truthful_lists(Cohort.of(applicants))
+        lists = _truthful_lists(cohort)
     elif regime.kind == RegimeKind.GROUPED_CENTRALIZED:
         if regime.groups is None:
             raise DomainError("grouped regime requires groups")
-        lists = _grouped_lists(Cohort.of(applicants), regime.groups)
+        lists = _grouped_lists(cohort, regime.groups)
     else:
         raise DomainError(f"no ranked lists under regime kind {regime.kind!r}")
     keep = lists.lengths > 0

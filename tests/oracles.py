@@ -101,7 +101,7 @@ def scalar_boston_rounds(schools, applicants, prefs, tie, merit_capped=True):
             sid = lst[r - 1]
             if seats[sid] > 0:
                 seats[sid] -= 1
-                placed[aid] = Placement(school_id=sid, admission_round=r, preference_rank_obtained=r)
+                placed[aid] = Placement(school_id=sid, preference_rank_obtained=r)
             else:
                 held.append(aid)
         active = held

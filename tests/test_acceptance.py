@@ -18,13 +18,12 @@ from meritmatch.core import SeededRng
 from meritmatch.econometrics import did_centralization
 from meritmatch.mechanisms import (
     PreferenceList,
-    admitted_set,
     run_meritocratic_boston,
     run_serial_dictatorship_da,
 )
 from meritmatch.metrics import build_panel
 from meritmatch.pipeline import seed_regressions, simulate_seed
-from meritmatch.popgen import default_scenario
+from meritmatch.popgen import build_scenario
 from meritmatch.strategy import BehaviorParams
 
 from conftest import mk_applicant, mk_schools
@@ -111,7 +110,7 @@ def test_criterion_1_admitted_set_equivalence_exhaustive():
         lottery = dict(enumerate(gen.random(n)))
         b = run_meritocratic_boston(schools, applicants, prefs, lottery=lottery)
         d = run_serial_dictatorship_da(schools, applicants, prefs, lottery=lottery)
-        mismatches += admitted_set(b) != admitted_set(d)
+        mismatches += set(b.placed) != set(d.placed)
         checked += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 60.0 and checked >= 100_000
@@ -155,8 +154,8 @@ def test_criterion_2_fosd_brute_force():
         scores_by_id = {x.id: x.score for x in applicants}
         caps = [s.capacity for s in schools]
         total = sum(caps)
-        assert dominates_all_feasible_sets(scores_by_id, admitted_set(a), total)
-        assert dominates_all_feasible_assignments(scores_by_id, admitted_set(a), caps)
+        assert dominates_all_feasible_sets(scores_by_id, set(a.placed), total)
+        assert dominates_all_feasible_assignments(scores_by_id, set(a.placed), caps)
 
     # negative control: a bottom-of-the-class set must not dominate
     ctrl_scores = {0: 1.0, 1: 2.0, 2: 3.0}
@@ -169,7 +168,7 @@ def test_criterion_2_fosd_brute_force():
         a = run_meritocratic_boston(schools, applicants, prefs, lottery=lottery)
         scores_by_id = {x.id: x.score for x in applicants}
         total = sum(s.capacity for s in schools)
-        failures += not dominates_all_feasible_sets(scores_by_id, admitted_set(a), total)
+        failures += not dominates_all_feasible_sets(scores_by_id, set(a.placed), total)
     ok = failures == 0
     _report("2 fosd", ok, f"1000 instances, {failures} dominance failures")
     assert failures == 0
@@ -187,12 +186,12 @@ def test_criterion_3_divergence_witness(xyz_instance):
     ok = (
         boston_map == {1: 1, 3: 2, 2: 3}
         and da_map == {1: 1, 2: 2, 3: 3}
-        and admitted_set(boston) == admitted_set(da) == {1, 2, 3}
+        and set(boston.placed) == set(da.placed) == {1, 2, 3}
     )
     _report("3 divergence-witness", ok, f"boston={boston_map}, da={da_map}")
     assert boston_map == {1: 1, 3: 2, 2: 3}
     assert da_map == {1: 1, 2: 2, 3: 3}
-    assert admitted_set(boston) == admitted_set(da)
+    assert set(boston.placed) == set(da.placed)
 
 
 # -- criteria 4 and 5: full-scale qualitative replication ----------------------------
@@ -210,7 +209,7 @@ class SeedSummary:
 
 @pytest.fixture(scope="module")
 def full_scale_summaries():
-    scenario = default_scenario()
+    scenario = build_scenario()
     behavior = BehaviorParams()
     summaries = []
     for seed in range(N_SEEDS):

@@ -18,9 +18,9 @@ from meritmatch.mechanisms import (
     run_meritocratic_boston,
     run_serial_dictatorship_da,
 )
-from meritmatch.strategy import grouped_ranking, submit_applications, truthful_ranking
+from meritmatch.strategy import submit_applications
 
-from conftest import mk_applicant, mk_schools
+from conftest import grouped_ranking, mk_applicant, mk_schools, truthful_ranking
 from oracles import per_school_top, scalar_boston_rounds, scalar_grouped_ranking, scalar_truthful_ranking
 
 
@@ -92,8 +92,8 @@ def test_rankings_match_scalar_code(cohort):
     applicants, groups = cohort
     truthful = [scalar_truthful_ranking(a) for a in applicants]
     grouped = [scalar_grouped_ranking(a, groups) for a in applicants]
-    centralized = submit_applications(applicants, Regime(RegimeKind.CENTRALIZED, 1902))
-    two_lists = submit_applications(applicants, Regime(RegimeKind.GROUPED_CENTRALIZED, 1926, groups))
+    centralized = submit_applications(Cohort.of(applicants), Regime(RegimeKind.CENTRALIZED, 1902))
+    two_lists = submit_applications(Cohort.of(applicants), Regime(RegimeKind.GROUPED_CENTRALIZED, 1926, groups))
     assert list(centralized) == [p for p in truthful if p.ranked]
     assert list(two_lists) == [p for p in grouped if p.ranked]
     assert [truthful_ranking(a) for a in applicants] == truthful

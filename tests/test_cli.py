@@ -17,6 +17,8 @@ from meritmatch.pipeline import (
     run,
 )
 
+from conftest import save_geography, save_schools
+
 SMALL_CONFIG = {
     "scale": 0.02,
     "population": {"year_start": 1900, "year_end": 1904},
@@ -149,6 +151,15 @@ def test_invalid_json_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+def test_bad_geography_header_is_config_error(tmp_path, capsys):
+    # a file the config names is config, not an artifact
+    (tmp_path / "geo.csv").write_text("id,name,x,y\n0,Tokyo,0,0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geography": "geo.csv"}))
+    assert _run_cli(cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("error: config: geography file must have columns")
+
+
 def test_unwritable_out_dir_is_io_error(config_path, tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -158,7 +169,7 @@ def test_unwritable_out_dir_is_io_error(config_path, tmp_path, capsys):
 
 
 def test_invariant_violation_exit_code(tmp_path, capsys):
-    from meritmatch.core import default_prefectures, save_geography, Prefecture
+    from meritmatch.core import default_prefectures, Prefecture
 
     prefs = default_prefectures()
     # give Aomori the same coordinate as Tokyo; names and weights stay valid
@@ -250,7 +261,7 @@ def test_diff_regimes_requires_both_regimes(tmp_path, capsys):
         for year in range(1900, 1905):
             w.writerow([0, year, "decentralized", 0.3, 200.0, 0.17, 100, 10])
     assert main(["diff-regimes", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: config:")
+    assert capsys.readouterr().err.startswith("error: artifact:")
 
 
 def test_diff_regimes_rejects_repeated_seed_year(tmp_path, capsys):
@@ -264,7 +275,7 @@ def test_diff_regimes_rejects_repeated_seed_year(tmp_path, capsys):
     assert main(["diff-regimes", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: config: {path}, line 7: a second row for seed 0, year 1904\n"
+    assert captured.err == f"error: artifact: {path}, line 7: a second row for seed 0, year 1904\n"
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
@@ -330,7 +341,7 @@ def test_custom_capacities_and_groups(tmp_path):
     )
     resolved = resolve_config(cfg)
     assert all(s.capacity == 3 for s in resolved.scenario.schools)
-    grouped = resolved.scenario.regime_for(1926)
+    grouped = next(r for r in resolved.scenario.schedule if r.year == 1926)
     assert grouped.groups == (frozenset({1, 2, 3, 4}), frozenset({5, 6, 7, 8}))
 
 
@@ -360,7 +371,7 @@ def test_partial_outputs_removed_on_failure(config_path, tmp_path, monkeypatch):
 def _schools_config(tmp_path, n_schools):
     """SMALL_CONFIG with a schools CSV: the default schools, cut to
     `n_schools` or extended by copies of school 8 with new ids."""
-    from meritmatch.core import School, save_schools
+    from meritmatch.core import School
 
     schools = list(resolve_config(None).scenario.schools)[:n_schools]
     last = schools[-1]
@@ -396,7 +407,7 @@ def test_school_panels_follow_configured_schools(tmp_path):
 
 
 def test_school_ids_other_than_one_to_s_are_invariant_violation(tmp_path, capsys):
-    from meritmatch.core import School, save_schools
+    from meritmatch.core import School
 
     renumbered = [
         School(s.id + 1, s.prefecture_id, s.capacity, s.prestige) for s in resolve_config(None).scenario.schools
@@ -452,7 +463,7 @@ def test_estimate_rejects_malformed_inputs(config_path, tmp_path, capsys, name, 
     capsys.readouterr()
     assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "estimate")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err  # the check that fails names the file
+    assert err.startswith("error: artifact:") and name in err  # the check that fails names the file
     assert (out / "regressions.csv").read_bytes() == estimated
 
 

@@ -18,11 +18,11 @@ from meritmatch.core import (
     distance_matrix,
     load_geography,
     load_schools,
-    save_geography,
-    save_schools,
     validate_market,
 )
-from meritmatch.popgen import default_scenario
+from meritmatch.popgen import build_scenario
+
+from conftest import save_geography, save_schools
 
 
 def _pref(pid, x, y, urban=False, w=0.5, edu=0.3, name=None):
@@ -84,12 +84,12 @@ def test_pop_weights_sum_to_one():
 
 
 def test_validate_market_default_is_clean():
-    sc = default_scenario(scale=0.01)
+    sc = build_scenario(0.01)
     assert validate_market(sc.prefectures, sc.schools) == []
 
 
 def test_validate_market_flags_nonpositive_capacity():
-    sc = default_scenario(scale=0.01)
+    sc = build_scenario(0.01)
     bad = list(sc.schools)
     bad[0] = School(id=1, prefecture_id=bad[0].prefecture_id, capacity=0, prestige=bad[0].prestige)
     violations = validate_market(sc.prefectures, bad)
@@ -160,14 +160,14 @@ def test_geography_requires_tokyo():
 
 
 def test_schools_roundtrip(tmp_path):
-    sc = default_scenario(scale=0.01)
+    sc = build_scenario(0.01)
     path = tmp_path / "schools.csv"
     save_schools(sc.schools, path)
     assert load_schools(path) == list(sc.schools)
 
 
 def test_default_schools_prestige_order_matches_selectivity():
-    sc = default_scenario()
+    sc = build_scenario()
     by_id = {s.id: s.prestige for s in sc.schools}
     order = sorted(by_id, key=lambda sid: -by_id[sid])
     assert order == [1, 3, 4, 2, 8, 6, 5, 7]
@@ -175,6 +175,6 @@ def test_default_schools_prestige_order_matches_selectivity():
 
 
 def test_default_schools_capacity_total():
-    sc = default_scenario()
+    sc = build_scenario()
     assert sum(s.capacity for s in sc.schools) == 2008
     assert len({s.capacity for s in sc.schools}) == 1  # uniform split

@@ -10,7 +10,6 @@ from meritmatch.core import DomainError, SeededRng
 from meritmatch.mechanisms import (
     PreferenceList,
     SingleApplication,
-    admitted_set,
     run_decentralized,
     run_grouped_centralized,
     run_immediate_acceptance,
@@ -65,10 +64,9 @@ def test_merit_pool_requires_positive_capacity():
 def test_merit_boston_xyz_trace(xyz_instance):
     schools, applicants, prefs = xyz_instance
     a = run_meritocratic_boston(schools, applicants, prefs)
-    assert a.placed[1].school_id == 1 and a.placed[1].admission_round == 1
-    assert a.placed[3].school_id == 2 and a.placed[3].admission_round == 1
-    assert a.placed[2].school_id == 3 and a.placed[2].admission_round == 3
-    assert a.placed[2].preference_rank_obtained == 3
+    assert a.placed[1].school_id == 1 and a.placed[1].preference_rank_obtained == 1
+    assert a.placed[3].school_id == 2 and a.placed[3].preference_rank_obtained == 1
+    assert a.placed[2].school_id == 3 and a.placed[2].preference_rank_obtained == 3
     assert a.unassigned == frozenset()
 
 
@@ -113,9 +111,10 @@ def test_merit_boston_matches_printed_steps_on_random_instances():
 
         mine = run_meritocratic_boston(schools, applicants, prefs, lottery=tie)
         placed, unassigned, pool = printed_steps_assignment(schools, applicants, prefs, tie)
-        assert {a: (p.school_id, p.admission_round) for a, p in mine.placed.items()} == placed
+        # round r of the printed steps admits at the r-th school of the list
+        assert {a: (p.school_id, p.preference_rank_obtained) for a, p in mine.placed.items()} == placed
         assert mine.unassigned == frozenset(unassigned)
-        assert admitted_set(mine) <= pool
+        assert set(mine.placed) <= pool
 
 
 # -- serial dictatorship ---------------------------------------------------------
@@ -149,7 +148,7 @@ def test_xyz_divergent_placements_same_set(xyz_instance):
     placements_b = {a: p.school_id for a, p in boston.placed.items()}
     placements_d = {a: p.school_id for a, p in da.placed.items()}
     assert placements_b != placements_d
-    assert admitted_set(boston) == admitted_set(da)
+    assert set(boston.placed) == set(da.placed)
 
 
 # -- pure Boston -----------------------------------------------------------------
@@ -174,9 +173,9 @@ def test_pure_boston_admits_outside_merit_pool():
     ]
     pure = run_immediate_acceptance(schools, applicants, prefs)
     merit = run_meritocratic_boston(schools, applicants, prefs)
-    assert 3 in admitted_set(pure)  # school 2 takes the only applicant who asked
-    assert 3 not in admitted_set(merit)  # outside the top-2 pool
-    assert admitted_set(merit) == {1}  # applicant 2's list is exhausted
+    assert 3 in pure.placed  # school 2 takes the only applicant who asked
+    assert 3 not in merit.placed  # outside the top-2 pool
+    assert set(merit.placed) == {1}  # applicant 2's list is exhausted
 
 
 def test_pure_boston_single_applicant():
@@ -193,7 +192,7 @@ def test_decentralized_rejects_lowest():
     applicants = [mk_applicant(1, 90, 1), mk_applicant(2, 80, 1), mk_applicant(3, 70, 1)]
     apps = [SingleApplication(i, 1) for i in (1, 2, 3)]
     a = run_decentralized(schools, applicants, apps)
-    assert admitted_set(a) == {1, 2}
+    assert set(a.placed) == {1, 2}
     assert a.unassigned == frozenset({3})
 
 
@@ -208,7 +207,7 @@ def test_decentralized_misses_talent_when_split_badly(xyz_instance):
     schools, applicants, _ = xyz_instance
     apps = [SingleApplication(1, 1), SingleApplication(2, 1), SingleApplication(3, 2)]
     a = run_decentralized(schools, applicants, apps)
-    assert admitted_set(a) == {1, 3}
+    assert set(a.placed) == {1, 3}
     assert 2 in a.unassigned
 
 
@@ -305,24 +304,24 @@ def test_grouped_requires_partition(xyz_instance):
         )
 
 
-# -- admitted_set ----------------------------------------------------------------
+# -- admitted sets ---------------------------------------------------------------
 
 
 def test_admitted_set_empty():
     a = run_meritocratic_boston(mk_schools(1), [], [])
-    assert admitted_set(a) == set()
+    assert set(a.placed) == set()
 
 
 def test_admitted_set_xyz(xyz_instance):
     schools, applicants, prefs = xyz_instance
-    assert admitted_set(run_meritocratic_boston(schools, applicants, prefs)) == {1, 2, 3}
+    assert set(run_meritocratic_boston(schools, applicants, prefs).placed) == {1, 2, 3}
 
 
 def test_admitted_set_all_unassigned():
     from meritmatch.core import Assignment
 
     a = Assignment(placed={}, unassigned=frozenset({1, 2, 3}))
-    assert admitted_set(a) == set()
+    assert set(a.placed) == set()
 
 
 # -- shared lottery ----------------------------------------------------------------
@@ -335,7 +334,7 @@ def test_same_rng_gives_same_pool_across_mechanisms():
     rng = SeededRng(77)
     b = run_meritocratic_boston(schools, applicants, prefs, rng)
     d = run_serial_dictatorship_da(schools, applicants, prefs, rng)
-    assert admitted_set(b) == admitted_set(d)
+    assert set(b.placed) == set(d.placed)
 
 
 # -- truncated-list counterexample -------------------------------------------------
@@ -352,9 +351,9 @@ def test_truncated_lists_can_split_admitted_sets():
     ]
     boston = run_meritocratic_boston(schools, applicants, prefs)
     da = run_serial_dictatorship_da(schools, applicants, prefs)
-    assert admitted_set(boston) == {1, 3}
-    assert admitted_set(da) == {1, 2}
-    assert admitted_set(boston) != admitted_set(da)
+    assert set(boston.placed) == {1, 3}
+    assert set(da.placed) == {1, 2}
+    assert set(boston.placed) != set(da.placed)
 
 
 # -- property tests ---------------------------------------------------------------
@@ -406,7 +405,7 @@ def test_merit_containment(instance):
     submitters = [a for a in applicants if a.id in {p.applicant_id for p in prefs}]
     pool = select_merit_pool(submitters, sum(s.capacity for s in schools), lottery=lottery)
     a = run_meritocratic_boston(schools, applicants, prefs, lottery=lottery)
-    assert admitted_set(a) <= set(pool.selected)
+    assert set(a.placed) <= set(pool.selected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -415,7 +414,7 @@ def test_set_equivalence_complete_lists(instance):
     schools, applicants, prefs, lottery = instance
     b = run_meritocratic_boston(schools, applicants, prefs, lottery=lottery)
     d = run_serial_dictatorship_da(schools, applicants, prefs, lottery=lottery)
-    assert admitted_set(b) == admitted_set(d)
+    assert set(b.placed) == set(d.placed)
 
 
 @settings(max_examples=300, deadline=None)
@@ -426,7 +425,6 @@ def test_boston_round_equals_rank_and_monotone(instance):
         a = runner(schools, applicants, prefs, lottery=lottery)
         ranked = {p.applicant_id: p.ranked for p in prefs}
         for aid, placement in a.placed.items():
-            assert placement.preference_rank_obtained == placement.admission_round
             assert ranked[aid][placement.preference_rank_obtained - 1] == placement.school_id
 
 
@@ -479,4 +477,4 @@ def test_random_instance_equivalence_battery():
         lottery = {i: float(u) for i, u in enumerate(gen.random(n))}
         b = run_meritocratic_boston(schools, applicants, prefs, lottery=lottery)
         d = run_serial_dictatorship_da(schools, applicants, prefs, lottery=lottery)
-        assert admitted_set(b) == admitted_set(d)
+        assert set(b.placed) == set(d.placed)

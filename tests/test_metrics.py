@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meritmatch.core import Assignment, DomainError, Placement, RegimeKind, SeededRng
-from meritmatch.mechanisms import PreferenceList, SingleApplication
+from meritmatch.core import Assignment, Cohort, DomainError, Placement, RegimeKind, SeededRng
+from meritmatch.mechanisms import Applications, PreferenceList, SingleApplication
 
 from conftest import mk_applicant
 from oracles import panel_to_columns, row_build_panel
@@ -25,14 +25,14 @@ from meritmatch.metrics import (
     year_outcome,
     year_record,
 )
-from meritmatch.popgen import default_scenario, generate_applicants
+from meritmatch.popgen import build_scenario, generate_applicants
 from meritmatch.pipeline import simulate_seed
 from meritmatch.strategy import BehaviorParams
 
 
 @pytest.fixture(scope="module")
 def small_run():
-    sc = default_scenario(scale=0.05, year_start=1900, year_end=1903)
+    sc = build_scenario(0.05, {"year_start": 1900, "year_end": 1903})
     import warnings
 
     with warnings.catch_warnings():
@@ -42,10 +42,10 @@ def small_run():
 
 
 def test_year_outcome_everyone_unassigned():
-    sc = default_scenario(scale=0.01)
-    apps = [SingleApplication(1, 1), SingleApplication(2, 2)]
+    sc = build_scenario(0.01)
+    apps = Applications.of([SingleApplication(1, 1), SingleApplication(2, 2)])
     assignment = Assignment(placed={}, unassigned=frozenset({1, 2}))
-    cohort = [mk_applicant(1, 50.0, 8, birth=12), mk_applicant(2, 50.0, 8, birth=0)]
+    cohort = Cohort.of([mk_applicant(1, 50.0, 8, birth=12), mk_applicant(2, 50.0, 8, birth=0)])
     out = year_outcome(apps, assignment, sc.prefectures, sc.schools, cohort, 1900, RegimeKind.DECENTRALIZED)
     assert out.share_first_choice_school1 == 0.5
     assert out.mean_enrollment_distance_km is None
@@ -55,14 +55,14 @@ def test_year_outcome_everyone_unassigned():
 
 
 def test_year_outcome_single_tokyo_admit():
-    sc = default_scenario(scale=0.01)
+    sc = build_scenario(0.01)
     tokyo = next(p for p in sc.prefectures if p.name == "Tokyo")
-    apps = [PreferenceList(1, (1, 2))]
+    apps = Applications.of([PreferenceList(1, (1, 2))])
     assignment = Assignment(
-        placed={1: Placement(school_id=1, admission_round=1, preference_rank_obtained=1)},
+        placed={1: Placement(school_id=1, preference_rank_obtained=1)},
         unassigned=frozenset(),
     )
-    cohort = [mk_applicant(1, 50.0, 8, birth=tokyo.id)]
+    cohort = Cohort.of([mk_applicant(1, 50.0, 8, birth=tokyo.id)])
     out = year_outcome(apps, assignment, sc.prefectures, sc.schools, cohort, 1902, RegimeKind.CENTRALIZED)
     assert out.share_first_choice_school1 == 1.0
     assert out.mean_enrollment_distance_km == 0.0  # school 1 sits in Tokyo
@@ -71,14 +71,15 @@ def test_year_outcome_single_tokyo_admit():
 
 
 def test_year_outcome_no_applications():
-    sc = default_scenario(scale=0.01)
-    out = year_outcome([], Assignment({}, frozenset()), sc.prefectures, sc.schools, [], 1900, RegimeKind.DECENTRALIZED)
+    sc = build_scenario(0.01)
+    none, empty = Applications.of([]), Assignment({}, frozenset())
+    out = year_outcome(none, empty, sc.prefectures, sc.schools, Cohort.of([]), 1900, RegimeKind.DECENTRALIZED)
     assert out.share_first_choice_school1 is None
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_default_decentralized_distance_in_calibration_band():
-    sc = default_scenario(year_start=1900, year_end=1900)
+    sc = build_scenario(population={"year_start": 1900, "year_end": 1900})
     res = simulate_seed(sc, BehaviorParams(), seed=0)
     out = res.outcomes[0]
     assert out.regime == RegimeKind.DECENTRALIZED
@@ -94,7 +95,7 @@ def _assert_columns_equal(got, expected):
 
 def _empty_records(sc):
     empty = Assignment({}, frozenset())
-    return [year_record(empty, [], sc.prefectures, sc.schools, r.year, r.kind) for r in sc.schedule]
+    return [year_record(empty, Cohort.of([]), sc.prefectures, sc.schools, r.year, r.kind) for r in sc.schedule]
 
 
 @pytest.mark.parametrize("which", ["small_run", "empty"])
@@ -103,7 +104,7 @@ def test_build_panel_matches_row_oracle(which, request):
         sc, res = request.getfixturevalue("small_run")
         records = res.records
     else:
-        sc = default_scenario(scale=0.01)
+        sc = build_scenario(0.01)
         records = _empty_records(sc)
     panels = build_panel(records, sc.prefectures, sc.schools)
     rows = row_build_panel(records, sc.prefectures, sc.schools)
@@ -154,7 +155,7 @@ def test_centralized_flag_follows_schedule(small_run):
 
 
 def test_panel_row_count_is_47_by_31():
-    sc = default_scenario(scale=0.01)
+    sc = build_scenario(0.01)
     panels = build_panel(_empty_records(sc), sc.prefectures, sc.schools)
     assert len(panels[None]["year"]) == 1457  # 47 prefectures x 31 years
     assert len(panels) == 9  # plus one panel per school
@@ -163,8 +164,10 @@ def test_panel_row_count_is_47_by_31():
 
 
 def test_build_panel_needs_both_regimes():
-    sc = default_scenario(scale=0.01)
-    rec = year_record(Assignment({}, frozenset()), [], sc.prefectures, sc.schools, 1900, RegimeKind.DECENTRALIZED)
+    sc = build_scenario(0.01)
+    rec = year_record(
+        Assignment({}, frozenset()), Cohort.of([]), sc.prefectures, sc.schools, 1900, RegimeKind.DECENTRALIZED
+    )
     with pytest.raises(DomainError):
         build_panel([rec], sc.prefectures, sc.schools)
     with pytest.raises(DomainError):
@@ -226,13 +229,13 @@ def test_csv_uses_crlf_line_endings(tmp_path):
 
 
 def test_missing_distance_serialized_as_empty_field(tmp_path):
-    sc = default_scenario(scale=0.01)
+    sc = build_scenario(0.01)
     out = year_outcome(
-        [SingleApplication(1, 2)],
+        Applications.of([SingleApplication(1, 2)]),
         Assignment({}, frozenset({1})),
         sc.prefectures,
         sc.schools,
-        [mk_applicant(1, 50.0, 8, birth=0)],
+        Cohort.of([mk_applicant(1, 50.0, 8, birth=0)]),
         1900,
         RegimeKind.DECENTRALIZED,
     )

@@ -5,28 +5,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meritmatch.core import DomainError, RegimeKind, SeededRng
+from meritmatch.core import DomainError, Regime, RegimeKind, SeededRng
 from meritmatch.popgen import (
     DEFAULT_GROUPS,
     PopulationConfig,
-    default_scenario,
+    build_scenario,
     generate_applicants,
     regime_schedule,
 )
-from meritmatch.strategy import truthful_ranking
+from meritmatch.strategy import submit_applications
+
+from conftest import truthful_ranking
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_no_distance_cost_no_noise_forces_school1_first():
-    sc = default_scenario(scale=0.02, distance_cost=0.0, preference_noise_sd=0.0)
+    sc = build_scenario(0.02, {"distance_cost": 0.0, "preference_noise_sd": 0.0})
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(1))
     for a in apps:
         assert truthful_ranking(a).ranked[0] == 1
 
 
 def test_zero_urban_shift_equalizes_scores():
-    sc = default_scenario(urban_score_shift=0.0, applicants_per_year=100_000)
+    sc = build_scenario(population={"urban_score_shift": 0.0, "applicants_per_year": 100_000})
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(0))
     urban_ids = {p.id for p in sc.prefectures if p.urban}
     urban = np.array([a.score for a in apps if a.birth_prefecture in urban_ids])
@@ -36,7 +38,7 @@ def test_zero_urban_shift_equalizes_scores():
 
 
 def test_tokyo_area_applicant_share_matches_configured_mass():
-    sc = default_scenario()
+    sc = build_scenario()
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(0))
     urban_ids = {p.id for p in sc.prefectures if p.urban}
     mass = sum(p.pop_weight for p in sc.prefectures if p.urban)
@@ -46,7 +48,7 @@ def test_tokyo_area_applicant_share_matches_configured_mass():
 
 
 def test_yearly_counts_match_golden_exactly():
-    sc = default_scenario()
+    sc = build_scenario()
     expected = {}
     with open(GOLDEN / "popgen_counts_seed0.csv", newline="") as fh:
         for rec in csv.DictReader(fh):
@@ -59,7 +61,7 @@ def test_yearly_counts_match_golden_exactly():
 
 
 def test_cohorts_deterministic_per_seed_and_year():
-    sc = default_scenario(scale=0.01)
+    sc = build_scenario(0.01)
     a = generate_applicants(sc.population, sc.prefectures, sc.schools, 1903, SeededRng(7))
     b = generate_applicants(sc.population, sc.prefectures, sc.schools, 1903, SeededRng(7))
     c = generate_applicants(sc.population, sc.prefectures, sc.schools, 1904, SeededRng(7))
@@ -70,7 +72,7 @@ def test_cohorts_deterministic_per_seed_and_year():
 
 
 def test_cohort_draw_independent_of_other_streams():
-    sc = default_scenario(scale=0.01)
+    sc = build_scenario(0.01)
     root = SeededRng(2)
     direct = generate_applicants(sc.population, sc.prefectures, sc.schools, 1905, root)
     root.substream("lottery", 1905).generator().random(1000)  # unrelated draws
@@ -79,7 +81,7 @@ def test_cohort_draw_independent_of_other_streams():
 
 
 def test_applicant_ids_unique_and_utilities_sized():
-    sc = default_scenario(scale=0.01)
+    sc = build_scenario(0.01)
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(0))
     assert len({a.id for a in apps}) == len(apps)
     assert all(len(a.utility) == 8 for a in apps)
@@ -89,9 +91,9 @@ def test_share_metrics_stable_under_population_doubling():
     base, doubled = [], []
     for seed in range(20):
         for scale, sink in ((0.02, base), (0.04, doubled)):
-            sc = default_scenario(scale=scale)
+            sc = build_scenario(scale)
             apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(seed))
-            truthful = [t for t in (truthful_ranking(a) for a in apps) if t.ranked]
+            truthful = list(submit_applications(apps, Regime(RegimeKind.CENTRALIZED, 1900)))
             sink.append(sum(1 for t in truthful if t.ranked[0] == 1) / len(truthful))
     base, doubled = np.array(base), np.array(doubled)
     se = np.sqrt(base.var(ddof=1) / 20 + doubled.var(ddof=1) / 20)
@@ -127,11 +129,11 @@ def test_config_validation():
     with pytest.raises(DomainError):
         PopulationConfig(year_start=1910, year_end=1900)
     with pytest.raises(DomainError):
-        default_scenario(scale=0.0)
+        build_scenario(0.0)
 
 
 def test_prestige_length_checked_at_generation():
-    sc = default_scenario(scale=0.01)
+    sc = build_scenario(0.01)
     bad = PopulationConfig(applicants_per_year=10, prestige=(1.0, 2.0))
     with pytest.raises(DomainError):
         generate_applicants(bad, sc.prefectures, sc.schools, 1900, SeededRng(0))
@@ -144,9 +146,3 @@ def test_growth_toggle_changes_cohort_size():
     flat = PopulationConfig(applicants_per_year=1000)
     assert flat.cohort_size(1930) == 1000
 
-
-def test_scenario_regime_lookup():
-    sc = default_scenario(scale=0.01)
-    assert sc.regime_for(1902).kind == RegimeKind.CENTRALIZED
-    with pytest.raises(DomainError):
-        sc.regime_for(1899)

@@ -10,19 +10,17 @@ from hypothesis import strategies as st
 from meritmatch import strategy
 from meritmatch.core import Applicant, Cohort, DomainError, Regime, RegimeKind, SeededRng
 from meritmatch.mechanisms import PreferenceList, SingleApplication, _admit_top_per_school
-from meritmatch.popgen import default_scenario, generate_applicants
+from meritmatch.popgen import build_scenario, generate_applicants
 from meritmatch.strategy import (
     BehaviorParams,
     CutoffBeliefs,
     _realized_cutoffs,
     equilibrium_cutoffs,
-    grouped_ranking,
     single_applications,
     submit_applications,
-    truthful_ranking,
 )
 
-from conftest import mk_schools
+from conftest import grouped_ranking, mk_schools, truthful_ranking
 from oracles import admit_probability, choose_single_application, lexsort_equilibrium_cutoffs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -130,7 +128,7 @@ def test_choose_single_affine_invariance():
 
 def test_equilibrium_trivial_when_capacity_exceeds_demand():
     schools = mk_schools(5, 5)
-    apps = [_app(i, 50 + i, (6.0, 5.0), outside=0.0) for i in range(3)]
+    apps = Cohort.of([_app(i, 50 + i, (6.0, 5.0), outside=0.0) for i in range(3)])
     beliefs, iters, resid = equilibrium_cutoffs(schools, apps, BehaviorParams(score_noise_sd=5.0))
     assert beliefs.cutoffs == (-math.inf, -math.inf)
     assert iters == 1
@@ -139,7 +137,7 @@ def test_equilibrium_trivial_when_capacity_exceeds_demand():
 
 def test_equilibrium_one_school_cutoff_is_marginal_score():
     schools = mk_schools(1)
-    apps = [_app(1, 90.0, (10.0,)), _app(2, 80.0, (10.0,))]
+    apps = Cohort.of([_app(1, 90.0, (10.0,)), _app(2, 80.0, (10.0,))])
     params = BehaviorParams(score_noise_sd=1.0, tol=1e-6, max_iter=100)
     beliefs, iters, resid = equilibrium_cutoffs(schools, apps, params)
     assert resid < params.tol
@@ -147,7 +145,7 @@ def test_equilibrium_one_school_cutoff_is_marginal_score():
 
 
 def test_equilibrium_default_scenario_golden():
-    sc = default_scenario()
+    sc = build_scenario()
     params = BehaviorParams()
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(0))
     beliefs, iters, resid = equilibrium_cutoffs(sc.schools, apps, params)
@@ -162,7 +160,7 @@ def test_equilibrium_default_scenario_golden():
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_equilibrium_deterministic_given_seed():
-    sc = default_scenario(scale=0.05)
+    sc = build_scenario(0.05)
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
     params = BehaviorParams()
     r1 = equilibrium_cutoffs(sc.schools, apps, params)
@@ -173,17 +171,16 @@ def test_equilibrium_deterministic_given_seed():
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_equilibrium_damping_one_is_undamped():
     schools = mk_schools(1, 1)
-    apps = [_app(i, 40.0 + 5 * i, (8.0, 6.0), outside=0.0) for i in range(5)]
+    apps = Cohort.of([_app(i, 40.0 + 5 * i, (8.0, 6.0), outside=0.0) for i in range(5)])
     params = BehaviorParams(score_noise_sd=4.0, damping=1.0, tol=1e-300, max_iter=7)
     beliefs, _, _ = equilibrium_cutoffs(schools, apps, params)
 
     # manual undamped iteration with the same floor convention
     from meritmatch.strategy import _belief_floor, _best_response
 
-    cohort = Cohort.of(apps)
-    scores, utils, outside = cohort.score, cohort.utility, cohort.outside
+    scores, utils, outside = apps.score, apps.utility, apps.outside
     floor = _belief_floor(scores, 4.0)
-    ties = np.zeros(len(cohort))
+    ties = np.zeros(len(apps))
     caps = np.array([1, 1])
     cut = np.full(2, floor)
     under = np.ones(2, dtype=bool)
@@ -198,14 +195,13 @@ def test_equilibrium_damping_one_is_undamped():
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_equilibrium_shift_invariance():
-    sc = default_scenario(scale=0.05)
+    sc = build_scenario(0.05)
     params = BehaviorParams()
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1905, SeededRng(4))
     shift = 25.0
-    shifted = [
-        Applicant(a.id, a.birth_prefecture, a.score + shift, a.utility, a.outside_option)
-        for a in apps
-    ]
+    shifted = Cohort.of(
+        [Applicant(a.id, a.birth_prefecture, a.score + shift, a.utility, a.outside_option) for a in apps]
+    )
     base, _, _ = equilibrium_cutoffs(sc.schools, apps, params)
     moved, _, _ = equilibrium_cutoffs(sc.schools, shifted, params)
     for c0, c1 in zip(base.cutoffs, moved.cutoffs):
@@ -288,7 +284,7 @@ def test_equilibrium_matches_lexsort_loop(market, random):
     schools, applicants, params, initial = market
     cohort = Cohort.of(applicants)
     ties = np.array([random.random() for _ in range(len(cohort))])
-    beliefs, iterations, residual = equilibrium_cutoffs(schools, applicants, params, initial=initial)
+    beliefs, iterations, residual = equilibrium_cutoffs(schools, cohort, params, initial=initial)
     expected, expected_iterations, expected_residual = lexsort_equilibrium_cutoffs(
         schools, cohort, params, ties, initial
     )
@@ -300,7 +296,7 @@ def test_equilibrium_matches_lexsort_loop(market, random):
 def test_equilibrium_matches_lexsort_loop_on_scaled_scenario():
     # warm-started years at scale 0.05, most of which end at max_iter; the
     # iteration limits put max_iter at several offsets into each year's cycle
-    sc = default_scenario(scale=0.05)
+    sc = build_scenario(0.05)
     for max_iter in (37, 100, 250):
         params = BehaviorParams(max_iter=max_iter)
         beliefs, at_max_iter = None, 0
@@ -332,7 +328,7 @@ def test_equilibrium_stops_at_exact_cycle(monkeypatch):
         return counted
 
     monkeypatch.setattr(strategy, "_best_response", counted_best_response)
-    sc = default_scenario(scale=0.05)
+    sc = build_scenario(0.05)
     params = BehaviorParams()
     cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
     with pytest.warns(RuntimeWarning, match="cutoff iteration did not converge"):
@@ -346,7 +342,7 @@ def test_equilibrium_stops_at_exact_cycle(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_beliefs_are_read_by_school_id_not_position():
-    sc = default_scenario(scale=0.05)
+    sc = build_scenario(0.05)
     params = BehaviorParams()
     cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
     beliefs, _, _ = equilibrium_cutoffs(sc.schools, cohort, params)
@@ -363,7 +359,7 @@ def test_beliefs_are_read_by_school_id_not_position():
 
 
 def test_beliefs_for_missing_or_unknown_schools_rejected():
-    sc = default_scenario(scale=0.05)
+    sc = build_scenario(0.05)
     params = BehaviorParams()
     cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
     three = CutoffBeliefs((1, 2, 3), (60.0, 50.0, 40.0))
@@ -394,7 +390,7 @@ def test_beliefs_reject_nan_cutoff():
 
 def test_submit_centralized_full_truthful_list():
     a = _app(1, 55.0, tuple(10.0 - i for i in range(8)), outside=0.0)
-    out = submit_applications([a], Regime(RegimeKind.CENTRALIZED, 1902))
+    out = submit_applications(Cohort.of([a]), Regime(RegimeKind.CENTRALIZED, 1902))
     assert list(out) == [PreferenceList(applicant_id=1, ranked=(1, 2, 3, 4, 5, 6, 7, 8))]
 
 
@@ -402,7 +398,7 @@ def test_submit_centralized_full_truthful_list():
 def test_decentralized_applications_match_scalar_choice():
     # both decentralized regimes apply through the equilibrium path the
     # pipeline uses; ranked lists exist only under the centralized ones
-    sc = default_scenario(scale=0.05)
+    sc = build_scenario(0.05)
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1910, SeededRng(5))
     params = BehaviorParams()
     beliefs, _, _ = equilibrium_cutoffs(sc.schools, apps, params)
@@ -426,18 +422,18 @@ def test_submit_grouped_constraint_forces_one_per_group():
 def test_submit_grouped_via_dispatch():
     groups = (frozenset({1, 3, 5, 7}), frozenset({2, 4, 6, 8}))
     a = _app(1, 55.0, (9.0, 8.0, 1, 1, 1, 1, 1, 1), outside=0.5)
-    out = submit_applications([a], Regime(RegimeKind.GROUPED_CENTRALIZED, 1926, groups))
+    out = submit_applications(Cohort.of([a]), Regime(RegimeKind.GROUPED_CENTRALIZED, 1926, groups))
     assert list(out) == [PreferenceList(applicant_id=1, ranked=(1, 2))]
 
 
 def test_submit_unknown_regime_rejected():
     with pytest.raises(DomainError):
-        submit_applications([], Regime("bogus", 1900))
+        submit_applications(Cohort.of([]), Regime("bogus", 1900))
 
 
 def test_grouped_regime_requires_groups():
     with pytest.raises(DomainError):
-        submit_applications([], Regime(RegimeKind.GROUPED_CENTRALIZED, 1926))
+        submit_applications(Cohort.of([]), Regime(RegimeKind.GROUPED_CENTRALIZED, 1926))
 
 
 def test_beliefs_accessor_unknown_school():
@@ -453,12 +449,12 @@ def test_beliefs_accessor_unknown_school():
 def test_centralized_first_choices_more_aggressive_than_decentralized():
     # scaled-down scenario for speed; the full-scale version is part of the
     # acceptance suite
-    sc = default_scenario(scale=0.05)
+    sc = build_scenario(0.05)
     params = BehaviorParams()
     wins = 0
     for seed in range(20):
         apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(seed))
-        truthful = [t for t in (truthful_ranking(a) for a in apps) if t.ranked]
+        truthful = list(submit_applications(apps, Regime(RegimeKind.CENTRALIZED, 1900)))
         cen_share = sum(1 for t in truthful if t.ranked[0] == 1) / len(truthful)
         beliefs, _, _ = equilibrium_cutoffs(sc.schools, apps, params)
         singles = single_applications(apps, beliefs, params)
