@@ -103,10 +103,8 @@ def main() -> int:
     complete = [
         PreferenceList(a.id, tuple(sorted(school_ids, key=lambda s: (-a.utility[s - 1], s)))) for a in applicants
     ]
-    draws = lottery_rng.generator().random(len(applicants))
-    lottery = dict(zip(sorted(a.id for a in applicants), draws))
-    merit = set(run_meritocratic_boston(scenario.schools, applicants, complete, lottery=lottery).placed)
-    dictator = set(run_serial_dictatorship_da(scenario.schools, applicants, complete, lottery=lottery).placed)
+    merit = set(run_meritocratic_boston(scenario.schools, applicants, complete, lottery_rng).placed)
+    dictator = set(run_serial_dictatorship_da(scenario.schools, applicants, complete, lottery_rng).placed)
     print(f"\ncomplete lists: merit-capped Boston admits {len(merit)}, serial dictatorship {len(dictator)}")
     print(f"merit-capped Boston and serial dictatorship admit the same set on complete lists: {merit == dictator}")
     return 0

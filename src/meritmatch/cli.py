@@ -8,9 +8,9 @@ Exit codes: 0 ok, 2 config error or malformed artifact, 3 IO error, 4
 invariant violation. Errors print a single machine-parsable line
 `error: <category>: <message>`, the category being `config`, `artifact`,
 `io` or `invariant`. `artifact` (exit 2) reports an artifact read back from
-disk that is malformed or does not fit the run: a panel CSV or
-year_outcomes.csv under `run --stages estimate`, or the input of
-`diff-regimes`. A bad config file, or a geography or school CSV it names,
+disk that is malformed or does not fit the run: a panel CSV,
+year_outcomes.csv or manifest.lock under `run --stages estimate`, or the
+input of `diff-regimes`. A bad config file, or a geography or school CSV it names,
 is a `config` error.
 """
 

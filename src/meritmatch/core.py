@@ -79,20 +79,6 @@ class Cohort:
         if bad.any():  # a NaN would sort silently in the mechanisms' priority order
             raise DomainError(f"applicant {self.ids[bad.argmax()]} has non-finite score")
 
-    @classmethod
-    def of(cls, applicants: "Cohort | Sequence[Applicant]") -> "Cohort":
-        """The cohort of `applicants` (a Cohort is returned as it is)."""
-        if isinstance(applicants, Cohort):
-            return applicants
-        rows = sorted(applicants, key=lambda a: a.id)
-        return cls(
-            ids=np.array([a.id for a in rows], dtype=np.int64),
-            birth=np.array([a.birth_prefecture for a in rows], dtype=np.int64),
-            score=np.array([a.score for a in rows], dtype=float),
-            utility=np.array([a.utility for a in rows], dtype=float).reshape(len(rows), -1 if rows else 0),
-            outside=np.array([a.outside_option for a in rows], dtype=float),
-        )
-
     def __len__(self) -> int:
         return len(self.ids)
 

@@ -57,8 +57,6 @@ class RegressionResult:
     p_values: np.ndarray
     n_obs: int
     n_clusters: int | None
-    n_absorbed_unit: int
-    n_absorbed_time: int
     r2_within: float
 
     def coef(self, name: str) -> float:
@@ -238,8 +236,6 @@ def fe_ols(panel: Mapping[str, Sequence], spec: RegressionSpec) -> RegressionRes
         p_values=p,
         n_obs=n,
         n_clusters=n_clusters,
-        n_absorbed_unit=n_units,
-        n_absorbed_time=n_times,
         r2_within=r2_within,
     )
 
@@ -291,8 +287,6 @@ def newey_west_ols(table: Mapping[str, Sequence], spec: RegressionSpec) -> Regre
         p_values=p,
         n_obs=n,
         n_clusters=None,
-        n_absorbed_unit=0,
-        n_absorbed_time=0,
         r2_within=1.0 - ssr / sst if sst > 0 else 0.0,
     )
 

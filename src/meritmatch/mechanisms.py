@@ -4,12 +4,11 @@ decentralized single-application, and the grouped two-list variant.
 All mechanisms are pure functions from (schools, cohort, submitted
 applications, rng) to an Assignment. The cohort is a `Cohort`; submitted
 applications are `Applications`, one row per submitter holding the school ids
-of the list, best first (a single application is a list of length one).
-Sequences of `Applicant`, `PreferenceList` or `SingleApplication` are
-accepted too and converted by `Cohort.of` and `Applications.of`, so every
-input runs through the same array code. Ties in exam scores are broken by
-lottery: one uniform draw per submitter per mechanism run, in increasing id
-order (`_tie_breaks`), reused across the pool-selection step and all rounds.
+of the list, best first (a single application is a list of length one). A
+sequence of `PreferenceList` is accepted too and converted by
+`Applications.of`. Ties in exam scores are broken by lottery: `_market` makes
+one `rng.generator()` draw per mechanism run, one uniform number per submitter
+in increasing id order, and the merit pool and every round use those numbers.
 Priority is higher score, then lower draw, then lower id.
 
 With a single common score priority on the school side, applicant-proposing
@@ -23,23 +22,17 @@ is therefore the deferred-acceptance benchmark for this market.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Applicant, Assignment, Cohort, DomainError, Placement, School, SeededRng, require_increasing
+from .core import Assignment, Cohort, DomainError, Placement, School, SeededRng, require_increasing
 
 
 @dataclass(frozen=True)
 class PreferenceList:
     applicant_id: int
     ranked: tuple[int, ...]  # school ids, most preferred first
-
-
-@dataclass(frozen=True)
-class SingleApplication:
-    applicant_id: int
-    school_id: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,12 +49,12 @@ class Applications:
         require_increasing(self.ids, "applicant {} submitted more than one application")
 
     @classmethod
-    def of(cls, apps: "Applications | Sequence[PreferenceList] | Sequence[SingleApplication]") -> "Applications":
+    def of(cls, apps: "Applications | Sequence[PreferenceList]") -> "Applications":
         """The arrays of `apps` (an Applications is returned as it is)."""
         if isinstance(apps, Applications):
             return apps
         apps = sorted(apps, key=lambda a: a.applicant_id)
-        lists = [(a.school_id,) if isinstance(a, SingleApplication) else tuple(a.ranked) for a in apps]
+        lists = [tuple(a.ranked) for a in apps]
         width = max(map(len, lists), default=0)
         return cls(
             ids=np.array([a.applicant_id for a in apps], dtype=np.int64),
@@ -77,60 +70,45 @@ class Applications:
             yield PreferenceList(applicant_id=i, ranked=tuple(row[:k]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeritPool:
-    selected: frozenset[int]
-    cutoff_score: float  # -inf when nobody is excluded
+    rows: np.ndarray  # market rows of the pool, in priority order
+    cutoff_score: float  # -inf when no submitter is excluded
     lottery_used: bool
 
 
 # -- shared plumbing ----------------------------------------------------------
 
 
-def _tie_breaks(ids: np.ndarray, rng: SeededRng | None, lottery: Mapping[int, float] | None) -> np.ndarray:
-    """One tie-break number per id of the increasing `ids`; lower wins among
-    equal scores.
-
-    An explicit `lottery` mapping overrides the rng draw, which lets callers
-    run two mechanisms under the same lottery realization.
-    """
-    if lottery is not None:
-        missing = [i for i in ids.tolist() if i not in lottery]
-        if missing:
-            raise DomainError(f"lottery mapping missing applicant ids {missing[:5]}")
-        return np.array([float(lottery[i]) for i in ids.tolist()])
-    if rng is None:
-        return np.zeros(len(ids))
-    return rng.generator().random(len(ids))
-
-
-def _priority(ids: np.ndarray, scores: np.ndarray, ties: np.ndarray) -> np.ndarray:
-    """Row positions in priority order: higher score, lower tie-break, lower id."""
-    return np.lexsort((ids, ties, -scores))
-
-
 @dataclass(frozen=True)
 class _Market:
-    """One mechanism run's validated input, rows in increasing applicant id."""
+    """One mechanism run's validated input and lottery, rows in increasing
+    applicant id."""
 
     ids: np.ndarray  # (m,) submitters
     scores: np.ndarray  # (m,)
+    ties: np.ndarray  # (m,) lottery draws; lower wins among equal scores
     choice: np.ndarray  # (m, L) 0-based school index of each list entry
     lengths: np.ndarray  # (m,)
     school_ids: np.ndarray  # (S,) increasing
     caps: np.ndarray  # (S,)
 
 
+def _priority(market: _Market) -> np.ndarray:
+    """Row positions in priority order: higher score, lower draw, lower id."""
+    return np.lexsort((market.ids, market.ties, -market.scores))
+
+
 def _market(
     schools: Sequence[School],
-    applicants: Cohort | Sequence[Applicant],
-    apps: Applications | Sequence[PreferenceList] | Sequence[SingleApplication],
+    cohort: Cohort,
+    apps: Applications | Sequence[PreferenceList],
+    rng: SeededRng,
 ) -> _Market:
-    """Convert and check a mechanism's input: every submitter is in the
-    cohort, and every list names known schools, each at most once."""
+    """Check a mechanism's input and draw its lottery: every submitter is in
+    the cohort, and every list names known schools, each at most once."""
     if not schools:
         raise DomainError("no schools")
-    cohort = Cohort.of(applicants)
     apps = Applications.of(apps)
     scores = cohort.score[cohort.rows(apps.ids)]
     by_id = sorted(schools, key=lambda s: s.id)
@@ -147,58 +125,53 @@ def _market(
     if twice.any():
         raise DomainError(f"applicant {apps.ids[twice][0]} lists a school twice")
     caps = np.array([s.capacity for s in by_id], dtype=np.int64)
-    return _Market(ids=apps.ids, scores=scores, choice=choice, lengths=apps.lengths, school_ids=school_ids, caps=caps)
+    return _Market(
+        ids=apps.ids,
+        scores=scores,
+        ties=rng.generator().random(len(apps.ids)),
+        choice=choice,
+        lengths=apps.lengths,
+        school_ids=school_ids,
+        caps=caps,
+    )
 
 
 # -- merit pool ---------------------------------------------------------------
 
 
-def _check_capacity(total_capacity: int) -> None:
-    if total_capacity <= 0:
-        raise DomainError(f"total capacity must be positive, got {total_capacity}")
-
-
-def select_merit_pool(
-    applicants: Cohort | Sequence[Applicant],
-    total_capacity: int,
-    rng: SeededRng | None = None,
-    *,
-    lottery: Mapping[int, float] | None = None,
-) -> MeritPool:
-    """Top-K applicants by exam score, K = total capacity, lottery among
-    cutoff ties."""
-    _check_capacity(total_capacity)
-    cohort = Cohort.of(applicants)
-    if total_capacity >= len(cohort):
-        return MeritPool(selected=frozenset(cohort.ids.tolist()), cutoff_score=float("-inf"), lottery_used=False)
-    order = _priority(cohort.ids, cohort.score, _tie_breaks(cohort.ids, rng, lottery))
-    selected = order[:total_capacity]
-    cutoff = float(cohort.score[selected[-1]])
+def select_merit_pool(market: _Market) -> MeritPool:
+    """The top K submitters in priority order, K = total capacity: by exam
+    score, the market's lottery breaking ties at the cutoff. Applicants who
+    submitted no list are not ranked."""
+    total = int(market.caps.sum())
+    if total <= 0:
+        raise DomainError(f"total capacity must be positive, got {total}")
+    order = _priority(market)
+    if total >= len(order):
+        return MeritPool(rows=order, cutoff_score=float("-inf"), lottery_used=False)
+    rows = order[:total]
+    cutoff = float(market.scores[rows[-1]])
     return MeritPool(
-        selected=frozenset(cohort.ids[selected].tolist()),
+        rows=rows,
         cutoff_score=cutoff,
-        lottery_used=bool(np.count_nonzero(cohort.score >= cutoff) > total_capacity),
+        lottery_used=bool(np.count_nonzero(market.scores >= cutoff) > total),
     )
 
 
 # -- Boston rounds ------------------------------------------------------------
 
 
-def _boston(market: _Market, ties: np.ndarray, merit_capped: bool) -> Assignment:
+def _boston(market: _Market, merit_capped: bool) -> Assignment:
     """Round r: applicants still held propose, in priority order, to the r-th
     school on their list, and each school admits its proposers in that order
     while seats remain. Exhausted lists leave the applicant unassigned; seats
-    are never backfilled. With `merit_capped`, only the top total-capacity
-    submitters by priority are held at the start.
+    are never backfilled. With `merit_capped`, only the merit pool
+    (`select_merit_pool`) is held at the start; otherwise every submitter.
 
     The rounds walk Python lists: on the tiny markets of the exhaustive tests
     a per-round numpy top-k costs several times more, and at full scale both
     take a few milliseconds a year."""
-    held = _priority(market.ids, market.scores, ties)
-    if merit_capped:
-        total = int(market.caps.sum())
-        _check_capacity(total)
-        held = held[:total]
+    held = select_merit_pool(market).rows if merit_capped else _priority(market)
     ids, lists, lengths = market.ids[held].tolist(), market.choice[held].tolist(), market.lengths[held].tolist()
     school_ids, seats = market.school_ids.tolist(), market.caps.tolist()
     placed: dict[int, Placement] = {}
@@ -219,49 +192,43 @@ def _boston(market: _Market, ties: np.ndarray, merit_capped: bool) -> Assignment
 
 def run_meritocratic_boston(
     schools: Sequence[School],
-    applicants: Cohort | Sequence[Applicant],
+    cohort: Cohort,
     prefs: Applications | Sequence[PreferenceList],
-    rng: SeededRng | None = None,
-    *,
-    lottery: Mapping[int, float] | None = None,
+    rng: SeededRng,
 ) -> Assignment:
-    """Merit-capped Boston: select the top-K applicants by score (K = total
-    capacity), then run Boston rounds among them. Applicants outside the pool
-    are unassigned regardless of their lists."""
-    market = _market(schools, applicants, prefs)
+    """Merit-capped Boston: select the merit pool, the top-K submitters by
+    score (K = total capacity), then run Boston rounds among them. Submitters
+    outside the pool are unassigned regardless of their lists."""
+    market = _market(schools, cohort, prefs, rng)
     if not len(market.ids):
         return Assignment(placed={}, unassigned=frozenset())
-    return _boston(market, _tie_breaks(market.ids, rng, lottery), merit_capped=True)
+    return _boston(market, merit_capped=True)
 
 
 def run_immediate_acceptance(
     schools: Sequence[School],
-    applicants: Cohort | Sequence[Applicant],
+    cohort: Cohort,
     prefs: Applications | Sequence[PreferenceList],
-    rng: SeededRng | None = None,
-    *,
-    lottery: Mapping[int, float] | None = None,
+    rng: SeededRng,
 ) -> Assignment:
     """Pure Boston baseline: identical rounds, no merit-pool restriction."""
-    market = _market(schools, applicants, prefs)
-    return _boston(market, _tie_breaks(market.ids, rng, lottery), merit_capped=False)
+    market = _market(schools, cohort, prefs, rng)
+    return _boston(market, merit_capped=False)
 
 
 def run_serial_dictatorship_da(
     schools: Sequence[School],
-    applicants: Cohort | Sequence[Applicant],
+    cohort: Cohort,
     prefs: Applications | Sequence[PreferenceList],
-    rng: SeededRng | None = None,
-    *,
-    lottery: Mapping[int, float] | None = None,
+    rng: SeededRng,
 ) -> Assignment:
     """Serial dictatorship in score order: each applicant takes the highest
     school on their list with a free seat. Equivalent to applicant-proposing
     deferred acceptance under the market's single common score priority (see
     module docstring). The rank obtained is the list position of the school
     received."""
-    market = _market(schools, applicants, prefs)
-    order = _priority(market.ids, market.scores, _tie_breaks(market.ids, rng, lottery))
+    market = _market(schools, cohort, prefs, rng)
+    order = _priority(market)
     ids, lists, lengths = market.ids[order].tolist(), market.choice[order].tolist(), market.lengths[order].tolist()
     school_ids, seats = market.school_ids.tolist(), market.caps.tolist()
     placed: dict[int, Placement] = {}
@@ -316,22 +283,20 @@ def _admit_top_per_school(
 
 def run_decentralized(
     schools: Sequence[School],
-    applicants: Cohort | Sequence[Applicant],
-    apps: Applications | Sequence[SingleApplication],
-    rng: SeededRng | None = None,
-    *,
-    lottery: Mapping[int, float] | None = None,
+    cohort: Cohort,
+    apps: Applications | Sequence[PreferenceList],
+    rng: SeededRng,
 ) -> Assignment:
     """Each school independently admits its top-capacity applicants by score;
-    everyone else is unassigned."""
-    market = _market(schools, applicants, apps)
+    everyone else is unassigned. Every list holds exactly one school."""
+    market = _market(schools, cohort, apps, rng)
     multiple = market.lengths != 1
     if multiple.any():
         raise DomainError(f"applicant {market.ids[multiple][0]} did not apply to exactly one school")
     if not len(market.ids):
         return Assignment(placed={}, unassigned=frozenset())
     choice = market.choice[:, 0]
-    admitted, _ = _admit_top_per_school(choice, market.scores, _tie_breaks(market.ids, rng, lottery), market.caps)
+    admitted, _ = _admit_top_per_school(choice, market.scores, market.ties, market.caps)
     placed = {
         aid: Placement(school_id=sid, preference_rank_obtained=1)
         for aid, sid in zip(market.ids[admitted].tolist(), market.school_ids[choice[admitted]].tolist())
@@ -344,12 +309,10 @@ def run_decentralized(
 
 def run_grouped_centralized(
     schools: Sequence[School],
-    applicants: Cohort | Sequence[Applicant],
+    cohort: Cohort,
     grouped_prefs: Applications | Sequence[PreferenceList],
     groups: tuple[frozenset[int], frozenset[int]],
-    rng: SeededRng | None = None,
-    *,
-    lottery: Mapping[int, float] | None = None,
+    rng: SeededRng,
 ) -> Assignment:
     """Merit-capped Boston over lists constrained to at most one school per
     group (so at most two entries)."""
@@ -363,4 +326,4 @@ def run_grouped_centralized(
         if (hits > 1).any():
             k = int(np.argmax(hits > 1))
             raise DomainError(f"applicant {apps.ids[k]} lists {hits[k]} schools from one group")
-    return run_meritocratic_boston(schools, applicants, apps, rng, lottery=lottery)
+    return run_meritocratic_boston(schools, cohort, apps, rng)

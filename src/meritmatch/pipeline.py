@@ -651,9 +651,9 @@ def run(manifest: RunManifest) -> dict[str, Path]:
             lock = json.loads((out_dir / "manifest.lock").read_text())
             stale = [k for k in ("version_hash", "seed", "seeds") if lock[k] != expected[k]]
         except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"unreadable {out_dir / 'manifest.lock'}: {exc}") from exc
+            raise ArtifactError(f"unreadable {out_dir / 'manifest.lock'}: {exc}") from exc
         if stale:
-            raise ConfigError(f"{out_dir / 'manifest.lock'} is from another run: {', '.join(stale)} differ")
+            raise ArtifactError(f"{out_dir / 'manifest.lock'} is from another run: {', '.join(stale)} differ")
 
     seeds = list(range(manifest.seed, manifest.seed + manifest.seeds))
     written: list[Path] = []

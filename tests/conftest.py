@@ -1,5 +1,6 @@
 import csv
 
+import numpy as np
 import pytest
 
 from meritmatch.core import GEOGRAPHY_COLUMNS, SCHOOL_COLUMNS, Applicant, Cohort, School
@@ -24,14 +25,33 @@ def mk_schools(*capacities: int) -> list[School]:
     ]
 
 
+def cohort_of(applicants) -> Cohort:
+    """The cohort of a sequence of `Applicant`s, rows in increasing id."""
+    rows = sorted(applicants, key=lambda a: a.id)
+    return Cohort(
+        ids=np.array([a.id for a in rows], dtype=np.int64),
+        birth=np.array([a.birth_prefecture for a in rows], dtype=np.int64),
+        score=np.array([a.score for a in rows], dtype=float),
+        utility=np.array([a.utility for a in rows], dtype=float).reshape(len(rows), -1 if rows else 0),
+        outside=np.array([a.outside_option for a in rows], dtype=float),
+    )
+
+
+def lottery_of(prefs, rng) -> dict[int, float]:
+    """The lottery a mechanism run draws from `rng`: one uniform number per
+    submitter of `prefs`, in increasing id order."""
+    ids = sorted(p.applicant_id for p in prefs)
+    return dict(zip(ids, rng.generator().random(len(ids)).tolist()))
+
+
 def truthful_ranking(applicant):
     """One applicant's truthful list, possibly empty, through the cohort code."""
-    return next(iter(_truthful_lists(Cohort.of([applicant]))))
+    return next(iter(_truthful_lists(cohort_of([applicant]))))
 
 
 def grouped_ranking(applicant, groups):
     """One applicant's one-school-per-group list, through the cohort code."""
-    return next(iter(_grouped_lists(Cohort.of([applicant]), groups)))
+    return next(iter(_grouped_lists(cohort_of([applicant]), groups)))
 
 
 def save_geography(prefectures, path):
@@ -56,11 +76,11 @@ def xyz_instance():
     from meritmatch.mechanisms import PreferenceList
 
     schools = mk_schools(1, 1, 1)
-    applicants = [
+    applicants = cohort_of([
         mk_applicant(1, 100.0),
         mk_applicant(2, 90.0),
         mk_applicant(3, 80.0),
-    ]
+    ])
     prefs = [
         PreferenceList(applicant_id=1, ranked=(1, 2, 3)),
         PreferenceList(applicant_id=2, ranked=(1, 2, 3)),

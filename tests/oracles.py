@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from meritmatch.core import Assignment, DomainError, Placement, distance_matrix
-from meritmatch.mechanisms import PreferenceList, SingleApplication, _admit_top_per_school
+from meritmatch.mechanisms import PreferenceList, _admit_top_per_school
 
 
 def printed_steps_assignment(schools, applicants, prefs, tie):
@@ -138,11 +138,13 @@ def scalar_grouped_ranking(applicant, groups):
 
 
 def per_school_top(schools, applicants, apps, tie):
-    """Decentralized rule, the obvious way: sort each school's applicants."""
+    """Decentralized rule, the obvious way: sort each school's applicants.
+    Each of `apps` lists one school."""
     score = {a.id: a.score for a in applicants}
     by_school = {}
     for app in apps:
-        by_school.setdefault(app.school_id, []).append(app.applicant_id)
+        (sid,) = app.ranked
+        by_school.setdefault(sid, []).append(app.applicant_id)
     placed = {}
     for s in schools:
         takers = sorted(by_school.get(s.id, []), key=lambda i: (-score[i], tie[i], i))
@@ -183,7 +185,7 @@ def choose_single_application(applicant, beliefs, params):
             best = (value, sid)
     if best is None:
         return None
-    return SingleApplication(applicant_id=applicant.id, school_id=best[1])
+    return PreferenceList(applicant_id=applicant.id, ranked=(best[1],))
 
 
 def lexsort_equilibrium_cutoffs(schools, applicants, params, ties, initial=None):

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from meritmatch.cli import main as cli_main
-from meritmatch.core import SeededRng
+from meritmatch.core import Cohort, SeededRng
 from meritmatch.econometrics import did_centralization
 from meritmatch.mechanisms import (
+    Applications,
     PreferenceList,
     run_meritocratic_boston,
     run_serial_dictatorship_da,
@@ -26,7 +27,7 @@ from meritmatch.pipeline import seed_regressions, simulate_seed
 from meritmatch.popgen import build_scenario
 from meritmatch.strategy import BehaviorParams
 
-from conftest import mk_applicant, mk_schools
+from conftest import cohort_of, mk_applicant, mk_schools
 from oracles import (
     dominates_all_feasible_assignments,
     dominates_all_feasible_sets,
@@ -95,7 +96,6 @@ def _exhaustive_instances():
 
 
 def test_criterion_1_admitted_set_equivalence_exhaustive():
-    gen = np.random.default_rng(20240501)
     t0 = time.perf_counter()
     checked = 0
     mismatches = 0
@@ -104,12 +104,13 @@ def test_criterion_1_admitted_set_equivalence_exhaustive():
         schools = schools_cache.get(caps)
         if schools is None:
             schools = schools_cache.setdefault(caps, mk_schools(*caps))
-        n = len(scores)
-        applicants = [mk_applicant(i, scores[i], len(caps)) for i in range(n)]
-        prefs = [PreferenceList(i, orders[i]) for i in range(n)]
-        lottery = dict(enumerate(gen.random(n)))
-        b = run_meritocratic_boston(schools, applicants, prefs, lottery=lottery)
-        d = run_serial_dictatorship_da(schools, applicants, prefs, lottery=lottery)
+        n, n_schools = len(scores), len(caps)
+        ids = np.arange(n)
+        cohort = Cohort(ids, np.zeros(n, np.int64), np.array(scores), np.zeros((n, n_schools)), np.zeros(n))
+        prefs = Applications(ids, np.array(orders, dtype=np.int64), np.full(n, n_schools))
+        rng = SeededRng(20240501, checked)
+        b = run_meritocratic_boston(schools, cohort, prefs, rng)
+        d = run_serial_dictatorship_da(schools, cohort, prefs, rng)
         mismatches += set(b.placed) != set(d.placed)
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -142,15 +143,14 @@ def test_criterion_2_fosd_brute_force():
         prefs = [
             PreferenceList(i, orders[int(gen.integers(0, len(orders)))]) for i in range(n)
         ]
-        applicants = [mk_applicant(i, float(scores[i]), n_schools) for i in range(n)]
+        applicants = cohort_of([mk_applicant(i, float(scores[i]), n_schools) for i in range(n)])
         return mk_schools(*caps), applicants, prefs
 
     # the subset enumeration is itself validated against full assignment
     # enumeration on 50 small instances
-    for _ in range(50):
+    for trial in range(50):
         schools, applicants, prefs = random_instance(max_apps=5)
-        lottery = dict(enumerate(gen.random(len(applicants))))
-        a = run_meritocratic_boston(schools, applicants, prefs, lottery=lottery)
+        a = run_meritocratic_boston(schools, applicants, prefs, SeededRng(77, trial))
         scores_by_id = {x.id: x.score for x in applicants}
         caps = [s.capacity for s in schools]
         total = sum(caps)
@@ -162,10 +162,9 @@ def test_criterion_2_fosd_brute_force():
     assert not dominates_all_feasible_sets(ctrl_scores, {0}, total_capacity=1)
 
     failures = 0
-    for _ in range(1000):
+    for trial in range(1000):
         schools, applicants, prefs = random_instance()
-        lottery = dict(enumerate(gen.random(len(applicants))))
-        a = run_meritocratic_boston(schools, applicants, prefs, lottery=lottery)
+        a = run_meritocratic_boston(schools, applicants, prefs, SeededRng(78, trial))
         scores_by_id = {x.id: x.score for x in applicants}
         total = sum(s.capacity for s in schools)
         failures += not dominates_all_feasible_sets(scores_by_id, set(a.placed), total)
@@ -179,8 +178,8 @@ def test_criterion_2_fosd_brute_force():
 
 def test_criterion_3_divergence_witness(xyz_instance):
     schools, applicants, prefs = xyz_instance
-    boston = run_meritocratic_boston(schools, applicants, prefs)
-    da = run_serial_dictatorship_da(schools, applicants, prefs)
+    boston = run_meritocratic_boston(schools, applicants, prefs, SeededRng(0))
+    da = run_serial_dictatorship_da(schools, applicants, prefs, SeededRng(0))
     boston_map = {a: p.school_id for a, p in boston.placed.items()}
     da_map = {a: p.school_id for a, p in da.placed.items()}
     ok = (

@@ -80,16 +80,27 @@ def test_estimate_stage_reruns_from_disk(config_path, tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
-def test_estimate_rejects_lock_from_another_run(config_path, tmp_path):
+def test_estimate_rejects_lock_from_another_run(config_path, tmp_path, capsys):
     out = tmp_path / "staged"
     assert _run_cli(config_path, out, ("--stages", "simulate,metrics")) == 0
     assert _run_cli(config_path, out, ("--stages", "estimate")) == 0
     estimated = (out / "regressions.csv").read_bytes()
     other = tmp_path / "other.json"
     other.write_text(json.dumps({**SMALL_CONFIG, "scale": 0.03}))
-    assert _run_cli(other, out, ("--stages", "estimate")) == 2
-    assert _run_cli(config_path, out, ("--stages", "estimate", "--seed", "7")) == 2
-    assert _run_cli(config_path, out, ("--stages", "estimate", "--seeds", "2")) == 2
+    capsys.readouterr()
+    for config, extra in (
+        (other, ()),
+        (config_path, ("--seed", "7")),
+        (config_path, ("--seeds", "2")),
+    ):
+        assert _run_cli(config, out, ("--stages", "estimate", *extra)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: artifact: ") and "is from another run" in err
+    # a lock cut short is an unreadable artifact, not a bad config
+    lock = out / "manifest.lock"
+    lock.write_text('{"locked": tru')
+    assert _run_cli(config_path, out, ("--stages", "estimate")) == 2
+    assert capsys.readouterr().err.startswith(f"error: artifact: unreadable {lock}")
     assert (out / "regressions.csv").read_bytes() == estimated
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from meritmatch.core import (
     Applicant,
-    Cohort,
     DomainError,
     Prefecture,
     School,
@@ -22,7 +21,7 @@ from meritmatch.core import (
 )
 from meritmatch.popgen import build_scenario
 
-from conftest import save_geography, save_schools
+from conftest import cohort_of, save_geography, save_schools
 
 
 def _pref(pid, x, y, urban=False, w=0.5, edu=0.3, name=None):
@@ -117,7 +116,7 @@ def test_validate_market_collects_multiple_violations():
     # applicants are checked where their cohort is built
     bad_applicant = Applicant(id=0, birth_prefecture=0, score=float("nan"), utility=(1.0,), outside_option=0.0)
     with pytest.raises(DomainError, match="applicant 0 has non-finite score"):
-        Cohort.of([bad_applicant])
+        cohort_of([bad_applicant])
 
 
 def test_seeded_rng_reproducible_and_stream_separated():

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meritmatch.core import Assignment, Cohort, DomainError, Placement, RegimeKind, SeededRng
-from meritmatch.mechanisms import Applications, PreferenceList, SingleApplication
+from meritmatch.core import Assignment, DomainError, Placement, RegimeKind, SeededRng
+from meritmatch.mechanisms import Applications, PreferenceList
 
-from conftest import mk_applicant
+from conftest import cohort_of, mk_applicant
 from oracles import panel_to_columns, row_build_panel
 from meritmatch.metrics import (
     PANEL_COLUMNS,
@@ -43,9 +43,9 @@ def small_run():
 
 def test_year_outcome_everyone_unassigned():
     sc = build_scenario(0.01)
-    apps = Applications.of([SingleApplication(1, 1), SingleApplication(2, 2)])
+    apps = Applications.of([PreferenceList(1, (1,)), PreferenceList(2, (2,))])
     assignment = Assignment(placed={}, unassigned=frozenset({1, 2}))
-    cohort = Cohort.of([mk_applicant(1, 50.0, 8, birth=12), mk_applicant(2, 50.0, 8, birth=0)])
+    cohort = cohort_of([mk_applicant(1, 50.0, 8, birth=12), mk_applicant(2, 50.0, 8, birth=0)])
     out = year_outcome(apps, assignment, sc.prefectures, sc.schools, cohort, 1900, RegimeKind.DECENTRALIZED)
     assert out.share_first_choice_school1 == 0.5
     assert out.mean_enrollment_distance_km is None
@@ -62,7 +62,7 @@ def test_year_outcome_single_tokyo_admit():
         placed={1: Placement(school_id=1, preference_rank_obtained=1)},
         unassigned=frozenset(),
     )
-    cohort = Cohort.of([mk_applicant(1, 50.0, 8, birth=tokyo.id)])
+    cohort = cohort_of([mk_applicant(1, 50.0, 8, birth=tokyo.id)])
     out = year_outcome(apps, assignment, sc.prefectures, sc.schools, cohort, 1902, RegimeKind.CENTRALIZED)
     assert out.share_first_choice_school1 == 1.0
     assert out.mean_enrollment_distance_km == 0.0  # school 1 sits in Tokyo
@@ -73,7 +73,7 @@ def test_year_outcome_single_tokyo_admit():
 def test_year_outcome_no_applications():
     sc = build_scenario(0.01)
     none, empty = Applications.of([]), Assignment({}, frozenset())
-    out = year_outcome(none, empty, sc.prefectures, sc.schools, Cohort.of([]), 1900, RegimeKind.DECENTRALIZED)
+    out = year_outcome(none, empty, sc.prefectures, sc.schools, cohort_of([]), 1900, RegimeKind.DECENTRALIZED)
     assert out.share_first_choice_school1 is None
 
 
@@ -95,7 +95,7 @@ def _assert_columns_equal(got, expected):
 
 def _empty_records(sc):
     empty = Assignment({}, frozenset())
-    return [year_record(empty, Cohort.of([]), sc.prefectures, sc.schools, r.year, r.kind) for r in sc.schedule]
+    return [year_record(empty, cohort_of([]), sc.prefectures, sc.schools, r.year, r.kind) for r in sc.schedule]
 
 
 @pytest.mark.parametrize("which", ["small_run", "empty"])
@@ -166,7 +166,7 @@ def test_panel_row_count_is_47_by_31():
 def test_build_panel_needs_both_regimes():
     sc = build_scenario(0.01)
     rec = year_record(
-        Assignment({}, frozenset()), Cohort.of([]), sc.prefectures, sc.schools, 1900, RegimeKind.DECENTRALIZED
+        Assignment({}, frozenset()), cohort_of([]), sc.prefectures, sc.schools, 1900, RegimeKind.DECENTRALIZED
     )
     with pytest.raises(DomainError):
         build_panel([rec], sc.prefectures, sc.schools)
@@ -231,11 +231,11 @@ def test_csv_uses_crlf_line_endings(tmp_path):
 def test_missing_distance_serialized_as_empty_field(tmp_path):
     sc = build_scenario(0.01)
     out = year_outcome(
-        Applications.of([SingleApplication(1, 2)]),
+        Applications.of([PreferenceList(1, (2,))]),
         Assignment({}, frozenset({1})),
         sc.prefectures,
         sc.schools,
-        Cohort.of([mk_applicant(1, 50.0, 8, birth=0)]),
+        cohort_of([mk_applicant(1, 50.0, 8, birth=0)]),
         1900,
         RegimeKind.DECENTRALIZED,
     )

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meritmatch import strategy
-from meritmatch.core import Applicant, Cohort, DomainError, Regime, RegimeKind, SeededRng
-from meritmatch.mechanisms import PreferenceList, SingleApplication, _admit_top_per_school
+from meritmatch.core import Applicant, DomainError, Regime, RegimeKind, SeededRng
+from meritmatch.mechanisms import PreferenceList, _admit_top_per_school
 from meritmatch.popgen import build_scenario, generate_applicants
 from meritmatch.strategy import (
     BehaviorParams,
@@ -20,7 +20,7 @@ from meritmatch.strategy import (
     submit_applications,
 )
 
-from conftest import grouped_ranking, mk_schools, truthful_ranking
+from conftest import cohort_of, grouped_ranking, mk_schools, truthful_ranking
 from oracles import admit_probability, choose_single_application, lexsort_equilibrium_cutoffs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -77,7 +77,7 @@ def test_choose_single_only_one_acceptable_school():
     beliefs = CutoffBeliefs(school_ids=(1, 2), cutoffs=(0.0, 0.0))
     a = _app(1, 50, (5.0, -1.0), outside=0.0)
     app = choose_single_application(a, beliefs, BehaviorParams(score_noise_sd=5.0))
-    assert app == SingleApplication(applicant_id=1, school_id=1)
+    assert app == PreferenceList(applicant_id=1, ranked=(1,))
 
 
 def test_choose_single_abstains():
@@ -93,7 +93,7 @@ def test_choose_single_expected_value_arithmetic():
     beliefs = CutoffBeliefs(school_ids=(1, 2), cutoffs=(50 + z * sigma, 50 - z * sigma))
     a = _app(1, 50.0, (10.0, 6.0), outside=0.0)
     app = choose_single_application(a, beliefs, BehaviorParams(score_noise_sd=sigma))
-    assert app.school_id == 2
+    assert app.ranked == (2,)
 
 
 def test_choose_single_high_sigma_limit_takes_best_school():
@@ -101,7 +101,7 @@ def test_choose_single_high_sigma_limit_takes_best_school():
     beliefs = CutoffBeliefs(school_ids=(1, 2), cutoffs=(80.0, 10.0))
     a = _app(1, 50.0, (10.0, 6.0), outside=0.0)
     app = choose_single_application(a, beliefs, BehaviorParams(score_noise_sd=1e6))
-    assert app.school_id == 1
+    assert app.ranked == (1,)
 
 
 def test_choose_single_affine_invariance():
@@ -120,7 +120,7 @@ def test_choose_single_affine_invariance():
         scaled = choose_single_application(a2, beliefs, params)
         assert (base is None) == (scaled is None)
         if base is not None:
-            assert base.school_id == scaled.school_id
+            assert base.ranked == scaled.ranked
 
 
 # -- equilibrium -------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_choose_single_affine_invariance():
 
 def test_equilibrium_trivial_when_capacity_exceeds_demand():
     schools = mk_schools(5, 5)
-    apps = Cohort.of([_app(i, 50 + i, (6.0, 5.0), outside=0.0) for i in range(3)])
+    apps = cohort_of([_app(i, 50 + i, (6.0, 5.0), outside=0.0) for i in range(3)])
     beliefs, iters, resid = equilibrium_cutoffs(schools, apps, BehaviorParams(score_noise_sd=5.0))
     assert beliefs.cutoffs == (-math.inf, -math.inf)
     assert iters == 1
@@ -137,7 +137,7 @@ def test_equilibrium_trivial_when_capacity_exceeds_demand():
 
 def test_equilibrium_one_school_cutoff_is_marginal_score():
     schools = mk_schools(1)
-    apps = Cohort.of([_app(1, 90.0, (10.0,)), _app(2, 80.0, (10.0,))])
+    apps = cohort_of([_app(1, 90.0, (10.0,)), _app(2, 80.0, (10.0,))])
     params = BehaviorParams(score_noise_sd=1.0, tol=1e-6, max_iter=100)
     beliefs, iters, resid = equilibrium_cutoffs(schools, apps, params)
     assert resid < params.tol
@@ -171,7 +171,7 @@ def test_equilibrium_deterministic_given_seed():
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_equilibrium_damping_one_is_undamped():
     schools = mk_schools(1, 1)
-    apps = Cohort.of([_app(i, 40.0 + 5 * i, (8.0, 6.0), outside=0.0) for i in range(5)])
+    apps = cohort_of([_app(i, 40.0 + 5 * i, (8.0, 6.0), outside=0.0) for i in range(5)])
     params = BehaviorParams(score_noise_sd=4.0, damping=1.0, tol=1e-300, max_iter=7)
     beliefs, _, _ = equilibrium_cutoffs(schools, apps, params)
 
@@ -199,7 +199,7 @@ def test_equilibrium_shift_invariance():
     params = BehaviorParams()
     apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1905, SeededRng(4))
     shift = 25.0
-    shifted = Cohort.of(
+    shifted = cohort_of(
         [Applicant(a.id, a.birth_prefecture, a.score + shift, a.utility, a.outside_option) for a in apps]
     )
     base, _, _ = equilibrium_cutoffs(sc.schools, apps, params)
@@ -282,7 +282,7 @@ def single_application_markets(draw, max_schools=3, max_applicants=10):
 @given(single_application_markets(), st.randoms(use_true_random=False))
 def test_equilibrium_matches_lexsort_loop(market, random):
     schools, applicants, params, initial = market
-    cohort = Cohort.of(applicants)
+    cohort = cohort_of(applicants)
     ties = np.array([random.random() for _ in range(len(cohort))])
     beliefs, iterations, residual = equilibrium_cutoffs(schools, cohort, params, initial=initial)
     expected, expected_iterations, expected_residual = lexsort_equilibrium_cutoffs(
@@ -352,7 +352,7 @@ def test_beliefs_are_read_by_school_id_not_position():
     singles = list(single_applications(cohort, beliefs, params))
     assert list(single_applications(cohort, reversed_beliefs, params)) == singles
     expected = [choose_single_application(a, reversed_beliefs, params) for a in cohort]
-    assert singles == [PreferenceList(e.applicant_id, (e.school_id,)) for e in expected if e is not None]
+    assert singles == [e for e in expected if e is not None]
 
     warm = equilibrium_cutoffs(sc.schools, cohort, params, initial=beliefs)
     assert equilibrium_cutoffs(sc.schools, cohort, params, initial=reversed_beliefs) == warm
@@ -390,7 +390,7 @@ def test_beliefs_reject_nan_cutoff():
 
 def test_submit_centralized_full_truthful_list():
     a = _app(1, 55.0, tuple(10.0 - i for i in range(8)), outside=0.0)
-    out = submit_applications(Cohort.of([a]), Regime(RegimeKind.CENTRALIZED, 1902))
+    out = submit_applications(cohort_of([a]), Regime(RegimeKind.CENTRALIZED, 1902))
     assert list(out) == [PreferenceList(applicant_id=1, ranked=(1, 2, 3, 4, 5, 6, 7, 8))]
 
 
@@ -404,7 +404,7 @@ def test_decentralized_applications_match_scalar_choice():
     beliefs, _, _ = equilibrium_cutoffs(sc.schools, apps, params)
     singles = single_applications(apps, beliefs, params)
     expected = [choose_single_application(a, beliefs, params) for a in apps]
-    assert list(singles) == [PreferenceList(e.applicant_id, (e.school_id,)) for e in expected if e is not None]
+    assert list(singles) == [e for e in expected if e is not None]
     assert 0 < len(singles) < len(apps)
     for kind in (RegimeKind.DECENTRALIZED, RegimeKind.DECENTRALIZED_UNIFIED_EXAM):
         with pytest.raises(DomainError):
@@ -422,18 +422,18 @@ def test_submit_grouped_constraint_forces_one_per_group():
 def test_submit_grouped_via_dispatch():
     groups = (frozenset({1, 3, 5, 7}), frozenset({2, 4, 6, 8}))
     a = _app(1, 55.0, (9.0, 8.0, 1, 1, 1, 1, 1, 1), outside=0.5)
-    out = submit_applications(Cohort.of([a]), Regime(RegimeKind.GROUPED_CENTRALIZED, 1926, groups))
+    out = submit_applications(cohort_of([a]), Regime(RegimeKind.GROUPED_CENTRALIZED, 1926, groups))
     assert list(out) == [PreferenceList(applicant_id=1, ranked=(1, 2))]
 
 
 def test_submit_unknown_regime_rejected():
     with pytest.raises(DomainError):
-        submit_applications(Cohort.of([]), Regime("bogus", 1900))
+        submit_applications(cohort_of([]), Regime("bogus", 1900))
 
 
 def test_grouped_regime_requires_groups():
     with pytest.raises(DomainError):
-        submit_applications(Cohort.of([]), Regime(RegimeKind.GROUPED_CENTRALIZED, 1926))
+        submit_applications(cohort_of([]), Regime(RegimeKind.GROUPED_CENTRALIZED, 1926))
 
 
 def test_beliefs_accessor_unknown_school():
