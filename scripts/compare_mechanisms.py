@@ -35,13 +35,12 @@ from meritmatch.strategy import BehaviorParams, equilibrium_cutoffs, single_appl
 
 
 def summarize(name, assignment, applicants, scenario):
-    urban_ids = {p.id for p in scenario.prefectures if p.urban}
-    by_id = {a.id: a for a in applicants}
-    admitted = set(assignment.placed)
-    scores = np.array([by_id[a].score for a in admitted]) if admitted else np.array([0.0])
-    urban_share = np.mean([by_id[a].birth_prefecture in urban_ids for a in admitted]) if admitted else 0.0
+    urban_ids = [p.id for p in scenario.prefectures if p.urban]
+    rows = applicants.rows(assignment.ids)
+    scores = applicants.score[rows] if len(rows) else np.array([0.0])
+    urban_share = np.isin(applicants.birth[rows], urban_ids).mean() if len(rows) else 0.0
     print(
-        f"{name:38s} admitted={len(admitted):5d} unassigned={len(assignment.unassigned):5d}"
+        f"{name:38s} admitted={len(rows):5d} unassigned={len(assignment.unassigned):5d}"
         f"  min score={scores.min():6.1f}  mean score={scores.mean():6.1f}  urban share={urban_share:.3f}"
     )
 
@@ -103,8 +102,8 @@ def main() -> int:
     complete = [
         PreferenceList(a.id, tuple(sorted(school_ids, key=lambda s: (-a.utility[s - 1], s)))) for a in applicants
     ]
-    merit = set(run_meritocratic_boston(scenario.schools, applicants, complete, lottery_rng).placed)
-    dictator = set(run_serial_dictatorship_da(scenario.schools, applicants, complete, lottery_rng).placed)
+    merit = set(run_meritocratic_boston(scenario.schools, applicants, complete, lottery_rng).ids.tolist())
+    dictator = set(run_serial_dictatorship_da(scenario.schools, applicants, complete, lottery_rng).ids.tolist())
     print(f"\ncomplete lists: merit-capped Boston admits {len(merit)}, serial dictatorship {len(dictator)}")
     print(f"merit-capped Boston and serial dictatorship admit the same set on complete lists: {merit == dictator}")
     return 0

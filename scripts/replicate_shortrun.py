@@ -12,7 +12,6 @@ Usage:
 import argparse
 import csv
 import sys
-from pathlib import Path
 
 from meritmatch.metrics import read_year_outcomes_csv
 from meritmatch.pipeline import RunManifest, diff_regimes, run

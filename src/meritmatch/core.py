@@ -122,12 +122,25 @@ class Placement:
     preference_rank_obtained: int  # position of the school on the submitted list, >= 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
-    """Outcome of one mechanism run: placements plus the unassigned set."""
+    """Outcome of one mechanism run as arrays: row i places applicant `ids[i]`
+    at school `school_ids[i]`, the `ranks[i]`-th school of their list, rows
+    in admission order; `unassigned` holds the other submitters, sorted.
+    Admission order is part of the outcome: the mean enrollment distance is
+    summed in it."""
 
-    placed: dict[int, Placement]
-    unassigned: frozenset[int]
+    ids: np.ndarray  # (k,) int
+    school_ids: np.ndarray  # (k,) int
+    ranks: np.ndarray  # (k,) int, >= 1
+    unassigned: np.ndarray  # (u,) int, increasing
+
+    @property
+    def placed(self) -> dict[int, Placement]:
+        """The placements as a map from applicant id, in admission order,
+        built on each access."""
+        rows = zip(self.ids.tolist(), self.school_ids.tolist(), self.ranks.tolist())
+        return {i: Placement(school_id=s, preference_rank_obtained=r) for i, s, r in rows}
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,12 @@ one `rng.generator()` draw per mechanism run, one uniform number per submitter
 in increasing id order, and the merit pool and every round use those numbers.
 Priority is higher score, then lower draw, then lower id.
 
+An Assignment is arrays from the start (`_assignment`): the decentralized rule
+is array code end to end, and the Boston and serial-dictatorship rounds walk
+Python lists that collect the admitted market rows, school indices and ranks
+in admission order. The unassigned submitters are the rows left unmarked in
+a boolean mask over the market, already in increasing id.
+
 With a single common score priority on the school side, applicant-proposing
 deferred acceptance collapses to a serial dictatorship: process applicants in
 priority order and give each their best school with a free seat. No school
@@ -26,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Assignment, Cohort, DomainError, Placement, School, SeededRng, require_increasing
+from .core import Assignment, Cohort, DomainError, School, SeededRng, require_increasing
 
 
 @dataclass(frozen=True)
@@ -94,9 +100,20 @@ class _Market:
     caps: np.ndarray  # (S,)
 
 
-def _priority(market: _Market) -> np.ndarray:
-    """Row positions in priority order: higher score, lower draw, lower id."""
-    return np.lexsort((market.ids, market.ties, -market.scores))
+def _priority(scores: np.ndarray, ties: np.ndarray) -> np.ndarray:
+    """Row positions in priority order: higher score, lower draw, lower row
+    (market rows are in increasing id). That is `np.lexsort((rows, ties,
+    -scores))`, computed as one unstable argsort of the scores, several
+    times faster, with only the runs of equal scores then sorted by (draw,
+    row)."""
+    order = np.argsort(-scores)
+    ranked = scores[order]
+    same = ranked[1:] == ranked[:-1]
+    if same.any():
+        tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
+        rows = order[tied]
+        order[tied] = rows[np.lexsort((rows, ties[rows], -ranked[tied]))]
+    return order
 
 
 def _market(
@@ -136,6 +153,20 @@ def _market(
     )
 
 
+def _assignment(market: _Market, rows: np.ndarray, school: np.ndarray, rank: np.ndarray) -> Assignment:
+    """The Assignment placing market rows `rows`, in admission order, at the
+    0-based school indices `school` with list ranks `rank`; every other
+    submitter is unassigned."""
+    unplaced = np.ones(len(market.ids), dtype=bool)
+    unplaced[rows] = False
+    return Assignment(
+        ids=market.ids[rows],
+        school_ids=market.school_ids[school],
+        ranks=rank.astype(np.int64),
+        unassigned=market.ids[unplaced],
+    )
+
+
 # -- merit pool ---------------------------------------------------------------
 
 
@@ -146,7 +177,7 @@ def select_merit_pool(market: _Market) -> MeritPool:
     total = int(market.caps.sum())
     if total <= 0:
         raise DomainError(f"total capacity must be positive, got {total}")
-    order = _priority(market)
+    order = _priority(market.scores, market.ties)
     if total >= len(order):
         return MeritPool(rows=order, cutoff_score=float("-inf"), lottery_used=False)
     rows = order[:total]
@@ -171,11 +202,10 @@ def _boston(market: _Market, merit_capped: bool) -> Assignment:
     The rounds walk Python lists: on the tiny markets of the exhaustive tests
     a per-round numpy top-k costs several times more, and at full scale both
     take a few milliseconds a year."""
-    held = select_merit_pool(market).rows if merit_capped else _priority(market)
-    ids, lists, lengths = market.ids[held].tolist(), market.choice[held].tolist(), market.lengths[held].tolist()
-    school_ids, seats = market.school_ids.tolist(), market.caps.tolist()
-    placed: dict[int, Placement] = {}
-    waiting = range(len(ids))
+    held = select_merit_pool(market).rows if merit_capped else _priority(market.scores, market.ties)
+    lists, lengths, seats = market.choice[held].tolist(), market.lengths[held].tolist(), market.caps.tolist()
+    placed = []  # (position in `held`, school index, rank), in admission order
+    waiting = range(len(held))
     for r in range(market.choice.shape[1]):
         still = []
         for j in waiting:
@@ -183,11 +213,12 @@ def _boston(market: _Market, merit_capped: bool) -> Assignment:
                 k = lists[j][r]
                 if seats[k] > 0:
                     seats[k] -= 1
-                    placed[ids[j]] = Placement(school_id=school_ids[k], preference_rank_obtained=r + 1)
+                    placed.append((j, k, r + 1))
                 else:
                     still.append(j)
         waiting = still
-    return Assignment(placed=placed, unassigned=frozenset(market.ids.tolist()).difference(placed))
+    j, k, rank = np.array(placed, dtype=np.intp).reshape(-1, 3).T
+    return _assignment(market, held[j], k, rank)
 
 
 def run_meritocratic_boston(
@@ -201,7 +232,7 @@ def run_meritocratic_boston(
     outside the pool are unassigned regardless of their lists."""
     market = _market(schools, cohort, prefs, rng)
     if not len(market.ids):
-        return Assignment(placed={}, unassigned=frozenset())
+        return _assignment(market, *np.zeros((3, 0), dtype=np.intp))
     return _boston(market, merit_capped=True)
 
 
@@ -228,17 +259,17 @@ def run_serial_dictatorship_da(
     module docstring). The rank obtained is the list position of the school
     received."""
     market = _market(schools, cohort, prefs, rng)
-    order = _priority(market)
-    ids, lists, lengths = market.ids[order].tolist(), market.choice[order].tolist(), market.lengths[order].tolist()
-    school_ids, seats = market.school_ids.tolist(), market.caps.tolist()
-    placed: dict[int, Placement] = {}
-    for aid, listed, length in zip(ids, lists, lengths):
-        for rank, k in enumerate(listed[:length], start=1):
+    order = _priority(market.scores, market.ties)
+    lists, lengths, seats = market.choice[order].tolist(), market.lengths[order].tolist(), market.caps.tolist()
+    placed = []  # (position in `order`, school index, rank), in admission order
+    for j, (listed, length) in enumerate(zip(lists, lengths)):
+        for r, k in enumerate(listed[:length], start=1):
             if seats[k] > 0:
                 seats[k] -= 1
-                placed[aid] = Placement(school_id=school_ids[k], preference_rank_obtained=rank)
+                placed.append((j, k, r))
                 break
-    return Assignment(placed=placed, unassigned=frozenset(ids).difference(placed))
+    j, k, rank = np.array(placed, dtype=np.intp).reshape(-1, 3).T
+    return _assignment(market, order[j], k, rank)
 
 
 # -- decentralized single-application ----------------------------------------
@@ -265,7 +296,9 @@ def _admit_top_per_school(
     if not applied.any():
         return admitted, cutoffs
     idx = np.flatnonzero(applied)
-    order = idx[np.lexsort((ties[idx], -scores[idx], school_idx[idx]))]
+    by_priority = idx[_priority(scores[idx], ties[idx])]
+    # grouped by school, stably, in a type narrow enough for numpy's radix sort
+    order = by_priority[np.argsort(school_idx[by_priority].astype(np.min_scalar_type(n_schools)), kind="stable")]
     s_sorted = school_idx[order]
     starts = np.searchsorted(s_sorted, np.arange(n_schools), side="left")
     ends = np.searchsorted(s_sorted, np.arange(n_schools), side="right")
@@ -294,14 +327,11 @@ def run_decentralized(
     if multiple.any():
         raise DomainError(f"applicant {market.ids[multiple][0]} did not apply to exactly one school")
     if not len(market.ids):
-        return Assignment(placed={}, unassigned=frozenset())
+        return _assignment(market, *np.zeros((3, 0), dtype=np.intp))
     choice = market.choice[:, 0]
     admitted, _ = _admit_top_per_school(choice, market.scores, market.ties, market.caps)
-    placed = {
-        aid: Placement(school_id=sid, preference_rank_obtained=1)
-        for aid, sid in zip(market.ids[admitted].tolist(), market.school_ids[choice[admitted]].tolist())
-    }
-    return Assignment(placed=placed, unassigned=frozenset(market.ids[~admitted].tolist()))
+    rows = np.flatnonzero(admitted)
+    return _assignment(market, rows, choice[rows], np.ones(len(rows), dtype=np.int64))
 
 
 # -- grouped centralized (two lists, one school per group) --------------------

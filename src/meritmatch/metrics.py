@@ -51,8 +51,7 @@ class YearRecord:
 
 def _entrant_births(assignment: Assignment, cohort: Cohort) -> np.ndarray:
     """Birth prefecture of each placed applicant, in admission order."""
-    ids = np.fromiter(assignment.placed, dtype=np.int64, count=len(assignment.placed))
-    return cohort.birth[cohort.rows(ids)]
+    return cohort.birth[cohort.rows(assignment.ids)]
 
 
 def year_outcome(
@@ -69,8 +68,10 @@ def year_outcome(
 
     The first-choice share is taken over submitted applications (the first
     list entry, or the single application). Distance and the urban share are
-    taken over placed applicants, summed in admission order; with zero
-    entrants they are reported as missing rather than zero. `distances` is
+    taken over placed applicants; with zero entrants they are reported as
+    missing rather than zero. Distances are summed left to right in admission
+    order, by `np.cumsum`, whose last element is that sequential sum (the
+    pairwise `np.sum` rounds differently). `distances` is
     `distance_matrix(prefectures)`, if already computed.
     """
     n_apps = len(apps)
@@ -78,19 +79,16 @@ def year_outcome(
     if n_apps:
         share_first = int(np.count_nonzero(apps.schools[:, :1] == 1)) / n_apps
 
-    host = {s.id: s.prefecture_id for s in schools}
     dmat = distance_matrix(prefectures) if distances is None else distances
-    urban = {p.id: p.urban for p in prefectures}
-
-    dist_sum = 0.0
-    urban_count = 0
-    n_placed = len(assignment.placed)
-    births = _entrant_births(assignment, cohort).tolist()
-    for b, placement in zip(births, assignment.placed.values()):
-        dist_sum += dmat[b, host[placement.school_id]]
-        urban_count += urban[b]
-    mean_dist = float(dist_sum / n_placed) if n_placed else None
-    tokyo_share = urban_count / n_placed if n_placed else None
+    n_placed = len(assignment.ids)
+    mean_dist = tokyo_share = None
+    if n_placed:
+        host = np.zeros(max(s.id for s in schools) + 1, dtype=np.int64)
+        host[[s.id for s in schools]] = [s.prefecture_id for s in schools]
+        urban = np.array([p.urban for p in sorted(prefectures, key=lambda p: p.id)])
+        births = _entrant_births(assignment, cohort)
+        mean_dist = float(np.cumsum(dmat[births, host[assignment.school_ids]])[-1] / n_placed)
+        tokyo_share = int(np.count_nonzero(urban[births])) / n_placed
 
     return YearOutcome(
         year=year,
@@ -113,10 +111,10 @@ def year_record(
 ) -> YearRecord:
     """Count one year's entrants per (birth prefecture, school) and its
     cohort per prefecture."""
+    n_schools = len(schools)
     school_ids = np.array(sorted(s.id for s in schools))
-    placed_at = np.fromiter((p.school_id for p in assignment.placed.values()), dtype=np.int64, count=len(assignment.placed))
-    entrants = np.zeros((len(prefectures), len(schools)), dtype=np.int64)
-    np.add.at(entrants, (_entrant_births(assignment, cohort), np.searchsorted(school_ids, placed_at)), 1)
+    cell = _entrant_births(assignment, cohort) * n_schools + np.searchsorted(school_ids, assignment.school_ids)
+    entrants = np.bincount(cell, minlength=len(prefectures) * n_schools).reshape(len(prefectures), n_schools)
     counts = np.bincount(cohort.birth, minlength=len(prefectures))
     return YearRecord(year=year, regime=regime, entrants=entrants, cohort=counts)
 

@@ -13,14 +13,18 @@ cutoff is an order statistic, the capacity-th highest score among its
 applicants (the market-clearing cutoff of Azevedo & Leshno 2016), so the
 iteration sorts the cohort by score once and draws no tie-break: which of
 several equally scored applicants would be admitted does not move that
-score. Realized cutoffs feed back into beliefs with damping until they
-settle, or until the cutoff vector repeats one it held before: each
-iteration is a pure function of the cutoffs, so from then on the iteration
-runs through that cycle forever, and the state it would hold after `max_iter`
-iterations is read off the cycle instead of computed. Beliefs are matched to
-utility columns by school id. This model is a
-construction of this package, calibrated only to reproduce qualitative
-regime differences; treat its parameters as simulation knobs, not estimates.
+score. Nor do the rows below each school's capacity-th chooser, so an
+iteration computes best responses only for the score-sorted prefix that
+decided the previous iteration's cutoffs, and for the rest of the rows only
+when a school falls short of its capacity within that prefix. Realized
+cutoffs feed back into beliefs with damping until they settle, or until the
+cutoff vector repeats one it held before: each iteration is a pure function
+of the cutoffs, so from then on the iteration runs through that cycle
+forever, and the state it would hold after `max_iter` iterations is read off
+the cycle instead of computed. Beliefs are matched to utility columns by
+school id. This model is a construction of this package, calibrated only to
+reproduce qualitative regime differences; treat its parameters as simulation
+knobs, not estimates.
 """
 
 from __future__ import annotations
@@ -134,49 +138,57 @@ def _grouped_lists(cohort: Cohort, groups: tuple[frozenset[int], frozenset[int]]
     return Applications(ids=cohort.ids, schools=np.where(listed, ranked, 0), lengths=lengths)
 
 
-def _best_response(scores: np.ndarray, surplus: np.ndarray, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
+def _best_response(scores: np.ndarray, surplus: np.ndarray, sigma: float) -> Callable[..., np.ndarray]:
     """Vectorized best single application as a function of the cutoffs: each
     applicant's 0-based school index, -1 = abstain (the best expected value is
     not finite: no acceptable school, or a NaN utility). `surplus` is each
     applicant's utility minus outside option. The mask of non-positive
-    surplus and one (n, S) buffer are set up once; each call recomputes the
-    expected values in that buffer."""
+    surplus, one (n, S) buffer of expected values and one (n,) buffer of
+    choices are set up once; `choose(cutoffs, start, stop)` computes rows
+    `start:stop` into those buffers and returns the choice buffer, whose other
+    rows keep what earlier calls left there. Rows are independent, so a row
+    comes out the same whichever slice computes it."""
     column = scores[:, None]
     unacceptable = ~(surplus > 0)
     ev = np.empty(surplus.shape)
-    rows = np.arange(len(scores))
+    choice = np.empty(len(scores), dtype=np.intp)
 
-    def choose(cutoffs: np.ndarray) -> np.ndarray:
-        np.subtract(column, cutoffs, out=ev)
+    def choose(cutoffs: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+        rows = slice(start, stop)
+        buf = ev[rows]
+        np.subtract(column[rows], cutoffs, out=buf)
         if sigma == 0:
-            np.copyto(ev, np.where(ev > 0, 1.0, np.where(ev == 0, 0.5, 0.0)))
-            ev[:, np.isneginf(cutoffs)] = 1.0
+            np.copyto(buf, np.where(buf > 0, 1.0, np.where(buf == 0, 0.5, 0.0)))
+            buf[:, np.isneginf(cutoffs)] = 1.0
         else:
-            np.divide(ev, sigma, out=ev)
-            ndtr(ev, out=ev)
-        np.multiply(ev, surplus, out=ev)
-        np.copyto(ev, -np.inf, where=unacceptable)
-        best = np.argmax(ev, axis=1)  # first max -> lowest school index
-        best[~np.isfinite(ev[rows, best])] = -1
-        return best
+            np.divide(buf, sigma, out=buf)
+            ndtr(buf, out=buf)
+        np.multiply(buf, surplus[rows], out=buf)
+        np.copyto(buf, -np.inf, where=unacceptable[rows])
+        best = np.argmax(buf, axis=1)  # first max -> lowest school index
+        best[~np.isfinite(buf[np.arange(len(buf)), best])] = -1
+        choice[rows] = best
+        return choice
 
     return choose
 
 
-def _realized_cutoffs(choice: np.ndarray, scores: np.ndarray, caps: Sequence[int]) -> np.ndarray:
+def _realized_cutoffs(choice: np.ndarray, scores: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, int]:
     """Each school's realized cutoff: the capacity-th highest score among the
     applicants choosing it, -inf where it did not fill. `choice` holds 0-based
-    school indices (-1 = abstain) with rows in non-increasing `scores`."""
-    caps = np.asarray(caps)
+    school indices (-1 = abstain) with rows in non-increasing `scores`. Also
+    returns the number of rows that decide every filled school's cutoff: one
+    past the last of their capacity-th choosers (0 when none filled)."""
     # rows grouped by choice (abstainers first), each group in row order; in
     # the narrowest integer type that holds the choices numpy radix-sorts
     grouped = np.argsort(choice.astype(np.min_scalar_type(-1 - len(caps))), kind="stable")
     counts = np.bincount(choice + 1, minlength=len(caps) + 1)
     starts = np.cumsum(counts)[:-1]
     filled = (caps > 0) & (caps <= counts[1:])
+    deciding = grouped[starts[filled] + caps[filled] - 1]
     cutoffs = np.full(len(caps), -np.inf)
-    cutoffs[filled] = scores[grouped[starts[filled] + caps[filled] - 1]]
-    return cutoffs
+    cutoffs[filled] = scores[deciding]
+    return cutoffs, int(deciding.max(initial=-1)) + 1
 
 
 def _belief_floor(scores: np.ndarray, sigma: float) -> float:
@@ -204,6 +216,15 @@ def equilibrium_cutoffs(
     the given schools. Returns (beliefs, iterations used, final residual);
     non-convergence is flagged by residual >= tol and a RuntimeWarning, not
     raised.
+
+    Each iteration evaluates best responses in score order for the rows
+    down to the previous iteration's last capacity-th chooser, plus a fixed
+    margin of 1/16 of the cohort; the first iteration takes the rows scoring
+    at least the lowest starting cutoff, plus the margin. If a school with
+    positive capacity is still short of its capacity there, the remaining
+    rows are evaluated into the same buffer, so no row is computed twice in
+    an iteration. Rows are independent and sorted by score, so the realized
+    cutoffs equal those of a full best response.
 
     When the cutoffs after iteration b equal, bit for bit, those after an
     earlier iteration a, the iteration is periodic from a with period
@@ -235,8 +256,20 @@ def equilibrium_cutoffs(
     # history[k] is the state after k iterations; seen maps its cutoffs to k
     history = [(cutoffs, undersubscribed, residual)]
     seen = {cutoffs.tobytes(): 0}
+    # Rows evaluated first in the next iteration: those that decided this
+    # one's cutoffs, plus a margin of 1/16 of the cohort that mostly spares
+    # the remaining rows when a deciding row moves down a little. The first
+    # iteration guesses the rows scoring at least the lowest starting cutoff,
+    # every row without `initial`.
+    n, margin = len(scores), len(scores) // 16
+    prefix = min(int(np.count_nonzero(scores >= cutoffs.min())) + margin, n)
     for iterations in range(1, params.max_iter + 1):
-        realized = _realized_cutoffs(choose(cutoffs), scores, caps)
+        realized, decided = _realized_cutoffs(choose(cutoffs, 0, prefix)[:prefix], scores[:prefix], caps)
+        if prefix < n and (np.isneginf(realized) & (caps > 0)).any():
+            # a school is short of its capacity within the prefix: its
+            # capacity-th chooser, if any, is further down
+            realized, decided = _realized_cutoffs(choose(cutoffs, prefix), scores, caps)
+        prefix = min(decided + margin, n)
         undersubscribed = np.isneginf(realized)
         target = np.where(undersubscribed, floor, realized)
         new = (1 - params.damping) * cutoffs + params.damping * target

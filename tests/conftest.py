@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from meritmatch.core import GEOGRAPHY_COLUMNS, SCHOOL_COLUMNS, Applicant, Cohort, School
+from meritmatch.core import GEOGRAPHY_COLUMNS, SCHOOL_COLUMNS, Applicant, Assignment, Cohort, School
 from meritmatch.strategy import _grouped_lists, _truthful_lists
 
 
@@ -35,6 +35,13 @@ def cohort_of(applicants) -> Cohort:
         utility=np.array([a.utility for a in rows], dtype=float).reshape(len(rows), -1 if rows else 0),
         outside=np.array([a.outside_option for a in rows], dtype=float),
     )
+
+
+def assignment_of(placed=(), unassigned=()) -> Assignment:
+    """The Assignment of (applicant id, school id, rank) rows in admission
+    order, with the unassigned ids."""
+    ids, school_ids, ranks = np.array(list(placed), dtype=np.int64).reshape(-1, 3).T
+    return Assignment(ids, school_ids, ranks, np.array(sorted(unassigned), dtype=np.int64))
 
 
 def lottery_of(prefs, rng) -> dict[int, float]:

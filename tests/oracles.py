@@ -6,8 +6,10 @@ route: a literal step-by-step executor for the centralized assignment rounds,
 dict-based Boston rounds and per-applicant truthful rankings (the scalar code
 the array mechanisms replaced), a per-school sort for the decentralized rule,
 a per-applicant loop for the single-application choice, the lexsort cutoff
-loop the order-statistic loop replaced, one object per (prefecture, year,
-school) for the panels (the row builder the column panels replaced),
+loop the order-statistic loop replaced, a walk over `Placement` objects for
+a year's outcome and entrant counts (the loop the assignment arrays
+replaced), one object per (prefecture, year, school) for the panels (the row
+builder the column panels replaced),
 subset/assignment enumeration for the dominance check, and dummy-variable OLS
 for the within estimator.
 """
@@ -21,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from meritmatch.core import Assignment, DomainError, Placement, distance_matrix
+from meritmatch.core import DomainError, Placement, distance_matrix
 from meritmatch.mechanisms import PreferenceList, _admit_top_per_school
+from meritmatch.metrics import YearOutcome, YearRecord
 
 
 def printed_steps_assignment(schools, applicants, prefs, tie):
@@ -74,8 +77,8 @@ def scalar_boston_rounds(schools, applicants, prefs, tie, merit_capped=True):
     total-capacity submitters take part. Round r: applicants still held
     propose, in priority order, to the r-th school on their list; a school
     accepts while seats remain. Exhausted lists leave the applicant
-    unassigned; seats are never backfilled. Returns an Assignment whose
-    `placed` is in admission order."""
+    unassigned; seats are never backfilled. Returns (placed: id -> Placement
+    in admission order, unassigned set)."""
     seats = {s.id: s.capacity for s in schools}
     scores = {a.id: a.score for a in applicants}
     ranked = {p.applicant_id: p.ranked for p in prefs}
@@ -106,7 +109,7 @@ def scalar_boston_rounds(schools, applicants, prefs, tie, merit_capped=True):
                 held.append(aid)
         active = held
         r += 1
-    return Assignment(placed=placed, unassigned=frozenset(unassigned))
+    return placed, unassigned
 
 
 def scalar_truthful_ranking(applicant):
@@ -226,6 +229,54 @@ def lexsort_equilibrium_cutoffs(schools, applicants, params, ties, initial=None)
         if residual < params.tol:
             break
     return np.where(undersubscribed, -np.inf, cutoffs), iterations, residual
+
+
+def _placed_births(placed, cohort):
+    ids = np.fromiter(placed, dtype=np.int64, count=len(placed))
+    return cohort.birth[cohort.rows(ids)].tolist()
+
+
+def walked_year_outcome(apps, assignment, prefectures, schools, cohort, year, regime):
+    """`metrics.year_outcome` as a walk over the placements of
+    `Assignment.placed`: distances added one at a time in admission order,
+    starting from 0.0, and urban entrants counted one at a time."""
+    n_apps = len(apps)
+    share_first = None
+    if n_apps:
+        share_first = int(np.count_nonzero(apps.schools[:, :1] == 1)) / n_apps
+    host = {s.id: s.prefecture_id for s in schools}
+    dmat = distance_matrix(prefectures)
+    urban = {p.id: p.urban for p in prefectures}
+    placed = assignment.placed
+    dist_sum = 0.0
+    urban_count = 0
+    for b, placement in zip(_placed_births(placed, cohort), placed.values()):
+        dist_sum += dmat[b, host[placement.school_id]]
+        urban_count += urban[b]
+    n_placed = len(placed)
+    return YearOutcome(
+        year=year,
+        regime=regime,
+        share_first_choice_school1=share_first,
+        mean_enrollment_distance_km=float(dist_sum / n_placed) if n_placed else None,
+        tokyo_area_entrant_share=urban_count / n_placed if n_placed else None,
+        entrants_total=n_placed,
+        unassigned_total=len(assignment.unassigned),
+    )
+
+
+def walked_year_record(assignment, cohort, prefectures, schools, year, regime):
+    """`metrics.year_record` as a walk over `Assignment.placed`, one entrant
+    at a time."""
+    column = {sid: k for k, sid in enumerate(sorted(s.id for s in schools))}
+    entrants = np.zeros((len(prefectures), len(schools)), dtype=np.int64)
+    placed = assignment.placed
+    for b, placement in zip(_placed_births(placed, cohort), placed.values()):
+        entrants[b, column[placement.school_id]] += 1
+    counts = np.zeros(len(prefectures), dtype=np.int64)
+    for b in cohort.birth.tolist():
+        counts[b] += 1
+    return YearRecord(year=year, regime=regime, entrants=entrants, cohort=counts)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import itertools
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path

@@ -12,6 +12,7 @@ from meritmatch.core import Applicant, DomainError, Regime, RegimeKind, SeededRn
 from meritmatch.mechanisms import (
     Applications,
     PreferenceList,
+    _priority,
     run_decentralized,
     run_immediate_acceptance,
     run_meritocratic_boston,
@@ -46,9 +47,9 @@ def test_boston_matches_scalar_rounds_in_admission_order(market):
     schools, applicants, prefs, rng = market
     for runner, capped in ((run_meritocratic_boston, True), (run_immediate_acceptance, False)):
         got = runner(schools, applicants, prefs, rng)
-        want = scalar_boston_rounds(schools, applicants, prefs, lottery_of(prefs, rng), merit_capped=capped)
-        assert list(got.placed.items()) == list(want.placed.items())
-        assert got.unassigned == want.unassigned
+        placed, unassigned = scalar_boston_rounds(schools, applicants, prefs, lottery_of(prefs, rng), merit_capped=capped)
+        assert list(got.placed.items()) == list(placed.items())
+        assert got.unassigned.tolist() == sorted(unassigned)
 
 
 @settings(max_examples=300, deadline=None)
@@ -60,7 +61,16 @@ def test_decentralized_matches_per_school_sort_in_id_order(market):
     placed, unassigned = per_school_top(schools, applicants, apps, lottery_of(apps, rng))
     assert list(got.placed) == sorted(placed)
     assert {a: p.school_id for a, p in got.placed.items()} == placed
-    assert got.unassigned == frozenset(unassigned)
+    assert got.unassigned.tolist() == sorted(unassigned)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1.0, 2.0, 3.0, -0.0, 0.0]), st.sampled_from([0.0, 0.5])), max_size=30))
+def test_priority_matches_lexsort(rows):
+    # whole runs of equal scores and equal draws, so the row decides
+    scores, ties = np.array(rows, dtype=float).reshape(-1, 2).T
+    expected = np.lexsort((np.arange(len(rows)), ties, -scores))
+    assert _priority(scores, ties).tolist() == expected.tolist()
 
 
 @st.composite

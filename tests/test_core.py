@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from meritmatch.core import (
     SeededRng,
     build_prefectures,
     default_prefectures,
-    default_schools,
     distance,
     distance_matrix,
     load_geography,

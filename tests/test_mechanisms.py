@@ -87,7 +87,7 @@ def test_merit_pool_ranks_submitters_only():
     assert not pool.lottery_used
     a = run_meritocratic_boston(schools, cohort, apps, RNG)
     assert {i: p.school_id for i, p in a.placed.items()} == {2: 1, 3: 2}
-    assert a.unassigned == frozenset({4})
+    assert a.unassigned.tolist() == [4]
 
 
 def test_each_run_draws_the_lottery_once(xyz_instance, monkeypatch):
@@ -118,7 +118,7 @@ def test_merit_boston_xyz_trace(xyz_instance):
     assert a.placed[1].school_id == 1 and a.placed[1].preference_rank_obtained == 1
     assert a.placed[3].school_id == 2 and a.placed[3].preference_rank_obtained == 1
     assert a.placed[2].school_id == 3 and a.placed[2].preference_rank_obtained == 3
-    assert a.unassigned == frozenset()
+    assert a.unassigned.tolist() == []
 
 
 def test_merit_boston_single_school():
@@ -127,7 +127,7 @@ def test_merit_boston_single_school():
     prefs = [PreferenceList(1, (1,)), PreferenceList(2, (1,))]
     a = run_meritocratic_boston(schools, applicants, prefs, RNG)
     assert a.placed[1].school_id == 1
-    assert a.unassigned == frozenset({2})
+    assert a.unassigned.tolist() == [2]
 
 
 def test_merit_boston_full_lists_nobody_unassigned():
@@ -135,13 +135,13 @@ def test_merit_boston_full_lists_nobody_unassigned():
     applicants = cohort_of([mk_applicant(i, 50 + i, 2) for i in range(4)])
     prefs = [PreferenceList(i, (1, 2)) for i in range(4)]
     a = run_meritocratic_boston(schools, applicants, prefs, RNG)
-    assert a.unassigned == frozenset()
+    assert a.unassigned.tolist() == []
     assert len(a.placed) == 4
 
 
 def test_merit_boston_empty_prefs():
     a = run_meritocratic_boston(mk_schools(1), cohort_of([mk_applicant(1, 1, 1)]), [], RNG)
-    assert a.placed == {} and a.unassigned == frozenset()
+    assert a.placed == {} and a.unassigned.tolist() == []
 
 
 def test_merit_boston_matches_printed_steps_on_random_instances():
@@ -165,7 +165,7 @@ def test_merit_boston_matches_printed_steps_on_random_instances():
         placed, unassigned, pool = printed_steps_assignment(schools, applicants, prefs, tie)
         # round r of the printed steps admits at the r-th school of the list
         assert {a: (p.school_id, p.preference_rank_obtained) for a, p in mine.placed.items()} == placed
-        assert mine.unassigned == frozenset(unassigned)
+        assert mine.unassigned.tolist() == sorted(unassigned)
         assert set(mine.placed) <= pool
 
 
@@ -183,7 +183,7 @@ def test_serial_dictatorship_xyz(xyz_instance):
 
 def test_serial_dictatorship_empty():
     a = run_serial_dictatorship_da(mk_schools(1), cohort_of([]), [], RNG)
-    assert a.placed == {} and a.unassigned == frozenset()
+    assert a.placed == {} and a.unassigned.tolist() == []
 
 
 def test_serial_dictatorship_single_applicant_gets_first_choice():
@@ -245,7 +245,7 @@ def test_decentralized_rejects_lowest():
     apps = [PreferenceList(i, (1,)) for i in (1, 2, 3)]
     a = run_decentralized(schools, applicants, apps, RNG)
     assert set(a.placed) == {1, 2}
-    assert a.unassigned == frozenset({3})
+    assert a.unassigned.tolist() == [3]
 
 
 def test_decentralized_undersubscribed_admits_anyone():
@@ -285,7 +285,7 @@ def test_decentralized_matches_per_school_sort():
         mine = run_decentralized(schools, applicants, apps, rng)
         placed, unassigned = per_school_top(schools, applicants, apps, tie)
         assert {a: p.school_id for a, p in mine.placed.items()} == placed
-        assert mine.unassigned == frozenset(unassigned)
+        assert mine.unassigned.tolist() == sorted(unassigned)
 
 
 # -- grouped centralized ---------------------------------------------------------
@@ -299,7 +299,7 @@ def test_grouped_single_entries_reduce_to_merit_boston():
     grouped = run_grouped_centralized(schools, applicants, prefs, groups, RNG)
     plain = run_meritocratic_boston(schools, applicants, prefs, RNG)
     assert grouped.placed == plain.placed
-    assert grouped.unassigned == plain.unassigned
+    assert grouped.unassigned.tolist() == plain.unassigned.tolist()
 
 
 def test_grouped_all_in_one_group_matches_decentralized_on_pool():
@@ -357,7 +357,7 @@ def test_grouped_requires_partition(xyz_instance):
 def test_admitted_set_empty():
     a = run_meritocratic_boston(mk_schools(1), cohort_of([]), [], RNG)
     assert set(a.placed) == set()
-    assert a.unassigned == frozenset()
+    assert a.unassigned.tolist() == []
 
 
 def test_admitted_set_xyz(xyz_instance):

@@ -1,5 +1,5 @@
 import csv
-import math
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meritmatch.core import Assignment, DomainError, Placement, RegimeKind, SeededRng
-from meritmatch.mechanisms import Applications, PreferenceList
+from meritmatch.core import DomainError, Regime, RegimeKind, SeededRng
+from meritmatch.mechanisms import Applications, PreferenceList, run_decentralized, run_meritocratic_boston
 
-from conftest import cohort_of, mk_applicant
-from oracles import panel_to_columns, row_build_panel
+from conftest import assignment_of, cohort_of, mk_applicant
+from oracles import panel_to_columns, row_build_panel, walked_year_outcome, walked_year_record
 from meritmatch.metrics import (
     PANEL_COLUMNS,
     YEAR_OUTCOME_COLUMNS,
@@ -27,7 +27,7 @@ from meritmatch.metrics import (
 )
 from meritmatch.popgen import build_scenario, generate_applicants
 from meritmatch.pipeline import simulate_seed
-from meritmatch.strategy import BehaviorParams
+from meritmatch.strategy import BehaviorParams, CutoffBeliefs, single_applications, submit_applications
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def small_run():
 def test_year_outcome_everyone_unassigned():
     sc = build_scenario(0.01)
     apps = Applications.of([PreferenceList(1, (1,)), PreferenceList(2, (2,))])
-    assignment = Assignment(placed={}, unassigned=frozenset({1, 2}))
+    assignment = assignment_of(unassigned=[1, 2])
     cohort = cohort_of([mk_applicant(1, 50.0, 8, birth=12), mk_applicant(2, 50.0, 8, birth=0)])
     out = year_outcome(apps, assignment, sc.prefectures, sc.schools, cohort, 1900, RegimeKind.DECENTRALIZED)
     assert out.share_first_choice_school1 == 0.5
@@ -58,10 +58,7 @@ def test_year_outcome_single_tokyo_admit():
     sc = build_scenario(0.01)
     tokyo = next(p for p in sc.prefectures if p.name == "Tokyo")
     apps = Applications.of([PreferenceList(1, (1, 2))])
-    assignment = Assignment(
-        placed={1: Placement(school_id=1, preference_rank_obtained=1)},
-        unassigned=frozenset(),
-    )
+    assignment = assignment_of([(1, 1, 1)])
     cohort = cohort_of([mk_applicant(1, 50.0, 8, birth=tokyo.id)])
     out = year_outcome(apps, assignment, sc.prefectures, sc.schools, cohort, 1902, RegimeKind.CENTRALIZED)
     assert out.share_first_choice_school1 == 1.0
@@ -72,9 +69,60 @@ def test_year_outcome_single_tokyo_admit():
 
 def test_year_outcome_no_applications():
     sc = build_scenario(0.01)
-    none, empty = Applications.of([]), Assignment({}, frozenset())
+    none, empty = Applications.of([]), assignment_of()
     out = year_outcome(none, empty, sc.prefectures, sc.schools, cohort_of([]), 1900, RegimeKind.DECENTRALIZED)
     assert out.share_first_choice_school1 is None
+
+
+def _bits(outcome):
+    """A YearOutcome's fields, floats as their exact hex form."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(outcome))
+
+
+def _assert_match_placement_walk(apps, assignment, cohort, sc):
+    where = (sc.prefectures, sc.schools)
+    got = year_outcome(apps, assignment, *where, cohort, 1900, RegimeKind.CENTRALIZED)
+    want = walked_year_outcome(apps, assignment, *where, cohort, 1900, RegimeKind.CENTRALIZED)
+    assert _bits(got) == _bits(want)
+    record = year_record(assignment, cohort, *where, 1900, RegimeKind.CENTRALIZED)
+    walked = walked_year_record(assignment, cohort, *where, 1900, RegimeKind.CENTRALIZED)
+    for name in ("entrants", "cohort"):
+        assert getattr(record, name).dtype == getattr(walked, name).dtype
+        assert np.array_equal(getattr(record, name), getattr(walked, name))
+
+
+@st.composite
+def placed_years(draw, max_applicants=40):
+    """A cohort born anywhere on the default geography, and an assignment of
+    part of it: no, one or many entrants in any admission order (Boston's is
+    round-major, not id order), each at any school and rank."""
+    n = draw(st.integers(0, max_applicants))
+    births = draw(st.lists(st.integers(0, 46), min_size=n, max_size=n))
+    cohort = cohort_of([mk_applicant(3 * i + 1, 50.0, 8, birth=b) for i, b in enumerate(births)])
+    k = min(n, draw(st.sampled_from([0, 1, n]) | st.integers(0, n)))
+    order = draw(st.permutations(cohort.ids.tolist()))[:k]
+    placed = [(i, draw(st.integers(1, 8)), draw(st.integers(1, 8))) for i in order]
+    apps = Applications.of([PreferenceList(i, (s,)) for i, s, _ in placed])
+    return apps, assignment_of(placed, set(cohort.ids.tolist()) - set(order)), cohort
+
+
+@settings(max_examples=300, deadline=None)
+@given(placed_years())
+def test_year_arrays_match_placement_walk(year):
+    # bit for bit: distances are summed in admission order, as the walk adds them
+    _assert_match_placement_walk(*year, build_scenario(0.01))
+
+
+def test_year_arrays_match_placement_walk_on_mechanism_output():
+    sc = build_scenario(0.05)
+    cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(0))
+    lists = submit_applications(cohort, Regime(RegimeKind.CENTRALIZED, 1900))
+    boston = run_meritocratic_boston(sc.schools, cohort, lists, SeededRng(1))
+    assert (np.diff(boston.ids) < 0).any()  # admitted round by round, not in id order
+    _assert_match_placement_walk(lists, boston, cohort, sc)
+    beliefs = CutoffBeliefs(tuple(range(1, 9)), (60.0,) * 8)
+    singles = single_applications(cohort, beliefs, BehaviorParams())
+    _assert_match_placement_walk(singles, run_decentralized(sc.schools, cohort, singles, SeededRng(1)), cohort, sc)
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
@@ -94,7 +142,7 @@ def _assert_columns_equal(got, expected):
 
 
 def _empty_records(sc):
-    empty = Assignment({}, frozenset())
+    empty = assignment_of()
     return [year_record(empty, cohort_of([]), sc.prefectures, sc.schools, r.year, r.kind) for r in sc.schedule]
 
 
@@ -166,7 +214,7 @@ def test_panel_row_count_is_47_by_31():
 def test_build_panel_needs_both_regimes():
     sc = build_scenario(0.01)
     rec = year_record(
-        Assignment({}, frozenset()), cohort_of([]), sc.prefectures, sc.schools, 1900, RegimeKind.DECENTRALIZED
+        assignment_of(), cohort_of([]), sc.prefectures, sc.schools, 1900, RegimeKind.DECENTRALIZED
     )
     with pytest.raises(DomainError):
         build_panel([rec], sc.prefectures, sc.schools)
@@ -232,7 +280,7 @@ def test_missing_distance_serialized_as_empty_field(tmp_path):
     sc = build_scenario(0.01)
     out = year_outcome(
         Applications.of([PreferenceList(1, (2,))]),
-        Assignment({}, frozenset({1})),
+        assignment_of(unassigned=[1]),
         sc.prefectures,
         sc.schools,
         cohort_of([mk_applicant(1, 50.0, 8, birth=0)]),

@@ -1,8 +1,12 @@
 """Every top-level public name of `src/meritmatch` is reached from the package
 itself, its scripts or the benchmark: a name only tests reach is dead surface.
+And every name a module under `src/`, `scripts/` or `tests/` imports is used
+in that module.
 
 A name counts as reached when it occurs as a whole word in a `.py` file under
 `src/`, `scripts/` or `bench/` (tests excluded), outside its own definition.
+An imported name counts as used when the module reads it anywhere (an
+`ast.Name` node), annotations included.
 """
 
 import ast
@@ -55,3 +59,25 @@ def test_every_public_name_has_a_caller():
     assert sorted(uncalled - set(ALLOWED)) == []
     # an allowlisted name that found a caller leaves the list
     assert sorted(set(ALLOWED) - uncalled) == []
+
+
+def _unused_imports(path):
+    """(line, name) of each name `path` imports and never reads."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+def test_every_imported_name_is_used():
+    unused = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for top in ("src", "scripts", "tests")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for line, name in _unused_imports(path)
+    ]
+    assert unused == []

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -244,9 +245,14 @@ def test_realized_cutoff_is_capacity_th_score(market):
     choice, scores, ties, caps, shuffle = market
     # rows in decreasing score, equal scores in an arbitrary order
     order = np.lexsort((np.array(shuffle, dtype=np.int64), -scores))
-    realized = _realized_cutoffs(choice[order], scores[order], caps.tolist())
-    _, expected = _admit_top_per_school(choice, scores, ties, caps)
+    choice, scores = choice[order], scores[order]
+    realized, decided = _realized_cutoffs(choice, scores, caps)
+    _, expected = _admit_top_per_school(choice, scores, ties[order], caps)
     assert realized.tobytes() == expected.tobytes()
+    # the first `decided` rows, and no fewer, decide every filled school's cutoff
+    assert _realized_cutoffs(choice[:decided], scores[:decided], caps)[0].tobytes() == realized.tobytes()
+    if decided:
+        assert _realized_cutoffs(choice[: decided - 1], scores[: decided - 1], caps)[0].tobytes() != realized.tobytes()
 
 
 @st.composite
@@ -292,16 +298,39 @@ def test_equilibrium_matches_lexsort_loop(market, random):
     assert (iterations, residual) == (expected_iterations, expected_residual)
 
 
+def _count_best_responses(monkeypatch):
+    """Count `equilibrium_cutoffs`' best-response calls by kind: "full" (all
+    rows), "prefix" (the rows from 0 down to a deciding row) and "rest" (the
+    rows after a prefix, when a school fell short of its capacity in it)."""
+    calls = {"full": 0, "prefix": 0, "rest": 0}
+    best_response = strategy._best_response
+
+    def counted_best_response(scores, *args):
+        choose = best_response(scores, *args)
+
+        def counted(cutoffs, start=0, stop=None):
+            kind = "rest" if start else "full" if stop in (None, len(scores)) else "prefix"
+            calls[kind] += 1
+            return choose(cutoffs, start, stop)
+
+        return counted
+
+    monkeypatch.setattr(strategy, "_best_response", counted_best_response)
+    return calls
+
+
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
-def test_equilibrium_matches_lexsort_loop_on_scaled_scenario():
+def test_equilibrium_matches_lexsort_loop_on_scaled_scenario(monkeypatch):
     # warm-started years at scale 0.05, most of which end at max_iter; the
-    # iteration limits put max_iter at several offsets into each year's cycle
+    # iteration limits put max_iter at several offsets into each year's cycle.
+    # Seed 0's years also take the path that completes a prefix.
+    calls = _count_best_responses(monkeypatch)
     sc = build_scenario(0.05)
-    for max_iter in (37, 100, 250):
+    for seed, max_iter in itertools.product((3, 0), (37, 100, 250)):
         params = BehaviorParams(max_iter=max_iter)
         beliefs, at_max_iter = None, 0
         for year in range(1900, 1906):
-            cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, year, SeededRng(3))
+            cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, year, SeededRng(seed))
             ties = SeededRng(year).generator().random(len(cohort))
             expected = lexsort_equilibrium_cutoffs(sc.schools, cohort, params, ties, beliefs)
             beliefs, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params, initial=beliefs)
@@ -309,32 +338,22 @@ def test_equilibrium_matches_lexsort_loop_on_scaled_scenario():
             assert (iterations, residual) == expected[1:]
             at_max_iter += iterations == max_iter
         assert at_max_iter > 0
+    # iterations decided by the prefix alone, and iterations that completed it
+    assert calls["prefix"] > calls["rest"] > 0
 
 
 def test_equilibrium_stops_at_exact_cycle(monkeypatch):
-    # a year that ends non-converged at max_iter evaluates fewer best
-    # responses than max_iter once its cutoffs repeat bit for bit
-    evaluations = 0
-    best_response = strategy._best_response
-
-    def counted_best_response(*args):
-        choose = best_response(*args)
-
-        def counted(cutoffs):
-            nonlocal evaluations
-            evaluations += 1
-            return choose(cutoffs)
-
-        return counted
-
-    monkeypatch.setattr(strategy, "_best_response", counted_best_response)
+    # a year that ends non-converged at max_iter runs fewer iterations than
+    # max_iter once its cutoffs repeat bit for bit; each iteration starts
+    # with one best response from the first row
+    calls = _count_best_responses(monkeypatch)
     sc = build_scenario(0.05)
     params = BehaviorParams()
     cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
     with pytest.warns(RuntimeWarning, match="cutoff iteration did not converge"):
         _, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params)
     assert iterations == params.max_iter and residual >= params.tol
-    assert evaluations < params.max_iter
+    assert calls["full"] + calls["prefix"] < params.max_iter
 
 
 # -- beliefs are read by school id --------------------------------------------------
