@@ -377,8 +377,9 @@ SCHOOL_COLUMNS = ["id", "prefecture_id", "capacity", "prestige"]
 def load_geography(path: str | Path) -> list[Prefecture]:
     """Load prefectures from a CSV with columns id,name,x_km,y_km,weight,edu_index.
 
-    Rows must be sorted by id, 0..P-1. Weights are normalized on load; the
-    urban flag is derived from the 100 km Tokyo band.
+    Rows must be sorted by id, 0..P-1; any other id is a DomainError.
+    Weights are normalized on load; the urban flag is derived from the 100 km
+    Tokyo band.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -386,6 +387,8 @@ def load_geography(path: str | Path) -> list[Prefecture]:
         if reader.fieldnames != GEOGRAPHY_COLUMNS:
             raise DomainError(f"geography file must have columns {GEOGRAPHY_COLUMNS}, got {reader.fieldnames}")
         for rec in reader:
+            if int(rec["id"]) != len(rows):
+                raise DomainError(f"geography row {len(rows)} has id {rec['id']}; ids must be 0..P-1 in row order")
             rows.append((rec["name"], float(rec["x_km"]), float(rec["y_km"]), float(rec["weight"]), float(rec["edu_index"])))
     return build_prefectures(rows)
 

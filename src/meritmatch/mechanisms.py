@@ -280,38 +280,27 @@ def _admit_top_per_school(
     scores: np.ndarray,
     ties: np.ndarray,
     caps: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Vectorized core of the decentralized regime: each school independently
     admits its top-capacity applicants by (score, tie-break).
 
     `school_idx` holds 0-based school indices (-1 = did not apply). Returns
-    (admitted mask, per-school cutoff), cutoff being the lowest admitted raw
-    score at schools that filled up, -inf otherwise.
+    the admitted mask.
     """
     n = school_idx.shape[0]
     n_schools = caps.shape[0]
     admitted = np.zeros(n, dtype=bool)
-    cutoffs = np.full(n_schools, -np.inf)
-    applied = school_idx >= 0
-    if not applied.any():
-        return admitted, cutoffs
-    idx = np.flatnonzero(applied)
+    idx = np.flatnonzero(school_idx >= 0)
+    if not idx.size:
+        return admitted
     by_priority = idx[_priority(scores[idx], ties[idx])]
     # grouped by school, stably, in a type narrow enough for numpy's radix sort
     order = by_priority[np.argsort(school_idx[by_priority].astype(np.min_scalar_type(n_schools)), kind="stable")]
     s_sorted = school_idx[order]
     starts = np.searchsorted(s_sorted, np.arange(n_schools), side="left")
-    ends = np.searchsorted(s_sorted, np.arange(n_schools), side="right")
     within = np.arange(order.shape[0]) - starts[s_sorted]
-    take = within < caps[s_sorted]
-    admitted[order[take]] = True
-    counts = ends - starts
-    full = counts >= caps
-    last_in = starts + np.minimum(counts, caps) - 1
-    has_any = counts > 0
-    sel = full & has_any & (caps > 0)
-    cutoffs[sel] = scores[order[last_in[sel]]]
-    return admitted, cutoffs
+    admitted[order[within < caps[s_sorted]]] = True
+    return admitted
 
 
 def run_decentralized(
@@ -329,8 +318,7 @@ def run_decentralized(
     if not len(market.ids):
         return _assignment(market, *np.zeros((3, 0), dtype=np.intp))
     choice = market.choice[:, 0]
-    admitted, _ = _admit_top_per_school(choice, market.scores, market.ties, market.caps)
-    rows = np.flatnonzero(admitted)
+    rows = np.flatnonzero(_admit_top_per_school(choice, market.scores, market.ties, market.caps))
     return _assignment(market, rows, choice[rows], np.ones(len(rows), dtype=np.int64))
 
 

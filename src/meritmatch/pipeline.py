@@ -15,7 +15,9 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+import shutil
+import tempfile
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -205,7 +207,9 @@ def _resolve_locked(raw: Mapping, path: Path) -> ResolvedConfig:
     cfg = raw.get("config", {})
     _check_keys(cfg, {"population", "behavior", "groups", "geography", "schools"}, "lockfile config")
     try:
-        prefectures = build_prefectures([tuple(row) for row in cfg["geography"]])
+        rows = [tuple(row) for row in cfg["geography"]]
+        # the locked weights are already normalized; normalizing them again can move their last bits
+        prefectures = [replace(p, pop_weight=float(r[3])) for p, r in zip(build_prefectures(rows), rows)]
         schools = [
             School(id=int(r[0]), prefecture_id=int(r[1]), capacity=int(r[2]), prestige=float(r[3]))
             for r in cfg["schools"]
@@ -585,10 +589,10 @@ def _outcomes_from_disk(path: Path, seeds: list[int], scenario: Scenario) -> dic
 
 
 def _simulate_and_write(
-    manifest: RunManifest, resolved: ResolvedConfig, seeds: list[int], panel_files: Mapping[int | None, str], emit
+    manifest: RunManifest, resolved: ResolvedConfig, seeds: list[int], panel_files: Mapping[int | None, str], out: Path
 ) -> None:
     """The simulate stage, then the metrics stage if the manifest names it:
-    write year_outcomes.csv and manifest.lock, then the panel CSVs."""
+    write year_outcomes.csv and manifest.lock, then the panel CSVs, into `out`."""
     if manifest.jobs > 1 and len(seeds) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=manifest.jobs) as pool:
             futures = {
@@ -599,17 +603,16 @@ def _simulate_and_write(
     else:
         results = [simulate_seed(resolved.scenario, resolved.behavior, s) for s in seeds]
 
-    outcome_rows = [(r.seed, out) for r in results for out in r.outcomes]
-    emit("year_outcomes.csv", lambda p: write_year_outcomes_csv(p, outcome_rows))
+    write_year_outcomes_csv(out / "year_outcomes.csv", [(r.seed, o) for r in results for o in r.outcomes])
     lock = _lock_payload(manifest, resolved)
-    emit("manifest.lock", lambda p: Path(p).write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n"))
+    (out / "manifest.lock").write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n")
 
     if "metrics" in manifest.stages:
         panels: dict[int, dict] = {}  # seed -> build_panel's panels
         for r in results:
             panels[r.seed] = build_panel(r.records, resolved.scenario.prefectures, resolved.scenario.schools)
         for key, name in panel_files.items():
-            emit(name, lambda p, key=key: write_panel_csv(p, {s: panels[s][key] for s in seeds}, key))
+            write_panel_csv(out / name, {s: panels[s][key] for s in seeds}, key)
 
 
 def run(manifest: RunManifest) -> dict[str, Path]:
@@ -619,14 +622,18 @@ def run(manifest: RunManifest) -> dict[str, Path]:
     estimate can run alone only when the panel CSVs of the configured
     schools, year_outcomes.csv and a manifest.lock whose version_hash, seed
     and seeds match this manifest are already on disk. The estimate stage
-    always reads its inputs from those files, also when the earlier stages
-    wrote them in this invocation. Each panel must hold every seed's full
-    year x prefecture grid, each school panel must repeat panel_all.csv's
-    shared columns bit for bit, and year_outcomes.csv must hold for each seed
-    exactly the schedule's years, ascending, under the schedule's regimes;
-    anything else is an ArtifactError raised before regressions.csv is
-    written.
-    Partially written files are removed on failure.
+    always reads its inputs from files: the staged ones when the earlier
+    stages ran in this invocation, those on disk otherwise. Each panel must
+    hold every seed's full year x prefecture grid, each school panel must
+    repeat panel_all.csv's shared columns bit for bit, and year_outcomes.csv
+    must hold for each seed exactly the schedule's years, ascending, under
+    the schedule's regimes; anything else is an ArtifactError raised before
+    regressions.csv is written.
+
+    Every artifact is written into a private staging directory inside the
+    output directory and renamed into place, one file at a time, only after
+    every stage has succeeded. A run that fails or is interrupted (Ctrl-C)
+    before then leaves the output directory as it found it.
     """
     stages = set(manifest.stages)
     if "metrics" in stages and "simulate" not in stages:
@@ -656,42 +663,27 @@ def run(manifest: RunManifest) -> dict[str, Path]:
             raise ArtifactError(f"{out_dir / 'manifest.lock'} is from another run: {', '.join(stale)} differ")
 
     seeds = list(range(manifest.seed, manifest.seed + manifest.seeds))
-    written: list[Path] = []
-    artifacts: dict[str, Path] = {}
-
-    def _emit(name: str, writer_fn) -> None:
-        path = out_dir / name
-        tmp = out_dir / (name + ".tmp")
-        writer_fn(tmp)
-        os.replace(tmp, path)
-        written.append(path)
-        artifacts[name] = path
-
+    # every artifact is written here first and moved into out_dir only once
+    # every stage has succeeded; a rename, as it stays on out_dir's filesystem
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     try:
         if "simulate" in stages:  # returns before the estimate stage, so its results are released
-            _simulate_and_write(manifest, resolved, seeds, panel_files, _emit)
+            _simulate_and_write(manifest, resolved, seeds, panel_files, staging)
         if "estimate" in stages:
+            inputs = staging if "metrics" in stages else out_dir
             try:
-                panels = _panels_from_disk(out_dir, panel_files, seeds, resolved.scenario)
-                outcomes = _outcomes_from_disk(out_dir / "year_outcomes.csv", seeds, resolved.scenario)
+                panels = _panels_from_disk(inputs, panel_files, seeds, resolved.scenario)
+                outcomes = _outcomes_from_disk(inputs / "year_outcomes.csv", seeds, resolved.scenario)
             except DomainError as exc:
                 raise ArtifactError(str(exc)) from exc
             reg_rows: list[RegressionRow] = []
             for s in seeds:
                 reg_rows.extend(seed_regressions(panels[s], outcomes[s], s))
             reg_rows.extend(pooled_rows([r for r in reg_rows if r.seed != "pooled"]))
-            _emit("regressions.csv", lambda p: write_regressions_csv(p, reg_rows))
-    except Exception:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        for tmp in out_dir.glob("*.tmp"):
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-        raise
-    return artifacts
-
+            write_regressions_csv(staging / "regressions.csv", reg_rows)
+        names = sorted(os.listdir(staging))
+        for name in names:
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return {name: out_dir / name for name in names}

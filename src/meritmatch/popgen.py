@@ -150,8 +150,9 @@ def build_scenario(
 
     `scale` shrinks or grows the default applicants (10777 a year) and seats
     (251 a school) together, preserving selectivity. `population` overrides
-    PopulationConfig fields. Given `schools`, their prestige replaces the
-    population's; otherwise the eight default schools are placed with
+    PopulationConfig fields. Given `schools`, their prestige is the
+    population's, and a different population prestige is a DomainError;
+    otherwise the eight default schools are placed with
     `capacities` (or the scaled default).
     """
     if scale <= 0:
@@ -167,7 +168,10 @@ def build_scenario(
             capacities = [max(1, int(round(251 * scale)))] * 8
         schools = default_schools(prefectures, capacities, config.prestige)
     else:
-        config = replace(config, prestige=tuple(s.prestige for s in sorted(schools, key=lambda s: s.id)))
+        prestige = tuple(s.prestige for s in sorted(schools, key=lambda s: s.id))
+        if "prestige" in overrides and overrides["prestige"] != prestige:
+            raise DomainError(f"population prestige {overrides['prestige']} differs from the schools' {prestige}")
+        config = replace(config, prestige=prestige)
     return Scenario(
         prefectures=tuple(prefectures),
         schools=tuple(schools),

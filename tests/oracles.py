@@ -191,13 +191,26 @@ def choose_single_application(applicant, beliefs, params):
     return PreferenceList(applicant_id=applicant.id, ranked=(best[1],))
 
 
+def admitted_cutoffs(choice, scores, ties, caps):
+    """Each school's realized cutoff under `_admit_top_per_school`: the lowest
+    admitted score at schools with positive capacity that filled, -inf
+    elsewhere."""
+    admitted = _admit_top_per_school(choice, scores, ties, caps)
+    cutoffs = np.full(len(caps), -np.inf)
+    for k, cap in enumerate(caps):
+        mine = admitted & (choice == k)
+        if cap > 0 and np.count_nonzero(mine) == cap:
+            cutoffs[k] = scores[mine].min()
+    return cutoffs
+
+
 def lexsort_equilibrium_cutoffs(schools, applicants, params, ties, initial=None):
     """The cutoff loop `equilibrium_cutoffs` replaced: every iteration
     recomputes each applicant's best response in id order and admits each
     school's top capacity by (score, `ties`) through `_admit_top_per_school`,
-    whose lowest admitted score is the realized cutoff. Returns (cutoffs in
-    increasing school id, iterations, residual); initial beliefs are read by
-    position, as that loop read them."""
+    whose lowest admitted score is the realized cutoff (`admitted_cutoffs`).
+    Returns (cutoffs in increasing school id, iterations, residual); initial
+    beliefs are read by position, as that loop read them."""
     caps = np.array([s.capacity for s in sorted(schools, key=lambda s: s.id)], dtype=np.int64)
     scores, utilities, outside = applicants.score, applicants.utility, applicants.outside
     sigma = params.score_noise_sd
@@ -220,7 +233,7 @@ def lexsort_equilibrium_cutoffs(schools, applicants, params, ties, initial=None)
         ev = np.where(surplus > 0, prob * surplus, -np.inf)
         choice = np.argmax(ev, axis=1)
         choice[~np.isfinite(ev[np.arange(len(choice)), choice])] = -1
-        _, realized = _admit_top_per_school(choice, scores, ties, caps)
+        realized = admitted_cutoffs(choice, scores, ties, caps)
         undersubscribed = np.isneginf(realized)
         target = np.where(undersubscribed, floor, realized)
         new = (1 - params.damping) * cutoffs + params.damping * target

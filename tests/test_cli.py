@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from meritmatch.cli import main
+from meritmatch.core import default_prefectures
 from meritmatch.metrics import read_year_outcomes_csv
 from meritmatch.pipeline import (
     ConfigError,
@@ -53,11 +56,21 @@ def test_two_runs_byte_identical(config_path, tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
-def test_lockfile_replay_reproduces_artifacts(config_path, tmp_path):
+@pytest.mark.parametrize("geography", ["default", "custom"])
+def test_lockfile_replay_reproduces_artifacts(config_path, tmp_path, geography):
+    if geography == "custom":
+        # weights whose normalized values do not sum to exactly 1.0
+        rng = np.random.default_rng(7)
+        prefs = [replace(p, pop_weight=p.pop_weight * (0.5 + rng.random())) for p in default_prefectures()]
+        save_geography(prefs, tmp_path / "geo.csv")
+        config_path.write_text(json.dumps({**SMALL_CONFIG, "geography": "geo.csv"}))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert _run_cli(config_path, out1, ("--seeds", "2")) == 0
     lock = out1 / "manifest.lock"
     assert _run_cli(lock, out2, ("--seeds", "2")) == 0
+    assert _read_all(out1) == _read_all(out2)
+    # the run's own lock also passes the estimate-only lock check
+    assert _run_cli(lock, out1, ("--seeds", "2", "--stages", "estimate")) == 0
     assert _read_all(out1) == _read_all(out2)
 
 
@@ -169,6 +182,27 @@ def test_bad_geography_header_is_config_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"geography": "geo.csv"}))
     assert _run_cli(cfg, tmp_path / "out") == 2
     assert capsys.readouterr().err.startswith("error: config: geography file must have columns")
+
+
+def test_geography_ids_out_of_row_order_are_config_error(tmp_path, capsys):
+    prefs = default_prefectures()
+    save_geography([replace(p, id=len(prefs) - 1 - p.id) for p in prefs], tmp_path / "geo.csv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "geography": "geo.csv"}))
+    assert _run_cli(cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("error: config: geography row 0 has id 46")
+    assert not (tmp_path / "out").exists()
+
+
+def test_population_prestige_must_match_schools(tmp_path, capsys):
+    cfg = _schools_config(tmp_path, 8)
+    config = json.loads(cfg.read_text())
+    prestige = [s.prestige for s in resolve_config(cfg).scenario.schools]
+    cfg.write_text(json.dumps({**config, "population": {**SMALL_CONFIG["population"], "prestige": prestige}}))
+    assert resolve_config(cfg).scenario.population.prestige == tuple(prestige)
+    cfg.write_text(json.dumps({**config, "population": {**SMALL_CONFIG["population"], "prestige": list(range(1, 9))}}))
+    assert _run_cli(cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("error: config: bad config: population prestige")
 
 
 def test_unwritable_out_dir_is_io_error(config_path, tmp_path, capsys):
@@ -357,26 +391,37 @@ def test_custom_capacities_and_groups(tmp_path):
 
 
 def test_partial_outputs_removed_on_failure(config_path, tmp_path, monkeypatch):
-    out = tmp_path / "broken"
     import meritmatch.pipeline as pl
-
-    original = pl.build_panel
 
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(pl, "build_panel", boom)
-    with pytest.raises(RuntimeError):
-        run(
-            RunManifest(
-                config_path=str(config_path),
-                out_dir=str(out),
-                stages=("simulate", "metrics"),
+    # a failed run into a fresh directory leaves it empty
+    out = tmp_path / "broken"
+    with monkeypatch.context() as patch:
+        patch.setattr(pl, "build_panel", boom)
+        with pytest.raises(RuntimeError):
+            run(
+                RunManifest(
+                    config_path=str(config_path),
+                    out_dir=str(out),
+                    stages=("simulate", "metrics"),
+                )
             )
-        )
-    monkeypatch.setattr(pl, "build_panel", original)
     leftovers = sorted(p.name for p in out.iterdir()) if out.exists() else []
     assert leftovers == []
+
+    # a failed rerun leaves every earlier byte and the user's own files as they
+    # were, and no staging directory
+    out = tmp_path / "rerun"
+    run(RunManifest(config_path=str(config_path), out_dir=str(out)))
+    (out / "notes.tmp").write_text("kept\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == sorted([*ARTIFACTS, "notes.tmp"])
+    monkeypatch.setattr(pl, "seed_regressions", boom)
+    with pytest.raises(RuntimeError):
+        run(RunManifest(config_path=str(config_path), out_dir=str(out), seed=5))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def _schools_config(tmp_path, n_schools):

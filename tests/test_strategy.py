@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from meritmatch import strategy
 from meritmatch.core import Applicant, DomainError, Regime, RegimeKind, SeededRng
-from meritmatch.mechanisms import PreferenceList, _admit_top_per_school
+from meritmatch.mechanisms import PreferenceList
 from meritmatch.popgen import build_scenario, generate_applicants
 from meritmatch.strategy import (
     BehaviorParams,
@@ -22,7 +22,7 @@ from meritmatch.strategy import (
 )
 
 from conftest import cohort_of, grouped_ranking, mk_schools, truthful_ranking
-from oracles import admit_probability, choose_single_application, lexsort_equilibrium_cutoffs
+from oracles import admit_probability, admitted_cutoffs, choose_single_application, lexsort_equilibrium_cutoffs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -187,7 +187,7 @@ def test_equilibrium_damping_one_is_undamped():
     under = np.ones(2, dtype=bool)
     for _ in range(7):
         choice = _best_response(scores, utils - outside[:, None], 4.0)(cut)
-        _, realized = _admit_top_per_school(choice, scores, ties, caps)
+        realized = admitted_cutoffs(choice, scores, ties, caps)
         under = np.isneginf(realized)
         cut = np.where(under, floor, realized)
     expected = np.where(under, -np.inf, cut)
@@ -247,7 +247,7 @@ def test_realized_cutoff_is_capacity_th_score(market):
     order = np.lexsort((np.array(shuffle, dtype=np.int64), -scores))
     choice, scores = choice[order], scores[order]
     realized, decided = _realized_cutoffs(choice, scores, caps)
-    _, expected = _admit_top_per_school(choice, scores, ties[order], caps)
+    expected = admitted_cutoffs(choice, scores, ties[order], caps)
     assert realized.tobytes() == expected.tobytes()
     # the first `decided` rows, and no fewer, decide every filled school's cutoff
     assert _realized_cutoffs(choice[:decided], scores[:decided], caps)[0].tobytes() == realized.tobytes()
