@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .core import DomainError
@@ -126,16 +125,32 @@ def two_way_demean(
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
+    """Reject regressors without within-variation, then regressors in the span
+    of the regressors before them, naming them in regressor order.
+
+    A column is in that span when its |R_jj| in an unpivoted Householder QR is
+    at most the largest column 2-norm x max(n, K) x eps x 1e3; past n
+    independent columns every column is. A full-rank X costs one QR. Otherwise
+    each column is tested against the independent columns before it, because
+    after a dependent column a single QR's later R_jj also lose an arbitrary
+    direction, and an independent column could be named with it.
+    """
     scale = np.max(np.abs(X), axis=0)
     dead = [names[j] for j in range(X.shape[1]) if scale[j] <= 1e-12]
     if dead:
         raise DomainError(f"no within-variation in regressor(s): {', '.join(dead)}")
-    _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    threshold = diag[0] * max(X.shape) * np.finfo(float).eps * 1e3 if diag.size else 0.0
-    rank = int(np.sum(diag > threshold))
-    if rank < X.shape[1]:
-        offending = [names[j] for j in piv[rank:]]
+    n, k = X.shape
+    R = np.linalg.qr(X, mode="r")
+    # Q keeps column norms, so R's largest column norm is X's
+    threshold = np.max(np.linalg.norm(R, axis=0)) * max(n, k) * np.finfo(float).eps * 1e3
+    if n >= k and np.all(np.abs(np.diag(R)) > threshold):
+        return
+    kept: list[int] = []
+    for j in range(k):
+        if len(kept) < n and abs(np.linalg.qr(X[:, kept + [j]], mode="r")[-1, -1]) > threshold:
+            kept.append(j)
+    offending = [names[j] for j in range(k) if j not in kept]
+    if offending:
         raise DomainError(f"perfectly collinear regressor(s) after demeaning: {', '.join(offending)}")
 
 

@@ -151,9 +151,9 @@ def build_scenario(
     `scale` shrinks or grows the default applicants (10777 a year) and seats
     (251 a school) together, preserving selectivity. `population` overrides
     PopulationConfig fields. Given `schools`, their prestige is the
-    population's, and a different population prestige is a DomainError;
-    otherwise the eight default schools are placed with
-    `capacities` (or the scaled default).
+    population's and their capacities are the seats, and a different
+    population prestige or `capacities` is a DomainError; otherwise the eight
+    default schools are placed with `capacities` (or the scaled default).
     """
     if scale <= 0:
         raise DomainError("scale must be positive")
@@ -168,9 +168,13 @@ def build_scenario(
             capacities = [max(1, int(round(251 * scale)))] * 8
         schools = default_schools(prefectures, capacities, config.prestige)
     else:
-        prestige = tuple(s.prestige for s in sorted(schools, key=lambda s: s.id))
+        by_id = sorted(schools, key=lambda s: s.id)
+        prestige = tuple(s.prestige for s in by_id)
         if "prestige" in overrides and overrides["prestige"] != prestige:
             raise DomainError(f"population prestige {overrides['prestige']} differs from the schools' {prestige}")
+        seats = [s.capacity for s in by_id]
+        if capacities is not None and [int(c) for c in capacities] != seats:
+            raise DomainError(f"capacities {list(capacities)} differ from the schools' {seats}")
         config = replace(config, prestige=prestige)
     return Scenario(
         prefectures=tuple(prefectures),

@@ -205,6 +205,18 @@ def test_population_prestige_must_match_schools(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config: bad config: population prestige")
 
 
+def test_capacities_must_match_schools(tmp_path, capsys):
+    cfg = _schools_config(tmp_path, 8)
+    config = json.loads(cfg.read_text())
+    seats = [s.capacity for s in resolve_config(cfg).scenario.schools]
+    cfg.write_text(json.dumps({**config, "capacities": seats}))
+    assert [s.capacity for s in resolve_config(cfg).scenario.schools] == seats
+    cfg.write_text(json.dumps({**config, "capacities": [1] * 8}))
+    assert _run_cli(cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("error: config: bad config: capacities [1, 1, 1, 1, 1, 1, 1, 1] differ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_unwritable_out_dir_is_io_error(config_path, tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -561,3 +573,23 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_no_run_loads_scipy_linalg(tmp_path):
+    # scipy.linalg's LAPACK wrappers cost ~6.4 MB of RSS in every process that imports it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scale": 0.05}))
+    out = tmp_path / "out"
+    code = (
+        "import sys, meritmatch.cli\n"
+        "after_import = 'scipy.linalg' in sys.modules\n"
+        "from meritmatch.pipeline import RunManifest, run\n"
+        f"run(RunManifest(config_path={str(cfg)!r}, out_dir={str(out)!r}))\n"
+        "print(after_import, 'scipy.linalg' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from meritmatch.core import DomainError
 from meritmatch.econometrics import (
     RegressionSpec,
+    _check_rank,
     _group_demean,
     _p_values,
     did_centralization,
@@ -292,6 +296,54 @@ def test_collinear_regressor_reported_by_name():
     spec = RegressionSpec(outcome="y", regressors=("x0", "x1", "x_dup"), unit="unit", time="time")
     with pytest.raises(DomainError, match="x_dup|x0"):
         fe_ols(panel, spec)
+
+
+def _pivoted_qr_rank(X):
+    """Numerical rank of a column-pivoted QR, at the threshold `_check_rank` uses."""
+    _, R, _ = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    return int(np.sum(diag > diag[0] * max(X.shape) * np.finfo(float).eps * 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    k=st.integers(1, 6),
+    replaced=st.one_of(st.none(), st.integers(0, 5)),
+)
+@example(seed=1, n=2, k=5, replaced=None)
+@example(seed=2, n=3, k=6, replaced=1)
+@example(seed=3, n=4, k=6, replaced=5)
+def test_check_rank_agrees_with_pivoted_qr(seed, n, k, replaced):
+    assume(replaced is None or replaced < k)
+    gen = np.random.default_rng(seed)
+    X = gen.normal(0, 1, (n, k)) * 10.0 ** gen.integers(-2, 3, k)
+    if replaced is not None:  # a combination of the columns before it (zero for column 0)
+        X[:, replaced] = X[:, :replaced] @ gen.integers(-3, 4, replaced)
+    names = [f"x{j}" for j in range(k)]
+    rank = _pivoted_qr_rank(X)
+    if rank == k:
+        _check_rank(X, names)
+        return
+    with pytest.raises(DomainError) as err:
+        _check_rank(X, names)
+    named = str(err.value).split(": ")[1].split(", ")
+    assert named == sorted(named, key=names.index)
+    if replaced is None:  # only n < K is rank-deficient
+        assert named == names[n:]
+    else:
+        assert f"x{replaced}" in named
+        if "within-variation" not in str(err.value):
+            assert len(named) == k - rank
+
+
+def test_newey_west_duplicated_trend_reported_by_name():
+    gen = np.random.default_rng(33)
+    t = np.arange(31.0)
+    table = {"y": 0.1 * t + gen.normal(0, 1, 31), "t": t, "t_dup": t.copy()}
+    with pytest.raises(DomainError, match=r"after demeaning: t_dup$"):
+        newey_west_ols(table, RegressionSpec(outcome="y", regressors=("t", "t_dup"), covariance="newey-west"))
 
 
 def test_zero_within_variation_reported_by_name():
