@@ -15,16 +15,17 @@ Conventions, chosen once and used by tests as the contract:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.special
 
 from .core import DomainError
 
 DEMEAN_TOL = 1e-10
 DEMEAN_MAX_SWEEPS = 100
+P_VALUE_MAX_TERMS = 500
 
 
 @dataclass(frozen=True)
@@ -159,10 +160,67 @@ def _sandwich(bread: np.ndarray, meat: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
+def _log_gamma_ratio_half(a: float) -> float:
+    """ln Γ(a + 1/2) - ln Γ(a). A difference of two `math.lgamma` values
+    loses eps * lgamma(a) to cancellation (5e-10 at a = 5e5), so this sums
+    the asymptotic series, good to 4e-15 from a = 20, after shifting a up
+    to 20 by the recurrence Γ(z + 1) = z Γ(z)."""
+    shift = max(0, math.ceil(20.0 - a))
+    z = a + shift
+    series = 0.5 * math.log(z) - 1 / (8 * z) + 1 / (192 * z**3) - 1 / (640 * z**5) + 17 / (14336 * z**7)
+    return series - math.fsum(math.log1p(0.5 / (a + j)) for j in range(shift))
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
+    """The continued fraction f in I_x(a, b) = x^a y^b / (B(a, b) f), where
+    y = 1 - x is passed in, not recomputed (DiDonato & Morris 1992, BFRAC),
+    evaluated by modified Lentz. It converges fast for x < (a+1)/(a+b+2)."""
+    tiny = 1e-300
+    f = a * (a * y - b * x + 1.0) / (a + 1.0) or tiny
+    c, d = f, 0.0
+    for m in range(1, P_VALUE_MAX_TERMS + 1):
+        k = a + 2 * m - 1
+        am = (a + m - 1) * (a + b + m - 1) * m * (b - m) * x * x / (k * k)
+        bm = m + m * (b - m) * x / k + (a + m) * (a * y - b * x + 1 + m * (2 - x)) / (k + 2)
+        d = 1.0 / ((bm + am * d) or tiny)
+        c = (bm + am / c) or tiny
+        f *= c * d
+        if abs(c * d - 1.0) <= np.finfo(float).eps:
+            return f
+    raise ArithmeticError(f"beta fraction ({a}, {b}, x={x}) did not converge in {P_VALUE_MAX_TERMS} terms")
+
+
 def _p_values(t_stats: np.ndarray, df: float) -> np.ndarray:
-    # stdtr(df, -x) is what scipy.stats.t.sf evaluates; importing scipy.stats
-    # would about double the package's import time
-    return 2.0 * scipy.special.stdtr(max(df, 1.0), -np.abs(t_stats))
+    """Two-sided Student-t p-values P(|T| > |t|): (2/π) atan(1/|t|) for
+    df <= 1, else I_x(df/2, 1/2) with x = df / (df + t^2).
+
+    I_x follows Numerical Recipes §6.4: the factor x^a (1-x)^b / B(a, b) in
+    logs, over a continued fraction evaluated by Lentz's method, directly
+    for x < (a+1)/(a+b+2) and as 1 - I_{1-x}(b, a) above. 1 - x is formed
+    as t^2 / (df + t^2), never by subtraction. The fraction is DiDonato &
+    Morris's, which reads 1 - x as well as x; Numerical Recipes' own reads
+    x alone and was off by 9e-11 relative at df = 1e6, t = 1.9. Against
+    2 * scipy.stats.t.sf, for df from 2 to 1e15 and t from 1e-12 to 1e8,
+    the error stayed below 3e-13 relative, with at most 59 terms; the tests
+    bound it at 1e-11. A fraction that has not converged after
+    `P_VALUE_MAX_TERMS` terms raises ArithmeticError. A NaN t gives NaN."""
+    t = np.abs(np.asarray(t_stats, dtype=float))
+    if df <= 1.0:
+        return np.arctan2(1.0, t) / (np.pi / 2)
+    a = df / 2
+    with np.errstate(divide="ignore", over="ignore"):
+        u = t * t / df
+        x, y = 1.0 / (1.0 + u), 1.0 / (1.0 + 1.0 / u)
+        front = np.exp(_log_gamma_ratio_half(a) - 0.5 * math.log(math.pi) - a * np.log1p(u) - 0.5 * np.log1p(1 / u))
+    lower = (a + 2.5) * y > 1.5
+    rows = zip(front.ravel().tolist(), x.ravel().tolist(), y.ravel().tolist(), lower.ravel().tolist())
+    p = [
+        math.nan if math.isnan(w)
+        else w / _beta_fraction(a, 0.5, xi, yi) if low
+        else 1.0 - w / _beta_fraction(0.5, a, yi, xi)
+        for w, xi, yi, low in rows
+    ]
+    return np.array(p).reshape(t.shape)
 
 
 def fe_ols(panel: Mapping[str, Sequence], spec: RegressionSpec) -> RegressionResult:

@@ -110,7 +110,10 @@ def _priority(scores: np.ndarray, ties: np.ndarray) -> np.ndarray:
     ranked = scores[order]
     same = ranked[1:] == ranked[:-1]
     if same.any():
-        tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
+        in_run = np.zeros(len(order), dtype=bool)
+        in_run[:-1] = same
+        in_run[1:] |= same
+        tied = np.flatnonzero(in_run)
         rows = order[tied]
         order[tied] = rows[np.lexsort((rows, ties[rows], -ranked[tied]))]
     return order

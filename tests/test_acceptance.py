@@ -110,7 +110,7 @@ def test_criterion_1_admitted_set_equivalence_exhaustive():
         rng = SeededRng(20240501, checked)
         b = run_meritocratic_boston(schools, cohort, prefs, rng)
         d = run_serial_dictatorship_da(schools, cohort, prefs, rng)
-        mismatches += set(b.placed) != set(d.placed)
+        mismatches += set(b.ids.tolist()) != set(d.ids.tolist())
         checked += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 60.0 and checked >= 100_000

@@ -158,7 +158,19 @@ def test_unknown_population_key_rejected(tmp_path):
     assert _run_cli(bad, tmp_path / "out") == 2
 
 
-@pytest.mark.parametrize("config", [{"scale": "abc"}, {"capacities": ["x"] * 8}], ids=["scale", "capacities"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"scale": "abc"},
+        {"capacities": ["x"] * 8},
+        # these ran before they were rejected: at full scale, with 5 seats a
+        # school, and with groups [1, 2, 3, 4] and [5, 6, 7, 8]
+        {"scale": True},
+        {"capacities": [5.7] + [5] * 7},
+        {"groups": [[1.9, 2, 3, 4], [5, 6, 7, 8]]},
+    ],
+    ids=["scale", "capacities", "scale-bool", "capacities-fraction", "groups-fraction"],
+)
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, config):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
@@ -166,6 +178,32 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("error: config:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [[[1, 2, 99], [3, 4, 5, 6, 7, 8]], [[1, 2, 3], [3, 4, 5, 6, 7, 8]], [list(range(1, 9)), []]],
+    ids=["unknown-id", "overlap", "empty"],
+)
+@pytest.mark.parametrize("locked", [False, True], ids=["config", "lockfile"])
+def test_groups_must_partition_the_schools(tmp_path, capsys, groups, locked):
+    # rejected at resolution, not by a traceback at the first grouped year
+    config = {"scale": 0.05, "groups": groups}
+    if locked:
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"scale": 0.05}))
+        config = {"locked": True, "config": {**resolve_config(good).as_dict(), "groups": groups}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    assert _run_cli(cfg, out) == 2
+    err = capsys.readouterr().err
+    where = "lockfile" if locked else "config"
+    assert err.startswith(f"error: config: bad {where}: groups {sorted(groups[0])} and {sorted(groups[1])} must split")
+    assert err.count("\n") == 1
+    assert [(p.name, p.read_text()) for p in out.iterdir()] == [("notes.txt", "kept\n")]
 
 
 def test_invalid_json_rejected(tmp_path, capsys):
@@ -565,20 +603,23 @@ def test_estimate_only_panels_share_read_only_columns(config_path, tmp_path, mon
                 panel[3][c][0] = 1
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone took about half of a cold start
+def _fresh_python(code, timeout=120):
+    """stdout of `code` run in a new interpreter that imports meritmatch from src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, meritmatch.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone took about half of a cold start
+    code = "import sys, meritmatch.cli; print('scipy.stats' in sys.modules)"
+    assert _fresh_python(code).strip() == "False"
 
 
 def test_no_run_loads_scipy_linalg(tmp_path):
     # scipy.linalg's LAPACK wrappers cost ~6.4 MB of RSS in every process that imports it
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"scale": 0.05}))
     out = tmp_path / "out"
@@ -589,7 +630,39 @@ def test_no_run_loads_scipy_linalg(tmp_path):
         f"run(RunManifest(config_path={str(cfg)!r}, out_dir={str(out)!r}))\n"
         "print(after_import, 'scipy.linalg' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert _fresh_python(code, timeout=300).split() == ["False", "False"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.special cost ~0.3 s and ~21 MB of every process that imported it
+    assert _fresh_python("import sys, meritmatch.cli; print('scipy' in sys.modules)").strip() == "False"
+
+
+def test_simulate_loads_scipy_special_on_first_best_response(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scale": 0.05}))
+    code = (
+        "import sys\n"
+        "from meritmatch.pipeline import RunManifest, run\n"
+        "before = 'scipy.special' in sys.modules\n"
+        f"run(RunManifest(config_path={str(cfg)!r}, out_dir={str(tmp_path / 'out')!r}, stages=('simulate',)))\n"
+        "print(before, 'scipy.special' in sys.modules)\n"
+    )
+    assert _fresh_python(code, timeout=300).split() == ["False", "True"]
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_estimate_only_run_loads_no_scipy(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scale": 0.05}))
+    out = tmp_path / "out"
+    run(RunManifest(config_path=str(cfg), out_dir=str(out), stages=("simulate", "metrics")))
+    code = (
+        "import sys\n"
+        "from meritmatch.pipeline import RunManifest, run\n"
+        f"run(RunManifest(config_path={str(cfg)!r}, out_dir={str(out)!r}, stages=('estimate',)))\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    assert _fresh_python(code, timeout=300).strip() == "False"
     assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from meritmatch import econometrics
 from meritmatch.core import DomainError
 from meritmatch.econometrics import (
     RegressionSpec,
@@ -375,9 +376,22 @@ def test_with_interaction_names_and_values():
     assert np.allclose(cols["a_x_b"], [3.0, 1.0])
 
 
-@pytest.mark.parametrize("df", [1.0, 3.0, 27.0, 46.0, 1e6])
-def test_p_values_equal_scipy_stats_bitwise(df):
+@pytest.mark.parametrize("df", [1.0, 2.0, 3.0, 27.0, 46.0, 1451.0, 1e6])
+def test_p_values_match_scipy_stats_within_bound(df):
     import scipy.stats
 
-    t = np.array([0.0, -5e-324, 1e-300, 1e-8, -0.7, 1.96, 3.5, -40.0, 40.0, np.inf, -np.inf])
-    assert _p_values(t, df).tobytes() == (2.0 * scipy.stats.t.sf(np.abs(t), df)).tobytes()
+    t = np.array([0.0, -5e-324, 1e-300, 1e-8, -0.7, 1.96, 3.5, -40.0, 40.0, np.inf, -np.inf, np.nan])
+    # Student t with one degree of freedom is the Cauchy distribution. scipy's
+    # t.sf at df = 1 is off by 3e-9 relative at t = 1e-8, its cauchy.sf is not
+    dist = scipy.stats.cauchy() if df == 1.0 else scipy.stats.t(df)
+    want = 2.0 * dist.sf(np.abs(t))
+    got = _p_values(t, df)
+    exact = np.isnan(want) | (want == 0.0) | (want == 1.0)
+    assert np.array_equal(got[exact], want[exact], equal_nan=True)
+    assert np.all(np.abs(got - want)[~exact] <= 1e-11 * want[~exact])
+
+
+def test_p_value_fraction_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(econometrics, "P_VALUE_MAX_TERMS", 2)
+    with pytest.raises(ArithmeticError, match="did not converge in 2 terms"):
+        _p_values(np.array([1.96]), 46.0)
