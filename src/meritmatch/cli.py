@@ -11,7 +11,9 @@ invariant violation. Errors print a single machine-parsable line
 disk that is malformed or does not fit the run: a panel CSV,
 year_outcomes.csv or manifest.lock under `run --stages estimate`, or the
 input of `diff-regimes`. A bad config file, or a geography or school CSV it names,
-is a `config` error.
+is a `config` error. So is a config value of the wrong type, a fraction for an
+integer field, or a non-finite number (NaN, Infinity): each is rejected while
+the config resolves (exit 2), before `--out` is touched.
 """
 
 from __future__ import annotations

@@ -116,6 +116,18 @@ class Regime:
     groups: tuple[frozenset[int], frozenset[int]] | None = None
 
 
+def check_groups(groups: tuple[frozenset[int], frozenset[int]], school_ids: Iterable[int]) -> None:
+    """DomainError unless `groups` splits `school_ids` into two nonempty,
+    disjoint parts: the partition a grouped regime's lists are drawn over."""
+    first, second = (set(g) for g in groups)
+    ids = set(school_ids)
+    if first | second != ids or first & second or not (first and second):
+        raise DomainError(
+            f"groups {sorted(first)} and {sorted(second)} "
+            f"must split the school ids {sorted(ids)} into two nonempty parts"
+        )
+
+
 @dataclass(frozen=True)
 class Placement:
     school_id: int

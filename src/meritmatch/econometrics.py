@@ -1,16 +1,18 @@
-"""Least-squares estimators for simulated panels and series.
+"""Least-squares estimators for the regression battery, which fits two models:
 
-Provides two-way fixed-effects OLS via iterated within-demeaning with
-classical or cluster-robust (CR0) covariance; trend OLS with Newey-West
-(Bartlett) covariance; and the centralization difference-in-differences
-spec.
+  * `fe_ols`, on a prefecture-by-year panel: `entrants` on the given
+    regressors with prefecture and year fixed effects, absorbed by iterated
+    within-demeaning, and CR0 errors clustered by prefecture. The sandwich
+    carries the finite-sample factor G/(G-1) * (N-1)/(N-K), where G counts the
+    prefectures and K the regressors plus the absorbed fixed-effect
+    parameters. p-values use a t distribution with G-1 degrees of freedom.
+    `did_centralization` is the centralization difference-in-differences on it.
+  * `newey_west_ols`, on a time series: an outcome on an intercept and the
+    given regressors with Bartlett-weighted Newey-West covariance. It applies
+    no finite-sample scaling, so lag 0 equals HC0. p-values use a t
+    distribution with N-K degrees of freedom, K counting the intercept.
 
-Conventions, chosen once and used by tests as the contract:
-  * CR0 sandwich carries the finite-sample factor G/(G-1) * (N-1)/(N-K),
-    where K counts regressors plus absorbed fixed-effect parameters.
-  * p-values use a t distribution with G-1 degrees of freedom under
-    clustering and N-K otherwise.
-  * Newey-West applies no finite-sample scaling, so lag 0 equals HC0.
+The tests hold these conventions as the contract.
 """
 
 from __future__ import annotations
@@ -23,28 +25,12 @@ import numpy as np
 
 from .core import DomainError
 
+# `build_panel`'s columns: the panel outcome, and the unit and time effects
+OUTCOME, UNIT, TIME = "entrants", "prefecture_id", "year"
+
 DEMEAN_TOL = 1e-10
 DEMEAN_MAX_SWEEPS = 100
 P_VALUE_MAX_TERMS = 500
-
-
-@dataclass(frozen=True)
-class RegressionSpec:
-    outcome: str
-    regressors: tuple[str, ...]
-    unit: str | None = None
-    time: str | None = None
-    cluster: str | None = None
-    covariance: str = "classical"  # classical | cluster | newey-west
-    nw_lags: int = 0
-
-    def __post_init__(self) -> None:
-        if self.covariance not in ("classical", "cluster", "newey-west"):
-            raise DomainError(f"unknown covariance mode {self.covariance!r}")
-        if self.covariance == "cluster" and self.cluster is None:
-            raise DomainError("cluster-robust covariance requires a cluster column")
-        if self.nw_lags < 0:
-            raise DomainError("nw_lags must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -57,7 +43,6 @@ class RegressionResult:
     p_values: np.ndarray
     n_obs: int
     n_clusters: int | None
-    r2_within: float
 
     def coef(self, name: str) -> float:
         return float(self.beta[self.names.index(name)])
@@ -99,28 +84,17 @@ def _group_demean(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray
 
 
 def two_way_demean(
-    Z: np.ndarray,
-    unit_codes: np.ndarray | None,
-    time_codes: np.ndarray | None,
-    n_units: int = 0,
-    n_times: int = 0,
+    Z: np.ndarray, unit_codes: np.ndarray, time_codes: np.ndarray, n_units: int, n_times: int
 ) -> tuple[np.ndarray, int]:
     """Alternate unit/time demeaning until the largest per-sweep change falls
     below `DEMEAN_TOL`, for at most `DEMEAN_MAX_SWEEPS` sweeps. Balanced
     two-way panels converge exactly in one sweep (the second sweep only
     confirms it)."""
     Z = np.array(Z, dtype=float)
-    if unit_codes is None and time_codes is None:
-        return Z, 0
-    sweeps = 0
     for sweeps in range(1, DEMEAN_MAX_SWEEPS + 1):
-        prev = Z.copy()
-        if unit_codes is not None:
-            Z = _group_demean(Z, unit_codes, n_units)
-        if time_codes is not None:
-            Z = _group_demean(Z, time_codes, n_times)
-        change = float(np.max(np.abs(Z - prev))) if Z.size else 0.0
-        if change < DEMEAN_TOL:
+        prev = Z
+        Z = _group_demean(_group_demean(Z, unit_codes, n_units), time_codes, n_times)
+        if float(np.max(np.abs(Z - prev))) < DEMEAN_TOL:
             break
     return Z, sweeps
 
@@ -223,120 +197,77 @@ def _p_values(t_stats: np.ndarray, df: float) -> np.ndarray:
     return np.array(p).reshape(t.shape)
 
 
-def fe_ols(panel: Mapping[str, Sequence], spec: RegressionSpec) -> RegressionResult:
-    """Within-transformed OLS with up to two absorbed fixed-effect dimensions.
+def _result(
+    names: Sequence[str], beta: np.ndarray, cov: np.ndarray, n: int, n_clusters: int | None, df: float
+) -> RegressionResult:
+    """The estimates with their standard errors, t statistics and p-values on t(df)."""
+    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stats = np.where(se > 0, beta / se, np.inf * np.sign(beta))
+    return RegressionResult(tuple(names), beta, cov, se, t_stats, _p_values(t_stats, df), n, n_clusters)
 
-    With no fixed effects an intercept column is added automatically.
+
+def fe_ols(panel: Mapping[str, Sequence], regressors: Sequence[str]) -> RegressionResult:
+    """OLS of `entrants` on `regressors` with prefecture and year fixed effects
+    absorbed and CR0 errors clustered by prefecture.
+
     Collinear regressors and regressors without within-variation are
     reported by name.
     """
-    if spec.covariance == "newey-west":
-        raise DomainError("use newey_west_ols for HAC covariance")
-    y = _column(panel, spec.outcome)
+    y = _column(panel, OUTCOME)
     n = y.shape[0]
     if n == 0:
         raise DomainError("empty panel")
-    names = list(spec.regressors)
-    X = np.column_stack([_column(panel, c, n) for c in names]) if names else np.empty((n, 0))
-
-    unit_codes = time_codes = None
-    n_units = n_times = 0
-    if spec.unit is not None:
-        unit_codes, n_units = _codes(panel, spec.unit, n)
-    if spec.time is not None:
-        time_codes, n_times = _codes(panel, spec.time, n)
-    if unit_codes is None and time_codes is None:
-        X = np.column_stack([np.ones(n), X])
-        names = ["const"] + names
-
-    Z = np.column_stack([y, X])
-    Zt, _ = two_way_demean(Z, unit_codes, time_codes, n_units, n_times)
-    yt, Xt = Zt[:, 0], Zt[:, 1:]
-    if Xt.shape[1] == 0:
+    names = list(regressors)
+    if not names:
         raise DomainError("no regressors")
+    X = np.column_stack([_column(panel, c, n) for c in names])
+    unit_codes, n_units = _codes(panel, UNIT, n)
+    time_codes, n_times = _codes(panel, TIME, n)
+    Zt, _ = two_way_demean(np.column_stack([y, X]), unit_codes, time_codes, n_units, n_times)
+    yt, Xt = Zt[:, 0], Zt[:, 1:]
     _check_rank(Xt, names)
 
     beta, *_ = np.linalg.lstsq(Xt, yt, rcond=None)
     resid = yt - Xt @ beta
-
-    if unit_codes is not None and time_codes is not None:
-        absorbed = n_units + n_times - 1
-    elif unit_codes is not None:
-        absorbed = n_units
-    elif time_codes is not None:
-        absorbed = n_times
-    else:
-        absorbed = 0
-    k_total = len(names) + absorbed
+    k_total = len(names) + n_units + n_times - 1
     df_resid = n - k_total
     if df_resid <= 0:
         raise DomainError(f"no residual degrees of freedom (n={n}, k={k_total})")
+    if n_units < 2:
+        raise DomainError("cluster-robust covariance needs at least 2 clusters")
 
     bread = np.linalg.inv(Xt.T @ Xt)
-    n_clusters = None
-    if spec.covariance == "classical":
-        sigma2 = float(resid @ resid) / df_resid
-        cov = sigma2 * bread
-        df = float(df_resid)
-    else:  # cluster
-        codes, G = _codes(panel, spec.cluster, n)
-        scores = Xt * resid[:, None]
-        sums = np.zeros((G, Xt.shape[1]))
-        np.add.at(sums, codes, scores)
-        meat = sums.T @ sums
-        if G < 2:
-            raise DomainError("cluster-robust covariance needs at least 2 clusters")
-        factor = (G / (G - 1.0)) * ((n - 1.0) / df_resid)
-        cov = _sandwich(bread, factor * meat)
-        n_clusters = G
-        df = float(G - 1)
-
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    p = _p_values(t_stats, df)
-
-    sst = float(np.sum((yt - yt.mean()) ** 2))
-    ssr = float(resid @ resid)
-    r2_within = 1.0 - ssr / sst if sst > 0 else 0.0
-
-    return RegressionResult(
-        names=tuple(names),
-        beta=beta,
-        cov=cov,
-        se=se,
-        t_stats=t_stats,
-        p_values=p,
-        n_obs=n,
-        n_clusters=n_clusters,
-        r2_within=r2_within,
-    )
+    sums = np.zeros((n_units, Xt.shape[1]))
+    np.add.at(sums, unit_codes, Xt * resid[:, None])
+    factor = (n_units / (n_units - 1.0)) * ((n - 1.0) / df_resid)
+    cov = _sandwich(bread, factor * (sums.T @ sums))
+    return _result(names, beta, cov, n, n_units, float(n_units - 1))
 
 
-def newey_west_ols(table: Mapping[str, Sequence], spec: RegressionSpec) -> RegressionResult:
-    """OLS on a time series with Bartlett-weighted HAC covariance.
+def newey_west_ols(
+    table: Mapping[str, Sequence], outcome: str, regressors: Sequence[str], lags: int
+) -> RegressionResult:
+    """OLS of `outcome` on an intercept and `regressors` with Bartlett-weighted
+    HAC covariance over `lags` lags. Lag 0 reproduces HC0 exactly.
 
-    Rows must be time-ordered (they are sorted by `spec.time` when given).
-    An intercept is added automatically. Lag 0 reproduces HC0 exactly.
+    The weights pair each row with the `lags` rows before it, so the rows
+    must come in time order; they are not sorted here.
     """
-    y = _column(table, spec.outcome)
+    y = _column(table, outcome)
     n = y.shape[0]
-    names = ["const"] + list(spec.regressors)
-    X = np.column_stack([np.ones(n)] + [_column(table, c, n) for c in spec.regressors])
-    if spec.time is not None:
-        order = np.argsort(np.asarray(table[spec.time]), kind="stable")
-        y, X = y[order], X[order]
-    L = spec.nw_lags
-    if L >= n:
-        raise DomainError(f"Newey-West lag {L} must be smaller than the series length {n}")
+    names = ["const", *regressors]
+    X = np.column_stack([np.ones(n)] + [_column(table, c, n) for c in regressors])
+    if not 0 <= lags < n:
+        raise DomainError(f"Newey-West lag {lags} must be >= 0 and smaller than the series length {n}")
     _check_rank(X, names)
 
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ beta
     scores = X * resid[:, None]
     meat = scores.T @ scores
-    for lag in range(1, L + 1):
-        w = 1.0 - lag / (L + 1.0)
+    for lag in range(1, lags + 1):
+        w = 1.0 - lag / (lags + 1.0)
         gamma = scores[lag:].T @ scores[:-lag]
         meat += w * (gamma + gamma.T)
     bread = np.linalg.inv(X.T @ X)
@@ -345,23 +276,7 @@ def newey_west_ols(table: Mapping[str, Sequence], spec: RegressionSpec) -> Regre
     df_resid = n - len(names)
     if df_resid <= 0:
         raise DomainError(f"no residual degrees of freedom (n={n}, k={len(names)})")
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    p = _p_values(t_stats, float(df_resid))
-    sst = float(np.sum((y - y.mean()) ** 2))
-    ssr = float(resid @ resid)
-    return RegressionResult(
-        names=tuple(names),
-        beta=beta,
-        cov=cov,
-        se=se,
-        t_stats=t_stats,
-        p_values=p,
-        n_obs=n,
-        n_clusters=None,
-        r2_within=1.0 - ssr / sst if sst > 0 else 0.0,
-    )
+    return _result(names, beta, cov, n, None, float(df_resid))
 
 
 def with_interaction(panel: Mapping[str, Sequence], a: str, b: str) -> dict:
@@ -376,13 +291,4 @@ def did_centralization(panel: Mapping[str, Sequence]) -> RegressionResult:
     """Difference-in-differences on the regime switch: entrants regressed on
     centralized x tokyo_area with prefecture and year fixed effects,
     clustering by prefecture, and no further controls."""
-    cols = with_interaction(panel, "centralized", "tokyo_area")
-    spec = RegressionSpec(
-        outcome="entrants",
-        regressors=("centralized_x_tokyo_area",),
-        unit="prefecture_id",
-        time="year",
-        cluster="prefecture_id",
-        covariance="cluster",
-    )
-    return fe_ols(cols, spec)
+    return fe_ols(with_interaction(panel, "centralized", "tokyo_area"), ("centralized_x_tokyo_area",))

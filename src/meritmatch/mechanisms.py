@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Assignment, Cohort, DomainError, School, SeededRng, require_increasing
+from .core import Assignment, Cohort, DomainError, School, SeededRng, check_groups, require_increasing
 
 
 @dataclass(frozen=True)
@@ -337,9 +337,7 @@ def run_grouped_centralized(
 ) -> Assignment:
     """Merit-capped Boston over lists constrained to at most one school per
     group (so at most two entries)."""
-    school_ids = {s.id for s in schools}
-    if set(groups[0]) | set(groups[1]) != school_ids or set(groups[0]) & set(groups[1]):
-        raise DomainError("groups must partition the school set")
+    check_groups(groups, (s.id for s in schools))
     apps = Applications.of(grouped_prefs)
     listed = np.arange(apps.schools.shape[1]) < apps.lengths[:, None]
     for g in groups:

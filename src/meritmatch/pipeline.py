@@ -15,10 +15,11 @@ import csv
 import hashlib
 import importlib
 import json
+import math
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -31,6 +32,7 @@ from .core import (
     School,
     SeededRng,
     build_prefectures,
+    check_groups,
     distance_matrix,
     load_geography,
     load_schools,
@@ -38,7 +40,6 @@ from .core import (
 )
 from .econometrics import (
     RegressionResult,
-    RegressionSpec,
     did_centralization,
     fe_ols,
     newey_west_ols,
@@ -133,6 +134,8 @@ _CONFIG_KEYS = {"scale", "population", "behavior", "capacities", "groups", "geog
 
 
 def _check_keys(mapping: Mapping, allowed, where: str) -> None:
+    if not isinstance(mapping, Mapping):
+        raise ConfigError(f"{where} must be a JSON object, got {json.dumps(mapping)}")
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(str, unknown))}")
@@ -140,6 +143,14 @@ def _check_keys(mapping: Mapping, allowed, where: str) -> None:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)  # JSON's true is a Python int
+
+
+def _is_number(value) -> bool:
+    """An int or float with a finite float value (JSON's NaN and Infinity have none)."""
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def _groups_from(raw) -> tuple[frozenset[int], frozenset[int]]:
@@ -154,19 +165,19 @@ def _resolved(where: str, behavior: Mapping, population: Mapping, groups, **scen
     """Validate the config pieces and build the scenario from them."""
     _check_keys(population, PopulationConfig.__dataclass_fields__, f"{where} population")
     _check_keys(behavior, BehaviorParams.__dataclass_fields__, f"{where} behavior")
+    for cls, given in ((PopulationConfig, population), (BehaviorParams, behavior)):
+        kinds = {f.name: f.type for f in fields(cls)}  # annotation strings: evaluation is postponed
+        for name, value in given.items():
+            if kinds[name] == "int" and not _is_int(value) or kinds[name] == "float" and not _is_number(value):
+                wanted = "an integer" if kinds[name] == "int" else "a finite number"
+                raise ConfigError(f"bad {where}: {name} must be {wanted}, got {json.dumps(value)}")
     try:
         params = BehaviorParams(**behavior)
         built = build_scenario(population=population, groups=groups, **scenario)
+        if any(r.groups is not None for r in built.schedule):
+            check_groups(groups, (s.id for s in built.schools))
     except (TypeError, DomainError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc
-    ids = {s.id for s in built.schools}
-    if any(r.groups is not None for r in built.schedule) and (
-        groups[0] | groups[1] != ids or groups[0] & groups[1] or not all(groups)
-    ):
-        raise ConfigError(
-            f"bad {where}: groups {sorted(groups[0])} and {sorted(groups[1])} "
-            f"must split the school ids {sorted(ids)} into two nonempty parts"
-        )
     violations = validate_market(built.prefectures, built.schools)
     if violations:
         raise InvariantError("; ".join(str(v) for v in violations))
@@ -206,8 +217,8 @@ def _resolve_dict(raw: Mapping, base_dir: Path | None = None) -> ResolvedConfig:
         return base_dir / path if base_dir is not None and not path.is_absolute() else path
 
     scale, capacities = raw.get("scale", 1.0), raw.get("capacities")
-    if not (_is_int(scale) or isinstance(scale, float)):
-        raise ConfigError(f"scale must be a number, got {json.dumps(scale)}")
+    if not _is_number(scale):
+        raise ConfigError(f"scale must be a finite number, got {json.dumps(scale)}")
     if capacities is not None and not all(_is_int(c) for c in capacities):
         raise ConfigError(f"capacities must be integers, got {json.dumps(capacities)}")
     return _resolved(
@@ -341,15 +352,7 @@ def local_monopoly_regression(school_panel: Mapping[str, Sequence]) -> Regressio
     effects, clustered by prefecture."""
     cols = with_interaction(school_panel, "centralized", "located_in")
     cols = with_interaction(cols, "centralized", "within_100km")
-    spec = RegressionSpec(
-        outcome="entrants",
-        regressors=("centralized_x_located_in", "centralized_x_within_100km", "middle_school_grads"),
-        unit="prefecture_id",
-        time="year",
-        cluster="prefecture_id",
-        covariance="cluster",
-    )
-    return fe_ols(cols, spec)
+    return fe_ols(cols, ("centralized_x_located_in", "centralized_x_within_100km", "middle_school_grads"))
 
 
 def tokyo_gradient_regression(all_panel: Mapping[str, Sequence]) -> RegressionResult:
@@ -359,21 +362,16 @@ def tokyo_gradient_regression(all_panel: Mapping[str, Sequence]) -> RegressionRe
     cols = all_panel
     for b in ("tokyo", "near_tokyo", "located_in", "within_100km"):
         cols = with_interaction(cols, "centralized", b)
-    spec = RegressionSpec(
-        outcome="entrants",
-        regressors=(
+    return fe_ols(
+        cols,
+        (
             "centralized_x_tokyo",
             "centralized_x_near_tokyo",
             "centralized_x_located_in",
             "centralized_x_within_100km",
             "middle_school_grads",
         ),
-        unit="prefecture_id",
-        time="year",
-        cluster="prefecture_id",
-        covariance="cluster",
     )
-    return fe_ols(cols, spec)
 
 
 TREND_METRICS = (
@@ -408,18 +406,13 @@ def _outcome_series(outcomes: Sequence[YearOutcome]) -> dict[str, np.ndarray]:
 
 def trend_regression(table: Mapping[str, np.ndarray], metric: str) -> RegressionResult:
     """Regime coefficient for one outcome series with quadratic trend controls
-    and Newey-West inference (lag 3). Years with a missing metric are dropped."""
+    and Newey-West inference (lag 3). Years with a missing metric are dropped.
+
+    The rows must be in ascending year order, as `_outcome_series` builds
+    them: the Newey-West weights pair each year with the years before it."""
     keep = np.isfinite(np.asarray(table[metric], dtype=float))
     filtered = {k: np.asarray(v)[keep] for k, v in table.items()}
-    spec = RegressionSpec(
-        outcome=metric,
-        regressors=("centralized", "trend", "trend_sq"),
-        time="year",
-        covariance="newey-west",
-        nw_lags=3,
-    )
-    # spec.time is used only to sort rows for the HAC weights
-    return newey_west_ols(filtered, spec)
+    return newey_west_ols(filtered, metric, ("centralized", "trend", "trend_sq"), 3)
 
 
 @dataclass(frozen=True)

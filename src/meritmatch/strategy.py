@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Cohort, DomainError, Regime, RegimeKind, School
+from .core import Cohort, DomainError, Regime, RegimeKind, School, check_groups
 from .mechanisms import Applications
 
 
@@ -118,7 +118,9 @@ def _truthful_lists(cohort: Cohort) -> Applications:
 def _grouped_lists(cohort: Cohort, groups: tuple[frozenset[int], frozenset[int]]) -> Applications:
     """Every applicant's list under the one-school-per-group constraint: the
     best acceptable school of each group (the lower id on ties), groups ordered
-    by that school's utility (the lower id on ties)."""
+    by that school's utility (the lower id on ties). The groups must split
+    the school ids 1..S of the cohort's utility columns."""
+    check_groups(groups, range(1, cohort.utility.shape[1] + 1))
     if not len(cohort):
         return Applications.of([])
     rows = np.arange(len(cohort))

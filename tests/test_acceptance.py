@@ -33,7 +33,7 @@ from oracles import (
     dummy_ols,
     direct_cluster_cov,
 )
-from test_econometrics import balanced_panel, _spec
+from test_econometrics import balanced_panel, _regressors
 
 N_SEEDS = 20
 SECONDS_PER_SEED_BUDGET = 10.0
@@ -276,7 +276,7 @@ def test_criterion_5_local_monopoly_signs(full_scale_summaries):
 
 
 def test_criterion_6_estimator_correctness():
-    from meritmatch.econometrics import RegressionSpec, fe_ols, newey_west_ols, two_way_demean
+    from meritmatch.econometrics import fe_ols, newey_west_ols, two_way_demean
 
     gen = np.random.default_rng(606)
 
@@ -287,13 +287,13 @@ def test_criterion_6_estimator_correctness():
         n_times = int(gen.integers(3, 10))
         k = int(gen.integers(1, 4))
         panel, _ = balanced_panel(gen, n_units, n_times, k=k, unbalance=float(gen.random() * 0.3))
-        assert len(panel["y"]) <= 200
-        res = fe_ols(panel, _spec(k=k))
+        assert len(panel["entrants"]) <= 200
+        res = fe_ols(panel, _regressors(k=k))
         oracle = dummy_ols(
-            panel["y"],
+            panel["entrants"],
             np.column_stack([panel[f"x{j}"] for j in range(k)]),
-            panel["unit"],
-            panel["time"],
+            panel["prefecture_id"],
+            panel["year"],
         )
         worst = max(worst, float(np.max(np.abs(res.beta - oracle))))
     ok_a = worst < 1e-8
@@ -302,10 +302,10 @@ def test_criterion_6_estimator_correctness():
     worst_se = 0.0
     for _ in range(100):
         panel, _ = balanced_panel(gen, 8, 6, k=2, unbalance=0.2)
-        res = fe_ols(panel, _spec(cov="cluster", cluster="unit"))
-        Z = np.column_stack([panel["y"], panel["x0"], panel["x1"]])
-        _, u_codes = np.unique(panel["unit"], return_inverse=True)
-        _, t_codes = np.unique(panel["time"], return_inverse=True)
+        res = fe_ols(panel, _regressors())
+        Z = np.column_stack([panel["entrants"], panel["x0"], panel["x1"]])
+        _, u_codes = np.unique(panel["prefecture_id"], return_inverse=True)
+        _, t_codes = np.unique(panel["year"], return_inverse=True)
         Zt, _ = two_way_demean(Z, u_codes, t_codes, u_codes.max() + 1, t_codes.max() + 1)
         yt, Xt = Zt[:, 0], Zt[:, 1:]
         beta = np.linalg.lstsq(Xt, yt, rcond=None)[0]
@@ -323,10 +323,7 @@ def test_criterion_6_estimator_correctness():
         x = gen.normal(0, 1, n)
         y = 1.0 + 0.5 * x + gen.normal(0, 1, n)
         table = {"y": y, "x0": x}
-        res = newey_west_ols(
-            table,
-            RegressionSpec(outcome="y", regressors=("x0",), covariance="newey-west", nw_lags=0),
-        )
+        res = newey_west_ols(table, "y", ("x0",), 0)
         X = np.column_stack([np.ones(n), x])
         beta = np.linalg.lstsq(X, y, rcond=None)[0]
         e = y - X @ beta

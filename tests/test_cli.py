@@ -168,16 +168,42 @@ def test_unknown_population_key_rejected(tmp_path):
         {"scale": True},
         {"capacities": [5.7] + [5] * 7},
         {"groups": [[1.9, 2, 3, 4], [5, 6, 7, 8]]},
+        # these failed with an OverflowError and a TypeError traceback, ran a
+        # cohort of 6, wrote years with no entrants (twice), ran max_iter 1,
+        # and ran the default population
+        {"scale": float("inf")},
+        {"behavior": {"max_iter": 2.5}},
+        {"population": {"applicants_per_year": 5.5}},
+        {"behavior": {"score_noise_sd": float("nan")}},
+        {"population": {"distance_cost": float("nan")}},
+        {"behavior": {"max_iter": True}},
+        {"population": []},
     ],
-    ids=["scale", "capacities", "scale-bool", "capacities-fraction", "groups-fraction"],
+    ids=[
+        "scale",
+        "capacities",
+        "scale-bool",
+        "capacities-fraction",
+        "groups-fraction",
+        "scale-infinite",
+        "max-iter-fraction",
+        "applicants-fraction",
+        "noise-nan",
+        "distance-cost-nan",
+        "max-iter-bool",
+        "population-list",
+    ],
 )
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, config):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
-    assert _run_cli(bad, tmp_path / "out") == 2
+    # simulate only: a value that resolution lets through must not be caught
+    # by a later stage instead
+    assert _run_cli(bad, tmp_path / "out", ("--stages", "simulate")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -204,6 +230,21 @@ def test_groups_must_partition_the_schools(tmp_path, capsys, groups, locked):
     assert err.startswith(f"error: config: bad {where}: groups {sorted(groups[0])} and {sorted(groups[1])} must split")
     assert err.count("\n") == 1
     assert [(p.name, p.read_text()) for p in out.iterdir()] == [("notes.txt", "kept\n")]
+
+
+def test_numeric_fields_checked_in_lockfile_and_kept_as_written(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"scale": 0.05, "population": {"score_sd": 10}, "behavior": {"tol": 1}}))
+    config = resolve_config(good).as_dict()
+    # an int for a float field is a number, and the lock keeps it as written
+    assert json.dumps([config["population"]["score_sd"], config["behavior"]["tol"]]) == "[10, 1]"
+    lock = tmp_path / "manifest.lock"
+    for section, name, value in (("population", "applicants_per_year", 5.5), ("behavior", "damping", float("nan"))):
+        lock.write_text(json.dumps({"locked": True, "config": {**config, section: {**config[section], name: value}}}))
+        assert _run_cli(lock, tmp_path / "out", ("--stages", "simulate")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: bad lockfile: {name} must be")
+        assert err.count("\n") == 1
 
 
 def test_invalid_json_rejected(tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from meritmatch import econometrics
 from meritmatch.core import DomainError
 from meritmatch.econometrics import (
-    RegressionSpec,
     _check_rank,
     _group_demean,
     _p_values,
@@ -17,6 +16,10 @@ from meritmatch.econometrics import (
     two_way_demean,
     with_interaction,
 )
+from meritmatch.metrics import build_panel
+from meritmatch.pipeline import seed_regressions, simulate_seed
+from meritmatch.popgen import build_scenario
+from meritmatch.strategy import BehaviorParams
 
 from oracles import direct_cluster_cov, dummy_ols
 
@@ -35,30 +38,21 @@ def balanced_panel(gen, n_units, n_times, k=2, noise=1.0, beta=None, unbalance=0
         keep[: n_times] = True  # keep the first unit whole for connectivity
         if keep.sum() >= n_units + n_times + k + 4:  # keep the panel estimable
             units, times, X, y = units[keep], times[keep], X[keep], y[keep]
-    panel = {"y": y, "unit": units, "time": times}
+    panel = {"entrants": y, "prefecture_id": units, "year": times}
     for j in range(k):
         panel[f"x{j}"] = X[:, j]
     return panel, beta
 
 
-def _spec(k=2, cov="classical", cluster=None, **kw):
-    return RegressionSpec(
-        outcome="y",
-        regressors=tuple(f"x{j}" for j in range(k)),
-        unit="unit",
-        time="time",
-        cluster=cluster,
-        covariance=cov,
-        **kw,
-    )
+def _regressors(k=2):
+    return tuple(f"x{j}" for j in range(k))
 
 
 def test_exact_recovery_without_noise():
     gen = np.random.default_rng(0)
     panel, _ = balanced_panel(gen, 10, 8, k=1, noise=0.0, beta=[2.0])
-    res = fe_ols(panel, _spec(k=1))
+    res = fe_ols(panel, _regressors(k=1))
     assert res.coef("x0") == pytest.approx(2.0, abs=1e-8)
-    assert res.r2_within == pytest.approx(1.0, abs=1e-10)
 
 
 def test_matches_dummy_ols_on_random_panels():
@@ -68,46 +62,25 @@ def test_matches_dummy_ols_on_random_panels():
         n_times = int(gen.integers(3, 9))
         k = int(gen.integers(1, 4))
         panel, _ = balanced_panel(gen, n_units, n_times, k=k, unbalance=float(gen.random() * 0.3))
-        res = fe_ols(panel, _spec(k=k))
+        res = fe_ols(panel, _regressors(k=k))
         oracle = dummy_ols(
-            panel["y"],
+            panel["entrants"],
             np.column_stack([panel[f"x{j}"] for j in range(k)]),
-            panel["unit"],
-            panel["time"],
+            panel["prefecture_id"],
+            panel["year"],
         )
         assert np.allclose(res.beta, oracle, atol=1e-8)
-
-
-def test_matches_dummy_ols_one_way_and_pooled():
-    gen = np.random.default_rng(7)
-    for unit_fe, time_fe in ((True, False), (False, True), (False, False)):
-        panel, _ = balanced_panel(gen, 8, 6, k=2)
-        spec = RegressionSpec(
-            outcome="y",
-            regressors=("x0", "x1"),
-            unit="unit" if unit_fe else None,
-            time="time" if time_fe else None,
-        )
-        res = fe_ols(panel, spec)
-        oracle = dummy_ols(
-            panel["y"],
-            np.column_stack([panel["x0"], panel["x1"]]),
-            panel["unit"] if unit_fe else None,
-            panel["time"] if time_fe else None,
-        )
-        got = res.beta if (unit_fe or time_fe) else res.beta[1:]  # skip const
-        assert np.allclose(got, oracle, atol=1e-8)
 
 
 def test_cluster_covariance_matches_direct_oracle():
     gen = np.random.default_rng(3)
     for _ in range(50):
         panel, _ = balanced_panel(gen, 8, 6, k=2, unbalance=0.2)
-        res = fe_ols(panel, _spec(cov="cluster", cluster="unit"))
+        res = fe_ols(panel, _regressors())
         # rebuild the demeaned design independently
-        Z = np.column_stack([panel["y"], panel["x0"], panel["x1"]])
-        _, u_codes = np.unique(panel["unit"], return_inverse=True)
-        _, t_codes = np.unique(panel["time"], return_inverse=True)
+        Z = np.column_stack([panel["entrants"], panel["x0"], panel["x1"]])
+        _, u_codes = np.unique(panel["prefecture_id"], return_inverse=True)
+        _, t_codes = np.unique(panel["year"], return_inverse=True)
         Zt, _ = two_way_demean(Z, u_codes, t_codes, u_codes.max() + 1, t_codes.max() + 1)
         yt, Xt = Zt[:, 0], Zt[:, 1:]
         beta = np.linalg.lstsq(Xt, yt, rcond=None)[0]
@@ -126,9 +99,7 @@ def test_newey_west_lag0_equals_hc0():
         "x0": gen.normal(0, 1, n),
         "trend": np.arange(n, dtype=float),
     }
-    res = newey_west_ols(
-        table, RegressionSpec(outcome="y", regressors=("x0", "trend"), covariance="newey-west", nw_lags=0)
-    )
+    res = newey_west_ols(table, "y", ("x0", "trend"), 0)
     X = np.column_stack([np.ones(n), table["x0"], table["trend"]])
     beta = np.linalg.lstsq(X, table["y"], rcond=None)[0]
     e = table["y"] - X @ beta
@@ -140,9 +111,9 @@ def test_newey_west_lag0_equals_hc0():
 def test_newey_west_requires_lag_below_length():
     table = {"y": np.arange(5.0), "x0": np.ones(5)}
     with pytest.raises(DomainError):
-        newey_west_ols(
-            table, RegressionSpec(outcome="y", regressors=("x0",), covariance="newey-west", nw_lags=5)
-        )
+        newey_west_ols(table, "y", ("x0",), 5)
+    with pytest.raises(DomainError, match="lag -1"):
+        newey_west_ols(table, "y", ("x0",), -1)
 
 
 def test_newey_west_close_to_classical_under_iid():
@@ -151,9 +122,7 @@ def test_newey_west_close_to_classical_under_iid():
     x = gen.normal(0, 1, n)
     y = 1.0 + 2.0 * x + gen.normal(0, 1, n)
     table = {"y": y, "x0": x}
-    nw = newey_west_ols(
-        table, RegressionSpec(outcome="y", regressors=("x0",), covariance="newey-west", nw_lags=3)
-    )
+    nw = newey_west_ols(table, "y", ("x0",), 3)
     X = np.column_stack([np.ones(n), x])
     beta = np.linalg.lstsq(X, y, rcond=None)[0]
     e = y - X @ beta
@@ -171,32 +140,8 @@ def test_newey_west_recovers_injected_trend_effect():
     theta = 4.4
     y = theta * centralized + 0.8 * t + 0.02 * t**2 + gen.normal(0, 1.5, n)
     table = {"y": y, "centralized": centralized, "trend": t, "trend_sq": t**2}
-    res = newey_west_ols(
-        table,
-        RegressionSpec(
-            outcome="y",
-            regressors=("centralized", "trend", "trend_sq"),
-            covariance="newey-west",
-            nw_lags=3,
-        ),
-    )
+    res = newey_west_ols(table, "y", ("centralized", "trend", "trend_sq"), 3)
     assert abs(res.coef("centralized") - theta) <= 2 * res.se_of("centralized")
-
-
-def test_newey_west_sorts_by_time_column():
-    gen = np.random.default_rng(23)
-    n = 40
-    t = np.arange(n, dtype=float)
-    x = gen.normal(0, 1, n)
-    y = 1.5 * x + 0.1 * t + gen.normal(0, 1, n)
-    table = {"y": y, "x0": x, "t": t}
-    perm = gen.permutation(n)
-    shuffled = {k: v[perm] for k, v in table.items()}
-    spec = RegressionSpec(outcome="y", regressors=("x0",), time="t", covariance="newey-west", nw_lags=3)
-    a = newey_west_ols(table, spec)
-    b = newey_west_ols(shuffled, spec)
-    assert np.allclose(a.beta, b.beta)
-    assert np.allclose(a.cov, b.cov)
 
 
 # -- difference-in-differences --------------------------------------------------------
@@ -238,32 +183,79 @@ def test_did_recovers_injected_effect():
     assert res.n_clusters == 47
 
 
+# -- the battery on a simulated panel ----------------------------------------------
+
+
+# spec id prefix -> whether it runs on a school's panel, and its regressors as
+# products of panel columns, built here without `with_interaction`
+BATTERY = {
+    "did_tokyo_area": (False, [("centralized", "tokyo_area")]),
+    "tokyo_gradient": (
+        False,
+        [
+            ("centralized", "tokyo"),
+            ("centralized", "near_tokyo"),
+            ("centralized", "located_in"),
+            ("centralized", "within_100km"),
+            ("middle_school_grads",),
+        ],
+    ),
+    "local_monopoly_s": (
+        True,
+        [("centralized", "located_in"), ("centralized", "within_100km"), ("middle_school_grads",)],
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_battery_fe_rows_match_dummy_ols_and_direct_cluster_cov():
+    scenario = build_scenario(scale=0.05)
+    result = simulate_seed(scenario, BehaviorParams(), 0)
+    panels = build_panel(result.records, scenario.prefectures, scenario.schools)
+    rows = [r for r in seed_regressions(panels, result.outcomes, 0) if not r.spec_id.startswith("trend_")]
+    assert [r.spec_id for r in rows] == ["did_tokyo_area", "tokyo_gradient"] + [f"local_monopoly_s{s}" for s in range(1, 9)]
+    for row in rows:
+        prefix = row.spec_id.rstrip("0123456789")
+        per_school, products = BATTERY[prefix]
+        panel = panels[int(row.spec_id[len(prefix):]) if per_school else None]
+        y = panel["entrants"]
+        X = np.column_stack([np.prod([panel[c] for c in cols], axis=0) for cols in products])
+        _, units = np.unique(panel["prefecture_id"], return_inverse=True)
+        _, times = np.unique(panel["year"], return_inverse=True)
+        n_units, n_times = units.max() + 1, times.max() + 1
+        beta = dummy_ols(y, X, units, times)
+        assert abs(row.estimate - beta[0]) <= 1e-8, row.spec_id
+        # the within design and residuals by projection on the dummies, not by demeaning
+        D = np.column_stack([np.eye(n_units)[units], np.eye(n_times)[times][:, 1:]])
+        within = lambda A: A - D @ np.linalg.lstsq(D, A, rcond=None)[0]
+        cov = direct_cluster_cov(within(X), within(y - X @ beta), units, X.shape[1] + n_units + n_times - 1)
+        assert row.std_error == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-10), row.spec_id
+        assert row.n_clusters == n_units == 47
+
+
 # -- invariants -----------------------------------------------------------------------
 
 
 def test_fe_ols_invariant_to_unit_and_time_shifts():
     gen = np.random.default_rng(9)
     panel, _ = balanced_panel(gen, 8, 6, k=2)
-    res = fe_ols(panel, _spec())
+    res = fe_ols(panel, _regressors())
     shifted = dict(panel)
     unit_shift = gen.normal(0, 5, 8)
     time_shift = gen.normal(0, 5, 6)
-    shifted["y"] = panel["y"] + unit_shift[panel["unit"]] + time_shift[panel["time"]]
-    res2 = fe_ols(shifted, _spec())
+    shifted["entrants"] = panel["entrants"] + unit_shift[panel["prefecture_id"]] + time_shift[panel["year"]]
+    res2 = fe_ols(shifted, _regressors())
     assert np.allclose(res.beta, res2.beta, atol=1e-8)
 
 
 def test_covariance_psd_all_modes():
     gen = np.random.default_rng(13)
     panel, _ = balanced_panel(gen, 10, 6, k=3, unbalance=0.15)
-    for cov, cluster in (("classical", None), ("cluster", "unit")):
-        res = fe_ols(panel, _spec(k=3, cov=cov, cluster=cluster))
-        eig = np.linalg.eigvalsh(res.cov)
-        assert eig.min() >= -1e-10
-    table = {"y": panel["y"], "x0": panel["x0"], "x1": panel["x1"]}
-    nw = newey_west_ols(
-        table, RegressionSpec(outcome="y", regressors=("x0", "x1"), covariance="newey-west", nw_lags=3)
-    )
+    res = fe_ols(panel, _regressors(k=3))
+    eig = np.linalg.eigvalsh(res.cov)
+    assert eig.min() >= -1e-10
+    table = {"y": panel["entrants"], "x0": panel["x0"], "x1": panel["x1"]}
+    nw = newey_west_ols(table, "y", ("x0", "x1"), 3)
     assert np.linalg.eigvalsh(nw.cov).min() >= -1e-10
 
 
@@ -280,9 +272,9 @@ def test_unbalanced_demeaning_converges_within_100_sweeps():
     gen = np.random.default_rng(22)
     for _ in range(20):
         panel, _ = balanced_panel(gen, 10, 8, k=1, unbalance=0.35)
-        _, u = np.unique(panel["unit"], return_inverse=True)
-        _, t = np.unique(panel["time"], return_inverse=True)
-        Z = np.column_stack([panel["y"], panel["x0"]])
+        _, u = np.unique(panel["prefecture_id"], return_inverse=True)
+        _, t = np.unique(panel["year"], return_inverse=True)
+        Z = np.column_stack([panel["entrants"], panel["x0"]])
         Zt, sweeps = two_way_demean(Z, u, t, u.max() + 1, t.max() + 1)
         assert sweeps < 100
         # one more sweep changes nothing beyond tolerance
@@ -294,9 +286,8 @@ def test_collinear_regressor_reported_by_name():
     gen = np.random.default_rng(31)
     panel, _ = balanced_panel(gen, 6, 5, k=2)
     panel["x_dup"] = 2.0 * panel["x0"]
-    spec = RegressionSpec(outcome="y", regressors=("x0", "x1", "x_dup"), unit="unit", time="time")
     with pytest.raises(DomainError, match="x_dup|x0"):
-        fe_ols(panel, spec)
+        fe_ols(panel, ("x0", "x1", "x_dup"))
 
 
 def _pivoted_qr_rank(X):
@@ -344,30 +335,20 @@ def test_newey_west_duplicated_trend_reported_by_name():
     t = np.arange(31.0)
     table = {"y": 0.1 * t + gen.normal(0, 1, 31), "t": t, "t_dup": t.copy()}
     with pytest.raises(DomainError, match=r"after demeaning: t_dup$"):
-        newey_west_ols(table, RegressionSpec(outcome="y", regressors=("t", "t_dup"), covariance="newey-west"))
+        newey_west_ols(table, "y", ("t", "t_dup"), 0)
 
 
 def test_zero_within_variation_reported_by_name():
     gen = np.random.default_rng(32)
     panel, _ = balanced_panel(gen, 6, 5, k=1)
-    panel["unit_constant"] = panel["unit"].astype(float)  # absorbed by unit FE
-    spec = RegressionSpec(outcome="y", regressors=("x0", "unit_constant"), unit="unit", time="time")
+    panel["unit_constant"] = panel["prefecture_id"].astype(float)  # absorbed by unit FE
     with pytest.raises(DomainError, match="unit_constant"):
-        fe_ols(panel, spec)
-
-
-def test_spec_validation():
-    with pytest.raises(DomainError):
-        RegressionSpec(outcome="y", regressors=("x",), covariance="cluster")
-    with pytest.raises(DomainError):
-        RegressionSpec(outcome="y", regressors=("x",), covariance="banana")
-    with pytest.raises(DomainError):
-        RegressionSpec(outcome="y", regressors=("x",), nw_lags=-1)
+        fe_ols(panel, ("x0", "unit_constant"))
 
 
 def test_missing_column_reported():
     with pytest.raises(DomainError, match="nope"):
-        fe_ols({"y": [1.0, 2.0], "unit": [0, 1], "time": [0, 1]}, RegressionSpec(outcome="nope", regressors=()))
+        fe_ols({"entrants": [1.0, 2.0], "prefecture_id": [0, 1], "year": [0, 1]}, ("nope",))
 
 
 def test_with_interaction_names_and_values():

@@ -349,6 +349,12 @@ def test_grouped_requires_partition(xyz_instance):
     schools, applicants, _ = xyz_instance
     with pytest.raises(DomainError):
         run_grouped_centralized(schools, applicants, [], (frozenset({1}), frozenset({3})), RNG)
+    # an empty group: the library and config resolution agree it is no partition
+    empty = (frozenset({1, 2, 3}), frozenset())
+    with pytest.raises(DomainError, match="two nonempty parts"):
+        run_grouped_centralized(schools, applicants, [], empty, RNG)
+    with pytest.raises(DomainError, match="two nonempty parts"):
+        submit_applications(applicants, Regime(RegimeKind.GROUPED_CENTRALIZED, 1926, empty))
 
 
 # -- admitted sets ---------------------------------------------------------------
