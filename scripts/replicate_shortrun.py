@@ -6,7 +6,7 @@ artifacts, and prints the per-metric regime differences with their
 trend-controlled coefficients, plus the pooled regression battery.
 
 Usage:
-    python scripts/replicate_shortrun.py [--seeds 20] [--out out/shortrun]
+    python scripts/replicate_shortrun.py [--seeds 20] [--out out/shortrun] [--jobs N]
 """
 
 import argparse
@@ -22,7 +22,7 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="out/shortrun")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=None, help="parallel seed workers (default: the usable CPUs)")
     args = parser.parse_args()
 
     manifest = RunManifest(
@@ -30,7 +30,7 @@ def main() -> int:
         seed=args.seed,
         seeds=args.seeds,
         out_dir=args.out,
-        jobs=args.jobs,
+        **({} if args.jobs is None else {"jobs": args.jobs}),
     )
     print(f"running {args.seeds} seed(s) into {args.out} ...")
     artifacts = run(manifest)

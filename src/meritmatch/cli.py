@@ -2,7 +2,11 @@
 
 `meritmatch run` executes a manifest (config, seed, output directory, stage
 subset) and writes the CSV artifacts; `meritmatch diff-regimes` summarizes an
-emitted year-outcome series by admission regime.
+emitted year-outcome series by admission regime. A multi-seed run simulates
+its seeds in parallel, in at most one worker process per seed: by default as
+many workers as there are CPUs this process may run on, `--jobs N` for N.
+`--jobs 1` and a one-seed run stay in the calling process; the artifacts are
+the same bytes either way.
 
 Exit codes: 0 ok, 2 config error or malformed artifact, 3 IO error, 4
 invariant violation. Errors print a single machine-parsable line
@@ -54,7 +58,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             seeds=args.seeds,
             out_dir=out_dir,
             stages=tuple(s.strip() for s in args.stages.split(",") if s.strip()),
-            jobs=args.jobs,
+            **({} if args.jobs is None else {"jobs": args.jobs}),
         )
         artifacts = run(manifest)
     except ArtifactError as exc:
@@ -103,7 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds")
     run_p.add_argument("--out", default="out", help=f"output directory (env {OUT_DIR_ENV} overrides)")
     run_p.add_argument("--stages", default="simulate,metrics,estimate", help="comma list of stages")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
+    run_p.add_argument(
+        "--jobs", type=int, default=None, help="parallel seed workers (default: the CPUs this process may run on)"
+    )
     run_p.set_defaults(func=_cmd_run)
 
     diff_p = sub.add_parser("diff-regimes", help="regime means and trend-controlled differences")

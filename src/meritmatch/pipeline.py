@@ -19,7 +19,7 @@ import math
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -86,14 +86,26 @@ REGRESSION_COLUMNS = [
 ]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class RunManifest:
+    """One run. `jobs` caps the worker processes that simulate seeds; a
+    multi-seed run uses every usable CPU unless told otherwise."""
+
     config_path: str | None = None
     seed: int = 0
     seeds: int = 1
     out_dir: str = "out"
     stages: tuple[str, ...] = STAGES
-    jobs: int = 1
+    jobs: int = field(default_factory=_usable_cpus)
 
     def __post_init__(self) -> None:
         if self.seeds < 1:
@@ -607,11 +619,14 @@ def _simulate_and_write(
     """The simulate stage, then the metrics stage if the manifest names it:
     write year_outcomes.csv and manifest.lock, then the panel CSVs, into `out`."""
     if manifest.jobs > 1 and len(seeds) > 1:
-        # strategy imports scipy.special at a process's first best response;
-        # imported once before the fork, it is shared by the workers, which
-        # otherwise each import it at the same time (5% fewer seeds/s at --jobs 2)
-        importlib.import_module("scipy.special")
-        with concurrent.futures.ProcessPoolExecutor(max_workers=manifest.jobs) as pool:
+        if resolved.behavior.score_noise_sd > 0:
+            # strategy imports scipy.special at a process's first noisy best
+            # response; imported once before the fork, it is shared by the
+            # workers, which otherwise each import it at the same time (5%
+            # fewer seeds/s at --jobs 2)
+            importlib.import_module("scipy.special")
+        # a fork pool starts all of its workers at once, so it gets no more than there are seeds
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(manifest.jobs, len(seeds))) as pool:
             futures = {
                 s: pool.submit(simulate_seed, resolved.scenario, resolved.behavior, s)
                 for s in seeds

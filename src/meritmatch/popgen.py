@@ -10,6 +10,7 @@ minus a linear distance cost plus idiosyncratic noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -154,6 +155,7 @@ def build_scenario(
     population's and their capacities are the seats, and a different
     population prestige or `capacities` is a DomainError; otherwise the eight
     default schools are placed with `capacities` (or the scaled default).
+    A non-finite prestige, from either source, is a DomainError.
     """
     if scale <= 0:
         raise DomainError("scale must be positive")
@@ -163,13 +165,15 @@ def build_scenario(
         overrides["prestige"] = tuple(float(v) for v in overrides["prestige"])
     config = PopulationConfig(**overrides)
     prefectures = default_prefectures() if prefectures is None else prefectures
-    if schools is None:
+    by_id = None if schools is None else sorted(schools, key=lambda s: s.id)
+    prestige = config.prestige if by_id is None else tuple(s.prestige for s in by_id)
+    if not all(math.isfinite(p) for p in prestige):
+        raise DomainError(f"school prestige must be finite, got {list(prestige)}")
+    if by_id is None:
         if capacities is None:
             capacities = [max(1, int(round(251 * scale)))] * 8
-        schools = default_schools(prefectures, capacities, config.prestige)
+        schools = default_schools(prefectures, capacities, prestige)
     else:
-        by_id = sorted(schools, key=lambda s: s.id)
-        prestige = tuple(s.prestige for s in by_id)
         if "prestige" in overrides and overrides["prestige"] != prestige:
             raise DomainError(f"population prestige {overrides['prestige']} differs from the schools' {prestige}")
         seats = [s.capacity for s in by_id]

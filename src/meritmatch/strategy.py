@@ -21,10 +21,14 @@ cutoffs feed back into beliefs with damping until they settle, or until the
 cutoff vector repeats one it held before: each iteration is a pure function
 of the cutoffs, so from then on the iteration runs through that cycle
 forever, and the state it would hold after `max_iter` iterations is read off
-the cycle instead of computed. Beliefs are matched to utility columns by
-school id. This model is a construction of this package, calibrated only to
-reproduce qualitative regime differences; treat its parameters as simulation
-knobs, not estimates.
+the cycle instead of computed. On the way there, the damped cutoffs close
+in on states whose realized cutoffs are already known: an iteration whose
+cutoffs lie within a certified radius of such a state, inside which no
+deciding row's choice can change, reuses that state's realized cutoffs
+instead of computing best responses. Beliefs are matched to utility columns
+by school id. This model is a construction of this package, calibrated only
+to reproduce qualitative regime differences; treat its parameters as
+simulation knobs, not estimates.
 """
 
 from __future__ import annotations
@@ -139,16 +143,19 @@ def _grouped_lists(cohort: Cohort, groups: tuple[frozenset[int], frozenset[int]]
     return Applications(ids=cohort.ids, schools=np.where(listed, ranked, 0), lengths=lengths)
 
 
-def _best_response(scores: np.ndarray, surplus: np.ndarray, sigma: float) -> Callable[..., np.ndarray]:
+def _best_response(
+    scores: np.ndarray, surplus: np.ndarray, sigma: float, ev: np.ndarray | None = None
+) -> Callable[..., np.ndarray]:
     """Vectorized best single application as a function of the cutoffs: each
     applicant's 0-based school index, -1 = abstain (the best expected value is
     not finite: no acceptable school, or a NaN utility). `surplus` is each
     applicant's utility minus outside option. The mask of non-positive
-    surplus, one (n, S) buffer of expected values and one (n,) buffer of
-    choices are set up once; `choose(cutoffs, start, stop)` computes rows
-    `start:stop` into those buffers and returns the choice buffer, whose other
-    rows keep what earlier calls left there. Rows are independent, so a row
-    comes out the same whichever slice computes it."""
+    surplus, one (n, S) buffer of expected values (`ev`, when the caller
+    reads it) and one (n,) buffer of choices are set up once;
+    `choose(cutoffs, start, stop)` computes rows `start:stop` into those
+    buffers and returns the choice buffer, whose other rows keep what earlier
+    calls left there. Rows are independent, so a row comes out the same
+    whichever slice computes it."""
     if sigma != 0:
         # scipy.special costs every process that imports it ~0.3 s and ~21 MB,
         # so it loads here, once per call, and only a process that simulates a
@@ -160,7 +167,7 @@ def _best_response(scores: np.ndarray, surplus: np.ndarray, sigma: float) -> Cal
         from scipy.special import ndtr
     column = scores[:, None]
     unacceptable = ~(surplus > 0)
-    ev = np.empty(surplus.shape)
+    ev = np.empty(surplus.shape) if ev is None else ev
     choice = np.empty(len(scores), dtype=np.intp)
 
     def choose(cutoffs: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -181,6 +188,28 @@ def _best_response(scores: np.ndarray, surplus: np.ndarray, sigma: float) -> Cal
         return choice
 
     return choose
+
+
+def _choice_radius(ev: np.ndarray, umax: np.ndarray, sigma: float) -> float:
+    """A max-norm distance r from the cutoffs at which `_best_response`
+    computed the expected values `ev` (sigma > 0) such that no row changes
+    its choice while every cutoff moves by less than r. Each row must have
+    an acceptable school, and `umax` holds its largest positive surplus.
+
+    An expected value moves by at most umax * delta / (sigma * sqrt(2 pi))
+    when every cutoff moves by at most delta. So a row whose best value
+    leads its second best by `gap` keeps its first maximum while delta <
+    sigma * sqrt(2 pi) / 2 * gap / umax; 1e-11 * umax of the gap is held
+    back for the rounding of the expected values. A row with one acceptable
+    school keeps it whatever the cutoffs (gap = inf). A tie (gap = 0) gives
+    r < 0, which no distance is below; so does an infinite surplus, through
+    a NaN."""
+    gap: np.ndarray | float = np.inf
+    if ev.shape[1] > 1:
+        top = np.sort(ev, axis=1)
+        gap = top[:, -1] - top[:, -2]
+    slack = np.min((gap - 1e-11 * umax) / umax, initial=np.inf)
+    return sigma * math.sqrt(2 * math.pi) / 2 * float(slack)
 
 
 def _realized_cutoffs(choice: np.ndarray, scores: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, int]:
@@ -242,6 +271,16 @@ def equilibrium_cutoffs(
     returns the state the full loop would hold after `max_iter` iterations,
     (`max_iter` - a) mod (b - a) steps into the cycle, with `max_iter` as
     the iteration count: the result equals that of running every iteration.
+
+    With score noise (sigma > 0), an iteration whose realized cutoffs repeat
+    earlier ones certifies its state: its cutoffs and realized cutoffs, and
+    the `_choice_radius` of the rows that decided them (those down to the
+    last capacity-th chooser when every school with seats filled, else all).
+    A later iteration whose cutoffs lie strictly within that radius of a
+    certified state (max-norm) reuses its realized cutoffs instead of
+    computing best responses; no deciding row can choose differently there,
+    so the result is bit for bit that of computing them. With sigma = 0 the
+    best response is a step function, and every iteration computes it.
     """
     schools_sorted = sorted(schools, key=lambda s: s.id)
     school_ids = tuple(s.id for s in schools_sorted)
@@ -253,7 +292,9 @@ def equilibrium_cutoffs(
         raise DomainError("applicant utility vectors do not match the school count")
     order = np.argsort(-cohort.score)
     scores = cohort.score[order]
-    choose = _best_response(scores, (cohort.utility - cohort.outside[:, None])[order], params.score_noise_sd)
+    surplus = (cohort.utility - cohort.outside[:, None])[order]
+    ev = np.empty(surplus.shape)
+    choose = _best_response(scores, surplus, params.score_noise_sd, ev)
 
     floor = _belief_floor(scores, params.score_noise_sd)
     cutoffs = np.full(len(school_ids), floor)
@@ -273,12 +314,46 @@ def equilibrium_cutoffs(
     # every row without `initial`.
     n, margin = len(scores), len(scores) // 16
     prefix = min(int(np.count_nonzero(scores >= cutoffs.min())) + margin, n)
+
+    def short(realized: np.ndarray) -> bool:
+        """Whether a school with seats did not fill."""
+        return bool((np.isneginf(realized) & (caps > 0)).any())
+
+    # certified states: cutoffs strictly within radii[k] of centers[k] give
+    # responses[k] = (realized, decided). Certifying waits for a repeated
+    # realized vector: from then on the cutoffs mostly close in on a cycle.
+    certify = params.score_noise_sd > 0
+    umax = None  # with `acceptable`, set at the first certificate: most converging years need none
+    centers, radii = np.empty((params.max_iter, len(school_ids))), np.empty(params.max_iter)
+    responses: list[tuple[np.ndarray, int]] = []
+    realized_seen: set[bytes] = set()
     for iterations in range(1, params.max_iter + 1):
-        realized, decided = _realized_cutoffs(choose(cutoffs, 0, prefix)[:prefix], scores[:prefix], caps)
-        if prefix < n and (np.isneginf(realized) & (caps > 0)).any():
-            # a school is short of its capacity within the prefix: its
-            # capacity-th chooser, if any, is further down
-            realized, decided = _realized_cutoffs(choose(cutoffs, prefix), scores, caps)
+        k = len(responses)
+        within = np.flatnonzero(np.max(np.abs(centers[:k] - cutoffs), axis=1) < radii[:k]) if k else ()
+        if len(within):
+            realized, decided = responses[within[0]]
+        else:
+            realized, decided = _realized_cutoffs(choose(cutoffs, 0, prefix)[:prefix], scores[:prefix], caps)
+            if prefix < n and short(realized):
+                # a school is short of its capacity within the prefix: its
+                # capacity-th chooser, if any, is further down
+                realized, decided = _realized_cutoffs(choose(cutoffs, prefix), scores, caps)
+            key = realized.tobytes()
+            if certify and key in realized_seen:
+                if umax is None:
+                    # each row's largest positive surplus; the rows without
+                    # one abstain whatever the cutoffs
+                    umax = np.fmax.reduce(surplus, axis=1)
+                    acceptable = np.flatnonzero(umax > 0)
+                    umax = umax[acceptable]
+                # the rows that decide the realized cutoffs: those down to
+                # the last capacity-th chooser, or all when a school is short
+                rows = acceptable[: np.searchsorted(acceptable, n if short(realized) else decided)]
+                radius = _choice_radius(ev[rows], umax[: len(rows)], params.score_noise_sd)
+                if radius > 0:
+                    centers[k], radii[k] = cutoffs, radius
+                    responses.append((realized, decided))
+            realized_seen.add(key)
         prefix = min(decided + margin, n)
         undersubscribed = np.isneginf(realized)
         target = np.where(undersubscribed, floor, realized)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -284,6 +285,45 @@ def test_population_prestige_must_match_schools(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config: bad config: population prestige")
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _assert_rejects_prestige(cfg, out, capsys, where="config"):
+    assert _run_cli(cfg, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: bad {where}: school prestige must be finite")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+def test_non_finite_config_prestige_is_config_error(tmp_path, capsys, value):
+    # a NaN prestige made every applicant skip the school, with exit 0
+    prestige = [value, 8.8, 9.6, 9.0, 7.8, 8.2, 7.5, 8.5]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "population": {**SMALL_CONFIG["population"], "prestige": prestige}}))
+    _assert_rejects_prestige(cfg, tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+def test_non_finite_schools_csv_prestige_is_config_error(tmp_path, capsys, value):
+    cfg = _schools_config(tmp_path, 8)
+    schools = list(resolve_config(cfg).scenario.schools)
+    save_schools([replace(schools[0], prestige=value), *schools[1:]], tmp_path / "schools8.csv")
+    _assert_rejects_prestige(cfg, tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+def test_non_finite_lockfile_prestige_is_config_error(tmp_path, capsys, value):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(SMALL_CONFIG))
+    config = resolve_config(good).as_dict()
+    config["schools"][0][3] = value
+    lock = tmp_path / "manifest.lock"
+    lock.write_text(json.dumps({"locked": True, "config": config}))
+    _assert_rejects_prestige(lock, tmp_path / "out", capsys, where="lockfile")
+
+
 def test_capacities_must_match_schools(tmp_path, capsys):
     cfg = _schools_config(tmp_path, 8)
     config = json.loads(cfg.read_text())
@@ -338,6 +378,53 @@ def test_jobs_parallel_matches_serial(config_path, tmp_path):
     assert _run_cli(config_path, out1, ("--seeds", "2", "--jobs", "1")) == 0
     assert _run_cli(config_path, out2, ("--seeds", "2", "--jobs", "2")) == 0
     assert _read_all(out1) == _read_all(out2)
+
+
+def test_jobs_default_to_usable_cpus(monkeypatch):
+    assert RunManifest().jobs == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert RunManifest().jobs == 1
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records the worker count it is
+    asked for and runs each task in this process, so no process starts."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+@pytest.mark.parametrize(
+    "extra, workers",
+    [
+        (("--jobs", "64", "--seeds", "2"), [2]),
+        (("--seeds", "2"), [2] if len(os.sched_getaffinity(0)) > 1 else []),
+        (("--jobs", "1", "--seeds", "2"), []),
+        (("--jobs", "64"), []),
+    ],
+    ids=["capped-by-seeds", "default", "jobs-1", "one-seed"],
+)
+def test_pool_gets_at_most_one_worker_per_seed(config_path, tmp_path, monkeypatch, extra, workers):
+    # the pools asked for; --jobs 1 and a one-seed run build none
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    assert _run_cli(config_path, tmp_path / "out", (*extra, "--stages", "simulate")) == 0
+    assert _RecordingPool.workers == workers
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
@@ -691,6 +778,21 @@ def test_simulate_loads_scipy_special_on_first_best_response(tmp_path):
         "print(before, 'scipy.special' in sys.modules)\n"
     )
     assert _fresh_python(code, timeout=300).split() == ["False", "True"]
+
+
+def test_noiseless_parallel_run_loads_no_scipy(tmp_path):
+    # the pre-fork import of scipy.special serves noisy best responses only
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scale": 0.05, "behavior": {"score_noise_sd": 0}}))
+    code = (
+        "import sys, warnings\n"
+        "warnings.simplefilter('ignore')\n"
+        "from meritmatch.pipeline import RunManifest, run\n"
+        f"run(RunManifest(config_path={str(cfg)!r}, out_dir={str(tmp_path / 'out')!r}, seeds=2, jobs=2,"
+        " stages=('simulate',)))\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    assert _fresh_python(code, timeout=300).strip() == "False"
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")

@@ -342,10 +342,82 @@ def test_equilibrium_matches_lexsort_loop_on_scaled_scenario(monkeypatch):
     assert calls["prefix"] > calls["rest"] > 0
 
 
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_equilibrium_reuses_certified_best_responses(monkeypatch):
+    # a non-converged year: once its realized cutoffs repeat, most iterations
+    # take a certified state's realized cutoffs instead of best responses
+    calls = _count_best_responses(monkeypatch)
+    sc = build_scenario(0.05)
+    params = BehaviorParams()
+    cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
+    ties = SeededRng(1900).generator().random(len(cohort))
+    expected, expected_iterations, expected_residual = lexsort_equilibrium_cutoffs(sc.schools, cohort, params, ties)
+    assert expected_residual >= params.tol
+
+    def evaluations():
+        calls.update(full=0, prefix=0, rest=0)
+        beliefs, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params)
+        assert np.array(beliefs.cutoffs).tobytes() == expected.tobytes()
+        assert (iterations, residual) == (expected_iterations, expected_residual)
+        return calls["full"] + calls["prefix"]
+
+    evaluated = evaluations()
+    # with no state certified, each iteration the loop runs evaluates once
+    monkeypatch.setattr(strategy, "_choice_radius", lambda *args: -math.inf)
+    iterations_run = evaluations()
+    assert evaluated < iterations_run / 1.5
+    assert iterations_run < params.max_iter
+
+
+@st.composite
+def duplicated_column_markets(draw):
+    """Noisy markets in which two schools have the same utility for every
+    applicant, so their expected values tie exactly whenever their cutoffs
+    do, and differ by a hair when the cutoffs nearly do."""
+    n_schools = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 12))
+    scores = draw(st.lists(st.integers(40, 44).map(float), min_size=n, max_size=n))
+    utility = np.array([[float(draw(st.integers(0, 4))) for _ in range(n_schools)] for _ in range(n)])
+    a, b = draw(st.sampled_from(list(itertools.combinations(range(n_schools), 2))))
+    utility[:, b] = utility[:, a]
+    applicants = [_app(i, scores[i], utility[i], outside=float(draw(st.integers(0, 1)))) for i in range(n)]
+    cap = draw(st.integers(1, 3))
+    caps = [cap if k in (a, b) else draw(st.integers(0, 3)) for k in range(n_schools)]
+    params = BehaviorParams(
+        score_noise_sd=draw(st.sampled_from([0.5, 1.0, 5.0])),
+        max_iter=draw(st.integers(1, 200)),
+        tol=1e-9,
+        damping=draw(st.sampled_from([0.3, 0.5, 1.0])),
+    )
+    initial = None
+    if draw(st.booleans()):
+        cut = [float(draw(st.integers(38, 46))) for _ in range(n_schools)]
+        cut[b] = cut[a]
+        initial = CutoffBeliefs(tuple(range(1, n_schools + 1)), tuple(cut))
+    return mk_schools(*caps), applicants, params, initial
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+@settings(max_examples=300, deadline=None)
+@given(duplicated_column_markets(), st.randoms(use_true_random=False))
+def test_equilibrium_with_tied_schools_matches_lexsort_loop(market, random):
+    # a tie (gap 0) certifies no state, and a near tie only a small radius
+    schools, applicants, params, initial = market
+    cohort = cohort_of(applicants)
+    ties = np.array([random.random() for _ in range(len(cohort))])
+    beliefs, iterations, residual = equilibrium_cutoffs(schools, cohort, params, initial=initial)
+    expected, expected_iterations, expected_residual = lexsort_equilibrium_cutoffs(
+        schools, cohort, params, ties, initial
+    )
+    assert np.array(beliefs.cutoffs).tobytes() == expected.tobytes()
+    assert (iterations, residual) == (expected_iterations, expected_residual)
+
+
 def test_equilibrium_stops_at_exact_cycle(monkeypatch):
     # a year that ends non-converged at max_iter runs fewer iterations than
-    # max_iter once its cutoffs repeat bit for bit; each iteration starts
-    # with one best response from the first row
+    # max_iter once its cutoffs repeat bit for bit; no iteration computes
+    # more than one best response from the first row, and those that reuse
+    # a certified state compute none
     calls = _count_best_responses(monkeypatch)
     sc = build_scenario(0.05)
     params = BehaviorParams()
