@@ -75,12 +75,24 @@ def _codes(panel: Mapping[str, Sequence], name: str, n: int) -> tuple[np.ndarray
     return codes, int(codes.max()) + 1
 
 
+def _group_sums(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
+    """The (n_groups, K) sums of Z's rows by group code, each group's rows
+    added in row order from 0.0, as `np.add.at` adds them."""
+    return np.column_stack([np.bincount(codes, weights=col, minlength=n_groups) for col in Z.T])
+
+
 def _group_demean(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
-    sums = np.zeros((n_groups, Z.shape[1]))
-    np.add.at(sums, codes, Z)
-    counts = np.bincount(codes, minlength=n_groups).astype(float)
-    counts[counts == 0] = 1.0
-    return Z - sums[codes] / counts[codes, None]
+    """Z less, in each row, the mean of its group's rows.
+
+    The bits are those of summing with `np.add.at` and dividing each row's
+    gathered sum: `np.bincount` adds a group's rows in the same order, and
+    dividing the sums before gathering them divides the same elements by the
+    same counts, once per group instead of once per row. The means are
+    gathered with `take`, which is several times faster here than indexing
+    with `[codes]`."""
+    counts = np.bincount(codes, minlength=n_groups)
+    counts[counts == 0] = 1
+    return Z - (_group_sums(Z, codes, n_groups) / counts[:, None]).take(codes, axis=0)
 
 
 def two_way_demean(
@@ -238,8 +250,7 @@ def fe_ols(panel: Mapping[str, Sequence], regressors: Sequence[str]) -> Regressi
         raise DomainError("cluster-robust covariance needs at least 2 clusters")
 
     bread = np.linalg.inv(Xt.T @ Xt)
-    sums = np.zeros((n_units, Xt.shape[1]))
-    np.add.at(sums, unit_codes, Xt * resid[:, None])
+    sums = _group_sums(Xt * resid[:, None], unit_codes, n_units)
     factor = (n_units / (n_units - 1.0)) * ((n - 1.0) / df_resid)
     cov = _sandwich(bread, factor * (sums.T @ sums))
     return _result(names, beta, cov, n, n_units, float(n_units - 1))

@@ -7,16 +7,20 @@ panels used for estimation, plus their CSV forms. A year outcome is a
 as the (seed, YearOutcome) rows it was written from. A panel is a dict of
 column arrays, built from the year records' entrant counts and read back from
 CSV in the form the estimators take: each panel file in one C-level
-`np.loadtxt` parse, as read-only columns. Enrollment distance is birth
-prefecture to school prefecture throughout. Distance bands are
-exclusive: "located in" means distance zero, "within 100 km" means strictly
-between 0 and 100 km.
+`np.loadtxt` parse, as read-only columns. A panel CSV row holds the
+`PANEL_COLUMNS` in order, comma-separated, unquoted and CRLF-terminated:
+integers for the seed, prefecture id and year, the school id (empty in the
+all-schools panel), integers for entrants and the 0/1 flags, and the float
+`repr` of the graduate count. Enrollment distance is birth prefecture to
+school prefecture throughout. Distance bands are exclusive: "located in"
+means distance zero, "within 100 km" means strictly between 0 and 100 km.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -248,22 +252,28 @@ def write_panel_csv(
     school_id: int | None = None,
 ) -> None:
     """Write one panel (`build_panel`'s `school_id` key) of each seed, seeds in
-    the mapping's order; the all-schools panel has an empty school_id."""
+    the mapping's order; the all-schools panel has an empty school_id.
+
+    The header and every row end in CRLF. A row is `PANEL_COLUMNS` in order:
+    the seed, the prefecture id and the year as integers, the school id
+    (empty for the all-schools panel), entrants and the 0/1 flags cast to
+    int64, and `middle_school_grads` as the float's `repr`. No field is
+    quoted. A seed's rows are one `%`-format string per row, into which the
+    seed and school id are written once, repeated for every row and applied
+    to the fields in one `%` operation."""
+    chunks = [",".join(PANEL_COLUMNS) + "\r\n"]
+    sid = _fmt(school_id).replace("%", "%%")
+    for seed, cols in panels.items():
+        row = f"{str(seed).replace('%', '%%')},%d,%d,{sid},%d,%d,%d,%d,%d,%d,%r\r\n"
+        fields = (
+            cols["prefecture_id"].tolist(),
+            cols["year"].tolist(),
+            *(cols[c].astype(np.int64).tolist() for c in ("entrants",) + PANEL_FLAGS),
+            cols["middle_school_grads"].tolist(),
+        )
+        chunks.append(row * len(fields[0]) % tuple(itertools.chain.from_iterable(zip(*fields))))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PANEL_COLUMNS)
-        for seed, cols in panels.items():
-            n = len(cols["year"])
-            writer.writerows(
-                zip(
-                    [seed] * n,
-                    cols["prefecture_id"].tolist(),
-                    cols["year"].tolist(),
-                    [_fmt(school_id)] * n,
-                    *(cols[c].astype(np.int64).tolist() for c in ("entrants",) + PANEL_FLAGS),
-                    cols["middle_school_grads"].tolist(),
-                )
-            )
+        fh.write("".join(chunks))
 
 
 def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[int, dict[str, np.ndarray]]:

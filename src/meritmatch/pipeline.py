@@ -165,11 +165,26 @@ def _is_number(value) -> bool:
         return False
 
 
+def _is_number_list(value) -> bool:
+    """A JSON array of ints and floats (finite or not: the scenario checks that)."""
+    return isinstance(value, list) and all(_is_int(v) or isinstance(v, float) for v in value)
+
+
+# annotation string of a config field -> (check, what the check wants)
+_FIELD_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "tuple[float, ...]": (_is_number_list, "a list of numbers"),
+}
+
+
 def _groups_from(raw) -> tuple[frozenset[int], frozenset[int]]:
     if len(raw) != 2:
         raise ConfigError("groups must be a pair of school-id lists")
     if not all(_is_int(s) for g in raw for s in g):
         raise ConfigError(f"group school ids must be integers, got {json.dumps(raw)}")
+    if any(len(set(g)) != len(g) for g in raw):
+        raise ConfigError(f"a group lists a school twice: {json.dumps(raw)}")
     return (frozenset(raw[0]), frozenset(raw[1]))
 
 
@@ -180,8 +195,8 @@ def _resolved(where: str, behavior: Mapping, population: Mapping, groups, **scen
     for cls, given in ((PopulationConfig, population), (BehaviorParams, behavior)):
         kinds = {f.name: f.type for f in fields(cls)}  # annotation strings: evaluation is postponed
         for name, value in given.items():
-            if kinds[name] == "int" and not _is_int(value) or kinds[name] == "float" and not _is_number(value):
-                wanted = "an integer" if kinds[name] == "int" else "a finite number"
+            check, wanted = _FIELD_CHECKS[kinds[name]]
+            if not check(value):
                 raise ConfigError(f"bad {where}: {name} must be {wanted}, got {json.dumps(value)}")
     try:
         params = BehaviorParams(**behavior)
@@ -217,7 +232,7 @@ def resolve_config(config_path: str | Path | None) -> ResolvedConfig:
         return _resolve_dict(raw, base_dir=path.parent)
     except (ConfigError, DomainError):
         raise
-    except (TypeError, ValueError) as exc:  # a value of the wrong type
+    except (TypeError, ValueError, OverflowError) as exc:  # a value of the wrong type, or too large
         raise ConfigError(f"bad value in config {path}: {exc}") from exc
 
 
@@ -231,8 +246,8 @@ def _resolve_dict(raw: Mapping, base_dir: Path | None = None) -> ResolvedConfig:
     scale, capacities = raw.get("scale", 1.0), raw.get("capacities")
     if not _is_number(scale):
         raise ConfigError(f"scale must be a finite number, got {json.dumps(scale)}")
-    if capacities is not None and not all(_is_int(c) for c in capacities):
-        raise ConfigError(f"capacities must be integers, got {json.dumps(capacities)}")
+    if "capacities" in raw and not (isinstance(capacities, list) and all(_is_int(c) for c in capacities)):
+        raise ConfigError(f"capacities must be a list of integers, got {json.dumps(capacities)}")
     return _resolved(
         "config",
         raw.get("behavior", {}),
@@ -421,8 +436,11 @@ def trend_regression(table: Mapping[str, np.ndarray], metric: str) -> Regression
     and Newey-West inference (lag 3). Years with a missing metric are dropped.
 
     The rows must be in ascending year order, as `_outcome_series` builds
-    them: the Newey-West weights pair each year with the years before it."""
+    them: the Newey-West weights pair each year with the years before it.
+    A metric missing in every year is a DomainError naming it."""
     keep = np.isfinite(np.asarray(table[metric], dtype=float))
+    if not keep.any():
+        raise DomainError(f"trend metric {metric} is missing in every year")
     filtered = {k: np.asarray(v)[keep] for k, v in table.items()}
     return newey_west_ols(filtered, metric, ("centralized", "trend", "trend_sq"), 3)
 
@@ -473,7 +491,7 @@ def seed_regressions(
     seed: int,
 ) -> list[RegressionRow]:
     """The regression battery for one seed's panels (`build_panel`'s form)
-    and year outcomes."""
+    and year outcomes. A trend regression's DomainError names the seed."""
     rows: list[RegressionRow] = []
     res = did_centralization(panel[None])
     rows.append(_row_from_result("did_tokyo_area", seed, res, "centralized_x_tokyo_area"))
@@ -484,7 +502,11 @@ def seed_regressions(
         rows.append(_row_from_result(f"local_monopoly_s{s}", seed, res, "centralized_x_located_in"))
     table = _outcome_series(outcomes)
     for m in TREND_METRICS:
-        rows.append(_row_from_result(f"trend_{m}", seed, trend_regression(table, m), "centralized"))
+        try:
+            res = trend_regression(table, m)
+        except DomainError as exc:
+            raise DomainError(f"seed {seed}: {exc}") from exc
+        rows.append(_row_from_result(f"trend_{m}", seed, res, "centralized"))
     return rows
 
 

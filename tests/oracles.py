@@ -10,12 +10,16 @@ loop the order-statistic loop replaced, a walk over `Placement` objects for
 a year's outcome and entrant counts (the loop the assignment arrays
 replaced), one object per (prefecture, year, school) for the panels (the row
 builder the column panels replaced),
-subset/assignment enumeration for the dominance check, and dummy-variable OLS
-for the within estimator.
+subset/assignment enumeration for the dominance check, dummy-variable OLS
+for the within estimator, and the earlier forms of three kernels, which
+their replacements must match byte for byte: the `csv.writer` panel writer,
+and the `np.add.at` group sums of the demeaning and the clustered meat in
+the within estimator.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,8 +28,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from meritmatch.core import DomainError, Placement, distance_matrix
+from meritmatch.econometrics import DEMEAN_MAX_SWEEPS, DEMEAN_TOL
 from meritmatch.mechanisms import PreferenceList, _admit_top_per_school
-from meritmatch.metrics import YearOutcome, YearRecord
+from meritmatch.metrics import PANEL_COLUMNS, PANEL_FLAGS, YearOutcome, YearRecord, _fmt
 
 
 def printed_steps_assignment(schools, applicants, prefs, tie):
@@ -439,3 +444,58 @@ def direct_cluster_cov(Xt, resid, codes, n_params_total):
     factor = (G / (G - 1.0)) * ((n - 1.0) / (n - n_params_total))
     cov = bread @ (factor * meat) @ bread
     return (cov + cov.T) / 2.0
+
+
+def csv_writer_panel_csv(path, panels, school_id=None):
+    """`metrics.write_panel_csv` through `csv.writer`, field by field."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(PANEL_COLUMNS)
+        for seed, cols in panels.items():
+            n = len(cols["year"])
+            writer.writerows(
+                zip(
+                    [seed] * n,
+                    cols["prefecture_id"].tolist(),
+                    cols["year"].tolist(),
+                    [_fmt(school_id)] * n,
+                    *(cols[c].astype(np.int64).tolist() for c in ("entrants",) + PANEL_FLAGS),
+                    cols["middle_school_grads"].tolist(),
+                )
+            )
+
+
+def add_at_group_sums(Z, codes, n_groups):
+    """Group sums of Z's rows by `np.add.at`."""
+    sums = np.zeros((n_groups, Z.shape[1]))
+    np.add.at(sums, codes, Z)
+    return sums
+
+
+def add_at_group_demean(Z, codes, n_groups):
+    """Z less its group means: `np.add.at` sums, gathered per row, then divided."""
+    sums = add_at_group_sums(Z, codes, n_groups)
+    counts = np.bincount(codes, minlength=n_groups).astype(float)
+    counts[counts == 0] = 1.0
+    return Z - sums[codes] / counts[codes, None]
+
+
+def add_at_fe_ols(y, X, unit_codes, time_codes):
+    """The coefficients and clustered covariance of `econometrics.fe_ols`,
+    step by step, with the `np.add.at` group sums. The codes are 0..G-1."""
+    n, k = X.shape
+    n_units, n_times = unit_codes.max() + 1, time_codes.max() + 1
+    Z = np.column_stack([y, X])
+    for _ in range(DEMEAN_MAX_SWEEPS):
+        prev = Z
+        Z = add_at_group_demean(add_at_group_demean(Z, unit_codes, n_units), time_codes, n_times)
+        if float(np.max(np.abs(Z - prev))) < DEMEAN_TOL:
+            break
+    yt, Xt = Z[:, 0], Z[:, 1:]
+    beta, *_ = np.linalg.lstsq(Xt, yt, rcond=None)
+    resid = yt - Xt @ beta
+    bread = np.linalg.inv(Xt.T @ Xt)
+    sums = add_at_group_sums(Xt * resid[:, None], unit_codes, n_units)
+    factor = (n_units / (n_units - 1.0)) * ((n - 1.0) / (n - (k + n_units + n_times - 1)))
+    cov = bread @ (factor * (sums.T @ sums)) @ bread
+    return beta, (cov + cov.T) / 2.0

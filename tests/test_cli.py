@@ -1,25 +1,33 @@
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meritmatch.cli import main
-from meritmatch.core import default_prefectures
+from meritmatch.core import DomainError, default_prefectures
 from meritmatch.metrics import read_year_outcomes_csv
 from meritmatch.pipeline import (
     ConfigError,
+    InvariantError,
     RunManifest,
+    _lock_payload,
     diff_regimes,
     resolve_config,
     run,
 )
+from meritmatch.popgen import DEFAULT_PRESTIGE, PopulationConfig
+from meritmatch.strategy import BehaviorParams
 
 from conftest import save_geography, save_schools
 
@@ -179,6 +187,12 @@ def test_unknown_population_key_rejected(tmp_path):
         {"population": {"distance_cost": float("nan")}},
         {"behavior": {"max_iter": True}},
         {"population": []},
+        # these ran with prestige 1.0, ..., 8.0 and with group [1, 3, 5, 7],
+        # ran with the scale's seats, and failed with an OverflowError traceback
+        {"population": {"prestige": "12345678"}},
+        {"groups": [[1, 3, 5, 7, 1], [2, 4, 6, 8]]},
+        {"capacities": None},
+        {"scale": 1e308},
     ],
     ids=[
         "scale",
@@ -193,6 +207,10 @@ def test_unknown_population_key_rejected(tmp_path):
         "distance-cost-nan",
         "max-iter-bool",
         "population-list",
+        "prestige-string",
+        "group-repeats-school",
+        "capacities-null",
+        "scale-overflows",
     ],
 )
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, config):
@@ -246,6 +264,102 @@ def test_numeric_fields_checked_in_lockfile_and_kept_as_written(tmp_path, capsys
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: bad lockfile: {name} must be")
         assert err.count("\n") == 1
+
+
+FUZZ_BASE = {
+    "scale": 0.02,
+    "population": {"year_start": 1900, "year_end": 1904, "prestige": list(DEFAULT_PRESTIGE)},
+    "behavior": {},
+    "capacities": [5] * 8,
+    "groups": [[1, 3, 5, 7], [2, 4, 6, 8]],
+}
+# paths to the fields a mutation replaces, and to the lists whose elements it replaces
+_FIELD_PATHS = [("scale",)] + [
+    (section, f.name)
+    for section, cls in (("population", PopulationConfig), ("behavior", BehaviorParams))
+    for f in fields(cls)
+]
+_LIST_PATHS = [("capacities",), ("population", "prestige"), ("groups", 0), ("groups", 1)]
+# wrong types, NaN, bools for numbers, out-of-range numbers and unknown school ids; no
+# integer is large enough to make the year schedule long
+_BAD_VALUES = (
+    st.sampled_from(["5", None, {}, [], [1], True, False, math.nan, math.inf, -math.inf])
+    | st.sampled_from([-1, 0, -0.5, 0.5, 1e308, -1e308, 9, 99])
+    | st.integers(-(10**4), 10**4)
+    | st.floats(-1e4, 1e4)
+)
+
+
+@st.composite
+def _mutated_configs(draw):
+    """`FUZZ_BASE` with one field, or one element of a list field, replaced by a
+    bad value, or a list field one element shorter or longer."""
+    config = json.loads(json.dumps(FUZZ_BASE))
+    path = draw(st.sampled_from(_FIELD_PATHS + _LIST_PATHS))
+    *parents, last = path
+    node = config
+    for key in parents:
+        node = node[key]
+    value = draw(_BAD_VALUES)
+    if path in _LIST_PATHS:
+        items = node[last]
+        edit = draw(st.sampled_from(["replace", "element", "append", "drop"]))
+        if edit == "element":
+            items[draw(st.integers(0, len(items) - 1))] = value
+        elif edit == "append":
+            items.append(value)
+        elif edit == "drop":
+            items.pop()
+        else:
+            node[last] = value
+    else:
+        node[last] = value
+    return config
+
+
+def _same_json(a, b) -> bool:
+    """Equal JSON values, where a bool equals only the same bool and a
+    number only an equal number."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return all(isinstance(v, (int, float)) for v in (a, b)) and a == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_configs())
+def test_mutated_config_is_rejected_or_locked_as_written(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config))
+        try:
+            resolved = resolve_config(cfg)
+        except (ConfigError, DomainError, InvariantError):
+            return
+        # the lock as `run` writes it; scale is not a field of it, but resolves into
+        # applicants_per_year and the capacities
+        lock_text = json.dumps(_lock_payload(RunManifest(config_path=str(cfg)), resolved), indent=2, sort_keys=True)
+        locked = json.loads(lock_text)["config"]
+        written = {
+            "population": config["population"],
+            "behavior": config["behavior"],
+            "capacities": config["capacities"],
+            "groups": [sorted(g) for g in config["groups"]],
+        }
+        held = {
+            "population": {k: locked["population"][k] for k in config["population"]},
+            "behavior": {k: locked["behavior"][k] for k in config["behavior"]},
+            "capacities": [row[2] for row in locked["schools"]],
+            "groups": locked["groups"],
+        }
+        assert _same_json(written, held)
+        # and the lock replays to itself
+        lock = Path(tmp) / "manifest.lock"
+        lock.write_text(lock_text)
+        assert json.dumps(resolve_config(lock).as_dict(), sort_keys=True) == json.dumps(locked, sort_keys=True)
 
 
 def test_invalid_json_rejected(tmp_path, capsys):
@@ -499,6 +613,30 @@ def test_diff_regimes_rejects_repeated_seed_year(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: artifact: {path}, line 7: a second row for seed 0, year 1904\n"
+
+
+def test_trend_metric_missing_in_every_year_is_named(tmp_path, capsys):
+    # nobody applies, so every statistic is missing; this failed inside Newey-West
+    # ("lag 3 must be >= 0 and smaller than the series length 0")
+    population = {**SMALL_CONFIG["population"], "outside_option_mean": 100.0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "population": population}))
+    assert _run_cli(cfg, tmp_path / "out", ("--seed", "3")) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config: seed 3: trend metric share_first_choice_school1 is missing in every year\n"
+
+
+def test_diff_regimes_metric_missing_in_every_year(tmp_path, capsys):
+    from meritmatch.metrics import YEAR_OUTCOME_COLUMNS
+
+    path = tmp_path / "year_outcomes.csv"
+    regimes = ["decentralized"] * 2 + ["centralized"] * 6 + ["decentralized"] * 2
+    rows = [f"0,{1900 + k},{regime},0.3,,0.17,100,10" for k, regime in enumerate(regimes)]
+    path.write_text("\r\n".join([",".join(YEAR_OUTCOME_COLUMNS), *rows]) + "\r\n")
+    assert main(["diff-regimes", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: artifact: trend metric mean_enrollment_distance_km is missing in every year\n"
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")

@@ -21,7 +21,7 @@ from meritmatch.pipeline import seed_regressions, simulate_seed
 from meritmatch.popgen import build_scenario
 from meritmatch.strategy import BehaviorParams
 
-from oracles import direct_cluster_cov, dummy_ols
+from oracles import add_at_fe_ols, add_at_group_demean, direct_cluster_cov, dummy_ols
 
 
 def balanced_panel(gen, n_units, n_times, k=2, noise=1.0, beta=None, unbalance=0.0):
@@ -280,6 +280,43 @@ def test_unbalanced_demeaning_converges_within_100_sweeps():
         # one more sweep changes nothing beyond tolerance
         Zt2 = _group_demean(_group_demean(Zt, u, u.max() + 1), t, t.max() + 1)
         assert np.max(np.abs(Zt2 - Zt)) < 1e-9
+
+
+@st.composite
+def _grouped_rows(draw):
+    """(Z, codes, n_groups) with codes that may skip groups, and groups past the largest code."""
+    n, k, n_groups = draw(st.integers(1, 30)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    codes = np.array(draw(st.lists(st.integers(0, n_groups - 1), min_size=n, max_size=n)))
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=n * k, max_size=n * k))
+    return np.array(values).reshape(n, k), codes, n_groups + draw(st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grouped_rows())
+def test_group_demean_bits_match_add_at(rows):
+    assert _group_demean(*rows).tobytes() == add_at_group_demean(*rows).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_units=st.integers(2, 9),
+    n_times=st.integers(2, 7),
+    k=st.integers(1, 3),
+    unbalance=st.sampled_from([0.0, 0.2, 0.4]),
+)
+def test_fe_ols_bits_match_add_at_kernels(seed, n_units, n_times, k, unbalance):
+    panel, _ = balanced_panel(np.random.default_rng(seed), n_units, n_times, k=k, unbalance=unbalance)
+    names = [f"x{j}" for j in range(k)]
+    try:
+        res = fe_ols(panel, names)
+    except DomainError:
+        return
+    X = np.column_stack([panel[c] for c in names])
+    units, times = (np.unique(panel[c], return_inverse=True)[1] for c in ("prefecture_id", "year"))
+    beta, cov = add_at_fe_ols(panel["entrants"], X, units, times)
+    assert res.beta.tobytes() == beta.tobytes()
+    assert res.cov.tobytes() == cov.tobytes()
 
 
 def test_collinear_regressor_reported_by_name():

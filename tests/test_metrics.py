@@ -12,9 +12,10 @@ from meritmatch.core import DomainError, Regime, RegimeKind, SeededRng
 from meritmatch.mechanisms import Applications, PreferenceList, run_decentralized, run_meritocratic_boston
 
 from conftest import assignment_of, cohort_of, mk_applicant
-from oracles import panel_to_columns, row_build_panel, walked_year_outcome, walked_year_record
+from oracles import csv_writer_panel_csv, panel_to_columns, row_build_panel, walked_year_outcome, walked_year_record
 from meritmatch.metrics import (
     PANEL_COLUMNS,
+    PANEL_FLAGS,
     YEAR_OUTCOME_COLUMNS,
     YearOutcome,
     build_panel,
@@ -243,6 +244,45 @@ def test_csv_roundtrip(tmp_path, small_run):
     out_path = tmp_path / "year_outcomes.csv"
     write_year_outcomes_csv(out_path, [(0, o) for o in res.outcomes])
     assert read_year_outcomes_csv(out_path) == [(0, o) for o in res.outcomes]
+
+
+def _same_panel_bytes(path, panels, school_id):
+    write_panel_csv(path / "rows.csv", panels, school_id)
+    csv_writer_panel_csv(path / "csv_writer.csv", panels, school_id)
+    return (path / "rows.csv").read_bytes() == (path / "csv_writer.csv").read_bytes()
+
+
+@pytest.mark.parametrize("school_id", [None, 3])
+def test_panel_csv_bytes_match_csv_writer(tmp_path, small_run, school_id):
+    sc, res = small_run
+    cols = build_panel(res.records, sc.prefectures, sc.schools)[school_id]
+    grads = cols["middle_school_grads"].copy()
+    grads[:3] = [0.0, 1e16, 123456789.0]
+    for panels in ({}, {0: cols}, {7: cols, 2: {**cols, "middle_school_grads": grads}, -1: cols}):
+        assert _same_panel_bytes(tmp_path, panels, school_id)
+
+
+@st.composite
+def _panel_files(draw):
+    """Panels of 0-5 rows under 0-3 seeds, with any float for middle_school_grads."""
+    seeds = draw(st.lists(st.integers(-(2**40), 2**40), unique=True, max_size=3))
+    panels = {}
+    for seed in seeds:
+        n = draw(st.integers(0, 5))
+        ints = st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n)
+        cast = st.lists(st.floats(-1e15, 1e15), min_size=n, max_size=n)  # entrants and flags go through int64
+        cols = {c: np.array(draw(ints), dtype=np.int64) for c in ("prefecture_id", "year")}
+        cols.update({c: np.array(draw(cast), dtype=float) for c in ("entrants",) + PANEL_FLAGS})
+        cols["middle_school_grads"] = np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=float)
+        panels[seed] = cols
+    return panels, draw(st.none() | st.integers(0, 10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_panel_files())
+def test_panel_csv_bytes_match_csv_writer_on_any_values(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _same_panel_bytes(Path(tmp), *files)
 
 
 @st.composite
