@@ -13,7 +13,6 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -437,12 +436,15 @@ def trend_regression(table: Mapping[str, np.ndarray], metric: str) -> Regression
 
     The rows must be in ascending year order, as `_outcome_series` builds
     them: the Newey-West weights pair each year with the years before it.
-    A metric missing in every year is a DomainError naming it."""
+    Every DomainError names the metric."""
     keep = np.isfinite(np.asarray(table[metric], dtype=float))
     if not keep.any():
         raise DomainError(f"trend metric {metric} is missing in every year")
     filtered = {k: np.asarray(v)[keep] for k, v in table.items()}
-    return newey_west_ols(filtered, metric, ("centralized", "trend", "trend_sq"), 3)
+    try:
+        return newey_west_ols(filtered, metric, ("centralized", "trend", "trend_sq"), 3)
+    except DomainError as exc:
+        raise DomainError(f"trend metric {metric}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -641,12 +643,6 @@ def _simulate_and_write(
     """The simulate stage, then the metrics stage if the manifest names it:
     write year_outcomes.csv and manifest.lock, then the panel CSVs, into `out`."""
     if manifest.jobs > 1 and len(seeds) > 1:
-        if resolved.behavior.score_noise_sd > 0:
-            # strategy imports scipy.special at a process's first noisy best
-            # response; imported once before the fork, it is shared by the
-            # workers, which otherwise each import it at the same time (5%
-            # fewer seeds/s at --jobs 2)
-            importlib.import_module("scipy.special")
         # a fork pool starts all of its workers at once, so it gets no more than there are seeds
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(manifest.jobs, len(seeds))) as pool:
             futures = {

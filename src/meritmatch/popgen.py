@@ -41,6 +41,11 @@ DEFAULT_GROUPS: tuple[frozenset[int], frozenset[int]] = (
 # (top of the order is institutional; the tail ranking is synthetic).
 DEFAULT_PRESTIGE: tuple[float, ...] = (13.0, 8.8, 9.6, 9.0, 7.8, 8.2, 7.5, 8.5)
 
+# The calendar years a schedule may span. The chronology is the reforms of
+# 1900-1930; the range leaves room around it for robustness runs and keeps a
+# mistyped year from building a schedule of millions of years.
+_YEARS = (1800, 2100)
+
 
 @dataclass(frozen=True)
 class PopulationConfig:
@@ -63,6 +68,9 @@ class PopulationConfig:
         for name in ("score_sd", "preference_noise_sd", "outside_option_sd"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0")
+        for name in ("year_start", "year_end"):
+            if not _YEARS[0] <= getattr(self, name) <= _YEARS[1]:
+                raise DomainError(f"{name} must be in {_YEARS[0]}-{_YEARS[1]}, got {getattr(self, name)}")
         if self.year_end < self.year_start:
             raise DomainError("year_end before year_start")
 

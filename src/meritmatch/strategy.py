@@ -8,7 +8,13 @@ applications from the vectorized best response `_best_response`.
 The decentralized model is a rational-expectations fixed point: applicants
 hold beliefs about each school's admission cutoff, smooth the acceptance
 event with a normal CDF over their own score uncertainty, and apply to the
-school maximizing admission probability times surplus. A school's realized
+school maximizing admission probability times surplus. That CDF is cephes'
+`ndtr`, the function scipy.special.ndtr evaluates, ported bit for bit to
+scalar Python (`_ndtr`). The best response screens every row with a
+tabulated CDF instead, linear interpolation between `_ndtr` values whose
+error is below `_PHI_ERROR`; it evaluates `_ndtr` only in the rows whose two
+best screened expected values are too close for that bound to order them,
+so every choice is the one the exact CDF makes. A school's realized
 cutoff is an order statistic, the capacity-th highest score among its
 applicants (the market-clearing cutoff of Azevedo & Leshno 2016), so the
 iteration sorts the cohort by score once and draws no tie-break: which of
@@ -33,6 +39,7 @@ simulation knobs, not estimates.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -66,8 +73,8 @@ class BehaviorParams:
     damping: float = 0.5  # fraction of the realized cutoff mixed in per iteration
 
     def __post_init__(self) -> None:
-        if self.score_noise_sd < 0:
-            raise DomainError("score_noise_sd must be >= 0")
+        if not 0 <= self.score_noise_sd < math.inf:
+            raise DomainError("score_noise_sd must be finite and >= 0")
         if self.tol <= 0:
             raise DomainError("tol must be > 0")
         if self.max_iter < 1:
@@ -143,34 +150,165 @@ def _grouped_lists(cohort: Cohort, groups: tuple[frozenset[int], frozenset[int]]
     return Applications(ids=cohort.ids, schools=np.where(listed, ranked, 0), lengths=lengths)
 
 
+# -- the normal CDF --------------------------------------------------------------
+#
+# cephes' ndtr, erf and erfc (as scipy.special evaluates them), ported with
+# the same coefficients, branches and operation order, and libm's exp through
+# math.exp, so `_ndtr` returns scipy.special.ndtr's double bit for bit. ndtr
+# calls erf only for |x| < 1/sqrt(2) and erfc only for x >= 1/sqrt(2), so
+# erf's |x| > 1 branch and erfc's reflection of a negative argument are left
+# out (for x >= 0, cephes' erfc returns y even where it tests y for 0).
+# libm's own erf and erfc are no substitute: in the same branches they differ
+# from cephes in the last bits of 27% of a fine grid over [-5, 9], by up to 12
+# ulp. p1evl's implicit leading coefficient 1.0 is written out, which
+# evaluates the same as x + coef[0].
+
+_SQRTH = 7.07106781186547524401e-1  # sqrt(1/2)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """The polynomial with coefficients `coef`, highest degree first, by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """cephes erf for |x| <= 1."""
+    if x < 0.0:
+        return -_erf(-x)
+    z = x * x
+    return x * _polevl(z, _T) / _polevl(z, _U)
+
+
+def _erfc(x: float) -> float:
+    """cephes erfc for x >= 0."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:  # exp(z) underflows
+        return 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        return (z * _polevl(x, _P)) / _polevl(x, _Q)
+    return (z * _polevl(x, _R)) / _polevl(x, _S)
+
+
+def _ndtr(a: float) -> float:
+    """The standard normal CDF at `a`, equal bit for bit to scipy.special.ndtr(a)."""
+    if a != a:
+        return math.nan
+    x = a * _SQRTH
+    z = abs(x)
+    if z < _SQRTH:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+# The screening table: `_ndtr` at _PHI_LO + k / _PHI_STEPS for k = 0..12545,
+# which runs one step past 9 (there and beyond, the CDF is 1.0 in double, and
+# below -40 it is 0.0). Between two of its points the CDF is interpolated
+# linearly. Linear interpolation with step h errs by at most h^2 / 8 times the
+# largest |Phi''| = |x| phi(x), which is phi(1) at x = +-1: 2^-16 / 8 * 0.242 =
+# 4.62e-7 (4.615e-7 measured against scipy on a dense grid), so `_PHI_ERROR`
+# bounds it with room for rounding. A point clipped to a table end errs by
+# less than the CDF's distance from 0 or 1 there, 1e-19.
+_PHI_LO, _PHI_STEPS, _PHI_POINTS = -40.0, 256, 12546
+_PHI_ERROR = 5e-7
+
+
+@functools.cache
+def _phi_table() -> tuple[np.ndarray, np.ndarray]:
+    """The table's values and the slope from each point to the next (0 after
+    the last), read-only; built once per process, at its first noisy best
+    response."""
+    values = np.array([_ndtr(_PHI_LO + k / _PHI_STEPS) for k in range(_PHI_POINTS)])
+    slopes = np.append(np.diff(values), 0.0)
+    values.flags.writeable = slopes.flags.writeable = False
+    return values, slopes
+
+
+def _screened_phi(t: np.ndarray, index: np.ndarray) -> None:
+    """The tabulated CDF, in place: `t` holds (x - _PHI_LO) * _PHI_STEPS, the
+    table coordinate of each x (not NaN), and becomes the interpolated CDF of
+    x, within `_PHI_ERROR` of `_ndtr(x)`. `index` is an intp buffer of t's
+    shape."""
+    values, slopes = _phi_table()
+    t.clip(0, _PHI_POINTS - 2, out=t)
+    np.copyto(index, t, casting="unsafe")  # the point at or below t
+    np.subtract(t, index, out=t)
+    np.multiply(t, slopes.take(index), out=t)
+    np.add(t, values.take(index), out=t)
+
+
 def _best_response(
     scores: np.ndarray, surplus: np.ndarray, sigma: float, ev: np.ndarray | None = None
 ) -> Callable[..., np.ndarray]:
     """Vectorized best single application as a function of the cutoffs: each
     applicant's 0-based school index, -1 = abstain (the best expected value is
-    not finite: no acceptable school, or a NaN utility). `surplus` is each
-    applicant's utility minus outside option. The mask of non-positive
-    surplus, one (n, S) buffer of expected values (`ev`, when the caller
-    reads it) and one (n,) buffer of choices are set up once;
-    `choose(cutoffs, start, stop)` computes rows `start:stop` into those
-    buffers and returns the choice buffer, whose other rows keep what earlier
-    calls left there. Rows are independent, so a row comes out the same
-    whichever slice computes it."""
-    if sigma != 0:
-        # scipy.special costs every process that imports it ~0.3 s and ~21 MB,
-        # so it loads here, once per call, and only a process that simulates a
-        # noisy best response pays. A numpy port of cephes ndtr is no
-        # substitute: on the cutoff iteration's small arrays it took 1.6-1.9 s
-        # against scipy's 0.21-0.25 s over one 10-seed run at scale 0.05
-        # (10,945 calls of ~2,110 elements), 0.15-0.21 s against 0.04-0.055 s
-        # over one full-scale seed. Since the cutoff iteration reuses certified
-        # best responses, that run makes 4,681 calls of ~2,200 elements: 4,471
-        # in the cutoff iteration and 210 in `single_applications`
-        from scipy.special import ndtr
+    not finite: no acceptable school, or an infinite surplus). `surplus` is
+    each applicant's utility minus outside option; a NaN surplus counts as
+    unacceptable. The mask of non-positive surplus, one (n, S) buffer of
+    expected values (`ev`, when the caller reads it) and one (n,) buffer of
+    choices are set up once; `choose(cutoffs, start, stop)` computes rows
+    `start:stop` into those buffers and returns the choice buffer, whose
+    other rows keep what earlier calls left there. Rows are independent, so
+    a row comes out the same whichever slice computes it. No cutoff may be
+    NaN.
+
+    With sigma > 0, the expected values are screened ones, from the
+    tabulated CDF (`_screened_phi`): each is within _PHI_ERROR * u of the
+    exact value, u being its surplus, so within _PHI_ERROR * umax, umax
+    being the largest finite positive surplus of all rows. A row whose
+    screened first maximum leads every other acceptable school by more than
+    twice that keeps its first maximum under the exact CDF. The other rows
+    with a finite best value are contested: they are recomputed with
+    `_ndtr`, choose the first maximum of those exact values, and hold them
+    in `ev`. A row with an infinite best value (an infinite surplus) keeps
+    it, or a NaN, under either CDF, and abstains."""
     column = scores[:, None]
     unacceptable = ~(surplus > 0)
     ev = np.empty(surplus.shape) if ev is None else ev
     choice = np.empty(len(scores), dtype=np.intp)
+    if sigma != 0:
+        index = np.empty(surplus.shape, dtype=np.intp)
+        umax = float(surplus.max(initial=0.0, where=np.isfinite(surplus)))
+        tolerance = 2 * _PHI_ERROR * umax
+        # per row, which schools other than the first maximum come within the
+        # tolerance of it; rows padded to whole 8-byte words, so that one
+        # comparison of words finds the contested rows (a reduction along
+        # the short rows of `near` costs several times more)
+        near = np.zeros((len(scores), -(-surplus.shape[1] // 8) * 8), dtype=bool)
+        words = near.view(np.uint64)
 
     def choose(cutoffs: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
         rows = slice(start, stop)
@@ -181,11 +319,31 @@ def _best_response(
             buf[:, np.isneginf(cutoffs)] = 1.0
         else:
             np.divide(buf, sigma, out=buf)
-            ndtr(buf, out=buf)
+            np.multiply(buf, _PHI_STEPS, out=buf)
+            np.add(buf, -_PHI_LO * _PHI_STEPS, out=buf)
+            _screened_phi(buf, index[rows])
         np.multiply(buf, surplus[rows], out=buf)
         np.copyto(buf, -np.inf, where=unacceptable[rows])
-        best = np.argmax(buf, axis=1)  # first max -> lowest school index
-        best[~np.isfinite(buf[np.arange(len(buf)), best])] = -1
+        # array methods, not np.argmax / np.flatnonzero: their Python wrappers
+        # cost more than the work on a cutoff iteration's few hundred rows
+        best = buf.argmax(axis=1)  # first max -> lowest school index
+        first = np.arange(len(buf)), best
+        top = buf[first]
+        finite = np.isfinite(top)
+        if sigma != 0:
+            mask = near[rows]
+            np.greater_equal(buf, (top - tolerance)[:, None], out=mask[:, : buf.shape[1]])
+            mask[first] = False
+            contested = (words[rows].any(axis=1) & finite).nonzero()[0]
+            if len(contested):
+                at = contested + start
+                x = (scores[at, None] - cutoffs) / sigma
+                exact = np.array([_ndtr(a) for a in x.ravel().tolist()]).reshape(x.shape)
+                np.multiply(exact, surplus[at], out=exact)
+                np.copyto(exact, -np.inf, where=unacceptable[at])
+                buf[contested] = exact
+                best[contested] = np.argmax(exact, axis=1)
+        best[~finite] = -1
         choice[rows] = best
         return choice
 
@@ -201,16 +359,17 @@ def _choice_radius(ev: np.ndarray, umax: np.ndarray, sigma: float) -> float:
     An expected value moves by at most umax * delta / (sigma * sqrt(2 pi))
     when every cutoff moves by at most delta. So a row whose best value
     leads its second best by `gap` keeps its first maximum while delta <
-    sigma * sqrt(2 pi) / 2 * gap / umax; 1e-11 * umax of the gap is held
-    back for the rounding of the expected values. A row with one acceptable
-    school keeps it whatever the cutoffs (gap = inf). A tie (gap = 0) gives
-    r < 0, which no distance is below; so does an infinite surplus, through
-    a NaN."""
+    sigma * sqrt(2 pi) / 2 * gap / umax. Of the gap, 2 * _PHI_ERROR * umax
+    is held back because `ev` holds screened values, each within
+    _PHI_ERROR * umax of the exact one, and 1e-11 * umax for the rounding
+    of the expected values. A row with one acceptable school keeps it
+    whatever the cutoffs (gap = inf). A tie (gap = 0) gives r < 0, which no
+    distance is below; so does an infinite surplus, through a NaN."""
     gap: np.ndarray | float = np.inf
     if ev.shape[1] > 1:
         top = np.sort(ev, axis=1)
         gap = top[:, -1] - top[:, -2]
-    slack = np.min((gap - 1e-11 * umax) / umax, initial=np.inf)
+    slack = np.min((gap - (1e-11 + 2 * _PHI_ERROR) * umax) / umax, initial=np.inf)
     return sigma * math.sqrt(2 * math.pi) / 2 * float(slack)
 
 

@@ -5,11 +5,12 @@ package implementations are checked against a second, structurally different
 route: a literal step-by-step executor for the centralized assignment rounds,
 dict-based Boston rounds and per-applicant truthful rankings (the scalar code
 the array mechanisms replaced), a per-school sort for the decentralized rule,
-a per-applicant loop for the single-application choice, the lexsort cutoff
-loop the order-statistic loop replaced, a walk over `Placement` objects for
-a year's outcome and entrant counts (the loop the assignment arrays
-replaced), one object per (prefecture, year, school) for the panels (the row
-builder the column panels replaced),
+a per-applicant loop for the single-application choice, scipy's ndtr for
+the screened best response, the lexsort cutoff loop the order-statistic
+loop replaced, a walk over `Placement` objects for a year's outcome and
+entrant counts (the loop the assignment arrays replaced), one object per
+(prefecture, year, school) for the panels (the row builder the column panels
+replaced),
 subset/assignment enumeration for the dominance check, dummy-variable OLS
 for the within estimator, and the earlier forms of three kernels, which
 their replacements must match byte for byte: the `csv.writer` panel writer,
@@ -194,6 +195,18 @@ def choose_single_application(applicant, beliefs, params):
     if best is None:
         return None
     return PreferenceList(applicant_id=applicant.id, ranked=(best[1],))
+
+
+def scipy_best_response(scores, surplus, sigma, cutoffs):
+    """The noisy best response as `_best_response` computed it before it
+    screened rows with a tabulated CDF: scipy's ndtr on every cell, the first
+    maximum of each row, -1 where that maximum is not finite. Returns
+    (choices, expected values)."""
+    ev = ndtr((scores[:, None] - cutoffs) / sigma) * surplus
+    ev[~(surplus > 0)] = -np.inf
+    choice = np.argmax(ev, axis=1)
+    choice[~np.isfinite(ev[np.arange(len(ev)), choice])] = -1
+    return choice, ev
 
 
 def admitted_cutoffs(choice, scores, ties, caps):

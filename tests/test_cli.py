@@ -251,6 +251,24 @@ def test_groups_must_partition_the_schools(tmp_path, capsys, groups, locked):
     assert [(p.name, p.read_text()) for p in out.iterdir()] == [("notes.txt", "kept\n")]
 
 
+@pytest.mark.parametrize("locked", [False, True], ids=["config", "lockfile"])
+def test_year_outside_range_is_config_error(tmp_path, capsys, locked):
+    # rejected before the schedule is built: it would hold a billion years
+    config = {"scale": 0.05, "population": {"year_end": 10**9}}
+    if locked:
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"scale": 0.05}))
+        resolved = resolve_config(good).as_dict()
+        config = {"locked": True, "config": {**resolved, "population": {**resolved["population"], "year_end": 10**9}}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert _run_cli(cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    where = "lockfile" if locked else "config"
+    assert err == f"error: config: bad {where}: year_end must be in 1800-2100, got 1000000000\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_numeric_fields_checked_in_lockfile_and_kept_as_written(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"scale": 0.05, "population": {"score_sd": 10}, "behavior": {"tol": 1}}))
@@ -280,12 +298,13 @@ _FIELD_PATHS = [("scale",)] + [
     for f in fields(cls)
 ]
 _LIST_PATHS = [("capacities",), ("population", "prestige"), ("groups", 0), ("groups", 1)]
-# wrong types, NaN, bools for numbers, out-of-range numbers and unknown school ids; no
-# integer is large enough to make the year schedule long
+# wrong types, NaN, bools for numbers, out-of-range numbers and unknown school ids;
+# a year far outside 1800-2100 is rejected before any schedule is built
 _BAD_VALUES = (
     st.sampled_from(["5", None, {}, [], [1], True, False, math.nan, math.inf, -math.inf])
-    | st.sampled_from([-1, 0, -0.5, 0.5, 1e308, -1e308, 9, 99])
+    | st.sampled_from([-1, 0, -0.5, 0.5, 1e308, -1e308, 9, 99, 10**9, 2**63])
     | st.integers(-(10**4), 10**4)
+    | st.integers(-(10**12), 10**12)
     | st.floats(-1e4, 1e4)
 )
 
@@ -639,6 +658,26 @@ def test_diff_regimes_metric_missing_in_every_year(tmp_path, capsys):
     assert captured.err == "error: artifact: trend metric mean_enrollment_distance_km is missing in every year\n"
 
 
+def test_diff_regimes_trend_error_names_the_metric(tmp_path, capsys):
+    from meritmatch.metrics import YEAR_OUTCOME_COLUMNS
+
+    # the metric is missing in every centralized year only, so what is left of
+    # the series has no centralized year
+    path = tmp_path / "year_outcomes.csv"
+    regimes = ["decentralized"] * 2 + ["centralized"] * 6 + ["decentralized"] * 4
+    rows = [
+        f"0,{1900 + k},{regime},0.3,{'' if regime == 'centralized' else 200 + k},0.17,100,10"
+        for k, regime in enumerate(regimes)
+    ]
+    path.write_text("\r\n".join([",".join(YEAR_OUTCOME_COLUMNS), *rows]) + "\r\n")
+    assert main(["diff-regimes", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: artifact: trend metric mean_enrollment_distance_km: no within-variation in regressor(s): centralized\n"
+    )
+
+
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_artifact_headers_are_stable(config_path, tmp_path):
     from meritmatch.metrics import PANEL_COLUMNS, YEAR_OUTCOME_COLUMNS
@@ -901,36 +940,31 @@ def test_no_run_loads_scipy_linalg(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.special cost ~0.3 s and ~21 MB of every process that imported it
-    assert _fresh_python("import sys, meritmatch.cli; print('scipy' in sys.modules)").strip() == "False"
+    # scipy.special cost ~0.3 s and ~21 MB of every process that imported it;
+    # nor is the normal CDF table built at import
+    code = "import sys, meritmatch.cli; print('scipy' in sys.modules, meritmatch.strategy._phi_table.cache_info().currsize)"
+    assert _fresh_python(code).split() == ["False", "0"]
 
 
-def test_simulate_loads_scipy_special_on_first_best_response(tmp_path):
+@pytest.mark.parametrize(
+    "noise, jobs", [(14.0, 1), (14.0, 2), (0.0, 2)], ids=["noisy-jobs1", "noisy-jobs2", "noiseless-jobs2"]
+)
+def test_simulate_loads_no_scipy(tmp_path, noise, jobs):
+    # a best response evaluates the normal CDF without scipy, in the calling
+    # process and in pool workers alike; the calling process builds the CDF
+    # table only when it computes noisy best responses itself
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"scale": 0.05}))
-    code = (
-        "import sys\n"
-        "from meritmatch.pipeline import RunManifest, run\n"
-        "before = 'scipy.special' in sys.modules\n"
-        f"run(RunManifest(config_path={str(cfg)!r}, out_dir={str(tmp_path / 'out')!r}, stages=('simulate',)))\n"
-        "print(before, 'scipy.special' in sys.modules)\n"
-    )
-    assert _fresh_python(code, timeout=300).split() == ["False", "True"]
-
-
-def test_noiseless_parallel_run_loads_no_scipy(tmp_path):
-    # the pre-fork import of scipy.special serves noisy best responses only
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"scale": 0.05, "behavior": {"score_noise_sd": 0}}))
+    cfg.write_text(json.dumps({"scale": 0.05, "behavior": {"score_noise_sd": noise}}))
     code = (
         "import sys, warnings\n"
         "warnings.simplefilter('ignore')\n"
         "from meritmatch.pipeline import RunManifest, run\n"
-        f"run(RunManifest(config_path={str(cfg)!r}, out_dir={str(tmp_path / 'out')!r}, seeds=2, jobs=2,"
+        f"run(RunManifest(config_path={str(cfg)!r}, out_dir={str(tmp_path / 'out')!r}, seeds={jobs}, jobs={jobs},"
         " stages=('simulate',)))\n"
-        "print('scipy' in sys.modules)\n"
+        "print('scipy' in sys.modules, sys.modules['meritmatch.strategy']._phi_table.cache_info().currsize)\n"
     )
-    assert _fresh_python(code, timeout=300).strip() == "False"
+    assert _fresh_python(code, timeout=300).split() == ["False", "1" if noise and jobs == 1 else "0"]
+    assert (tmp_path / "out" / "year_outcomes.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
@@ -943,7 +977,7 @@ def test_estimate_only_run_loads_no_scipy(tmp_path):
         "import sys\n"
         "from meritmatch.pipeline import RunManifest, run\n"
         f"run(RunManifest(config_path={str(cfg)!r}, out_dir={str(out)!r}, stages=('estimate',)))\n"
-        "print('scipy' in sys.modules)\n"
+        "print('scipy' in sys.modules, sys.modules['meritmatch.strategy']._phi_table.cache_info().currsize)\n"
     )
-    assert _fresh_python(code, timeout=300).strip() == "False"
+    assert _fresh_python(code, timeout=300).split() == ["False", "0"]
     assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)

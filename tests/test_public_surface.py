@@ -6,7 +6,8 @@ in that module.
 A name counts as reached when it occurs as a whole word in a `.py` file under
 `src/`, `scripts/` or `bench/` (tests excluded), outside its own definition.
 An imported name counts as used when the module reads it anywhere (an
-`ast.Name` node), annotations included.
+`ast.Name` node), annotations included. And no module of the package imports
+scipy.
 """
 
 import ast
@@ -81,3 +82,22 @@ def test_every_imported_name_is_used():
         for line, name in _unused_imports(path)
     ]
     assert unused == []
+
+
+def test_no_module_of_the_package_imports_scipy():
+    # scipy is the test suite's oracle, not a dependency: importing its special
+    # functions cost every simulating process ~0.25 s and ~18 MB. Imports by
+    # statement and by module name (importlib) both count.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno} {n}" for n in names if re.fullmatch(r"scipy(\.\w+)*", n)]
+    assert found == []

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meritmatch import strategy
@@ -22,7 +22,13 @@ from meritmatch.strategy import (
 )
 
 from conftest import cohort_of, grouped_ranking, mk_schools, truthful_ranking
-from oracles import admit_probability, admitted_cutoffs, choose_single_application, lexsort_equilibrium_cutoffs
+from oracles import (
+    admit_probability,
+    admitted_cutoffs,
+    choose_single_application,
+    lexsort_equilibrium_cutoffs,
+    scipy_best_response,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -220,6 +226,145 @@ def test_equilibrium_shift_invariance():
     apps0 = single_applications(apps, base, params)
     apps1 = single_applications(shifted, moved, params)
     assert list(apps0) == list(apps1)
+
+
+# -- the normal CDF and the screened best response --------------------------------
+
+
+def test_ndtr_is_scipy_ndtr_bit_for_bit():
+    from scipy.special import ndtr
+
+    rng = np.random.default_rng(0)
+    # cephes' branch edges |a| = 1, sqrt(2) and 8 sqrt(2) (|x| = 1/sqrt(2), 1 and
+    # 8 with x = a / sqrt(2)), where exp underflows, and the table's ends
+    edges = [0.0, 1.0, math.sqrt(2), 8 * math.sqrt(2), -math.sqrt(2 * strategy._MAXLOG), 40.0, 9.0, 9 + 1 / 256]
+    edges = np.array(edges + [-e for e in edges])
+    near = np.concatenate([np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    x = np.concatenate(
+        [
+            rng.uniform(-45, 12, 100_000),
+            rng.normal(0, 3, 50_000),
+            edges,
+            near,
+            near + rng.uniform(-1e-9, 1e-9, len(near)),
+            [math.inf, -math.inf, math.nan],
+        ]
+    )
+    ported = np.array([strategy._ndtr(a) for a in x.tolist()])
+    assert ported.tobytes() == ndtr(x).tobytes()
+
+
+def _screened(x):
+    t = (x - strategy._PHI_LO) * strategy._PHI_STEPS
+    strategy._screened_phi(t, np.empty(t.shape, dtype=np.intp))
+    return t
+
+
+def test_screened_phi_is_within_its_bound():
+    from scipy.special import ndtr
+
+    # a dense grid past both table ends, and every point halfway between two
+    # of the table's, where linear interpolation errs most
+    lo, steps = strategy._PHI_LO, strategy._PHI_STEPS
+    x = np.concatenate(
+        [np.linspace(-50, 15, 1_000_001), lo + (np.arange(strategy._PHI_POINTS) + 0.5) / steps, [-np.inf, np.inf]]
+    )
+    error = np.abs(_screened(x) - ndtr(x))
+    assert error.max() <= strategy._PHI_ERROR
+    # the bound is not loose by much: h^2 / 8 * phi(1) = 4.62e-7
+    assert error.max() > 0.9 * strategy._PHI_ERROR
+
+
+# |x| = 1 is where the CDF curves most; there the table errs most halfway
+# between two points, upward below 0 and downward above
+_WORST_BELOW, _WORST_ABOVE = -1 + 1 / 512, 1 + 1 / 512
+
+
+@st.composite
+def contested_markets(draw):
+    """Rows whose two best expected values differ by about the screen's
+    tolerance or less: exact ties, gaps from zero to a few tolerances on
+    either side, rows deep in the lower tail (where every screened value is
+    ~0), and rows with infinite, NaN or non-positive surpluses. Optionally
+    two cutoffs sit where row 0 meets the screen's largest errors, of
+    opposite sign. Returns (scores, surplus, sigma, cutoffs, split row)."""
+    n_schools = draw(st.integers(2, 5))
+    sigma = draw(st.sampled_from([0.5, 1.0, 14.0]) | st.floats(0.1, 50))
+    umax = draw(st.sampled_from([1.0, 7.5]) | st.floats(0.01, 100))
+    cutoff = st.sampled_from([-math.inf, math.inf, 40.0, 45.0]) | st.floats(-50, 150)
+    cutoffs = np.array(draw(st.lists(cutoff, min_size=n_schools, max_size=n_schools)))
+    j, k = draw(st.sampled_from(list(itertools.permutations(range(n_schools), 2))))
+    s0 = draw(st.floats(0, 100))
+    if draw(st.booleans()):
+        cutoffs[j], cutoffs[k] = s0 - sigma * _WORST_BELOW, s0 - sigma * _WORST_ABOVE
+    finite_cutoffs = cutoffs[np.isfinite(cutoffs)]
+    filler = st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan]) | st.floats(-umax, umax)
+    scores, rows = [], []
+    n = draw(st.integers(1, 10))
+    for i in range(n):
+        kind = draw(st.sampled_from(["pair", "tie", "tail", "any"]))
+        score = s0 if i == 0 else draw(st.floats(0, 100))
+        if kind == "tail" and len(finite_cutoffs):
+            score = float(finite_cutoffs.min()) - sigma * draw(st.floats(6, 45))
+        row = [draw(filler) for _ in range(n_schools)]
+        if kind == "pair":
+            # expected values ev[b] - ev[a] = gap under the exact CDF, with the
+            # larger surplus umax
+            p = strategy._ndtr((score - cutoffs[j]) / sigma), strategy._ndtr((score - cutoffs[k]) / sigma)
+            a, b = (j, k) if p[0] <= p[1] else (k, j)
+            gap = draw(st.sampled_from([0.0, 1e-3, 0.25, 0.45, 0.55, 0.99, 1.01, 2.0, 5.0]))
+            gap *= draw(st.sampled_from([1, -1])) * 2 * strategy._PHI_ERROR * umax
+            row[a] = umax
+            row[b] = min(umax, (min(p) * umax + gap) / max(p)) if max(p) > 0 else umax
+        elif kind == "tie":
+            row[j] = row[k] = draw(st.floats(0.01, umax))
+        elif kind == "tail":
+            row = [draw(st.floats(0.01, umax)) for _ in range(n_schools)]
+        scores.append(score)
+        rows.append(row)
+    return np.array(scores), np.array(rows), sigma, cutoffs, draw(st.integers(0, n))
+
+
+# row 0 prefers school 1 by 2e-8 under the exact CDF, but the screen makes
+# school 0 lead by ~5.3e-7, between half the tolerance and the tolerance
+_P0, _P1 = strategy._ndtr(_WORST_BELOW), strategy._ndtr(_WORST_ABOVE)
+_CLOSE = (np.array([0.0]), np.array([[1.0, (_P0 + 2e-8) / _P1]]), 1.0, -np.array([_WORST_BELOW, _WORST_ABOVE]), 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(contested_markets())
+@example(_CLOSE)
+def test_screened_best_response_matches_scipy_ndtr(market):
+    scores, surplus, sigma, cutoffs, split = market
+    ev = np.empty(surplus.shape)
+    # a zero CDF times an infinite surplus makes a NaN (and the row abstains)
+    # under either CDF
+    with np.errstate(invalid="ignore"):
+        expected, exact = scipy_best_response(scores, surplus, sigma, cutoffs)
+        choose = strategy._best_response(scores, surplus, sigma, ev)
+        choose(cutoffs, 0, split)
+        choice = choose(cutoffs, split)
+    assert choice.tolist() == expected.tolist()
+    # what `_choice_radius` relies on: every expected value of a row with a
+    # choice within _PHI_ERROR * umax of the exact one
+    umax = surplus.max(initial=0.0, where=np.isfinite(surplus))
+    cells = (choice >= 0)[:, None] & np.isfinite(exact)
+    assert np.abs(ev[cells] - exact[cells]).max(initial=0.0) <= strategy._PHI_ERROR * umax
+
+
+def test_infinite_or_nan_surplus_abstain_rule():
+    # an acceptable school with an infinite surplus makes the row abstain,
+    # whichever CDF evaluates it; a NaN surplus counts as unacceptable, as
+    # does -inf; a row with no acceptable school abstains
+    surplus = np.array(
+        [[math.inf, 1.0], [1.0, math.inf], [math.nan, 1.0], [-math.inf, 2.0], [math.nan, math.nan], [0.0, -1.0]]
+    )
+    scores = np.full(len(surplus), 50.0)
+    for cutoffs in (np.array([40.0, 60.0]), np.array([-math.inf, 1e9])):
+        with np.errstate(invalid="ignore"):
+            choice = strategy._best_response(scores, surplus, 5.0)(cutoffs)
+            expected, _ = scipy_best_response(scores, surplus, 5.0, cutoffs)
+        assert choice.tolist() == [-1, -1, 1, 1, -1, -1] == expected.tolist()
 
 
 # -- cutoffs as order statistics ---------------------------------------------------
