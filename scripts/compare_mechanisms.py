@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from meritmatch.config import build_scenario
 from meritmatch.core import Regime, RegimeKind, SeededRng
 from meritmatch.mechanisms import (
     PreferenceList,
@@ -30,7 +31,7 @@ from meritmatch.mechanisms import (
     run_meritocratic_boston,
     run_serial_dictatorship_da,
 )
-from meritmatch.popgen import DEFAULT_GROUPS, build_scenario, generate_applicants
+from meritmatch.popgen import DEFAULT_GROUPS, generate_applicants
 from meritmatch.strategy import BehaviorParams, equilibrium_cutoffs, single_applications, submit_applications
 
 

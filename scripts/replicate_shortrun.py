@@ -13,8 +13,9 @@ import argparse
 import csv
 import sys
 
+from meritmatch.config import RunManifest
 from meritmatch.metrics import read_year_outcomes_csv
-from meritmatch.pipeline import RunManifest, diff_regimes, run
+from meritmatch.pipeline import diff_regimes, run
 
 
 def main() -> int:

@@ -14,10 +14,13 @@ invariant violation. Errors print a single machine-parsable line
 `io` or `invariant`. `artifact` (exit 2) reports an artifact read back from
 disk that is malformed or does not fit the run: a panel CSV,
 year_outcomes.csv or manifest.lock under `run --stages estimate`, or the
-input of `diff-regimes`. A bad config file, or a geography or school CSV it names,
-is a `config` error. So is a config value of the wrong type, a fraction for an
-integer field, or a non-finite number (NaN, Infinity): each is rejected while
-the config resolves (exit 2), before `--out` is touched.
+input of `diff-regimes`. A bad config file or lockfile, or a geography or
+school CSV a config names, is a `config` error. So is a value of the wrong
+type (a bool, a string or a fraction for an integer, a number for a
+prefecture name), a null, a non-finite number (NaN, Infinity) anywhere in
+the population, behavior, geography or school values, and a lockfile row
+with too many or too few entries: each is rejected while the config
+resolves (exit 2), before `--out` is touched.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ import csv
 import os
 import sys
 
+from .config import ArtifactError, InvariantError, RunManifest
 from .core import DomainError
 from .metrics import read_year_outcomes_csv
-from .pipeline import ArtifactError, ConfigError, InvariantError, RunManifest, diff_regimes, run
+from .pipeline import diff_regimes, run
 
 OUT_DIR_ENV = "MERITMATCH_OUT"
 
@@ -63,7 +67,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         artifacts = run(manifest)
     except ArtifactError as exc:
         return _fail("artifact", exc)
-    except (ConfigError, DomainError) as exc:
+    except DomainError as exc:  # a ConfigError among them
         return _fail("config", exc)
     except InvariantError as exc:
         return _fail("invariant", exc)

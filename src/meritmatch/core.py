@@ -3,17 +3,18 @@
 Everything downstream (mechanisms, strategy, population generation, metrics)
 works with the immutable types defined here. Geography is planar, in km:
 only relative distances and the 100 km urban band matter, so a flat map is
-both simpler and exactly testable.
+both simpler and exactly testable. A non-finite number is a DomainError
+where it enters: a coordinate, weight or edu_index in `build_prefectures`, a
+score, utility or outside option in `Cohort`; `validate_market` flags a NaN
+weight sum too.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -65,7 +66,8 @@ def require_increasing(ids: np.ndarray, duplicate: str) -> None:
 @dataclass(frozen=True, eq=False)
 class Cohort:
     """One year's applicants as columns, one row per applicant in increasing
-    id order. `utility[:, k]` is the value of the school with id k + 1."""
+    id order. `utility[:, k]` is the value of the school with id k + 1. Every
+    score, utility and outside option is finite."""
 
     ids: np.ndarray  # (n,) int
     birth: np.ndarray  # (n,) int, birth prefecture id
@@ -75,9 +77,11 @@ class Cohort:
 
     def __post_init__(self) -> None:
         require_increasing(self.ids, "duplicate applicant id {}")
-        bad = ~np.isfinite(self.score)
-        if bad.any():  # a NaN would sort silently in the mechanisms' priority order
-            raise DomainError(f"applicant {self.ids[bad.argmax()]} has non-finite score")
+        # a NaN score would sort silently in the priority order; a best response needs finite surpluses
+        for what, column in (("score", self.score), ("utility", self.utility), ("outside option", self.outside)):
+            bad = ~np.isfinite(column)
+            if bad.any():
+                raise DomainError(f"applicant {self.ids[np.argwhere(bad)[0, 0]]} has non-finite {what}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -210,7 +214,7 @@ def validate_market(prefectures: Sequence[Prefecture], schools: Sequence[School]
     if sorted(ids) != list(range(len(prefectures))):
         out.append(Violation("prefecture_ids", "prefecture ids are not 0..P-1 without gaps"))
     total = sum(p.pop_weight for p in prefectures)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # a NaN sum fails too
         out.append(Violation("weights_not_normalized", f"pop_weights sum to {total!r}, expected 1"))
     for p in prefectures:
         if p.pop_weight < 0:
@@ -333,26 +337,19 @@ def build_prefectures(rows: Iterable[tuple[str, float, float, float, float]]) ->
     raw = list(rows)
     if not raw:
         raise DomainError("empty prefecture table")
+    for name, *numbers in raw:
+        if not all(map(math.isfinite, numbers)):
+            raise DomainError(f"prefecture {name} has a non-finite x_km, y_km, weight or edu_index: {numbers}")
     total = sum(r[3] for r in raw)
     if total <= 0:
         raise DomainError("prefecture weights must have a positive sum")
-    tokyo_coord = next(((x, y) for name, x, y, _, _ in raw if name == "Tokyo"), None)
-    if tokyo_coord is None:
+    tokyo = next(((x, y) for name, x, y, _, _ in raw if name == "Tokyo"), None)
+    if tokyo is None:
         raise DomainError("prefecture table must contain a row named Tokyo")
-    out = []
-    for i, (name, x, y, w, edu) in enumerate(raw):
-        d = math.hypot(x - tokyo_coord[0], y - tokyo_coord[1])
-        out.append(
-            Prefecture(
-                id=i,
-                name=name,
-                coord=(x, y),
-                urban=d <= URBAN_RADIUS_KM,
-                pop_weight=w / total,
-                edu_index=edu,
-            )
-        )
-    return out
+    return [
+        Prefecture(i, name, (x, y), math.hypot(x - tokyo[0], y - tokyo[1]) <= URBAN_RADIUS_KM, w / total, edu)
+        for i, (name, x, y, w, edu) in enumerate(raw)
+    ]
 
 
 def default_prefectures() -> list[Prefecture]:
@@ -367,59 +364,7 @@ def default_schools(prefectures: Sequence[Prefecture], capacities: Sequence[int]
     if len(capacities) != len(_SCHOOL_HOSTS) or len(prestige) != len(_SCHOOL_HOSTS):
         raise DomainError(f"expected {len(_SCHOOL_HOSTS)} capacities and prestige values")
     by_name = {p.name: p.id for p in prefectures}
-    out = []
-    for sid, host in _SCHOOL_HOSTS:
-        if host not in by_name:
-            raise DomainError(f"school host prefecture {host!r} not in geography")
-        out.append(
-            School(
-                id=sid,
-                prefecture_id=by_name[host],
-                capacity=int(capacities[sid - 1]),
-                prestige=float(prestige[sid - 1]),
-            )
-        )
-    return out
-
-
-GEOGRAPHY_COLUMNS = ["id", "name", "x_km", "y_km", "weight", "edu_index"]
-SCHOOL_COLUMNS = ["id", "prefecture_id", "capacity", "prestige"]
-
-
-def load_geography(path: str | Path) -> list[Prefecture]:
-    """Load prefectures from a CSV with columns id,name,x_km,y_km,weight,edu_index.
-
-    Rows must be sorted by id, 0..P-1; any other id is a DomainError.
-    Weights are normalized on load; the urban flag is derived from the 100 km
-    Tokyo band.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != GEOGRAPHY_COLUMNS:
-            raise DomainError(f"geography file must have columns {GEOGRAPHY_COLUMNS}, got {reader.fieldnames}")
-        for rec in reader:
-            if int(rec["id"]) != len(rows):
-                raise DomainError(f"geography row {len(rows)} has id {rec['id']}; ids must be 0..P-1 in row order")
-            rows.append((rec["name"], float(rec["x_km"]), float(rec["y_km"]), float(rec["weight"]), float(rec["edu_index"])))
-    return build_prefectures(rows)
-
-
-def load_schools(path: str | Path) -> list[School]:
-    """Load schools from a CSV with columns id,prefecture_id,capacity,prestige."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SCHOOL_COLUMNS:
-            raise DomainError(f"school file must have columns {SCHOOL_COLUMNS}, got {reader.fieldnames}")
-        for rec in reader:
-            out.append(
-                School(
-                    id=int(rec["id"]),
-                    prefecture_id=int(rec["prefecture_id"]),
-                    capacity=int(rec["capacity"]),
-                    prestige=float(rec["prestige"]),
-                )
-            )
-    return out
-
+    missing = [host for _, host in _SCHOOL_HOSTS if host not in by_name]
+    if missing:
+        raise DomainError(f"school host prefecture {missing[0]!r} not in geography")
+    return [School(sid, by_name[host], capacities[sid - 1], prestige[sid - 1]) for sid, host in _SCHOOL_HOSTS]

@@ -3,52 +3,29 @@ compute metrics, run the regression battery, and emit CSV artifacts.
 
 All randomness flows from one root seed through named streams (popgen/year,
 lottery/year), so re-running any stage from the same manifest reproduces
-artifacts byte for byte. The resolved configuration, including the full
-geography and school tables, is written to manifest.lock; a lockfile is itself
-a valid --config input and replays the run exactly.
+artifacts byte for byte. `config.resolve_config` builds the run's scenario
+from a config or lockfile, rejecting any bad value before the output
+directory is touched. The resolved configuration, including the full
+geography and school tables, is written to manifest.lock; a lockfile is
+itself a valid --config input and replays the run exactly.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
-import hashlib
-import json
-import math
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import __version__
-from .core import (
-    DomainError,
-    RegimeKind,
-    School,
-    SeededRng,
-    build_prefectures,
-    check_groups,
-    distance_matrix,
-    load_geography,
-    load_schools,
-    validate_market,
-)
-from .econometrics import (
-    RegressionResult,
-    did_centralization,
-    fe_ols,
-    newey_west_ols,
-    with_interaction,
-)
-from .mechanisms import (
-    run_decentralized,
-    run_grouped_centralized,
-    run_meritocratic_boston,
-)
+from .config import ArtifactError, ConfigError, ResolvedConfig, RunManifest, check_lock, resolve_config, write_lock
+from .core import DomainError, RegimeKind, SeededRng, distance_matrix
+from .econometrics import RegressionResult, did_centralization, fe_ols, newey_west_ols, with_interaction
+from .mechanisms import run_decentralized, run_grouped_centralized, run_meritocratic_boston
 from .metrics import (
     YearOutcome,
     YearRecord,
@@ -62,15 +39,9 @@ from .metrics import (
     year_outcome,
     year_record,
 )
-from .popgen import DEFAULT_GROUPS, PopulationConfig, Scenario, build_scenario, generate_applicants
+from .popgen import Scenario, generate_applicants
 from .strategy import BehaviorParams, equilibrium_cutoffs, single_applications, submit_applications
 
-
-class ConfigError(ValueError):
-    """Bad or inconsistent run configuration."""
-
-
-STAGES = ("simulate", "metrics", "estimate")
 
 REGRESSION_COLUMNS = [
     "spec_id",
@@ -83,208 +54,6 @@ REGRESSION_COLUMNS = [
     "n_obs",
     "n_clusters",
 ]
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity mask where the platform
-    has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """One run. `jobs` caps the worker processes that simulate seeds; a
-    multi-seed run uses every usable CPU unless told otherwise."""
-
-    config_path: str | None = None
-    seed: int = 0
-    seeds: int = 1
-    out_dir: str = "out"
-    stages: tuple[str, ...] = STAGES
-    jobs: int = field(default_factory=_usable_cpus)
-
-    def __post_init__(self) -> None:
-        if self.seeds < 1:
-            raise ConfigError("seeds count must be >= 1")
-        if not self.stages:
-            raise ConfigError("stages must be nonempty")
-        for s in self.stages:
-            if s not in STAGES:
-                raise ConfigError(f"unknown stage {s!r}; valid stages are {', '.join(STAGES)}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-
-
-@dataclass(frozen=True)
-class ResolvedConfig:
-    scenario: Scenario
-    behavior: BehaviorParams
-    groups: tuple[frozenset[int], frozenset[int]]
-
-    def as_dict(self) -> dict:
-        prefs = [
-            [p.name, p.coord[0], p.coord[1], p.pop_weight, p.edu_index]
-            for p in self.scenario.prefectures
-        ]
-        schools = [
-            [s.id, s.prefecture_id, s.capacity, s.prestige] for s in self.scenario.schools
-        ]
-        return {
-            "population": asdict(self.scenario.population),
-            "behavior": asdict(self.behavior),
-            "groups": [sorted(self.groups[0]), sorted(self.groups[1])],
-            "geography": prefs,
-            "schools": schools,
-        }
-
-
-_CONFIG_KEYS = {"scale", "population", "behavior", "capacities", "groups", "geography", "schools"}
-
-
-def _check_keys(mapping: Mapping, allowed, where: str) -> None:
-    if not isinstance(mapping, Mapping):
-        raise ConfigError(f"{where} must be a JSON object, got {json.dumps(mapping)}")
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(str, unknown))}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON's true is a Python int
-
-
-def _is_number(value) -> bool:
-    """An int or float with a finite float value (JSON's NaN and Infinity have none)."""
-    try:
-        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
-
-
-def _is_number_list(value) -> bool:
-    """A JSON array of ints and floats (finite or not: the scenario checks that)."""
-    return isinstance(value, list) and all(_is_int(v) or isinstance(v, float) for v in value)
-
-
-# annotation string of a config field -> (check, what the check wants)
-_FIELD_CHECKS = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a finite number"),
-    "tuple[float, ...]": (_is_number_list, "a list of numbers"),
-}
-
-
-def _groups_from(raw) -> tuple[frozenset[int], frozenset[int]]:
-    if len(raw) != 2:
-        raise ConfigError("groups must be a pair of school-id lists")
-    if not all(_is_int(s) for g in raw for s in g):
-        raise ConfigError(f"group school ids must be integers, got {json.dumps(raw)}")
-    if any(len(set(g)) != len(g) for g in raw):
-        raise ConfigError(f"a group lists a school twice: {json.dumps(raw)}")
-    return (frozenset(raw[0]), frozenset(raw[1]))
-
-
-def _resolved(where: str, behavior: Mapping, population: Mapping, groups, **scenario) -> ResolvedConfig:
-    """Validate the config pieces and build the scenario from them."""
-    _check_keys(population, PopulationConfig.__dataclass_fields__, f"{where} population")
-    _check_keys(behavior, BehaviorParams.__dataclass_fields__, f"{where} behavior")
-    for cls, given in ((PopulationConfig, population), (BehaviorParams, behavior)):
-        kinds = {f.name: f.type for f in fields(cls)}  # annotation strings: evaluation is postponed
-        for name, value in given.items():
-            check, wanted = _FIELD_CHECKS[kinds[name]]
-            if not check(value):
-                raise ConfigError(f"bad {where}: {name} must be {wanted}, got {json.dumps(value)}")
-    try:
-        params = BehaviorParams(**behavior)
-        built = build_scenario(population=population, groups=groups, **scenario)
-        if any(r.groups is not None for r in built.schedule):
-            check_groups(groups, (s.id for s in built.schools))
-    except (TypeError, DomainError) as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
-    violations = validate_market(built.prefectures, built.schools)
-    if violations:
-        raise InvariantError("; ".join(str(v) for v in violations))
-    return ResolvedConfig(scenario=built, behavior=params, groups=groups)
-
-
-def resolve_config(config_path: str | Path | None) -> ResolvedConfig:
-    """Build the fully-resolved scenario from a config file (or defaults).
-
-    The file is JSON; a manifest.lock file (marked "locked": true) is also
-    accepted and replayed verbatim. Unknown keys are hard errors.
-    """
-    if config_path is None:
-        return _resolve_dict({})
-    path = Path(config_path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must contain a JSON object")
-    try:
-        if raw.get("locked"):
-            return _resolve_locked(raw, path)
-        return _resolve_dict(raw, base_dir=path.parent)
-    except (ConfigError, DomainError):
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:  # a value of the wrong type, or too large
-        raise ConfigError(f"bad value in config {path}: {exc}") from exc
-
-
-def _resolve_dict(raw: Mapping, base_dir: Path | None = None) -> ResolvedConfig:
-    _check_keys(raw, _CONFIG_KEYS, "config")
-
-    def _path(key: str) -> Path:
-        path = Path(raw[key])
-        return base_dir / path if base_dir is not None and not path.is_absolute() else path
-
-    scale, capacities = raw.get("scale", 1.0), raw.get("capacities")
-    if not _is_number(scale):
-        raise ConfigError(f"scale must be a finite number, got {json.dumps(scale)}")
-    if "capacities" in raw and not (isinstance(capacities, list) and all(_is_int(c) for c in capacities)):
-        raise ConfigError(f"capacities must be a list of integers, got {json.dumps(capacities)}")
-    return _resolved(
-        "config",
-        raw.get("behavior", {}),
-        raw.get("population", {}),
-        _groups_from(raw.get("groups", DEFAULT_GROUPS)),
-        scale=float(scale),
-        prefectures=load_geography(_path("geography")) if "geography" in raw else None,
-        schools=load_schools(_path("schools")) if "schools" in raw else None,
-        capacities=capacities,
-    )
-
-
-def _resolve_locked(raw: Mapping, path: Path) -> ResolvedConfig:
-    _check_keys(raw, {"locked", "version", "version_hash", "seed", "seeds", "stages", "format", "config"}, "lockfile")
-    cfg = raw.get("config", {})
-    _check_keys(cfg, {"population", "behavior", "groups", "geography", "schools"}, "lockfile config")
-    try:
-        rows = [tuple(row) for row in cfg["geography"]]
-        # the locked weights are already normalized; normalizing them again can move their last bits
-        prefectures = [replace(p, pop_weight=float(r[3])) for p, r in zip(build_prefectures(rows), rows)]
-        schools = [
-            School(id=int(r[0]), prefecture_id=int(r[1]), capacity=int(r[2]), prestige=float(r[3]))
-            for r in cfg["schools"]
-        ]
-        groups = _groups_from(cfg["groups"])
-        behavior, population = cfg["behavior"], cfg["population"]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed lockfile {path}: {exc}") from exc
-    return _resolved("lockfile", behavior, population, groups, prefectures=prefectures, schools=schools)
-
-
-class InvariantError(RuntimeError):
-    """A market invariant failed validation."""
-
-
-class ArtifactError(DomainError):
-    """An artifact read back for the estimate stage is malformed or does not
-    match this run's configuration."""
 
 
 # -- simulation ----------------------------------------------------------------
@@ -561,23 +330,6 @@ def write_regressions_csv(path: str | Path, rows: Sequence[RegressionRow]) -> No
             )
 
 
-def _lock_payload(manifest: RunManifest, resolved: ResolvedConfig) -> dict:
-    config = resolved.as_dict()
-    digest = hashlib.sha256(
-        (json.dumps(config, sort_keys=True) + __version__).encode()
-    ).hexdigest()[:16]
-    return {
-        "locked": True,
-        "version": __version__,
-        "version_hash": digest,
-        "seed": manifest.seed,
-        "seeds": manifest.seeds,
-        "stages": list(manifest.stages),
-        "format": "csv",
-        "config": config,
-    }
-
-
 def _panel_files(scenario: Scenario) -> dict[int | None, str]:
     """The panel CSV of each `build_panel` key: all schools, then each school id."""
     return {None: "panel_all.csv", **{s: f"panel_school_{s}.csv" for s in sorted(x.id for x in scenario.schools)}}
@@ -643,24 +395,21 @@ def _simulate_and_write(
     """The simulate stage, then the metrics stage if the manifest names it:
     write year_outcomes.csv and manifest.lock, then the panel CSVs, into `out`."""
     if manifest.jobs > 1 and len(seeds) > 1:
+        import concurrent.futures  # here, not at the top: it loads logging, which no other path needs
+
         # a fork pool starts all of its workers at once, so it gets no more than there are seeds
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(manifest.jobs, len(seeds))) as pool:
-            futures = {
-                s: pool.submit(simulate_seed, resolved.scenario, resolved.behavior, s)
-                for s in seeds
-            }
-            results = [futures[s].result() for s in seeds]
+            futures = [pool.submit(simulate_seed, resolved.scenario, resolved.behavior, s) for s in seeds]
+            results = [f.result() for f in futures]
     else:
         results = [simulate_seed(resolved.scenario, resolved.behavior, s) for s in seeds]
 
     write_year_outcomes_csv(out / "year_outcomes.csv", [(r.seed, o) for r in results for o in r.outcomes])
-    lock = _lock_payload(manifest, resolved)
-    (out / "manifest.lock").write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n")
+    write_lock(out / "manifest.lock", manifest, resolved)
 
     if "metrics" in manifest.stages:
-        panels: dict[int, dict] = {}  # seed -> build_panel's panels
-        for r in results:
-            panels[r.seed] = build_panel(r.records, resolved.scenario.prefectures, resolved.scenario.schools)
+        scenario = resolved.scenario
+        panels = {r.seed: build_panel(r.records, scenario.prefectures, scenario.schools) for r in results}
         for key, name in panel_files.items():
             write_panel_csv(out / name, {s: panels[s][key] for s in seeds}, key)
 
@@ -703,14 +452,7 @@ def run(manifest: RunManifest) -> dict[str, Path]:
         missing = [str(f) for f in needed if not f.exists()]
         if missing:
             raise ConfigError(f"estimate without metrics requires existing inputs; missing: {', '.join(missing)}")
-        expected = _lock_payload(manifest, resolved)
-        try:
-            lock = json.loads((out_dir / "manifest.lock").read_text())
-            stale = [k for k in ("version_hash", "seed", "seeds") if lock[k] != expected[k]]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ArtifactError(f"unreadable {out_dir / 'manifest.lock'}: {exc}") from exc
-        if stale:
-            raise ArtifactError(f"{out_dir / 'manifest.lock'} is from another run: {', '.join(stale)} differ")
+        check_lock(out_dir / "manifest.lock", manifest, resolved)
 
     seeds = list(range(manifest.seed, manifest.seed + manifest.seeds))
     # every artifact is written here first and moved into out_dir only once

@@ -5,29 +5,19 @@ regime switches are the only time-varying treatment. A year's draw is
 returned as one `Cohort` of arrays, with applicant ids 0..n-1. The urban
 advantage enters only through the education-infrastructure channel: a
 prefecture's edu_index shifts its mean exam score. Preferences are prestige
-minus a linear distance cost plus idiosyncratic noise.
+minus a linear distance cost plus idiosyncratic noise. `config.build_scenario`
+builds and checks a `Scenario`; a draw that overflows a utility or outside
+option to infinity is a DomainError from `Cohort`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Cohort,
-    DomainError,
-    Prefecture,
-    Regime,
-    RegimeKind,
-    School,
-    SeededRng,
-    default_prefectures,
-    default_schools,
-    distance_matrix,
-)
+from .core import Cohort, DomainError, Prefecture, Regime, RegimeKind, School, SeededRng, distance_matrix
 
 #: Default two-group split for the grouped regime years. The historical
 #: grouping is not part of the shipped data; odd/even ids are a synthetic
@@ -143,55 +133,3 @@ class Scenario:
     schools: tuple[School, ...]
     population: PopulationConfig
     schedule: tuple[Regime, ...]
-
-
-def build_scenario(
-    scale: float = 1.0,
-    population: Mapping | None = None,
-    prefectures: Sequence[Prefecture] | None = None,
-    schools: Sequence[School] | None = None,
-    capacities: Sequence[int] | None = None,
-    groups: tuple[frozenset[int], frozenset[int]] = DEFAULT_GROUPS,
-) -> Scenario:
-    """A scenario from its config pieces; every omitted piece is the default,
-    so `build_scenario()` is the shipped 47-prefecture, 8-school scenario over
-    1900-1930.
-
-    `scale` shrinks or grows the default applicants (10777 a year) and seats
-    (251 a school) together, preserving selectivity. `population` overrides
-    PopulationConfig fields. Given `schools`, their prestige is the
-    population's and their capacities are the seats, and a different
-    population prestige or `capacities` is a DomainError; otherwise the eight
-    default schools are placed with `capacities` (or the scaled default).
-    A non-finite prestige, from either source, is a DomainError.
-    """
-    if scale <= 0:
-        raise DomainError("scale must be positive")
-    overrides = dict(population or {})
-    overrides.setdefault("applicants_per_year", max(1, int(round(10777 * scale))))
-    if "prestige" in overrides:
-        overrides["prestige"] = tuple(float(v) for v in overrides["prestige"])
-    config = PopulationConfig(**overrides)
-    prefectures = default_prefectures() if prefectures is None else prefectures
-    by_id = None if schools is None else sorted(schools, key=lambda s: s.id)
-    prestige = config.prestige if by_id is None else tuple(s.prestige for s in by_id)
-    if not all(math.isfinite(p) for p in prestige):
-        raise DomainError(f"school prestige must be finite, got {list(prestige)}")
-    if by_id is None:
-        if capacities is None:
-            capacities = [max(1, int(round(251 * scale)))] * 8
-        schools = default_schools(prefectures, capacities, prestige)
-    else:
-        if "prestige" in overrides and overrides["prestige"] != prestige:
-            raise DomainError(f"population prestige {overrides['prestige']} differs from the schools' {prestige}")
-        seats = [s.capacity for s in by_id]
-        if capacities is not None and [int(c) for c in capacities] != seats:
-            raise DomainError(f"capacities {list(capacities)} differ from the schools' {seats}")
-        config = replace(config, prestige=prestige)
-    return Scenario(
-        prefectures=tuple(prefectures),
-        schools=tuple(schools),
-        population=config,
-        schedule=tuple(regime_schedule(config.year_start, config.year_end, groups)),
-    )
-

@@ -274,10 +274,9 @@ def _best_response(
     scores: np.ndarray, surplus: np.ndarray, sigma: float, ev: np.ndarray | None = None
 ) -> Callable[..., np.ndarray]:
     """Vectorized best single application as a function of the cutoffs: each
-    applicant's 0-based school index, -1 = abstain (the best expected value is
-    not finite: no acceptable school, or an infinite surplus). `surplus` is
-    each applicant's utility minus outside option; a NaN surplus counts as
-    unacceptable. The mask of non-positive surplus, one (n, S) buffer of
+    applicant's 0-based school index, -1 = abstain (no acceptable school).
+    `surplus` is each applicant's utility minus outside option, finite as a
+    `Cohort`'s values are. The mask of non-positive surplus, one (n, S) buffer of
     expected values (`ev`, when the caller reads it) and one (n,) buffer of
     choices are set up once; `choose(cutoffs, start, stop)` computes rows
     `start:stop` into those buffers and returns the choice buffer, whose
@@ -288,20 +287,19 @@ def _best_response(
     With sigma > 0, the expected values are screened ones, from the
     tabulated CDF (`_screened_phi`): each is within _PHI_ERROR * u of the
     exact value, u being its surplus, so within _PHI_ERROR * umax, umax
-    being the largest finite positive surplus of all rows. A row whose
+    being the largest positive surplus of all rows. A row whose
     screened first maximum leads every other acceptable school by more than
     twice that keeps its first maximum under the exact CDF. The other rows
-    with a finite best value are contested: they are recomputed with
+    with an acceptable school are contested: they are recomputed with
     `_ndtr`, choose the first maximum of those exact values, and hold them
-    in `ev`. A row with an infinite best value (an infinite surplus) keeps
-    it, or a NaN, under either CDF, and abstains."""
+    in `ev`."""
     column = scores[:, None]
     unacceptable = ~(surplus > 0)
     ev = np.empty(surplus.shape) if ev is None else ev
     choice = np.empty(len(scores), dtype=np.intp)
     if sigma != 0:
         index = np.empty(surplus.shape, dtype=np.intp)
-        umax = float(surplus.max(initial=0.0, where=np.isfinite(surplus)))
+        umax = float(surplus.max(initial=0.0))
         tolerance = 2 * _PHI_ERROR * umax
         # per row, which schools other than the first maximum come within the
         # tolerance of it; rows padded to whole 8-byte words, so that one
@@ -364,7 +362,7 @@ def _choice_radius(ev: np.ndarray, umax: np.ndarray, sigma: float) -> float:
     _PHI_ERROR * umax of the exact one, and 1e-11 * umax for the rounding
     of the expected values. A row with one acceptable school keeps it
     whatever the cutoffs (gap = inf). A tie (gap = 0) gives r < 0, which no
-    distance is below; so does an infinite surplus, through a NaN."""
+    distance is below."""
     gap: np.ndarray | float = np.inf
     if ev.shape[1] > 1:
         top = np.sort(ev, axis=1)
@@ -516,7 +514,7 @@ def equilibrium_cutoffs(
                 if umax is None:
                     # each row's largest positive surplus; the rows without
                     # one abstain whatever the cutoffs
-                    umax = np.fmax.reduce(surplus, axis=1)
+                    umax = surplus.max(axis=1)
                     acceptable = np.flatnonzero(umax > 0)
                     umax = umax[acceptable]
                 # the rows that decide the realized cutoffs: those down to

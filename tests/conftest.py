@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from meritmatch.core import GEOGRAPHY_COLUMNS, SCHOOL_COLUMNS, Applicant, Assignment, Cohort, School
+from meritmatch.config import GEOGRAPHY_COLUMNS, SCHOOL_COLUMNS
+from meritmatch.core import Applicant, Assignment, Cohort, School
 from meritmatch.strategy import _grouped_lists, _truthful_lists
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from meritmatch.cli import main as cli_main
+from meritmatch.config import build_scenario
 from meritmatch.core import Cohort, SeededRng
 from meritmatch.econometrics import did_centralization
 from meritmatch.mechanisms import (
@@ -23,7 +24,6 @@ from meritmatch.mechanisms import (
 )
 from meritmatch.metrics import build_panel
 from meritmatch.pipeline import seed_regressions, simulate_seed
-from meritmatch.popgen import build_scenario
 from meritmatch.strategy import BehaviorParams
 
 from conftest import cohort_of, mk_applicant, mk_schools

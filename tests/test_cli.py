@@ -15,17 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meritmatch.cli import main
+from meritmatch.config import ConfigError, InvariantError, RunManifest, _lock_payload, resolve_config
 from meritmatch.core import DomainError, default_prefectures
 from meritmatch.metrics import read_year_outcomes_csv
-from meritmatch.pipeline import (
-    ConfigError,
-    InvariantError,
-    RunManifest,
-    _lock_payload,
-    diff_regimes,
-    resolve_config,
-    run,
-)
+from meritmatch.pipeline import diff_regimes, run
 from meritmatch.popgen import DEFAULT_PRESTIGE, PopulationConfig
 from meritmatch.strategy import BehaviorParams
 
@@ -455,6 +448,100 @@ def test_non_finite_lockfile_prestige_is_config_error(tmp_path, capsys, value):
     lock = tmp_path / "manifest.lock"
     lock.write_text(json.dumps({"locked": True, "config": config}))
     _assert_rejects_prestige(lock, tmp_path / "out", capsys, where="lockfile")
+
+
+def _small_lock(tmp_path):
+    """The config section of SMALL_CONFIG's lockfile."""
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(SMALL_CONFIG))
+    return resolve_config(good).as_dict()
+
+
+def _assert_rejected_at_resolution(cfg, out, capsys, message):
+    assert _run_cli(cfg, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+_GEOGRAPHY_NUMBERS = ["x_km", "y_km", "weight", "edu_index"]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+@pytest.mark.parametrize("column", _GEOGRAPHY_NUMBERS)
+@pytest.mark.parametrize("locked", [False, True], ids=["csv", "lockfile"])
+def test_non_finite_geography_number_is_config_error(tmp_path, capsys, locked, column, value):
+    # a NaN weight exited 1 with "Probabilities contain NaN", a NaN x failed
+    # only in the estimate stage, and an infinite edu_index stopped the
+    # simulation at an applicant's non-finite score
+    k = _GEOGRAPHY_NUMBERS.index(column)
+    if locked:
+        config = _small_lock(tmp_path)
+        config["geography"][3][1 + k] = value
+        cfg = tmp_path / "manifest.lock"
+        cfg.write_text(json.dumps({"locked": True, "config": config}))
+    else:
+        prefs = default_prefectures()
+        numbers = [*prefs[3].coord, prefs[3].pop_weight, prefs[3].edu_index]
+        numbers[k] = value
+        prefs[3] = replace(prefs[3], coord=tuple(numbers[:2]), pop_weight=numbers[2], edu_index=numbers[3])
+        save_geography(prefs, tmp_path / "geo.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "geography": "geo.csv"}))
+    where = "lockfile" if locked else "config"
+    message = f"bad {where}: prefecture Miyagi has a non-finite x_km, y_km, weight or edu_index"
+    _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, message)
+
+
+def _set(k, value):
+    def edit(row):
+        row[k] = value
+        return row
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "table, edit",
+    [
+        ("schools", _set(2, 13.7)),
+        ("schools", _set(2, "13")),
+        ("schools", _set(1, True)),
+        ("schools", _set(0, 1.0)),
+        ("geography", _set(0, 5)),
+        ("schools", lambda row: row + [0]),
+        ("geography", lambda row: row + [0.0]),
+        ("schools", lambda row: row[:3]),
+    ],
+    ids=[
+        "capacity-fraction",
+        "capacity-string",
+        "prefecture-id-bool",
+        "school-id-float",
+        "name-number",
+        "school-row-long",
+        "geography-row-long",
+        "school-row-short",
+    ],
+)
+def test_lockfile_row_of_wrong_type_or_length_is_config_error(tmp_path, capsys, table, edit):
+    # the first six ran: with capacity 13, school 1 hosted by prefecture 1, a
+    # prefecture named 5, and the extra entry ignored
+    config = _small_lock(tmp_path)
+    config[table][0] = edit(config[table][0])
+    lock = tmp_path / "manifest.lock"
+    lock.write_text(json.dumps({"locked": True, "config": config}))
+    _assert_rejected_at_resolution(lock, tmp_path / "out", capsys, f"bad lockfile: {table} row 0 must be [")
+
+
+def test_schools_csv_row_of_wrong_length_is_config_error(tmp_path, capsys):
+    # a value past the header's columns was ignored
+    cfg = _schools_config(tmp_path, 8)
+    path = tmp_path / "schools8.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([lines[0], lines[1].rstrip("\r\n") + ",7\r\n", *lines[2:]]))
+    _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, f"{path} row 0: 5 values for 4 columns")
 
 
 def test_capacities_must_match_schools(tmp_path, capsys):
@@ -931,7 +1018,8 @@ def test_no_run_loads_scipy_linalg(tmp_path):
     code = (
         "import sys, meritmatch.cli\n"
         "after_import = 'scipy.linalg' in sys.modules\n"
-        "from meritmatch.pipeline import RunManifest, run\n"
+        "from meritmatch.config import RunManifest\n"
+        "from meritmatch.pipeline import run\n"
         f"run(RunManifest(config_path={str(cfg)!r}, out_dir={str(out)!r}))\n"
         "print(after_import, 'scipy.linalg' in sys.modules)\n"
     )
@@ -946,6 +1034,12 @@ def test_cli_import_loads_no_scipy():
     assert _fresh_python(code).split() == ["False", "0"]
 
 
+def test_cli_import_loads_no_process_pool():
+    # concurrent.futures, and the logging it imports, load only for a pool
+    code = "import sys, meritmatch.cli; print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
+    assert _fresh_python(code).split() == ["False", "False"]
+
+
 @pytest.mark.parametrize(
     "noise, jobs", [(14.0, 1), (14.0, 2), (0.0, 2)], ids=["noisy-jobs1", "noisy-jobs2", "noiseless-jobs2"]
 )
@@ -958,7 +1052,8 @@ def test_simulate_loads_no_scipy(tmp_path, noise, jobs):
     code = (
         "import sys, warnings\n"
         "warnings.simplefilter('ignore')\n"
-        "from meritmatch.pipeline import RunManifest, run\n"
+        "from meritmatch.config import RunManifest\n"
+        "from meritmatch.pipeline import run\n"
         f"run(RunManifest(config_path={str(cfg)!r}, out_dir={str(tmp_path / 'out')!r}, seeds={jobs}, jobs={jobs},"
         " stages=('simulate',)))\n"
         "print('scipy' in sys.modules, sys.modules['meritmatch.strategy']._phi_table.cache_info().currsize)\n"
@@ -975,7 +1070,8 @@ def test_estimate_only_run_loads_no_scipy(tmp_path):
     run(RunManifest(config_path=str(cfg), out_dir=str(out), stages=("simulate", "metrics")))
     code = (
         "import sys\n"
-        "from meritmatch.pipeline import RunManifest, run\n"
+        "from meritmatch.config import RunManifest\n"
+        "from meritmatch.pipeline import run\n"
         f"run(RunManifest(config_path={str(cfg)!r}, out_dir={str(out)!r}, stages=('estimate',)))\n"
         "print('scipy' in sys.modules, sys.modules['meritmatch.strategy']._phi_table.cache_info().currsize)\n"
     )

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from meritmatch.config import build_scenario, load_geography, load_schools
 from meritmatch.core import (
     Applicant,
     DomainError,
@@ -13,11 +15,8 @@ from meritmatch.core import (
     default_prefectures,
     distance,
     distance_matrix,
-    load_geography,
-    load_schools,
     validate_market,
 )
-from meritmatch.popgen import build_scenario
 
 from conftest import cohort_of, save_geography, save_schools
 
@@ -102,6 +101,13 @@ def test_validate_market_flags_unnormalized_weights():
     assert any(v.code == "weights_not_normalized" for v in violations)
 
 
+def test_validate_market_flags_nan_weight_sum():
+    # abs(nan - 1) > 1e-9 is False, so a NaN weight passed the sum check
+    prefs = default_prefectures()
+    prefs[3] = replace(prefs[3], pop_weight=math.nan)
+    assert "weights_not_normalized" in {v.code for v in validate_market(prefs, [])}
+
+
 def test_validate_market_collects_multiple_violations():
     prefs = default_prefectures()
     shrunk = [
@@ -115,6 +121,19 @@ def test_validate_market_collects_multiple_violations():
     bad_applicant = Applicant(id=0, birth_prefecture=0, score=float("nan"), utility=(1.0,), outside_option=0.0)
     with pytest.raises(DomainError, match="applicant 0 has non-finite score"):
         cohort_of([bad_applicant])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+@pytest.mark.parametrize("column", ["utility", "outside option"])
+def test_cohort_rejects_non_finite_surplus(column, value):
+    # a best response needs finite surpluses
+    applicants = [Applicant(i, 0, 50.0, utility=(1.0, 2.0), outside_option=0.0) for i in range(3)]
+    if column == "utility":
+        applicants[1] = replace(applicants[1], utility=(1.0, value))
+    else:
+        applicants[1] = replace(applicants[1], outside_option=value)
+    with pytest.raises(DomainError, match=f"applicant 1 has non-finite {column}"):
+        cohort_of(applicants)
 
 
 def test_seeded_rng_reproducible_and_stream_separated():
@@ -154,6 +173,15 @@ def test_geography_bad_header_rejected(tmp_path):
 def test_geography_requires_tokyo():
     with pytest.raises(DomainError):
         build_prefectures([("Somewhere", 0.0, 0.0, 1.0, 0.3)])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+@pytest.mark.parametrize("column", range(1, 5), ids=["x_km", "y_km", "weight", "edu_index"])
+def test_build_prefectures_rejects_non_finite_numbers(column, value):
+    rows = [["Tokyo", 0.0, 0.0, 1.0, 1.0], ["Chiba", 30.0, 0.0, 1.0, 0.5]]
+    rows[1][column] = value
+    with pytest.raises(DomainError, match="prefecture Chiba has a non-finite x_km, y_km, weight or edu_index"):
+        build_prefectures(rows)
 
 
 def test_schools_roundtrip(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from meritmatch import econometrics
+from meritmatch.config import build_scenario
 from meritmatch.core import DomainError
 from meritmatch.econometrics import (
     _check_rank,
@@ -18,7 +19,6 @@ from meritmatch.econometrics import (
 )
 from meritmatch.metrics import build_panel
 from meritmatch.pipeline import seed_regressions, simulate_seed
-from meritmatch.popgen import build_scenario
 from meritmatch.strategy import BehaviorParams
 
 from oracles import add_at_fe_ols, add_at_group_demean, direct_cluster_cov, dummy_ols

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meritmatch.config import build_scenario
 from meritmatch.core import DomainError, Regime, RegimeKind, SeededRng
 from meritmatch.mechanisms import Applications, PreferenceList, run_decentralized, run_meritocratic_boston
 
@@ -26,7 +27,7 @@ from meritmatch.metrics import (
     year_outcome,
     year_record,
 )
-from meritmatch.popgen import build_scenario, generate_applicants
+from meritmatch.popgen import generate_applicants
 from meritmatch.pipeline import simulate_seed
 from meritmatch.strategy import BehaviorParams, CutoffBeliefs, single_applications, submit_applications
 

@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from meritmatch.config import build_scenario
 from meritmatch.core import DomainError, Regime, RegimeKind, SeededRng
 from meritmatch.popgen import (
     DEFAULT_GROUPS,
     PopulationConfig,
-    build_scenario,
     generate_applicants,
     regime_schedule,
 )

@@ -1,10 +1,18 @@
-"""Smoke tests for `scripts/`: both import the package's public names."""
+"""Smoke tests for `scripts/`: both import the package's public names. And
+the command the benchmark times as its setup resolves a config and a
+lockfile."""
 
 import importlib.util
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from meritmatch.config import RunManifest, resolve_config, write_lock
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -33,3 +41,18 @@ def test_replicate_shortrun_imports():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+@pytest.mark.parametrize("locked", [False, True], ids=["config", "lockfile"])
+def test_benchmark_setup_command_resolves(tmp_path, locked):
+    # the code `bench/run.py` runs in a fresh interpreter for `setup_s`
+    code = re.search(r'code = "(import sys, meritmatch\.pipeline[^"]*)"', (ROOT / "bench" / "run.py").read_text())[1]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scale": 0.05}))
+    if locked:
+        write_lock(tmp_path / "manifest.lock", RunManifest(), resolve_config(cfg))
+        cfg = tmp_path / "manifest.lock"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(cfg)], env=_env(), capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")

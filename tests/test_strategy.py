@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meritmatch import strategy
+from meritmatch.config import build_scenario
 from meritmatch.core import Applicant, DomainError, Regime, RegimeKind, SeededRng
 from meritmatch.mechanisms import PreferenceList
-from meritmatch.popgen import build_scenario, generate_applicants
+from meritmatch.popgen import generate_applicants
 from meritmatch.strategy import (
     BehaviorParams,
     CutoffBeliefs,
@@ -285,9 +286,10 @@ def contested_markets(draw):
     """Rows whose two best expected values differ by about the screen's
     tolerance or less: exact ties, gaps from zero to a few tolerances on
     either side, rows deep in the lower tail (where every screened value is
-    ~0), and rows with infinite, NaN or non-positive surpluses. Optionally
-    two cutoffs sit where row 0 meets the screen's largest errors, of
-    opposite sign. Returns (scores, surplus, sigma, cutoffs, split row)."""
+    ~0), and rows with non-positive surpluses; every surplus is finite, as a
+    `Cohort`'s are. Optionally two cutoffs sit where row 0 meets the screen's
+    largest errors, of opposite sign. Returns (scores, surplus, sigma,
+    cutoffs, split row)."""
     n_schools = draw(st.integers(2, 5))
     sigma = draw(st.sampled_from([0.5, 1.0, 14.0]) | st.floats(0.1, 50))
     umax = draw(st.sampled_from([1.0, 7.5]) | st.floats(0.01, 100))
@@ -298,7 +300,7 @@ def contested_markets(draw):
     if draw(st.booleans()):
         cutoffs[j], cutoffs[k] = s0 - sigma * _WORST_BELOW, s0 - sigma * _WORST_ABOVE
     finite_cutoffs = cutoffs[np.isfinite(cutoffs)]
-    filler = st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan]) | st.floats(-umax, umax)
+    filler = st.sampled_from([0.0, -1.0]) | st.floats(-umax, umax)
     scores, rows = [], []
     n = draw(st.integers(1, 10))
     for i in range(n):
@@ -337,34 +339,16 @@ _CLOSE = (np.array([0.0]), np.array([[1.0, (_P0 + 2e-8) / _P1]]), 1.0, -np.array
 def test_screened_best_response_matches_scipy_ndtr(market):
     scores, surplus, sigma, cutoffs, split = market
     ev = np.empty(surplus.shape)
-    # a zero CDF times an infinite surplus makes a NaN (and the row abstains)
-    # under either CDF
-    with np.errstate(invalid="ignore"):
-        expected, exact = scipy_best_response(scores, surplus, sigma, cutoffs)
-        choose = strategy._best_response(scores, surplus, sigma, ev)
-        choose(cutoffs, 0, split)
-        choice = choose(cutoffs, split)
+    expected, exact = scipy_best_response(scores, surplus, sigma, cutoffs)
+    choose = strategy._best_response(scores, surplus, sigma, ev)
+    choose(cutoffs, 0, split)
+    choice = choose(cutoffs, split)
     assert choice.tolist() == expected.tolist()
     # what `_choice_radius` relies on: every expected value of a row with a
     # choice within _PHI_ERROR * umax of the exact one
-    umax = surplus.max(initial=0.0, where=np.isfinite(surplus))
+    umax = surplus.max(initial=0.0)
     cells = (choice >= 0)[:, None] & np.isfinite(exact)
     assert np.abs(ev[cells] - exact[cells]).max(initial=0.0) <= strategy._PHI_ERROR * umax
-
-
-def test_infinite_or_nan_surplus_abstain_rule():
-    # an acceptable school with an infinite surplus makes the row abstain,
-    # whichever CDF evaluates it; a NaN surplus counts as unacceptable, as
-    # does -inf; a row with no acceptable school abstains
-    surplus = np.array(
-        [[math.inf, 1.0], [1.0, math.inf], [math.nan, 1.0], [-math.inf, 2.0], [math.nan, math.nan], [0.0, -1.0]]
-    )
-    scores = np.full(len(surplus), 50.0)
-    for cutoffs in (np.array([40.0, 60.0]), np.array([-math.inf, 1e9])):
-        with np.errstate(invalid="ignore"):
-            choice = strategy._best_response(scores, surplus, 5.0)(cutoffs)
-            expected, _ = scipy_best_response(scores, surplus, 5.0, cutoffs)
-        assert choice.tolist() == [-1, -1, 1, 1, -1, -1] == expected.tolist()
 
 
 # -- cutoffs as order statistics ---------------------------------------------------
