@@ -35,6 +35,10 @@ DEFAULT_PRESTIGE: tuple[float, ...] = (13.0, 8.8, 9.6, 9.0, 7.8, 8.2, 7.5, 8.5)
 # 1900-1930; the range leaves room around it for robustness runs and keeps a
 # mistyped year from building a schedule of millions of years.
 _YEARS = (1800, 2100)
+# The largest cohort a scenario may have, about 1,000x the default: a year
+# holds several (n, S) float arrays, each 640 MB at this size with 8 schools,
+# so a larger cohort comes from a mistyped config, not from a run that fits.
+_MAX_COHORT = 10**7
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,13 @@ class PopulationConfig:
                 raise DomainError(f"{name} must be in {_YEARS[0]}-{_YEARS[1]}, got {getattr(self, name)}")
         if self.year_end < self.year_start:
             raise DomainError("year_end before year_start")
+        # sizes change linearly over the years, so the first or the last is the largest
+        first = self.applicants_per_year
+        if first > _MAX_COHORT:
+            raise DomainError(f"the {self.year_start} cohort would have {first} applicants, more than {_MAX_COHORT}")
+        last = first * (1.0 + self.applicant_growth_per_year * (self.year_end - self.year_start))
+        if not last <= _MAX_COHORT + 0.5:  # `cohort_size` rounds it
+            raise DomainError(f"the {self.year_end} cohort would have {last:.4g} applicants, more than {_MAX_COHORT}")
 
     def cohort_size(self, year: int) -> int:
         n = self.applicants_per_year * (1.0 + self.applicant_growth_per_year * (year - self.year_start))

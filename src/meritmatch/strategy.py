@@ -10,31 +10,21 @@ hold beliefs about each school's admission cutoff, smooth the acceptance
 event with a normal CDF over their own score uncertainty, and apply to the
 school maximizing admission probability times surplus. That CDF is cephes'
 `ndtr`, the function scipy.special.ndtr evaluates, ported bit for bit to
-scalar Python (`_ndtr`). The best response screens every row with a
-tabulated CDF instead, linear interpolation between `_ndtr` values whose
-error is below `_PHI_ERROR`; it evaluates `_ndtr` only in the rows whose two
-best screened expected values are too close for that bound to order them,
-so every choice is the one the exact CDF makes. A school's realized
-cutoff is an order statistic, the capacity-th highest score among its
-applicants (the market-clearing cutoff of Azevedo & Leshno 2016), so the
-iteration sorts the cohort by score once and draws no tie-break: which of
-several equally scored applicants would be admitted does not move that
-score. Nor do the rows below each school's capacity-th chooser, so an
-iteration computes best responses only for the score-sorted prefix that
-decided the previous iteration's cutoffs, and for the rest of the rows only
-when a school falls short of its capacity within that prefix. Realized
-cutoffs feed back into beliefs with damping until they settle, or until the
-cutoff vector repeats one it held before: each iteration is a pure function
-of the cutoffs, so from then on the iteration runs through that cycle
-forever, and the state it would hold after `max_iter` iterations is read off
-the cycle instead of computed. On the way there, the damped cutoffs close
-in on states whose realized cutoffs are already known: an iteration whose
-cutoffs lie within a certified radius of such a state, inside which no
-deciding row's choice can change, reuses that state's realized cutoffs
-instead of computing best responses. Beliefs are matched to utility columns
-by school id. This model is a construction of this package, calibrated only
-to reproduce qualitative regime differences; treat its parameters as
-simulation knobs, not estimates.
+scalar Python (`_ndtr`). The best response works school-major, one school
+per array row, and screens every applicant with a tabulated CDF instead,
+linear interpolation between `_ndtr` values whose error is below
+`_PHI_ERROR`; an unacceptable school weighs 0. It evaluates `_ndtr` only for
+the applicants whose best screened expected value is too close to another
+school's, or to 0, for that bound to order them, so every choice is the one
+the exact CDF makes. A school's realized cutoff is an order statistic, the
+capacity-th highest score among its applicants (the market-clearing cutoff
+of Azevedo & Leshno 2016). `equilibrium_cutoffs` feeds realized cutoffs back
+into beliefs with damping until they settle or repeat; it computes best
+responses only for the applicants that can move a cutoff, and not at all
+where a certified earlier state already knows the realized cutoffs. Beliefs
+are matched to utility columns by school id. This model is a construction of
+this package, calibrated only to reproduce qualitative regime differences;
+treat its parameters as simulation knobs, not estimates.
 """
 
 from __future__ import annotations
@@ -234,15 +224,18 @@ def _ndtr(a: float) -> float:
     return 1.0 - y if x > 0 else y
 
 
-# The screening table: `_ndtr` at _PHI_LO + k / _PHI_STEPS for k = 0..12545,
-# which runs one step past 9 (there and beyond, the CDF is 1.0 in double, and
-# below -40 it is 0.0). Between two of its points the CDF is interpolated
-# linearly. Linear interpolation with step h errs by at most h^2 / 8 times the
-# largest |Phi''| = |x| phi(x), which is phi(1) at x = +-1: 2^-16 / 8 * 0.242 =
-# 4.62e-7 (4.615e-7 measured against scipy on a dense grid), so `_PHI_ERROR`
-# bounds it with room for rounding. A point clipped to a table end errs by
-# less than the CDF's distance from 0 or 1 there, 1e-19.
-_PHI_LO, _PHI_STEPS, _PHI_POINTS = -40.0, 256, 12546
+# The screening table: `_ndtr` at _PHI_LO + k / _PHI_STEPS for k = 0..4609,
+# from -9 to one step past 9; outside [-9, 9] the CDF is within Phi(-9) =
+# 1.1e-19 of 0 or 1, so a point clipped to a table end errs by less than that.
+# Between two points the CDF is interpolated linearly, which with step h errs
+# by at most h^2 / 8 times the largest |Phi''| = |x| phi(x), phi(1) at x = +-1:
+# 2^-16 / 8 * 0.242 = 4.62e-7 (4.615e-7 measured against scipy on a dense
+# grid). `_PHI_ERROR` leaves 3.8e-8 above that for the rounding of the table
+# coordinate, one subtraction from scores scaled once (`_best_response`): it
+# moves x = (score - cutoff) / sigma by at most 2^-53 (3 m + 46), m = max
+# |score| / sigma, and the CDF by 0.4 times that, below 1e-13 for m <= 400
+# (m is about 7 in the shipped scenario) and below 3.8e-8 for m <= 2^24.
+_PHI_LO, _PHI_STEPS, _PHI_POINTS = -9.0, 256, 4610
 _PHI_ERROR = 5e-7
 
 
@@ -275,98 +268,105 @@ def _best_response(
 ) -> Callable[..., np.ndarray]:
     """Vectorized best single application as a function of the cutoffs: each
     applicant's 0-based school index, -1 = abstain (no acceptable school).
-    `surplus` is each applicant's utility minus outside option, finite as a
-    `Cohort`'s values are. The mask of non-positive surplus, one (n, S) buffer of
-    expected values (`ev`, when the caller reads it) and one (n,) buffer of
-    choices are set up once; `choose(cutoffs, start, stop)` computes rows
-    `start:stop` into those buffers and returns the choice buffer, whose
-    other rows keep what earlier calls left there. Rows are independent, so
-    a row comes out the same whichever slice computes it. No cutoff may be
-    NaN.
+    `surplus`, each applicant's utility minus outside option (finite, as a
+    `Cohort`'s values are), is school-major: a C-contiguous (S, n) array, so
+    every array operation runs over whole school rows. It is clamped at 0 in
+    place into the weights; they, the abstainers' mask and the (S, n)
+    buffers, `ev` among them, are set up once. `choose(cutoffs, start,
+    stop)` computes applicants `start:stop` and returns the (n,) choice
+    buffer, whose other entries keep what earlier calls left there. No
+    cutoff may be NaN.
 
-    With sigma > 0, the expected values are screened ones, from the
-    tabulated CDF (`_screened_phi`): each is within _PHI_ERROR * u of the
-    exact value, u being its surplus, so within _PHI_ERROR * umax, umax
-    being the largest positive surplus of all rows. A row whose
-    screened first maximum leads every other acceptable school by more than
-    twice that keeps its first maximum under the exact CDF. The other rows
-    with an acceptable school are contested: they are recomputed with
-    `_ndtr`, choose the first maximum of those exact values, and hold them
-    in `ev`."""
-    column = scores[:, None]
-    unacceptable = ~(surplus > 0)
+    An expected value is an admission probability, from the tabulated CDF
+    when sigma > 0, times a weight. An applicant whose largest one, the top,
+    is the only one within a tolerance of it takes that school. The others
+    with an acceptable school, those whose top lies within the tolerance of
+    an unacceptable school's 0 included, are contested: recomputed with
+    `_ndtr` (the step when sigma = 0) and -inf at the unacceptable schools,
+    they take the first maximum and leave those values in `ev`. A screened
+    value errs by at most _PHI_ERROR times its weight, so by _PHI_ERROR *
+    umax, umax the largest weight; a top that leads by more than twice that,
+    the tolerance, keeps its school under the exact CDF. With sigma = 0 the
+    tolerance is 0; where max |score| / sigma > 2^24, too far out for the
+    table coordinate's rounding, the screen is the step and it is inf."""
+    n_schools = len(surplus)
+    weight = np.maximum(surplus, 0.0, out=surplus)
+    abstains = ~weight.any(axis=0)
     ev = np.empty(surplus.shape) if ev is None else ev
-    choice = np.empty(len(scores), dtype=np.intp)
-    if sigma != 0:
-        index = np.empty(surplus.shape, dtype=np.intp)
-        umax = float(surplus.max(initial=0.0))
-        tolerance = 2 * _PHI_ERROR * umax
-        # per row, which schools other than the first maximum come within the
-        # tolerance of it; rows padded to whole 8-byte words, so that one
-        # comparison of words finds the contested rows (a reduction along
-        # the short rows of `near` costs several times more)
-        near = np.zeros((len(scores), -(-surplus.shape[1] // 8) * 8), dtype=bool)
-        words = near.view(np.uint64)
+    choice = np.empty(surplus.shape[1], dtype=np.intp)
+    # each value within the tolerance of its applicant's top holds its school
+    # k's mark S + k; the marks sum to S + k for one such school, >= 2 S for more
+    marks = np.arange(n_schools, 2 * n_schools, dtype=np.min_scalar_type(2 * n_schools**2))[:, None]
+    # flat, so each call takes a contiguous piece: `take` is slow on strided indices
+    near = np.empty(surplus.size, dtype=marks.dtype)
+    exact_only = sigma != 0 and float(np.abs(scores).max(initial=0.0)) > 2.0**24 * sigma
+    step = sigma == 0 or exact_only  # screen with the step CDF
+    if step:
+        column, scale, tolerance = scores, 1.0, math.inf if exact_only else 0.0
+    else:
+        index = np.empty(surplus.size, dtype=np.intp)
+        scale = _PHI_STEPS / sigma
+        column = scores * scale - _PHI_LO * _PHI_STEPS
+        tolerance = 2 * _PHI_ERROR * float(weight.max(initial=0.0))
 
     def choose(cutoffs: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
-        rows = slice(start, stop)
-        buf = ev[rows]
-        np.subtract(column[rows], cutoffs, out=buf)
-        if sigma == 0:
-            np.copyto(buf, np.where(buf > 0, 1.0, np.where(buf == 0, 0.5, 0.0)))
-            buf[:, np.isneginf(cutoffs)] = 1.0
+        cols = slice(start, stop)
+        buf = ev[:, cols]
+        np.subtract(column[cols], (cutoffs * scale)[:, None], out=buf)
+        if step:  # 1, 1/2 or 0 as the score is above, at or below the cutoff
+            np.copyto(buf, np.sign(buf) * 0.5 + 0.5)
         else:
-            np.divide(buf, sigma, out=buf)
-            np.multiply(buf, _PHI_STEPS, out=buf)
-            np.add(buf, -_PHI_LO * _PHI_STEPS, out=buf)
-            _screened_phi(buf, index[rows])
-        np.multiply(buf, surplus[rows], out=buf)
-        np.copyto(buf, -np.inf, where=unacceptable[rows])
-        # array methods, not np.argmax / np.flatnonzero: their Python wrappers
-        # cost more than the work on a cutoff iteration's few hundred rows
-        best = buf.argmax(axis=1)  # first max -> lowest school index
-        first = np.arange(len(buf)), best
-        top = buf[first]
-        finite = np.isfinite(top)
-        if sigma != 0:
-            mask = near[rows]
-            np.greater_equal(buf, (top - tolerance)[:, None], out=mask[:, : buf.shape[1]])
-            mask[first] = False
-            contested = (words[rows].any(axis=1) & finite).nonzero()[0]
-            if len(contested):
-                at = contested + start
-                x = (scores[at, None] - cutoffs) / sigma
+            _screened_phi(buf, index[: buf.size].reshape(buf.shape))
+        np.multiply(buf, weight[:, cols], out=buf)
+        # array methods, not np.max / np.flatnonzero: their Python wrappers
+        # cost more than the work on a cutoff iteration's few hundred applicants
+        marked = near[: buf.size].reshape(buf.shape)
+        np.greater_equal(buf, buf.max(axis=0) - tolerance, out=marked)
+        np.multiply(marked, marks, out=marked)
+        code = np.add.reduce(marked, axis=0, dtype=marks.dtype)
+        best = choice[cols]
+        np.subtract(code, n_schools, out=best, casting="unsafe")
+        contested = ((code >= 2 * n_schools) & ~abstains[cols]).nonzero()[0]
+        if len(contested):
+            at = contested + start
+            if sigma == 0:
+                exact = buf[:, contested]
+            else:
+                x = (scores[at] - cutoffs[:, None]) / sigma
                 exact = np.array([_ndtr(a) for a in x.ravel().tolist()]).reshape(x.shape)
-                np.multiply(exact, surplus[at], out=exact)
-                np.copyto(exact, -np.inf, where=unacceptable[at])
-                buf[contested] = exact
-                best[contested] = np.argmax(exact, axis=1)
-        best[~finite] = -1
-        choice[rows] = best
+                np.multiply(exact, weight[:, at], out=exact)
+            np.copyto(exact, -np.inf, where=weight[:, at] == 0)
+            buf[:, contested] = exact
+            best[contested] = exact.argmax(axis=0)  # first max -> lowest school index
+        best[abstains[cols]] = -1
         return choice
 
     return choose
 
 
-def _choice_radius(ev: np.ndarray, umax: np.ndarray, sigma: float) -> float:
+def _choice_radius(ev: np.ndarray, surplus: np.ndarray, rows: np.ndarray, umax: np.ndarray, sigma: float) -> float:
     """A max-norm distance r from the cutoffs at which `_best_response`
-    computed the expected values `ev` (sigma > 0) such that no row changes
-    its choice while every cutoff moves by less than r. Each row must have
-    an acceptable school, and `umax` holds its largest positive surplus.
+    computed the expected values `ev` (sigma > 0) such that no applicant
+    of `rows` changes its choice while every cutoff moves by less than r.
+    `ev` is that call's (S, n) buffer, `surplus` its surplus; each of `rows`
+    has an acceptable school, and `umax` holds its largest surplus. The
+    expected values of unacceptable schools are read as -inf.
 
     An expected value moves by at most umax * delta / (sigma * sqrt(2 pi))
-    when every cutoff moves by at most delta. So a row whose best value
-    leads its second best by `gap` keeps its first maximum while delta <
-    sigma * sqrt(2 pi) / 2 * gap / umax. Of the gap, 2 * _PHI_ERROR * umax
-    is held back because `ev` holds screened values, each within
-    _PHI_ERROR * umax of the exact one, and 1e-11 * umax for the rounding
-    of the expected values. A row with one acceptable school keeps it
+    when every cutoff moves by at most delta. So an applicant whose best
+    value leads its second best by `gap` keeps its first maximum while
+    delta < sigma * sqrt(2 pi) / 2 * gap / umax. Of the gap, 2 * _PHI_ERROR
+    * umax is held back because `ev` holds screened values, each within
+    _PHI_ERROR * umax of the exact one, and 1e-11 * umax for the rounding of
+    the expected values. An applicant with one acceptable school keeps it
     whatever the cutoffs (gap = inf). A tie (gap = 0) gives r < 0, which no
     distance is below."""
     gap: np.ndarray | float = np.inf
-    if ev.shape[1] > 1:
-        top = np.sort(ev, axis=1)
-        gap = top[:, -1] - top[:, -2]
+    if len(ev) > 1:
+        # `take` gathers the columns several times faster than `ev[:, rows]`
+        acceptable = surplus.take(rows, axis=1) > 0
+        top = np.sort(np.where(acceptable, ev.take(rows, axis=1), -np.inf), axis=0)
+        gap = top[-1] - top[-2]
     slack = np.min((gap - (1e-11 + 2 * _PHI_ERROR) * umax) / umax, initial=np.inf)
     return sigma * math.sqrt(2 * math.pi) / 2 * float(slack)
 
@@ -453,7 +453,7 @@ def equilibrium_cutoffs(
         raise DomainError("applicant utility vectors do not match the school count")
     order = np.argsort(-cohort.score)
     scores = cohort.score[order]
-    surplus = (cohort.utility - cohort.outside[:, None])[order]
+    surplus = np.subtract(cohort.utility.T, cohort.outside, order="C").take(order, axis=1)
     ev = np.empty(surplus.shape)
     choose = _best_response(scores, surplus, params.score_noise_sd, ev)
 
@@ -514,14 +514,13 @@ def equilibrium_cutoffs(
                 if umax is None:
                     # each row's largest positive surplus; the rows without
                     # one abstain whatever the cutoffs
-                    umax = surplus.max(axis=1)
+                    umax = surplus.max(axis=0)
                     acceptable = np.flatnonzero(umax > 0)
                     umax = umax[acceptable]
                 # the rows that decide the realized cutoffs: those down to
                 # the last capacity-th chooser, or all when a school is short
                 rows = acceptable[: np.searchsorted(acceptable, n if short(realized) else decided)]
-                # `take` gathers the rows several times faster than `ev[rows]`
-                radius = _choice_radius(ev.take(rows, axis=0), umax[: len(rows)], params.score_noise_sd)
+                radius = _choice_radius(ev, surplus, rows, umax[: len(rows)], params.score_noise_sd)
                 if radius > 0:
                     centers[k], radii[k] = cutoffs, radius
                     responses.append((decided, undersubscribed, pull))
@@ -567,7 +566,8 @@ def single_applications(
         return Applications.of([])
     school_ids = np.arange(1, cohort.utility.shape[1] + 1, dtype=np.int64)
     cutoffs = beliefs.lined_up(school_ids.tolist())
-    choice = _best_response(cohort.score, cohort.utility - cohort.outside[:, None], params.score_noise_sd)(cutoffs)
+    surplus = np.subtract(cohort.utility.T, cohort.outside, order="C")
+    choice = _best_response(cohort.score, surplus, params.score_noise_sd)(cutoffs)
     applied = choice >= 0
     return Applications(
         ids=cohort.ids[applied],

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -259,6 +260,37 @@ def test_year_outside_range_is_config_error(tmp_path, capsys, locked):
     err = capsys.readouterr().err
     where = "lockfile" if locked else "config"
     assert err == f"error: config: bad {where}: year_end must be in 1800-2100, got 1000000000\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("locked", [False, True], ids=["config", "lockfile"])
+@pytest.mark.parametrize(
+    "field, config, message",
+    [
+        ("applicants", {"population": {"applicants_per_year": 10**12}}, "the 1900 cohort would have 1000000000000"),
+        # a lock holds the applicants and seats a scale resolves to
+        ("scale", {"scale": 10**6}, "the 1900 cohort would have 10777000000"),
+        ("growth", {"population": {"applicant_growth_per_year": 1e4}}, "the 1930 cohort would have 3.233e+09"),
+    ],
+)
+def test_cohort_above_bound_is_config_error(tmp_path, capsys, locked, field, config, message):
+    # rejected while the config resolves: no process could simulate such a cohort
+    cfg = tmp_path / "cfg.json"
+    if locked:
+        resolved = resolve_config(None).as_dict()
+        population = {**resolved["population"], **config.get("population", {})}
+        schools = resolved["schools"]
+        if field == "scale":
+            population["applicants_per_year"] = round(10777 * config["scale"])
+            schools = [[*row[:2], round(251 * config["scale"]), row[3]] for row in schools]
+        config = {"locked": True, "config": {**resolved, "population": population, "schools": schools}}
+    cfg.write_text(json.dumps(config))
+    where = "lockfile" if locked else "config"
+    with pytest.raises(ConfigError, match=f"^bad {where}: {re.escape(message)} applicants, more than 10000000$"):
+        resolve_config(cfg)
+    assert _run_cli(cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config: bad {where}: {message} applicants, more than 10000000\n"
     assert not (tmp_path / "out").exists()
 
 

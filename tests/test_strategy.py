@@ -193,7 +193,7 @@ def test_equilibrium_damping_one_is_undamped():
     cut = np.full(2, floor)
     under = np.ones(2, dtype=bool)
     for _ in range(7):
-        choice = _best_response(scores, utils - outside[:, None], 4.0)(cut)
+        choice = _best_response(scores, np.ascontiguousarray((utils - outside[:, None]).T), 4.0)(cut)
         realized = admitted_cutoffs(choice, scores, ties, caps)
         under = np.isneginf(realized)
         cut = np.where(under, floor, realized)
@@ -259,6 +259,14 @@ def _screened(x):
     t = (x - strategy._PHI_LO) * strategy._PHI_STEPS
     strategy._screened_phi(t, np.empty(t.shape, dtype=np.intp))
     return t
+
+
+def test_phi_table_is_ndtr_on_its_grid():
+    values, slopes = strategy._phi_table()
+    grid = strategy._PHI_LO + np.arange(strategy._PHI_POINTS) / strategy._PHI_STEPS
+    assert (grid[0], grid[-1]) == (-9.0, 9 + 2**-8)
+    assert values.tobytes() == np.array([strategy._ndtr(x) for x in grid.tolist()]).tobytes()
+    assert slopes.tobytes() == np.append(np.diff(values), 0.0).tobytes()
 
 
 def test_screened_phi_is_within_its_bound():
@@ -333,14 +341,34 @@ _P0, _P1 = strategy._ndtr(_WORST_BELOW), strategy._ndtr(_WORST_ABOVE)
 _CLOSE = (np.array([0.0]), np.array([[1.0, (_P0 + 2e-8) / _P1]]), 1.0, -np.array([_WORST_BELOW, _WORST_ABOVE]), 1)
 
 
+# school 0 is unacceptable and every cutoff lies 40 sigma or more above the
+# score: the exact CDF is 0.0, and school 1's screened top lies within the
+# tolerance of school 0's weight 0
+_BELOW_ZERO_WEIGHT = (np.array([0.0]), np.array([[-1.0, 2.0]]), 1.0, np.array([40.0, 41.0]), 0)
+# a score 2e11 sigma from 0, where the rounding of the table coordinate alone
+# would make the screen prefer school 1 by more than the tolerance
+_FAR_FROM_ZERO = (
+    np.array([140000000000.52603]),
+    np.array([[1.0, 0.44714281815347334]]),
+    0.7,
+    np.array([140000000000.62445, 139999999998.79956]),
+    1,
+)
+# sigma so small that the scaled scores and the infinite cutoff overflow
+_TINY_SIGMA = (np.array([50.0]), np.array([[1.0, 2.0]]), 1e-300, np.array([40.0, np.inf]), 0)
+
+
 @settings(max_examples=500, deadline=None)
 @given(contested_markets())
 @example(_CLOSE)
+@example(_BELOW_ZERO_WEIGHT)
+@example(_FAR_FROM_ZERO)
+@example(_TINY_SIGMA)
 def test_screened_best_response_matches_scipy_ndtr(market):
     scores, surplus, sigma, cutoffs, split = market
-    ev = np.empty(surplus.shape)
+    ev = np.empty(surplus.T.shape)
     expected, exact = scipy_best_response(scores, surplus, sigma, cutoffs)
-    choose = strategy._best_response(scores, surplus, sigma, ev)
+    choose = strategy._best_response(scores, np.ascontiguousarray(surplus.T), sigma, ev)
     choose(cutoffs, 0, split)
     choice = choose(cutoffs, split)
     assert choice.tolist() == expected.tolist()
@@ -348,7 +376,7 @@ def test_screened_best_response_matches_scipy_ndtr(market):
     # choice within _PHI_ERROR * umax of the exact one
     umax = surplus.max(initial=0.0)
     cells = (choice >= 0)[:, None] & np.isfinite(exact)
-    assert np.abs(ev[cells] - exact[cells]).max(initial=0.0) <= strategy._PHI_ERROR * umax
+    assert np.abs(ev.T[cells] - exact[cells]).max(initial=0.0) <= strategy._PHI_ERROR * umax
 
 
 # -- cutoffs as order statistics ---------------------------------------------------
@@ -513,7 +541,8 @@ def duplicated_column_markets(draw):
     cap = draw(st.integers(1, 3))
     caps = [cap if k in (a, b) else draw(st.integers(0, 3)) for k in range(n_schools)]
     params = BehaviorParams(
-        score_noise_sd=draw(st.sampled_from([0.5, 1.0, 5.0])),
+        # at 0.05 the exact CDF of a score 2 below a cutoff is 0.0
+        score_noise_sd=draw(st.sampled_from([0.05, 0.5, 1.0, 5.0])),
         max_iter=draw(st.integers(1, 200)),
         tol=1e-9,
         damping=draw(st.sampled_from([0.3, 0.5, 1.0])),
