@@ -24,7 +24,7 @@ import numpy as np
 from meritmatch.config import build_scenario
 from meritmatch.core import Regime, RegimeKind, SeededRng
 from meritmatch.mechanisms import (
-    PreferenceList,
+    Applications,
     run_decentralized,
     run_grouped_centralized,
     run_immediate_acceptance,
@@ -88,8 +88,8 @@ def main() -> int:
         applicants,
         scenario,
     )
-    beliefs, iters, resid = equilibrium_cutoffs(scenario.schools, applicants, behavior)
-    singles = single_applications(applicants, beliefs, behavior)
+    cutoffs, iters, resid = equilibrium_cutoffs(scenario.schools, applicants, behavior)
+    singles = single_applications(applicants, cutoffs, behavior)
     summarize(
         "decentralized (eqm)",
         run_decentralized(scenario.schools, applicants, singles, lottery_rng),
@@ -97,12 +97,11 @@ def main() -> int:
         scenario,
     )
     print(f"\ncutoff iteration: {iters} rounds, residual {resid:.3g}")
-    print(f"cutoffs: {[round(c, 1) for c in beliefs.cutoffs]}")
+    print(f"cutoffs: {[round(c, 1) for c in cutoffs.tolist()]}")
 
-    school_ids = sorted(s.id for s in scenario.schools)
-    complete = [
-        PreferenceList(a.id, tuple(sorted(school_ids, key=lambda s: (-a.utility[s - 1], s)))) for a in applicants
-    ]
+    # every school, by utility, the lower school id on ties
+    ranked = np.argsort(-applicants.utility, axis=1, kind="stable") + 1
+    complete = Applications(ids=applicants.ids, schools=ranked, lengths=np.full(len(applicants), ranked.shape[1]))
     merit = set(run_meritocratic_boston(scenario.schools, applicants, complete, lottery_rng).ids.tolist())
     dictator = set(run_serial_dictatorship_da(scenario.schools, applicants, complete, lottery_rng).ids.tolist())
     print(f"\ncomplete lists: merit-capped Boston admits {len(merit)}, serial dictatorship {len(dictator)}")

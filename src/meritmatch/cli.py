@@ -3,10 +3,10 @@
 `meritmatch run` executes a manifest (config, seed, output directory, stage
 subset) and writes the CSV artifacts; `meritmatch diff-regimes` summarizes an
 emitted year-outcome series by admission regime. A multi-seed run simulates
-its seeds in parallel, in at most one worker process per seed: by default as
-many workers as there are CPUs this process may run on, `--jobs N` for N.
-`--jobs 1` and a one-seed run stay in the calling process; the artifacts are
-the same bytes either way.
+its seeds in parallel, in at most one worker process per seed and per CPU
+this process may run on: by default as many workers as there are such CPUs,
+`--jobs N` for at most N. `--jobs 1` and a one-seed run stay in the calling
+process; the artifacts are the same bytes either way.
 
 Exit codes: 0 ok, 2 config error or malformed artifact, 3 IO error, 4
 invariant violation. Errors print a single machine-parsable line
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default="out", help=f"output directory (env {OUT_DIR_ENV} overrides)")
     run_p.add_argument("--stages", default="simulate,metrics,estimate", help="comma list of stages")
     run_p.add_argument(
-        "--jobs", type=int, default=None, help="parallel seed workers (default: the CPUs this process may run on)"
+        "--jobs", type=int, default=None, help="parallel seed workers, capped by seeds and usable CPUs (default: all)"
     )
     run_p.set_defaults(func=_cmd_run)
 

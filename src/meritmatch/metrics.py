@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -333,8 +334,9 @@ def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[int, 
 def read_year_outcomes_csv(path: str | Path) -> list[tuple[int, YearOutcome]]:
     """Read back the (seed, outcome) rows that `write_year_outcomes_csv` wrote,
     in file order. A wrong header, a row without exactly the header's fields,
-    an unparsable value or a second row for one (seed, year) is a DomainError
-    naming the line."""
+    an unparsable value, a statistic that is NaN or infinite (the writer
+    leaves a missing one empty) or a second row for one (seed, year) is a
+    DomainError naming the line."""
     rows: list[tuple[int, YearOutcome]] = []
     seen: set[tuple[int, int]] = set()
     with open(path, newline="") as fh:
@@ -348,10 +350,13 @@ def read_year_outcomes_csv(path: str | Path) -> list[tuple[int, YearOutcome]]:
                 raise DomainError(f"{where}: every row must have {len(YEAR_OUTCOME_COLUMNS)} fields")
             seed, year, regime, *statistics, entrants, unassigned = rec
             try:  # an empty statistic is a missing one
-                stats = (float(v) if v else None for v in statistics)
+                stats = [float(v) if v else None for v in statistics]
                 row = int(seed), YearOutcome(int(year), RegimeKind(regime), *stats, int(entrants), int(unassigned))
             except ValueError as exc:
                 raise DomainError(f"{where}: {exc}") from exc
+            for name, value in zip(YEAR_OUTCOME_COLUMNS[3:-2], stats):
+                if value is not None and not math.isfinite(value):
+                    raise DomainError(f"{where}: {name} must be finite, got {value!r}")
             key = (row[0], row[1].year)
             if key in seen:
                 raise DomainError(f"{where}: a second row for seed {key[0]}, year {key[1]}")

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import ArtifactError, ConfigError, ResolvedConfig, RunManifest, check_lock, resolve_config, write_lock
+from .config import _usable_cpus
 from .core import DomainError, RegimeKind, SeededRng, distance_matrix
 from .econometrics import RegressionResult, did_centralization, fe_ols, newey_west_ols, with_interaction
 from .mechanisms import run_decentralized, run_grouped_centralized, run_meritocratic_boston
@@ -177,12 +178,16 @@ TREND_METRICS = (
 
 
 def _outcome_series(outcomes: Sequence[YearOutcome]) -> dict[str, np.ndarray]:
-    """Average year outcomes by year across seeds into one time series."""
+    """Average year outcomes by year across seeds into one time series. A
+    year whose rows name different regimes is a DomainError."""
     years = sorted({o.year for o in outcomes})
     series: dict[str, list] = {m: [] for m in TREND_METRICS}
     centralized = []
     for y in years:
         rows = [o for o in outcomes if o.year == y]
+        regimes = {o.regime.value for o in rows}
+        if len(regimes) > 1:
+            raise DomainError(f"year {y} is under more than one regime: {', '.join(sorted(regimes))}")
         centralized.append(float(rows[0].regime.is_centralized))
         for m in TREND_METRICS:
             vals = [getattr(o, m) for o in rows if getattr(o, m) is not None]
@@ -397,8 +402,8 @@ def _simulate_and_write(
     if manifest.jobs > 1 and len(seeds) > 1:
         import concurrent.futures  # here, not at the top: it loads logging, which no other path needs
 
-        # a fork pool starts all of its workers at once, so it gets no more than there are seeds
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(manifest.jobs, len(seeds))) as pool:
+        # a fork pool starts all of its workers at once: no more than there are seeds and usable CPUs
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(manifest.jobs, len(seeds), _usable_cpus())) as pool:
             futures = [pool.submit(simulate_seed, resolved.scenario, resolved.behavior, s) for s in seeds]
             results = [f.result() for f in futures]
     else:

@@ -22,9 +22,10 @@ of Azevedo & Leshno 2016). `equilibrium_cutoffs` feeds realized cutoffs back
 into beliefs with damping until they settle or repeat; it computes best
 responses only for the applicants that can move a cutoff, and not at all
 where a certified earlier state already knows the realized cutoffs. Beliefs
-are matched to utility columns by school id. This model is a construction of
-this package, calibrated only to reproduce qualitative regime differences;
-treat its parameters as simulation knobs, not estimates.
+are an array, entry k the cutoff of school k + 1 (utility column k). This
+model is a construction of this package, calibrated only to reproduce
+qualitative regime differences; treat its parameters as simulation knobs,
+not estimates.
 """
 
 from __future__ import annotations
@@ -73,37 +74,17 @@ class BehaviorParams:
             raise DomainError("damping must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class CutoffBeliefs:
-    """Anticipated admission cutoff per school (-inf for undersubscribed).
-    A NaN cutoff is a DomainError: the best response would silently make
-    every applicant who finds that school acceptable abstain."""
-
-    school_ids: tuple[int, ...]
-    cutoffs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.school_ids) != len(self.cutoffs):
-            raise DomainError(f"{len(self.school_ids)} school ids for {len(self.cutoffs)} cutoffs")
-        if len(set(self.school_ids)) != len(self.school_ids):
-            raise DomainError("school ids of cutoff beliefs are not unique")
-        for school_id, cutoff in zip(self.school_ids, self.cutoffs):
-            if math.isnan(cutoff):
-                raise DomainError(f"cutoff belief for school {school_id} is NaN")
-
-    def cutoff(self, school_id: int) -> float:
-        try:
-            return self.cutoffs[self.school_ids.index(school_id)]
-        except ValueError:
-            raise DomainError(f"no belief for school {school_id}") from None
-
-    def lined_up(self, school_ids: Sequence[int]) -> np.ndarray:
-        """The cutoffs of `school_ids`, in that order; DomainError when a
-        school has no belief or a belief names another school."""
-        unknown = set(self.school_ids) - set(school_ids)
-        if unknown:
-            raise DomainError(f"belief for unknown school {min(unknown)}")
-        return np.array([self.cutoff(s) for s in school_ids], dtype=float)
+def _checked_cutoffs(cutoffs: np.ndarray, n_schools: int) -> np.ndarray:
+    """`cutoffs` as a float array; a shape other than (n_schools,) or a NaN,
+    which makes every applicant who finds that school acceptable abstain, is
+    a DomainError."""
+    cutoffs = np.asarray(cutoffs, dtype=float)
+    if cutoffs.shape != (n_schools,):
+        raise DomainError(f"cutoffs of shape {cutoffs.shape} for {n_schools} schools")
+    nan = np.isnan(cutoffs)
+    if nan.any():
+        raise DomainError(f"cutoff for school {int(nan.argmax()) + 1} is NaN")
+    return cutoffs
 
 
 def _truthful_lists(cohort: Cohort) -> Applications:
@@ -122,8 +103,6 @@ def _grouped_lists(cohort: Cohort, groups: tuple[frozenset[int], frozenset[int]]
     by that school's utility (the lower id on ties). The groups must split
     the school ids 1..S of the cohort's utility columns."""
     check_groups(groups, range(1, cohort.utility.shape[1] + 1))
-    if not len(cohort):
-        return Applications.of([])
     rows = np.arange(len(cohort))
     best_u, best_id = [], []
     for g in groups:
@@ -400,8 +379,8 @@ def equilibrium_cutoffs(
     cohort: Cohort,
     params: BehaviorParams,
     *,
-    initial: CutoffBeliefs | None = None,
-) -> tuple[CutoffBeliefs, int, float]:
+    initial: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, float]:
     """Rational-expectations cutoffs for the single-application regime.
 
     Iterates best responses against beliefs and moves beliefs toward the
@@ -410,10 +389,11 @@ def equilibrium_cutoffs(
     call; no tie-break is drawn, because it cannot change that score.
     Undersubscribed schools are held at a finite floor during the iteration
     (so damping stays well defined) and reported as -inf in the returned
-    beliefs. `initial` beliefs are read by school id and must name exactly
-    the given schools. Returns (beliefs, iterations used, final residual);
-    non-convergence is flagged by residual >= tol and a RuntimeWarning, not
-    raised.
+    beliefs. Entry k of `initial` and of the returned beliefs is the cutoff
+    of school k + 1 (utility column k; school ids are 1..S); `initial` holds
+    one per school, none NaN. Returns (beliefs, iterations used, final
+    residual); non-convergence is flagged by residual >= tol and a
+    RuntimeWarning, not raised.
 
     Each iteration evaluates best responses in score order for the rows
     down to the previous iteration's last capacity-th chooser, plus a fixed
@@ -443,13 +423,11 @@ def equilibrium_cutoffs(
     With sigma = 0 the best response is a step function, and every iteration
     computes it.
     """
-    schools_sorted = sorted(schools, key=lambda s: s.id)
-    school_ids = tuple(s.id for s in schools_sorted)
-    caps = np.array([s.capacity for s in schools_sorted])
+    caps = np.array([s.capacity for s in sorted(schools, key=lambda s: s.id)])
+    initial = np.full(len(caps), -np.inf) if initial is None else _checked_cutoffs(initial, len(caps))
     if not len(cohort):
-        beliefs = CutoffBeliefs(school_ids=school_ids, cutoffs=tuple([-math.inf] * len(school_ids)))
-        return beliefs, 1, 0.0
-    if cohort.utility.shape[1] != len(school_ids):
+        return np.full(len(caps), -np.inf), 1, 0.0
+    if cohort.utility.shape[1] != len(caps):
         raise DomainError("applicant utility vectors do not match the school count")
     order = np.argsort(-cohort.score)
     scores = cohort.score[order]
@@ -458,11 +436,8 @@ def equilibrium_cutoffs(
     choose = _best_response(scores, surplus, params.score_noise_sd, ev)
 
     floor = _belief_floor(scores, params.score_noise_sd)
-    cutoffs = np.full(len(school_ids), floor)
-    if initial is not None:
-        start = initial.lined_up(school_ids)
-        cutoffs = np.where(np.isfinite(start), np.maximum(start, floor), floor)
-    undersubscribed = np.ones(len(school_ids), dtype=bool)
+    cutoffs = np.where(np.isfinite(initial), np.maximum(initial, floor), floor)
+    undersubscribed = np.ones(len(caps), dtype=bool)
     iterations = 0
     residual = math.inf
     # history[k] is the state after k iterations; seen maps its cutoffs to k
@@ -491,7 +466,7 @@ def equilibrium_cutoffs(
     # the cutoffs mostly close in on a cycle.
     certify = params.score_noise_sd > 0
     umax = None  # with `acceptable`, set at the first certificate: most converging years need none
-    centers, radii = np.empty((params.max_iter, len(school_ids))), np.empty(params.max_iter)
+    centers, radii = np.empty((params.max_iter, len(caps))), np.empty(params.max_iter)
     responses: list[tuple[int, np.ndarray, np.ndarray]] = []
     realized_seen: set[bytes] = set()
     for iterations in range(1, params.max_iter + 1):
@@ -548,30 +523,25 @@ def equilibrium_cutoffs(
             RuntimeWarning,
             stacklevel=2,
         )
-    reported = np.where(undersubscribed, -np.inf, cutoffs)
-    beliefs = CutoffBeliefs(school_ids=school_ids, cutoffs=tuple(float(c) for c in reported))
-    return beliefs, iterations, residual
+    return np.where(undersubscribed, -np.inf, cutoffs), iterations, residual
 
 
 def single_applications(
     cohort: Cohort,
-    beliefs: CutoffBeliefs,
+    cutoffs: np.ndarray,
     params: BehaviorParams,
 ) -> Applications:
     """Best-response single applications against given cutoff beliefs, in
-    increasing applicant id; abstainers submit nothing. Utility column k is
-    the school with id k + 1, whose cutoff `beliefs` must hold; a belief for
-    any other school is a DomainError."""
-    if not len(cohort):
-        return Applications.of([])
-    school_ids = np.arange(1, cohort.utility.shape[1] + 1, dtype=np.int64)
-    cutoffs = beliefs.lined_up(school_ids.tolist())
+    increasing applicant id; abstainers submit nothing. Entry k of `cutoffs`
+    is the cutoff of school k + 1, the school of utility column k; an array
+    without one entry per column, or with a NaN, is a DomainError."""
+    cutoffs = _checked_cutoffs(cutoffs, cohort.utility.shape[1])
     surplus = np.subtract(cohort.utility.T, cohort.outside, order="C")
     choice = _best_response(cohort.score, surplus, params.score_noise_sd)(cutoffs)
     applied = choice >= 0
     return Applications(
         ids=cohort.ids[applied],
-        schools=school_ids[choice[applied], None],
+        schools=choice[applied, None] + 1,
         lengths=np.ones(np.count_nonzero(applied), dtype=np.int64),
     )
 

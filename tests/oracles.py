@@ -179,13 +179,13 @@ def admit_probability(score, cutoff, sigma):
     return float(ndtr((score - cutoff) / sigma))
 
 
-def choose_single_application(applicant, beliefs, params):
+def choose_single_application(applicant, cutoffs, params):
     """One applicant's single application: the school maximizing admission
     probability times surplus among schools better than the outside option,
-    the lowest school id on ties; None means abstain."""
+    the lowest school id on ties; None means abstain. School k + 1 has
+    utility entry k and cutoff `cutoffs[k]`."""
     best = None
-    for sid, utility in enumerate(applicant.utility, start=1):
-        cutoff = beliefs.cutoff(sid)
+    for sid, (utility, cutoff) in enumerate(zip(applicant.utility, cutoffs, strict=True), start=1):
         surplus = utility - applicant.outside_option
         if surplus <= 0:
             continue
@@ -227,14 +227,14 @@ def lexsort_equilibrium_cutoffs(schools, applicants, params, ties, initial=None)
     recomputes each applicant's best response in id order and admits each
     school's top capacity by (score, `ties`) through `_admit_top_per_school`,
     whose lowest admitted score is the realized cutoff (`admitted_cutoffs`).
-    Returns (cutoffs in increasing school id, iterations, residual); initial
-    beliefs are read by position, as that loop read them."""
+    Returns (cutoffs in increasing school id, iterations, residual); the
+    initial cutoffs are read by position."""
     caps = np.array([s.capacity for s in sorted(schools, key=lambda s: s.id)], dtype=np.int64)
     scores, utilities, outside = applicants.score, applicants.utility, applicants.outside
     sigma = params.score_noise_sd
     floor = float(scores.min()) - 6.0 * max(sigma, 1.0) - 1.0
     if initial is not None:
-        cutoffs = np.array([max(c, floor) if math.isfinite(c) else floor for c in initial.cutoffs])
+        cutoffs = np.array([max(c, floor) if math.isfinite(c) else floor for c in initial])
     else:
         cutoffs = np.full(len(caps), floor)
     undersubscribed = np.ones(len(caps), dtype=bool)

@@ -662,19 +662,24 @@ class _RecordingPool:
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 @pytest.mark.parametrize(
-    "extra, workers",
+    "extra, cpus, workers",
     [
-        (("--jobs", "64", "--seeds", "2"), [2]),
-        (("--seeds", "2"), [2] if len(os.sched_getaffinity(0)) > 1 else []),
-        (("--jobs", "1", "--seeds", "2"), []),
-        (("--jobs", "64"), []),
+        (("--jobs", "64", "--seeds", "2"), 4, [2]),
+        (("--jobs", "500", "--seeds", "3"), 2, [2]),
+        (("--seeds", "2"), 4, [2]),
+        (("--seeds", "2"), 1, []),
+        (("--jobs", "1", "--seeds", "2"), 4, []),
+        (("--jobs", "64"), 4, []),
     ],
-    ids=["capped-by-seeds", "default", "jobs-1", "one-seed"],
+    ids=["capped-by-seeds", "capped-by-cpus", "default", "default-one-cpu", "jobs-1", "one-seed"],
 )
-def test_pool_gets_at_most_one_worker_per_seed(config_path, tmp_path, monkeypatch, extra, workers):
-    # the pools asked for; --jobs 1 and a one-seed run build none
+def test_pool_gets_at_most_one_worker_per_seed(config_path, tmp_path, monkeypatch, extra, cpus, workers):
+    # the pools asked for with `cpus` usable CPUs; a fork pool starts every
+    # worker at its first task, so more would only fork idle interpreters.
+    # --jobs 1 and a one-seed run build none
     monkeypatch.setattr(_RecordingPool, "workers", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     assert _run_cli(config_path, tmp_path / "out", (*extra, "--stages", "simulate")) == 0
     assert _RecordingPool.workers == workers
 
@@ -751,6 +756,47 @@ def test_diff_regimes_rejects_repeated_seed_year(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: artifact: {path}, line 7: a second row for seed 0, year 1904\n"
+
+
+def test_diff_regimes_rejects_a_year_under_two_regimes(tmp_path, capsys):
+    from meritmatch.metrics import YEAR_OUTCOME_COLUMNS
+
+    # two seeds that disagree on 1903's regime: the series has no regime to give it
+    path = tmp_path / "year_outcomes.csv"
+    regimes = ["decentralized"] * 2 + ["centralized"] * 6 + ["decentralized"] * 2
+    rows = [f"{s},{1900 + k},{regime},0.3,{200 + k},0.17,100,10" for s in (0, 1) for k, regime in enumerate(regimes)]
+    rows[13] = rows[13].replace("centralized", "decentralized_unified_exam")
+    path.write_text("\r\n".join([",".join(YEAR_OUTCOME_COLUMNS), *rows]) + "\r\n")
+    assert main(["diff-regimes", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: artifact: year 1903 is under more than one regime: centralized, decentralized_unified_exam\n"
+    )
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+@pytest.mark.parametrize("column, value", [(3, "nan"), (4, "inf"), (5, "-inf")])
+def test_non_finite_statistic_is_artifact_error(config_path, tmp_path, capsys, column, value):
+    # both readers of year_outcomes.csv reject it before writing anything
+    from meritmatch.metrics import YEAR_OUTCOME_COLUMNS
+
+    out = tmp_path / "out"
+    assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "simulate,metrics")) == 0
+    path = out / "year_outcomes.csv"
+    lines = path.read_text().split("\n")
+    fields = lines[4].split(",")  # seed 0, 1903
+    fields[column] = value
+    lines[4] = ",".join(fields)
+    path.write_text("\n".join(lines))
+    capsys.readouterr()  # drop the run command's output
+    assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "estimate")) == 2
+    assert main(["diff-regimes", str(path)]) == 2
+    assert not (out / "regressions.csv").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = YEAR_OUTCOME_COLUMNS[column]
+    assert captured.err == f"error: artifact: {path}, line 5: {name} must be finite, got {float(value)!r}\n" * 2
 
 
 def test_trend_metric_missing_in_every_year_is_named(tmp_path, capsys):

@@ -29,7 +29,7 @@ from meritmatch.metrics import (
 )
 from meritmatch.popgen import generate_applicants
 from meritmatch.pipeline import simulate_seed
-from meritmatch.strategy import BehaviorParams, CutoffBeliefs, single_applications, submit_applications
+from meritmatch.strategy import BehaviorParams, single_applications, submit_applications
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +122,7 @@ def test_year_arrays_match_placement_walk_on_mechanism_output():
     boston = run_meritocratic_boston(sc.schools, cohort, lists, SeededRng(1))
     assert (np.diff(boston.ids) < 0).any()  # admitted round by round, not in id order
     _assert_match_placement_walk(lists, boston, cohort, sc)
-    beliefs = CutoffBeliefs(tuple(range(1, 9)), (60.0,) * 8)
+    beliefs = np.full(8, 60.0)
     singles = single_applications(cohort, beliefs, BehaviorParams())
     _assert_match_placement_walk(singles, run_decentralized(sc.schools, cohort, singles, SeededRng(1)), cohort, sc)
 
@@ -289,7 +289,8 @@ def test_panel_csv_bytes_match_csv_writer_on_any_values(files):
 @st.composite
 def _outcome_rows(draw):
     keys = draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(1800, 2000)), unique=True, max_size=6))
-    statistic = st.none() | st.floats(allow_nan=False)
+    # the reader rejects a NaN or infinite statistic (`test_outcome_reader_rejects_non_finite_statistic`)
+    statistic = st.none() | st.floats(allow_nan=False, allow_infinity=False)
     count = st.integers(0, 10**6)
     fields = st.tuples(st.sampled_from(RegimeKind), statistic, statistic, statistic, count, count)
     return [(seed, YearOutcome(year, *draw(fields))) for seed, year in keys]
@@ -373,6 +374,20 @@ def test_outcome_reader_rejects_unparsable_value(tmp_path):
     path.write_text(",".join(YEAR_OUTCOME_COLUMNS) + "\r\n0,1900,decentralized,0.5,,,x,3\r\n")
     with pytest.raises(DomainError):
         read_year_outcomes_csv(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
+@pytest.mark.parametrize("column", [3, 4, 5])
+def test_outcome_reader_rejects_non_finite_statistic(tmp_path, column, value):
+    # the writer leaves a missing statistic empty and never writes one of these
+    fields = ["0", "1901", "decentralized", "0.5", "200.0", "0.25", "2", "3"]
+    fields[column] = value
+    path = tmp_path / "year_outcomes.csv"
+    rows = [",".join(YEAR_OUTCOME_COLUMNS), "0,1900,decentralized,0.5,200.0,0.25,2,3", ",".join(fields)]
+    path.write_text("\r\n".join(rows) + "\r\n")
+    with pytest.raises(DomainError) as info:
+        read_year_outcomes_csv(path)
+    assert str(info.value) == f"{path}, line 3: {YEAR_OUTCOME_COLUMNS[column]} must be finite, got {float(value)!r}"
 
 
 def test_outcome_reader_rejects_extra_field(tmp_path):

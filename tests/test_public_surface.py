@@ -6,8 +6,9 @@ in that module.
 A name counts as reached when it occurs as a whole word in a `.py` file under
 `src/`, `scripts/` or `bench/` (tests excluded), outside its own definition.
 An imported name counts as used when the module reads it anywhere (an
-`ast.Name` node), annotations included. And no module of the package imports
-scipy.
+`ast.Name` node), annotations included. No module of the package imports
+scipy. And only `core` and `mechanisms`, which define the object forms of
+lists and placements, name them.
 """
 
 import ast
@@ -100,4 +101,20 @@ def test_no_module_of_the_package_imports_scipy():
             else:
                 continue
             found += [f"{path.relative_to(ROOT)}:{node.lineno} {n}" for n in names if re.fullmatch(r"scipy(\.\w+)*", n)]
+    assert found == []
+
+
+def test_object_forms_stay_in_core_and_mechanisms():
+    # the package and its scripts work on arrays (`Cohort`, `Applications`,
+    # `Assignment`); `PreferenceList`, `Placement`, `Applications.of` and
+    # `Assignment.placed` remain for the mechanisms' conversion of object input
+    # and the benchmark's checks
+    form = re.compile(r"\b(PreferenceList|Placement|Applications\.of)\b|\.placed\b")
+    paths = [p for p in sorted(PACKAGE.rglob("*.py")) if p.name not in ("core.py", "mechanisms.py")]
+    found = [
+        f"{path.relative_to(ROOT)}:{number} {match.group()}"
+        for path in paths + sorted((ROOT / "scripts").rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        for match in form.finditer(line)
+    ]
     assert found == []

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from meritmatch import strategy
 from meritmatch.config import build_scenario
-from meritmatch.core import Applicant, DomainError, Regime, RegimeKind, SeededRng
+from meritmatch.core import Applicant, Cohort, DomainError, Regime, RegimeKind, SeededRng
 from meritmatch.mechanisms import PreferenceList
 from meritmatch.popgen import generate_applicants
 from meritmatch.strategy import (
     BehaviorParams,
-    CutoffBeliefs,
     _realized_cutoffs,
     equilibrium_cutoffs,
     single_applications,
@@ -82,14 +81,14 @@ def test_admit_probability_no_cutoff():
 
 
 def test_choose_single_only_one_acceptable_school():
-    beliefs = CutoffBeliefs(school_ids=(1, 2), cutoffs=(0.0, 0.0))
+    beliefs = (0.0, 0.0)
     a = _app(1, 50, (5.0, -1.0), outside=0.0)
     app = choose_single_application(a, beliefs, BehaviorParams(score_noise_sd=5.0))
     assert app == PreferenceList(applicant_id=1, ranked=(1,))
 
 
 def test_choose_single_abstains():
-    beliefs = CutoffBeliefs(school_ids=(1, 2), cutoffs=(0.0, 0.0))
+    beliefs = (0.0, 0.0)
     a = _app(1, 50, (-1.0, -2.0), outside=0.0)
     assert choose_single_application(a, beliefs, BehaviorParams()) is None
 
@@ -98,7 +97,7 @@ def test_choose_single_expected_value_arithmetic():
     # P = (0.1, 0.9), surpluses (10, 6) -> EV (1.0, 5.4) -> school 2
     sigma = 10.0
     z = 1.2815515655446004  # Phi(z) = 0.9
-    beliefs = CutoffBeliefs(school_ids=(1, 2), cutoffs=(50 + z * sigma, 50 - z * sigma))
+    beliefs = (50 + z * sigma, 50 - z * sigma)
     a = _app(1, 50.0, (10.0, 6.0), outside=0.0)
     app = choose_single_application(a, beliefs, BehaviorParams(score_noise_sd=sigma))
     assert app.ranked == (2,)
@@ -106,7 +105,7 @@ def test_choose_single_expected_value_arithmetic():
 
 def test_choose_single_high_sigma_limit_takes_best_school():
     # probabilities flatten to ~1/2 -> argmax utility (risk taking)
-    beliefs = CutoffBeliefs(school_ids=(1, 2), cutoffs=(80.0, 10.0))
+    beliefs = (80.0, 10.0)
     a = _app(1, 50.0, (10.0, 6.0), outside=0.0)
     app = choose_single_application(a, beliefs, BehaviorParams(score_noise_sd=1e6))
     assert app.ranked == (1,)
@@ -115,7 +114,7 @@ def test_choose_single_high_sigma_limit_takes_best_school():
 def test_choose_single_affine_invariance():
     gen = np.random.default_rng(8)
     params = BehaviorParams(score_noise_sd=7.0)
-    beliefs = CutoffBeliefs(school_ids=(1, 2, 3), cutoffs=(60.0, 50.0, 40.0))
+    beliefs = (60.0, 50.0, 40.0)
     for _ in range(200):
         u = gen.normal(5, 3, size=3)
         out = gen.normal(0, 2)
@@ -138,7 +137,7 @@ def test_equilibrium_trivial_when_capacity_exceeds_demand():
     schools = mk_schools(5, 5)
     apps = cohort_of([_app(i, 50 + i, (6.0, 5.0), outside=0.0) for i in range(3)])
     beliefs, iters, resid = equilibrium_cutoffs(schools, apps, BehaviorParams(score_noise_sd=5.0))
-    assert beliefs.cutoffs == (-math.inf, -math.inf)
+    assert beliefs.tolist() == [-math.inf, -math.inf]
     assert iters == 1
     assert resid == 0.0
 
@@ -149,7 +148,7 @@ def test_equilibrium_one_school_cutoff_is_marginal_score():
     params = BehaviorParams(score_noise_sd=1.0, tol=1e-6, max_iter=100)
     beliefs, iters, resid = equilibrium_cutoffs(schools, apps, params)
     assert resid < params.tol
-    assert beliefs.cutoff(1) == pytest.approx(90.0, abs=1e-4)
+    assert beliefs[0] == pytest.approx(90.0, abs=1e-4)
 
 
 def test_equilibrium_default_scenario_golden():
@@ -160,10 +159,10 @@ def test_equilibrium_default_scenario_golden():
     golden = json.loads((GOLDEN / "equilibrium_seed0.json").read_text())
     assert resid < params.tol
     assert iters == golden["iterations"]
-    assert list(beliefs.school_ids) == golden["school_ids"]
-    assert np.allclose(beliefs.cutoffs, golden["cutoffs"], atol=1e-9)
+    assert golden["school_ids"] == list(range(1, len(beliefs) + 1))
+    assert np.allclose(beliefs, golden["cutoffs"], atol=1e-9)
     # the most selective school carries the highest cutoff
-    assert beliefs.cutoff(1) == max(beliefs.cutoffs)
+    assert beliefs[0] == beliefs.max()
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
@@ -173,7 +172,7 @@ def test_equilibrium_deterministic_given_seed():
     params = BehaviorParams()
     r1 = equilibrium_cutoffs(sc.schools, apps, params)
     r2 = equilibrium_cutoffs(sc.schools, apps, params)
-    assert r1[0] == r2[0] and r1[1] == r2[1] and r1[2] == r2[2]
+    assert r1[0].tobytes() == r2[0].tobytes() and r1[1:] == r2[1:]
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
@@ -198,7 +197,7 @@ def test_equilibrium_damping_one_is_undamped():
         under = np.isneginf(realized)
         cut = np.where(under, floor, realized)
     expected = np.where(under, -np.inf, cut)
-    assert np.allclose(np.array(beliefs.cutoffs), expected)
+    assert np.allclose(beliefs, expected)
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
@@ -212,16 +211,16 @@ def test_equilibrium_shift_invariance():
     )
     base, _, _ = equilibrium_cutoffs(sc.schools, apps, params)
     moved, _, _ = equilibrium_cutoffs(sc.schools, shifted, params)
-    for c0, c1 in zip(base.cutoffs, moved.cutoffs):
+    for c0, c1 in zip(base.tolist(), moved.tolist()):
         if math.isinf(c0):
             assert math.isinf(c1)
         else:
             assert c1 - c0 == pytest.approx(shift, abs=1e-8)
     # admission probabilities for any fixed applicant are unchanged
     a0 = next(iter(apps))
-    for sid in base.school_ids:
-        p0 = admit_probability(a0.score, base.cutoff(sid), params.score_noise_sd)
-        p1 = admit_probability(a0.score + shift, moved.cutoff(sid), params.score_noise_sd)
+    for c0, c1 in zip(base.tolist(), moved.tolist()):
+        p0 = admit_probability(a0.score, c0, params.score_noise_sd)
+        p1 = admit_probability(a0.score + shift, c1, params.score_noise_sd)
         assert p1 == pytest.approx(p0, abs=1e-9)
     # and the chosen applications coincide
     apps0 = single_applications(apps, base, params)
@@ -436,7 +435,7 @@ def single_application_markets(draw, max_schools=3, max_applicants=10):
     initial = None
     if draw(st.booleans()):
         cut = st.one_of(st.just(-math.inf), st.floats(-50, 150))
-        initial = CutoffBeliefs(tuple(range(1, n_schools + 1)), tuple(draw(cut) for _ in range(n_schools)))
+        initial = np.array([draw(cut) for _ in range(n_schools)])
     return schools, applicants, params, initial
 
 
@@ -451,7 +450,7 @@ def test_equilibrium_matches_lexsort_loop(market, random):
     expected, expected_iterations, expected_residual = lexsort_equilibrium_cutoffs(
         schools, cohort, params, ties, initial
     )
-    assert np.array(beliefs.cutoffs).tobytes() == expected.tobytes()
+    assert beliefs.tobytes() == expected.tobytes()
     assert (iterations, residual) == (expected_iterations, expected_residual)
 
 
@@ -491,7 +490,7 @@ def test_equilibrium_matches_lexsort_loop_on_scaled_scenario(monkeypatch):
             ties = SeededRng(year).generator().random(len(cohort))
             expected = lexsort_equilibrium_cutoffs(sc.schools, cohort, params, ties, beliefs)
             beliefs, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params, initial=beliefs)
-            assert np.array(beliefs.cutoffs).tobytes() == expected[0].tobytes()
+            assert beliefs.tobytes() == expected[0].tobytes()
             assert (iterations, residual) == expected[1:]
             at_max_iter += iterations == max_iter
         assert at_max_iter > 0
@@ -514,7 +513,7 @@ def test_equilibrium_reuses_certified_best_responses(monkeypatch):
     def evaluations():
         calls.update(full=0, prefix=0, rest=0)
         beliefs, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params)
-        assert np.array(beliefs.cutoffs).tobytes() == expected.tobytes()
+        assert beliefs.tobytes() == expected.tobytes()
         assert (iterations, residual) == (expected_iterations, expected_residual)
         return calls["full"] + calls["prefix"]
 
@@ -551,7 +550,7 @@ def duplicated_column_markets(draw):
     if draw(st.booleans()):
         cut = [float(draw(st.integers(38, 46))) for _ in range(n_schools)]
         cut[b] = cut[a]
-        initial = CutoffBeliefs(tuple(range(1, n_schools + 1)), tuple(cut))
+        initial = np.array(cut)
     return mk_schools(*caps), applicants, params, initial
 
 
@@ -567,7 +566,7 @@ def test_equilibrium_with_tied_schools_matches_lexsort_loop(market, random):
     expected, expected_iterations, expected_residual = lexsort_equilibrium_cutoffs(
         schools, cohort, params, ties, initial
     )
-    assert np.array(beliefs.cutoffs).tobytes() == expected.tobytes()
+    assert beliefs.tobytes() == expected.tobytes()
     assert (iterations, residual) == (expected_iterations, expected_residual)
 
 
@@ -586,52 +585,52 @@ def test_equilibrium_stops_at_exact_cycle(monkeypatch):
     assert calls["full"] + calls["prefix"] < params.max_iter
 
 
-# -- beliefs are read by school id --------------------------------------------------
+# -- beliefs are read by position -------------------------------------------------
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
-def test_beliefs_are_read_by_school_id_not_position():
+def test_beliefs_are_read_by_position():
+    # entry k is the cutoff of school k + 1: the applications match the scalar
+    # choice at the equilibrium cutoffs and at the same cutoffs reversed, and
+    # the two differ
     sc = build_scenario(0.05)
     params = BehaviorParams()
     cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
     beliefs, _, _ = equilibrium_cutoffs(sc.schools, cohort, params)
-    reversed_beliefs = CutoffBeliefs(beliefs.school_ids[::-1], beliefs.cutoffs[::-1])
-    assert all(reversed_beliefs.cutoff(s) == beliefs.cutoff(s) for s in beliefs.school_ids)
-
-    singles = list(single_applications(cohort, beliefs, params))
-    assert list(single_applications(cohort, reversed_beliefs, params)) == singles
-    expected = [choose_single_application(a, reversed_beliefs, params) for a in cohort]
-    assert singles == [e for e in expected if e is not None]
-
-    warm = equilibrium_cutoffs(sc.schools, cohort, params, initial=beliefs)
-    assert equilibrium_cutoffs(sc.schools, cohort, params, initial=reversed_beliefs) == warm
+    chosen = []
+    for cutoffs in (beliefs, beliefs[::-1]):
+        singles = list(single_applications(cohort, cutoffs, params))
+        expected = [choose_single_application(a, cutoffs, params) for a in cohort]
+        assert singles == [e for e in expected if e is not None]
+        chosen.append(singles)
+    assert chosen[0] != chosen[1]
 
 
-def test_beliefs_for_missing_or_unknown_schools_rejected():
+def _wrong_beliefs_rejected(beliefs, match):
+    """Both entry points reject `beliefs` for the 8 schools of a scale-0.05 cohort."""
     sc = build_scenario(0.05)
     params = BehaviorParams()
     cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
-    three = CutoffBeliefs((1, 2, 3), (60.0, 50.0, 40.0))
-    extra = CutoffBeliefs(tuple(range(1, 10)), (50.0,) * 9)
-    for beliefs in (three, extra):
-        with pytest.raises(DomainError):
-            single_applications(cohort, beliefs, params)
-        with pytest.raises(DomainError):
-            equilibrium_cutoffs(sc.schools, cohort, params, initial=beliefs)
+    with pytest.raises(DomainError, match=match):
+        single_applications(cohort, beliefs, params)
+    with pytest.raises(DomainError, match=match):
+        equilibrium_cutoffs(sc.schools, cohort, params, initial=beliefs)
 
 
-def test_beliefs_reject_mismatched_or_repeated_ids():
-    with pytest.raises(DomainError):
-        CutoffBeliefs((1, 2), (1.0,))
-    with pytest.raises(DomainError):
-        CutoffBeliefs((1, 1), (1.0, 2.0))
+def test_beliefs_for_missing_or_unknown_schools_rejected():
+    for beliefs in (np.array([60.0, 50.0, 40.0]), np.full(9, 50.0)):
+        _wrong_beliefs_rejected(beliefs, "for 8 schools")
 
 
 def test_beliefs_reject_nan_cutoff():
-    # a NaN belief would make every applicant who finds school 1 acceptable abstain
-    with pytest.raises(DomainError, match="school 1 is NaN"):
-        CutoffBeliefs((1, 2), (math.nan, 50.0))
-    assert CutoffBeliefs((1, 2), (-math.inf, math.inf)).cutoffs == (-math.inf, math.inf)
+    # a NaN belief would make every applicant who finds school 3 acceptable abstain
+    beliefs = np.full(8, 50.0)
+    beliefs[2] = math.nan
+    _wrong_beliefs_rejected(beliefs, "school 3 is NaN")
+    # an infinite cutoff is a belief: -inf admits everyone, inf no one
+    sc = build_scenario(0.05)
+    cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
+    assert len(single_applications(cohort, np.array([-math.inf, math.inf, *[50.0] * 6]), BehaviorParams()))
 
 
 # -- submit_applications ------------------------------------------------------------
@@ -675,6 +674,22 @@ def test_submit_grouped_via_dispatch():
     assert list(out) == [PreferenceList(applicant_id=1, ranked=(1, 2))]
 
 
+def test_empty_cohort_applies_nowhere():
+    # the array code needs no special case for a cohort without applicants
+    sc = build_scenario(0.05)
+    params, none, no_ids = BehaviorParams(), np.empty(0), np.empty(0, dtype=np.int64)
+    cohort = Cohort(ids=no_ids, birth=no_ids, score=none, utility=np.empty((0, 8)), outside=none)
+    beliefs, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params)
+    assert (beliefs.tolist(), iterations, residual) == ([-math.inf] * 8, 1, 0.0)
+    groups = (frozenset({1, 2, 3, 4}), frozenset({5, 6, 7, 8}))
+    for apps in (
+        submit_applications(cohort, Regime(RegimeKind.CENTRALIZED, 1900)),
+        submit_applications(cohort, Regime(RegimeKind.GROUPED_CENTRALIZED, 1926, groups)),
+        single_applications(cohort, beliefs, params),
+    ):
+        assert (len(apps), apps.schools.shape[0], len(apps.lengths)) == (0, 0, 0)
+
+
 def test_submit_unknown_regime_rejected():
     with pytest.raises(DomainError):
         submit_applications(cohort_of([]), Regime("bogus", 1900))
@@ -683,12 +698,6 @@ def test_submit_unknown_regime_rejected():
 def test_grouped_regime_requires_groups():
     with pytest.raises(DomainError):
         submit_applications(cohort_of([]), Regime(RegimeKind.GROUPED_CENTRALIZED, 1926))
-
-
-def test_beliefs_accessor_unknown_school():
-    beliefs = CutoffBeliefs(school_ids=(1,), cutoffs=(1.0,))
-    with pytest.raises(DomainError):
-        beliefs.cutoff(9)
 
 
 # -- risk-taking comparative static ---------------------------------------------------
