@@ -27,15 +27,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 
 from .config import ArtifactError, InvariantError, RunManifest
 from .core import DomainError
 from .metrics import read_year_outcomes_csv
 from .pipeline import diff_regimes, run
-
-OUT_DIR_ENV = "MERITMATCH_OUT"
 
 DIFF_COLUMNS = [
     "metric",
@@ -54,13 +51,12 @@ def _fail(category: str, exc: Exception) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    out_dir = os.environ.get(OUT_DIR_ENV, args.out)
     try:
         manifest = RunManifest(
             config_path=args.config,
             seed=args.seed,
             seeds=args.seeds,
-            out_dir=out_dir,
+            out_dir=args.out,
             stages=tuple(s.strip() for s in args.stages.split(",") if s.strip()),
             **({} if args.jobs is None else {"jobs": args.jobs}),
         )
@@ -109,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", default=None, help="scenario config JSON (or a manifest.lock)")
     run_p.add_argument("--seed", type=int, default=0, help="first root seed")
     run_p.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds")
-    run_p.add_argument("--out", default="out", help=f"output directory (env {OUT_DIR_ENV} overrides)")
+    run_p.add_argument("--out", default="out", help="output directory")
     run_p.add_argument("--stages", default="simulate,metrics,estimate", help="comma list of stages")
     run_p.add_argument(
         "--jobs", type=int, default=None, help="parallel seed workers, capped by seeds and usable CPUs (default: all)"

@@ -222,7 +222,7 @@ def build_scenario(
         check_groups(groups, (s.id for s in schools))
     violations = validate_market(prefectures, schools)
     if violations:
-        raise InvariantError("; ".join(str(v) for v in violations))
+        raise InvariantError("; ".join(violations))
     return Scenario(prefectures=tuple(prefectures), schools=tuple(schools), population=config, schedule=schedule)
 
 

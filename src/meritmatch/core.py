@@ -178,11 +178,6 @@ class SeededRng:
         return SeededRng(seed=self.seed, stream_id=sid)
 
 
-def distance(a: Prefecture, b: Prefecture) -> float:
-    """Euclidean distance in km between two prefectures' planar coordinates."""
-    return math.hypot(a.coord[0] - b.coord[0], a.coord[1] - b.coord[1])
-
-
 def distance_matrix(prefectures: Sequence[Prefecture]) -> np.ndarray:
     """Pairwise distance matrix indexed by prefecture id (ids must be 0..P-1)."""
     n = len(prefectures)
@@ -195,62 +190,48 @@ def distance_matrix(prefectures: Sequence[Prefecture]) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.code}: {self.message}"
-
-
-def validate_market(prefectures: Sequence[Prefecture], schools: Sequence[School]) -> list[Violation]:
+def validate_market(prefectures: Sequence[Prefecture], schools: Sequence[School]) -> list[str]:
     """Check the invariants of a geography and its schools; returns every
-    violation found (empty = ok). Applicants are checked where they are built
-    (see `Cohort`)."""
-    out: list[Violation] = []
+    violation found as a "code: message" string (empty = ok). `urban` is taken
+    as given (`build_prefectures` derives it); applicants are checked where
+    they are built (see `Cohort`)."""
+    out: list[str] = []
 
     ids = [p.id for p in prefectures]
     if sorted(ids) != list(range(len(prefectures))):
-        out.append(Violation("prefecture_ids", "prefecture ids are not 0..P-1 without gaps"))
+        out.append("prefecture_ids: prefecture ids are not 0..P-1 without gaps")
     total = sum(p.pop_weight for p in prefectures)
     if not abs(total - 1.0) <= 1e-9:  # a NaN sum fails too
-        out.append(Violation("weights_not_normalized", f"pop_weights sum to {total!r}, expected 1"))
+        out.append(f"weights_not_normalized: pop_weights sum to {total!r}, expected 1")
     for p in prefectures:
         if p.pop_weight < 0:
-            out.append(Violation("negative_weight", f"prefecture {p.id} has pop_weight {p.pop_weight}"))
+            out.append(f"negative_weight: prefecture {p.id} has pop_weight {p.pop_weight}")
         if p.edu_index < 0:
-            out.append(Violation("negative_edu_index", f"prefecture {p.id} has edu_index {p.edu_index}"))
+            out.append(f"negative_edu_index: prefecture {p.id} has edu_index {p.edu_index}")
     seen_coords: dict[tuple[float, float], int] = {}
     for p in prefectures:
         if p.coord in seen_coords:
-            out.append(Violation("duplicate_coord", f"prefectures {seen_coords[p.coord]} and {p.id} share a coordinate"))
+            out.append(f"duplicate_coord: prefectures {seen_coords[p.coord]} and {p.id} share a coordinate")
         seen_coords[p.coord] = p.id
 
-    tokyo = next((p for p in prefectures if p.name == "Tokyo"), None)
-    if tokyo is None:
-        out.append(Violation("no_tokyo", "no prefecture named Tokyo to anchor the urban band"))
-    else:
-        for p in prefectures:
-            should = distance(p, tokyo) <= URBAN_RADIUS_KM
-            if p.urban != should:
-                out.append(Violation("urban_flag", f"prefecture {p.id} urban={p.urban} but distance rule says {should}"))
+    if not any(p.name == "Tokyo" for p in prefectures):
+        out.append("no_tokyo: no prefecture named Tokyo to anchor the urban band")
 
     school_ids = [s.id for s in schools]
     if len(set(school_ids)) != len(school_ids):
-        out.append(Violation("duplicate_school_id", "school ids are not unique"))
+        out.append("duplicate_school_id: school ids are not unique")
     if sorted(school_ids) != list(range(1, len(schools) + 1)):
         # utility column k belongs to school k + 1 (see `Cohort`)
-        out.append(Violation("school_ids", f"school ids are not 1..{len(schools)} without gaps"))
+        out.append(f"school_ids: school ids are not 1..{len(schools)} without gaps")
     pref_id_set = {p.id for p in prefectures}
     for s in schools:
         if s.capacity <= 0:
-            out.append(Violation("nonpositive_capacity", f"school {s.id} has capacity {s.capacity}"))
+            out.append(f"nonpositive_capacity: school {s.id} has capacity {s.capacity}")
         if s.prefecture_id not in pref_id_set:
-            out.append(Violation("unknown_prefecture", f"school {s.id} hosted by unknown prefecture {s.prefecture_id}"))
+            out.append(f"unknown_prefecture: school {s.id} hosted by unknown prefecture {s.prefecture_id}")
     prestiges = [s.prestige for s in schools]
     if len(set(prestiges)) != len(prestiges):
-        out.append(Violation("prestige_ties", "school prestiges are not strictly ordered (ties present)"))
+        out.append("prestige_ties: school prestiges are not strictly ordered (ties present)")
 
     return out
 

@@ -233,10 +233,7 @@ def run_meritocratic_boston(
     """Merit-capped Boston: select the merit pool, the top-K submitters by
     score (K = total capacity), then run Boston rounds among them. Submitters
     outside the pool are unassigned regardless of their lists."""
-    market = _market(schools, cohort, prefs, rng)
-    if not len(market.ids):
-        return _assignment(market, *np.zeros((3, 0), dtype=np.intp))
-    return _boston(market, merit_capped=True)
+    return _boston(_market(schools, cohort, prefs, rng), merit_capped=True)
 
 
 def run_immediate_acceptance(

@@ -11,9 +11,10 @@ CSV in the form the estimators take: each panel file in one C-level
 `PANEL_COLUMNS` in order, comma-separated, unquoted and CRLF-terminated:
 integers for the seed, prefecture id and year, the school id (empty in the
 all-schools panel), integers for entrants and the 0/1 flags, and the float
-`repr` of the graduate count. Enrollment distance is birth prefecture to
-school prefecture throughout. Distance bands are exclusive: "located in"
-means distance zero, "within 100 km" means strictly between 0 and 100 km.
+`repr` of the graduate count. The Tokyo flags and the urban entrant share
+read `Prefecture.urban`. Enrollment distance is birth prefecture to school
+prefecture throughout. Distance bands are exclusive: "located in" means
+distance zero, "within 100 km" means strictly between 0 and 100 km.
 """
 
 from __future__ import annotations
@@ -141,9 +142,10 @@ def build_panel(
     """One seed's panels as estimator columns over `panel_grid`: the
     all-schools panel under `None`, then one panel per school id, ascending.
 
-    Entrants and the 0/1 flags are float columns. Requires years under both a
-    centralized and a decentralized rule, since the panels exist to contrast
-    the two.
+    Entrants and the 0/1 flags are float columns; `tokyo_area` is
+    `Prefecture.urban`, and `near_tokyo` is that without Tokyo. Requires years
+    under both a centralized and a decentralized rule, since the panels exist
+    to contrast the two.
     """
     kinds = {r.regime for r in records}
     if not any(k.is_centralized for k in kinds) or not any(not k.is_centralized for k in kinds):
@@ -156,9 +158,8 @@ def build_panel(
     school_ids = sorted(s.id for s in schools)
     host = {s.id: s.prefecture_id for s in schools}
     dmat = distance_matrix(prefectures)
-    tokyo = next(p.id for p in prefectures if p.name == "Tokyo")
-    is_tokyo = np.arange(len(prefectures)) == tokyo
-    near_tokyo = (0.0 < dmat[:, tokyo]) & (dmat[:, tokyo] <= 100.0)
+    urban = np.array([p.urban for p in sorted(prefectures, key=lambda p: p.id)])
+    is_tokyo = np.arange(len(prefectures)) == next(p.id for p in prefectures if p.name == "Tokyo")
     # the last axis runs over the panels, all schools first
     to_school = dmat[:, [host[s] for s in school_ids]]
     dist = np.column_stack([to_school.min(axis=1), to_school])  # (prefecture, panel): to the (nearest) school
@@ -172,8 +173,8 @@ def build_panel(
         **panel_grid(years, len(prefectures)),
         "centralized": np.repeat([float(r.regime.is_centralized) for r in records], len(prefectures)),
         "tokyo": per_prefecture(is_tokyo),
-        "near_tokyo": per_prefecture(near_tokyo),
-        "tokyo_area": per_prefecture(is_tokyo | near_tokyo),
+        "near_tokyo": per_prefecture(urban & ~is_tokyo),
+        "tokyo_area": per_prefecture(urban),
         "middle_school_grads": np.stack([r.cohort for r in records]).ravel().astype(float),
     }
     return {

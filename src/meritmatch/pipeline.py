@@ -235,7 +235,15 @@ def diff_regimes(rows: Sequence[tuple[int, YearOutcome]]) -> list[DiffRegimeRow]
     """Per-metric regime means, difference, and the quadratic-trend-controlled
     regime coefficient (Newey-West, lag 3) of the (seed, outcome) rows that
     `read_year_outcomes_csv` returns. Multi-seed series are averaged within
-    year first."""
+    year first; a seed whose years differ from another seed's is a
+    DomainError naming it."""
+    years: dict[int, set[int]] = {}
+    for seed, o in rows:
+        years.setdefault(seed, set()).add(o.year)
+    first = rows[0][0] if rows else None
+    for seed, held in years.items():
+        if held != years[first]:
+            raise DomainError(f"seed {seed} and seed {first} differ in years {sorted(held ^ years[first])}")
     outcomes = [o for _, o in rows]
     kinds = {o.regime for o in outcomes}
     if not any(k.is_centralized for k in kinds):

@@ -335,7 +335,6 @@ def row_build_panel(records, prefectures, schools):
 
     school_dist = {s.id: dmat[:, host[s.id]] for s in schools_sorted}
     nearest = np.min(np.stack([school_dist[s.id] for s in schools_sorted]), axis=0)
-    d_tokyo = dmat[:, tokyo.id]
 
     rows = []
     for rec in sorted(records, key=lambda r: r.year):
@@ -343,7 +342,7 @@ def row_build_panel(records, prefectures, schools):
         entrants = rec.entrants.tolist()
         for p in prefs_sorted:
             grads = float(rec.cohort[p.id])
-            near = bool(0.0 < d_tokyo[p.id] <= 100.0)
+            near = p.urban and p.id != tokyo.id
             rows.append(
                 PanelRow(
                     p.id, rec.year, None, sum(entrants[p.id]), centralized,

@@ -612,16 +612,17 @@ def test_invariant_violation_exit_code(tmp_path, capsys):
     cfg.write_text(json.dumps({"geography": str(geo)}))
     code = _run_cli(cfg, tmp_path / "out")
     assert code == 4
-    assert capsys.readouterr().err.startswith("error: invariant:")
+    assert capsys.readouterr().err == "error: invariant: duplicate_coord: prefectures 1 and 12 share a coordinate\n"
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
-def test_env_var_overrides_out_dir(config_path, tmp_path, monkeypatch):
+def test_out_dir_ignores_environment(config_path, tmp_path, monkeypatch):
+    # a run's inputs are its flags and its config: the variable that once overrode --out is ignored
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("MERITMATCH_OUT", str(env_dir))
-    assert _run_cli(config_path, tmp_path / "ignored", ("--stages", "simulate")) == 0
-    assert (env_dir / "year_outcomes.csv").exists()
-    assert not (tmp_path / "ignored").exists()
+    assert _run_cli(config_path, tmp_path / "out", ("--stages", "simulate")) == 0
+    assert (tmp_path / "out" / "year_outcomes.csv").exists()
+    assert not env_dir.exists()
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
@@ -773,6 +774,20 @@ def test_diff_regimes_rejects_a_year_under_two_regimes(tmp_path, capsys):
     assert captured.err == (
         "error: artifact: year 1903 is under more than one regime: centralized, decentralized_unified_exam\n"
     )
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_diff_regimes_rejects_seeds_with_different_years(config_path, tmp_path, capsys):
+    # averaging within year would mix one seed's 1900 with two seeds' later years
+    out = tmp_path / "out"
+    assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "simulate")) == 0
+    path = out / "year_outcomes.csv"
+    path.write_text("".join(l for l in path.read_text().splitlines(True) if not l.startswith("1,1900,")))
+    capsys.readouterr()  # drop the run command's output
+    assert main(["diff-regimes", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: artifact: seed 1 and seed 0 differ in years [1900]\n"
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")

@@ -13,7 +13,6 @@ from meritmatch.core import (
     SeededRng,
     build_prefectures,
     default_prefectures,
-    distance,
     distance_matrix,
     validate_market,
 )
@@ -27,14 +26,13 @@ def _pref(pid, x, y, urban=False, w=0.5, edu=0.3, name=None):
 
 def test_distance_identity():
     p = _pref(0, 12.0, -7.0)
-    assert distance(p, p) == 0.0
+    assert distance_matrix([p]).tolist() == [[0.0]]
 
 
 def test_distance_3_4_5():
     a = _pref(0, 0.0, 0.0)
     b = _pref(1, 3.0, 4.0)
-    assert distance(a, b) == pytest.approx(5.0)
-    assert distance(b, a) == pytest.approx(5.0)
+    assert distance_matrix([a, b]).tolist() == [[0.0, 5.0], [5.0, 0.0]]
 
 
 def test_tokyo_kanagawa_within_urban_band():
@@ -42,8 +40,8 @@ def test_tokyo_kanagawa_within_urban_band():
     by_name = {p.name: p for p in prefs}
     # hand calculation from the shipped table: (152.4, -34.6) vs (147.9, -61.4)
     expected = math.hypot(152.4 - 147.9, -34.6 - (-61.4))
-    assert distance(by_name["Tokyo"], by_name["Kanagawa"]) == pytest.approx(expected)
-    assert expected <= 100.0
+    assert distance_matrix(prefs)[by_name["Tokyo"].id, by_name["Kanagawa"].id] == pytest.approx(expected)
+    assert expected <= 100.0 and by_name["Kanagawa"].urban
 
 
 def test_unknown_prefecture_id_is_domain_error():
@@ -71,7 +69,7 @@ def test_exactly_seven_urban_prefectures():
     assert urban == ["Chiba", "Gunma", "Ibaraki", "Kanagawa", "Saitama", "Tochigi", "Tokyo"]
     tokyo = next(p for p in prefs if p.name == "Tokyo")
     for p in prefs:
-        assert p.urban == (distance(p, tokyo) <= 100.0)
+        assert p.urban == (math.hypot(p.coord[0] - tokyo.coord[0], p.coord[1] - tokyo.coord[1]) <= 100.0)
 
 
 def test_pop_weights_sum_to_one():
@@ -89,7 +87,7 @@ def test_validate_market_flags_nonpositive_capacity():
     bad = list(sc.schools)
     bad[0] = School(id=1, prefecture_id=bad[0].prefecture_id, capacity=0, prestige=bad[0].prestige)
     violations = validate_market(sc.prefectures, bad)
-    assert any(v.code == "nonpositive_capacity" for v in violations)
+    assert any(v.startswith("nonpositive_capacity: ") for v in violations)
 
 
 def test_validate_market_flags_unnormalized_weights():
@@ -98,14 +96,14 @@ def test_validate_market_flags_unnormalized_weights():
         Prefecture(p.id, p.name, p.coord, p.urban, p.pop_weight * 0.9, p.edu_index) for p in prefs
     ]
     violations = validate_market(shrunk, [])
-    assert any(v.code == "weights_not_normalized" for v in violations)
+    assert any(v.startswith("weights_not_normalized: ") for v in violations)
 
 
 def test_validate_market_flags_nan_weight_sum():
     # abs(nan - 1) > 1e-9 is False, so a NaN weight passed the sum check
     prefs = default_prefectures()
     prefs[3] = replace(prefs[3], pop_weight=math.nan)
-    assert "weights_not_normalized" in {v.code for v in validate_market(prefs, [])}
+    assert "weights_not_normalized" in {v.split(":")[0] for v in validate_market(prefs, [])}
 
 
 def test_validate_market_collects_multiple_violations():
@@ -115,7 +113,7 @@ def test_validate_market_collects_multiple_violations():
     ]
     schools = [School(id=1, prefecture_id=999, capacity=-3, prestige=1.0)]
     violations = validate_market(shrunk, schools)
-    codes = {v.code for v in violations}
+    codes = {v.split(":")[0] for v in violations}
     assert {"weights_not_normalized", "nonpositive_capacity", "unknown_prefecture"} <= codes
     # applicants are checked where their cohort is built
     bad_applicant = Applicant(id=0, birth_prefecture=0, score=float("nan"), utility=(1.0,), outside_option=0.0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meritmatch.config import build_scenario
-from meritmatch.core import DomainError, Regime, RegimeKind, SeededRng
+from meritmatch.core import DomainError, Regime, RegimeKind, SeededRng, build_prefectures, default_prefectures
 from meritmatch.mechanisms import Applications, PreferenceList, run_decentralized, run_meritocratic_boston
 
 from conftest import assignment_of, cohort_of, mk_applicant
@@ -19,6 +19,7 @@ from meritmatch.metrics import (
     PANEL_FLAGS,
     YEAR_OUTCOME_COLUMNS,
     YearOutcome,
+    YearRecord,
     build_panel,
     read_panel_csv,
     read_year_outcomes_csv,
@@ -196,6 +197,22 @@ def test_flag_geometry(small_run):
             assert np.array_equal(located_in, in_tokyo)
         assert np.all(is_tokyo[in_tokyo]) and not np.any(near_tokyo[in_tokyo])
         assert np.all(urban[cols["prefecture_id"][is_tokyo | near_tokyo]])
+
+
+def test_panel_tokyo_area_is_urban_on_the_band_edge():
+    # Okinawa moved to 100 km from Tokyo by math.hypot, which `build_prefectures`
+    # uses; the square root of summed squares puts it at 100.00000000000001 km
+    rows = [(p.name, *p.coord, p.pop_weight, p.edu_index) for p in default_prefectures()]
+    rows[46] = ("Okinawa", 252.39960028128806, -34.31725703790303, *rows[46][3:])
+    prefs = build_prefectures(rows)
+    assert prefs[46].urban
+    records = [
+        YearRecord(year, kind, np.zeros((47, 8), dtype=np.int64), np.ones(47, dtype=np.int64))
+        for year, kind in ((1900, RegimeKind.DECENTRALIZED), (1901, RegimeKind.CENTRALIZED))
+    ]
+    cols = build_panel(records, prefs, build_scenario(0.05, prefectures=prefs).schools)[None]
+    assert np.array_equal(cols["tokyo_area"], np.tile([float(p.urban) for p in prefs], 2))
+    assert cols["near_tokyo"][46] == 1.0
 
 
 def test_centralized_flag_follows_schedule(small_run):

@@ -7,8 +7,8 @@ A name counts as reached when it occurs as a whole word in a `.py` file under
 `src/`, `scripts/` or `bench/` (tests excluded), outside its own definition.
 An imported name counts as used when the module reads it anywhere (an
 `ast.Name` node), annotations included. No module of the package imports
-scipy. And only `core` and `mechanisms`, which define the object forms of
-lists and placements, name them.
+scipy, and none reads the environment. And only `core` and `mechanisms`,
+which define the object forms of lists and placements, name them.
 """
 
 import ast
@@ -101,6 +101,19 @@ def test_no_module_of_the_package_imports_scipy():
             else:
                 continue
             found += [f"{path.relative_to(ROOT)}:{node.lineno} {n}" for n in names if re.fullmatch(r"scipy(\.\w+)*", n)]
+    assert found == []
+
+
+def test_no_module_of_the_package_reads_the_environment():
+    # a run's inputs are its flags and its config or lockfile, which lockfile
+    # replay depends on; an environment variable would be an input no lock records
+    name = re.compile(r"\b(environb?|getenvb?)\b")
+    found = [
+        f"{path.relative_to(ROOT)}:{number} {match.group()}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        for match in name.finditer(line)
+    ]
     assert found == []
 
 
