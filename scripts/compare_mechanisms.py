@@ -56,9 +56,7 @@ def main() -> int:
     scenario = build_scenario(args.scale)
     behavior = BehaviorParams()
     root = SeededRng(args.seed)
-    applicants = generate_applicants(
-        scenario.population, scenario.prefectures, scenario.schools, args.year, root
-    )
+    applicants = generate_applicants(scenario, args.year, root)
     lottery_rng = root.substream("lottery", args.year)
     print(f"cohort: {len(applicants)} applicants, {sum(s.capacity for s in scenario.schools)} seats\n")
 

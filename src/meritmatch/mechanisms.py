@@ -2,14 +2,16 @@
 decentralized single-application, and the grouped two-list variant.
 
 All mechanisms are pure functions from (schools, cohort, submitted
-applications, rng) to an Assignment. The cohort is a `Cohort`; submitted
-applications are `Applications`, one row per submitter holding the school ids
-of the list, best first (a single application is a list of length one). A
-sequence of `PreferenceList` is accepted too and converted by
-`Applications.of`. Ties in exam scores are broken by lottery: `_market` makes
-one `rng.generator()` draw per mechanism run, one uniform number per submitter
-in increasing id order, and the merit pool and every round use those numbers.
-Priority is higher score, then lower draw, then lower id.
+applications, rng) to an Assignment. The schools' ids must be 1..S, in any
+order, and school s is index s - 1 of every market array. The cohort is a
+`Cohort`; submitted applications are `Applications`, one row per submitter
+holding the school ids of the list, best first (a single application is a
+list of length one). A sequence of `PreferenceList` is accepted too and
+converted by `Applications.of`. Ties in exam scores are broken by lottery:
+`_market` makes one `rng.generator()` draw per mechanism run, one uniform
+number per submitter in increasing id order, and the merit pool and every
+round use those numbers. Priority is higher score, then lower draw, then
+lower id.
 
 An Assignment is arrays from the start (`_assignment`): the decentralized rule
 is array code end to end, and the Boston and serial-dictatorship rounds walk
@@ -94,10 +96,9 @@ class _Market:
     ids: np.ndarray  # (m,) submitters
     scores: np.ndarray  # (m,)
     ties: np.ndarray  # (m,) lottery draws; lower wins among equal scores
-    choice: np.ndarray  # (m, L) 0-based school index of each list entry
+    choice: np.ndarray  # (m, L) school index (id - 1) of each list entry
     lengths: np.ndarray  # (m,)
-    school_ids: np.ndarray  # (S,) increasing
-    caps: np.ndarray  # (S,)
+    caps: np.ndarray  # (S,) by school index
 
 
 def _priority(scores: np.ndarray, ties: np.ndarray) -> np.ndarray:
@@ -125,18 +126,18 @@ def _market(
     apps: Applications | Sequence[PreferenceList],
     rng: SeededRng,
 ) -> _Market:
-    """Check a mechanism's input and draw its lottery: every submitter is in
-    the cohort, and every list names known schools, each at most once."""
-    if not schools:
-        raise DomainError("no schools")
+    """Check a mechanism's input and draw its lottery: the school ids are
+    1..S, every submitter is in the cohort, and every list names known
+    schools, each at most once. School s is index s - 1 of the market."""
+    by_id = sorted(schools, key=lambda s: s.id)
+    if not by_id or [s.id for s in by_id] != list(range(1, len(by_id) + 1)):
+        raise DomainError(f"school ids must be 1..S, got {[s.id for s in by_id]}")
     apps = Applications.of(apps)
     scores = cohort.score[cohort.rows(apps.ids)]
-    by_id = sorted(schools, key=lambda s: s.id)
-    school_ids = np.array([s.id for s in by_id], dtype=np.int64)
     lists, width = apps.schools, apps.schools.shape[1]
-    choice = np.searchsorted(school_ids, lists)
+    choice = lists - 1
     listed = np.arange(width) < apps.lengths[:, None]
-    unknown = listed & (school_ids.take(choice, mode="clip") != lists)
+    unknown = listed & ((choice < 0) | (choice >= len(by_id)))
     if unknown.any():
         row, col = np.argwhere(unknown)[0]
         raise DomainError(f"applicant {apps.ids[row]} lists unknown school {lists[row, col]}")
@@ -144,15 +145,13 @@ def _market(
     twice = (entries[:, 1:] == entries[:, :-1]).any(axis=1)
     if twice.any():
         raise DomainError(f"applicant {apps.ids[twice][0]} lists a school twice")
-    caps = np.array([s.capacity for s in by_id], dtype=np.int64)
     return _Market(
         ids=apps.ids,
         scores=scores,
         ties=rng.generator().random(len(apps.ids)),
         choice=choice,
         lengths=apps.lengths,
-        school_ids=school_ids,
-        caps=caps,
+        caps=np.array([s.capacity for s in by_id], dtype=np.int64),
     )
 
 
@@ -164,7 +163,7 @@ def _assignment(market: _Market, rows: np.ndarray, school: np.ndarray, rank: np.
     unplaced[rows] = False
     return Assignment(
         ids=market.ids[rows],
-        school_ids=market.school_ids[school],
+        school_ids=school.astype(np.int64) + 1,
         ranks=rank.astype(np.int64),
         unassigned=market.ids[unplaced],
     )

@@ -11,10 +11,13 @@ CSV in the form the estimators take: each panel file in one C-level
 `PANEL_COLUMNS` in order, comma-separated, unquoted and CRLF-terminated:
 integers for the seed, prefecture id and year, the school id (empty in the
 all-schools panel), integers for entrants and the 0/1 flags, and the float
-`repr` of the graduate count. The Tokyo flags and the urban entrant share
-read `Prefecture.urban`. Enrollment distance is birth prefecture to school
-prefecture throughout. Distance bands are exclusive: "located in" means
-distance zero, "within 100 km" means strictly between 0 and 100 km.
+`repr` of the graduate count. The year and panel builders take the
+`Scenario` and read its id-ordered arrays, so a school's column is its id
+minus one: the Tokyo flags and the urban entrant share read `urban`
+(`Prefecture.urban`), and enrollment distance, birth prefecture to school
+prefecture throughout, reads `school_km`. Distance bands are exclusive:
+"located in" means distance zero, "within 100 km" means strictly between 0
+and 100 km.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Assignment, Cohort, DomainError, Prefecture, RegimeKind, School, distance_matrix
+from .core import Assignment, Cohort, DomainError, RegimeKind, distance_matrix
 from .mechanisms import Applications
+from .popgen import Scenario
 
 
 @dataclass(frozen=True)
@@ -61,40 +65,28 @@ def _entrant_births(assignment: Assignment, cohort: Cohort) -> np.ndarray:
 
 
 def year_outcome(
-    apps: Applications,
-    assignment: Assignment,
-    prefectures: Sequence[Prefecture],
-    schools: Sequence[School],
-    cohort: Cohort,
-    year: int,
-    regime: RegimeKind,
-    distances: np.ndarray | None = None,
+    apps: Applications, assignment: Assignment, scenario: Scenario, cohort: Cohort, year: int, regime: RegimeKind
 ) -> YearOutcome:
-    """Outcome statistics for one year.
+    """Outcome statistics for one year of `scenario`.
 
     The first-choice share is taken over submitted applications (the first
     list entry, or the single application). Distance and the urban share are
     taken over placed applicants; with zero entrants they are reported as
-    missing rather than zero. Distances are summed left to right in admission
-    order, by `np.cumsum`, whose last element is that sequential sum (the
-    pairwise `np.sum` rounds differently). `distances` is
-    `distance_matrix(prefectures)`, if already computed.
+    missing rather than zero. Distances are read from `scenario.school_km`
+    and summed left to right in admission order, by `np.cumsum`, whose last
+    element is that sequential sum (the pairwise `np.sum` rounds differently).
     """
     n_apps = len(apps)
     share_first = None
     if n_apps:
         share_first = int(np.count_nonzero(apps.schools[:, :1] == 1)) / n_apps
 
-    dmat = distance_matrix(prefectures) if distances is None else distances
     n_placed = len(assignment.ids)
     mean_dist = tokyo_share = None
     if n_placed:
-        host = np.zeros(max(s.id for s in schools) + 1, dtype=np.int64)
-        host[[s.id for s in schools]] = [s.prefecture_id for s in schools]
-        urban = np.array([p.urban for p in sorted(prefectures, key=lambda p: p.id)])
         births = _entrant_births(assignment, cohort)
-        mean_dist = float(np.cumsum(dmat[births, host[assignment.school_ids]])[-1] / n_placed)
-        tokyo_share = int(np.count_nonzero(urban[births])) / n_placed
+        mean_dist = float(np.cumsum(scenario.school_km[births, assignment.school_ids - 1])[-1] / n_placed)
+        tokyo_share = int(np.count_nonzero(scenario.urban[births])) / n_placed
 
     return YearOutcome(
         year=year,
@@ -107,21 +99,13 @@ def year_outcome(
     )
 
 
-def year_record(
-    assignment: Assignment,
-    cohort: Cohort,
-    prefectures: Sequence[Prefecture],
-    schools: Sequence[School],
-    year: int,
-    regime: RegimeKind,
-) -> YearRecord:
+def year_record(assignment: Assignment, cohort: Cohort, scenario: Scenario, year: int, regime: RegimeKind) -> YearRecord:
     """Count one year's entrants per (birth prefecture, school) and its
     cohort per prefecture."""
-    n_schools = len(schools)
-    school_ids = np.array(sorted(s.id for s in schools))
-    cell = _entrant_births(assignment, cohort) * n_schools + np.searchsorted(school_ids, assignment.school_ids)
-    entrants = np.bincount(cell, minlength=len(prefectures) * n_schools).reshape(len(prefectures), n_schools)
-    counts = np.bincount(cohort.birth, minlength=len(prefectures))
+    n_prefs, n_schools = scenario.school_km.shape
+    cell = _entrant_births(assignment, cohort) * n_schools + (assignment.school_ids - 1)
+    entrants = np.bincount(cell, minlength=n_prefs * n_schools).reshape(n_prefs, n_schools)
+    counts = np.bincount(cohort.birth, minlength=n_prefs)
     return YearRecord(year=year, regime=regime, entrants=entrants, cohort=counts)
 
 
@@ -134,16 +118,12 @@ def panel_grid(years: Sequence[int], n_prefectures: int) -> dict[str, np.ndarray
     }
 
 
-def build_panel(
-    records: Sequence[YearRecord],
-    prefectures: Sequence[Prefecture],
-    schools: Sequence[School],
-) -> dict[int | None, dict[str, np.ndarray]]:
+def build_panel(records: Sequence[YearRecord], scenario: Scenario) -> dict[int | None, dict[str, np.ndarray]]:
     """One seed's panels as estimator columns over `panel_grid`: the
     all-schools panel under `None`, then one panel per school id, ascending.
 
     Entrants and the 0/1 flags are float columns; `tokyo_area` is
-    `Prefecture.urban`, and `near_tokyo` is that without Tokyo. Requires years
+    `scenario.urban`, and `near_tokyo` is that without Tokyo. Requires years
     under both a centralized and a decentralized rule, since the panels exist
     to contrast the two.
     """
@@ -155,13 +135,10 @@ def build_panel(
     if len(set(years)) != len(years):
         raise DomainError("duplicate years in panel records")
 
-    school_ids = sorted(s.id for s in schools)
-    host = {s.id: s.prefecture_id for s in schools}
-    dmat = distance_matrix(prefectures)
-    urban = np.array([p.urban for p in sorted(prefectures, key=lambda p: p.id)])
-    is_tokyo = np.arange(len(prefectures)) == next(p.id for p in prefectures if p.name == "Tokyo")
-    # the last axis runs over the panels, all schools first
-    to_school = dmat[:, [host[s] for s in school_ids]]
+    n_prefs, n_schools = scenario.school_km.shape
+    # the last axis runs over the panels, all schools first; `to_school` is
+    # `scenario.school_km`, recomputed while bench/tracer.py counts this call
+    to_school = distance_matrix(scenario.prefectures)[:, scenario.hosts]
     dist = np.column_stack([to_school.min(axis=1), to_school])  # (prefecture, panel): to the (nearest) school
     by_school = np.stack([r.entrants for r in records])  # (year, prefecture, school)
     entrants = np.concatenate([by_school.sum(axis=2, keepdims=True), by_school], axis=2)
@@ -170,11 +147,11 @@ def build_panel(
         return np.tile(flag.astype(float), len(years))
 
     shared = {
-        **panel_grid(years, len(prefectures)),
-        "centralized": np.repeat([float(r.regime.is_centralized) for r in records], len(prefectures)),
-        "tokyo": per_prefecture(is_tokyo),
-        "near_tokyo": per_prefecture(urban & ~is_tokyo),
-        "tokyo_area": per_prefecture(urban),
+        **panel_grid(years, n_prefs),
+        "centralized": np.repeat([float(r.regime.is_centralized) for r in records], n_prefs),
+        "tokyo": per_prefecture(scenario.tokyo),
+        "near_tokyo": per_prefecture(scenario.urban & ~scenario.tokyo),
+        "tokyo_area": per_prefecture(scenario.urban),
         "middle_school_grads": np.stack([r.cohort for r in records]).ravel().astype(float),
     }
     return {
@@ -184,7 +161,7 @@ def build_panel(
             "located_in": per_prefecture(dist[:, k] == 0.0),
             "within_100km": per_prefecture((0.0 < dist[:, k]) & (dist[:, k] <= 100.0)),
         }
-        for k, key in enumerate([None, *school_ids])
+        for k, key in enumerate([None, *range(1, n_schools + 1)])
     }
 
 

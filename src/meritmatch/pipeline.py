@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ArtifactError, ConfigError, ResolvedConfig, RunManifest, check_lock, resolve_config, write_lock
 from .config import _usable_cpus
-from .core import DomainError, RegimeKind, SeededRng, distance_matrix
+from .core import DomainError, RegimeKind, SeededRng
 from .econometrics import RegressionResult, did_centralization, fe_ols, newey_west_ols, with_interaction
 from .mechanisms import run_decentralized, run_grouped_centralized, run_meritocratic_boston
 from .metrics import (
@@ -69,16 +69,15 @@ class SeedResult:
 
 
 def simulate_seed(scenario: Scenario, behavior: BehaviorParams, seed: int) -> SeedResult:
-    """Simulate every year of the schedule for one seed.
+    """Simulate every year of the schedule for one seed. Every layer reads
+    the scenario's arrays, derived once when it was built.
 
     Decentralized years warm-start their cutoff iteration from the previous
     decentralized equilibrium, which is deterministic and much faster than a
     cold start (cohorts are statistically identical across years).
     """
     root = SeededRng(seed)
-    prefectures = scenario.prefectures
     schools = scenario.schools
-    distances = distance_matrix(prefectures)
     outcomes: list[YearOutcome] = []
     records: list[YearRecord] = []
     eq_log: list[tuple[int, int, float]] = []
@@ -86,7 +85,7 @@ def simulate_seed(scenario: Scenario, behavior: BehaviorParams, seed: int) -> Se
 
     for regime in scenario.schedule:
         year = regime.year
-        cohort = generate_applicants(scenario.population, prefectures, schools, year, root, distances)
+        cohort = generate_applicants(scenario, year, root)
         lottery_rng = root.substream("lottery", year)
         if regime.kind.is_centralized:
             apps = submit_applications(cohort, regime)
@@ -100,10 +99,8 @@ def simulate_seed(scenario: Scenario, behavior: BehaviorParams, seed: int) -> Se
             apps = single_applications(cohort, beliefs, behavior)
             assignment = run_decentralized(schools, cohort, apps, lottery_rng)
 
-        outcomes.append(
-            year_outcome(apps, assignment, prefectures, schools, cohort, year, regime.kind, distances)
-        )
-        records.append(year_record(assignment, cohort, prefectures, schools, year, regime.kind))
+        outcomes.append(year_outcome(apps, assignment, scenario, cohort, year, regime.kind))
+        records.append(year_record(assignment, cohort, scenario, year, regime.kind))
     return SeedResult(
         seed=seed,
         outcomes=tuple(outcomes),
@@ -421,8 +418,7 @@ def _simulate_and_write(
     write_lock(out / "manifest.lock", manifest, resolved)
 
     if "metrics" in manifest.stages:
-        scenario = resolved.scenario
-        panels = {r.seed: build_panel(r.records, scenario.prefectures, scenario.schools) for r in results}
+        panels = {r.seed: build_panel(r.records, resolved.scenario) for r in results}
         for key, name in panel_files.items():
             write_panel_csv(out / name, {s: panels[s][key] for s in seeds}, key)
 

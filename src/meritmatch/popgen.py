@@ -6,14 +6,15 @@ returned as one `Cohort` of arrays, with applicant ids 0..n-1. The urban
 advantage enters only through the education-infrastructure channel: a
 prefecture's edu_index shifts its mean exam score. Preferences are prestige
 minus a linear distance cost plus idiosyncratic noise. `config.build_scenario`
-builds and checks a `Scenario`; a draw that overflows a utility or outside
-option to infinity is a DomainError from `Cohort`.
+builds and checks a `Scenario`, which derives once the id-ordered arrays that
+the yearly layers read (prefecture p is row p, school s is column s - 1); a
+draw that overflows a utility or outside option to infinity is a DomainError
+from `Cohort`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,36 +81,19 @@ class PopulationConfig:
         return max(1, int(round(n)))
 
 
-def generate_applicants(
-    config: PopulationConfig,
-    prefectures: Sequence[Prefecture],
-    schools: Sequence[School],
-    year: int,
-    rng: SeededRng,
-    distances: np.ndarray | None = None,
-) -> Cohort:
-    """Draw one year's cohort. The draw uses a ("popgen", year) substream of
-    `rng`, so a cohort depends only on (seed, year), not on draw order.
-    `distances` is `distance_matrix(prefectures)`, if already computed."""
+def generate_applicants(scenario: Scenario, year: int, rng: SeededRng) -> Cohort:
+    """Draw one year's cohort from the id-ordered arrays of `scenario`: births
+    by `weights`, scores shifted by `edu`, and utility column s - 1 from
+    school s's `prestige` and `school_km`. The draw uses a ("popgen", year)
+    substream of `rng`, so a cohort depends only on (seed, year), not on draw
+    order."""
     gen = rng.substream("popgen", year).generator()
+    config = scenario.population
     n = config.cohort_size(year)
-    n_prefs = len(prefectures)
-    prefs_sorted = sorted(prefectures, key=lambda p: p.id)
-    weights = np.array([p.pop_weight for p in prefs_sorted])
-    weights = weights / weights.sum()
-    edu = np.array([p.edu_index for p in prefs_sorted])
-
-    schools_sorted = sorted(schools, key=lambda s: s.id)
-    if len(config.prestige) != len(schools_sorted):
-        raise DomainError("prestige vector length does not match the school count")
-    dmat = distance_matrix(prefectures) if distances is None else distances
-    school_dist = dmat[:, [s.prefecture_id for s in schools_sorted]]  # (P, S)
-    prestige = np.array(config.prestige)
-
-    birth = gen.choice(n_prefs, size=n, p=weights)
-    scores = gen.normal(config.score_mean_base + config.urban_score_shift * edu[birth], config.score_sd)
-    noise = gen.normal(0.0, config.preference_noise_sd, size=(n, len(schools_sorted)))
-    utilities = prestige[None, :] - config.distance_cost * school_dist[birth] + noise
+    birth = gen.choice(len(scenario.weights), size=n, p=scenario.weights)
+    scores = gen.normal(config.score_mean_base + config.urban_score_shift * scenario.edu[birth], config.score_sd)
+    noise = gen.normal(0.0, config.preference_noise_sd, size=(n, len(scenario.prestige)))
+    utilities = scenario.prestige[None, :] - config.distance_cost * scenario.school_km[birth] + noise
     outside = gen.normal(config.outside_option_mean, config.outside_option_sd, size=n)
 
     return Cohort(ids=np.arange(n), birth=birth, score=scores, utility=utilities, outside=outside)
@@ -138,9 +122,45 @@ def regime_schedule(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
+    """One run's geography, schools, population and schedule, plus the arrays
+    the yearly layers read, derived once from them in id order: prefecture p
+    is row p and school s is column s - 1 (`validate_market` holds both id
+    ranges). The arrays are read-only, since every year and seed shares them."""
+
     prefectures: tuple[Prefecture, ...]
     schools: tuple[School, ...]
     population: PopulationConfig
     schedule: tuple[Regime, ...]
+    weights: np.ndarray = field(init=False, repr=False)  # (P,) birth probabilities, summing to 1
+    edu: np.ndarray = field(init=False, repr=False)  # (P,) edu_index
+    urban: np.ndarray = field(init=False, repr=False)  # (P,) bool, inside the Tokyo band
+    tokyo: np.ndarray = field(init=False, repr=False)  # (P,) bool, the row named Tokyo
+    hosts: np.ndarray = field(init=False, repr=False)  # (S,) host prefecture id
+    prestige: np.ndarray = field(init=False, repr=False)  # (S,)
+    school_km: np.ndarray = field(init=False, repr=False)  # (P, S) distance from each prefecture to each school
+
+    def __post_init__(self) -> None:
+        prefs = sorted(self.prefectures, key=lambda p: p.id)
+        schools = sorted(self.schools, key=lambda s: s.id)
+        weights = np.array([p.pop_weight for p in prefs])
+        hosts = np.array([s.prefecture_id for s in schools])
+        derived = {
+            "weights": weights / weights.sum(),
+            "edu": np.array([p.edu_index for p in prefs]),
+            "urban": np.array([p.urban for p in prefs]),
+            "tokyo": np.arange(len(prefs)) == next(p.id for p in prefs if p.name == "Tokyo"),
+            "hosts": hosts,
+            "prestige": np.array([s.prestige for s in schools]),
+            "school_km": distance_matrix(self.prefectures)[:, hosts],
+        }
+        self.__setstate__(derived)
+
+    def __setstate__(self, state: dict) -> None:
+        """Set the fields in `state`, its arrays read-only: the derived ones,
+        and those of a copy a pool worker unpickles, which numpy makes writeable."""
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meritmatch.core import Applicant, DomainError, Regime, RegimeKind, SeededRng
+from meritmatch.core import Applicant, DomainError, Regime, RegimeKind, School, SeededRng
 from meritmatch.mechanisms import (
     Applications,
     PreferenceList,
@@ -122,6 +122,8 @@ LIST_CASES = {
     "unknown applicant": ([mk_applicant(1, 5.0)], [(2, (1,))]),
     "school listed twice": ([mk_applicant(1, 5.0)], [(1, (1, 1))]),
     "unknown school": ([mk_applicant(1, 5.0)], [(1, (4,))]),
+    "school 0": ([mk_applicant(1, 5.0)], [(1, (0,))]),
+    "negative school": ([mk_applicant(1, 5.0)], [(1, (-1,))]),
     "two lists": ([mk_applicant(1, 5.0), mk_applicant(2, 4.0)], [(1, (1,)), (2, (2,)), (1, (2,))]),
 }
 
@@ -139,6 +141,29 @@ def test_single_application_checks(case):
     applicants, lists = LIST_CASES[case]
     with pytest.raises(DomainError):
         run_decentralized(mk_schools(1, 1, 1), cohort_of(applicants), [PreferenceList(i, r[:1]) for i, r in lists], SeededRng(0))
+
+
+@pytest.mark.parametrize("runner", [run_meritocratic_boston, run_serial_dictatorship_da, run_decentralized])
+def test_school_ids_must_be_one_to_s(runner):
+    # a school's market index is its id - 1
+    schools = [School(2, 0, 1, 9.0), School(3, 0, 1, 8.0)]
+    with pytest.raises(DomainError, match=r"school ids must be 1\.\.S, got \[2, 3\]"):
+        runner(schools, cohort_of([mk_applicant(1, 5.0)]), [PreferenceList(1, (2,))], SeededRng(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_markets())
+def test_school_order_does_not_matter(market):
+    schools, applicants, prefs, rng = market
+    singles = [PreferenceList(p.applicant_id, p.ranked[:1]) for p in prefs if p.ranked]
+    for runner, lists in (
+        (run_meritocratic_boston, prefs),
+        (run_serial_dictatorship_da, prefs),
+        (run_decentralized, singles),
+    ):
+        forward, backward = (runner(s, applicants, lists, rng) for s in (schools, schools[::-1]))
+        for name in ("ids", "school_ids", "ranks", "unassigned"):
+            assert np.array_equal(getattr(forward, name), getattr(backward, name))
 
 
 def test_checks_hold_for_array_input():

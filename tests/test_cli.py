@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meritmatch.cli import main
-from meritmatch.config import ConfigError, InvariantError, RunManifest, _lock_payload, resolve_config
+from meritmatch.config import ConfigError, InvariantError, RunManifest, _lock_payload, build_scenario, resolve_config
 from meritmatch.core import DomainError, default_prefectures
 from meritmatch.metrics import read_year_outcomes_csv
 from meritmatch.pipeline import diff_regimes, run
@@ -957,6 +957,23 @@ def test_partial_outputs_removed_on_failure(config_path, tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         run(RunManifest(config_path=str(config_path), out_dir=str(out), seed=5))
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_schools_in_reverse_id_order_give_the_same_artifacts(tmp_path):
+    # every layer reads the schools by id, not by their place in the file
+    schools = build_scenario(0.05).schools
+    outs = {}
+    for name, table in (("forward", schools), ("reverse", schools[::-1])):
+        save_schools(table, tmp_path / f"{name}.csv")
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"scale": 0.05, "schools": f"{name}.csv"}))
+        assert _run_cli(cfg, tmp_path / name, ("--seeds", "3")) == 0
+        outs[name] = _read_all(tmp_path / name)
+    locks = [json.loads(outs[name].pop("manifest.lock")) for name in ("forward", "reverse")]
+    assert outs["forward"] == outs["reverse"]
+    # the lock keeps the file's order of the schools table
+    assert locks[1]["config"]["schools"] == locks[0]["config"]["schools"][::-1]
 
 
 def _schools_config(tmp_path, n_schools):

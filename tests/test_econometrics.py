@@ -211,7 +211,7 @@ BATTERY = {
 def test_battery_fe_rows_match_dummy_ols_and_direct_cluster_cov():
     scenario = build_scenario(scale=0.05)
     result = simulate_seed(scenario, BehaviorParams(), 0)
-    panels = build_panel(result.records, scenario.prefectures, scenario.schools)
+    panels = build_panel(result.records, scenario)
     rows = [r for r in seed_regressions(panels, result.outcomes, 0) if not r.spec_id.startswith("trend_")]
     assert [r.spec_id for r in rows] == ["did_tokyo_area", "tokyo_gradient"] + [f"local_monopoly_s{s}" for s in range(1, 9)]
     for row in rows:

@@ -49,7 +49,7 @@ def test_year_outcome_everyone_unassigned():
     apps = Applications.of([PreferenceList(1, (1,)), PreferenceList(2, (2,))])
     assignment = assignment_of(unassigned=[1, 2])
     cohort = cohort_of([mk_applicant(1, 50.0, 8, birth=12), mk_applicant(2, 50.0, 8, birth=0)])
-    out = year_outcome(apps, assignment, sc.prefectures, sc.schools, cohort, 1900, RegimeKind.DECENTRALIZED)
+    out = year_outcome(apps, assignment, sc, cohort, 1900, RegimeKind.DECENTRALIZED)
     assert out.share_first_choice_school1 == 0.5
     assert out.mean_enrollment_distance_km is None
     assert out.tokyo_area_entrant_share is None
@@ -63,7 +63,7 @@ def test_year_outcome_single_tokyo_admit():
     apps = Applications.of([PreferenceList(1, (1, 2))])
     assignment = assignment_of([(1, 1, 1)])
     cohort = cohort_of([mk_applicant(1, 50.0, 8, birth=tokyo.id)])
-    out = year_outcome(apps, assignment, sc.prefectures, sc.schools, cohort, 1902, RegimeKind.CENTRALIZED)
+    out = year_outcome(apps, assignment, sc, cohort, 1902, RegimeKind.CENTRALIZED)
     assert out.share_first_choice_school1 == 1.0
     assert out.mean_enrollment_distance_km == 0.0  # school 1 sits in Tokyo
     assert out.tokyo_area_entrant_share == 1.0
@@ -73,7 +73,7 @@ def test_year_outcome_single_tokyo_admit():
 def test_year_outcome_no_applications():
     sc = build_scenario(0.01)
     none, empty = Applications.of([]), assignment_of()
-    out = year_outcome(none, empty, sc.prefectures, sc.schools, cohort_of([]), 1900, RegimeKind.DECENTRALIZED)
+    out = year_outcome(none, empty, sc, cohort_of([]), 1900, RegimeKind.DECENTRALIZED)
     assert out.share_first_choice_school1 is None
 
 
@@ -84,10 +84,10 @@ def _bits(outcome):
 
 def _assert_match_placement_walk(apps, assignment, cohort, sc):
     where = (sc.prefectures, sc.schools)
-    got = year_outcome(apps, assignment, *where, cohort, 1900, RegimeKind.CENTRALIZED)
+    got = year_outcome(apps, assignment, sc, cohort, 1900, RegimeKind.CENTRALIZED)
     want = walked_year_outcome(apps, assignment, *where, cohort, 1900, RegimeKind.CENTRALIZED)
     assert _bits(got) == _bits(want)
-    record = year_record(assignment, cohort, *where, 1900, RegimeKind.CENTRALIZED)
+    record = year_record(assignment, cohort, sc, 1900, RegimeKind.CENTRALIZED)
     walked = walked_year_record(assignment, cohort, *where, 1900, RegimeKind.CENTRALIZED)
     for name in ("entrants", "cohort"):
         assert getattr(record, name).dtype == getattr(walked, name).dtype
@@ -118,7 +118,7 @@ def test_year_arrays_match_placement_walk(year):
 
 def test_year_arrays_match_placement_walk_on_mechanism_output():
     sc = build_scenario(0.05)
-    cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(0))
+    cohort = generate_applicants(sc, 1900, SeededRng(0))
     lists = submit_applications(cohort, Regime(RegimeKind.CENTRALIZED, 1900))
     boston = run_meritocratic_boston(sc.schools, cohort, lists, SeededRng(1))
     assert (np.diff(boston.ids) < 0).any()  # admitted round by round, not in id order
@@ -146,7 +146,7 @@ def _assert_columns_equal(got, expected):
 
 def _empty_records(sc):
     empty = assignment_of()
-    return [year_record(empty, cohort_of([]), sc.prefectures, sc.schools, r.year, r.kind) for r in sc.schedule]
+    return [year_record(empty, cohort_of([]), sc, r.year, r.kind) for r in sc.schedule]
 
 
 @pytest.mark.parametrize("which", ["small_run", "empty"])
@@ -157,7 +157,7 @@ def test_build_panel_matches_row_oracle(which, request):
     else:
         sc = build_scenario(0.01)
         records = _empty_records(sc)
-    panels = build_panel(records, sc.prefectures, sc.schools)
+    panels = build_panel(records, sc)
     rows = row_build_panel(records, sc.prefectures, sc.schools)
     assert list(panels) == [None] + sorted(s.id for s in sc.schools)
     for key, cols in panels.items():
@@ -166,7 +166,7 @@ def test_build_panel_matches_row_oracle(which, request):
 
 def test_accounting_identity(small_run):
     sc, res = small_run
-    panels = build_panel(res.records, sc.prefectures, sc.schools)
+    panels = build_panel(res.records, sc)
     everyone = panels[None]
     for rec, out in zip(res.records, res.outcomes):
         total = everyone["entrants"][everyone["year"] == rec.year].sum()
@@ -183,7 +183,7 @@ def test_accounting_identity(small_run):
 
 def test_flag_geometry(small_run):
     sc, res = small_run
-    panels = build_panel(res.records, sc.prefectures, sc.schools)
+    panels = build_panel(res.records, sc)
     tokyo = next(p for p in sc.prefectures if p.name == "Tokyo")
     host_of_1 = next(s for s in sc.schools if s.id == 1).prefecture_id
     assert host_of_1 == tokyo.id
@@ -210,20 +210,20 @@ def test_panel_tokyo_area_is_urban_on_the_band_edge():
         YearRecord(year, kind, np.zeros((47, 8), dtype=np.int64), np.ones(47, dtype=np.int64))
         for year, kind in ((1900, RegimeKind.DECENTRALIZED), (1901, RegimeKind.CENTRALIZED))
     ]
-    cols = build_panel(records, prefs, build_scenario(0.05, prefectures=prefs).schools)[None]
+    cols = build_panel(records, build_scenario(0.05, prefectures=prefs))[None]
     assert np.array_equal(cols["tokyo_area"], np.tile([float(p.urban) for p in prefs], 2))
     assert cols["near_tokyo"][46] == 1.0
 
 
 def test_centralized_flag_follows_schedule(small_run):
     sc, res = small_run
-    for cols in build_panel(res.records, sc.prefectures, sc.schools).values():
+    for cols in build_panel(res.records, sc).values():
         assert np.array_equal(cols["centralized"] == 1.0, cols["year"] >= 1902)
 
 
 def test_panel_row_count_is_47_by_31():
     sc = build_scenario(0.01)
-    panels = build_panel(_empty_records(sc), sc.prefectures, sc.schools)
+    panels = build_panel(_empty_records(sc), sc)
     assert len(panels[None]["year"]) == 1457  # 47 prefectures x 31 years
     assert len(panels) == 9  # plus one panel per school
     for cols in panels.values():
@@ -233,17 +233,17 @@ def test_panel_row_count_is_47_by_31():
 def test_build_panel_needs_both_regimes():
     sc = build_scenario(0.01)
     rec = year_record(
-        assignment_of(), cohort_of([]), sc.prefectures, sc.schools, 1900, RegimeKind.DECENTRALIZED
+        assignment_of(), cohort_of([]), sc, 1900, RegimeKind.DECENTRALIZED
     )
     with pytest.raises(DomainError):
-        build_panel([rec], sc.prefectures, sc.schools)
+        build_panel([rec], sc)
     with pytest.raises(DomainError):
-        build_panel([rec, rec], sc.prefectures, sc.schools)  # duplicate years
+        build_panel([rec, rec], sc)  # duplicate years
 
 
 def test_csv_roundtrip(tmp_path, small_run):
     sc, res = small_run
-    panels = build_panel(res.records, sc.prefectures, sc.schools)
+    panels = build_panel(res.records, sc)
     panel_path = tmp_path / "panel_all.csv"
     write_panel_csv(panel_path, {0: panels[None]})
     loaded = read_panel_csv(panel_path)
@@ -273,7 +273,7 @@ def _same_panel_bytes(path, panels, school_id):
 @pytest.mark.parametrize("school_id", [None, 3])
 def test_panel_csv_bytes_match_csv_writer(tmp_path, small_run, school_id):
     sc, res = small_run
-    cols = build_panel(res.records, sc.prefectures, sc.schools)[school_id]
+    cols = build_panel(res.records, sc)[school_id]
     grads = cols["middle_school_grads"].copy()
     grads[:3] = [0.0, 1e16, 123456789.0]
     for panels in ({}, {0: cols}, {7: cols, 2: {**cols, "middle_school_grads": grads}, -1: cols}):
@@ -340,8 +340,7 @@ def test_missing_distance_serialized_as_empty_field(tmp_path):
     out = year_outcome(
         Applications.of([PreferenceList(1, (2,))]),
         assignment_of(unassigned=[1]),
-        sc.prefectures,
-        sc.schools,
+        sc,
         cohort_of([mk_applicant(1, 50.0, 8, birth=0)]),
         1900,
         RegimeKind.DECENTRALIZED,
@@ -433,7 +432,7 @@ def test_panel_reader_rejects_longer_school_id(tmp_path):
 
 def test_panel_tokyo_area(small_run):
     sc, res = small_run
-    cols = build_panel(res.records, sc.prefectures, sc.schools)[None]
+    cols = build_panel(res.records, sc)[None]
     assert np.array_equal(
         cols["tokyo_area"], np.maximum(cols["tokyo"], cols["near_tokyo"])
     )

@@ -154,7 +154,7 @@ def test_equilibrium_one_school_cutoff_is_marginal_score():
 def test_equilibrium_default_scenario_golden():
     sc = build_scenario()
     params = BehaviorParams()
-    apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(0))
+    apps = generate_applicants(sc, 1900, SeededRng(0))
     beliefs, iters, resid = equilibrium_cutoffs(sc.schools, apps, params)
     golden = json.loads((GOLDEN / "equilibrium_seed0.json").read_text())
     assert resid < params.tol
@@ -168,7 +168,7 @@ def test_equilibrium_default_scenario_golden():
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_equilibrium_deterministic_given_seed():
     sc = build_scenario(0.05)
-    apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
+    apps = generate_applicants(sc, 1900, SeededRng(3))
     params = BehaviorParams()
     r1 = equilibrium_cutoffs(sc.schools, apps, params)
     r2 = equilibrium_cutoffs(sc.schools, apps, params)
@@ -204,7 +204,7 @@ def test_equilibrium_damping_one_is_undamped():
 def test_equilibrium_shift_invariance():
     sc = build_scenario(0.05)
     params = BehaviorParams()
-    apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1905, SeededRng(4))
+    apps = generate_applicants(sc, 1905, SeededRng(4))
     shift = 25.0
     shifted = cohort_of(
         [Applicant(a.id, a.birth_prefecture, a.score + shift, a.utility, a.outside_option) for a in apps]
@@ -486,7 +486,7 @@ def test_equilibrium_matches_lexsort_loop_on_scaled_scenario(monkeypatch):
         params = BehaviorParams(max_iter=max_iter)
         beliefs, at_max_iter = None, 0
         for year in range(1900, 1906):
-            cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, year, SeededRng(seed))
+            cohort = generate_applicants(sc, year, SeededRng(seed))
             ties = SeededRng(year).generator().random(len(cohort))
             expected = lexsort_equilibrium_cutoffs(sc.schools, cohort, params, ties, beliefs)
             beliefs, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params, initial=beliefs)
@@ -505,7 +505,7 @@ def test_equilibrium_reuses_certified_best_responses(monkeypatch):
     calls = _count_best_responses(monkeypatch)
     sc = build_scenario(0.05)
     params = BehaviorParams()
-    cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
+    cohort = generate_applicants(sc, 1900, SeededRng(3))
     ties = SeededRng(1900).generator().random(len(cohort))
     expected, expected_iterations, expected_residual = lexsort_equilibrium_cutoffs(sc.schools, cohort, params, ties)
     assert expected_residual >= params.tol
@@ -578,7 +578,7 @@ def test_equilibrium_stops_at_exact_cycle(monkeypatch):
     calls = _count_best_responses(monkeypatch)
     sc = build_scenario(0.05)
     params = BehaviorParams()
-    cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
+    cohort = generate_applicants(sc, 1900, SeededRng(3))
     with pytest.warns(RuntimeWarning, match="cutoff iteration did not converge"):
         _, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params)
     assert iterations == params.max_iter and residual >= params.tol
@@ -595,7 +595,7 @@ def test_beliefs_are_read_by_position():
     # the two differ
     sc = build_scenario(0.05)
     params = BehaviorParams()
-    cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
+    cohort = generate_applicants(sc, 1900, SeededRng(3))
     beliefs, _, _ = equilibrium_cutoffs(sc.schools, cohort, params)
     chosen = []
     for cutoffs in (beliefs, beliefs[::-1]):
@@ -610,7 +610,7 @@ def _wrong_beliefs_rejected(beliefs, match):
     """Both entry points reject `beliefs` for the 8 schools of a scale-0.05 cohort."""
     sc = build_scenario(0.05)
     params = BehaviorParams()
-    cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
+    cohort = generate_applicants(sc, 1900, SeededRng(3))
     with pytest.raises(DomainError, match=match):
         single_applications(cohort, beliefs, params)
     with pytest.raises(DomainError, match=match):
@@ -629,7 +629,7 @@ def test_beliefs_reject_nan_cutoff():
     _wrong_beliefs_rejected(beliefs, "school 3 is NaN")
     # an infinite cutoff is a belief: -inf admits everyone, inf no one
     sc = build_scenario(0.05)
-    cohort = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(3))
+    cohort = generate_applicants(sc, 1900, SeededRng(3))
     assert len(single_applications(cohort, np.array([-math.inf, math.inf, *[50.0] * 6]), BehaviorParams()))
 
 
@@ -647,7 +647,7 @@ def test_decentralized_applications_match_scalar_choice():
     # both decentralized regimes apply through the equilibrium path the
     # pipeline uses; ranked lists exist only under the centralized ones
     sc = build_scenario(0.05)
-    apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1910, SeededRng(5))
+    apps = generate_applicants(sc, 1910, SeededRng(5))
     params = BehaviorParams()
     beliefs, _, _ = equilibrium_cutoffs(sc.schools, apps, params)
     singles = single_applications(apps, beliefs, params)
@@ -711,7 +711,7 @@ def test_centralized_first_choices_more_aggressive_than_decentralized():
     params = BehaviorParams()
     wins = 0
     for seed in range(20):
-        apps = generate_applicants(sc.population, sc.prefectures, sc.schools, 1900, SeededRng(seed))
+        apps = generate_applicants(sc, 1900, SeededRng(seed))
         truthful = list(submit_applications(apps, Regime(RegimeKind.CENTRALIZED, 1900)))
         cen_share = sum(1 for t in truthful if t.ranked[0] == 1) / len(truthful)
         beliefs, _, _ = equilibrium_cutoffs(sc.schools, apps, params)
