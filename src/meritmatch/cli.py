@@ -2,7 +2,10 @@
 
 `meritmatch run` executes a manifest (config, seed, output directory, stage
 subset) and writes the CSV artifacts; `meritmatch diff-regimes` summarizes an
-emitted year-outcome series by admission regime. A multi-seed run simulates
+emitted year-outcome series by admission regime, printing to stdout as CSV
+one row per outcome statistic: the `DiffRegimeRow` fields in order (metric,
+mean_centralized, mean_decentralized, difference, trend_coefficient,
+trend_p_value), each number as its float `repr`. A multi-seed run simulates
 its seeds in parallel, in at most one worker process per seed and per CPU
 this process may run on: by default as many workers as there are such CPUs,
 `--jobs N` for at most N. `--jobs 1` and a one-seed run stay in the calling
@@ -26,22 +29,13 @@ resolves (exit 2), before `--out` is touched.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
+from dataclasses import astuple, fields
 
 from .config import ArtifactError, InvariantError, RunManifest
 from .core import DomainError
-from .metrics import read_year_outcomes_csv
-from .pipeline import diff_regimes, run
-
-DIFF_COLUMNS = [
-    "metric",
-    "mean_centralized",
-    "mean_decentralized",
-    "difference",
-    "trend_coefficient",
-    "trend_p_value",
-]
+from .metrics import read_year_outcomes_csv, write_rows
+from .pipeline import DiffRegimeRow, diff_regimes, run
 
 
 def _fail(category: str, exc: Exception) -> int:
@@ -81,19 +75,7 @@ def _cmd_diff_regimes(args: argparse.Namespace) -> int:
         return _fail("artifact", exc)
     except OSError as exc:
         return _fail("io", exc)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(DIFF_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.metric,
-                repr(r.mean_centralized),
-                repr(r.mean_decentralized),
-                repr(r.difference),
-                repr(r.trend_coefficient),
-                repr(r.trend_p_value),
-            ]
-        )
+    write_rows(sys.stdout, [f.name for f in fields(DiffRegimeRow)], map(astuple, rows))
     return 0
 
 

@@ -66,7 +66,8 @@ def _usable_cpus() -> int:
 @dataclass(frozen=True)
 class RunManifest:
     """One run. `jobs` caps the worker processes that simulate seeds; a
-    multi-seed run uses every usable CPU unless told otherwise."""
+    multi-seed run uses every usable CPU unless told otherwise. The metrics
+    stage needs simulate, and estimate needs metrics when simulate runs."""
 
     config_path: str | None = None
     seed: int = 0
@@ -83,6 +84,10 @@ class RunManifest:
         for s in self.stages:
             if s not in STAGES:
                 raise ConfigError(f"unknown stage {s!r}; valid stages are {', '.join(STAGES)}")
+        if "metrics" in self.stages and "simulate" not in self.stages:
+            raise ConfigError("the metrics stage needs simulate in the same run (entrant counts are not persisted)")
+        if "estimate" in self.stages and "simulate" in self.stages and "metrics" not in self.stages:
+            raise ConfigError("estimate needs the metrics stage when simulate runs in the same invocation")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 

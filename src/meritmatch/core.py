@@ -217,11 +217,8 @@ def validate_market(prefectures: Sequence[Prefecture], schools: Sequence[School]
     if not any(p.name == "Tokyo" for p in prefectures):
         out.append("no_tokyo: no prefecture named Tokyo to anchor the urban band")
 
-    school_ids = [s.id for s in schools]
-    if len(set(school_ids)) != len(school_ids):
-        out.append("duplicate_school_id: school ids are not unique")
-    if sorted(school_ids) != list(range(1, len(schools) + 1)):
-        # utility column k belongs to school k + 1 (see `Cohort`)
+    # 1..S in any order, which also makes them unique; utility column k belongs to school k + 1 (see `Cohort`)
+    if sorted(s.id for s in schools) != list(range(1, len(schools) + 1)):
         out.append(f"school_ids: school ids are not 1..{len(schools)} without gaps")
     pref_id_set = {p.id for p in prefectures}
     for s in schools:

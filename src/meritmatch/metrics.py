@@ -4,7 +4,10 @@ Produces the per-year outcome series (first-choice share for the top school,
 mean enrollment distance, urban entrant share) and the prefecture-by-year
 panels used for estimation, plus their CSV forms. A year outcome is a
 `YearOutcome` from simulation to estimator: `year_outcomes.csv` is read back
-as the (seed, YearOutcome) rows it was written from. A panel is a dict of
+as the (seed, YearOutcome) rows it was written from. Every row CSV (year
+outcomes, regressions, the `diff-regimes` output) is written by `write_rows`:
+each row is its dataclass's fields in order, behind the seed for a year
+outcome, and the header is their names. A panel is a dict of
 column arrays, built from the year records' entrant counts and read back from
 CSV in the form the estimators take: each panel file in one C-level
 `np.loadtxt` parse, as read-only columns. A panel CSV row holds the
@@ -27,9 +30,9 @@ import io
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +50,10 @@ class YearOutcome:
     tokyo_area_entrant_share: float | None  # None when nobody was placed
     entrants_total: int
     unassigned_total: int
+
+
+# the YearOutcome fields that are statistics of the year, each missing (None) in a year without applicants or entrants
+OUTCOME_STATISTICS = ("share_first_choice_school1", "mean_enrollment_distance_km", "tokyo_area_entrant_share")
 
 
 @dataclass(frozen=True)
@@ -165,18 +172,13 @@ def build_panel(records: Sequence[YearRecord], scenario: Scenario) -> dict[int |
     }
 
 
+# the columns `build_panel` gives each panel of its own; a seed's panels share the rest
+PER_PANEL_COLUMNS = ("entrants", "located_in", "within_100km")
+
+
 # -- CSV emission --------------------------------------------------------------
 
-YEAR_OUTCOME_COLUMNS = [
-    "seed",
-    "year",
-    "regime",
-    "share_first_choice_school1",
-    "mean_enrollment_distance_km",
-    "tokyo_area_entrant_share",
-    "entrants_total",
-    "unassigned_total",
-]
+YEAR_OUTCOME_COLUMNS = ["seed", *(f.name for f in fields(YearOutcome))]
 
 PANEL_FLAGS = ("centralized", "located_in", "within_100km", "tokyo", "near_tokyo")
 
@@ -198,31 +200,28 @@ PANEL_COLUMNS = [
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
+    if isinstance(value, RegimeKind):
+        return value.value
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
 
 
+def write_rows(fh: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write `header`, then each row, to `fh` (opened with `newline=""`) as
+    CRLF-terminated CSV, every value rendered by `_fmt`: a missing value as an
+    empty field, a float as its `repr`, a regime as its value. A row CSV
+    (year outcomes, regressions, regime differences) is its row dataclass's
+    fields in order, so its header is their names."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def write_year_outcomes_csv(path: str | Path, rows: Sequence[tuple[int, YearOutcome]]) -> None:
-    """Write (seed, outcome) rows; missing statistics become empty fields."""
+    """Write (seed, outcome) rows: the seed, then the outcome's fields."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(YEAR_OUTCOME_COLUMNS)
-        for seed, out in rows:
-            writer.writerow(
-                [
-                    seed,
-                    out.year,
-                    out.regime.value,
-                    _fmt(out.share_first_choice_school1),
-                    _fmt(out.mean_enrollment_distance_km),
-                    _fmt(out.tokyo_area_entrant_share),
-                    out.entrants_total,
-                    out.unassigned_total,
-                ]
-            )
+        write_rows(fh, YEAR_OUTCOME_COLUMNS, ((seed, *astuple(out)) for seed, out in rows))
 
 
 def write_panel_csv(
@@ -332,7 +331,7 @@ def read_year_outcomes_csv(path: str | Path) -> list[tuple[int, YearOutcome]]:
                 row = int(seed), YearOutcome(int(year), RegimeKind(regime), *stats, int(entrants), int(unassigned))
             except ValueError as exc:
                 raise DomainError(f"{where}: {exc}") from exc
-            for name, value in zip(YEAR_OUTCOME_COLUMNS[3:-2], stats):
+            for name, value in zip(OUTCOME_STATISTICS, stats):
                 if value is not None and not math.isfinite(value):
                     raise DomainError(f"{where}: {name} must be finite, got {value!r}")
             key = (row[0], row[1].year)

@@ -12,11 +12,10 @@ itself a valid --config input and replays the run exactly.
 
 from __future__ import annotations
 
-import csv
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -28,33 +27,22 @@ from .core import DomainError, RegimeKind, SeededRng
 from .econometrics import RegressionResult, did_centralization, fe_ols, newey_west_ols, with_interaction
 from .mechanisms import run_decentralized, run_grouped_centralized, run_meritocratic_boston
 from .metrics import (
+    OUTCOME_STATISTICS,
+    PER_PANEL_COLUMNS,
     YearOutcome,
     YearRecord,
-    _fmt,
     build_panel,
     panel_grid,
     read_panel_csv,
     read_year_outcomes_csv,
     write_panel_csv,
+    write_rows,
     write_year_outcomes_csv,
     year_outcome,
     year_record,
 )
 from .popgen import Scenario, generate_applicants
 from .strategy import BehaviorParams, equilibrium_cutoffs, single_applications, submit_applications
-
-
-REGRESSION_COLUMNS = [
-    "spec_id",
-    "seed",
-    "coefficient",
-    "estimate",
-    "std_error",
-    "t_stat",
-    "p_value",
-    "n_obs",
-    "n_clusters",
-]
 
 
 # -- simulation ----------------------------------------------------------------
@@ -125,6 +113,9 @@ class RegressionRow:
     n_clusters: int | None
 
 
+REGRESSION_COLUMNS = [f.name for f in fields(RegressionRow)]
+
+
 def _row_from_result(spec_id: str, seed: int, res: RegressionResult, coefficient: str) -> RegressionRow:
     return RegressionRow(
         spec_id=spec_id,
@@ -167,18 +158,11 @@ def tokyo_gradient_regression(all_panel: Mapping[str, Sequence]) -> RegressionRe
     )
 
 
-TREND_METRICS = (
-    "share_first_choice_school1",
-    "mean_enrollment_distance_km",
-    "tokyo_area_entrant_share",
-)
-
-
 def _outcome_series(outcomes: Sequence[YearOutcome]) -> dict[str, np.ndarray]:
     """Average year outcomes by year across seeds into one time series. A
     year whose rows name different regimes is a DomainError."""
     years = sorted({o.year for o in outcomes})
-    series: dict[str, list] = {m: [] for m in TREND_METRICS}
+    series: dict[str, list] = {m: [] for m in OUTCOME_STATISTICS}
     centralized = []
     for y in years:
         rows = [o for o in outcomes if o.year == y]
@@ -186,7 +170,7 @@ def _outcome_series(outcomes: Sequence[YearOutcome]) -> dict[str, np.ndarray]:
         if len(regimes) > 1:
             raise DomainError(f"year {y} is under more than one regime: {', '.join(sorted(regimes))}")
         centralized.append(float(rows[0].regime.is_centralized))
-        for m in TREND_METRICS:
+        for m in OUTCOME_STATISTICS:
             vals = [getattr(o, m) for o in rows if getattr(o, m) is not None]
             series[m].append(float(np.mean(vals)) if vals else np.nan)
     y0 = years[0]
@@ -196,7 +180,7 @@ def _outcome_series(outcomes: Sequence[YearOutcome]) -> dict[str, np.ndarray]:
         "trend": np.array([y - (y0 - 1) for y in years], dtype=float),
     }
     table["trend_sq"] = table["trend"] ** 2
-    for m in TREND_METRICS:
+    for m in OUTCOME_STATISTICS:
         table[m] = np.array(series[m])
     return table
 
@@ -250,7 +234,7 @@ def diff_regimes(rows: Sequence[tuple[int, YearOutcome]]) -> list[DiffRegimeRow]
     table = _outcome_series(outcomes)
     cen = table["centralized"] == 1.0
     out = []
-    for m in TREND_METRICS:
+    for m in OUTCOME_STATISTICS:
         vals = table[m]
         res = trend_regression(table, m)
         out.append(
@@ -282,7 +266,7 @@ def seed_regressions(
         res = local_monopoly_regression(panel[s])
         rows.append(_row_from_result(f"local_monopoly_s{s}", seed, res, "centralized_x_located_in"))
     table = _outcome_series(outcomes)
-    for m in TREND_METRICS:
+    for m in OUTCOME_STATISTICS:
         try:
             res = trend_regression(table, m)
         except DomainError as exc:
@@ -322,31 +306,12 @@ def pooled_rows(per_seed: Sequence[RegressionRow]) -> list[RegressionRow]:
 
 def write_regressions_csv(path: str | Path, rows: Sequence[RegressionRow]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REGRESSION_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.spec_id,
-                    r.seed,
-                    r.coefficient,
-                    _fmt(r.estimate),
-                    _fmt(r.std_error),
-                    _fmt(r.t_stat),
-                    _fmt(r.p_value),
-                    r.n_obs,
-                    _fmt(r.n_clusters),
-                ]
-            )
+        write_rows(fh, REGRESSION_COLUMNS, map(astuple, rows))
 
 
 def _panel_files(scenario: Scenario) -> dict[int | None, str]:
     """The panel CSV of each `build_panel` key: all schools, then each school id."""
     return {None: "panel_all.csv", **{s: f"panel_school_{s}.csv" for s in sorted(x.id for x in scenario.schools)}}
-
-
-# the columns a school panel has of its own; the rest it shares with panel_all
-_SCHOOL_COLUMNS = ("entrants", "located_in", "within_100km")
 
 
 def _panels_from_disk(
@@ -357,7 +322,7 @@ def _panels_from_disk(
     Every file must hold exactly `seeds`, each with the full year x
     prefecture grid. A school panel must repeat the shared columns of
     panel_all.csv bit for bit; it then reuses panel_all's read-only arrays and
-    keeps copies of its own `_SCHOOL_COLUMNS`, so that no view keeps the
+    keeps copies of its own `PER_PANEL_COLUMNS`, so that no view keeps the
     columns of its file alive.
     """
     grid = panel_grid(sorted(r.year for r in scenario.schedule), len(scenario.prefectures))
@@ -374,9 +339,9 @@ def _panels_from_disk(
             if key is not None:
                 base = panels[s][None]
                 for c in base:
-                    if c not in _SCHOOL_COLUMNS and cols[c].tobytes() != base[c].tobytes():
+                    if c not in PER_PANEL_COLUMNS and cols[c].tobytes() != base[c].tobytes():
                         raise DomainError(f"{path}: column {c} of seed {s} differs from {panel_files[None]}")
-                cols = {c: cols[c].copy() if c in _SCHOOL_COLUMNS else col for c, col in base.items()}
+                cols = {c: cols[c].copy() if c in PER_PANEL_COLUMNS else col for c, col in base.items()}
             panels[s][key] = cols
     return panels
 
@@ -444,24 +409,19 @@ def run(manifest: RunManifest) -> dict[str, Path]:
     before then leaves the output directory as it found it.
     """
     stages = set(manifest.stages)
-    if "metrics" in stages and "simulate" not in stages:
-        raise ConfigError("the metrics stage needs simulate in the same run (entrant counts are not persisted)")
     resolved = resolve_config(manifest.config_path)
     panel_files = _panel_files(resolved.scenario)
     out_dir = Path(manifest.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
-
-    if "estimate" in stages and "metrics" not in stages:
-        if "simulate" in stages:
-            raise ConfigError("estimate needs the metrics stage when simulate runs in the same invocation")
+    if stages == {"estimate"}:
         needed = [out_dir / f for f in [*panel_files.values(), "year_outcomes.csv", "manifest.lock"]]
         missing = [str(f) for f in needed if not f.exists()]
         if missing:
             raise ConfigError(f"estimate without metrics requires existing inputs; missing: {', '.join(missing)}")
         check_lock(out_dir / "manifest.lock", manifest, resolved)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     seeds = list(range(manifest.seed, manifest.seed + manifest.seeds))
     # every artifact is written here first and moved into out_dir only once

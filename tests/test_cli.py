@@ -132,6 +132,14 @@ def test_estimate_without_inputs_is_config_error(config_path, tmp_path):
     assert _run_cli(config_path, tmp_path / "y", ("--stages", "estimate")) == 2
 
 
+@pytest.mark.parametrize("stages", ["simulate,estimate", "estimate"])
+def test_stage_error_leaves_out_untouched(config_path, tmp_path, capsys, stages):
+    out = tmp_path / "new"
+    assert _run_cli(config_path, out, ("--stages", stages)) == 2
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_regressions_row_count(config_path, tmp_path):
     out = tmp_path / "rows"
@@ -691,10 +699,18 @@ def test_diff_regimes_cli(config_path, tmp_path, capsys):
     assert _run_cli(config_path, out, ("--stages", "simulate")) == 0
     capsys.readouterr()  # drop the run command's output
     assert main(["diff-regimes", str(out / "year_outcomes.csv")]) == 0
-    stdout = capsys.readouterr().out
-    lines = [l for l in stdout.strip().splitlines() if l]
-    assert lines[0].startswith("metric,")
-    assert len(lines) == 4  # header + three metrics
+    lines = capsys.readouterr().out.split("\r\n")
+    assert lines.pop() == ""  # every line ends in CRLF, the last one too
+    assert lines[0] == "metric,mean_centralized,mean_decentralized,difference,trend_coefficient,trend_p_value"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == [
+        "share_first_choice_school1",
+        "mean_enrollment_distance_km",
+        "tokyo_area_entrant_share",
+    ]
+    for r in rows:
+        assert len(r) == 6
+        assert all(field == repr(float(field)) for field in r[1:]), r
 
 
 def test_diff_regimes_constant_series(tmp_path):
@@ -860,19 +876,22 @@ def test_diff_regimes_trend_error_names_the_metric(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_artifact_headers_are_stable(config_path, tmp_path):
-    from meritmatch.metrics import PANEL_COLUMNS, YEAR_OUTCOME_COLUMNS
-    from meritmatch.pipeline import REGRESSION_COLUMNS
+    from meritmatch.metrics import PANEL_COLUMNS
 
     out = tmp_path / "hdr"
     assert _run_cli(config_path, out) == 0
     def header(name):
         return (out / name).read_text().splitlines()[0]
 
-    assert header("year_outcomes.csv") == ",".join(YEAR_OUTCOME_COLUMNS)
+    # literal: the year outcome and regression headers are derived from their row dataclasses
+    assert header("year_outcomes.csv") == (
+        "seed,year,regime,share_first_choice_school1,mean_enrollment_distance_km,"
+        "tokyo_area_entrant_share,entrants_total,unassigned_total"
+    )
     assert header("panel_all.csv") == ",".join(PANEL_COLUMNS)
     for s in range(1, 9):
         assert header(f"panel_school_{s}.csv") == ",".join(PANEL_COLUMNS)
-    assert header("regressions.csv") == ",".join(REGRESSION_COLUMNS)
+    assert header("regressions.csv") == "spec_id,seed,coefficient,estimate,std_error,t_stat,p_value,n_obs,n_clusters"
 
 
 def test_manifest_validation():
@@ -886,6 +905,10 @@ def test_manifest_validation():
         RunManifest(stages=("Simulate",))  # stage names are case-sensitive
     with pytest.raises(ConfigError):
         RunManifest(jobs=0)
+    with pytest.raises(ConfigError, match="metrics stage needs simulate"):
+        RunManifest(stages=("metrics",))
+    with pytest.raises(ConfigError, match="estimate needs the metrics stage"):
+        RunManifest(stages=("simulate", "estimate"))
 
 
 def test_lockfile_contains_resolved_config(config_path, tmp_path):

@@ -106,6 +106,12 @@ def test_validate_market_flags_nan_weight_sum():
     assert "weights_not_normalized" in {v.split(":")[0] for v in validate_market(prefs, [])}
 
 
+def test_validate_market_reports_a_repeated_school_id_once():
+    sc = build_scenario(0.01)
+    repeated = [sc.schools[0], replace(sc.schools[1], id=1)]
+    assert [v.split(":")[0] for v in validate_market(sc.prefectures, repeated)] == ["school_ids"]
+
+
 def test_validate_market_collects_multiple_violations():
     prefs = default_prefectures()
     shrunk = [

@@ -35,7 +35,7 @@ def _assert_regressions_match(got_path, want_path):
     got, want = _rows(got_path), _rows(want_path)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.keys() == w.keys()
+        assert list(g) == list(w)  # the columns in order: dict key views compare as sets
         for key in g:
             if key in NUMERIC and w[key]:
                 assert math.isclose(float(g[key]), float(w[key]), rel_tol=RTOL), (w["spec_id"], w["seed"], key)
