@@ -37,11 +37,11 @@ from meritmatch.strategy import BehaviorParams, equilibrium_cutoffs, single_appl
 
 def summarize(name, assignment, applicants, scenario):
     urban_ids = [p.id for p in scenario.prefectures if p.urban]
-    rows = applicants.rows(assignment.ids)
-    scores = applicants.score[rows] if len(rows) else np.array([0.0])
-    urban_share = np.isin(applicants.birth[rows], urban_ids).mean() if len(rows) else 0.0
+    placed = assignment.ids  # an applicant's id is its cohort row
+    scores = applicants.score[placed] if len(placed) else np.array([0.0])
+    urban_share = np.isin(applicants.birth[placed], urban_ids).mean() if len(placed) else 0.0
     print(
-        f"{name:38s} admitted={len(rows):5d} unassigned={len(assignment.unassigned):5d}"
+        f"{name:38s} admitted={len(placed):5d} unassigned={len(assignment.unassigned):5d}"
         f"  min score={scores.min():6.1f}  mean score={scores.mean():6.1f}  urban share={urban_share:.3f}"
     )
 
@@ -99,7 +99,8 @@ def main() -> int:
 
     # every school, by utility, the lower school id on ties
     ranked = np.argsort(-applicants.utility, axis=1, kind="stable") + 1
-    complete = Applications(ids=applicants.ids, schools=ranked, lengths=np.full(len(applicants), ranked.shape[1]))
+    n = len(applicants)
+    complete = Applications(ids=np.arange(n), schools=ranked, lengths=np.full(n, ranked.shape[1]))
     merit = set(run_meritocratic_boston(scenario.schools, applicants, complete, lottery_rng).ids.tolist())
     dictator = set(run_serial_dictatorship_da(scenario.schools, applicants, complete, lottery_rng).ids.tolist())
     print(f"\ncomplete lists: merit-capped Boston admits {len(merit)}, serial dictatorship {len(dictator)}")

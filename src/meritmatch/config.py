@@ -34,7 +34,7 @@ from .core import (
     default_schools,
     validate_market,
 )
-from .popgen import DEFAULT_GROUPS, PopulationConfig, Scenario, regime_schedule
+from .popgen import _MAX_COHORT, DEFAULT_GROUPS, PopulationConfig, Scenario, regime_schedule
 from .strategy import BehaviorParams
 
 
@@ -192,10 +192,10 @@ def build_scenario(
     `schools`, their prestige is the population's and their capacities are
     the seats, and a different population prestige or `capacities` is a
     DomainError; otherwise the eight default schools are placed with
-    `capacities` (or the scaled default). A non-finite prestige, from either
-    source, is a DomainError, as are groups that do not split the schools
-    when the schedule has a grouped year. A market that `validate_market`
-    rejects is an InvariantError.
+    `capacities` (or the scaled default). A capacity above `_MAX_COHORT` or a
+    non-finite prestige, from either source, is a DomainError, as are groups
+    that do not split the schools when the schedule has a grouped year. A
+    market that `validate_market` rejects is an InvariantError.
     """
     # a larger scale overflows the default cohort size
     if not (_is_number(scale) and 0 < scale < 1e300):
@@ -222,6 +222,9 @@ def build_scenario(
         if capacities is not None and capacities != seats:
             raise DomainError(f"capacities {capacities} differ from the schools' {seats}")
         config = replace(config, prestige=prestige)
+    for s in schools:  # no cohort fills more seats: the bound changes no outcome and keeps seat sums in int64
+        if s.capacity > _MAX_COHORT:
+            raise DomainError(f"school {s.id} has capacity {s.capacity}, more than the largest cohort, {_MAX_COHORT}")
     schedule = tuple(regime_schedule(config.year_start, config.year_end, groups))
     if any(r.groups is not None for r in schedule):
         check_groups(groups, (s.id for s in schools))

@@ -47,56 +47,38 @@ class School:
 
 @dataclass(frozen=True)
 class Applicant:
-    id: int
+    id: int  # the applicant's row in its `Cohort`
     birth_prefecture: int
     score: float
     utility: tuple[float, ...]  # cardinal value of each school, indexed by school id - 1
     outside_option: float
 
 
-def require_increasing(ids: np.ndarray, duplicate: str) -> None:
-    """Raise DomainError unless `ids` strictly increase; a repeated id is
-    reported with the `duplicate` format string."""
-    bad = ids[1:] <= ids[:-1]
-    if bad.any():
-        k = int(bad.argmax())
-        raise DomainError(duplicate.format(ids[k]) if ids[k] == ids[k + 1] else "ids must be in increasing order")
-
-
 @dataclass(frozen=True, eq=False)
 class Cohort:
-    """One year's applicants as columns, one row per applicant in increasing
-    id order. `utility[:, k]` is the value of the school with id k + 1. Every
-    score, utility and outside option is finite."""
+    """One year's applicants as columns, one row per applicant, whose id is
+    that row from generation to panel. `utility[:, k]` is the value of the
+    school with id k + 1. Every score, utility and outside option is finite."""
 
-    ids: np.ndarray  # (n,) int
     birth: np.ndarray  # (n,) int, birth prefecture id
     score: np.ndarray  # (n,) float
     utility: np.ndarray  # (n, S) float
     outside: np.ndarray  # (n,) float, outside option
 
     def __post_init__(self) -> None:
-        require_increasing(self.ids, "duplicate applicant id {}")
         # a NaN score would sort silently in the priority order; a best response needs finite surpluses
         for what, column in (("score", self.score), ("utility", self.utility), ("outside option", self.outside)):
             bad = ~np.isfinite(column)
             if bad.any():
-                raise DomainError(f"applicant {self.ids[np.argwhere(bad)[0, 0]]} has non-finite {what}")
+                raise DomainError(f"applicant {np.argwhere(bad)[0, 0]} has non-finite {what}")
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.score)
 
     def __iter__(self) -> Iterator[Applicant]:
-        columns = (self.ids, self.birth, self.score, self.utility, self.outside)
-        for i, b, s, u, o in zip(*(c.tolist() for c in columns)):
+        columns = (self.birth, self.score, self.utility, self.outside)
+        for i, (b, s, u, o) in enumerate(zip(*(c.tolist() for c in columns))):
             yield Applicant(id=i, birth_prefecture=b, score=s, utility=tuple(u), outside_option=o)
-
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        """Row index of each id; an id outside the cohort is a DomainError."""
-        rows = np.searchsorted(self.ids, ids)
-        if len(ids) and (not len(self.ids) or (self.ids.take(rows, mode="clip") != ids).any()):
-            raise DomainError(f"unknown applicant {np.setdiff1d(ids, self.ids)[0]}")
-        return rows
 
 
 class RegimeKind(str, Enum):

@@ -4,20 +4,20 @@ decentralized single-application, and the grouped two-list variant.
 All mechanisms are pure functions from (schools, cohort, submitted
 applications, rng) to an Assignment. The schools' ids must be 1..S, in any
 order, and school s is index s - 1 of every market array. The cohort is a
-`Cohort`; submitted applications are `Applications`, one row per submitter
-holding the school ids of the list, best first (a single application is a
-list of length one). A sequence of `PreferenceList` is accepted too and
-converted by `Applications.of`. Ties in exam scores are broken by lottery:
-`_market` makes one `rng.generator()` draw per mechanism run, one uniform
-number per submitter in increasing id order, and the merit pool and every
-round use those numbers. Priority is higher score, then lower draw, then
-lower id.
+`Cohort`, and an applicant's id is its row there; submitted applications are
+`Applications`, one row per submitter in cohort row order, holding the
+school ids of the list, best first (a single application is a list of
+length one). A sequence of `PreferenceList` is accepted too and converted by
+`Applications.of`. Ties in exam scores are broken by lottery: `_market`
+makes one `rng.generator()` draw per mechanism run, one uniform number per
+submitter in row order, and the merit pool and every round use those
+numbers. Priority is higher score, then lower draw, then lower row.
 
 An Assignment is arrays from the start (`_assignment`): the decentralized rule
 is array code end to end, and the Boston and serial-dictatorship rounds walk
 Python lists that collect the admitted market rows, school indices and ranks
 in admission order. The unassigned submitters are the rows left unmarked in
-a boolean mask over the market, already in increasing id.
+a boolean mask over the market, already in row order.
 
 With a single common score priority on the school side, applicant-proposing
 deferred acceptance collapses to a serial dictatorship: process applicants in
@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Assignment, Cohort, DomainError, School, SeededRng, check_groups, require_increasing
+from .core import Assignment, Cohort, DomainError, School, SeededRng, check_groups
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,20 @@ class PreferenceList:
 @dataclass(frozen=True, eq=False)
 class Applications:
     """Submitted applications as arrays, one row per submitter in increasing
-    applicant id: row i is applicant `ids[i]`'s list, `schools[i, :lengths[i]]`,
-    most preferred first, padded with 0."""
+    id, the submitter's cohort row: row i is applicant `ids[i]`'s list,
+    `schools[i, :lengths[i]]`, most preferred first, padded with 0."""
 
     ids: np.ndarray  # (m,) int
     schools: np.ndarray  # (m, L) int school ids
     lengths: np.ndarray  # (m,) int
 
     def __post_init__(self) -> None:
-        require_increasing(self.ids, "applicant {} submitted more than one application")
+        bad = self.ids[1:] <= self.ids[:-1]
+        if bad.any():
+            k = int(bad.argmax())
+            if self.ids[k] == self.ids[k + 1]:
+                raise DomainError(f"applicant {self.ids[k]} submitted more than one application")
+            raise DomainError("ids must be in increasing order")
 
     @classmethod
     def of(cls, apps: "Applications | Sequence[PreferenceList]") -> "Applications":
@@ -90,8 +95,7 @@ class MeritPool:
 
 @dataclass(frozen=True)
 class _Market:
-    """One mechanism run's validated input and lottery, rows in increasing
-    applicant id."""
+    """One mechanism run's validated input and lottery, rows in cohort order."""
 
     ids: np.ndarray  # (m,) submitters
     scores: np.ndarray  # (m,)
@@ -103,7 +107,7 @@ class _Market:
 
 def _priority(scores: np.ndarray, ties: np.ndarray) -> np.ndarray:
     """Row positions in priority order: higher score, lower draw, lower row
-    (market rows are in increasing id). That is `np.lexsort((rows, ties,
+    (market rows are in cohort row order). That is `np.lexsort((rows, ties,
     -scores))`, computed as one unstable argsort of the scores, several
     times faster, with only the runs of equal scores then sorted by (draw,
     row)."""
@@ -127,13 +131,16 @@ def _market(
     rng: SeededRng,
 ) -> _Market:
     """Check a mechanism's input and draw its lottery: the school ids are
-    1..S, every submitter is in the cohort, and every list names known
-    schools, each at most once. School s is index s - 1 of the market."""
+    1..S, every submitter is a row of the cohort (the ids increase, so the
+    first and last bound them all), and every list names known schools, each
+    at most once. School s is index s - 1 of the market."""
     by_id = sorted(schools, key=lambda s: s.id)
     if not by_id or [s.id for s in by_id] != list(range(1, len(by_id) + 1)):
         raise DomainError(f"school ids must be 1..S, got {[s.id for s in by_id]}")
     apps = Applications.of(apps)
-    scores = cohort.score[cohort.rows(apps.ids)]
+    if len(apps) and not 0 <= apps.ids[0] <= apps.ids[-1] < len(cohort):
+        raise DomainError(f"unknown applicant {apps.ids[0] if apps.ids[0] < 0 else apps.ids[-1]}")
+    scores = cohort.score[apps.ids]
     lists, width = apps.schools, apps.schools.shape[1]
     choice = lists - 1
     listed = np.arange(width) < apps.lengths[:, None]

@@ -66,11 +66,6 @@ class YearRecord:
     cohort: np.ndarray  # (P,) int: applicants by birth prefecture id (graduate proxy)
 
 
-def _entrant_births(assignment: Assignment, cohort: Cohort) -> np.ndarray:
-    """Birth prefecture of each placed applicant, in admission order."""
-    return cohort.birth[cohort.rows(assignment.ids)]
-
-
 def year_outcome(
     apps: Applications, assignment: Assignment, scenario: Scenario, cohort: Cohort, year: int, regime: RegimeKind
 ) -> YearOutcome:
@@ -91,7 +86,7 @@ def year_outcome(
     n_placed = len(assignment.ids)
     mean_dist = tokyo_share = None
     if n_placed:
-        births = _entrant_births(assignment, cohort)
+        births = cohort.birth[assignment.ids]
         mean_dist = float(np.cumsum(scenario.school_km[births, assignment.school_ids - 1])[-1] / n_placed)
         tokyo_share = int(np.count_nonzero(scenario.urban[births])) / n_placed
 
@@ -110,7 +105,7 @@ def year_record(assignment: Assignment, cohort: Cohort, scenario: Scenario, year
     """Count one year's entrants per (birth prefecture, school) and its
     cohort per prefecture."""
     n_prefs, n_schools = scenario.school_km.shape
-    cell = _entrant_births(assignment, cohort) * n_schools + (assignment.school_ids - 1)
+    cell = cohort.birth[assignment.ids] * n_schools + (assignment.school_ids - 1)
     entrants = np.bincount(cell, minlength=n_prefs * n_schools).reshape(n_prefs, n_schools)
     counts = np.bincount(cohort.birth, minlength=n_prefs)
     return YearRecord(year=year, regime=regime, entrants=entrants, cohort=counts)

@@ -406,7 +406,8 @@ def run(manifest: RunManifest) -> dict[str, Path]:
     Every artifact is written into a private staging directory inside the
     output directory and renamed into place, one file at a time, only after
     every stage has succeeded. A run that fails or is interrupted (Ctrl-C)
-    before then leaves the output directory as it found it.
+    before then leaves the output directory as it found it, and removes it if
+    the run created it.
     """
     stages = set(manifest.stages)
     resolved = resolve_config(manifest.config_path)
@@ -418,6 +419,7 @@ def run(manifest: RunManifest) -> dict[str, Path]:
         if missing:
             raise ConfigError(f"estimate without metrics requires existing inputs; missing: {', '.join(missing)}")
         check_lock(out_dir / "manifest.lock", manifest, resolved)
+    created = not out_dir.exists()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -427,6 +429,7 @@ def run(manifest: RunManifest) -> dict[str, Path]:
     # every artifact is written here first and moved into out_dir only once
     # every stage has succeeded; a rename, as it stays on out_dir's filesystem
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    names = None
     try:
         if "simulate" in stages:  # returns before the estimate stage, so its results are released
             _simulate_and_write(manifest, resolved, seeds, panel_files, staging)
@@ -447,4 +450,6 @@ def run(manifest: RunManifest) -> dict[str, Path]:
             os.replace(staging / name, out_dir / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+        if created and names is None:
+            out_dir.rmdir()  # empty: nothing is moved in before `names` is set
     return {name: out_dir / name for name in names}

@@ -2,14 +2,14 @@
 
 Cohorts are drawn fresh each year from a year-invariant configuration, so
 regime switches are the only time-varying treatment. A year's draw is
-returned as one `Cohort` of arrays, with applicant ids 0..n-1. The urban
-advantage enters only through the education-infrastructure channel: a
-prefecture's edu_index shifts its mean exam score. Preferences are prestige
-minus a linear distance cost plus idiosyncratic noise. `config.build_scenario`
-builds and checks a `Scenario`, which derives once the id-ordered arrays that
-the yearly layers read (prefecture p is row p, school s is column s - 1); a
-draw that overflows a utility or outside option to infinity is a DomainError
-from `Cohort`.
+returned as one `Cohort` of arrays; an applicant is a row of it, and the
+applicant's id is that row, 0..n-1. The urban advantage enters only through
+the education-infrastructure channel: a prefecture's edu_index shifts its
+mean exam score. Preferences are prestige minus a linear distance cost plus
+idiosyncratic noise. `config.build_scenario` builds and checks a `Scenario`,
+which derives once the id-ordered arrays that the yearly layers read
+(prefecture p is row p, school s is column s - 1); a draw that overflows a
+utility or outside option to infinity is a DomainError from `Cohort`.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def generate_applicants(scenario: Scenario, year: int, rng: SeededRng) -> Cohort
     utilities = scenario.prestige[None, :] - config.distance_cost * scenario.school_km[birth] + noise
     outside = gen.normal(config.outside_option_mean, config.outside_option_sd, size=n)
 
-    return Cohort(ids=np.arange(n), birth=birth, score=scores, utility=utilities, outside=outside)
+    return Cohort(birth=birth, score=scores, utility=utilities, outside=outside)
 
 
 def regime_schedule(

@@ -94,7 +94,7 @@ def _truthful_lists(cohort: Cohort) -> Applications:
     ranked = np.argsort(-cohort.utility, axis=1, kind="stable") + 1
     lengths = np.count_nonzero(cohort.utility > cohort.outside[:, None], axis=1)
     listed = np.arange(ranked.shape[1]) < lengths[:, None]
-    return Applications(ids=cohort.ids, schools=np.where(listed, ranked, 0), lengths=lengths)
+    return Applications(ids=np.arange(len(cohort)), schools=np.where(listed, ranked, 0), lengths=lengths)
 
 
 def _grouped_lists(cohort: Cohort, groups: tuple[frozenset[int], frozenset[int]]) -> Applications:
@@ -116,7 +116,7 @@ def _grouped_lists(cohort: Cohort, groups: tuple[frozenset[int], frozenset[int]]
     ranked = np.take_along_axis(sids, np.lexsort((sids, -u)), axis=1)
     lengths = np.count_nonzero(np.isfinite(u), axis=1)
     listed = np.arange(len(groups)) < lengths[:, None]
-    return Applications(ids=cohort.ids, schools=np.where(listed, ranked, 0), lengths=lengths)
+    return Applications(ids=np.arange(len(cohort)), schools=np.where(listed, ranked, 0), lengths=lengths)
 
 
 # -- the normal CDF --------------------------------------------------------------
@@ -466,7 +466,7 @@ def equilibrium_cutoffs(
     # the cutoffs mostly close in on a cycle.
     certify = params.score_noise_sd > 0
     umax = None  # with `acceptable`, set at the first certificate: most converging years need none
-    centers, radii = np.empty((params.max_iter, len(caps))), np.empty(params.max_iter)
+    centers, radii = np.empty((0, len(caps))), np.empty(0)  # grown as certificates are made
     responses: list[tuple[int, np.ndarray, np.ndarray]] = []
     realized_seen: set[bytes] = set()
     for iterations in range(1, params.max_iter + 1):
@@ -497,6 +497,9 @@ def equilibrium_cutoffs(
                 rows = acceptable[: np.searchsorted(acceptable, n if short(realized) else decided)]
                 radius = _choice_radius(ev, surplus, rows, umax[: len(rows)], params.score_noise_sd)
                 if radius > 0:
+                    if k == len(radii):  # doubled, but never past the iterations run: max_iter may be huge
+                        size = min(2 * k + 1, iterations)
+                        centers, radii = np.resize(centers, (size, len(caps))), np.resize(radii, size)
                     centers[k], radii[k] = cutoffs, radius
                     responses.append((decided, undersubscribed, pull))
             realized_seen.add(key)
@@ -540,7 +543,7 @@ def single_applications(
     choice = _best_response(cohort.score, surplus, params.score_noise_sd)(cutoffs)
     applied = choice >= 0
     return Applications(
-        ids=cohort.ids[applied],
+        ids=np.flatnonzero(applied),
         schools=choice[applied, None] + 1,
         lengths=np.ones(np.count_nonzero(applied), dtype=np.int64),
     )

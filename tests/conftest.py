@@ -1,10 +1,12 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from meritmatch.config import GEOGRAPHY_COLUMNS, SCHOOL_COLUMNS
 from meritmatch.core import Applicant, Assignment, Cohort, School
+from meritmatch.mechanisms import PreferenceList
 from meritmatch.strategy import _grouped_lists, _truthful_lists
 
 
@@ -27,10 +29,13 @@ def mk_schools(*capacities: int) -> list[School]:
 
 
 def cohort_of(applicants) -> Cohort:
-    """The cohort of a sequence of `Applicant`s, rows in increasing id."""
-    rows = sorted(applicants, key=lambda a: a.id)
+    """The cohort of a sequence of `Applicant`s, whose ids must be 0..n-1 in
+    order: an applicant's id is its cohort row, and no applicant is
+    relabelled here."""
+    rows = list(applicants)
+    if [a.id for a in rows] != list(range(len(rows))):
+        raise ValueError(f"applicant ids must be 0..n-1 in order, got {[a.id for a in rows]}")
     return Cohort(
-        ids=np.array([a.id for a in rows], dtype=np.int64),
         birth=np.array([a.birth_prefecture for a in rows], dtype=np.int64),
         score=np.array([a.score for a in rows], dtype=float),
         utility=np.array([a.utility for a in rows], dtype=float).reshape(len(rows), -1 if rows else 0),
@@ -52,14 +57,21 @@ def lottery_of(prefs, rng) -> dict[int, float]:
     return dict(zip(ids, rng.generator().random(len(ids)).tolist()))
 
 
+def _ranking_of_one(lists, applicant):
+    """The list `lists` gives `applicant` as the one row of a cohort, under
+    the applicant's own id."""
+    (row,) = lists(cohort_of([replace(applicant, id=0)]))
+    return PreferenceList(applicant.id, row.ranked)
+
+
 def truthful_ranking(applicant):
     """One applicant's truthful list, possibly empty, through the cohort code."""
-    return next(iter(_truthful_lists(cohort_of([applicant]))))
+    return _ranking_of_one(_truthful_lists, applicant)
 
 
 def grouped_ranking(applicant, groups):
     """One applicant's one-school-per-group list, through the cohort code."""
-    return next(iter(_grouped_lists(cohort_of([applicant]), groups)))
+    return _ranking_of_one(lambda cohort: _grouped_lists(cohort, groups), applicant)
 
 
 def save_geography(prefectures, path):
@@ -80,18 +92,17 @@ def save_schools(schools, path):
 
 @pytest.fixture
 def xyz_instance():
-    """Three schools with one seat each; z's list is truncated to [2, 3]."""
-    from meritmatch.mechanisms import PreferenceList
-
+    """Three schools with one seat each: x, y and z are applicants 0, 1 and
+    2, and z's list is truncated to [2, 3]."""
     schools = mk_schools(1, 1, 1)
     applicants = cohort_of([
-        mk_applicant(1, 100.0),
-        mk_applicant(2, 90.0),
-        mk_applicant(3, 80.0),
+        mk_applicant(0, 100.0),
+        mk_applicant(1, 90.0),
+        mk_applicant(2, 80.0),
     ])
     prefs = [
+        PreferenceList(applicant_id=0, ranked=(1, 2, 3)),
         PreferenceList(applicant_id=1, ranked=(1, 2, 3)),
-        PreferenceList(applicant_id=2, ranked=(1, 2, 3)),
-        PreferenceList(applicant_id=3, ranked=(2, 3)),
+        PreferenceList(applicant_id=2, ranked=(2, 3)),
     ]
     return schools, applicants, prefs

@@ -263,8 +263,10 @@ def lexsort_equilibrium_cutoffs(schools, applicants, params, ties, initial=None)
 
 
 def _placed_births(placed, cohort):
-    ids = np.fromiter(placed, dtype=np.int64, count=len(placed))
-    return cohort.birth[cohort.rows(ids)].tolist()
+    """The birth prefecture of each placed applicant, looked up one id (its
+    cohort row) at a time."""
+    births = cohort.birth.tolist()
+    return [births[i] for i in placed]
 
 
 def walked_year_outcome(apps, assignment, prefectures, schools, cohort, year, regime):

@@ -105,7 +105,7 @@ def test_criterion_1_admitted_set_equivalence_exhaustive():
             schools = schools_cache.setdefault(caps, mk_schools(*caps))
         n, n_schools = len(scores), len(caps)
         ids = np.arange(n)
-        cohort = Cohort(ids, np.zeros(n, np.int64), np.array(scores), np.zeros((n, n_schools)), np.zeros(n))
+        cohort = Cohort(np.zeros(n, np.int64), np.array(scores), np.zeros((n, n_schools)), np.zeros(n))
         prefs = Applications(ids, np.array(orders, dtype=np.int64), np.full(n, n_schools))
         rng = SeededRng(20240501, checked)
         b = run_meritocratic_boston(schools, cohort, prefs, rng)
@@ -182,13 +182,13 @@ def test_criterion_3_divergence_witness(xyz_instance):
     boston_map = {a: p.school_id for a, p in boston.placed.items()}
     da_map = {a: p.school_id for a, p in da.placed.items()}
     ok = (
-        boston_map == {1: 1, 3: 2, 2: 3}
-        and da_map == {1: 1, 2: 2, 3: 3}
-        and set(boston.placed) == set(da.placed) == {1, 2, 3}
+        boston_map == {0: 1, 2: 2, 1: 3}
+        and da_map == {0: 1, 1: 2, 2: 3}
+        and set(boston.placed) == set(da.placed) == {0, 1, 2}
     )
     _report("3 divergence-witness", ok, f"boston={boston_map}, da={da_map}")
-    assert boston_map == {1: 1, 3: 2, 2: 3}
-    assert da_map == {1: 1, 2: 2, 3: 3}
+    assert boston_map == {0: 1, 2: 2, 1: 3}
+    assert da_map == {0: 1, 1: 2, 2: 3}
     assert set(boston.placed) == set(da.placed)
 
 

@@ -27,14 +27,14 @@ from oracles import per_school_top, scalar_boston_rounds, scalar_grouped_ranking
 @st.composite
 def tied_markets(draw, max_schools=4, max_applicants=8):
     """Scores in {1, 2, 3}, so whole score classes tie and the lottery decides;
-    ids are sparse, lists arrive in any order and may be empty, and some
-    applicants submit nothing."""
+    the submitters are a sparse subset of the cohort's rows, lists arrive in
+    any order and may be empty."""
     n_schools = draw(st.integers(1, max_schools))
     caps = draw(st.lists(st.integers(1, 3), min_size=n_schools, max_size=n_schools))
-    ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=max_applicants, unique=True))
-    applicants = cohort_of([mk_applicant(i, float(draw(st.integers(1, 3))), n_schools) for i in ids])
+    n = draw(st.integers(1, max_applicants))
+    applicants = cohort_of([mk_applicant(i, float(draw(st.integers(1, 3))), n_schools) for i in range(n)])
     prefs = []
-    for i in draw(st.permutations(ids)):
+    for i in draw(st.permutations(range(n))):
         if draw(st.booleans()) or not prefs:
             order = draw(st.permutations(range(1, n_schools + 1)))
             prefs.append(PreferenceList(i, tuple(order[: draw(st.integers(0, n_schools))])))
@@ -109,22 +109,24 @@ def test_rankings_match_scalar_code(cohort):
 
 
 def test_cohort_and_applications_round_trip():
-    applicants = [mk_applicant(7, 2.0, 3, birth=4), mk_applicant(3, 1.0, 3, birth=5)]
-    prefs = [PreferenceList(7, (2, 1)), PreferenceList(3, ())]
-    assert list(cohort_of(applicants)) == sorted(applicants, key=lambda a: a.id)
+    applicants = [mk_applicant(0, 2.0, 3, birth=4), mk_applicant(1, 1.0, 3, birth=5)]
+    prefs = [PreferenceList(1, (2, 1)), PreferenceList(0, ())]
+    assert list(cohort_of(applicants)) == applicants
     assert list(Applications.of(prefs)) == sorted(prefs, key=lambda p: p.applicant_id)
 
 
 # -- input checks ---------------------------------------------------------------
 
+# a submitter's id is its cohort row: "unknown applicant" submits row len(cohort)
 LIST_CASES = {
-    "duplicate applicant id": ([mk_applicant(1, 5.0), mk_applicant(1, 4.0)], [(1, (1,))]),
-    "unknown applicant": ([mk_applicant(1, 5.0)], [(2, (1,))]),
-    "school listed twice": ([mk_applicant(1, 5.0)], [(1, (1, 1))]),
-    "unknown school": ([mk_applicant(1, 5.0)], [(1, (4,))]),
-    "school 0": ([mk_applicant(1, 5.0)], [(1, (0,))]),
-    "negative school": ([mk_applicant(1, 5.0)], [(1, (-1,))]),
-    "two lists": ([mk_applicant(1, 5.0), mk_applicant(2, 4.0)], [(1, (1,)), (2, (2,)), (1, (2,))]),
+    "unknown applicant": ([mk_applicant(0, 5.0)], [(1, (1,))]),
+    "negative row": ([mk_applicant(0, 5.0)], [(-1, (1,))]),
+    "empty cohort": ([], [(0, (1,))]),
+    "school listed twice": ([mk_applicant(0, 5.0)], [(0, (1, 1))]),
+    "unknown school": ([mk_applicant(0, 5.0)], [(0, (4,))]),
+    "school 0": ([mk_applicant(0, 5.0)], [(0, (0,))]),
+    "negative school": ([mk_applicant(0, 5.0)], [(0, (-1,))]),
+    "two lists": ([mk_applicant(0, 5.0), mk_applicant(1, 4.0)], [(0, (1,)), (1, (2,)), (0, (2,))]),
 }
 
 
@@ -148,7 +150,7 @@ def test_school_ids_must_be_one_to_s(runner):
     # a school's market index is its id - 1
     schools = [School(2, 0, 1, 9.0), School(3, 0, 1, 8.0)]
     with pytest.raises(DomainError, match=r"school ids must be 1\.\.S, got \[2, 3\]"):
-        runner(schools, cohort_of([mk_applicant(1, 5.0)]), [PreferenceList(1, (2,))], SeededRng(0))
+        runner(schools, cohort_of([mk_applicant(0, 5.0)]), [PreferenceList(0, (2,))], SeededRng(0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -167,15 +169,15 @@ def test_school_order_does_not_matter(market):
 
 
 def test_checks_hold_for_array_input():
-    cohort = cohort_of([mk_applicant(1, 5.0), mk_applicant(2, 4.0)])
-    one, rng = np.array([1, 2]), SeededRng(0)
+    cohort = cohort_of([mk_applicant(0, 5.0), mk_applicant(1, 4.0)])
+    rows, lengths, rng = np.array([0, 1]), np.array([1, 2]), SeededRng(0)
     with pytest.raises(DomainError):  # unknown school
-        run_meritocratic_boston(mk_schools(1, 1), cohort, Applications(one, np.array([[1], [9]]), np.ones(2, int)), rng)
+        run_meritocratic_boston(mk_schools(1, 1), cohort, Applications(rows, np.array([[1], [9]]), np.ones(2, int)), rng)
     with pytest.raises(DomainError):  # school listed twice
-        run_meritocratic_boston(mk_schools(1, 1), cohort, Applications(one, np.array([[1, 2], [2, 2]]), one), rng)
+        run_meritocratic_boston(mk_schools(1, 1), cohort, Applications(rows, np.array([[1, 2], [2, 2]]), lengths), rng)
     with pytest.raises(DomainError):  # two lists
-        Applications(np.array([1, 1]), np.array([[1], [2]]), np.ones(2, int))
+        Applications(np.array([0, 0]), np.array([[1], [2]]), np.ones(2, int))
     with pytest.raises(DomainError):  # a list of two schools is not a single application
-        run_decentralized(mk_schools(1, 1), cohort, Applications(one, np.array([[1, 0], [1, 2]]), one), rng)
+        run_decentralized(mk_schools(1, 1), cohort, Applications(rows, np.array([[1, 0], [1, 2]]), lengths), rng)
     with pytest.raises(DomainError):
         run_decentralized([], cohort, [], rng)

@@ -302,6 +302,36 @@ def test_cohort_above_bound_is_config_error(tmp_path, capsys, locked, field, con
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "capacities",
+    [[10**20] + [13] * 7, [5 * 10**18] * 2 + [13] * 6],
+    ids=["1e20", "sum-past-int64"],
+)
+def test_capacity_above_largest_cohort_is_config_error(tmp_path, capsys, capacities):
+    # no cohort fills more seats than 10**7, the most applicants it may have
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "capacities": [10**7] * 8}))
+    assert [s.capacity for s in resolve_config(cfg).scenario.schools] == [10**7] * 8
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "capacities": capacities}))
+    message = f"bad config: school 1 has capacity {capacities[0]}, more than the largest cohort, 10000000"
+    _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, message)
+
+
+# numpy warns as the utilities overflow; `Cohort` then rejects them
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_simulate_error_removes_only_the_out_it_created(tmp_path, capsys):
+    # the utilities overflow while the first cohort is drawn, after --out exists
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "population": {**SMALL_CONFIG["population"], "distance_cost": 1e308}}))
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    existing.mkdir()
+    for out in (fresh, existing):
+        assert _run_cli(cfg, out) == 2
+        assert capsys.readouterr().err == "error: config: applicant 0 has non-finite utility\n"
+    assert not fresh.exists()
+    assert list(existing.iterdir()) == []
+
+
 def test_numeric_fields_checked_in_lockfile_and_kept_as_written(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"scale": 0.05, "population": {"score_sd": 10}, "behavior": {"tol": 1}}))
@@ -954,7 +984,7 @@ def test_partial_outputs_removed_on_failure(config_path, tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
-    # a failed run into a fresh directory leaves it empty
+    # a failed run into a fresh directory leaves none
     out = tmp_path / "broken"
     with monkeypatch.context() as patch:
         patch.setattr(pl, "build_panel", boom)
@@ -966,8 +996,7 @@ def test_partial_outputs_removed_on_failure(config_path, tmp_path, monkeypatch):
                     stages=("simulate", "metrics"),
                 )
             )
-    leftovers = sorted(p.name for p in out.iterdir()) if out.exists() else []
-    assert leftovers == []
+    assert not out.exists()  # removed: the run created it
 
     # a failed rerun leaves every earlier byte and the user's own files as they
     # were, and no staging directory

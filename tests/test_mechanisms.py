@@ -38,34 +38,34 @@ def _pool(capacity, applicants, rng=RNG):
 
 
 def test_merit_pool_no_ties():
-    selected, pool = _pool(2, [mk_applicant(1, 90), mk_applicant(2, 80), mk_applicant(3, 70)])
-    assert selected == {1, 2}
+    selected, pool = _pool(2, [mk_applicant(0, 90), mk_applicant(1, 80), mk_applicant(2, 70)])
+    assert selected == {0, 1}
     assert pool.cutoff_score == 80
     assert not pool.lottery_used
 
 
 def test_merit_pool_lottery_on_tie():
-    apps = [mk_applicant(1, 90), mk_applicant(2, 80), mk_applicant(3, 80)]
+    apps = [mk_applicant(0, 90), mk_applicant(1, 80), mk_applicant(2, 80)]
     picks = set()
     for seed in range(20):
         selected, pool = _pool(2, apps, SeededRng(seed))
-        assert 1 in selected
+        assert 0 in selected
         assert pool.lottery_used
         assert pool.cutoff_score == 80
-        picks |= selected - {1}
-    assert picks == {2, 3}  # both tied applicants win sometimes
+        picks |= selected - {0}
+    assert picks == {1, 2}  # both tied applicants win sometimes
 
 
 def test_merit_pool_boundary_all_selected():
-    selected, pool = _pool(5, [mk_applicant(1, 90), mk_applicant(2, 80)])
-    assert selected == {1, 2}
+    selected, pool = _pool(5, [mk_applicant(0, 90), mk_applicant(1, 80)])
+    assert selected == {0, 1}
     assert pool.cutoff_score == -math.inf
     assert not pool.lottery_used
 
 
 def test_merit_pool_requires_positive_capacity():
     with pytest.raises(DomainError):
-        _pool(0, [mk_applicant(1, 1)])
+        _pool(0, [mk_applicant(0, 1)])
 
 
 def test_merit_pool_ranks_submitters_only():
@@ -73,21 +73,21 @@ def test_merit_pool_ranks_submitters_only():
     # is the top two submitters, cut at the second submitter's score
     schools = mk_schools(1, 1)
     cohort = cohort_of([
-        Applicant(1, 0, 100.0, (1.0, 1.0), 2.0),
-        Applicant(2, 0, 90.0, (2.0, 1.0), 0.0),
-        Applicant(3, 0, 80.0, (1.0, 2.0), 0.0),
-        Applicant(4, 0, 70.0, (2.0, 1.0), 0.0),
+        Applicant(0, 0, 100.0, (1.0, 1.0), 2.0),
+        Applicant(1, 0, 90.0, (2.0, 1.0), 0.0),
+        Applicant(2, 0, 80.0, (1.0, 2.0), 0.0),
+        Applicant(3, 0, 70.0, (2.0, 1.0), 0.0),
     ])
     apps = submit_applications(cohort, Regime(RegimeKind.CENTRALIZED, 1902))
-    assert apps.ids.tolist() == [2, 3, 4]
+    assert apps.ids.tolist() == [1, 2, 3]
     market = _market(schools, cohort, apps, RNG)
     pool = select_merit_pool(market)
-    assert market.ids[pool.rows].tolist() == [2, 3]
+    assert market.ids[pool.rows].tolist() == [1, 2]
     assert pool.cutoff_score == 80.0
     assert not pool.lottery_used
     a = run_meritocratic_boston(schools, cohort, apps, RNG)
-    assert {i: p.school_id for i, p in a.placed.items()} == {2: 1, 3: 2}
-    assert a.unassigned.tolist() == [4]
+    assert {i: p.school_id for i, p in a.placed.items()} == {1: 1, 2: 2}
+    assert a.unassigned.tolist() == [3]
 
 
 def test_each_run_draws_the_lottery_once(xyz_instance, monkeypatch):
@@ -104,8 +104,8 @@ def test_each_run_draws_the_lottery_once(xyz_instance, monkeypatch):
     run_meritocratic_boston(schools, applicants, prefs, RNG)
     run_immediate_acceptance(schools, applicants, prefs, RNG)
     run_serial_dictatorship_da(schools, applicants, prefs, RNG)
-    run_grouped_centralized(schools, applicants, [PreferenceList(1, (1, 3))], groups, RNG)
-    run_decentralized(schools, applicants, [PreferenceList(1, (1,))], RNG)
+    run_grouped_centralized(schools, applicants, [PreferenceList(0, (1, 3))], groups, RNG)
+    run_decentralized(schools, applicants, [PreferenceList(0, (1,))], RNG)
     assert draws == [RNG] * 5
 
 
@@ -115,19 +115,19 @@ def test_each_run_draws_the_lottery_once(xyz_instance, monkeypatch):
 def test_merit_boston_xyz_trace(xyz_instance):
     schools, applicants, prefs = xyz_instance
     a = run_meritocratic_boston(schools, applicants, prefs, RNG)
-    assert a.placed[1].school_id == 1 and a.placed[1].preference_rank_obtained == 1
-    assert a.placed[3].school_id == 2 and a.placed[3].preference_rank_obtained == 1
-    assert a.placed[2].school_id == 3 and a.placed[2].preference_rank_obtained == 3
+    assert a.placed[0].school_id == 1 and a.placed[0].preference_rank_obtained == 1
+    assert a.placed[2].school_id == 2 and a.placed[2].preference_rank_obtained == 1
+    assert a.placed[1].school_id == 3 and a.placed[1].preference_rank_obtained == 3
     assert a.unassigned.tolist() == []
 
 
 def test_merit_boston_single_school():
     schools = mk_schools(1)
-    applicants = cohort_of([mk_applicant(1, 90, 1), mk_applicant(2, 80, 1)])
-    prefs = [PreferenceList(1, (1,)), PreferenceList(2, (1,))]
+    applicants = cohort_of([mk_applicant(0, 90, 1), mk_applicant(1, 80, 1)])
+    prefs = [PreferenceList(0, (1,)), PreferenceList(1, (1,))]
     a = run_meritocratic_boston(schools, applicants, prefs, RNG)
-    assert a.placed[1].school_id == 1
-    assert a.unassigned.tolist() == [2]
+    assert a.placed[0].school_id == 1
+    assert a.unassigned.tolist() == [1]
 
 
 def test_merit_boston_full_lists_nobody_unassigned():
@@ -140,7 +140,7 @@ def test_merit_boston_full_lists_nobody_unassigned():
 
 
 def test_merit_boston_empty_prefs():
-    a = run_meritocratic_boston(mk_schools(1), cohort_of([mk_applicant(1, 1, 1)]), [], RNG)
+    a = run_meritocratic_boston(mk_schools(1), cohort_of([mk_applicant(0, 1, 1)]), [], RNG)
     assert a.placed == {} and a.unassigned.tolist() == []
 
 
@@ -175,10 +175,10 @@ def test_merit_boston_matches_printed_steps_on_random_instances():
 def test_serial_dictatorship_xyz(xyz_instance):
     schools, applicants, prefs = xyz_instance
     a = run_serial_dictatorship_da(schools, applicants, prefs, RNG)
-    assert a.placed[1].school_id == 1
-    assert a.placed[2].school_id == 2
-    assert a.placed[3].school_id == 3
-    assert a.placed[3].preference_rank_obtained == 2  # z listed (2, 3)
+    assert a.placed[0].school_id == 1
+    assert a.placed[1].school_id == 2
+    assert a.placed[2].school_id == 3
+    assert a.placed[2].preference_rank_obtained == 2  # z listed (2, 3)
 
 
 def test_serial_dictatorship_empty():
@@ -188,9 +188,9 @@ def test_serial_dictatorship_empty():
 
 def test_serial_dictatorship_single_applicant_gets_first_choice():
     schools = mk_schools(1, 1)
-    a = run_serial_dictatorship_da(schools, cohort_of([mk_applicant(7, 10, 2)]), [PreferenceList(7, (2, 1))], RNG)
-    assert a.placed[7].school_id == 2
-    assert a.placed[7].preference_rank_obtained == 1
+    a = run_serial_dictatorship_da(schools, cohort_of([mk_applicant(0, 10, 2)]), [PreferenceList(0, (2, 1))], RNG)
+    assert a.placed[0].school_id == 2
+    assert a.placed[0].preference_rank_obtained == 1
 
 
 def test_xyz_divergent_placements_same_set(xyz_instance):
@@ -217,23 +217,23 @@ def test_pure_boston_admits_outside_merit_pool():
     # two seats, three applicants; the low scorer uniquely lists school 2,
     # which nobody else wants
     schools = mk_schools(1, 1)
-    applicants = cohort_of([mk_applicant(1, 90, 2), mk_applicant(2, 80, 2), mk_applicant(3, 10, 2)])
+    applicants = cohort_of([mk_applicant(0, 90, 2), mk_applicant(1, 80, 2), mk_applicant(2, 10, 2)])
     prefs = [
+        PreferenceList(0, (1,)),
         PreferenceList(1, (1,)),
-        PreferenceList(2, (1,)),
-        PreferenceList(3, (2,)),
+        PreferenceList(2, (2,)),
     ]
     pure = run_immediate_acceptance(schools, applicants, prefs, RNG)
     merit = run_meritocratic_boston(schools, applicants, prefs, RNG)
-    assert 3 in pure.placed  # school 2 takes the only applicant who asked
-    assert 3 not in merit.placed  # outside the top-2 pool
-    assert set(merit.placed) == {1}  # applicant 2's list is exhausted
+    assert 2 in pure.placed  # school 2 takes the only applicant who asked
+    assert 2 not in merit.placed  # outside the top-2 pool
+    assert set(merit.placed) == {0}  # applicant 1's list is exhausted
 
 
 def test_pure_boston_single_applicant():
     schools = mk_schools(1, 1)
-    a = run_immediate_acceptance(schools, cohort_of([mk_applicant(1, 5, 2)]), [PreferenceList(1, (2, 1))], RNG)
-    assert a.placed[1].school_id == 2
+    a = run_immediate_acceptance(schools, cohort_of([mk_applicant(0, 5, 2)]), [PreferenceList(0, (2, 1))], RNG)
+    assert a.placed[0].school_id == 2
 
 
 # -- decentralized ---------------------------------------------------------------
@@ -241,33 +241,33 @@ def test_pure_boston_single_applicant():
 
 def test_decentralized_rejects_lowest():
     schools = mk_schools(2)
-    applicants = cohort_of([mk_applicant(1, 90, 1), mk_applicant(2, 80, 1), mk_applicant(3, 70, 1)])
-    apps = [PreferenceList(i, (1,)) for i in (1, 2, 3)]
+    applicants = cohort_of([mk_applicant(0, 90, 1), mk_applicant(1, 80, 1), mk_applicant(2, 70, 1)])
+    apps = [PreferenceList(i, (1,)) for i in range(3)]
     a = run_decentralized(schools, applicants, apps, RNG)
-    assert set(a.placed) == {1, 2}
-    assert a.unassigned.tolist() == [3]
+    assert set(a.placed) == {0, 1}
+    assert a.unassigned.tolist() == [2]
 
 
 def test_decentralized_undersubscribed_admits_anyone():
     schools = mk_schools(2, 2)
-    a = run_decentralized(schools, cohort_of([mk_applicant(1, 1.0, 2)]), [PreferenceList(1, (2,))], RNG)
-    assert a.placed[1].school_id == 2
+    a = run_decentralized(schools, cohort_of([mk_applicant(0, 1.0, 2)]), [PreferenceList(0, (2,))], RNG)
+    assert a.placed[0].school_id == 2
 
 
 def test_decentralized_misses_talent_when_split_badly(xyz_instance):
     # x and y both pick school 1 (one seat): y loses despite outscoring z
     schools, applicants, _ = xyz_instance
-    apps = [PreferenceList(1, (1,)), PreferenceList(2, (1,)), PreferenceList(3, (2,))]
+    apps = [PreferenceList(0, (1,)), PreferenceList(1, (1,)), PreferenceList(2, (2,))]
     a = run_decentralized(schools, applicants, apps, RNG)
-    assert set(a.placed) == {1, 3}
-    assert 2 in a.unassigned
+    assert set(a.placed) == {0, 2}
+    assert 1 in a.unassigned
 
 
 def test_decentralized_duplicate_application_rejected():
     schools = mk_schools(1)
-    applicants = cohort_of([mk_applicant(1, 1, 1)])
+    applicants = cohort_of([mk_applicant(0, 1, 1)])
     with pytest.raises(DomainError):
-        run_decentralized(schools, applicants, [PreferenceList(1, (1,)), PreferenceList(1, (1,))], RNG)
+        run_decentralized(schools, applicants, [PreferenceList(0, (1,)), PreferenceList(0, (1,))], RNG)
 
 
 def test_decentralized_matches_per_school_sort():
@@ -294,8 +294,8 @@ def test_decentralized_matches_per_school_sort():
 def test_grouped_single_entries_reduce_to_merit_boston():
     schools = mk_schools(1, 1, 1, 1)
     groups = (frozenset({1, 3}), frozenset({2, 4}))
-    applicants = cohort_of([mk_applicant(i, 10.0 * i, 4) for i in range(1, 6)])
-    prefs = [PreferenceList(i, (1 + (i % 4),)) for i in range(1, 6)]
+    applicants = cohort_of([mk_applicant(i, 10.0 * (i + 1), 4) for i in range(5)])
+    prefs = [PreferenceList(i, (1 + ((i + 1) % 4),)) for i in range(5)]
     grouped = run_grouped_centralized(schools, applicants, prefs, groups, RNG)
     plain = run_meritocratic_boston(schools, applicants, prefs, RNG)
     assert grouped.placed == plain.placed
@@ -328,21 +328,21 @@ def test_grouped_xyz_trace(xyz_instance):
     schools, applicants, _ = xyz_instance
     groups = (frozenset({1, 2}), frozenset({3}))
     prefs = [
+        PreferenceList(0, (1, 3)),
         PreferenceList(1, (1, 3)),
-        PreferenceList(2, (1, 3)),
-        PreferenceList(3, (2, 3)),
+        PreferenceList(2, (2, 3)),
     ]
     a = run_grouped_centralized(schools, applicants, prefs, groups, RNG)
-    assert a.placed[1].school_id == 1
-    assert a.placed[3].school_id == 2
-    assert a.placed[2].school_id == 3
+    assert a.placed[0].school_id == 1
+    assert a.placed[2].school_id == 2
+    assert a.placed[1].school_id == 3
 
 
 def test_grouped_rejects_two_schools_from_one_group(xyz_instance):
     schools, applicants, _ = xyz_instance
     groups = (frozenset({1, 2}), frozenset({3}))
     with pytest.raises(DomainError):
-        run_grouped_centralized(schools, applicants, [PreferenceList(1, (1, 2))], groups, RNG)
+        run_grouped_centralized(schools, applicants, [PreferenceList(0, (1, 2))], groups, RNG)
 
 
 def test_grouped_requires_partition(xyz_instance):
@@ -368,7 +368,7 @@ def test_admitted_set_empty():
 
 def test_admitted_set_xyz(xyz_instance):
     schools, applicants, prefs = xyz_instance
-    assert set(run_meritocratic_boston(schools, applicants, prefs, RNG).placed) == {1, 2, 3}
+    assert set(run_meritocratic_boston(schools, applicants, prefs, RNG).placed) == {0, 1, 2}
 
 
 # -- shared lottery ----------------------------------------------------------------
@@ -390,16 +390,16 @@ def test_same_rng_gives_same_pool_across_mechanisms():
 def test_truncated_lists_can_split_admitted_sets():
     # A(1), B(1), C(1); x ranks (2, 1), y ranks (2, 3), z ranks (3,).
     schools = mk_schools(1, 1, 1)
-    applicants = cohort_of([mk_applicant(1, 100, 3), mk_applicant(2, 90, 3), mk_applicant(3, 80, 3)])
+    applicants = cohort_of([mk_applicant(0, 100, 3), mk_applicant(1, 90, 3), mk_applicant(2, 80, 3)])
     prefs = [
-        PreferenceList(1, (2, 1)),
-        PreferenceList(2, (2, 3)),
-        PreferenceList(3, (3,)),
+        PreferenceList(0, (2, 1)),
+        PreferenceList(1, (2, 3)),
+        PreferenceList(2, (3,)),
     ]
     boston = run_meritocratic_boston(schools, applicants, prefs, RNG)
     da = run_serial_dictatorship_da(schools, applicants, prefs, RNG)
-    assert set(boston.placed) == {1, 3}
-    assert set(da.placed) == {1, 2}
+    assert set(boston.placed) == {0, 2}
+    assert set(da.placed) == {0, 1}
     assert set(boston.placed) != set(da.placed)
 
 

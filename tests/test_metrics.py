@@ -46,9 +46,9 @@ def small_run():
 
 def test_year_outcome_everyone_unassigned():
     sc = build_scenario(0.01)
-    apps = Applications.of([PreferenceList(1, (1,)), PreferenceList(2, (2,))])
-    assignment = assignment_of(unassigned=[1, 2])
-    cohort = cohort_of([mk_applicant(1, 50.0, 8, birth=12), mk_applicant(2, 50.0, 8, birth=0)])
+    apps = Applications.of([PreferenceList(0, (1,)), PreferenceList(1, (2,))])
+    assignment = assignment_of(unassigned=[0, 1])
+    cohort = cohort_of([mk_applicant(0, 50.0, 8, birth=12), mk_applicant(1, 50.0, 8, birth=0)])
     out = year_outcome(apps, assignment, sc, cohort, 1900, RegimeKind.DECENTRALIZED)
     assert out.share_first_choice_school1 == 0.5
     assert out.mean_enrollment_distance_km is None
@@ -60,9 +60,9 @@ def test_year_outcome_everyone_unassigned():
 def test_year_outcome_single_tokyo_admit():
     sc = build_scenario(0.01)
     tokyo = next(p for p in sc.prefectures if p.name == "Tokyo")
-    apps = Applications.of([PreferenceList(1, (1, 2))])
-    assignment = assignment_of([(1, 1, 1)])
-    cohort = cohort_of([mk_applicant(1, 50.0, 8, birth=tokyo.id)])
+    apps = Applications.of([PreferenceList(0, (1, 2))])
+    assignment = assignment_of([(0, 1, 1)])
+    cohort = cohort_of([mk_applicant(0, 50.0, 8, birth=tokyo.id)])
     out = year_outcome(apps, assignment, sc, cohort, 1902, RegimeKind.CENTRALIZED)
     assert out.share_first_choice_school1 == 1.0
     assert out.mean_enrollment_distance_km == 0.0  # school 1 sits in Tokyo
@@ -101,12 +101,12 @@ def placed_years(draw, max_applicants=40):
     round-major, not id order), each at any school and rank."""
     n = draw(st.integers(0, max_applicants))
     births = draw(st.lists(st.integers(0, 46), min_size=n, max_size=n))
-    cohort = cohort_of([mk_applicant(3 * i + 1, 50.0, 8, birth=b) for i, b in enumerate(births)])
+    cohort = cohort_of([mk_applicant(i, 50.0, 8, birth=b) for i, b in enumerate(births)])
     k = min(n, draw(st.sampled_from([0, 1, n]) | st.integers(0, n)))
-    order = draw(st.permutations(cohort.ids.tolist()))[:k]
+    order = draw(st.permutations(range(n)))[:k]
     placed = [(i, draw(st.integers(1, 8)), draw(st.integers(1, 8))) for i in order]
     apps = Applications.of([PreferenceList(i, (s,)) for i, s, _ in placed])
-    return apps, assignment_of(placed, set(cohort.ids.tolist()) - set(order)), cohort
+    return apps, assignment_of(placed, set(range(n)) - set(order)), cohort
 
 
 @settings(max_examples=300, deadline=None)
@@ -338,10 +338,10 @@ def test_csv_uses_crlf_line_endings(tmp_path):
 def test_missing_distance_serialized_as_empty_field(tmp_path):
     sc = build_scenario(0.01)
     out = year_outcome(
-        Applications.of([PreferenceList(1, (2,))]),
-        assignment_of(unassigned=[1]),
+        Applications.of([PreferenceList(0, (2,))]),
+        assignment_of(unassigned=[0]),
         sc,
-        cohort_of([mk_applicant(1, 50.0, 8, birth=0)]),
+        cohort_of([mk_applicant(0, 50.0, 8, birth=0)]),
         1900,
         RegimeKind.DECENTRALIZED,
     )

@@ -144,7 +144,7 @@ def test_equilibrium_trivial_when_capacity_exceeds_demand():
 
 def test_equilibrium_one_school_cutoff_is_marginal_score():
     schools = mk_schools(1)
-    apps = cohort_of([_app(1, 90.0, (10.0,)), _app(2, 80.0, (10.0,))])
+    apps = cohort_of([_app(0, 90.0, (10.0,)), _app(1, 80.0, (10.0,))])
     params = BehaviorParams(score_noise_sd=1.0, tol=1e-6, max_iter=100)
     beliefs, iters, resid = equilibrium_cutoffs(schools, apps, params)
     assert resid < params.tol
@@ -414,7 +414,7 @@ def test_realized_cutoff_is_capacity_th_score(market):
 @st.composite
 def single_application_markets(draw, max_schools=3, max_applicants=10):
     n_schools = draw(st.integers(1, max_schools))
-    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=max_applicants, unique=True))
+    n = draw(st.integers(1, max_applicants))
     score = st.one_of(st.integers(40, 44).map(float), st.floats(0, 100))
     applicants = [
         _app(
@@ -423,7 +423,7 @@ def single_application_markets(draw, max_schools=3, max_applicants=10):
             [float(draw(st.integers(0, 6))) for _ in range(n_schools)],
             outside=float(draw(st.integers(0, 3))),
         )
-        for i in ids
+        for i in range(n)
     ]
     schools = mk_schools(*draw(st.lists(st.integers(0, 4), min_size=n_schools, max_size=n_schools)))
     params = BehaviorParams(
@@ -585,6 +585,19 @@ def test_equilibrium_stops_at_exact_cycle(monkeypatch):
     assert calls["full"] + calls["prefix"] < params.max_iter
 
 
+def test_huge_max_iter_sizes_no_memory(monkeypatch):
+    # the certified states grow with the certificates made, never past the
+    # iterations run: sized by max_iter, 10**11 of them would take 5.8 TiB
+    calls = _count_best_responses(monkeypatch)
+    sc = build_scenario(0.05)
+    huge = BehaviorParams(max_iter=10**11)
+    cohort = generate_applicants(sc, 1900, SeededRng(3))
+    with pytest.warns(RuntimeWarning, match="did not converge in 100000000000 iterations"):
+        _, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, huge)
+    assert iterations == huge.max_iter and residual >= huge.tol  # the cycle exit
+    assert calls["full"] + calls["prefix"] < 100
+
+
 # -- beliefs are read by position -------------------------------------------------
 
 
@@ -637,9 +650,9 @@ def test_beliefs_reject_nan_cutoff():
 
 
 def test_submit_centralized_full_truthful_list():
-    a = _app(1, 55.0, tuple(10.0 - i for i in range(8)), outside=0.0)
+    a = _app(0, 55.0, tuple(10.0 - i for i in range(8)), outside=0.0)
     out = submit_applications(cohort_of([a]), Regime(RegimeKind.CENTRALIZED, 1902))
-    assert list(out) == [PreferenceList(applicant_id=1, ranked=(1, 2, 3, 4, 5, 6, 7, 8))]
+    assert list(out) == [PreferenceList(applicant_id=0, ranked=(1, 2, 3, 4, 5, 6, 7, 8))]
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
@@ -669,16 +682,16 @@ def test_submit_grouped_constraint_forces_one_per_group():
 
 def test_submit_grouped_via_dispatch():
     groups = (frozenset({1, 3, 5, 7}), frozenset({2, 4, 6, 8}))
-    a = _app(1, 55.0, (9.0, 8.0, 1, 1, 1, 1, 1, 1), outside=0.5)
+    a = _app(0, 55.0, (9.0, 8.0, 1, 1, 1, 1, 1, 1), outside=0.5)
     out = submit_applications(cohort_of([a]), Regime(RegimeKind.GROUPED_CENTRALIZED, 1926, groups))
-    assert list(out) == [PreferenceList(applicant_id=1, ranked=(1, 2))]
+    assert list(out) == [PreferenceList(applicant_id=0, ranked=(1, 2))]
 
 
 def test_empty_cohort_applies_nowhere():
     # the array code needs no special case for a cohort without applicants
     sc = build_scenario(0.05)
-    params, none, no_ids = BehaviorParams(), np.empty(0), np.empty(0, dtype=np.int64)
-    cohort = Cohort(ids=no_ids, birth=no_ids, score=none, utility=np.empty((0, 8)), outside=none)
+    params, none = BehaviorParams(), np.empty(0)
+    cohort = Cohort(birth=np.empty(0, dtype=np.int64), score=none, utility=np.empty((0, 8)), outside=none)
     beliefs, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params)
     assert (beliefs.tolist(), iterations, residual) == ([-math.inf] * 8, 1, 0.0)
     groups = (frozenset({1, 2, 3, 4}), frozenset({5, 6, 7, 8}))
