@@ -24,7 +24,6 @@ import numpy as np
 from meritmatch.config import build_scenario
 from meritmatch.core import Regime, RegimeKind, SeededRng
 from meritmatch.mechanisms import (
-    Applications,
     run_decentralized,
     run_grouped_centralized,
     run_immediate_acceptance,
@@ -32,7 +31,7 @@ from meritmatch.mechanisms import (
     run_serial_dictatorship_da,
 )
 from meritmatch.popgen import DEFAULT_GROUPS, generate_applicants
-from meritmatch.strategy import BehaviorParams, equilibrium_cutoffs, single_applications, submit_applications
+from meritmatch.strategy import BehaviorParams, equilibrium_cutoffs, ranked_lists, single_applications, submit_applications
 
 
 def summarize(name, assignment, applicants, scenario):
@@ -98,9 +97,7 @@ def main() -> int:
     print(f"cutoffs: {[round(c, 1) for c in cutoffs.tolist()]}")
 
     # every school, by utility, the lower school id on ties
-    ranked = np.argsort(-applicants.utility, axis=1, kind="stable") + 1
-    n = len(applicants)
-    complete = Applications(ids=np.arange(n), schools=ranked, lengths=np.full(n, ranked.shape[1]))
+    complete = ranked_lists(applicants.utility, np.full(len(applicants), -np.inf))
     merit = set(run_meritocratic_boston(scenario.schools, applicants, complete, lottery_rng).ids.tolist())
     dictator = set(run_serial_dictatorship_da(scenario.schools, applicants, complete, lottery_rng).ids.tolist())
     print(f"\ncomplete lists: merit-capped Boston admits {len(merit)}, serial dictatorship {len(dictator)}")

@@ -5,16 +5,17 @@ A config is a JSON object of optional overrides and the paths of a geography
 and a school CSV; a lockfile is the manifest.lock a run writes, the resolved
 scenario itself, which replays the run exactly. Each reader checks the shape
 of what it reads and hands typed rows to `build_scenario`, which checks every
-value once. An unknown, missing or null key, a value of the wrong type (a
-bool, string or fraction for an integer), a non-finite number and a lockfile
-row of the wrong length are each a ConfigError (exit 2), raised before
-anything is written; a market `validate_market` rejects is an InvariantError
-(exit 4).
+value once. The geography and school CSVs are read by `metrics.read_rows`,
+the reader of every row CSV, which reports a bad header, row or value as a
+ConfigError naming the file (and the line). An unknown, missing or null
+key, a value of the wrong type (a bool, string or fraction for an integer),
+a non-finite number and a lockfile row of the wrong length are each a
+ConfigError (exit 2), raised before anything is written; a market
+`validate_market` rejects is an InvariantError (exit 4).
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -22,6 +23,8 @@ import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import __version__
 from .core import (
@@ -34,6 +37,7 @@ from .core import (
     default_schools,
     validate_market,
 )
+from .metrics import read_rows
 from .popgen import _MAX_COHORT, DEFAULT_GROUPS, PopulationConfig, Scenario, regime_schedule
 from .strategy import BehaviorParams
 
@@ -65,9 +69,11 @@ def _usable_cpus() -> int:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """One run. `jobs` caps the worker processes that simulate seeds; a
-    multi-seed run uses every usable CPU unless told otherwise. The metrics
-    stage needs simulate, and estimate needs metrics when simulate runs."""
+    """One run, of the seeds `seed`..`seed` + `seeds` - 1, all within
+    0..2^64-1 (`SeededRng`). `jobs` caps the worker processes that simulate
+    seeds; a multi-seed run uses every usable CPU unless told otherwise. The
+    metrics stage needs simulate, and estimate needs metrics when simulate
+    runs."""
 
     config_path: str | None = None
     seed: int = 0
@@ -79,6 +85,8 @@ class RunManifest:
     def __post_init__(self) -> None:
         if self.seeds < 1:
             raise ConfigError("seeds count must be >= 1")
+        if not (0 <= self.seed and self.seed + self.seeds <= 2**64):
+            raise ConfigError(f"seeds {self.seed}..{self.seed + self.seeds - 1} must lie within 0..2^64-1")
         if not self.stages:
             raise ConfigError("stages must be nonempty")
         for s in self.stages:
@@ -194,8 +202,11 @@ def build_scenario(
     DomainError; otherwise the eight default schools are placed with
     `capacities` (or the scaled default). A capacity above `_MAX_COHORT` or a
     non-finite prestige, from either source, is a DomainError, as are groups
-    that do not split the schools when the schedule has a grouped year. A
-    market that `validate_market` rejects is an InvariantError.
+    that do not split the schools when the schedule has a grouped year. So
+    is a population whose mean score in a prefecture, base utility of a
+    school (prestige minus distance cost) or base utility minus
+    `outside_option_mean` is not finite in floating point. A market that
+    `validate_market` rejects is an InvariantError.
     """
     # a larger scale overflows the default cohort size
     if not (_is_number(scale) and 0 < scale < 1e300):
@@ -231,7 +242,20 @@ def build_scenario(
     violations = validate_market(prefectures, schools)
     if violations:
         raise InvariantError("; ".join(violations))
-    return Scenario(prefectures=tuple(prefectures), schools=tuple(schools), population=config, schedule=schedule)
+    scenario = Scenario(prefectures=tuple(prefectures), schools=tuple(schools), population=config, schedule=schedule)
+    # the means of the draws, formed as `generate_applicants` forms them: one
+    # that overflows would leave every cohort with non-finite values
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = scenario.prestige - config.distance_cost * scenario.school_km
+        for what, values in (
+            ("mean score", config.score_mean_base + config.urban_score_shift * scenario.edu),
+            ("base utility", base),
+            ("base utility minus outside_option_mean", base - config.outside_option_mean),
+        ):
+            if not np.isfinite(values).all():
+                p = int(np.argwhere(~np.isfinite(values))[0, 0])
+                raise DomainError(f"the population's {what} in prefecture {p} is not finite")
+    return scenario
 
 
 def resolve_config(config_path: str | Path | None) -> ResolvedConfig:
@@ -309,33 +333,12 @@ GEOGRAPHY_COLUMNS = ["id", "name", "x_km", "y_km", "weight", "edu_index"]
 SCHOOL_COLUMNS = ["id", "prefecture_id", "capacity", "prestige"]
 
 
-def _read_csv(path: str | Path, columns: list[str], types, what: str) -> list[list]:
-    """The rows of a CSV file whose header is `columns`, each value converted
-    by its column's type; blank lines are skipped."""
-    try:
-        with open(path, newline="") as fh:
-            header, *rows = [row for row in csv.reader(fh) if row] or [None]
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
-    if header != columns:
-        raise ConfigError(f"{what} file must have columns {columns}, got {header}")
-    out = []
-    for k, row in enumerate(rows):
-        try:
-            if len(row) != len(columns):
-                raise ValueError(f"{len(row)} values for {len(columns)} columns")
-            out.append([t(v) for t, v in zip(types, row)])
-        except ValueError as exc:
-            raise ConfigError(f"{path} row {k}: {exc}") from exc
-    return out
-
-
 def load_geography(path: str | Path) -> list[Prefecture]:
     """Load prefectures from a CSV with columns id,name,x_km,y_km,weight,edu_index.
 
     Rows must be sorted by id, 0..P-1. Weights are normalized on load; the
     urban flag is derived from the 100 km Tokyo band."""
-    rows = _read_csv(path, GEOGRAPHY_COLUMNS, (int, str, float, float, float, float), "geography")
+    rows = read_rows(path, GEOGRAPHY_COLUMNS, lambda r: [int(r[0]), r[1], *map(float, r[2:])], "geography", ConfigError)
     for k, row in enumerate(rows):
         if row[0] != k:
             raise ConfigError(f"geography row {k} has id {row[0]}; ids must be 0..P-1 in row order")
@@ -345,7 +348,7 @@ def load_geography(path: str | Path) -> list[Prefecture]:
 def load_schools(path: str | Path) -> list[School]:
     """Load schools from a CSV with columns id,prefecture_id,capacity,prestige;
     a value that does not parse (a fractional capacity) is a ConfigError."""
-    return [School(*row) for row in _read_csv(path, SCHOOL_COLUMNS, (int, int, int, float), "school")]
+    return read_rows(path, SCHOOL_COLUMNS, lambda r: School(*map(int, r[:3]), float(r[3])), "school", ConfigError)
 
 
 def _lock_payload(manifest: RunManifest, resolved: ResolvedConfig) -> dict:

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 URBAN_RADIUS_KM = 100.0
-_MASK64 = (1 << 64) - 1
 
 
 class DomainError(ValueError):
@@ -144,14 +143,20 @@ class Assignment:
 @dataclass(frozen=True)
 class SeededRng:
     """Reproducible random source: identical (seed, stream_id) gives identical
-    draw sequences across runs and platforms."""
+    draw sequences across runs and platforms. Both are integers in
+    0..2^64-1, the words numpy's SeedSequence takes; any other value is a
+    DomainError, so that no two seeds draw alike."""
 
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self) -> None:
+        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if not 0 <= value < 2**64:
+                raise DomainError(f"{name} {value} is outside 0..2^64-1")
+
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence((self.seed & _MASK64, self.stream_id & _MASK64))
-        return np.random.default_rng(ss)
+        return np.random.default_rng(np.random.SeedSequence((self.seed, self.stream_id)))
 
     def substream(self, label: str, index: int = 0) -> "SeededRng":
         """Derive a named stream (stable across runs and platforms)."""

@@ -7,9 +7,11 @@ panels used for estimation, plus their CSV forms. A year outcome is a
 as the (seed, YearOutcome) rows it was written from. Every row CSV (year
 outcomes, regressions, the `diff-regimes` output) is written by `write_rows`:
 each row is its dataclass's fields in order, behind the seed for a year
-outcome, and the header is their names. A panel is a dict of
-column arrays, built from the year records' entrant counts and read back from
-CSV in the form the estimators take: each panel file in one C-level
+outcome, and the header is their names. Every row CSV read back, the year
+outcomes here and the geography and school CSVs in `config`, is read by
+`read_rows`. A panel is a dict of column arrays, built from the year
+records' entrant counts and read back from CSV in the form the estimators
+take: each panel file in one C-level
 `np.loadtxt` parse, as read-only columns. A panel CSV row holds the
 `PANEL_COLUMNS` in order, comma-separated, unquoted and CRLF-terminated:
 integers for the seed, prefecture id and year, the school id (empty in the
@@ -32,7 +34,7 @@ import math
 import warnings
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -303,35 +305,52 @@ def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[int, 
     }
 
 
+def read_rows(
+    path: str | Path, header: list[str], convert: Callable[[list[str]], object], what: str, error=DomainError
+) -> list:
+    """`convert` of each row of the CSV file at `path` below `header`, in file
+    order, blank lines skipped. Another first row, a row without one field
+    per column, a ValueError from `convert` and a file that does not decode
+    or parse as CSV are each an `error` (a DomainError class) naming the
+    file: `what` it is, or its path and the row's line."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            rows = filter(None, reader)
+            first = next(rows, None)
+            if first != header:
+                raise error(f"{what} file must have columns {header}, got {first}")
+            out = []
+            for rec in rows:
+                try:
+                    if len(rec) != len(header):
+                        raise ValueError(f"every row must have {len(header)} fields")
+                    out.append(convert(rec))
+                except ValueError as exc:
+                    raise error(f"{path}, line {reader.line_num}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    return out
+
+
 def read_year_outcomes_csv(path: str | Path) -> list[tuple[int, YearOutcome]]:
     """Read back the (seed, outcome) rows that `write_year_outcomes_csv` wrote,
-    in file order. A wrong header, a row without exactly the header's fields,
-    an unparsable value, a statistic that is NaN or infinite (the writer
-    leaves a missing one empty) or a second row for one (seed, year) is a
-    DomainError naming the line."""
-    rows: list[tuple[int, YearOutcome]] = []
+    in file order, by `read_rows`. An unparsable value, a statistic that is
+    NaN or infinite (the writer leaves a missing one empty) or a second row
+    for one (seed, year) is a DomainError naming the line."""
     seen: set[tuple[int, int]] = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != YEAR_OUTCOME_COLUMNS:
-            raise DomainError(f"outcome file must have columns {YEAR_OUTCOME_COLUMNS}, got {header}")
-        for rec in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(rec) != len(YEAR_OUTCOME_COLUMNS):
-                raise DomainError(f"{where}: every row must have {len(YEAR_OUTCOME_COLUMNS)} fields")
-            seed, year, regime, *statistics, entrants, unassigned = rec
-            try:  # an empty statistic is a missing one
-                stats = [float(v) if v else None for v in statistics]
-                row = int(seed), YearOutcome(int(year), RegimeKind(regime), *stats, int(entrants), int(unassigned))
-            except ValueError as exc:
-                raise DomainError(f"{where}: {exc}") from exc
-            for name, value in zip(OUTCOME_STATISTICS, stats):
-                if value is not None and not math.isfinite(value):
-                    raise DomainError(f"{where}: {name} must be finite, got {value!r}")
-            key = (row[0], row[1].year)
-            if key in seen:
-                raise DomainError(f"{where}: a second row for seed {key[0]}, year {key[1]}")
-            seen.add(key)
-            rows.append(row)
-    return rows
+
+    def convert(rec: list[str]) -> tuple[int, YearOutcome]:
+        seed, year, regime, *statistics, entrants, unassigned = rec
+        stats = [float(v) if v else None for v in statistics]  # empty: missing
+        row = int(seed), YearOutcome(int(year), RegimeKind(regime), *stats, int(entrants), int(unassigned))
+        for name, value in zip(OUTCOME_STATISTICS, stats):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        key = row[0], row[1].year
+        if key in seen:
+            raise ValueError(f"a second row for seed {key[0]}, year {key[1]}")
+        seen.add(key)
+        return row
+
+    return read_rows(path, YEAR_OUTCOME_COLUMNS, convert, "outcome")

@@ -1,9 +1,10 @@
 """Application behavior: truthful rankings for the centralized regimes and a
 self-selection equilibrium for the decentralized single-application regime.
 
-Everything here reads a year's `Cohort` and returns `Applications`: ranked
-lists come from one stable argsort of each applicant's utilities, single
-applications from the vectorized best response `_best_response`.
+Everything here reads a year's `Cohort` and returns `Applications`: every
+ranked list comes from `ranked_lists`, one stable argsort of each
+applicant's utilities, and single applications from the vectorized best
+response `_best_response`.
 
 The decentralized model is a rational-expectations fixed point: applicants
 hold beliefs about each school's admission cutoff, smooth the acceptance
@@ -87,36 +88,33 @@ def _checked_cutoffs(cutoffs: np.ndarray, n_schools: int) -> np.ndarray:
     return cutoffs
 
 
-def _truthful_lists(cohort: Cohort) -> Applications:
-    """Every applicant's list, possibly empty: the schools strictly better than
-    the outside option, best first; equal utilities break toward the lower
-    school id."""
-    ranked = np.argsort(-cohort.utility, axis=1, kind="stable") + 1
-    lengths = np.count_nonzero(cohort.utility > cohort.outside[:, None], axis=1)
-    listed = np.arange(ranked.shape[1]) < lengths[:, None]
-    return Applications(ids=np.arange(len(cohort)), schools=np.where(listed, ranked, 0), lengths=lengths)
+def ranked_lists(utility: np.ndarray, outside: np.ndarray) -> Applications:
+    """The ranked list of every row of `utility` that values some school above
+    its `outside` entry: those schools, best first, equal utilities going to
+    the lower school id (column k is school k + 1). Rows that value no school
+    submit nothing; the width is `utility.shape[1]`."""
+    lengths = np.count_nonzero(utility > outside[:, None], axis=1)
+    ids = np.flatnonzero(lengths)
+    ranked = np.argsort(-utility[ids], axis=1, kind="stable") + 1
+    listed = np.arange(utility.shape[1]) < lengths[ids, None]
+    return Applications(ids=ids, schools=np.where(listed, ranked, 0), lengths=lengths[ids])
 
 
 def _grouped_lists(cohort: Cohort, groups: tuple[frozenset[int], frozenset[int]]) -> Applications:
-    """Every applicant's list under the one-school-per-group constraint: the
-    best acceptable school of each group (the lower id on ties), groups ordered
-    by that school's utility (the lower id on ties). The groups must split
-    the school ids 1..S of the cohort's utility columns."""
+    """The `ranked_lists` of each applicant's best school per group (the lower
+    id on ties), every other school at -inf: one school per group at most,
+    listed if acceptable. The groups must split the school ids 1..S of the
+    cohort's utility columns."""
     check_groups(groups, range(1, cohort.utility.shape[1] + 1))
+    best = np.full(cohort.utility.shape, -np.inf)
     rows = np.arange(len(cohort))
-    best_u, best_id = [], []
     for g in groups:
         cols = np.array(sorted(g)) - 1
-        u = cohort.utility[:, cols]
-        u = np.where(u > cohort.outside[:, None], u, -np.inf)
-        k = np.argmax(u, axis=1)
-        best_u.append(u[rows, k])
-        best_id.append(cols[k] + 1)
-    u, sids = np.stack(best_u, axis=1), np.stack(best_id, axis=1)
-    ranked = np.take_along_axis(sids, np.lexsort((sids, -u)), axis=1)
-    lengths = np.count_nonzero(np.isfinite(u), axis=1)
-    listed = np.arange(len(groups)) < lengths[:, None]
-    return Applications(ids=np.arange(len(cohort)), schools=np.where(listed, ranked, 0), lengths=lengths)
+        k = cols[cohort.utility[:, cols].argmax(axis=1)]
+        best[rows, k] = cohort.utility[rows, k]
+    lists = ranked_lists(best, cohort.outside)
+    # a copy, so the full-width array is freed
+    return Applications(ids=lists.ids, schools=lists.schools[:, : len(groups)].copy(), lengths=lists.lengths)
 
 
 # -- the normal CDF --------------------------------------------------------------
@@ -247,8 +245,8 @@ def _best_response(
 ) -> Callable[..., np.ndarray]:
     """Vectorized best single application as a function of the cutoffs: each
     applicant's 0-based school index, -1 = abstain (no acceptable school).
-    `surplus`, each applicant's utility minus outside option (finite, as a
-    `Cohort`'s values are), is school-major: a C-contiguous (S, n) array, so
+    `surplus`, each applicant's utility minus outside option (finite, as
+    `_surplus` returns it), is school-major: a C-contiguous (S, n) array, so
     every array operation runs over whole school rows. It is clamped at 0 in
     place into the weights; they, the abstainers' mask and the (S, n)
     buffers, `ev` among them, are set up once. `choose(cutoffs, start,
@@ -368,6 +366,18 @@ def _realized_cutoffs(choice: np.ndarray, scores: np.ndarray, caps: np.ndarray) 
     return cutoffs, int(deciding.max(initial=-1)) + 1
 
 
+def _surplus(cohort: Cohort) -> np.ndarray:
+    """Each applicant's utility minus outside option, school-major: a
+    C-contiguous (S, n) array. A surplus that overflows is a DomainError
+    naming the applicant, raised without a numpy warning."""
+    with np.errstate(over="ignore"):
+        surplus = np.subtract(cohort.utility.T, cohort.outside, order="C")
+    if not np.isfinite(surplus).all():
+        bad = int(np.isfinite(surplus).all(axis=0).argmin())
+        raise DomainError(f"applicant {bad} has a non-finite surplus: utility minus outside option overflows")
+    return surplus
+
+
 def _belief_floor(scores: np.ndarray, sigma: float) -> float:
     """A cutoff level behaviorally equivalent to "no cutoff": every applicant
     clears it with probability ~1 even under score uncertainty."""
@@ -393,7 +403,8 @@ def equilibrium_cutoffs(
     of school k + 1 (utility column k; school ids are 1..S); `initial` holds
     one per school, none NaN. Returns (beliefs, iterations used, final
     residual); non-convergence is flagged by residual >= tol and a
-    RuntimeWarning, not raised.
+    RuntimeWarning, not raised. A surplus that overflows is a DomainError
+    (`_surplus`).
 
     Each iteration evaluates best responses in score order for the rows
     down to the previous iteration's last capacity-th chooser, plus a fixed
@@ -431,7 +442,7 @@ def equilibrium_cutoffs(
         raise DomainError("applicant utility vectors do not match the school count")
     order = np.argsort(-cohort.score)
     scores = cohort.score[order]
-    surplus = np.subtract(cohort.utility.T, cohort.outside, order="C").take(order, axis=1)
+    surplus = _surplus(cohort).take(order, axis=1)
     ev = np.empty(surplus.shape)
     choose = _best_response(scores, surplus, params.score_noise_sd, ev)
 
@@ -537,9 +548,10 @@ def single_applications(
     """Best-response single applications against given cutoff beliefs, in
     increasing applicant id; abstainers submit nothing. Entry k of `cutoffs`
     is the cutoff of school k + 1, the school of utility column k; an array
-    without one entry per column, or with a NaN, is a DomainError."""
+    without one entry per column, or with a NaN, is a DomainError, as is a
+    surplus that overflows (`_surplus`)."""
     cutoffs = _checked_cutoffs(cutoffs, cohort.utility.shape[1])
-    surplus = np.subtract(cohort.utility.T, cohort.outside, order="C")
+    surplus = _surplus(cohort)
     choice = _best_response(cohort.score, surplus, params.score_noise_sd)(cutoffs)
     applied = choice >= 0
     return Applications(
@@ -558,12 +570,9 @@ def submit_applications(cohort: Cohort, regime: Regime) -> Applications:
     `equilibrium_cutoffs` and `single_applications`.
     """
     if regime.kind == RegimeKind.CENTRALIZED:
-        lists = _truthful_lists(cohort)
-    elif regime.kind == RegimeKind.GROUPED_CENTRALIZED:
+        return ranked_lists(cohort.utility, cohort.outside)
+    if regime.kind == RegimeKind.GROUPED_CENTRALIZED:
         if regime.groups is None:
             raise DomainError("grouped regime requires groups")
-        lists = _grouped_lists(cohort, regime.groups)
-    else:
-        raise DomainError(f"no ranked lists under regime kind {regime.kind!r}")
-    keep = lists.lengths > 0
-    return Applications(ids=lists.ids[keep], schools=lists.schools[keep], lengths=lists.lengths[keep])
+        return _grouped_lists(cohort, regime.groups)
+    raise DomainError(f"no ranked lists under regime kind {regime.kind!r}")

@@ -7,7 +7,7 @@ import pytest
 from meritmatch.config import GEOGRAPHY_COLUMNS, SCHOOL_COLUMNS
 from meritmatch.core import Applicant, Assignment, Cohort, School
 from meritmatch.mechanisms import PreferenceList
-from meritmatch.strategy import _grouped_lists, _truthful_lists
+from meritmatch.strategy import _grouped_lists, ranked_lists
 
 
 def mk_applicant(aid: int, score: float, n_schools: int = 3, birth: int = 0) -> Applicant:
@@ -59,14 +59,14 @@ def lottery_of(prefs, rng) -> dict[int, float]:
 
 def _ranking_of_one(lists, applicant):
     """The list `lists` gives `applicant` as the one row of a cohort, under
-    the applicant's own id."""
-    (row,) = lists(cohort_of([replace(applicant, id=0)]))
-    return PreferenceList(applicant.id, row.ranked)
+    the applicant's own id; () when it submits none."""
+    rows = list(lists(cohort_of([replace(applicant, id=0)])))
+    return PreferenceList(applicant.id, rows[0].ranked if rows else ())
 
 
 def truthful_ranking(applicant):
-    """One applicant's truthful list, possibly empty, through the cohort code."""
-    return _ranking_of_one(_truthful_lists, applicant)
+    """One applicant's truthful list, possibly empty, through `ranked_lists`."""
+    return _ranking_of_one(lambda cohort: ranked_lists(cohort.utility, cohort.outside), applicant)
 
 
 def grouped_ranking(applicant, groups):

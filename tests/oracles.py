@@ -15,7 +15,8 @@ subset/assignment enumeration for the dominance check, dummy-variable OLS
 for the within estimator, and the earlier forms of three kernels, which
 their replacements must match byte for byte: the `csv.writer` panel writer,
 and the `np.add.at` group sums of the demeaning and the clustered meat in
-the within estimator.
+the within estimator; and the two list builders `ranked_lists` replaced,
+whose arrays `submit_applications` must match in values, shape and dtype.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from scipy.special import ndtr
 
 from meritmatch.core import DomainError, Placement, distance_matrix
 from meritmatch.econometrics import DEMEAN_MAX_SWEEPS, DEMEAN_TOL
-from meritmatch.mechanisms import PreferenceList, _admit_top_per_school
+from meritmatch.mechanisms import Applications, PreferenceList, _admit_top_per_school
 from meritmatch.metrics import PANEL_COLUMNS, PANEL_FLAGS, YearOutcome, YearRecord, _fmt
 
 
@@ -144,6 +145,37 @@ def scalar_grouped_ranking(applicant, groups):
             entries.append(best)
     entries.sort(key=lambda e: (-e[0], e[1]))
     return PreferenceList(applicant_id=applicant.id, ranked=tuple(sid for _, sid in entries))
+
+
+def argsort_truthful_lists(cohort):
+    """The submitters' truthful lists as the centralized years built them
+    before `ranked_lists`: every row sorted, then the empty lists dropped."""
+    ranked = np.argsort(-cohort.utility, axis=1, kind="stable") + 1
+    lengths = np.count_nonzero(cohort.utility > cohort.outside[:, None], axis=1)
+    listed = np.arange(ranked.shape[1]) < lengths[:, None]
+    keep = lengths > 0
+    return Applications(np.arange(len(cohort))[keep], np.where(listed, ranked, 0)[keep], lengths[keep])
+
+
+def lexsort_grouped_lists(cohort, groups):
+    """The submitters' one-school-per-group lists as the grouped years built
+    them before `ranked_lists`: each group's best acceptable school, the
+    groups ordered by one `lexsort` of (utility, school id)."""
+    rows = np.arange(len(cohort))
+    best_u, best_id = [], []
+    for g in groups:
+        cols = np.array(sorted(g)) - 1
+        u = cohort.utility[:, cols]
+        u = np.where(u > cohort.outside[:, None], u, -np.inf)
+        k = np.argmax(u, axis=1)
+        best_u.append(u[rows, k])
+        best_id.append(cols[k] + 1)
+    u, sids = np.stack(best_u, axis=1), np.stack(best_id, axis=1)
+    ranked = np.take_along_axis(sids, np.lexsort((sids, -u)), axis=1)
+    lengths = np.count_nonzero(np.isfinite(u), axis=1)
+    listed = np.arange(len(groups)) < lengths[:, None]
+    keep = lengths > 0
+    return Applications(rows[keep], np.where(listed, ranked, 0)[keep], lengths[keep])
 
 
 def per_school_top(schools, applicants, apps, tie):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -317,19 +318,76 @@ def test_capacity_above_largest_cohort_is_config_error(tmp_path, capsys, capacit
     _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, message)
 
 
-# numpy warns as the utilities overflow; `Cohort` then rejects them
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+# prestige near the largest double, no distance cost and outside options
+# drawn with sd 4e307: every mean is finite, but some drawn outside options
+# overflow an applicant's utility minus outside option
+DRAWN_OVERFLOW = {
+    "prestige": [1.0e308, 0.99e308, 0.98e308, 0.97e308, 0.96e308, 0.95e308, 0.94e308, 0.93e308],
+    "outside_option_mean": 0,
+    "outside_option_sd": 4e307,
+    "distance_cost": 0,
+}
+
+
 def test_simulate_error_removes_only_the_out_it_created(tmp_path, capsys):
-    # the utilities overflow while the first cohort is drawn, after --out exists
+    # the first cohort's surplus overflows in the first equilibrium, after --out exists
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**SMALL_CONFIG, "population": {**SMALL_CONFIG["population"], "distance_cost": 1e308}}))
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "population": {**SMALL_CONFIG["population"], **DRAWN_OVERFLOW}}))
     fresh, existing = tmp_path / "fresh", tmp_path / "existing"
     existing.mkdir()
     for out in (fresh, existing):
         assert _run_cli(cfg, out) == 2
-        assert capsys.readouterr().err == "error: config: applicant 0 has non-finite utility\n"
+        message = "applicant 24 has a non-finite surplus: utility minus outside option overflows"
+        assert capsys.readouterr().err == f"error: config: {message}\n"
     assert not fresh.exists()
     assert list(existing.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "population, message",
+    [
+        ({"distance_cost": 1e308}, "bad config: the population's base utility in prefecture 0 is not finite"),
+        (
+            {"score_mean_base": 1e308, "urban_score_shift": 1e308},
+            "bad config: the population's mean score in prefecture 12 is not finite",
+        ),
+        (
+            {"prestige": [k * 1e307 for k in range(17, 9, -1)], "outside_option_mean": -1.7e308, "distance_cost": 0},
+            "bad config: the population's base utility minus outside_option_mean in prefecture 0 is not finite",
+        ),
+        (DRAWN_OVERFLOW, "applicant 78 has a non-finite surplus: utility minus outside option overflows"),
+    ],
+    ids=["distance cost", "score mean", "prestige minus outside mean", "drawn outside option"],
+)
+def test_overflowing_population_is_config_error(tmp_path, capsys, population, message):
+    # the first three are rejected as the config resolves, the last where the
+    # surplus is formed; none may warn or crash on the way
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"scale": 0.05, "population": population}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run_cli(cfg, out, ("--seeds", "1")) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "seed, seeds, valid",
+    [(-1, 1, False), (0, 1, True), (2**64 - 1, 1, True), (2**64 - 1, 2, False), (2**64, 1, False)],
+)
+def test_seeds_must_lie_in_the_64_bit_range(tmp_path, capsys, seed, seeds, valid):
+    # SeedSequence takes 64-bit words: a seed outside them would repeat another's draws
+    if valid:
+        assert RunManifest(seed=seed, seeds=seeds).seed == seed
+        return
+    with pytest.raises(ConfigError, match=r"must lie within 0\.\.2\^64-1"):
+        RunManifest(seed=seed, seeds=seeds)
+    out = tmp_path / "out"
+    assert main(["run", f"--seed={seed}", "--seeds", str(seeds), "--stages", "simulate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: seeds ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_numeric_fields_checked_in_lockfile_and_kept_as_written(tmp_path, capsys):
@@ -611,7 +669,7 @@ def test_schools_csv_row_of_wrong_length_is_config_error(tmp_path, capsys):
     path = tmp_path / "schools8.csv"
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join([lines[0], lines[1].rstrip("\r\n") + ",7\r\n", *lines[2:]]))
-    _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, f"{path} row 0: 5 values for 4 columns")
+    _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, f"{path}, line 2: every row must have 4 fields")
 
 
 def test_capacities_must_match_schools(tmp_path, capsys):
@@ -858,6 +916,33 @@ def test_non_finite_statistic_is_artifact_error(config_path, tmp_path, capsys, c
     assert captured.out == ""
     name = YEAR_OUTCOME_COLUMNS[column]
     assert captured.err == f"error: artifact: {path}, line 5: {name} must be finite, got {float(value)!r}\n" * 2
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda data: b"\xff\xfe" + data,
+        lambda data: data + b"\xff",
+        lambda data: data + b"0," + b"9" * 131073 + b"\r\n",
+    ],
+    ids=["leading byte-order mark", "trailing 0xff", "over-long field"],
+)
+def test_unreadable_outcome_file_is_artifact_error(config_path, tmp_path, capsys, corrupt):
+    # bytes that do not decode and a field past the csv module's limit
+    out = tmp_path / "out"
+    assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "simulate,metrics")) == 0
+    path = out / "year_outcomes.csv"
+    path.write_bytes(corrupt(path.read_bytes()))
+    capsys.readouterr()  # drop the run command's output
+    estimate = ["run", "--config", str(config_path), "--out", str(out), "--seeds", "2", "--stages", "estimate"]
+    for argv in (estimate, ["diff-regimes", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: artifact: cannot read outcome file {path}: ")
+        assert captured.err.count("\n") == 1
+    assert not (out / "regressions.csv").exists()
 
 
 def test_trend_metric_missing_in_every_year_is_named(tmp_path, capsys):

@@ -159,6 +159,19 @@ def test_seeded_rng_substreams_are_stable():
     assert np.array_equal(s1.generator().random(3), s2.generator().random(3))
 
 
+@pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_seeded_rng_rejects_values_outside_64_bits(seed, stream_id):
+    # masked to 64 bits, -1 drew as 2^64 - 1 and 2^64 as 0
+    with pytest.raises(DomainError, match=r"outside 0\.\.2\^64-1"):
+        SeededRng(seed, stream_id)
+
+
+def test_seeded_rng_seeds_each_word_as_given():
+    top = 2**64 - 1
+    expected = np.random.default_rng(np.random.SeedSequence((top, top))).random(3)
+    assert np.array_equal(SeededRng(top, top).generator().random(3), expected)
+
+
 def test_geography_roundtrip(tmp_path):
     prefs = default_prefectures()
     path = tmp_path / "geo.csv"

@@ -414,6 +414,21 @@ def test_outcome_reader_rejects_extra_field(tmp_path):
     assert str(info.value) == f"{path}, line 2: every row must have 8 fields"  # the location once
 
 
+def test_outcome_reader_skips_blank_lines(tmp_path):
+    # as the geography and school readers do; a line number still counts them
+    path = tmp_path / "year_outcomes.csv"
+    rows = ["0,1900,decentralized,0.5,,,2,3", "", "0,1901,centralized,0.5,,,2,3", "", "0,1901,centralized,,,,2,3"]
+    path.write_text("\r\n".join(["", ",".join(YEAR_OUTCOME_COLUMNS), *rows]) + "\r\n")
+    with pytest.raises(DomainError) as info:
+        read_year_outcomes_csv(path)
+    assert str(info.value) == f"{path}, line 7: a second row for seed 0, year 1901"
+    path.write_text("\r\n".join(["", ",".join(YEAR_OUTCOME_COLUMNS), *rows[:3], ""]) + "\r\n")
+    assert [(seed, o.year, o.regime) for seed, o in read_year_outcomes_csv(path)] == [
+        (0, 1900, RegimeKind.DECENTRALIZED),
+        (0, 1901, RegimeKind.CENTRALIZED),
+    ]
+
+
 def test_outcome_reader_rejects_repeated_seed_year(tmp_path):
     path = tmp_path / "year_outcomes.csv"
     rows = ["0,1900,decentralized,0.5,,,2,3", "1,1900,decentralized,0.5,,,2,3", "0,1900,decentralized,0.5,,,2,3"]

@@ -8,7 +8,8 @@ A name counts as reached when it occurs as a whole word in a `.py` file under
 An imported name counts as used when the module reads it anywhere (an
 `ast.Name` node), annotations included. No module of the package imports
 scipy, and none reads the environment. And only `core` and `mechanisms`,
-which define the object forms of lists and placements, name them.
+which define the object forms of lists and placements, name them. Row CSVs
+are parsed and written in one place each, `read_rows` and `write_rows`.
 """
 
 import ast
@@ -115,6 +116,19 @@ def test_no_module_of_the_package_reads_the_environment():
         for match in name.finditer(line)
     ]
     assert found == []
+
+
+def test_one_csv_reader_and_one_csv_writer():
+    # every row CSV is read by `metrics.read_rows` and written by
+    # `metrics.write_rows`, so the files' dialect and errors are decided once
+    name = re.compile(r"\bcsv\.(reader|writer)\b")
+    found = [
+        f"{path.relative_to(ROOT)} {match.group()}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line in path.read_text().splitlines()
+        for match in name.finditer(line)
+    ]
+    assert sorted(found) == ["src/meritmatch/metrics.py csv.reader", "src/meritmatch/metrics.py csv.writer"]
 
 
 def test_object_forms_stay_in_core_and_mechanisms():

@@ -12,7 +12,7 @@ from meritmatch import strategy
 from meritmatch.config import build_scenario
 from meritmatch.core import Applicant, Cohort, DomainError, Regime, RegimeKind, SeededRng
 from meritmatch.mechanisms import PreferenceList
-from meritmatch.popgen import generate_applicants
+from meritmatch.popgen import DEFAULT_GROUPS, generate_applicants
 from meritmatch.strategy import (
     BehaviorParams,
     _realized_cutoffs,
@@ -25,8 +25,10 @@ from conftest import cohort_of, grouped_ranking, mk_schools, truthful_ranking
 from oracles import (
     admit_probability,
     admitted_cutoffs,
+    argsort_truthful_lists,
     choose_single_application,
     lexsort_equilibrium_cutoffs,
+    lexsort_grouped_lists,
     scipy_best_response,
 )
 
@@ -646,6 +648,20 @@ def test_beliefs_reject_nan_cutoff():
     assert len(single_applications(cohort, np.array([-math.inf, math.inf, *[50.0] * 6]), BehaviorParams()))
 
 
+def test_overflowing_surplus_is_named_without_a_warning():
+    # finite utilities and outside options whose difference is not a double;
+    # the suite turns a numpy overflow warning into an error
+    sc = build_scenario(0.05)
+    utility = np.full((3, 8), 1.0)
+    utility[2, 5] = 1e308
+    cohort = Cohort(np.zeros(3, dtype=np.int64), np.array([50.0, 60.0, 40.0]), utility, np.array([0.0, 0.0, -1e308]))
+    message = "applicant 2 has a non-finite surplus"
+    with pytest.raises(DomainError, match=message):
+        equilibrium_cutoffs(sc.schools, cohort, BehaviorParams())
+    with pytest.raises(DomainError, match=message):
+        single_applications(cohort, np.zeros(8), BehaviorParams())
+
+
 # -- submit_applications ------------------------------------------------------------
 
 
@@ -685,6 +701,27 @@ def test_submit_grouped_via_dispatch():
     a = _app(0, 55.0, (9.0, 8.0, 1, 1, 1, 1, 1, 1), outside=0.5)
     out = submit_applications(cohort_of([a]), Regime(RegimeKind.GROUPED_CENTRALIZED, 1926, groups))
     assert list(out) == [PreferenceList(applicant_id=0, ranked=(1, 2))]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.05])
+@pytest.mark.parametrize("ties", [False, True], ids=["drawn", "tied"])
+def test_submitted_lists_match_the_earlier_builders(scale, ties):
+    # `ranked_lists` replaced a sort of every row and a lexsort of the group
+    # winners; rounding the utilities and outside options ties many of them
+    sc, groups = build_scenario(scale), DEFAULT_GROUPS
+    for seed, year in itertools.product(range(2), (1900, 1905, 1926)):
+        cohort = generate_applicants(sc, year, SeededRng(seed))
+        if ties:
+            cohort = Cohort(cohort.birth, cohort.score, np.round(cohort.utility), np.round(cohort.outside))
+        for regime, expected in (
+            (Regime(RegimeKind.CENTRALIZED, year), argsort_truthful_lists(cohort)),
+            (Regime(RegimeKind.GROUPED_CENTRALIZED, year, groups), lexsort_grouped_lists(cohort, groups)),
+        ):
+            got = submit_applications(cohort, regime)
+            for name in ("ids", "schools", "lengths"):
+                a, b = getattr(got, name), getattr(expected, name)
+                assert (a.shape, a.dtype) == (b.shape, b.dtype) and np.array_equal(a, b), (seed, year, regime.kind, name)
+            assert 0 < len(got) < len(cohort)  # some applicants submit nothing
 
 
 def test_empty_cohort_applies_nowhere():
