@@ -177,6 +177,16 @@ def distance_matrix(prefectures: Sequence[Prefecture]) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
+def panel_grid(years: Sequence[int], n_prefectures: int) -> dict[str, np.ndarray]:
+    """The `prefecture_id` and `year` columns of one seed's panel: every
+    (year, prefecture) pair, year-major, both ascending. `fe_ols` takes
+    panels on this grid only."""
+    return {
+        "prefecture_id": np.tile(np.arange(n_prefectures, dtype=np.int64), len(years)),
+        "year": np.repeat(np.asarray(years, dtype=np.int64), n_prefectures),
+    }
+
+
 def validate_market(prefectures: Sequence[Prefecture], schools: Sequence[School]) -> list[str]:
     """Check the invariants of a geography and its schools; returns every
     violation found as a "code: message" string (empty = ok). `urban` is taken
@@ -297,7 +307,8 @@ def build_prefectures(rows: Iterable[tuple[str, float, float, float, float]]) ->
     """Construct prefectures from (name, x_km, y_km, weight, edu_index) rows.
 
     Weights are normalized to sum to 1; the urban flag is derived from the
-    100 km band around the row named Tokyo.
+    100 km band around the row named Tokyo. Coordinates whose squared
+    distances overflow are a DomainError.
     """
     raw = list(rows)
     if not raw:
@@ -305,6 +316,10 @@ def build_prefectures(rows: Iterable[tuple[str, float, float, float, float]]) ->
     for name, *numbers in raw:
         if not all(map(math.isfinite, numbers)):
             raise DomainError(f"prefecture {name} has a non-finite x_km, y_km, weight or edu_index: {numbers}")
+    # no pair of prefectures is further apart in x or in y than the largest spreads
+    dx, dy = (max(r[k] for r in raw) - min(r[k] for r in raw) for k in (1, 2))
+    if not math.isfinite(dx * dx + dy * dy):
+        raise DomainError(f"prefecture coordinates spread {dx:.4g} km in x and {dy:.4g} km in y: their distances overflow")
     total = sum(r[3] for r in raw)
     if total <= 0:
         raise DomainError("prefecture weights must have a positive sum")

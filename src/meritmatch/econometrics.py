@@ -1,11 +1,12 @@
 """Least-squares estimators for the regression battery, which fits two models:
 
-  * `fe_ols`, on a prefecture-by-year panel: `entrants` on the given
-    regressors with prefecture and year fixed effects, absorbed by iterated
-    within-demeaning, and CR0 errors clustered by prefecture. The sandwich
-    carries the finite-sample factor G/(G-1) * (N-1)/(N-K), where G counts the
-    prefectures and K the regressors plus the absorbed fixed-effect
-    parameters. p-values use a t distribution with G-1 degrees of freedom.
+  * `fe_ols`, on the year-major prefecture-by-year grid of `panel_grid`:
+    `entrants` on the given regressors with prefecture and year fixed
+    effects, absorbed by the within transform of the balanced panel, and CR0
+    errors clustered by prefecture. The sandwich carries the finite-sample
+    factor G/(G-1) * (N-1)/(N-K), where G counts the prefectures and K the
+    regressors plus the absorbed fixed-effect parameters. p-values use a t
+    distribution with G-1 degrees of freedom.
     `did_centralization` is the centralization difference-in-differences on it.
   * `newey_west_ols`, on a time series: an outcome on an intercept and the
     given regressors with Bartlett-weighted Newey-West covariance. It applies
@@ -23,13 +24,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, panel_grid
 
 # `build_panel`'s columns: the panel outcome, and the unit and time effects
 OUTCOME, UNIT, TIME = "entrants", "prefecture_id", "year"
 
-DEMEAN_TOL = 1e-10
-DEMEAN_MAX_SWEEPS = 100
 P_VALUE_MAX_TERMS = 500
 
 
@@ -65,50 +64,21 @@ def _column(panel: Mapping[str, Sequence], name: str, n: int | None = None) -> n
     return arr
 
 
-def _codes(panel: Mapping[str, Sequence], name: str, n: int) -> tuple[np.ndarray, int]:
-    if name not in panel:
-        raise DomainError(f"panel has no column {name!r}")
-    raw = np.asarray(panel[name])
-    if raw.shape[0] != n:
-        raise DomainError(f"column {name!r} has length {raw.shape[0]}, expected {n}")
-    _, codes = np.unique(raw, return_inverse=True)
-    return codes, int(codes.max()) + 1
-
-
-def _group_sums(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
-    """The (n_groups, K) sums of Z's rows by group code, each group's rows
-    added in row order from 0.0, as `np.add.at` adds them."""
-    return np.column_stack([np.bincount(codes, weights=col, minlength=n_groups) for col in Z.T])
-
-
-def _group_demean(Z: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
-    """Z less, in each row, the mean of its group's rows.
-
-    The bits are those of summing with `np.add.at` and dividing each row's
-    gathered sum: `np.bincount` adds a group's rows in the same order, and
-    dividing the sums before gathering them divides the same elements by the
-    same counts, once per group instead of once per row. The means are
-    gathered with `take`, which is several times faster here than indexing
-    with `[codes]`."""
-    counts = np.bincount(codes, minlength=n_groups)
-    counts[counts == 0] = 1
-    return Z - (_group_sums(Z, codes, n_groups) / counts[:, None]).take(codes, axis=0)
-
-
-def two_way_demean(
-    Z: np.ndarray, unit_codes: np.ndarray, time_codes: np.ndarray, n_units: int, n_times: int
-) -> tuple[np.ndarray, int]:
-    """Alternate unit/time demeaning until the largest per-sweep change falls
-    below `DEMEAN_TOL`, for at most `DEMEAN_MAX_SWEEPS` sweeps. Balanced
-    two-way panels converge exactly in one sweep (the second sweep only
-    confirms it)."""
-    Z = np.array(Z, dtype=float)
-    for sweeps in range(1, DEMEAN_MAX_SWEEPS + 1):
-        prev = Z
-        Z = _group_demean(_group_demean(Z, unit_codes, n_units), time_codes, n_times)
-        if float(np.max(np.abs(Z - prev))) < DEMEAN_TOL:
-            break
-    return Z, sweeps
+def _grid_shape(panel: Mapping[str, Sequence], n: int) -> tuple[int, int]:
+    """(T, P) of a panel whose rows are `panel_grid(years, P)`, P being the
+    number of rows in the first row's year and `years` strictly ascending."""
+    unit, time = _column(panel, UNIT, n), _column(panel, TIME, n)
+    n_units = int(np.count_nonzero(time == time[0]))
+    years = time[:: max(n_units, 1)]
+    # a year that is not an int64 casts to another value, which the comparison rejects
+    with np.errstate(invalid="ignore"):
+        grid = panel_grid(years, n_units)
+    if not (np.all(np.diff(years) > 0) and np.array_equal(unit, grid[UNIT]) and np.array_equal(time, grid[TIME])):
+        raise DomainError(
+            "panel rows must be the year-major grid: prefectures 0..P-1 in order within each year, "
+            "P the rows of the first year, and the years strictly ascending"
+        )
+    return len(years), n_units
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
@@ -223,8 +193,11 @@ def fe_ols(panel: Mapping[str, Sequence], regressors: Sequence[str]) -> Regressi
     """OLS of `entrants` on `regressors` with prefecture and year fixed effects
     absorbed and CR0 errors clustered by prefecture.
 
-    Collinear regressors and regressors without within-variation are
-    reported by name.
+    The rows must be the full grid `panel_grid(years, P)`: year-major, the
+    prefecture ids 0..P-1 in order within each year and the years strictly
+    ascending, P being the number of rows in the first row's year. Any other
+    order, a missing or repeated row, or other ids is a DomainError. Collinear
+    regressors and regressors without within-variation are reported by name.
     """
     y = _column(panel, OUTCOME)
     n = y.shape[0]
@@ -234,9 +207,15 @@ def fe_ols(panel: Mapping[str, Sequence], regressors: Sequence[str]) -> Regressi
     if not names:
         raise DomainError("no regressors")
     X = np.column_stack([_column(panel, c, n) for c in names])
-    unit_codes, n_units = _codes(panel, UNIT, n)
-    time_codes, n_times = _codes(panel, TIME, n)
-    Zt, _ = two_way_demean(np.column_stack([y, X]), unit_codes, time_codes, n_units, n_times)
+    n_times, n_units = _grid_shape(panel, n)
+    # On a balanced panel a prefecture pass then a year pass is the within
+    # transform; the second pair of passes removes only rounding. Each
+    # reduction adds a group's rows in row order.
+    Z = np.column_stack([y, X]).reshape(n_times, n_units, -1)
+    for _ in range(2):
+        Z = Z - np.add.reduce(Z, axis=0) / n_times
+        Z = Z - np.add.reduce(Z, axis=1, keepdims=True) / n_units
+    Zt = Z.reshape(n, -1)
     yt, Xt = Zt[:, 0], Zt[:, 1:]
     _check_rank(Xt, names)
 
@@ -250,7 +229,7 @@ def fe_ols(panel: Mapping[str, Sequence], regressors: Sequence[str]) -> Regressi
         raise DomainError("cluster-robust covariance needs at least 2 clusters")
 
     bread = np.linalg.inv(Xt.T @ Xt)
-    sums = _group_sums(Xt * resid[:, None], unit_codes, n_units)
+    sums = np.add.reduce((Xt * resid[:, None]).reshape(n_times, n_units, -1), axis=0)
     factor = (n_units / (n_units - 1.0)) * ((n - 1.0) / df_resid)
     cov = _sandwich(bread, factor * (sums.T @ sums))
     return _result(names, beta, cov, n, n_units, float(n_units - 1))

@@ -38,7 +38,7 @@ from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Assignment, Cohort, DomainError, RegimeKind, distance_matrix
+from .core import Assignment, Cohort, DomainError, RegimeKind, distance_matrix, panel_grid
 from .mechanisms import Applications
 from .popgen import Scenario
 
@@ -111,15 +111,6 @@ def year_record(assignment: Assignment, cohort: Cohort, scenario: Scenario, year
     entrants = np.bincount(cell, minlength=n_prefs * n_schools).reshape(n_prefs, n_schools)
     counts = np.bincount(cohort.birth, minlength=n_prefs)
     return YearRecord(year=year, regime=regime, entrants=entrants, cohort=counts)
-
-
-def panel_grid(years: Sequence[int], n_prefectures: int) -> dict[str, np.ndarray]:
-    """The `year` and `prefecture_id` columns of one seed's panel: every
-    (year, prefecture) pair, year-major, both ascending."""
-    return {
-        "prefecture_id": np.tile(np.arange(n_prefectures, dtype=np.int64), len(years)),
-        "year": np.repeat(np.asarray(years, dtype=np.int64), n_prefectures),
-    }
 
 
 def build_panel(records: Sequence[YearRecord], scenario: Scenario) -> dict[int | None, dict[str, np.ndarray]]:

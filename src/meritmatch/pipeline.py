@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ArtifactError, ConfigError, ResolvedConfig, RunManifest, check_lock, resolve_config, write_lock
 from .config import _usable_cpus
-from .core import DomainError, RegimeKind, SeededRng
+from .core import DomainError, RegimeKind, SeededRng, panel_grid
 from .econometrics import RegressionResult, did_centralization, fe_ols, newey_west_ols, with_interaction
 from .mechanisms import run_decentralized, run_grouped_centralized, run_meritocratic_boston
 from .metrics import (
@@ -32,7 +32,6 @@ from .metrics import (
     YearOutcome,
     YearRecord,
     build_panel,
-    panel_grid,
     read_panel_csv,
     read_year_outcomes_csv,
     write_panel_csv,

@@ -14,6 +14,7 @@ utility or outside option to infinity is a DomainError from `Cohort`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,8 @@ class PopulationConfig:
         if first > _MAX_COHORT:
             raise DomainError(f"the {self.year_start} cohort would have {first} applicants, more than {_MAX_COHORT}")
         last = first * (1.0 + self.applicant_growth_per_year * (self.year_end - self.year_start))
+        if not math.isfinite(last):  # a finite last size bounds every size before it
+            raise DomainError(f"the {self.year_end} cohort would have {last} applicants, not a finite number")
         if not last <= _MAX_COHORT + 0.5:  # `cohort_size` rounds it
             raise DomainError(f"the {self.year_end} cohort would have {last:.4g} applicants, more than {_MAX_COHORT}")
 

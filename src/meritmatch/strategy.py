@@ -57,6 +57,10 @@ class BehaviorParams:
     exact after some 50 iterations at damping 0.5: the cutoff vector repeats
     bit for bit, with a period of 2 to a few dozen iterations, and
     `equilibrium_cutoffs` stops there with the state of iteration `max_iter`.
+
+    `score_noise_sd` is 0 (no noise) or within [1e-100, 1e100]. For scores
+    within 1e200 of 0, the belief floor of `equilibrium_cutoffs` and every
+    standardized gap (score - cutoff) / score_noise_sd are then finite.
     """
 
     score_noise_sd: float = 14.0  # applicant's uncertainty about own standing
@@ -65,8 +69,8 @@ class BehaviorParams:
     damping: float = 0.5  # fraction of the realized cutoff mixed in per iteration
 
     def __post_init__(self) -> None:
-        if not 0 <= self.score_noise_sd < math.inf:
-            raise DomainError("score_noise_sd must be finite and >= 0")
+        if not (self.score_noise_sd == 0 or 1e-100 <= self.score_noise_sd <= 1e100):
+            raise DomainError(f"score_noise_sd must be 0 or within [1e-100, 1e100], got {self.score_noise_sd}")
         if self.tol <= 0:
             raise DomainError("tol must be > 0")
         if self.max_iter < 1:

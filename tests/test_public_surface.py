@@ -10,6 +10,7 @@ An imported name counts as used when the module reads it anywhere (an
 scipy, and none reads the environment. And only `core` and `mechanisms`,
 which define the object forms of lists and placements, name them. Row CSVs
 are parsed and written in one place each, `read_rows` and `write_rows`.
+`econometrics` forms no group codes.
 """
 
 import ast
@@ -143,5 +144,19 @@ def test_object_forms_stay_in_core_and_mechanisms():
         for path in paths + sorted((ROOT / "scripts").rglob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), start=1)
         for match in form.finditer(line)
+    ]
+    assert found == []
+
+
+def test_econometrics_forms_no_group_codes():
+    # `fe_ols` takes the year-major grid, whose prefectures and years are the
+    # axes of a reshape: a sort into group codes or a sum by them is work it
+    # does not need
+    path = PACKAGE / "econometrics.py"
+    name = re.compile(r"\bnp\.(unique|bincount)\b")
+    found = [
+        f"{path.relative_to(ROOT)}:{number} {match.group()}"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        for match in name.finditer(line)
     ]
     assert found == []
