@@ -205,7 +205,8 @@ def build_scenario(
     that do not split the schools when the schedule has a grouped year. So
     is a population whose mean score in a prefecture, base utility of a
     school (prestige minus distance cost) or base utility minus
-    `outside_option_mean` is not finite in floating point. A market that
+    `outside_option_mean` is not finite in floating point, or whose mean
+    score in a prefecture exceeds 1e100 in magnitude. A market that
     `validate_market` rejects is an InvariantError.
     """
     # a larger scale overflows the default cohort size
@@ -246,15 +247,20 @@ def build_scenario(
     # the means of the draws, formed as `generate_applicants` forms them: one
     # that overflows would leave every cohort with non-finite values
     with np.errstate(over="ignore", invalid="ignore"):
+        mean = config.score_mean_base + config.urban_score_shift * scenario.edu
         base = scenario.prestige - config.distance_cost * scenario.school_km
         for what, values in (
-            ("mean score", config.score_mean_base + config.urban_score_shift * scenario.edu),
+            ("mean score", mean),
             ("base utility", base),
             ("base utility minus outside_option_mean", base - config.outside_option_mean),
         ):
             if not np.isfinite(values).all():
                 p = int(np.argwhere(~np.isfinite(values))[0, 0])
                 raise DomainError(f"the population's {what} in prefecture {p} is not finite")
+    far = np.abs(mean) > 1e100  # with score_sd's bound, keeps `BehaviorParams`' gaps finite
+    if far.any():
+        p = int(far.argmax())
+        raise DomainError(f"the population's mean score in prefecture {p} is {mean[p]}, beyond 1e100 in magnitude")
     return scenario
 
 

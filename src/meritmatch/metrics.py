@@ -10,19 +10,19 @@ each row is its dataclass's fields in order, behind the seed for a year
 outcome, and the header is their names. Every row CSV read back, the year
 outcomes here and the geography and school CSVs in `config`, is read by
 `read_rows`. A panel is a dict of column arrays, built from the year
-records' entrant counts and read back from CSV in the form the estimators
-take: each panel file in one C-level
-`np.loadtxt` parse, as read-only columns. A panel CSV row holds the
-`PANEL_COLUMNS` in order, comma-separated, unquoted and CRLF-terminated:
-integers for the seed, prefecture id and year, the school id (empty in the
-all-schools panel), integers for entrants and the 0/1 flags, and the float
-`repr` of the graduate count. The year and panel builders take the
-`Scenario` and read its id-ordered arrays, so a school's column is its id
-minus one: the Tokyo flags and the urban entrant share read `urban`
-(`Prefecture.urban`), and enrollment distance, birth prefecture to school
-prefecture throughout, reads `school_km`. Distance bands are exclusive:
-"located in" means distance zero, "within 100 km" means strictly between 0
-and 100 km.
+records' entrant counts and read back from CSV whole: each panel file in
+one C-level `np.loadtxt` parse, as read-only columns over all of its rows,
+seed included, which the estimate stage checks and slices per seed. A panel
+CSV row holds the `PANEL_COLUMNS` in order, comma-separated, unquoted and
+CRLF-terminated: integers for the seed, prefecture id and year, the school
+id (empty in the all-schools panel), integers for entrants and the 0/1
+flags, and the float `repr` of the graduate count. The year and panel
+builders take the `Scenario` and read its id-ordered arrays, so a school's
+column is its id minus one: the Tokyo flags and the urban entrant share
+read `urban` (`Prefecture.urban`), and enrollment distance, birth prefecture
+to school prefecture throughout, reads `school_km`. Distance bands are
+exclusive: "located in" means distance zero, "within 100 km" means strictly
+between 0 and 100 km.
 """
 
 from __future__ import annotations
@@ -242,15 +242,16 @@ def write_panel_csv(
         fh.write("".join(chunks))
 
 
-def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[int, dict[str, np.ndarray]]:
+def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[str, np.ndarray]:
     """Read back a panel CSV written for `school_id` as `build_panel` columns
-    per seed, seeds in file order; the columns are read-only.
+    over all of its rows, in file order, behind a uint64 `seed` column; the
+    columns are read-only and a file without rows gives zero-length ones.
 
     The rows are parsed in one `np.loadtxt` call into a structured array, so no
     Python object is made per field. A wrong header, a row without exactly the
     panel's fields, a malformed value (an integer column written as a float
-    included), another school_id or a seed whose rows are not contiguous is a
-    DomainError.
+    included, a seed outside 0..2^64-1) or another school_id is a DomainError.
+    Which seeds and grid the rows must hold is the reader's caller's to check.
     """
     data = Path(path).read_bytes()
     body = io.BytesIO(data)  # shares the bytes of `data`
@@ -258,42 +259,32 @@ def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[int, 
     if header.split(",") != PANEL_COLUMNS:
         raise DomainError(f"panel file must have columns {PANEL_COLUMNS}, got {header!r}")
     start = body.tell()
-    if start == len(data):
-        return {}
     expected_id = _fmt(school_id)
     # school_id one character wider than the expected id, so a longer id cannot be truncated into a match
-    kinds = {"school_id": f"U{len(expected_id) + 1}", "middle_school_grads": float}
-    dtype = [(name, kinds.get(name, np.int64)) for name in PANEL_COLUMNS]
-    try:
-        with warnings.catch_warnings():
-            # numpy 1.x only warns (DeprecationWarning) when it parses an integer field via float
-            warnings.simplefilter("error")
-            table = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
-    except (ValueError, Warning) as exc:
-        raise DomainError(f"{path}: {exc}") from exc
-    if len(table) != data.count(b"\n", start) + (not data.endswith(b"\n")):  # loadtxt skips blank lines
-        raise DomainError(f"{path}: every row must have {len(PANEL_COLUMNS)} fields")
+    kinds = {"seed": np.uint64, "school_id": f"U{len(expected_id) + 1}", "middle_school_grads": float}
+    table = np.zeros(0, [(name, kinds.get(name, np.int64)) for name in PANEL_COLUMNS])
+    if start < len(data):
+        try:
+            with warnings.catch_warnings():
+                # numpy 1.x only warns (DeprecationWarning) when it parses an integer field via float
+                warnings.simplefilter("error")
+                table = np.loadtxt(body, dtype=table.dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+        except (ValueError, Warning) as exc:
+            raise DomainError(f"{path}: {exc}") from exc
+        if len(table) != data.count(b"\n", start) + (not data.endswith(b"\n")):  # loadtxt skips blank lines
+            raise DomainError(f"{path}: every row must have {len(PANEL_COLUMNS)} fields")
     if np.any(table["school_id"] != expected_id):
         raise DomainError(f"{path}: school_id must be {expected_id!r} in every row")
     for name in PANEL_FLAGS:
         if np.any((table[name] != 0) & (table[name] != 1)):
             raise DomainError(f"{path}: {name} must be 0 or 1")
 
-    cols = {name: table[name].copy() for name in ("prefecture_id", "year")}
+    cols = {name: table[name].copy() for name in ("seed", "prefecture_id", "year", "middle_school_grads")}
     cols.update({name: table[name].astype(float) for name in ("entrants",) + PANEL_FLAGS})
     cols["tokyo_area"] = np.maximum(cols["tokyo"], cols["near_tokyo"])
-    cols["middle_school_grads"] = table["middle_school_grads"].copy()
     for col in cols.values():
         col.flags.writeable = False
-
-    seed = table["seed"]
-    starts = [0, *(np.flatnonzero(seed[1:] != seed[:-1]) + 1).tolist()]
-    if len(set(seed[starts].tolist())) != len(starts):
-        raise DomainError(f"{path}: the rows of each seed must be contiguous")
-    return {
-        int(seed[a]): {name: col[a:b] for name, col in cols.items()}
-        for a, b in zip(starts, starts[1:] + [len(seed)])
-    }
+    return cols
 
 
 def read_rows(

@@ -318,49 +318,47 @@ def _panels_from_disk(
 ) -> dict[int, dict]:
     """Each seed's panels, read back for the estimate stage.
 
-    Every file must hold exactly `seeds`, each with the full year x
-    prefecture grid. A school panel must repeat the shared columns of
-    panel_all.csv bit for bit; it then reuses panel_all's read-only arrays and
-    keeps copies of its own `PER_PANEL_COLUMNS`, so that no view keeps the
-    columns of its file alive.
+    Every file's `seed`, `prefecture_id` and `year` columns must equal the
+    run's layout: each of `seeds`, in order, over the full year x prefecture
+    grid. A school panel must repeat the shared columns of panel_all.csv bit
+    for bit. Seed k's panels are then the rows [k*G, (k+1)*G) of the files,
+    G the grid's size, and each school panel reuses panel_all's read-only
+    slice of every shared column.
     """
     grid = panel_grid(sorted(r.year for r in scenario.schedule), len(scenario.prefectures))
+    size = len(grid["year"])
+    layout = {"seed": np.repeat(np.array(seeds, dtype=np.uint64), size)}
+    layout.update((c, np.tile(col, len(seeds))) for c, col in grid.items())
     panels: dict[int, dict] = {s: {} for s in seeds}
     for key, name in panel_files.items():  # panel_all.csv first
         path = out_dir / name
-        by_seed = read_panel_csv(path, key)
-        if list(by_seed) != seeds or any(not np.array_equal(by_seed[s][c], grid[c]) for s in seeds for c in grid):
-            raise DomainError(
-                f"{path} must hold the full year x prefecture grid of seeds {seeds} in (seed, year, prefecture) order"
-            )
-        for s in seeds:
-            cols = by_seed[s]
-            if key is not None:
-                base = panels[s][None]
-                for c in base:
-                    if c not in PER_PANEL_COLUMNS and cols[c].tobytes() != base[c].tobytes():
-                        raise DomainError(f"{path}: column {c} of seed {s} differs from {panel_files[None]}")
-                cols = {c: cols[c].copy() if c in PER_PANEL_COLUMNS else col for c, col in base.items()}
-            panels[s][key] = cols
+        cols = read_panel_csv(path, key)
+        if not all(np.array_equal(cols[c], want) for c, want in layout.items()):
+            raise DomainError(f"{path} must hold seeds {seeds} in order, each over the full year x prefecture grid")
+        del cols["seed"]
+        if key is None:
+            shared = cols
+        else:
+            for c, col in shared.items():
+                if c not in PER_PANEL_COLUMNS and cols[c].tobytes() != col.tobytes():
+                    raise DomainError(f"{path}: column {c} differs from {panel_files[None]}")
+            cols = {c: cols[c] for c in PER_PANEL_COLUMNS}
+        for k, s in enumerate(seeds):  # seed k's rows; a school panel takes panel_all's slice of each shared column
+            own = {c: col[k * size : (k + 1) * size] for c, col in cols.items()}
+            panels[s][key] = own if key is None else {**panels[s][None], **own}
     return panels
 
 
 def _outcomes_from_disk(path: Path, seeds: list[int], scenario: Scenario) -> dict[int, list[YearOutcome]]:
-    """Each seed's year outcomes, read back for the estimate stage: exactly
-    the schedule's years, ascending, each under the schedule's regime."""
-    by_seed: dict[int, list[YearOutcome]] = {}
-    for seed, outcome in read_year_outcomes_csv(path):
-        by_seed.setdefault(seed, []).append(outcome)
-    if sorted(by_seed) != seeds:
-        raise DomainError(f"{path} must hold the years of seeds {seeds}")
+    """Each seed's year outcomes, read back for the estimate stage: the rows
+    of each of `seeds` in turn, one per year of the schedule, ascending, each
+    under the schedule's regime."""
+    rows = read_year_outcomes_csv(path)
     schedule = [(r.year, r.kind) for r in sorted(scenario.schedule, key=lambda r: r.year)]
-    for s in seeds:
-        if [(o.year, o.regime) for o in by_seed[s]] != schedule:
-            raise DomainError(
-                f"{path}: seed {s} must have one row per year {schedule[0][0]}-{schedule[-1][0]}, "
-                "ascending, under the schedule's regime"
-            )
-    return by_seed
+    if [(s, o.year, o.regime) for s, o in rows] != [(s, *y) for s in seeds for y in schedule]:
+        raise DomainError(f"{path} must hold seeds {seeds} in order, each with the schedule's years and regimes")
+    n = len(schedule)
+    return {s: [o for _, o in rows[k * n : (k + 1) * n]] for k, s in enumerate(seeds)}
 
 
 def _simulate_and_write(
@@ -395,18 +393,21 @@ def run(manifest: RunManifest) -> dict[str, Path]:
     schools, year_outcomes.csv and a manifest.lock whose version_hash, seed
     and seeds match this manifest are already on disk. The estimate stage
     always reads its inputs from files: the staged ones when the earlier
-    stages ran in this invocation, those on disk otherwise. Each panel must
-    hold every seed's full year x prefecture grid, each school panel must
-    repeat panel_all.csv's shared columns bit for bit, and year_outcomes.csv
-    must hold for each seed exactly the schedule's years, ascending, under
+    stages ran in this invocation, those on disk otherwise. Each file must
+    hold the manifest's seeds in order: each panel every seed's full year x
+    prefecture grid, each school panel panel_all.csv's shared columns bit for
+    bit, and year_outcomes.csv each seed's schedule years, ascending, under
     the schedule's regimes; anything else is an ArtifactError raised before
     regressions.csv is written.
 
     Every artifact is written into a private staging directory inside the
     output directory and renamed into place, one file at a time, only after
-    every stage has succeeded. A run that fails or is interrupted (Ctrl-C)
-    before then leaves the output directory as it found it, and removes it if
-    the run created it.
+    every stage has succeeded. A run that simulates then removes the panel
+    files and regressions.csv that its stages did not write, so no artifact
+    of an earlier run stays beside its own; nothing else in the output
+    directory is touched. A run that fails or is interrupted (Ctrl-C) before
+    then leaves the output directory as it found it, and removes it if the
+    run created it.
     """
     stages = set(manifest.stages)
     resolved = resolve_config(manifest.config_path)
@@ -447,6 +448,9 @@ def run(manifest: RunManifest) -> dict[str, Path]:
         names = sorted(os.listdir(staging))
         for name in names:
             os.replace(staging / name, out_dir / name)
+        if "simulate" in stages:  # the later artifacts of an earlier run would not match this run's
+            for name in {*panel_files.values(), "regressions.csv"}.difference(names):
+                (out_dir / name).unlink(missing_ok=True)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
         if created and names is None:

@@ -64,6 +64,8 @@ class PopulationConfig:
         for name in ("score_sd", "preference_noise_sd", "outside_option_sd"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0")
+        if self.score_sd > 1e100:  # with the mean score's bound, keeps `BehaviorParams`' gaps finite
+            raise DomainError(f"score_sd must be at most 1e100, got {self.score_sd}")
         for name in ("year_start", "year_end"):
             if not _YEARS[0] <= getattr(self, name) <= _YEARS[1]:
                 raise DomainError(f"{name} must be in {_YEARS[0]}-{_YEARS[1]}, got {getattr(self, name)}")

@@ -60,7 +60,10 @@ class BehaviorParams:
 
     `score_noise_sd` is 0 (no noise) or within [1e-100, 1e100]. For scores
     within 1e200 of 0, the belief floor of `equilibrium_cutoffs` and every
-    standardized gap (score - cutoff) / score_noise_sd are then finite.
+    standardized gap (score - cutoff) / score_noise_sd are then finite. That
+    holds for every resolved scenario: `build_scenario` bounds each
+    prefecture's mean score and `score_sd` by 1e100, so a drawn score is
+    far within 1e200 of 0.
     """
 
     score_noise_sd: float = 14.0  # applicant's uncertainty about own standing

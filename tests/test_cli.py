@@ -356,12 +356,33 @@ def test_simulate_error_removes_only_the_out_it_created(tmp_path, capsys):
             "bad config: the population's base utility minus outside_option_mean in prefecture 0 is not finite",
         ),
         (DRAWN_OVERFLOW, "applicant 78 has a non-finite surplus: utility minus outside option overflows"),
+        ({"score_sd": 1e300}, "bad config: score_sd must be at most 1e100, got 1e+300"),
+        ({"score_sd": 2e100}, "bad config: score_sd must be at most 1e100, got 2e+100"),
+        (
+            {"score_mean_base": 2e100},
+            "bad config: the population's mean score in prefecture 0 is 2e+100, beyond 1e100 in magnitude",
+        ),
+        (
+            {"score_mean_base": 0, "urban_score_shift": -1e101},
+            "bad config: the population's mean score in prefecture 0 is -3e+100, beyond 1e100 in magnitude",
+        ),
     ],
-    ids=["distance cost", "score mean", "prestige minus outside mean", "drawn outside option"],
+    ids=[
+        "distance cost",
+        "score mean",
+        "prestige minus outside mean",
+        "drawn outside option",
+        "score sd 1e300",
+        "score sd 2e100",
+        "score mean 2e100",
+        "score mean -3e100",
+    ],
 )
 def test_overflowing_population_is_config_error(tmp_path, capsys, population, message):
-    # the first three are rejected as the config resolves, the last where the
-    # surplus is formed; none may warn or crash on the way
+    # all but the drawn outside option are rejected as the config resolves,
+    # that one where the surplus is formed; none may warn or crash on the way.
+    # Scores beyond 1e100 ran on: with score_noise_sd 1e-100, score_sd 1e300
+    # overflowed (score - cutoff) / score_noise_sd with a numpy warning
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg.write_text(json.dumps({"scale": 0.05, "population": population}))
     with warnings.catch_warnings(record=True) as caught:
@@ -436,6 +457,36 @@ def test_seeds_must_lie_in_the_64_bit_range(tmp_path, capsys, seed, seeds, valid
     err = capsys.readouterr().err
     assert err.startswith("error: config: seeds ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+@pytest.mark.parametrize(
+    "stages", [("simulate,metrics,estimate",), ("simulate,metrics", "estimate")], ids=["one process", "staged"]
+)
+def test_seed_at_the_top_of_the_64_bit_range_is_estimated(config_path, tmp_path, stages):
+    # the panel reader parsed the seed as int64, so every seed from 2^63 up failed the estimate stage
+    out, seed = tmp_path / "out", 2**64 - 1
+    for stage in stages:
+        assert _run_cli(config_path, out, ("--seed", str(seed), "--seeds", "1", "--stages", stage)) == 0
+    with open(out / "regressions.csv", newline="") as fh:
+        assert {r["seed"] for r in csv.DictReader(fh)} == {str(seed), "pooled"}
+
+
+@pytest.mark.parametrize(
+    "population, noise",
+    [
+        ({"score_mean_base": 1e100, "score_sd": 1e100}, 1e-100),
+        ({"score_mean_base": -1e100, "urban_score_shift": 1e100, "score_sd": 1e100}, 1e100),
+    ],
+    ids=["mean 1e100, noise 1e-100", "mean -1e100 + 1e100 edu, noise 1e100"],
+)
+def test_score_scale_at_its_bound_runs_without_numeric_warning(tmp_path, population, noise):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"scale": 0.05, "population": population, "behavior": {"score_noise_sd": noise}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run_cli(cfg, out, ("--seeds", "1")) == 0
+    assert [str(w.message) for w in caught if not str(w.message).startswith("cutoff iteration")] == []
 
 
 def test_numeric_fields_checked_in_lockfile_and_kept_as_written(tmp_path, capsys):
@@ -1168,6 +1219,21 @@ def test_partial_outputs_removed_on_failure(config_path, tmp_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_simulating_run_leaves_no_artifact_of_an_earlier_run(config_path, tmp_path):
+    # regressions.csv of seeds 0-1 stayed beside the panels and outcomes of seeds 5-6
+    out = tmp_path / "out"
+    assert _run_cli(config_path, out, ("--seeds", "2")) == 0
+    (out / "notes.tmp").write_text("kept\n")
+    later = ("--seed", "5", "--seeds", "2", "--stages")
+    assert _run_cli(config_path, out, (*later, "simulate,metrics")) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*ARTIFACTS[:-1], "notes.tmp"])
+    assert _run_cli(config_path, out, (*later, "estimate")) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*ARTIFACTS, "notes.tmp"])
+    assert _run_cli(config_path, out, (*later, "simulate")) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.lock", "notes.tmp", "year_outcomes.csv"]
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_schools_in_reverse_id_order_give_the_same_artifacts(tmp_path):
     # every layer reads the schools by id, not by their place in the file
     schools = build_scenario(0.05).schools
@@ -1258,6 +1324,8 @@ def _first_row_field_to(index, value="x"):
         ("year_outcomes.csv", lambda lines: lines[:6] + lines[5:]),  # seed 0's 1904 row twice
         ("panel_school_3.csv", _first_row_field_to(10, "0.5")),  # middle_school_grads, unlike panel_all.csv
         ("panel_school_3.csv", _first_row_field_to(5, "1")),  # centralized in a decentralized year
+        ("panel_school_3.csv", lambda lines: lines[:2] + lines[236:237] + lines[2:236] + lines[237:]),  # a seed-1 row
+        ("year_outcomes.csv", lambda lines: lines[:1] + lines[6:] + lines[1:6]),  # seed 1's rows before seed 0's
     ],
     ids=[
         "non-numeric entrants",
@@ -1268,6 +1336,8 @@ def _first_row_field_to(index, value="x"):
         "duplicated outcome row",
         "school panel graduates differ",
         "school panel regime differs",
+        "panel seed rows interleaved",
+        "outcome seed blocks swapped",
     ],
 )
 def test_estimate_rejects_malformed_inputs(config_path, tmp_path, capsys, name, corrupt):
@@ -1305,7 +1375,7 @@ def test_estimate_only_panels_share_read_only_columns(config_path, tmp_path, mon
         for school in range(1, 9):
             for c, col in panel[school].items():
                 if c in ("entrants", "located_in", "within_100km"):
-                    assert col.base is None  # its own copy, not a view of the file's columns
+                    assert not col.flags.writeable  # a slice of its own file's column
                 else:
                     assert col is panel[None][c]
         for c in ("year", "centralized", "middle_school_grads"):

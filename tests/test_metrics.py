@@ -247,15 +247,18 @@ def test_csv_roundtrip(tmp_path, small_run):
     panel_path = tmp_path / "panel_all.csv"
     write_panel_csv(panel_path, {0: panels[None]})
     loaded = read_panel_csv(panel_path)
-    assert list(loaded) == [0]
-    _assert_columns_equal(loaded[0], panels[None])
+    assert loaded.pop("seed").tolist() == [0] * len(panels[None]["year"])
+    _assert_columns_equal(loaded, panels[None])
 
+    # the whole file's columns in row order, each seed's rows one slice
     school_path = tmp_path / "panel_school_3.csv"
     write_panel_csv(school_path, {4: panels[3], 2: panels[3]}, 3)
     loaded = read_panel_csv(school_path, 3)
-    assert list(loaded) == [4, 2]
-    for cols in loaded.values():
-        _assert_columns_equal(cols, panels[3])
+    size = len(panels[3]["year"])
+    assert loaded.pop("seed").tolist() == [4] * size + [2] * size
+    for k in range(2):
+        _assert_columns_equal({c: col[k * size : (k + 1) * size] for c, col in loaded.items()}, panels[3])
+    assert all(not col.flags.writeable for col in loaded.values())
     with pytest.raises(DomainError):
         read_panel_csv(school_path)  # written for school 3, read as the all-schools panel
 
@@ -370,7 +373,6 @@ def test_reader_rejects_wrong_schema(tmp_path):
         "0,0,1900,,1,0,0,0,0,0,abc",  # graduates not a number
         "0,0,1900,4,1,0,0,0,0,0,2.0",  # a school row in the all-schools panel
         "0,0,1900,,1,0,0,0,0,0",  # short row
-        "1,0,1900,,1,0,0,0,0,0,2.0\r\n0,1,1900,,1,0,0,0,0,0,2.0",  # seed 0's rows split by seed 1
         "0,0,1900,,1,0,0,0,0,0,2.0,7",  # long row
         "0,0,1900,,1.5,0,0,0,0,0,2.0",  # entrants written as a float
         "0,0,1e3,,1,0,0,0,0,0,2.0",  # year written as a float
