@@ -35,10 +35,9 @@ from meritmatch.strategy import BehaviorParams, equilibrium_cutoffs, ranked_list
 
 
 def summarize(name, assignment, applicants, scenario):
-    urban_ids = [p.id for p in scenario.prefectures if p.urban]
     placed = assignment.ids  # an applicant's id is its cohort row
     scores = applicants.score[placed] if len(placed) else np.array([0.0])
-    urban_share = np.isin(applicants.birth[placed], urban_ids).mean() if len(placed) else 0.0
+    urban_share = scenario.urban[applicants.birth[placed]].mean() if len(placed) else 0.0
     print(
         f"{name:38s} admitted={len(placed):5d} unassigned={len(assignment.unassigned):5d}"
         f"  min score={scores.min():6.1f}  mean score={scores.mean():6.1f}  urban share={urban_share:.3f}"

@@ -56,6 +56,9 @@ class ArtifactError(DomainError):
 
 
 STAGES = ("simulate", "metrics", "estimate")
+# The most seeds one run may have: each keeps ~0.1 MB of year records in memory
+# until the metrics stage, so a larger count comes from a mistyped flag.
+_MAX_SEEDS = 10**6
 
 
 def _usable_cpus() -> int:
@@ -70,10 +73,10 @@ def _usable_cpus() -> int:
 @dataclass(frozen=True)
 class RunManifest:
     """One run, of the seeds `seed`..`seed` + `seeds` - 1, all within
-    0..2^64-1 (`SeededRng`). `jobs` caps the worker processes that simulate
-    seeds; a multi-seed run uses every usable CPU unless told otherwise. The
-    metrics stage needs simulate, and estimate needs metrics when simulate
-    runs."""
+    0..2^64-1 (`SeededRng`), and at most `_MAX_SEEDS` of them. `jobs` caps
+    the worker processes that simulate seeds; a multi-seed run uses every
+    usable CPU unless told otherwise. The metrics stage needs simulate, and
+    estimate needs metrics when simulate runs."""
 
     config_path: str | None = None
     seed: int = 0
@@ -83,8 +86,8 @@ class RunManifest:
     jobs: int = field(default_factory=_usable_cpus)
 
     def __post_init__(self) -> None:
-        if self.seeds < 1:
-            raise ConfigError("seeds count must be >= 1")
+        if not 1 <= self.seeds <= _MAX_SEEDS:
+            raise ConfigError(f"seeds count must be in 1..{_MAX_SEEDS}, got {self.seeds}")
         if not (0 <= self.seed and self.seed + self.seeds <= 2**64):
             raise ConfigError(f"seeds {self.seed}..{self.seed + self.seeds - 1} must lie within 0..2^64-1")
         if not self.stages:

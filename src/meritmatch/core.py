@@ -3,10 +3,12 @@
 Everything downstream (mechanisms, strategy, population generation, metrics)
 works with the immutable types defined here. Geography is planar, in km:
 only relative distances and the 100 km urban band matter, so a flat map is
-both simpler and exactly testable. A non-finite number is a DomainError
-where it enters: a coordinate, weight or edu_index in `build_prefectures`, a
-score, utility or outside option in `Cohort`; `validate_market` flags a NaN
-weight sum too.
+both simpler and exactly testable. Prefecture p is row p of the geography,
+as applicant i is cohort row i: a school's host, a birth prefecture and a
+panel's `prefecture_id` are rows. A non-finite number is a DomainError where
+it enters: a coordinate, weight or edu_index in `build_prefectures`, a score,
+utility or outside option in `Cohort`; `validate_market` flags a NaN weight
+sum too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class Prefecture:
-    id: int
+    """One row of the geography; its id is its position in the list."""
+
     name: str
     coord: tuple[float, float]  # planar position, km
     urban: bool  # inside the 100 km Tokyo band
@@ -39,7 +42,7 @@ class Prefecture:
 @dataclass(frozen=True)
 class School:
     id: int
-    prefecture_id: int
+    prefecture_id: int  # the host's row in the prefecture list
     capacity: int
     prestige: float
 
@@ -59,7 +62,7 @@ class Cohort:
     that row from generation to panel. `utility[:, k]` is the value of the
     school with id k + 1. Every score, utility and outside option is finite."""
 
-    birth: np.ndarray  # (n,) int, birth prefecture id
+    birth: np.ndarray  # (n,) int, birth prefecture row
     score: np.ndarray  # (n,) float
     utility: np.ndarray  # (n, S) float
     outside: np.ndarray  # (n,) float, outside option
@@ -166,13 +169,8 @@ class SeededRng:
 
 
 def distance_matrix(prefectures: Sequence[Prefecture]) -> np.ndarray:
-    """Pairwise distance matrix indexed by prefecture id (ids must be 0..P-1)."""
-    n = len(prefectures)
-    coords = np.zeros((n, 2))
-    for p in prefectures:
-        if not 0 <= p.id < n:
-            raise DomainError(f"prefecture ids must be 0..{n - 1}, got {p.id}")
-        coords[p.id] = p.coord
+    """Pairwise distance matrix, row and column p for `prefectures[p]`."""
+    coords = np.array([p.coord for p in prefectures], dtype=float).reshape(-1, 2)
     diff = coords[:, None, :] - coords[None, :, :]
     return np.sqrt((diff**2).sum(axis=2))
 
@@ -189,27 +187,26 @@ def panel_grid(years: Sequence[int], n_prefectures: int) -> dict[str, np.ndarray
 
 def validate_market(prefectures: Sequence[Prefecture], schools: Sequence[School]) -> list[str]:
     """Check the invariants of a geography and its schools; returns every
-    violation found as a "code: message" string (empty = ok). `urban` is taken
-    as given (`build_prefectures` derives it); applicants are checked where
-    they are built (see `Cohort`)."""
+    violation found as a "code: message" string (empty = ok). A school's host
+    must be a row of `prefectures`. `urban` is taken as given, and applicants
+    are checked where they are built (see `Cohort`). `build_prefectures` rules
+    out `no_tokyo` and `weights_not_normalized`, but `build_scenario` takes
+    hand-built lists, and a lockfile's weights are taken verbatim."""
     out: list[str] = []
 
-    ids = [p.id for p in prefectures]
-    if sorted(ids) != list(range(len(prefectures))):
-        out.append("prefecture_ids: prefecture ids are not 0..P-1 without gaps")
     total = sum(p.pop_weight for p in prefectures)
     if not abs(total - 1.0) <= 1e-9:  # a NaN sum fails too
         out.append(f"weights_not_normalized: pop_weights sum to {total!r}, expected 1")
-    for p in prefectures:
+    for i, p in enumerate(prefectures):
         if p.pop_weight < 0:
-            out.append(f"negative_weight: prefecture {p.id} has pop_weight {p.pop_weight}")
+            out.append(f"negative_weight: prefecture {i} has pop_weight {p.pop_weight}")
         if p.edu_index < 0:
-            out.append(f"negative_edu_index: prefecture {p.id} has edu_index {p.edu_index}")
+            out.append(f"negative_edu_index: prefecture {i} has edu_index {p.edu_index}")
     seen_coords: dict[tuple[float, float], int] = {}
-    for p in prefectures:
+    for i, p in enumerate(prefectures):
         if p.coord in seen_coords:
-            out.append(f"duplicate_coord: prefectures {seen_coords[p.coord]} and {p.id} share a coordinate")
-        seen_coords[p.coord] = p.id
+            out.append(f"duplicate_coord: prefectures {seen_coords[p.coord]} and {i} share a coordinate")
+        seen_coords[p.coord] = i
 
     if not any(p.name == "Tokyo" for p in prefectures):
         out.append("no_tokyo: no prefecture named Tokyo to anchor the urban band")
@@ -217,11 +214,10 @@ def validate_market(prefectures: Sequence[Prefecture], schools: Sequence[School]
     # 1..S in any order, which also makes them unique; utility column k belongs to school k + 1 (see `Cohort`)
     if sorted(s.id for s in schools) != list(range(1, len(schools) + 1)):
         out.append(f"school_ids: school ids are not 1..{len(schools)} without gaps")
-    pref_id_set = {p.id for p in prefectures}
     for s in schools:
         if s.capacity <= 0:
             out.append(f"nonpositive_capacity: school {s.id} has capacity {s.capacity}")
-        if s.prefecture_id not in pref_id_set:
+        if not 0 <= s.prefecture_id < len(prefectures):
             out.append(f"unknown_prefecture: school {s.id} hosted by unknown prefecture {s.prefecture_id}")
     prestiges = [s.prestige for s in schools]
     if len(set(prestiges)) != len(prestiges):
@@ -327,8 +323,8 @@ def build_prefectures(rows: Iterable[tuple[str, float, float, float, float]]) ->
     if tokyo is None:
         raise DomainError("prefecture table must contain a row named Tokyo")
     return [
-        Prefecture(i, name, (x, y), math.hypot(x - tokyo[0], y - tokyo[1]) <= URBAN_RADIUS_KM, w / total, edu)
-        for i, (name, x, y, w, edu) in enumerate(raw)
+        Prefecture(name, (x, y), math.hypot(x - tokyo[0], y - tokyo[1]) <= URBAN_RADIUS_KM, w / total, edu)
+        for name, x, y, w, edu in raw
     ]
 
 
@@ -343,7 +339,7 @@ def default_schools(prefectures: Sequence[Prefecture], capacities: Sequence[int]
     """
     if len(capacities) != len(_SCHOOL_HOSTS) or len(prestige) != len(_SCHOOL_HOSTS):
         raise DomainError(f"expected {len(_SCHOOL_HOSTS)} capacities and prestige values")
-    by_name = {p.name: p.id for p in prefectures}
+    by_name = {p.name: i for i, p in enumerate(prefectures)}
     missing = [host for _, host in _SCHOOL_HOSTS if host not in by_name]
     if missing:
         raise DomainError(f"school host prefecture {missing[0]!r} not in geography")

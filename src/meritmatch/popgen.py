@@ -130,9 +130,9 @@ def regime_schedule(
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """One run's geography, schools, population and schedule, plus the arrays
-    the yearly layers read, derived once from them in id order: prefecture p
-    is row p and school s is column s - 1 (`validate_market` holds both id
-    ranges). The arrays are read-only, since every year and seed shares them."""
+    the yearly layers read, derived once from them: prefecture p is row p and
+    school s is column s - 1 (`validate_market` holds hosts and ids to both).
+    The arrays are read-only, since every year and seed shares them."""
 
     prefectures: tuple[Prefecture, ...]
     schools: tuple[School, ...]
@@ -142,12 +142,12 @@ class Scenario:
     edu: np.ndarray = field(init=False, repr=False)  # (P,) edu_index
     urban: np.ndarray = field(init=False, repr=False)  # (P,) bool, inside the Tokyo band
     tokyo: np.ndarray = field(init=False, repr=False)  # (P,) bool, the row named Tokyo
-    hosts: np.ndarray = field(init=False, repr=False)  # (S,) host prefecture id
+    hosts: np.ndarray = field(init=False, repr=False)  # (S,) host prefecture row
     prestige: np.ndarray = field(init=False, repr=False)  # (S,)
     school_km: np.ndarray = field(init=False, repr=False)  # (P, S) distance from each prefecture to each school
 
     def __post_init__(self) -> None:
-        prefs = sorted(self.prefectures, key=lambda p: p.id)
+        prefs = self.prefectures
         schools = sorted(self.schools, key=lambda s: s.id)
         weights = np.array([p.pop_weight for p in prefs])
         hosts = np.array([s.prefecture_id for s in schools])
@@ -155,7 +155,7 @@ class Scenario:
             "weights": weights / weights.sum(),
             "edu": np.array([p.edu_index for p in prefs]),
             "urban": np.array([p.urban for p in prefs]),
-            "tokyo": np.arange(len(prefs)) == next(p.id for p in prefs if p.name == "Tokyo"),
+            "tokyo": np.arange(len(prefs)) == next(i for i, p in enumerate(prefs) if p.name == "Tokyo"),
             "hosts": hosts,
             "prestige": np.array([s.prestige for s in schools]),
             "school_km": distance_matrix(self.prefectures)[:, hosts],

@@ -75,11 +75,12 @@ def grouped_ranking(applicant, groups):
 
 
 def save_geography(prefectures, path):
-    """Write prefectures in the CSV form `load_geography` reads."""
+    """Write prefectures in the CSV form `load_geography` reads, each with
+    its row number as its id."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(GEOGRAPHY_COLUMNS)
-        writer.writerows([p.id, p.name, p.coord[0], p.coord[1], p.pop_weight, p.edu_index] for p in prefectures)
+        writer.writerows([i, p.name, *p.coord, p.pop_weight, p.edu_index] for i, p in enumerate(prefectures))
 
 
 def save_schools(schools, path):

@@ -311,7 +311,7 @@ def walked_year_outcome(apps, assignment, prefectures, schools, cohort, year, re
         share_first = int(np.count_nonzero(apps.schools[:, :1] == 1)) / n_apps
     host = {s.id: s.prefecture_id for s in schools}
     dmat = distance_matrix(prefectures)
-    urban = {p.id: p.urban for p in prefectures}
+    urban = [p.urban for p in prefectures]
     placed = assignment.placed
     dist_sum = 0.0
     urban_count = 0
@@ -360,12 +360,12 @@ class PanelRow:
 
 def row_build_panel(records, prefectures, schools):
     """Panel rows for every (prefecture, year) and (prefecture, year, school),
-    year-major; within a prefecture the all-schools row comes first."""
-    prefs_sorted = sorted(prefectures, key=lambda p: p.id)
+    year-major; within a prefecture the all-schools row comes first.
+    Prefecture p is `prefectures[p]`."""
     schools_sorted = sorted(schools, key=lambda s: s.id)
     dmat = distance_matrix(prefectures)
     host = {s.id: s.prefecture_id for s in schools_sorted}
-    tokyo = next(p for p in prefs_sorted if p.name == "Tokyo")
+    tokyo = next(i for i, p in enumerate(prefectures) if p.name == "Tokyo")
 
     school_dist = {s.id: dmat[:, host[s.id]] for s in schools_sorted}
     nearest = np.min(np.stack([school_dist[s.id] for s in schools_sorted]), axis=0)
@@ -374,21 +374,21 @@ def row_build_panel(records, prefectures, schools):
     for rec in sorted(records, key=lambda r: r.year):
         centralized = rec.regime.is_centralized
         entrants = rec.entrants.tolist()
-        for p in prefs_sorted:
-            grads = float(rec.cohort[p.id])
-            near = p.urban and p.id != tokyo.id
+        for i, p in enumerate(prefectures):
+            grads = float(rec.cohort[i])
+            near = p.urban and i != tokyo
             rows.append(
                 PanelRow(
-                    p.id, rec.year, None, sum(entrants[p.id]), centralized,
-                    bool(nearest[p.id] == 0.0), bool(0.0 < nearest[p.id] <= 100.0), p.id == tokyo.id, near, grads,
+                    i, rec.year, None, sum(entrants[i]), centralized,
+                    bool(nearest[i] == 0.0), bool(0.0 < nearest[i] <= 100.0), i == tokyo, near, grads,
                 )
             )
             for k, s in enumerate(schools_sorted):
-                d = school_dist[s.id][p.id]
+                d = school_dist[s.id][i]
                 rows.append(
                     PanelRow(
-                        p.id, rec.year, s.id, entrants[p.id][k], centralized,
-                        bool(d == 0.0), bool(0.0 < d <= 100.0), p.id == tokyo.id, near, grads,
+                        i, rec.year, s.id, entrants[i][k], centralized,
+                        bool(d == 0.0), bool(0.0 < d <= 100.0), i == tokyo, near, grads,
                     )
                 )
     return rows

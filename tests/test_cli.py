@@ -17,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meritmatch.cli import main
-from meritmatch.config import ConfigError, InvariantError, RunManifest, _lock_payload, build_scenario, resolve_config
+from meritmatch.config import (
+    GEOGRAPHY_COLUMNS,
+    ConfigError,
+    InvariantError,
+    RunManifest,
+    _lock_payload,
+    build_scenario,
+    resolve_config,
+)
 from meritmatch.core import DomainError, default_prefectures
 from meritmatch.metrics import OUTCOME_STATISTICS, read_year_outcomes_csv
 from meritmatch.pipeline import diff_regimes, run
@@ -459,6 +467,17 @@ def test_seeds_must_lie_in_the_64_bit_range(tmp_path, capsys, seed, seeds, valid
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds", [0, 10**12])
+def test_seed_count_outside_its_bound_is_config_error(tmp_path, capsys, seeds):
+    # a mistyped count built its list of seeds after `--out` was made, and ran out of memory
+    assert RunManifest(seeds=10**6).seeds == 10**6
+    out = tmp_path / "out"
+    assert main(["run", "--seeds", str(seeds), "--jobs", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: seeds count must be in 1..1000000, got ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 @pytest.mark.parametrize(
     "stages", [("simulate,metrics,estimate",), ("simulate,metrics", "estimate")], ids=["one process", "staged"]
@@ -619,7 +638,10 @@ def test_bad_geography_header_is_config_error(tmp_path, capsys):
 
 def test_geography_ids_out_of_row_order_are_config_error(tmp_path, capsys):
     prefs = default_prefectures()
-    save_geography([replace(p, id=len(prefs) - 1 - p.id) for p in prefs], tmp_path / "geo.csv")
+    # the shipped rows, each under the id of its mirror row
+    rows = [[len(prefs) - 1 - i, p.name, *p.coord, p.pop_weight, p.edu_index] for i, p in enumerate(prefs)]
+    with open(tmp_path / "geo.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([GEOGRAPHY_COLUMNS, *rows])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL_CONFIG, "geography": "geo.csv"}))
     assert _run_cli(cfg, tmp_path / "out") == 2
@@ -815,15 +837,12 @@ def test_unwritable_out_dir_is_io_error(config_path, tmp_path, capsys):
 
 
 def test_invariant_violation_exit_code(tmp_path, capsys):
-    from meritmatch.core import default_prefectures, Prefecture
+    from meritmatch.core import default_prefectures
 
     prefs = default_prefectures()
     # give Aomori the same coordinate as Tokyo; names and weights stay valid
     tokyo = next(p for p in prefs if p.name == "Tokyo")
-    prefs = [
-        Prefecture(p.id, p.name, tokyo.coord if p.name == "Aomori" else p.coord, p.urban, p.pop_weight, p.edu_index)
-        for p in prefs
-    ]
+    prefs = [replace(p, coord=tokyo.coord) if p.name == "Aomori" else p for p in prefs]
     geo = tmp_path / "geo.csv"
     save_geography(prefs, geo)
     cfg = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 
 from meritmatch.config import build_scenario, load_geography, load_schools
 from meritmatch.core import (
+    _PREFECTURE_TABLE,
     Applicant,
     DomainError,
     Prefecture,
@@ -20,35 +22,37 @@ from meritmatch.core import (
 from conftest import cohort_of, save_geography, save_schools
 
 
-def _pref(pid, x, y, urban=False, w=0.5, edu=0.3, name=None):
-    return Prefecture(id=pid, name=name or f"P{pid}", coord=(x, y), urban=urban, pop_weight=w, edu_index=edu)
+def _pref(name, x, y, urban=False, w=0.5, edu=0.3):
+    return Prefecture(name=name, coord=(x, y), urban=urban, pop_weight=w, edu_index=edu)
 
 
 def test_distance_identity():
-    p = _pref(0, 12.0, -7.0)
+    p = _pref("P0", 12.0, -7.0)
     assert distance_matrix([p]).tolist() == [[0.0]]
 
 
 def test_distance_3_4_5():
-    a = _pref(0, 0.0, 0.0)
-    b = _pref(1, 3.0, 4.0)
+    a = _pref("P0", 0.0, 0.0)
+    b = _pref("P1", 3.0, 4.0)
     assert distance_matrix([a, b]).tolist() == [[0.0, 5.0], [5.0, 0.0]]
+
+
+def test_distance_matrix_indexes_prefectures_by_row():
+    # entry (i, j) is the distance between rows i and j, in whatever order the rows come
+    small = [("A", 5.0, -1.0, 1.0, 0.2), ("Tokyo", 0.0, 0.0, 2.0, 1.0), ("B", 3.0, 4.0, 1.0, 0.2)]
+    for rows in (_PREFECTURE_TABLE[::-1], small):
+        d = distance_matrix(build_prefectures(rows))
+        for (i, a), (j, b) in itertools.product(enumerate(rows), repeat=2):
+            assert d[i, j] == pytest.approx(math.hypot(a[1] - b[1], a[2] - b[2]), rel=1e-15, abs=0.0)
 
 
 def test_tokyo_kanagawa_within_urban_band():
     prefs = default_prefectures()
-    by_name = {p.name: p for p in prefs}
+    row = {p.name: i for i, p in enumerate(prefs)}
     # hand calculation from the shipped table: (152.4, -34.6) vs (147.9, -61.4)
     expected = math.hypot(152.4 - 147.9, -34.6 - (-61.4))
-    assert distance_matrix(prefs)[by_name["Tokyo"].id, by_name["Kanagawa"].id] == pytest.approx(expected)
-    assert expected <= 100.0 and by_name["Kanagawa"].urban
-
-
-def test_unknown_prefecture_id_is_domain_error():
-    prefs = default_prefectures()
-    prefs[-1] = _pref(99, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        distance_matrix(prefs)
+    assert distance_matrix(prefs)[row["Tokyo"], row["Kanagawa"]] == pytest.approx(expected)
+    assert expected <= 100.0 and prefs[row["Kanagawa"]].urban
 
 
 def test_distance_is_a_metric_on_default_geography():
@@ -92,9 +96,7 @@ def test_validate_market_flags_nonpositive_capacity():
 
 def test_validate_market_flags_unnormalized_weights():
     prefs = default_prefectures()
-    shrunk = [
-        Prefecture(p.id, p.name, p.coord, p.urban, p.pop_weight * 0.9, p.edu_index) for p in prefs
-    ]
+    shrunk = [replace(p, pop_weight=p.pop_weight * 0.9) for p in prefs]
     violations = validate_market(shrunk, [])
     assert any(v.startswith("weights_not_normalized: ") for v in violations)
 
@@ -114,9 +116,7 @@ def test_validate_market_reports_a_repeated_school_id_once():
 
 def test_validate_market_collects_multiple_violations():
     prefs = default_prefectures()
-    shrunk = [
-        Prefecture(p.id, p.name, p.coord, p.urban, p.pop_weight * 0.5, p.edu_index) for p in prefs
-    ]
+    shrunk = [replace(p, pop_weight=p.pop_weight * 0.5) for p in prefs]
     schools = [School(id=1, prefecture_id=999, capacity=-3, prestige=1.0)]
     violations = validate_market(shrunk, schools)
     codes = {v.split(":")[0] for v in violations}

@@ -59,10 +59,10 @@ def test_year_outcome_everyone_unassigned():
 
 def test_year_outcome_single_tokyo_admit():
     sc = build_scenario(0.01)
-    tokyo = next(p for p in sc.prefectures if p.name == "Tokyo")
+    tokyo = next(i for i, p in enumerate(sc.prefectures) if p.name == "Tokyo")
     apps = Applications.of([PreferenceList(0, (1, 2))])
     assignment = assignment_of([(0, 1, 1)])
-    cohort = cohort_of([mk_applicant(0, 50.0, 8, birth=tokyo.id)])
+    cohort = cohort_of([mk_applicant(0, 50.0, 8, birth=tokyo)])
     out = year_outcome(apps, assignment, sc, cohort, 1902, RegimeKind.CENTRALIZED)
     assert out.share_first_choice_school1 == 1.0
     assert out.mean_enrollment_distance_km == 0.0  # school 1 sits in Tokyo
@@ -184,14 +184,14 @@ def test_accounting_identity(small_run):
 def test_flag_geometry(small_run):
     sc, res = small_run
     panels = build_panel(res.records, sc)
-    tokyo = next(p for p in sc.prefectures if p.name == "Tokyo")
+    tokyo = next(i for i, p in enumerate(sc.prefectures) if p.name == "Tokyo")
     host_of_1 = next(s for s in sc.schools if s.id == 1).prefecture_id
-    assert host_of_1 == tokyo.id
+    assert host_of_1 == tokyo
     urban = np.array([p.urban for p in sc.prefectures])
     for key, cols in panels.items():
         located_in, within_100km = cols["located_in"] == 1.0, cols["within_100km"] == 1.0
         is_tokyo, near_tokyo = cols["tokyo"] == 1.0, cols["near_tokyo"] == 1.0
-        in_tokyo = cols["prefecture_id"] == tokyo.id
+        in_tokyo = cols["prefecture_id"] == tokyo
         assert not np.any(located_in & within_100km)  # bands are exclusive
         if key == 1:
             assert np.array_equal(located_in, in_tokyo)

@@ -34,7 +34,7 @@ def test_no_distance_cost_no_noise_forces_school1_first():
 def test_zero_urban_shift_equalizes_scores():
     sc = build_scenario(population={"urban_score_shift": 0.0, "applicants_per_year": 100_000})
     apps = generate_applicants(sc, 1900, SeededRng(0))
-    urban_ids = {p.id for p in sc.prefectures if p.urban}
+    urban_ids = {i for i, p in enumerate(sc.prefectures) if p.urban}
     urban = np.array([a.score for a in apps if a.birth_prefecture in urban_ids])
     rural = np.array([a.score for a in apps if a.birth_prefecture not in urban_ids])
     se = np.sqrt(urban.var() / len(urban) + rural.var() / len(rural))
@@ -44,7 +44,7 @@ def test_zero_urban_shift_equalizes_scores():
 def test_tokyo_area_applicant_share_matches_configured_mass():
     sc = build_scenario()
     apps = generate_applicants(sc, 1900, SeededRng(0))
-    urban_ids = {p.id for p in sc.prefectures if p.urban}
+    urban_ids = {i for i, p in enumerate(sc.prefectures) if p.urban}
     mass = sum(p.pop_weight for p in sc.prefectures if p.urban)
     share = sum(1 for a in apps if a.birth_prefecture in urban_ids) / len(apps)
     se = np.sqrt(mass * (1 - mass) / len(apps))
@@ -166,7 +166,7 @@ def test_scenario_arrays_are_in_id_order():
     assert [s.id for s in flipped.schools] == list(range(8, 0, -1))
     for name in SCENARIO_ARRAYS:
         assert np.array_equal(getattr(flipped, name), getattr(sc, name)), name
-    tokyo = next(p.id for p in sc.prefectures if p.name == "Tokyo")
+    tokyo = next(i for i, p in enumerate(sc.prefectures) if p.name == "Tokyo")
     assert sc.school_km.shape == (47, 8) and sc.school_km[tokyo, 0] == 0.0  # school 1 sits in Tokyo
     assert sc.tokyo.nonzero()[0].tolist() == [tokyo]
     assert sc.prestige.tolist() == list(sc.population.prestige)
