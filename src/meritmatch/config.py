@@ -247,11 +247,8 @@ def build_scenario(
     if violations:
         raise InvariantError("; ".join(violations))
     scenario = Scenario(prefectures=tuple(prefectures), schools=tuple(schools), population=config, schedule=schedule)
-    # the means of the draws, formed as `generate_applicants` forms them: one
-    # that overflows would leave every cohort with non-finite values
+    mean, base = scenario.mean_score, scenario.base_utility  # a non-finite mean of the draw fails every cohort
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = config.score_mean_base + config.urban_score_shift * scenario.edu
-        base = scenario.prestige - config.distance_cost * scenario.school_km
         for what, values in (
             ("mean score", mean),
             ("base utility", base),

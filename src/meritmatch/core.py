@@ -22,6 +22,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 URBAN_RADIUS_KM = 100.0
+# the farthest apart two prefectures may be, so that a mean enrollment distance keeps its trend fit finite
+MAX_KM = 1e100
 
 
 class DomainError(ValueError):
@@ -303,19 +305,24 @@ def build_prefectures(rows: Iterable[tuple[str, float, float, float, float]]) ->
     """Construct prefectures from (name, x_km, y_km, weight, edu_index) rows.
 
     Weights are normalized to sum to 1; the urban flag is derived from the
-    100 km band around the row named Tokyo. Coordinates whose squared
-    distances overflow are a DomainError.
+    100 km band around the row named Tokyo. Coordinates that spread more than
+    `MAX_KM` and a name on two rows, which the schools' hosts and the Tokyo
+    band look up, are each a DomainError.
     """
     raw = list(rows)
     if not raw:
         raise DomainError("empty prefecture table")
+    first: dict[str, int] = {}
+    for k, (name, *_) in enumerate(raw):
+        if first.setdefault(name, k) != k:
+            raise DomainError(f"prefecture rows {first[name]} and {k} are both named {name!r}")
     for name, *numbers in raw:
         if not all(map(math.isfinite, numbers)):
             raise DomainError(f"prefecture {name} has a non-finite x_km, y_km, weight or edu_index: {numbers}")
     # no pair of prefectures is further apart in x or in y than the largest spreads
     dx, dy = (max(r[k] for r in raw) - min(r[k] for r in raw) for k in (1, 2))
-    if not math.isfinite(dx * dx + dy * dy):
-        raise DomainError(f"prefecture coordinates spread {dx:.4g} km in x and {dy:.4g} km in y: their distances overflow")
+    if not math.hypot(dx, dy) <= MAX_KM:
+        raise DomainError(f"prefecture coordinates spread {dx:.4g} km in x and {dy:.4g} km in y, more than {MAX_KM:g} km")
     total = sum(r[3] for r in raw)
     if total <= 0:
         raise DomainError("prefecture weights must have a positive sum")

@@ -38,9 +38,9 @@ from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Assignment, Cohort, DomainError, RegimeKind, distance_matrix, panel_grid
+from .core import MAX_KM, Assignment, Cohort, DomainError, RegimeKind, distance_matrix, panel_grid
 from .mechanisms import Applications
-from .popgen import Scenario
+from .popgen import _MAX_COHORT, Scenario
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,8 @@ class YearOutcome:
 
 # the YearOutcome fields that are statistics of the year, each missing (None) in a year without applicants or entrants
 OUTCOME_STATISTICS = ("share_first_choice_school1", "mean_enrollment_distance_km", "tokyo_area_entrant_share")
+# the largest value of each statistic read back: two shares, and a mean of distances between prefectures
+_STATISTIC_TOPS = (1.0, MAX_KM, 1.0)
 
 
 @dataclass(frozen=True)
@@ -250,8 +252,10 @@ def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[str, 
     The rows are parsed in one `np.loadtxt` call into a structured array, so no
     Python object is made per field. A wrong header, a row without exactly the
     panel's fields, a malformed value (an integer column written as a float
-    included, a seed outside 0..2^64-1) or another school_id is a DomainError.
-    Which seeds and grid the rows must hold is the reader's caller's to check.
+    included, a seed outside 0..2^64-1), another school_id, a flag other than
+    0 or 1 and a count (entrants, middle_school_grads) that is not a whole
+    number of applicants in 0..`_MAX_COHORT` is a DomainError. Which seeds
+    and grid the rows must hold is the reader's caller's to check.
     """
     data = Path(path).read_bytes()
     body = io.BytesIO(data)  # shares the bytes of `data`
@@ -278,6 +282,10 @@ def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[str, 
     for name in PANEL_FLAGS:
         if np.any((table[name] != 0) & (table[name] != 1)):
             raise DomainError(f"{path}: {name} must be 0 or 1")
+    for name in ("entrants", "middle_school_grads"):  # no year has more applicants; NaN fails every comparison
+        count = table[name]
+        if not np.all((0 <= count) & (count <= _MAX_COHORT) & (count == np.floor(count))):
+            raise DomainError(f"{path}: {name} must be a whole number in 0..{_MAX_COHORT}")
 
     cols = {name: table[name].copy() for name in ("seed", "prefecture_id", "year", "middle_school_grads")}
     cols.update({name: table[name].astype(float) for name in ("entrants",) + PANEL_FLAGS})
@@ -318,17 +326,22 @@ def read_rows(
 def read_year_outcomes_csv(path: str | Path) -> list[tuple[int, YearOutcome]]:
     """Read back the (seed, outcome) rows that `write_year_outcomes_csv` wrote,
     in file order, by `read_rows`. An unparsable value, a statistic that is
-    NaN or infinite (the writer leaves a missing one empty) or a second row
-    for one (seed, year) is a DomainError naming the line."""
+    NaN or infinite (the writer leaves a missing one empty) or outside its
+    range, a count outside 0..`_MAX_COHORT` or a second row for one (seed,
+    year) is a DomainError naming the line."""
     seen: set[tuple[int, int]] = set()
 
     def convert(rec: list[str]) -> tuple[int, YearOutcome]:
         seed, year, regime, *statistics, entrants, unassigned = rec
         stats = [float(v) if v else None for v in statistics]  # empty: missing
         row = int(seed), YearOutcome(int(year), RegimeKind(regime), *stats, int(entrants), int(unassigned))
-        for name, value in zip(OUTCOME_STATISTICS, stats):
+        for name, value, top in zip(OUTCOME_STATISTICS, stats, _STATISTIC_TOPS):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            if value is not None and not 0 <= value <= top:
+                raise ValueError(f"{name} must be in 0..{top:g}, got {value!r}")
+        if not (0 <= row[1].entrants_total <= _MAX_COHORT and 0 <= row[1].unassigned_total <= _MAX_COHORT):
+            raise ValueError(f"entrants_total and unassigned_total must be in 0..{_MAX_COHORT}")
         key = row[0], row[1].year
         if key in seen:
             raise ValueError(f"a second row for seed {key[0]}, year {key[1]}")

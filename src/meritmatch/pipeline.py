@@ -56,8 +56,8 @@ class SeedResult:
 
 
 def simulate_seed(scenario: Scenario, behavior: BehaviorParams, seed: int) -> SeedResult:
-    """Simulate every year of the schedule for one seed. Every layer reads
-    the scenario's arrays, derived once when it was built.
+    """Simulate every year of the schedule for one seed, holding one year's
+    cohort, applications and assignment at a time.
 
     Decentralized years warm-start their cutoff iteration from the previous
     decentralized equilibrium, which is deterministic and much faster than a
@@ -88,6 +88,7 @@ def simulate_seed(scenario: Scenario, behavior: BehaviorParams, seed: int) -> Se
 
         outcomes.append(year_outcome(apps, assignment, scenario, cohort, year, regime.kind))
         records.append(year_record(assignment, cohort, scenario, year, regime.kind))
+        del cohort, apps, assignment  # freed before the next year's draw, not after it
     return SeedResult(
         seed=seed,
         outcomes=tuple(outcomes),
@@ -321,15 +322,17 @@ def _panels_from_disk(
     Every file's `seed`, `prefecture_id` and `year` columns must equal the
     run's layout: each of `seeds`, in order, over the full year x prefecture
     grid. A school panel must repeat the shared columns of panel_all.csv bit
-    for bit. Seed k's panels are then the rows [k*G, (k+1)*G) of the files,
-    G the grid's size, and each school panel reuses panel_all's read-only
-    slice of every shared column.
+    for bit, and panel_all.csv's entrants must be the school panels' sum in
+    every row. Seed k's panels are then the rows [k*G, (k+1)*G) of the
+    files, G the grid's size, and each school panel reuses panel_all's
+    read-only slice of every shared column.
     """
     grid = panel_grid(sorted(r.year for r in scenario.schedule), len(scenario.prefectures))
     size = len(grid["year"])
     layout = {"seed": np.repeat(np.array(seeds, dtype=np.uint64), size)}
     layout.update((c, np.tile(col, len(seeds))) for c, col in grid.items())
     panels: dict[int, dict] = {s: {} for s in seeds}
+    summed = 0.0  # the school panels' entrants
     for key, name in panel_files.items():  # panel_all.csv first
         path = out_dir / name
         cols = read_panel_csv(path, key)
@@ -343,9 +346,12 @@ def _panels_from_disk(
                 if c not in PER_PANEL_COLUMNS and cols[c].tobytes() != col.tobytes():
                     raise DomainError(f"{path}: column {c} differs from {panel_files[None]}")
             cols = {c: cols[c] for c in PER_PANEL_COLUMNS}
+            summed = summed + cols["entrants"]
         for k, s in enumerate(seeds):  # seed k's rows; a school panel takes panel_all's slice of each shared column
             own = {c: col[k * size : (k + 1) * size] for c, col in cols.items()}
             panels[s][key] = own if key is None else {**panels[s][None], **own}
+    if not np.array_equal(summed, shared["entrants"]):  # whole counts below 2^53: the float sums are exact
+        raise DomainError(f"{out_dir / panel_files[None]}: entrants differ from the sum over the school panels")
     return panels
 
 
@@ -396,9 +402,10 @@ def run(manifest: RunManifest) -> dict[str, Path]:
     stages ran in this invocation, those on disk otherwise. Each file must
     hold the manifest's seeds in order: each panel every seed's full year x
     prefecture grid, each school panel panel_all.csv's shared columns bit for
-    bit, and year_outcomes.csv each seed's schedule years, ascending, under
-    the schedule's regimes; anything else is an ArtifactError raised before
-    regressions.csv is written.
+    bit and panel_all.csv the sum of their entrants, and year_outcomes.csv
+    each seed's schedule years, ascending, under the schedule's regimes;
+    anything else is an ArtifactError raised before regressions.csv is
+    written.
 
     Every artifact is written into a private staging directory inside the
     output directory and renamed into place, one file at a time, only after

@@ -7,9 +7,9 @@ applicant's id is that row, 0..n-1. The urban advantage enters only through
 the education-infrastructure channel: a prefecture's edu_index shifts its
 mean exam score. Preferences are prestige minus a linear distance cost plus
 idiosyncratic noise. `config.build_scenario` builds and checks a `Scenario`,
-which derives once the id-ordered arrays that the yearly layers read
-(prefecture p is row p, school s is column s - 1); a draw that overflows a
-utility or outside option to infinity is a DomainError from `Cohort`.
+which derives once the id-ordered arrays the yearly layers read, the draw's
+means among them (prefecture p is row p, school s is column s - 1); a draw
+that overflows a utility or outside option is a DomainError from `Cohort`.
 """
 
 from __future__ import annotations
@@ -88,17 +88,17 @@ class PopulationConfig:
 
 def generate_applicants(scenario: Scenario, year: int, rng: SeededRng) -> Cohort:
     """Draw one year's cohort from the id-ordered arrays of `scenario`: births
-    by `weights`, scores shifted by `edu`, and utility column s - 1 from
-    school s's `prestige` and `school_km`. The draw uses a ("popgen", year)
-    substream of `rng`, so a cohort depends only on (seed, year), not on draw
-    order."""
+    by `weights`, each score around its birth row's `mean_score`, and each
+    utility row its birth row's `base_utility` plus noise. The draw uses a
+    ("popgen", year) substream of `rng`, so a cohort depends only on (seed,
+    year), not on draw order."""
     gen = rng.substream("popgen", year).generator()
     config = scenario.population
     n = config.cohort_size(year)
     birth = gen.choice(len(scenario.weights), size=n, p=scenario.weights)
-    scores = gen.normal(config.score_mean_base + config.urban_score_shift * scenario.edu[birth], config.score_sd)
-    noise = gen.normal(0.0, config.preference_noise_sd, size=(n, len(scenario.prestige)))
-    utilities = scenario.prestige[None, :] - config.distance_cost * scenario.school_km[birth] + noise
+    scores = gen.normal(scenario.mean_score[birth], config.score_sd)
+    noise = gen.normal(0.0, config.preference_noise_sd, size=(n, len(scenario.hosts)))
+    utilities = np.add(scenario.base_utility.take(birth, axis=0), noise, out=noise)
     outside = gen.normal(config.outside_option_mean, config.outside_option_sd, size=n)
 
     return Cohort(birth=birth, score=scores, utility=utilities, outside=outside)
@@ -132,34 +132,36 @@ class Scenario:
     """One run's geography, schools, population and schedule, plus the arrays
     the yearly layers read, derived once from them: prefecture p is row p and
     school s is column s - 1 (`validate_market` holds hosts and ids to both).
-    The arrays are read-only, since every year and seed shares them."""
+    The arrays are read-only, since every year and seed shares them; a mean
+    of the draw that overflows is left non-finite for `build_scenario`."""
 
     prefectures: tuple[Prefecture, ...]
     schools: tuple[School, ...]
     population: PopulationConfig
     schedule: tuple[Regime, ...]
     weights: np.ndarray = field(init=False, repr=False)  # (P,) birth probabilities, summing to 1
-    edu: np.ndarray = field(init=False, repr=False)  # (P,) edu_index
     urban: np.ndarray = field(init=False, repr=False)  # (P,) bool, inside the Tokyo band
     tokyo: np.ndarray = field(init=False, repr=False)  # (P,) bool, the row named Tokyo
     hosts: np.ndarray = field(init=False, repr=False)  # (S,) host prefecture row
-    prestige: np.ndarray = field(init=False, repr=False)  # (S,)
     school_km: np.ndarray = field(init=False, repr=False)  # (P, S) distance from each prefecture to each school
+    mean_score: np.ndarray = field(init=False, repr=False)  # (P,) mean exam score of the prefecture's applicants
+    base_utility: np.ndarray = field(init=False, repr=False)  # (P, S) prestige minus distance cost
 
     def __post_init__(self) -> None:
-        prefs = self.prefectures
+        prefs, pop = self.prefectures, self.population
         schools = sorted(self.schools, key=lambda s: s.id)
         weights = np.array([p.pop_weight for p in prefs])
         hosts = np.array([s.prefecture_id for s in schools])
         derived = {
             "weights": weights / weights.sum(),
-            "edu": np.array([p.edu_index for p in prefs]),
             "urban": np.array([p.urban for p in prefs]),
             "tokyo": np.arange(len(prefs)) == next(i for i, p in enumerate(prefs) if p.name == "Tokyo"),
             "hosts": hosts,
-            "prestige": np.array([s.prestige for s in schools]),
             "school_km": distance_matrix(self.prefectures)[:, hosts],
         }
+        with np.errstate(over="ignore", invalid="ignore"):
+            derived["mean_score"] = pop.score_mean_base + pop.urban_score_shift * np.array([p.edu_index for p in prefs])
+            derived["base_utility"] = np.array([s.prestige for s in schools]) - pop.distance_cost * derived["school_km"]
         self.__setstate__(derived)
 
     def __setstate__(self, state: dict) -> None:

@@ -26,7 +26,7 @@ from meritmatch.config import (
     build_scenario,
     resolve_config,
 )
-from meritmatch.core import DomainError, default_prefectures
+from meritmatch.core import _PREFECTURE_TABLE, DomainError, Prefecture, build_prefectures, default_prefectures
 from meritmatch.metrics import OUTCOME_STATISTICS, read_year_outcomes_csv
 from meritmatch.pipeline import diff_regimes, run
 from meritmatch.popgen import DEFAULT_PRESTIGE, PopulationConfig
@@ -762,8 +762,30 @@ def test_geography_whose_distances_overflow_is_config_error(tmp_path, capsys, lo
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**SMALL_CONFIG, "geography": "geo.csv"}))
     where = "lockfile" if locked else "config"
-    message = f"bad {where}: prefecture coordinates spread 1e+200 km in x and 1e+200 km in y: their distances overflow\n"
+    message = f"bad {where}: prefecture coordinates spread 1e+200 km in x and 1e+200 km in y, more than 1e+100 km\n"
     _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, message)
+
+
+@pytest.mark.parametrize("locked", [False, True], ids=["csv", "lockfile"])
+def test_prefecture_name_on_two_rows_is_config_error(tmp_path, capsys, locked):
+    # schools took a host name's last row and the Tokyo band its first: school 1
+    # sat at row 47, outside the band, while `Scenario.tokyo` flagged row 12
+    second = ("Tokyo", 500.0, 500.0, 1.0, 0.5)
+    message = "prefecture rows 12 and 47 are both named 'Tokyo'"
+    with pytest.raises(DomainError, match=message):
+        build_scenario(0.05, prefectures=build_prefectures([*_PREFECTURE_TABLE, second]))
+    if locked:
+        config = _small_lock(tmp_path)
+        config["geography"].append(list(second))
+        cfg = tmp_path / "manifest.lock"
+        cfg.write_text(json.dumps({"locked": True, "config": config}))
+    else:
+        prefs = [*default_prefectures(), Prefecture(second[0], second[1:3], False, *second[3:])]
+        save_geography(prefs, tmp_path / "geo.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "geography": "geo.csv"}))
+    where = "lockfile" if locked else "config"
+    _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, f"bad {where}: {message}\n")
 
 
 def _set(k, value):
@@ -1057,6 +1079,40 @@ def test_non_finite_statistic_is_artifact_error(config_path, tmp_path, capsys, c
     assert captured.out == ""
     name = YEAR_OUTCOME_COLUMNS[column]
     assert captured.err == f"error: artifact: {path}, line 5: {name} must be finite, got {float(value)!r}\n" * 2
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (3, "1e308", "share_first_choice_school1 must be in 0..1, got 1e+308"),
+        (4, "1e308", "mean_enrollment_distance_km must be in 0..1e+100, got 1e+308"),
+        (5, "1.5", "tokyo_area_entrant_share must be in 0..1, got 1.5"),
+        (4, "-1", "mean_enrollment_distance_km must be in 0..1e+100, got -1.0"),
+        (6, "-1", "entrants_total and unassigned_total must be in 0..10000000"),
+    ],
+    ids=["share 1e308", "distance 1e308", "share above 1", "negative distance", "negative count"],
+)
+def test_statistic_outside_its_range_is_artifact_error(config_path, tmp_path, capsys, column, value, message):
+    # 1e308 overflowed the trend fit with numpy warnings; the others were estimated
+    out = tmp_path / "out"
+    assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "simulate,metrics")) == 0
+    path = out / "year_outcomes.csv"
+    lines = path.read_text().split("\n")
+    fields = lines[4].split(",")  # seed 0, 1903
+    fields[column] = value
+    lines[4] = ",".join(fields)
+    path.write_text("\n".join(lines))
+    capsys.readouterr()  # drop the run command's output
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "estimate")) == 2
+        assert main(["diff-regimes", str(path)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert not (out / "regressions.csv").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: artifact: {path}, line 5: {message}\n" * 2
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
@@ -1370,6 +1426,41 @@ def test_estimate_rejects_malformed_inputs(config_path, tmp_path, capsys, name, 
     err = capsys.readouterr().err
     assert err.startswith("error: artifact:") and name in err  # the check that fails names the file
     assert (out / "regressions.csv").read_bytes() == estimated
+
+
+PANEL_FILES = ["panel_all.csv"] + [f"panel_school_{s}.csv" for s in range(1, 9)]
+_COUNT_RULE = "must be a whole number in 0..10000000"
+
+
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+@pytest.mark.parametrize(
+    "names, index, value, message",
+    [
+        *((PANEL_FILES, 10, v, f"middle_school_grads {_COUNT_RULE}") for v in ("nan", "inf", "-inf", "1e308", "-14.0", "14.5")),
+        (PANEL_FILES, 4, "-3", f"entrants {_COUNT_RULE}"),
+        (["panel_all.csv"], 4, lambda old: str(int(old) + 1), "entrants differ from the sum over the school panels"),
+    ],
+    ids=["nan", "inf", "-inf", "1e308", "negative", "fractional", "negative entrants", "entrants not the sum"],
+)
+def test_estimate_rejects_panel_counts_no_run_writes(config_path, tmp_path, capsys, names, index, value, message):
+    # the same value in every panel file passes the shared-column check: a NaN
+    # or infinite count was blamed on collinear regressors (a config error),
+    # after a numpy warning for the infinities and 1e308, and the rest were estimated
+    out = tmp_path / "out"
+    assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "simulate,metrics")) == 0
+    for name in names:
+        lines = (out / name).read_bytes().split(b"\r\n")
+        fields = lines[1].decode().split(",")
+        fields[index] = value(fields[index]) if callable(value) else value
+        lines[1] = ",".join(fields).encode()
+        (out / name).write_bytes(b"\r\n".join(lines))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "estimate")) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: artifact: {out / 'panel_all.csv'}: {message}\n"
+    assert not (out / "regressions.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore:cutoff iteration")

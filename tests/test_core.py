@@ -8,6 +8,7 @@ import pytest
 from meritmatch.config import build_scenario, load_geography, load_schools
 from meritmatch.core import (
     _PREFECTURE_TABLE,
+    MAX_KM,
     Applicant,
     DomainError,
     Prefecture,
@@ -199,6 +200,15 @@ def test_build_prefectures_rejects_non_finite_numbers(column, value):
     rows[1][column] = value
     with pytest.raises(DomainError, match="prefecture Chiba has a non-finite x_km, y_km, weight or edu_index"):
         build_prefectures(rows)
+
+
+def test_build_prefectures_bounds_their_spread_by_max_km():
+    # the reader of year_outcomes.csv bounds a mean enrollment distance by the same MAX_KM, past which
+    # its trend fit overflows (a distance of 1e154 km did, with numpy warnings)
+    rows = [("Tokyo", 0.0, 0.0, 1.0, 1.0), ("Far", MAX_KM, 0.0, 1.0, 0.5)]
+    assert build_prefectures(rows)[1].coord == (MAX_KM, 0.0)
+    with pytest.raises(DomainError, match=r"spread 1e\+120 km in x and 0 km in y, more than 1e\+100 km"):
+        build_prefectures([rows[0], ("Far", 1e120, 0.0, 1.0, 0.5)])
 
 
 def test_schools_roundtrip(tmp_path):

@@ -1,23 +1,36 @@
 """Every input fails with its documented exit code.
 
-A property test over the numeric input surface of `meritmatch run`: each
-example sets one population or behavior key, `capacities[0]` or
-`prestige[0]` to a value of its type, an extreme value or a non-finite one,
-draws `--seed` and `--seeds` up to 2^64, and runs `cli.main` in process
-with `--stages simulate` and `--jobs 1`, on `{"scale": 0.05}` over
-1900-1901. The properties are those of the `cli` module docstring: exit 0,
+Two property tests, each calling `cli.main` in process. The first covers the
+numeric input surface of `meritmatch run`: each example sets one population
+or behavior key, `capacities[0]` or `prestige[0]` to a value of its type, an
+extreme value or a non-finite one, draws `--seed` and `--seeds` up to 2^64,
+and runs `--stages simulate` with `--jobs 1`, on `{"scale": 0.05}` over
+1900-1901. Its properties are those of the `cli` module docstring: exit 0,
 2, 3 or 4; one `error: <category>: ` line on failure; `--out` as it was
 found after a failure; no warning but the cutoff-iteration one, which
 reports a cycling equilibrium rather than a defect of the input checks.
+
+The second covers the artifacts the estimate stage reads back: each example
+corrupts one field of one row of year_outcomes.csv or of one panel file, or
+`manifest.lock`'s `seed`, `seeds` or `version_hash`, in a copy of one 2-seed
+`{"scale": 0.05}` simulate,metrics run, and runs `run --stages estimate` and
+`diff-regimes` on it. Each exits 0, 2 or 3, a failure with one
+`error: <category>: ` line and no regressions.csv, without a warning; a run
+that succeeds writes only finite numbers.
 """
 
 import contextlib
+import csv
 import io
 import json
+import math
 import os
+import shutil
 import tempfile
 import warnings
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,3 +116,94 @@ def test_every_numeric_input_exits_with_a_documented_code(setting, seed, seeds, 
         category = {2: ("config", "artifact"), 3: ("io",), 4: ("invariant",)}[code]
         assert err.count("\n") == 1 and err.startswith(tuple(f"error: {c}: " for c in category)), err
         assert (sorted(os.listdir(out)) if os.path.exists(out) else None) == before
+
+
+PANEL_FILES = ["panel_all.csv"] + [f"panel_school_{s}.csv" for s in range(1, 9)]
+# the values a corrupted field takes; None stands for the same field of another row (or lockfile key)
+CORRUPT_VALUES = ["", "nan", "inf", "-1", "1e308", str(2**63), "text", None]
+LOCK_KEYS = ("seed", "seeds", "version_hash")
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """The config and the output directory of a 2-seed `{"scale": 0.05}`
+    simulate,metrics run, and the number of data rows of each CSV in it."""
+    root = tmp_path_factory.mktemp("simulated")
+    cfg, out = root / "cfg.json", root / "out"
+    cfg.write_text(json.dumps({"scale": 0.05}))
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seeds", "2", "--stages", "simulate,metrics"]) == 0
+    assert all(str(w.message).startswith("cutoff iteration") for w in caught)
+    sizes = {name: (out / name).read_bytes().count(b"\r\n") - 1 for name in ["year_outcomes.csv", *PANEL_FILES]}
+    return cfg, out, sizes
+
+
+def _corrupt_csv(path, row, column, other, value):
+    lines = path.read_bytes().split(b"\r\n")  # CRLF-terminated, header first
+    fields = [line.split(b",") for line in lines]
+    fields[1 + row][column] = fields[1 + other][column] if value is None else value.encode()
+    path.write_bytes(b"\r\n".join(b",".join(f) for f in fields))
+
+
+def _corrupt_lock(path, key, value):
+    lock = json.loads(path.read_text())
+    parsed = {"": "", "nan": math.nan, "inf": math.inf, "text": "text"}
+    if value is None:
+        lock[key] = lock[LOCK_KEYS[(LOCK_KEYS.index(key) + 1) % len(LOCK_KEYS)]]
+    else:
+        lock[key] = parsed[value] if value in parsed else json.loads(value)
+    path.write_text(json.dumps(lock))
+
+
+def _finite_numbers(text):
+    """Every field of the CSV `text` that parses as a number is finite."""
+    for row in csv.reader(io.StringIO(text)):
+        for field in row:
+            try:
+                value = float(field)
+            except ValueError:
+                continue
+            assert math.isfinite(value), row
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    target=st.sampled_from(["year_outcomes.csv", *PANEL_FILES, "manifest.lock"]),
+    row=st.integers(0, 10**6),
+    other=st.integers(0, 10**6),
+    column=st.integers(0, 10**6),
+    value=st.sampled_from(CORRUPT_VALUES),
+)
+def test_every_corrupted_artifact_exits_with_a_documented_code(simulated, target, row, other, column, value):
+    cfg, simulated_out, sizes = simulated
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        shutil.copytree(simulated_out, out)
+        path = Path(out) / target
+        if target == "manifest.lock":
+            _corrupt_lock(path, LOCK_KEYS[column % len(LOCK_KEYS)], value)
+        else:
+            n_columns = path.read_bytes().split(b"\r\n", 1)[0].count(b",") + 1
+            _corrupt_csv(path, row % sizes[target], column % n_columns, other % sizes[target], value)
+        for argv in (
+            ["run", "--config", str(cfg), "--out", out, "--seeds", "2", "--stages", "estimate"],
+            ["diff-regimes", os.path.join(out, "year_outcomes.csv")],
+        ):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(stdout):
+                    code = main(argv)
+            assert [str(w.message) for w in caught] == [], argv
+            assert code in (0, 2, 3), argv
+            err = stderr.getvalue()
+            if code == 0:
+                assert err == ""
+                written = stdout.getvalue() if argv[0] == "diff-regimes" else (Path(out) / "regressions.csv").read_text()
+                _finite_numbers(written)
+                continue
+            category = {2: ("config", "artifact"), 3: ("io",)}[code]
+            assert err.count("\n") == 1 and err.startswith(tuple(f"error: {c}: " for c in category)), err
+            if argv[0] == "run":
+                assert not os.path.exists(os.path.join(out, "regressions.csv"))

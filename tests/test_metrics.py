@@ -310,9 +310,11 @@ def test_panel_csv_bytes_match_csv_writer_on_any_values(files):
 def _outcome_rows(draw):
     keys = draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(1800, 2000)), unique=True, max_size=6))
     # the reader rejects a NaN or infinite statistic (`test_outcome_reader_rejects_non_finite_statistic`)
-    statistic = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+    # and one outside its range, 0..1 for a share and 0..1e100 km for the distance
+    # (`test_cli.py::test_statistic_outside_its_range_is_artifact_error`)
+    share, distance = st.none() | st.floats(0, 1), st.none() | st.floats(0, 1e100)
     count = st.integers(0, 10**6)
-    fields = st.tuples(st.sampled_from(RegimeKind), statistic, statistic, statistic, count, count)
+    fields = st.tuples(st.sampled_from(RegimeKind), share, distance, share, count, count)
     return [(seed, YearOutcome(year, *draw(fields))) for seed, year in keys]
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import pickle
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from meritmatch.cli import main
 from meritmatch.config import build_scenario
+from meritmatch import pipeline
 from meritmatch.pipeline import simulate_seed
 from meritmatch.core import DomainError, Regime, RegimeKind, SeededRng
 from meritmatch.popgen import (
@@ -157,7 +159,7 @@ def test_growth_toggle_changes_cohort_size():
 
 
 
-SCENARIO_ARRAYS = ("weights", "edu", "urban", "tokyo", "hosts", "prestige", "school_km")
+SCENARIO_ARRAYS = ("weights", "urban", "tokyo", "hosts", "school_km", "mean_score", "base_utility")
 
 
 def test_scenario_arrays_are_in_id_order():
@@ -169,7 +171,13 @@ def test_scenario_arrays_are_in_id_order():
     tokyo = next(i for i, p in enumerate(sc.prefectures) if p.name == "Tokyo")
     assert sc.school_km.shape == (47, 8) and sc.school_km[tokyo, 0] == 0.0  # school 1 sits in Tokyo
     assert sc.tokyo.nonzero()[0].tolist() == [tokyo]
-    assert sc.prestige.tolist() == list(sc.population.prestige)
+    # the draw's means are the population's formula, bit for bit, in prefecture row and school id order
+    pop = flipped.population
+    for p, pref in enumerate(flipped.prefectures):
+        assert flipped.mean_score[p] == pop.score_mean_base + pop.urban_score_shift * pref.edu_index
+        for s in flipped.schools:
+            k = s.id - 1
+            assert flipped.base_utility[p, k] == s.prestige - pop.distance_cost * flipped.school_km[p, k]
 
 
 def test_scenario_arrays_are_read_only():
@@ -179,3 +187,20 @@ def test_scenario_arrays_are_read_only():
             assert not getattr(copy, name).flags.writeable, name
     # every year of a seed reads the same arrays; an in-place write to one would raise here
     assert len(simulate_seed(sc, BehaviorParams(), seed=0).records) == 31
+
+
+def test_simulate_seed_holds_one_year_at_a_time(monkeypatch):
+    # a year's cohort, applications and assignment used to stay alive through the next year's draw
+    drawn = []
+    draw = pipeline.generate_applicants
+
+    def tracked(scenario, year, rng):
+        assert [ref() for ref in drawn] == [None] * len(drawn), f"an earlier cohort is alive when {year}'s is drawn"
+        cohort = draw(scenario, year, rng)
+        drawn.append(weakref.ref(cohort))
+        return cohort
+
+    monkeypatch.setattr(pipeline, "generate_applicants", tracked)
+    sc = build_scenario(population={"year_end": 1903})
+    assert {r.kind.is_centralized for r in sc.schedule} == {False, True}
+    assert len(simulate_seed(sc, BehaviorParams(), seed=0).records) == len(drawn) == 4
