@@ -24,11 +24,12 @@ file or lockfile, or a geography or school CSV a config names, is a
 fraction for an integer, a number for a prefecture name), a null, a
 non-finite number (NaN, Infinity) anywhere in the population, behavior,
 geography or school values, a population whose mean scores or base
-utilities overflow, a lockfile row with too many or too few entries,
-seeds outside 0..2^64-1 (`--seed` below 0, or `--seed` + `--seeds` above
-2^64), and a `--seeds` count outside 1..10^6: each is rejected before
-`--out` is touched (exit 2). A cohort whose utility minus outside option
-overflows is a `config` error of the simulate stage.
+utilities overflow, an empty school table, a `behavior.max_iter` outside
+1..1000, a lockfile row with too many or too few entries, seeds outside
+0..2^64-1 (`--seed` below 0, or `--seed` + `--seeds` above 2^64), and a
+`--seeds` count outside 1..10^6: each is rejected before `--out` is
+touched (exit 2). A cohort whose utility minus outside option overflows is
+a `config` error of the simulate stage.
 """
 
 from __future__ import annotations

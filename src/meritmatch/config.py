@@ -201,16 +201,16 @@ def build_scenario(
     (251 a school) together, preserving selectivity. `population` overrides
     PopulationConfig fields, each with a value of the field's type. Given
     `schools`, their prestige is the population's and their capacities are
-    the seats, and a different population prestige or `capacities` is a
-    DomainError; otherwise the eight default schools are placed with
-    `capacities` (or the scaled default). A capacity above `_MAX_COHORT` or a
-    non-finite prestige, from either source, is a DomainError, as are groups
-    that do not split the schools when the schedule has a grouped year. So
-    is a population whose mean score in a prefecture, base utility of a
-    school (prestige minus distance cost) or base utility minus
-    `outside_option_mean` is not finite in floating point, or whose mean
-    score in a prefecture exceeds 1e100 in magnitude. A market that
-    `validate_market` rejects is an InvariantError.
+    the seats, and an empty `schools`, a different population prestige or
+    `capacities` is a DomainError; otherwise the eight default schools are
+    placed with `capacities` (or the scaled default). A capacity above
+    `_MAX_COHORT` or a non-finite prestige, from either source, is a
+    DomainError, as are groups that do not split the schools when the
+    schedule has a grouped year. So is a population whose mean score in a
+    prefecture, base utility of a school (prestige minus distance cost) or
+    base utility minus `outside_option_mean` is not finite in floating point,
+    or whose mean score in a prefecture exceeds 1e100 in magnitude. A market
+    that `validate_market` rejects is an InvariantError.
     """
     # a larger scale overflows the default cohort size
     if not (_is_number(scale) and 0 < scale < 1e300):
@@ -224,6 +224,8 @@ def build_scenario(
         raise DomainError(f"capacities must be a list of integers, got {json.dumps(capacities)}")
     prefectures = default_prefectures() if prefectures is None else prefectures
     by_id = None if schools is None else sorted(schools, key=lambda s: s.id)
+    if by_id == []:
+        raise DomainError("empty school table")
     prestige = config.prestige if by_id is None else tuple(s.prestige for s in by_id)
     if not all(math.isfinite(p) for p in prestige):
         raise DomainError(f"school prestige must be finite, got {list(prestige)}")

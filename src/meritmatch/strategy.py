@@ -20,13 +20,13 @@ school's, or to 0, for that bound to order them, so every choice is the one
 the exact CDF makes. A school's realized cutoff is an order statistic, the
 capacity-th highest score among its applicants (the market-clearing cutoff
 of Azevedo & Leshno 2016). `equilibrium_cutoffs` feeds realized cutoffs back
-into beliefs with damping until they settle or repeat; it computes best
-responses only for the applicants that can move a cutoff, and not at all
-where a certified earlier state already knows the realized cutoffs. Beliefs
-are an array, entry k the cutoff of school k + 1 (utility column k). This
-model is a construction of this package, calibrated only to reproduce
-qualitative regime differences; treat its parameters as simulation knobs,
-not estimates.
+into beliefs with damping until they settle or `max_iter` runs out; it
+computes best responses only for the applicants that can move a cutoff, and
+not at all where a certified earlier state already knows the realized
+cutoffs. Beliefs are an array, entry k the cutoff of school k + 1 (utility
+column k). This model is a construction of this package, calibrated only to
+reproduce qualitative regime differences; treat its parameters as simulation
+knobs, not estimates.
 """
 
 from __future__ import annotations
@@ -43,6 +43,12 @@ from .core import Cohort, DomainError, Regime, RegimeKind, School, check_groups
 from .mechanisms import Applications
 
 
+# The most cutoff iterations a year may run, 10x the default: a non-converged
+# year runs them all, each up to ~0.65 ms at full scale where no certified
+# state answers it, so a larger count comes from a mistyped config.
+_MAX_ITER = 1000
+
+
 @dataclass(frozen=True)
 class BehaviorParams:
     """Knobs of the self-selection model.
@@ -55,8 +61,10 @@ class BehaviorParams:
     well under one percent; tighter tolerances are reachable on small or
     lucky instances but not generically. In floating point the cycle turns
     exact after some 50 iterations at damping 0.5: the cutoff vector repeats
-    bit for bit, with a period of 2 to a few dozen iterations, and
-    `equilibrium_cutoffs` stops there with the state of iteration `max_iter`.
+    bit for bit, with a period of 2 to a few dozen iterations. A year that
+    does not converge runs all `max_iter` iterations, at most `_MAX_ITER`, and
+    returns the state after the last: `max_iter` selects the phase of the
+    cycle, so changing it changes the artifacts.
 
     `score_noise_sd` is 0 (no noise) or within [1e-100, 1e100]. For scores
     within 1e200 of 0, the belief floor of `equilibrium_cutoffs` and every
@@ -76,8 +84,8 @@ class BehaviorParams:
             raise DomainError(f"score_noise_sd must be 0 or within [1e-100, 1e100], got {self.score_noise_sd}")
         if self.tol <= 0:
             raise DomainError("tol must be > 0")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
+        if not 1 <= self.max_iter <= _MAX_ITER:
+            raise DomainError(f"max_iter must be in 1..{_MAX_ITER}, got {self.max_iter}")
         if not 0 < self.damping <= 1:
             raise DomainError("damping must be in (0, 1]")
 
@@ -422,13 +430,6 @@ def equilibrium_cutoffs(
     an iteration. Rows are independent and sorted by score, so the realized
     cutoffs equal those of a full best response.
 
-    When the cutoffs after iteration b equal, bit for bit, those after an
-    earlier iteration a, the iteration is periodic from a with period
-    b - a and none of its residuals is below tol. The loop then stops and
-    returns the state the full loop would hold after `max_iter` iterations,
-    (`max_iter` - a) mod (b - a) steps into the cycle, with `max_iter` as
-    the iteration count: the result equals that of running every iteration.
-
     With score noise (sigma > 0), an iteration whose realized cutoffs repeat
     earlier ones certifies its state: its cutoffs and realized cutoffs, and
     the `_choice_radius` of the rows that decided them (those down to the
@@ -439,7 +440,9 @@ def equilibrium_cutoffs(
     cutoffs) instead of computing best responses; no deciding row can choose
     differently there, so the result is bit for bit that of computing them.
     With sigma = 0 the best response is a step function, and every iteration
-    computes it.
+    computes it. A year that does not converge runs all `max_iter`
+    iterations; in a cycle, the certificates reuse the earlier states'
+    realized cutoffs.
     """
     caps = np.array([s.capacity for s in sorted(schools, key=lambda s: s.id)])
     initial = np.full(len(caps), -np.inf) if initial is None else _checked_cutoffs(initial, len(caps))
@@ -455,12 +458,6 @@ def equilibrium_cutoffs(
 
     floor = _belief_floor(scores, params.score_noise_sd)
     cutoffs = np.where(np.isfinite(initial), np.maximum(initial, floor), floor)
-    undersubscribed = np.ones(len(caps), dtype=bool)
-    iterations = 0
-    residual = math.inf
-    # history[k] is the state after k iterations; seen maps its cutoffs to k
-    history = [(cutoffs, undersubscribed, residual)]
-    seen = {cutoffs.tobytes(): 0}
     # Rows evaluated first in the next iteration: those that decided this
     # one's cutoffs, plus a margin of 1/16 of the cohort that mostly spares
     # the remaining rows when a deciding row moves down a little. The first
@@ -483,8 +480,11 @@ def equilibrium_cutoffs(
     # cutoffs. Certifying waits for a repeated realized vector: from then on
     # the cutoffs mostly close in on a cycle.
     certify = params.score_noise_sd > 0
-    umax = None  # with `acceptable`, set at the first certificate: most converging years need none
-    centers, radii = np.empty((0, len(caps))), np.empty(0)  # grown as certificates are made
+    # each row's largest positive surplus; the rows without one abstain whatever the cutoffs
+    umax = surplus.max(axis=0)
+    acceptable = np.flatnonzero(umax > 0)
+    umax = umax[acceptable]
+    centers, radii = np.empty((params.max_iter, len(caps))), np.empty(params.max_iter)
     responses: list[tuple[int, np.ndarray, np.ndarray]] = []
     realized_seen: set[bytes] = set()
     for iterations in range(1, params.max_iter + 1):
@@ -504,20 +504,11 @@ def equilibrium_cutoffs(
             pull = damping * np.where(undersubscribed, floor, realized)
             key = realized.tobytes()
             if certify and key in realized_seen:
-                if umax is None:
-                    # each row's largest positive surplus; the rows without
-                    # one abstain whatever the cutoffs
-                    umax = surplus.max(axis=0)
-                    acceptable = np.flatnonzero(umax > 0)
-                    umax = umax[acceptable]
                 # the rows that decide the realized cutoffs: those down to
                 # the last capacity-th chooser, or all when a school is short
                 rows = acceptable[: np.searchsorted(acceptable, n if short(realized) else decided)]
                 radius = _choice_radius(ev, surplus, rows, umax[: len(rows)], params.score_noise_sd)
                 if radius > 0:
-                    if k == len(radii):  # doubled, but never past the iterations run: max_iter may be huge
-                        size = min(2 * k + 1, iterations)
-                        centers, radii = np.resize(centers, (size, len(caps))), np.resize(radii, size)
                     centers[k], radii[k] = cutoffs, radius
                     responses.append((decided, undersubscribed, pull))
             realized_seen.add(key)
@@ -527,17 +518,6 @@ def equilibrium_cutoffs(
         cutoffs = new
         if residual < params.tol:
             break
-        first = seen.setdefault(cutoffs.tobytes(), iterations)
-        if first < iterations:
-            # The states after `first` repeat with this period and none of
-            # their residuals is below tol: jump to the state after max_iter.
-            # Entry `first` itself came from a state before the cycle.
-            r = (params.max_iter - first) % (iterations - first)
-            if r:
-                cutoffs, undersubscribed, residual = history[first + r]
-            iterations = params.max_iter
-            break
-        history.append((cutoffs, undersubscribed, residual))
     if residual >= params.tol:
         warnings.warn(
             f"cutoff iteration did not converge in {params.max_iter} iterations (residual {residual:.3g})",

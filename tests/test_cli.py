@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from meritmatch.cli import main
 from meritmatch.config import (
     GEOGRAPHY_COLUMNS,
+    SCHOOL_COLUMNS,
     ConfigError,
     InvariantError,
     RunManifest,
@@ -786,6 +787,50 @@ def test_prefecture_name_on_two_rows_is_config_error(tmp_path, capsys, locked):
         cfg.write_text(json.dumps({**SMALL_CONFIG, "geography": "geo.csv"}))
     where = "lockfile" if locked else "config"
     _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, f"bad {where}: {message}\n")
+
+
+@pytest.mark.parametrize("max_iter", [1001, 10**11])
+@pytest.mark.parametrize("locked", [False, True], ids=["config", "lockfile"])
+def test_max_iter_above_bound_is_config_error(tmp_path, capsys, locked, max_iter):
+    # every iteration of a non-converged year runs, so max_iter is bounded
+    # at resolution; 10**11 used to run only by jumping over an exact cycle
+    assert BehaviorParams(max_iter=1000).max_iter == 1000
+    if locked:
+        config = _small_lock(tmp_path)
+        config["behavior"]["max_iter"] = max_iter
+        cfg = tmp_path / "manifest.lock"
+        cfg.write_text(json.dumps({"locked": True, "config": config}))
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "behavior": {"max_iter": max_iter}}))
+    where = "lockfile" if locked else "config"
+    message = f"bad {where}: max_iter must be in 1..1000, got {max_iter}\n"
+    _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, message)
+
+
+# an IndexError traceback (exit 1) from `Scenario.__post_init__`, or, with a
+# grouped year in the schedule, a message about the groups
+EMPTY_SCHOOLS_POPULATION = {"year_start": 1900, "year_end": 1903}
+
+
+def test_header_only_schools_csv_is_config_error(tmp_path, capsys):
+    (tmp_path / "s.csv").write_text(",".join(SCHOOL_COLUMNS) + "\r\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scale": 0.05, "schools": "s.csv", "population": EMPTY_SCHOOLS_POPULATION}))
+    _assert_rejected_at_resolution(cfg, tmp_path / "out", capsys, "bad config: empty school table\n")
+
+
+def test_lockfile_without_schools_is_config_error(tmp_path, capsys):
+    config = _small_lock(tmp_path)
+    config["schools"], config["population"]["prestige"] = [], []
+    lock = tmp_path / "manifest.lock"
+    lock.write_text(json.dumps({"locked": True, "config": config}))
+    _assert_rejected_at_resolution(lock, tmp_path / "out", capsys, "bad lockfile: empty school table\n")
+
+
+def test_build_scenario_rejects_empty_schools():
+    with pytest.raises(DomainError, match="^empty school table$"):
+        build_scenario(0.05, population=EMPTY_SCHOOLS_POPULATION, schools=[])
 
 
 def _set(k, value):

@@ -1,6 +1,6 @@
 """Every input fails with its documented exit code.
 
-Two property tests, each calling `cli.main` in process. The first covers the
+Three property tests, each calling `cli.main` in process. The first covers the
 numeric input surface of `meritmatch run`: each example sets one population
 or behavior key, `capacities[0]` or `prestige[0]` to a value of its type, an
 extreme value or a non-finite one, draws `--seed` and `--seeds` up to 2^64,
@@ -10,7 +10,13 @@ and runs `--stages simulate` with `--jobs 1`, on `{"scale": 0.05}` over
 found after a failure; no warning but the cutoff-iteration one, which
 reports a cycling equilibrium rather than a defect of the input checks.
 
-The second covers the artifacts the estimate stage reads back: each example
+The second, with the same properties, covers the tables: each example makes
+one edit of the geography, school or group table of `{"scale": 0.05}` over
+1900-1903 (a field set to an extreme, non-finite or another row's value, a
+prefecture renamed, a row dropped or repeated, a table emptied) and runs it
+from geography and school CSVs that a config names, or from a lockfile.
+
+The third covers the artifacts the estimate stage reads back: each example
 corrupts one field of one row of year_outcomes.csv or of one panel file, or
 `manifest.lock`'s `seed`, `seeds` or `version_hash`, in a copy of one 2-seed
 `{"scale": 0.05}` simulate,metrics run, and runs `run --stages estimate` and
@@ -20,6 +26,7 @@ that succeeds writes only finite numbers.
 """
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -35,8 +42,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meritmatch.cli import main
+from meritmatch.config import GEOGRAPHY_COLUMNS, SCHOOL_COLUMNS, ResolvedConfig, build_scenario
 from meritmatch.metrics import read_year_outcomes_csv
-from meritmatch.popgen import DEFAULT_PRESTIGE
+from meritmatch.popgen import DEFAULT_GROUPS, DEFAULT_PRESTIGE
+from meritmatch.strategy import BehaviorParams
 
 EXTREMES = [1e308, -1e308, 1e-308, 0, -1, 10**30, 2**63]
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -92,30 +101,111 @@ def _config(key: str, value) -> dict:
 def test_every_numeric_input_exits_with_a_documented_code(setting, seed, seeds, out_exists):
     key, value = setting
     with tempfile.TemporaryDirectory() as tmp:
-        cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        cfg = os.path.join(tmp, "cfg.json")
         with open(cfg, "w") as fh:
             json.dump(_config(key, value), fh)
-        if out_exists:
-            os.mkdir(out)
-            with open(os.path.join(out, "keep.txt"), "w") as fh:
-                fh.write("a file of the user's")
-        before = sorted(os.listdir(out)) if out_exists else None
-        argv = ["run", "--config", cfg, "--out", out, "--seed", str(seed), "--seeds", str(seeds)]
-        stderr = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("always")
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main([*argv, "--stages", "simulate", "--jobs", "1"])
-        assert code in (0, 2, 3, 4)
-        assert [str(w.message) for w in caught if not str(w.message).startswith("cutoff iteration")] == []
-        err = stderr.getvalue()
-        if code == 0:
-            assert err == ""
-            read_year_outcomes_csv(os.path.join(out, "year_outcomes.csv"))  # every statistic finite
-            return
-        category = {2: ("config", "artifact"), 3: ("io",), 4: ("invariant",)}[code]
-        assert err.count("\n") == 1 and err.startswith(tuple(f"error: {c}: " for c in category)), err
-        assert (sorted(os.listdir(out)) if os.path.exists(out) else None) == before
+        _assert_documented_exit(["--config", cfg, "--seed", str(seed), "--seeds", str(seeds)], tmp, out_exists)
+
+
+def _assert_documented_exit(args, tmp, out_exists):
+    """Run `run` with `args`, `--stages simulate --jobs 1` and `--out` a
+    directory in `tmp`, which holds a file of the user's if `out_exists`, in
+    process, and check the properties of the module docstring."""
+    out = os.path.join(tmp, "out")
+    if out_exists:
+        os.mkdir(out)
+        with open(os.path.join(out, "keep.txt"), "w") as fh:
+            fh.write("a file of the user's")
+    before = sorted(os.listdir(out)) if out_exists else None
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", *args, "--out", out, "--stages", "simulate", "--jobs", "1"])
+    assert code in (0, 2, 3, 4)
+    assert [str(w.message) for w in caught if not str(w.message).startswith("cutoff iteration")] == []
+    err = stderr.getvalue()
+    if code == 0:
+        assert err == ""
+        read_year_outcomes_csv(os.path.join(out, "year_outcomes.csv"))  # every statistic finite
+        return
+    category = {2: ("config", "artifact"), 3: ("io",), 4: ("invariant",)}[code]
+    assert err.count("\n") == 1 and err.startswith(tuple(f"error: {c}: " for c in category)), err
+    assert (sorted(os.listdir(out)) if os.path.exists(out) else None) == before
+
+
+# the tables of the resolved `{"scale": 0.05}` scenario over 1900-1903, as a
+# lockfile holds them: geography rows [name, x_km, y_km, weight, edu_index],
+# school rows [id, prefecture_id, capacity, prestige], and the two groups
+TABLES_POPULATION = {"year_start": 1900, "year_end": 1903}
+TABLES = ResolvedConfig(build_scenario(0.05, TABLES_POPULATION), BehaviorParams(), DEFAULT_GROUPS).as_dict()
+# the fields of a row an edit may set, and the values it sets them to; None
+# stands for the same field of another row
+EDITED_FIELDS = {"geography": range(1, 5), "schools": range(4), "groups": range(4)}
+EDIT_VALUES = {
+    "geography": [1e308, -1e308, 0, -1, float("nan"), None],
+    "schools": [*EXTREMES, *NON_FINITE, None],
+    "groups": [*EXTREMES, *NON_FINITE, None],
+}
+EDIT_KINDS = {
+    "geography": ["set", "rename", "drop", "repeat", "empty"],
+    "schools": ["set", "drop", "repeat", "empty"],
+    "groups": ["set", "drop", "repeat", "empty"],
+}
+
+
+@st.composite
+def table_edits(draw):
+    """A copy of `TABLES` with one edit: a field of a row set to an extreme
+    value or another row's, a prefecture renamed to Tokyo or to another's
+    name, a row dropped or repeated, or a table emptied."""
+    table = draw(st.sampled_from(sorted(EDIT_KINDS)))
+    kind = draw(st.sampled_from(EDIT_KINDS[table]))
+    tables = copy.deepcopy({key: TABLES[key] for key in EDIT_KINDS})
+    rows = tables[table]
+    row, other = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+    if kind == "set":
+        column = draw(st.sampled_from(EDITED_FIELDS[table]))
+        value = draw(st.sampled_from(EDIT_VALUES[table]))
+        rows[row][column] = rows[other][column] if value is None else value
+    elif kind == "rename":
+        rows[row][0] = draw(st.sampled_from(["Tokyo", rows[other][0]]))
+    elif kind == "drop":
+        del rows[row]
+    elif kind == "repeat":
+        rows.insert(row, copy.deepcopy(rows[row]))
+    else:
+        rows.clear()
+    return tables
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_edits(), st.booleans(), st.booleans())
+def test_every_table_edit_exits_with_a_documented_code(tables, locked, out_exists):
+    # the tables go into geography and school CSVs that a config names, or
+    # into a lockfile, whose population prestige follows the schools' rows
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        if locked:
+            population = {**TABLES["population"], "prestige": [row[3] for row in tables["schools"]]}
+            config = {**TABLES, **tables, "population": population}
+            document = {"locked": True, "config": config}
+        else:
+            geography = [[k, *row] for k, row in enumerate(tables["geography"])]
+            _write_rows(os.path.join(tmp, "geo.csv"), GEOGRAPHY_COLUMNS, geography)
+            _write_rows(os.path.join(tmp, "schools.csv"), SCHOOL_COLUMNS, tables["schools"])
+            document = {"scale": 0.05, "population": TABLES_POPULATION, "groups": tables["groups"]}
+            document.update(geography="geo.csv", schools="schools.csv")
+        with open(cfg, "w") as fh:
+            json.dump(document, fh)
+        _assert_documented_exit(["--config", cfg], tmp, out_exists)
 
 
 PANEL_FILES = ["panel_all.csv"] + [f"panel_school_{s}.csv" for s in range(1, 9)]

@@ -480,14 +480,16 @@ def _count_best_responses(monkeypatch):
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 def test_equilibrium_matches_lexsort_loop_on_scaled_scenario(monkeypatch):
     # warm-started years at scale 0.05, most of which end at max_iter; the
-    # iteration limits put max_iter at several offsets into each year's cycle.
+    # iteration limits put max_iter at several offsets into each year's cycle,
+    # and one year runs to the bound on max_iter.
     # Seed 0's years also take the path that completes a prefix.
     calls = _count_best_responses(monkeypatch)
     sc = build_scenario(0.05)
-    for seed, max_iter in itertools.product((3, 0), (37, 100, 250)):
+    runs = [(seed, max_iter, 1906) for seed, max_iter in itertools.product((3, 0), (37, 100, 250))]
+    for seed, max_iter, year_end in [*runs, (3, 1000, 1901)]:
         params = BehaviorParams(max_iter=max_iter)
         beliefs, at_max_iter = None, 0
-        for year in range(1900, 1906):
+        for year in range(1900, year_end):
             cohort = generate_applicants(sc, year, SeededRng(seed))
             ties = SeededRng(year).generator().random(len(cohort))
             expected = lexsort_equilibrium_cutoffs(sc.schools, cohort, params, ties, beliefs)
@@ -520,11 +522,12 @@ def test_equilibrium_reuses_certified_best_responses(monkeypatch):
         return calls["full"] + calls["prefix"]
 
     evaluated = evaluations()
-    # with no state certified, each iteration the loop runs evaluates once
+    # with no state certified, each iteration evaluates once, and all
+    # max_iter of them run
     monkeypatch.setattr(strategy, "_choice_radius", lambda *args: -math.inf)
     iterations_run = evaluations()
     assert evaluated < iterations_run / 1.5
-    assert iterations_run < params.max_iter
+    assert iterations_run == params.max_iter
 
 
 @st.composite
@@ -572,11 +575,10 @@ def test_equilibrium_with_tied_schools_matches_lexsort_loop(market, random):
     assert (iterations, residual) == (expected_iterations, expected_residual)
 
 
-def test_equilibrium_stops_at_exact_cycle(monkeypatch):
-    # a year that ends non-converged at max_iter runs fewer iterations than
-    # max_iter once its cutoffs repeat bit for bit; no iteration computes
-    # more than one best response from the first row, and those that reuse
-    # a certified state compute none
+def test_certificates_keep_evaluations_below_max_iter(monkeypatch):
+    # a year that ends non-converged runs all max_iter iterations, but once
+    # its cycle is certified, the iterations that reuse a certified state
+    # compute no best response; none computes more than one from the first row
     calls = _count_best_responses(monkeypatch)
     sc = build_scenario(0.05)
     params = BehaviorParams()
@@ -587,17 +589,26 @@ def test_equilibrium_stops_at_exact_cycle(monkeypatch):
     assert calls["full"] + calls["prefix"] < params.max_iter
 
 
-def test_huge_max_iter_sizes_no_memory(monkeypatch):
-    # the certified states grow with the certificates made, never past the
-    # iterations run: sized by max_iter, 10**11 of them would take 5.8 TiB
+@pytest.mark.filterwarnings("ignore:cutoff iteration")
+def test_evaluations_do_not_grow_with_max_iter(monkeypatch):
+    # a non-converged year runs every one of its max_iter iterations, yet the
+    # certified states answer all of them past the cycle's first turns: it
+    # computes as many best responses at max_iter 100 as at the bound
     calls = _count_best_responses(monkeypatch)
     sc = build_scenario(0.05)
-    huge = BehaviorParams(max_iter=10**11)
     cohort = generate_applicants(sc, 1900, SeededRng(3))
-    with pytest.warns(RuntimeWarning, match="did not converge in 100000000000 iterations"):
-        _, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, huge)
-    assert iterations == huge.max_iter and residual >= huge.tol  # the cycle exit
-    assert calls["full"] + calls["prefix"] < 100
+
+    def evaluations(max_iter):
+        calls.update(full=0, prefix=0, rest=0)
+        params = BehaviorParams(max_iter=max_iter)
+        _, iterations, residual = equilibrium_cutoffs(sc.schools, cohort, params)
+        assert iterations == max_iter and residual >= params.tol
+        return calls["full"] + calls["prefix"]
+
+    assert evaluations(100) == evaluations(250) == evaluations(1000) < 100
+    # with no state certified, each of the 1000 iterations evaluates once
+    monkeypatch.setattr(strategy, "_choice_radius", lambda *args: -math.inf)
+    assert evaluations(1000) == 1000
 
 
 # -- beliefs are read by position -------------------------------------------------
