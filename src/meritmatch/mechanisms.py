@@ -1,5 +1,5 @@
-"""Admission mechanisms: merit-capped Boston, serial dictatorship, pure Boston,
-decentralized single-application, and the grouped two-list variant.
+"""Admission mechanisms: merit-capped Boston, decentralized
+single-application, and the grouped two-list variant.
 
 All mechanisms are pure functions from (schools, cohort, submitted
 applications, rng) to an Assignment. The schools' ids must be 1..S, in any
@@ -14,17 +14,10 @@ submitter in row order, and the merit pool and every round use those
 numbers. Priority is higher score, then lower draw, then lower row.
 
 An Assignment is arrays from the start (`_assignment`): the decentralized rule
-is array code end to end, and the Boston and serial-dictatorship rounds walk
-Python lists that collect the admitted market rows, school indices and ranks
-in admission order. The unassigned submitters are the rows left unmarked in
-a boolean mask over the market, already in row order.
-
-With a single common score priority on the school side, applicant-proposing
-deferred acceptance collapses to a serial dictatorship: process applicants in
-priority order and give each their best school with a free seat. No school
-ever rejects a tentatively held applicant for a later proposer, because every
-later proposer has lower priority at every school. `run_serial_dictatorship_da`
-is therefore the deferred-acceptance benchmark for this market.
+is array code end to end, and the Boston rounds walk Python lists that
+collect the admitted market rows, school indices and ranks in admission
+order. The unassigned submitters are the rows left unmarked in a boolean
+mask over the market, already in row order.
 """
 
 from __future__ import annotations
@@ -201,17 +194,17 @@ def select_merit_pool(market: _Market) -> MeritPool:
 # -- Boston rounds ------------------------------------------------------------
 
 
-def _boston(market: _Market, merit_capped: bool) -> Assignment:
-    """Round r: applicants still held propose, in priority order, to the r-th
-    school on their list, and each school admits its proposers in that order
-    while seats remain. Exhausted lists leave the applicant unassigned; seats
-    are never backfilled. With `merit_capped`, only the merit pool
-    (`select_merit_pool`) is held at the start; otherwise every submitter.
+def _boston(market: _Market) -> Assignment:
+    """Round r: the merit pool (`select_merit_pool`) is held at the start, and
+    applicants still held propose, in priority order, to the r-th school on
+    their list; each school admits its proposers in that order while seats
+    remain. Exhausted lists leave the applicant unassigned; seats are never
+    backfilled.
 
     The rounds walk Python lists: on the tiny markets of the exhaustive tests
     a per-round numpy top-k costs several times more, and at full scale both
     take a few milliseconds a year."""
-    held = select_merit_pool(market).rows if merit_capped else _priority(market.scores, market.ties)
+    held = select_merit_pool(market).rows
     lists, lengths, seats = market.choice[held].tolist(), market.lengths[held].tolist(), market.caps.tolist()
     placed = []  # (position in `held`, school index, rank), in admission order
     waiting = range(len(held))
@@ -239,43 +232,7 @@ def run_meritocratic_boston(
     """Merit-capped Boston: select the merit pool, the top-K submitters by
     score (K = total capacity), then run Boston rounds among them. Submitters
     outside the pool are unassigned regardless of their lists."""
-    return _boston(_market(schools, cohort, prefs, rng), merit_capped=True)
-
-
-def run_immediate_acceptance(
-    schools: Sequence[School],
-    cohort: Cohort,
-    prefs: Applications | Sequence[PreferenceList],
-    rng: SeededRng,
-) -> Assignment:
-    """Pure Boston baseline: identical rounds, no merit-pool restriction."""
-    market = _market(schools, cohort, prefs, rng)
-    return _boston(market, merit_capped=False)
-
-
-def run_serial_dictatorship_da(
-    schools: Sequence[School],
-    cohort: Cohort,
-    prefs: Applications | Sequence[PreferenceList],
-    rng: SeededRng,
-) -> Assignment:
-    """Serial dictatorship in score order: each applicant takes the highest
-    school on their list with a free seat. Equivalent to applicant-proposing
-    deferred acceptance under the market's single common score priority (see
-    module docstring). The rank obtained is the list position of the school
-    received."""
-    market = _market(schools, cohort, prefs, rng)
-    order = _priority(market.scores, market.ties)
-    lists, lengths, seats = market.choice[order].tolist(), market.lengths[order].tolist(), market.caps.tolist()
-    placed = []  # (position in `order`, school index, rank), in admission order
-    for j, (listed, length) in enumerate(zip(lists, lengths)):
-        for r, k in enumerate(listed[:length], start=1):
-            if seats[k] > 0:
-                seats[k] -= 1
-                placed.append((j, k, r))
-                break
-    j, k, rank = np.array(placed, dtype=np.intp).reshape(-1, 3).T
-    return _assignment(market, order[j], k, rank)
+    return _boston(_market(schools, cohort, prefs, rng))
 
 
 # -- decentralized single-application ----------------------------------------

@@ -4,7 +4,9 @@ These deliberately re-derive results with the plainest possible code, so the
 package implementations are checked against a second, structurally different
 route: a literal step-by-step executor for the centralized assignment rounds,
 dict-based Boston rounds and per-applicant truthful rankings (the scalar code
-the array mechanisms replaced), a per-school sort for the decentralized rule,
+the array mechanisms replaced), a dict-based serial dictatorship (the
+deferred-acceptance benchmark merit-capped Boston must match in admitted
+set), a per-school sort for the decentralized rule,
 a per-applicant loop for the single-application choice, scipy's ndtr for
 the screened best response, the lexsort cutoff loop the order-statistic
 loop replaced, a walk over `Placement` objects for a year's outcome and
@@ -116,6 +118,34 @@ def scalar_boston_rounds(schools, applicants, prefs, tie, merit_capped=True):
                 held.append(aid)
         active = held
         r += 1
+    return placed, unassigned
+
+
+def scalar_serial_dictatorship(schools, applicants, prefs, tie):
+    """Serial dictatorship over dicts: in priority order (higher score, lower
+    tie, lower id), each submitter takes the first school on their list with
+    a free seat. Returns (placed: id -> Placement in admission order,
+    unassigned set), the rank obtained being the list position of the school.
+
+    With a single common score priority on the school side, applicant-proposing
+    deferred acceptance collapses to this: no school ever rejects a
+    tentatively held applicant for a later proposer, because every later
+    proposer has lower priority at every school. So this is the
+    deferred-acceptance benchmark, and with complete lists merit-capped Boston
+    admits the same set (criterion 1). It shares no code with the package's
+    mechanisms: its own sort and its own seat walk."""
+    seats = {s.id: s.capacity for s in schools}
+    scores = {a.id: a.score for a in applicants}
+    placed = {}
+    unassigned = set()
+    for p in sorted(prefs, key=lambda p: (-scores[p.applicant_id], tie[p.applicant_id], p.applicant_id)):
+        for r, sid in enumerate(p.ranked, start=1):
+            if seats[sid] > 0:
+                seats[sid] -= 1
+                placed[p.applicant_id] = Placement(school_id=sid, preference_rank_obtained=r)
+                break
+        else:
+            unassigned.add(p.applicant_id)
     return placed, unassigned
 
 

@@ -16,23 +16,19 @@ from meritmatch.cli import main as cli_main
 from meritmatch.config import build_scenario
 from meritmatch.core import Cohort, SeededRng
 from meritmatch.econometrics import did_centralization
-from meritmatch.mechanisms import (
-    Applications,
-    PreferenceList,
-    run_meritocratic_boston,
-    run_serial_dictatorship_da,
-)
+from meritmatch.mechanisms import Applications, PreferenceList, run_meritocratic_boston
 from meritmatch.metrics import build_panel
 from meritmatch.pipeline import seed_regressions, simulate_seed
 from meritmatch.strategy import BehaviorParams
 
-from conftest import cohort_of, mk_applicant, mk_schools
+from conftest import cohort_of, lottery_of, mk_applicant, mk_schools
 from oracles import (
     add_at_two_way_demean,
     dominates_all_feasible_assignments,
     dominates_all_feasible_sets,
     dummy_ols,
     direct_cluster_cov,
+    scalar_serial_dictatorship,
 )
 from test_econometrics import balanced_panel, _regressors, year_major
 
@@ -105,13 +101,15 @@ def test_criterion_1_admitted_set_equivalence_exhaustive():
         if schools is None:
             schools = schools_cache.setdefault(caps, mk_schools(*caps))
         n, n_schools = len(scores), len(caps)
-        ids = np.arange(n)
         cohort = Cohort(np.zeros(n, np.int64), np.array(scores), np.zeros((n, n_schools)), np.zeros(n))
-        prefs = Applications(ids, np.array(orders, dtype=np.int64), np.full(n, n_schools))
+        prefs = Applications(np.arange(n), np.array(orders, dtype=np.int64), np.full(n, n_schools))
         rng = SeededRng(20240501, checked)
         b = run_meritocratic_boston(schools, cohort, prefs, rng)
-        d = run_serial_dictatorship_da(schools, cohort, prefs, rng)
-        mismatches += set(b.ids.tolist()) != set(d.ids.tolist())
+        # the oracle's serial dictatorship, under the lottery Boston drew
+        applicants = [mk_applicant(i, score, n_schools) for i, score in enumerate(scores)]
+        lists = [PreferenceList(i, order) for i, order in enumerate(orders)]
+        d, _ = scalar_serial_dictatorship(schools, applicants, lists, lottery_of(lists, rng))
+        mismatches += set(b.ids.tolist()) != set(d)
         checked += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 60.0 and checked >= 100_000
@@ -179,18 +177,18 @@ def test_criterion_2_fosd_brute_force():
 def test_criterion_3_divergence_witness(xyz_instance):
     schools, applicants, prefs = xyz_instance
     boston = run_meritocratic_boston(schools, applicants, prefs, SeededRng(0))
-    da = run_serial_dictatorship_da(schools, applicants, prefs, SeededRng(0))
+    da, _ = scalar_serial_dictatorship(schools, applicants, prefs, lottery_of(prefs, SeededRng(0)))
     boston_map = {a: p.school_id for a, p in boston.placed.items()}
-    da_map = {a: p.school_id for a, p in da.placed.items()}
+    da_map = {a: p.school_id for a, p in da.items()}
     ok = (
         boston_map == {0: 1, 2: 2, 1: 3}
         and da_map == {0: 1, 1: 2, 2: 3}
-        and set(boston.placed) == set(da.placed) == {0, 1, 2}
+        and set(boston.placed) == set(da) == {0, 1, 2}
     )
     _report("3 divergence-witness", ok, f"boston={boston_map}, da={da_map}")
     assert boston_map == {0: 1, 2: 2, 1: 3}
     assert da_map == {0: 1, 1: 2, 2: 3}
-    assert set(boston.placed) == set(da.placed)
+    assert set(boston.placed) == set(da)
 
 
 # -- criteria 4 and 5: full-scale qualitative replication ----------------------------

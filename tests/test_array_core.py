@@ -14,9 +14,7 @@ from meritmatch.mechanisms import (
     PreferenceList,
     _priority,
     run_decentralized,
-    run_immediate_acceptance,
     run_meritocratic_boston,
-    run_serial_dictatorship_da,
 )
 from meritmatch.strategy import submit_applications
 
@@ -45,11 +43,10 @@ def tied_markets(draw, max_schools=4, max_applicants=8):
 @given(tied_markets())
 def test_boston_matches_scalar_rounds_in_admission_order(market):
     schools, applicants, prefs, rng = market
-    for runner, capped in ((run_meritocratic_boston, True), (run_immediate_acceptance, False)):
-        got = runner(schools, applicants, prefs, rng)
-        placed, unassigned = scalar_boston_rounds(schools, applicants, prefs, lottery_of(prefs, rng), merit_capped=capped)
-        assert list(got.placed.items()) == list(placed.items())
-        assert got.unassigned.tolist() == sorted(unassigned)
+    got = run_meritocratic_boston(schools, applicants, prefs, rng)
+    placed, unassigned = scalar_boston_rounds(schools, applicants, prefs, lottery_of(prefs, rng))
+    assert list(got.placed.items()) == list(placed.items())
+    assert got.unassigned.tolist() == sorted(unassigned)
 
 
 @settings(max_examples=300, deadline=None)
@@ -131,7 +128,7 @@ LIST_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(LIST_CASES))
-@pytest.mark.parametrize("runner", [run_meritocratic_boston, run_immediate_acceptance, run_serial_dictatorship_da])
+@pytest.mark.parametrize("runner", [run_meritocratic_boston])
 def test_ranked_list_checks(runner, case):
     applicants, lists = LIST_CASES[case]
     with pytest.raises(DomainError):
@@ -145,7 +142,7 @@ def test_single_application_checks(case):
         run_decentralized(mk_schools(1, 1, 1), cohort_of(applicants), [PreferenceList(i, r[:1]) for i, r in lists], SeededRng(0))
 
 
-@pytest.mark.parametrize("runner", [run_meritocratic_boston, run_serial_dictatorship_da, run_decentralized])
+@pytest.mark.parametrize("runner", [run_meritocratic_boston, run_decentralized])
 def test_school_ids_must_be_one_to_s(runner):
     # a school's market index is its id - 1
     schools = [School(2, 0, 1, 9.0), School(3, 0, 1, 8.0)]
@@ -160,7 +157,6 @@ def test_school_order_does_not_matter(market):
     singles = [PreferenceList(p.applicant_id, p.ranked[:1]) for p in prefs if p.ranked]
     for runner, lists in (
         (run_meritocratic_boston, prefs),
-        (run_serial_dictatorship_da, prefs),
         (run_decentralized, singles),
     ):
         forward, backward = (runner(s, applicants, lists, rng) for s in (schools, schools[::-1]))

@@ -12,15 +12,13 @@ from meritmatch.mechanisms import (
     _market,
     run_decentralized,
     run_grouped_centralized,
-    run_immediate_acceptance,
     run_meritocratic_boston,
-    run_serial_dictatorship_da,
     select_merit_pool,
 )
 from meritmatch.strategy import submit_applications
 
 from conftest import cohort_of, lottery_of, mk_applicant, mk_schools
-from oracles import per_school_top, printed_steps_assignment
+from oracles import per_school_top, printed_steps_assignment, scalar_boston_rounds, scalar_serial_dictatorship
 
 RNG = SeededRng(0)
 
@@ -102,11 +100,9 @@ def test_each_run_draws_the_lottery_once(xyz_instance, monkeypatch):
     monkeypatch.setattr(SeededRng, "generator", counted)
     groups = (frozenset({1, 2}), frozenset({3}))
     run_meritocratic_boston(schools, applicants, prefs, RNG)
-    run_immediate_acceptance(schools, applicants, prefs, RNG)
-    run_serial_dictatorship_da(schools, applicants, prefs, RNG)
     run_grouped_centralized(schools, applicants, [PreferenceList(0, (1, 3))], groups, RNG)
     run_decentralized(schools, applicants, [PreferenceList(0, (1,))], RNG)
-    assert draws == [RNG] * 5
+    assert draws == [RNG] * 3
 
 
 # -- merit-capped Boston ---------------------------------------------------------
@@ -169,48 +165,59 @@ def test_merit_boston_matches_printed_steps_on_random_instances():
         assert set(mine.placed) <= pool
 
 
-# -- serial dictatorship ---------------------------------------------------------
+# -- serial dictatorship (the test oracle) ---------------------------------------
+
+
+def _serial_dictatorship(schools, applicants, prefs, rng):
+    """The oracle's serial dictatorship under the lottery a mechanism run
+    draws from `rng`; returns (placed, unassigned)."""
+    return scalar_serial_dictatorship(schools, applicants, prefs, lottery_of(prefs, rng))
 
 
 def test_serial_dictatorship_xyz(xyz_instance):
     schools, applicants, prefs = xyz_instance
-    a = run_serial_dictatorship_da(schools, applicants, prefs, RNG)
-    assert a.placed[0].school_id == 1
-    assert a.placed[1].school_id == 2
-    assert a.placed[2].school_id == 3
-    assert a.placed[2].preference_rank_obtained == 2  # z listed (2, 3)
+    placed, _ = _serial_dictatorship(schools, applicants, prefs, RNG)
+    assert placed[0].school_id == 1
+    assert placed[1].school_id == 2
+    assert placed[2].school_id == 3
+    assert placed[2].preference_rank_obtained == 2  # z listed (2, 3)
 
 
 def test_serial_dictatorship_empty():
-    a = run_serial_dictatorship_da(mk_schools(1), cohort_of([]), [], RNG)
-    assert a.placed == {} and a.unassigned.tolist() == []
+    assert _serial_dictatorship(mk_schools(1), cohort_of([]), [], RNG) == ({}, set())
 
 
 def test_serial_dictatorship_single_applicant_gets_first_choice():
     schools = mk_schools(1, 1)
-    a = run_serial_dictatorship_da(schools, cohort_of([mk_applicant(0, 10, 2)]), [PreferenceList(0, (2, 1))], RNG)
-    assert a.placed[0].school_id == 2
-    assert a.placed[0].preference_rank_obtained == 1
+    placed, _ = _serial_dictatorship(schools, cohort_of([mk_applicant(0, 10, 2)]), [PreferenceList(0, (2, 1))], RNG)
+    assert placed[0].school_id == 2
+    assert placed[0].preference_rank_obtained == 1
 
 
 def test_xyz_divergent_placements_same_set(xyz_instance):
     schools, applicants, prefs = xyz_instance
     boston = run_meritocratic_boston(schools, applicants, prefs, RNG)
-    da = run_serial_dictatorship_da(schools, applicants, prefs, RNG)
+    da, _ = _serial_dictatorship(schools, applicants, prefs, RNG)
     placements_b = {a: p.school_id for a, p in boston.placed.items()}
-    placements_d = {a: p.school_id for a, p in da.placed.items()}
+    placements_d = {a: p.school_id for a, p in da.items()}
     assert placements_b != placements_d
-    assert set(boston.placed) == set(da.placed)
+    assert set(boston.placed) == set(da)
 
 
-# -- pure Boston -----------------------------------------------------------------
+# -- the merit cap against uncapped (pure) Boston rounds --------------------------
+
+
+def _pure_boston(schools, applicants, prefs, rng):
+    """Boston rounds over every submitter, by the oracle, under the lottery a
+    mechanism run draws from `rng`; returns (placed, unassigned)."""
+    return scalar_boston_rounds(schools, applicants, prefs, lottery_of(prefs, rng), merit_capped=False)
 
 
 def test_immediate_acceptance_equals_merit_boston_when_pool_not_binding(xyz_instance):
     schools, applicants, prefs = xyz_instance
-    pure = run_immediate_acceptance(schools, applicants, prefs, RNG)
+    pure, _ = _pure_boston(schools, applicants, prefs, RNG)
     merit = run_meritocratic_boston(schools, applicants, prefs, RNG)
-    assert pure.placed == merit.placed
+    assert pure == merit.placed
 
 
 def test_pure_boston_admits_outside_merit_pool():
@@ -223,17 +230,11 @@ def test_pure_boston_admits_outside_merit_pool():
         PreferenceList(1, (1,)),
         PreferenceList(2, (2,)),
     ]
-    pure = run_immediate_acceptance(schools, applicants, prefs, RNG)
+    pure, _ = _pure_boston(schools, applicants, prefs, RNG)
     merit = run_meritocratic_boston(schools, applicants, prefs, RNG)
-    assert 2 in pure.placed  # school 2 takes the only applicant who asked
+    assert 2 in pure  # school 2 takes the only applicant who asked
     assert 2 not in merit.placed  # outside the top-2 pool
     assert set(merit.placed) == {0}  # applicant 1's list is exhausted
-
-
-def test_pure_boston_single_applicant():
-    schools = mk_schools(1, 1)
-    a = run_immediate_acceptance(schools, cohort_of([mk_applicant(0, 5, 2)]), [PreferenceList(0, (2, 1))], RNG)
-    assert a.placed[0].school_id == 2
 
 
 # -- decentralized ---------------------------------------------------------------
@@ -380,8 +381,8 @@ def test_same_rng_gives_same_pool_across_mechanisms():
     schools = mk_schools(1, 1)
     rng = SeededRng(77)
     b = run_meritocratic_boston(schools, applicants, prefs, rng)
-    d = run_serial_dictatorship_da(schools, applicants, prefs, rng)
-    assert set(b.placed) == set(d.placed)
+    d, _ = _serial_dictatorship(schools, applicants, prefs, rng)
+    assert set(b.placed) == set(d)
 
 
 # -- truncated-list counterexample -------------------------------------------------
@@ -397,10 +398,9 @@ def test_truncated_lists_can_split_admitted_sets():
         PreferenceList(2, (3,)),
     ]
     boston = run_meritocratic_boston(schools, applicants, prefs, RNG)
-    da = run_serial_dictatorship_da(schools, applicants, prefs, RNG)
+    da, _ = _serial_dictatorship(schools, applicants, prefs, RNG)
     assert set(boston.placed) == {0, 2}
-    assert set(da.placed) == {0, 1}
-    assert set(boston.placed) != set(da.placed)
+    assert set(da) == {0, 1}
 
 
 # -- property tests ---------------------------------------------------------------
@@ -430,8 +430,9 @@ def market_instances(draw, max_schools=4, max_cap=2, max_applicants=6, complete=
 @given(market_instances())
 def test_capacity_feasibility_all_mechanisms(instance):
     schools, applicants, prefs, rng = instance
-    for runner in (run_meritocratic_boston, run_immediate_acceptance, run_serial_dictatorship_da):
-        a = runner(schools, applicants, prefs, rng)
+    singles = [PreferenceList(p.applicant_id, p.ranked[:1]) for p in prefs]
+    for runner, lists in ((run_meritocratic_boston, prefs), (run_decentralized, singles)):
+        a = runner(schools, applicants, lists, rng)
         counts = {}
         for p in a.placed.values():
             counts[p.school_id] = counts.get(p.school_id, 0) + 1
@@ -463,39 +464,39 @@ def test_merit_containment(instance):
 def test_set_equivalence_complete_lists(instance):
     schools, applicants, prefs, rng = instance
     b = run_meritocratic_boston(schools, applicants, prefs, rng)
-    d = run_serial_dictatorship_da(schools, applicants, prefs, rng)
-    assert set(b.placed) == set(d.placed)
+    d, _ = _serial_dictatorship(schools, applicants, prefs, rng)
+    assert set(b.placed) == set(d)
 
 
 @settings(max_examples=300, deadline=None)
 @given(market_instances())
 def test_boston_round_equals_rank_and_monotone(instance):
     schools, applicants, prefs, rng = instance
-    for runner in (run_meritocratic_boston, run_immediate_acceptance):
-        a = runner(schools, applicants, prefs, rng)
-        ranked = {p.applicant_id: p.ranked for p in prefs}
-        for aid, placement in a.placed.items():
-            assert ranked[aid][placement.preference_rank_obtained - 1] == placement.school_id
+    a = run_meritocratic_boston(schools, applicants, prefs, rng)
+    ranked = {p.applicant_id: p.ranked for p in prefs}
+    for aid, placement in a.placed.items():
+        assert ranked[aid][placement.preference_rank_obtained - 1] == placement.school_id
 
 
 @settings(max_examples=300, deadline=None)
 @given(market_instances(complete=True))
 def test_serial_dictatorship_stability(instance):
     # no applicant prefers a school that admitted someone with lower
-    # tie-broken score priority
+    # tie-broken score priority: the oracle is the deferred-acceptance
+    # outcome criterion 1 holds Boston to
     schools, applicants, prefs, rng = instance
-    a = run_serial_dictatorship_da(schools, applicants, prefs, rng)
     lottery = lottery_of(prefs, rng)
+    placed, _ = scalar_serial_dictatorship(schools, applicants, prefs, lottery)
     score = {x.id: x.score for x in applicants}
     prio = {x.id: (-score[x.id], lottery[x.id], x.id) for x in applicants}
     admitted_by_school = {}
-    for aid, p in a.placed.items():
+    for aid, p in placed.items():
         admitted_by_school.setdefault(p.school_id, []).append(aid)
     caps = {s.id: s.capacity for s in schools}
     ranked = {p.applicant_id: p.ranked for p in prefs}
     for p in prefs:
         aid = p.applicant_id
-        current_rank = a.placed[aid].preference_rank_obtained if aid in a.placed else len(p.ranked) + 1
+        current_rank = placed[aid].preference_rank_obtained if aid in placed else len(p.ranked) + 1
         for rank, sid in enumerate(p.ranked, start=1):
             if rank >= current_rank:
                 break
@@ -507,7 +508,7 @@ def test_serial_dictatorship_stability(instance):
 
 
 def test_random_instance_equivalence_battery():
-    # 10^4 random complete-list instances: merit-Boston and the serial
+    # 10^4 random complete-list instances: merit-Boston and the oracle's serial
     # dictatorship admit the same set under a shared lottery
     gen = np.random.default_rng(2024)
     orders_by_s = {s: list(itertools.permutations(range(1, s + 1))) for s in (1, 2, 3, 4)}
@@ -527,5 +528,5 @@ def test_random_instance_equivalence_battery():
         ]
         rng = SeededRng(2024, trial)
         b = run_meritocratic_boston(schools, applicants, prefs, rng)
-        d = run_serial_dictatorship_da(schools, applicants, prefs, rng)
-        assert set(b.placed) == set(d.placed)
+        d, _ = _serial_dictatorship(schools, applicants, prefs, rng)
+        assert set(b.placed) == set(d)

@@ -1,16 +1,16 @@
 """Every top-level public name of `src/meritmatch` is reached from the package
-itself, its scripts or the benchmark: a name only tests reach is dead surface.
-And every name a module under `src/`, `scripts/` or `tests/` imports is used
-in that module.
+itself or the benchmark: a name only tests reach is dead surface. And every
+name a module under `src/` or `tests/` imports is used in that module.
 
 A name counts as reached when it occurs as a whole word in a `.py` file under
-`src/`, `scripts/` or `bench/` (tests excluded), outside its own definition.
-An imported name counts as used when the module reads it anywhere (an
-`ast.Name` node), annotations included. No module of the package imports
-scipy, and none reads the environment. And only `core` and `mechanisms`,
-which define the object forms of lists and placements, name them. Row CSVs
-are parsed and written in one place each, `read_rows` and `write_rows`.
-`econometrics` forms no group codes.
+`src/` or `bench/` (tests excluded), outside its own definition. An imported
+name counts as used when the module reads it anywhere (an `ast.Name` node),
+annotations included. Every admission rule in `mechanisms` is one a run
+applies. No module of the package imports scipy, and none reads the
+environment. And only `core` and `mechanisms`, which define the object forms
+of lists and placements, name them. Row CSVs are parsed and written in one
+place each, `read_rows` and `write_rows`. `econometrics` forms no group
+codes.
 """
 
 import ast
@@ -38,7 +38,7 @@ def _definitions(tree):
 def _uncalled():
     sources = {
         path: path.read_text().splitlines()
-        for top in ("src", "scripts", "bench")
+        for top in ("src", "bench")
         for path in sorted((ROOT / top).rglob("*.py"))
         if not path.name.startswith("test_")
     }
@@ -80,11 +80,25 @@ def _unused_imports(path):
 def test_every_imported_name_is_used():
     unused = [
         f"{path.relative_to(ROOT)}:{line} {name}"
-        for top in ("src", "scripts", "tests")
+        for top in ("src", "tests")
         for path in sorted((ROOT / top).rglob("*.py"))
         for line, name in _unused_imports(path)
     ]
     assert unused == []
+
+
+def test_every_mechanism_is_one_a_run_applies():
+    # a rule only the tests run belongs in `tests/oracles.py`, where it shares
+    # no code with the rules it checks
+    tree = ast.parse((PACKAGE / "mechanisms.py").read_text())
+    rules = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("run_")}
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse((PACKAGE / "pipeline.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "mechanisms"
+        for alias in node.names
+    }
+    assert sorted(rules - imported) == []
 
 
 def test_no_module_of_the_package_imports_scipy():
@@ -133,15 +147,15 @@ def test_one_csv_reader_and_one_csv_writer():
 
 
 def test_object_forms_stay_in_core_and_mechanisms():
-    # the package and its scripts work on arrays (`Cohort`, `Applications`,
-    # `Assignment`); `PreferenceList`, `Placement`, `Applications.of` and
-    # `Assignment.placed` remain for the mechanisms' conversion of object input
-    # and the benchmark's checks
+    # the package works on arrays (`Cohort`, `Applications`, `Assignment`);
+    # `PreferenceList`, `Placement`, `Applications.of` and `Assignment.placed`
+    # remain for the mechanisms' conversion of object input and the
+    # benchmark's checks
     form = re.compile(r"\b(PreferenceList|Placement|Applications\.of)\b|\.placed\b")
     paths = [p for p in sorted(PACKAGE.rglob("*.py")) if p.name not in ("core.py", "mechanisms.py")]
     found = [
         f"{path.relative_to(ROOT)}:{number} {match.group()}"
-        for path in paths + sorted((ROOT / "scripts").rglob("*.py"))
+        for path in paths
         for number, line in enumerate(path.read_text().splitlines(), start=1)
         for match in form.finditer(line)
     ]

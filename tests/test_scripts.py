@@ -1,6 +1,6 @@
-"""Smoke tests for `scripts/`: `compare_mechanisms.py` runs on a small
-cohort. And for the benchmark: the command it times as its setup resolves a
-config and a lockfile, and its tracer still finds every layer it wraps."""
+"""Smoke tests for the benchmark under `bench/`: the command it times as its
+setup resolves a config and a lockfile, and its tracer still finds every
+layer it wraps."""
 
 import json
 import os
@@ -14,25 +14,12 @@ import pytest
 from meritmatch.config import RunManifest, resolve_config, write_lock
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = ROOT / "scripts"
 
 
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return env
-
-
-def test_compare_mechanisms_runs_on_a_small_cohort():
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "compare_mechanisms.py"), "--scale", "0.02"],
-        env=_env(),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1].endswith("True")
 
 
 @pytest.mark.parametrize("locked", [False, True], ids=["config", "lockfile"])
