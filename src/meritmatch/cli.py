@@ -16,20 +16,21 @@ invariant violation. Errors print a single machine-parsable line
 `error: <category>: <message>`, the category being `config`, `artifact`,
 `io` or `invariant`. `artifact` (exit 2) reports an artifact read back from
 disk that is malformed or does not fit the run: a panel CSV,
-year_outcomes.csv or manifest.lock under `run --stages estimate`, or the
-input of `diff-regimes`. A year_outcomes.csv that does not decode as text
-or holds a field longer than the CSV parser's limit is one. A bad config
-file or lockfile, or a geography or school CSV a config names, is a
-`config` error. So is a value of the wrong type (a bool, a string or a
+year_outcomes.csv or manifest.lock under `run --stages estimate`, a panel
+file that the lock's scenario and the school panels' counts do not
+reproduce, or the input of `diff-regimes`. A year_outcomes.csv that does not
+decode as text or holds a field longer than the CSV parser's limit is one. A
+bad config file or lockfile, or a geography or school CSV a config names, is
+a `config` error. So is a value of the wrong type (a bool, a string or a
 fraction for an integer, a number for a prefecture name), a null, a
 non-finite number (NaN, Infinity) anywhere in the population, behavior,
-geography or school values, a population whose mean scores or base
-utilities overflow, an empty school table, a `behavior.max_iter` outside
-1..1000, a lockfile row with too many or too few entries, seeds outside
-0..2^64-1 (`--seed` below 0, or `--seed` + `--seeds` above 2^64), and a
-`--seeds` count outside 1..10^6: each is rejected before `--out` is
-touched (exit 2). A cohort whose utility minus outside option overflows is
-a `config` error of the simulate stage.
+geography or school values, a population whose mean scores or base utilities
+overflow, an empty school table, a `behavior.max_iter` outside 1..1000, a
+lockfile row with too many or too few entries, seeds outside 0..2^64-1
+(`--seed` below 0, or `--seed` + `--seeds` above 2^64), and a `--seeds`
+count outside 1..10^6: each is rejected before `--out` is touched (exit 2).
+A cohort whose utility minus outside option overflows is a `config` error of
+the simulate stage.
 """
 
 from __future__ import annotations

@@ -9,20 +9,21 @@ outcomes, regressions, the `diff-regimes` output) is written by `write_rows`:
 each row is its dataclass's fields in order, behind the seed for a year
 outcome, and the header is their names. Every row CSV read back, the year
 outcomes here and the geography and school CSVs in `config`, is read by
-`read_rows`. A panel is a dict of column arrays, built from the year
-records' entrant counts and read back from CSV whole: each panel file in
-one C-level `np.loadtxt` parse, as read-only columns over all of its rows,
-seed included, which the estimate stage checks and slices per seed. A panel
-CSV row holds the `PANEL_COLUMNS` in order, comma-separated, unquoted and
-CRLF-terminated: integers for the seed, prefecture id and year, the school
-id (empty in the all-schools panel), integers for entrants and the 0/1
-flags, and the float `repr` of the graduate count. The year and panel
-builders take the `Scenario` and read its id-ordered arrays, so a school's
-column is its id minus one: the Tokyo flags and the urban entrant share
-read `urban` (`Prefecture.urban`), and enrollment distance, birth prefecture
-to school prefecture throughout, reads `school_km`. Distance bands are
-exclusive: "located in" means distance zero, "within 100 km" means strictly
-between 0 and 100 km.
+`read_rows`. `build_panel` forms every panel column from a seed's entrant
+and graduate counts and the `Scenario`: in the metrics stage from the
+simulated counts, in the estimate stage from those read back. A panel file
+is read back whole, in one C-level `np.loadtxt` parse, as read-only columns
+over all of its rows, seed included. A panel CSV row holds the
+`PANEL_COLUMNS` in order, comma-separated, unquoted and CRLF-terminated:
+integers for the seed, prefecture id and year, the school id (empty in the
+all-schools panel), integers for entrants and the 0/1 flags, and the float
+`repr` of the graduate count. The year and panel builders take the
+`Scenario` and read its id-ordered arrays, so a school's column is its id
+minus one: the Tokyo flags and the urban entrant share read `urban`
+(`Prefecture.urban`), and enrollment distance, birth prefecture to school
+prefecture throughout, reads `school_km`. Distance bands are exclusive:
+"located in" means distance zero, "within 100 km" means strictly between 0
+and 100 km.
 """
 
 from __future__ import annotations
@@ -60,16 +61,6 @@ OUTCOME_STATISTICS = ("share_first_choice_school1", "mean_enrollment_distance_km
 _STATISTIC_TOPS = (1.0, MAX_KM, 1.0)
 
 
-@dataclass(frozen=True)
-class YearRecord:
-    """One simulated year as the panel builder reads it (see `year_record`)."""
-
-    year: int
-    regime: RegimeKind
-    entrants: np.ndarray  # (P, S) int: entrants by birth prefecture id and school, schools by id
-    cohort: np.ndarray  # (P,) int: applicants by birth prefecture id (graduate proxy)
-
-
 def year_outcome(
     apps: Applications, assignment: Assignment, scenario: Scenario, cohort: Cohort, year: int, regime: RegimeKind
 ) -> YearOutcome:
@@ -105,61 +96,64 @@ def year_outcome(
     )
 
 
-def year_record(assignment: Assignment, cohort: Cohort, scenario: Scenario, year: int, regime: RegimeKind) -> YearRecord:
-    """Count one year's entrants per (birth prefecture, school) and its
-    cohort per prefecture."""
+def year_counts(assignment: Assignment, cohort: Cohort, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """One year's rows of `build_panel`'s counts: entrants by (birth
+    prefecture, school), schools by id, and applicants by birth prefecture,
+    the graduate proxy."""
     n_prefs, n_schools = scenario.school_km.shape
     cell = cohort.birth[assignment.ids] * n_schools + (assignment.school_ids - 1)
     entrants = np.bincount(cell, minlength=n_prefs * n_schools).reshape(n_prefs, n_schools)
-    counts = np.bincount(cohort.birth, minlength=n_prefs)
-    return YearRecord(year=year, regime=regime, entrants=entrants, cohort=counts)
+    return entrants, np.bincount(cohort.birth, minlength=n_prefs)
 
 
-def build_panel(records: Sequence[YearRecord], scenario: Scenario) -> dict[int | None, dict[str, np.ndarray]]:
+def build_panel(
+    entrants: np.ndarray, graduates: np.ndarray, scenario: Scenario
+) -> dict[int | None, dict[str, np.ndarray]]:
     """One seed's panels as estimator columns over `panel_grid`: the
     all-schools panel under `None`, then one panel per school id, ascending.
+    `entrants` counts by (year, birth prefecture, school) and `graduates` by
+    (year, prefecture), years as in `scenario.schedule`, ascending.
 
-    Entrants and the 0/1 flags are float columns; `tokyo_area` is
-    `scenario.urban`, and `near_tokyo` is that without Tokyo. Requires years
-    under both a centralized and a decentralized rule, since the panels exist
-    to contrast the two.
+    The only code that forms a panel column. Entrants and the 0/1 flags are
+    float columns; `tokyo_area` is `scenario.urban`, and `near_tokyo` is that
+    without Tokyo. Every column is read-only: a seed's panels share all but
+    their `PER_PANEL_COLUMNS`. Requires years under both a centralized and a
+    decentralized rule, since the panels exist to contrast the two.
     """
-    kinds = {r.regime for r in records}
-    if not any(k.is_centralized for k in kinds) or not any(not k.is_centralized for k in kinds):
+    schedule = scenario.schedule
+    if {r.kind.is_centralized for r in schedule} != {False, True}:
         raise DomainError("panel requires years under both centralized and decentralized rules")
-    records = sorted(records, key=lambda r: r.year)
-    years = [r.year for r in records]
-    if len(set(years)) != len(years):
-        raise DomainError("duplicate years in panel records")
-
     n_prefs, n_schools = scenario.school_km.shape
     # the last axis runs over the panels, all schools first; `to_school` is
     # `scenario.school_km`, recomputed while bench/tracer.py counts this call
     to_school = distance_matrix(scenario.prefectures)[:, scenario.hosts]
     dist = np.column_stack([to_school.min(axis=1), to_school])  # (prefecture, panel): to the (nearest) school
-    by_school = np.stack([r.entrants for r in records])  # (year, prefecture, school)
-    entrants = np.concatenate([by_school.sum(axis=2, keepdims=True), by_school], axis=2)
+    counts = np.concatenate([entrants.sum(axis=2, keepdims=True), entrants], axis=2)  # (year, prefecture, panel)
 
     def per_prefecture(flag: np.ndarray) -> np.ndarray:
-        return np.tile(flag.astype(float), len(years))
+        return np.tile(flag.astype(float), len(schedule))
 
     shared = {
-        **panel_grid(years, n_prefs),
-        "centralized": np.repeat([float(r.regime.is_centralized) for r in records], n_prefs),
+        **panel_grid([r.year for r in schedule], n_prefs),
+        "centralized": np.repeat([float(r.kind.is_centralized) for r in schedule], n_prefs),
         "tokyo": per_prefecture(scenario.tokyo),
         "near_tokyo": per_prefecture(scenario.urban & ~scenario.tokyo),
         "tokyo_area": per_prefecture(scenario.urban),
-        "middle_school_grads": np.stack([r.cohort for r in records]).ravel().astype(float),
+        "middle_school_grads": graduates.ravel().astype(float),
     }
-    return {
+    panels = {
         key: {
             **shared,
-            "entrants": entrants[:, :, k].ravel().astype(float),
+            "entrants": counts[:, :, k].ravel().astype(float),
             "located_in": per_prefecture(dist[:, k] == 0.0),
             "within_100km": per_prefecture((0.0 < dist[:, k]) & (dist[:, k] <= 100.0)),
         }
         for k, key in enumerate([None, *range(1, n_schools + 1)])
     }
+    for cols in panels.values():
+        for col in cols.values():
+            col.flags.writeable = False
+    return panels
 
 
 # the columns `build_panel` gives each panel of its own; a seed's panels share the rest
@@ -245,9 +239,11 @@ def write_panel_csv(
 
 
 def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[str, np.ndarray]:
-    """Read back a panel CSV written for `school_id` as `build_panel` columns
-    over all of its rows, in file order, behind a uint64 `seed` column; the
-    columns are read-only and a file without rows gives zero-length ones.
+    """Read back a panel CSV written for `school_id` as the columns it holds
+    but school_id, over all of its rows, in file order: a uint64 `seed`,
+    int64 `prefecture_id` and `year`, and the rest float, as `build_panel`
+    forms them. The columns are read-only, and a file without rows gives
+    zero-length ones.
 
     The rows are parsed in one `np.loadtxt` call into a structured array, so no
     Python object is made per field. A wrong header, a row without exactly the
@@ -255,7 +251,7 @@ def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[str, 
     included, a seed outside 0..2^64-1), another school_id, a flag other than
     0 or 1 and a count (entrants, middle_school_grads) that is not a whole
     number of applicants in 0..`_MAX_COHORT` is a DomainError. Which seeds
-    and grid the rows must hold is the reader's caller's to check.
+    and values the rows must hold is the reader's caller's to check.
     """
     data = Path(path).read_bytes()
     body = io.BytesIO(data)  # shares the bytes of `data`
@@ -289,7 +285,6 @@ def read_panel_csv(path: str | Path, school_id: int | None = None) -> dict[str, 
 
     cols = {name: table[name].copy() for name in ("seed", "prefecture_id", "year", "middle_school_grads")}
     cols.update({name: table[name].astype(float) for name in ("entrants",) + PANEL_FLAGS})
-    cols["tokyo_area"] = np.maximum(cols["tokyo"], cols["near_tokyo"])
     for col in cols.values():
         col.flags.writeable = False
     return cols

@@ -23,22 +23,21 @@ import numpy as np
 
 from .config import ArtifactError, ConfigError, ResolvedConfig, RunManifest, check_lock, resolve_config, write_lock
 from .config import _usable_cpus
-from .core import DomainError, RegimeKind, SeededRng, panel_grid
+from .core import DomainError, RegimeKind, SeededRng
 from .econometrics import RegressionResult, did_centralization, fe_ols, newey_west_ols, with_interaction
 from .mechanisms import run_decentralized, run_grouped_centralized, run_meritocratic_boston
 from .metrics import (
     OUTCOME_STATISTICS,
     PER_PANEL_COLUMNS,
     YearOutcome,
-    YearRecord,
     build_panel,
     read_panel_csv,
     read_year_outcomes_csv,
     write_panel_csv,
     write_rows,
     write_year_outcomes_csv,
+    year_counts,
     year_outcome,
-    year_record,
 )
 from .popgen import Scenario, generate_applicants
 from .strategy import BehaviorParams, equilibrium_cutoffs, single_applications, submit_applications
@@ -51,7 +50,8 @@ from .strategy import BehaviorParams, equilibrium_cutoffs, single_applications, 
 class SeedResult:
     seed: int
     outcomes: tuple[YearOutcome, ...]
-    records: tuple[YearRecord, ...]
+    entrants: np.ndarray  # (year, birth prefecture, school) int, years as in the schedule: `build_panel`'s counts
+    graduates: np.ndarray  # (year, prefecture) int: applicants by birth prefecture
     equilibrium_log: tuple[tuple[int, int, float], ...]  # (year, iterations, residual)
 
 
@@ -66,11 +66,12 @@ def simulate_seed(scenario: Scenario, behavior: BehaviorParams, seed: int) -> Se
     root = SeededRng(seed)
     schools = scenario.schools
     outcomes: list[YearOutcome] = []
-    records: list[YearRecord] = []
+    entrants = np.zeros((len(scenario.schedule), *scenario.school_km.shape), dtype=np.int64)
+    graduates = np.zeros(entrants.shape[:2], dtype=np.int64)
     eq_log: list[tuple[int, int, float]] = []
     beliefs = None
 
-    for regime in scenario.schedule:
+    for t, regime in enumerate(scenario.schedule):
         year = regime.year
         cohort = generate_applicants(scenario, year, root)
         lottery_rng = root.substream("lottery", year)
@@ -87,14 +88,9 @@ def simulate_seed(scenario: Scenario, behavior: BehaviorParams, seed: int) -> Se
             assignment = run_decentralized(schools, cohort, apps, lottery_rng)
 
         outcomes.append(year_outcome(apps, assignment, scenario, cohort, year, regime.kind))
-        records.append(year_record(assignment, cohort, scenario, year, regime.kind))
+        entrants[t], graduates[t] = year_counts(assignment, cohort, scenario)
         del cohort, apps, assignment  # freed before the next year's draw, not after it
-    return SeedResult(
-        seed=seed,
-        outcomes=tuple(outcomes),
-        records=tuple(records),
-        equilibrium_log=tuple(eq_log),
-    )
+    return SeedResult(seed, tuple(outcomes), entrants, graduates, tuple(eq_log))
 
 
 # -- regressions ---------------------------------------------------------------
@@ -314,45 +310,47 @@ def _panel_files(scenario: Scenario) -> dict[int | None, str]:
     return {None: "panel_all.csv", **{s: f"panel_school_{s}.csv" for s in sorted(x.id for x in scenario.schools)}}
 
 
-def _panels_from_disk(
+def _counts_from_disk(
     out_dir: Path, panel_files: Mapping[int | None, str], seeds: list[int], scenario: Scenario
-) -> dict[int, dict]:
-    """Each seed's panels, read back for the estimate stage.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each seed's `build_panel` counts, read back for the estimate stage:
+    the school panels' entrants, by (seed, year, prefecture, school), and
+    panel_all.csv's graduates, by (seed, year, prefecture).
 
-    Every file's `seed`, `prefecture_id` and `year` columns must equal the
-    run's layout: each of `seeds`, in order, over the full year x prefecture
-    grid. A school panel must repeat the shared columns of panel_all.csv bit
-    for bit, and panel_all.csv's entrants must be the school panels' sum in
-    every row. Seed k's panels are then the rows [k*G, (k+1)*G) of the
-    files, G the grid's size, and each school panel reuses panel_all's
-    read-only slice of every shared column.
+    Every file's `seed` column must hold each of `seeds` in turn, over one
+    seed's rows. A school panel must repeat panel_all.csv's shared columns
+    bit for bit, as it is read; its entrants are the counts, and only its
+    flags are kept. Then every column kept must be bit for bit that of
+    `build_panel` of each seed's counts, one seed at a time; a mismatch
+    names the file and the column.
     """
-    grid = panel_grid(sorted(r.year for r in scenario.schedule), len(scenario.prefectures))
-    size = len(grid["year"])
-    layout = {"seed": np.repeat(np.array(seeds, dtype=np.uint64), size)}
-    layout.update((c, np.tile(col, len(seeds))) for c, col in grid.items())
-    panels: dict[int, dict] = {s: {} for s in seeds}
-    summed = 0.0  # the school panels' entrants
+    shape = (len(seeds), len(scenario.schedule), len(scenario.prefectures))
+    size = shape[1] * shape[2]
+    entrants = np.empty((*shape, len(scenario.schools)), dtype=np.int64)
+    held: dict[int | None, dict[str, np.ndarray]] = {}
     for key, name in panel_files.items():  # panel_all.csv first
         path = out_dir / name
         cols = read_panel_csv(path, key)
-        if not all(np.array_equal(cols[c], want) for c, want in layout.items()):
-            raise DomainError(f"{path} must hold seeds {seeds} in order, each over the full year x prefecture grid")
-        del cols["seed"]
-        if key is None:
-            shared = cols
-        else:
-            for c, col in shared.items():
+        if not np.array_equal(cols.pop("seed"), np.repeat(np.array(seeds, dtype=np.uint64), size)):
+            raise DomainError(f"{path} must hold seeds {seeds} in order, each over {size} rows")
+        if key is not None:
+            for c, col in held[None].items():
                 if c not in PER_PANEL_COLUMNS and cols[c].tobytes() != col.tobytes():
                     raise DomainError(f"{path}: column {c} differs from {panel_files[None]}")
-            cols = {c: cols[c] for c in PER_PANEL_COLUMNS}
-            summed = summed + cols["entrants"]
-        for k, s in enumerate(seeds):  # seed k's rows; a school panel takes panel_all's slice of each shared column
-            own = {c: col[k * size : (k + 1) * size] for c, col in cols.items()}
-            panels[s][key] = own if key is None else {**panels[s][None], **own}
-    if not np.array_equal(summed, shared["entrants"]):  # whole counts below 2^53: the float sums are exact
-        raise DomainError(f"{out_dir / panel_files[None]}: entrants differ from the sum over the school panels")
-    return panels
+            entrants[..., key - 1] = cols["entrants"].reshape(shape)  # whole numbers: the cast is exact
+            cols = {c: cols[c] for c in PER_PANEL_COLUMNS if c != "entrants"}
+        held[key] = cols
+    graduates = held[None]["middle_school_grads"].reshape(shape).astype(np.int64)
+    for k in range(len(seeds)):
+        rebuilt = build_panel(entrants[k], graduates[k], scenario)
+        for key, cols in held.items():
+            for c, col in cols.items():
+                if col[k * size : (k + 1) * size].tobytes() != rebuilt[key][c].tobytes():
+                    raise DomainError(
+                        f"{out_dir / panel_files[key]}: column {c} differs, for seed {seeds[k]}, from the panels"
+                        f" rebuilt from the school panels' entrants and {panel_files[None]}'s graduates"
+                    )
+    return entrants, graduates
 
 
 def _outcomes_from_disk(path: Path, seeds: list[int], scenario: Scenario) -> dict[int, list[YearOutcome]]:
@@ -360,7 +358,7 @@ def _outcomes_from_disk(path: Path, seeds: list[int], scenario: Scenario) -> dic
     of each of `seeds` in turn, one per year of the schedule, ascending, each
     under the schedule's regime."""
     rows = read_year_outcomes_csv(path)
-    schedule = [(r.year, r.kind) for r in sorted(scenario.schedule, key=lambda r: r.year)]
+    schedule = [(r.year, r.kind) for r in scenario.schedule]
     if [(s, o.year, o.regime) for s, o in rows] != [(s, *y) for s in seeds for y in schedule]:
         raise DomainError(f"{path} must hold seeds {seeds} in order, each with the schedule's years and regimes")
     n = len(schedule)
@@ -386,7 +384,7 @@ def _simulate_and_write(
     write_lock(out / "manifest.lock", manifest, resolved)
 
     if "metrics" in manifest.stages:
-        panels = {r.seed: build_panel(r.records, resolved.scenario) for r in results}
+        panels = {r.seed: build_panel(r.entrants, r.graduates, resolved.scenario) for r in results}
         for key, name in panel_files.items():
             write_panel_csv(out / name, {s: panels[s][key] for s in seeds}, key)
 
@@ -400,12 +398,12 @@ def run(manifest: RunManifest) -> dict[str, Path]:
     and seeds match this manifest are already on disk. The estimate stage
     always reads its inputs from files: the staged ones when the earlier
     stages ran in this invocation, those on disk otherwise. Each file must
-    hold the manifest's seeds in order: each panel every seed's full year x
-    prefecture grid, each school panel panel_all.csv's shared columns bit for
-    bit and panel_all.csv the sum of their entrants, and year_outcomes.csv
-    each seed's schedule years, ascending, under the schedule's regimes;
-    anything else is an ArtifactError raised before regressions.csv is
-    written.
+    hold the manifest's seeds in order: every panel file each seed's rows of
+    `build_panel` of its counts, the school panels' entrants and
+    panel_all.csv's graduates, under the lock's scenario, and
+    year_outcomes.csv each seed's schedule years under the schedule's
+    regimes; anything else is an ArtifactError raised before any seed is
+    estimated. The estimate stage fits the panels it rebuilt.
 
     Every artifact is written into a private staging directory inside the
     output directory and renamed into place, one file at a time, only after
@@ -443,13 +441,14 @@ def run(manifest: RunManifest) -> dict[str, Path]:
         if "estimate" in stages:
             inputs = staging if "metrics" in stages else out_dir
             try:
-                panels = _panels_from_disk(inputs, panel_files, seeds, resolved.scenario)
+                entrants, graduates = _counts_from_disk(inputs, panel_files, seeds, resolved.scenario)
                 outcomes = _outcomes_from_disk(inputs / "year_outcomes.csv", seeds, resolved.scenario)
             except DomainError as exc:
                 raise ArtifactError(str(exc)) from exc
             reg_rows: list[RegressionRow] = []
-            for s in seeds:
-                reg_rows.extend(seed_regressions(panels[s], outcomes[s], s))
+            for k, s in enumerate(seeds):  # one seed's panels at a time
+                panels = build_panel(entrants[k], graduates[k], resolved.scenario)
+                reg_rows.extend(seed_regressions(panels, outcomes[s], s))
             reg_rows.extend(pooled_rows([r for r in reg_rows if r.seed != "pooled"]))
             write_regressions_csv(staging / "regressions.csv", reg_rows)
         names = sorted(os.listdir(staging))

@@ -133,7 +133,9 @@ class Scenario:
     the yearly layers read, derived once from them: prefecture p is row p and
     school s is column s - 1 (`validate_market` holds hosts and ids to both).
     The arrays are read-only, since every year and seed shares them; a mean
-    of the draw that overflows is left non-finite for `build_scenario`."""
+    of the draw that overflows is left non-finite for `build_scenario`. Only
+    `build_scenario` builds one, so `schedule` is `regime_schedule`'s,
+    ascending by year, which `build_panel` relies on."""
 
     prefectures: tuple[Prefecture, ...]
     schools: tuple[School, ...]

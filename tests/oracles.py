@@ -34,7 +34,7 @@ from scipy.special import ndtr
 
 from meritmatch.core import DomainError, Placement, distance_matrix
 from meritmatch.mechanisms import Applications, PreferenceList, _admit_top_per_school
-from meritmatch.metrics import PANEL_COLUMNS, PANEL_FLAGS, YearOutcome, YearRecord, _fmt
+from meritmatch.metrics import PANEL_COLUMNS, PANEL_FLAGS, YearOutcome, _fmt
 
 
 def printed_steps_assignment(schools, applicants, prefs, tie):
@@ -360,8 +360,8 @@ def walked_year_outcome(apps, assignment, prefectures, schools, cohort, year, re
     )
 
 
-def walked_year_record(assignment, cohort, prefectures, schools, year, regime):
-    """`metrics.year_record` as a walk over `Assignment.placed`, one entrant
+def walked_year_counts(assignment, cohort, prefectures, schools):
+    """`metrics.year_counts` as a walk over `Assignment.placed`, one entrant
     at a time."""
     column = {sid: k for k, sid in enumerate(sorted(s.id for s in schools))}
     entrants = np.zeros((len(prefectures), len(schools)), dtype=np.int64)
@@ -371,7 +371,7 @@ def walked_year_record(assignment, cohort, prefectures, schools, year, regime):
     counts = np.zeros(len(prefectures), dtype=np.int64)
     for b in cohort.birth.tolist():
         counts[b] += 1
-    return YearRecord(year=year, regime=regime, entrants=entrants, cohort=counts)
+    return entrants, counts
 
 
 @dataclass(frozen=True)
@@ -388,10 +388,11 @@ class PanelRow:
     middle_school_grads: float
 
 
-def row_build_panel(records, prefectures, schools):
+def row_build_panel(entrants, graduates, schedule, prefectures, schools):
     """Panel rows for every (prefecture, year) and (prefecture, year, school),
-    year-major; within a prefecture the all-schools row comes first.
-    Prefecture p is `prefectures[p]`."""
+    year-major; within a prefecture the all-schools row comes first. Year t
+    is `schedule[t]`, with entrants `entrants[t]` by (prefecture, school)
+    and graduates `graduates[t]`; prefecture p is `prefectures[p]`."""
     schools_sorted = sorted(schools, key=lambda s: s.id)
     dmat = distance_matrix(prefectures)
     host = {s.id: s.prefecture_id for s in schools_sorted}
@@ -401,15 +402,15 @@ def row_build_panel(records, prefectures, schools):
     nearest = np.min(np.stack([school_dist[s.id] for s in schools_sorted]), axis=0)
 
     rows = []
-    for rec in sorted(records, key=lambda r: r.year):
-        centralized = rec.regime.is_centralized
-        entrants = rec.entrants.tolist()
+    for t, regime in enumerate(schedule):
+        centralized = regime.kind.is_centralized
+        year_entrants = entrants[t].tolist()
         for i, p in enumerate(prefectures):
-            grads = float(rec.cohort[i])
+            grads = float(graduates[t][i])
             near = p.urban and i != tokyo
             rows.append(
                 PanelRow(
-                    i, rec.year, None, sum(entrants[i]), centralized,
+                    i, regime.year, None, sum(year_entrants[i]), centralized,
                     bool(nearest[i] == 0.0), bool(0.0 < nearest[i] <= 100.0), i == tokyo, near, grads,
                 )
             )
@@ -417,7 +418,7 @@ def row_build_panel(records, prefectures, schools):
                 d = school_dist[s.id][i]
                 rows.append(
                     PanelRow(
-                        i, rec.year, s.id, entrants[i][k], centralized,
+                        i, regime.year, s.id, year_entrants[i][k], centralized,
                         bool(d == 0.0), bool(0.0 < d <= 100.0), i == tokyo, near, grads,
                     )
                 )

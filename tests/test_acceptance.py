@@ -212,7 +212,7 @@ def full_scale_summaries():
     for seed in range(N_SEEDS):
         t0 = time.perf_counter()
         result = simulate_seed(scenario, behavior, seed)
-        rows = build_panel(result.records, scenario)
+        rows = build_panel(result.entrants, result.graduates, scenario)
         regressions = seed_regressions(rows, result.outcomes, seed)
         elapsed = time.perf_counter() - t0
 

@@ -1424,10 +1424,28 @@ def test_school_ids_other_than_one_to_s_are_invariant_violation(tmp_path, capsys
 
 
 def _first_row_field_to(index, value="x"):
+    """A corruption setting field `index` of the first data row to `value`,
+    or to `value` of the field if it is callable."""
+
     def corrupt(lines):
         fields = lines[1].rstrip("\n").split(",")
-        fields[index] = value
+        fields[index] = value(fields[index]) if callable(value) else value
         return [lines[0], ",".join(fields) + "\n"] + lines[2:]
+
+    return corrupt
+
+
+def _rows_where(column, key, edits):
+    """A corruption of every data row whose field `column` is `key`: field i
+    is set to `edits[i]`, or to `edits[i]` of the row's fields if callable."""
+
+    def corrupt(lines):
+        rows = [line.rstrip("\n").split(",") for line in lines[1:]]
+        for fields in (f for f in rows if f[column] == key):
+            old = list(fields)
+            for i, value in edits.items():
+                fields[i] = value(old) if callable(value) else value
+        return [lines[0], *(",".join(fields) + "\n" for fields in rows)]
 
     return corrupt
 
@@ -1446,6 +1464,8 @@ def _first_row_field_to(index, value="x"):
         ("panel_school_3.csv", _first_row_field_to(5, "1")),  # centralized in a decentralized year
         ("panel_school_3.csv", lambda lines: lines[:2] + lines[236:237] + lines[2:236] + lines[237:]),  # a seed-1 row
         ("year_outcomes.csv", lambda lines: lines[:1] + lines[6:] + lines[1:6]),  # seed 1's rows before seed 0's
+        ("panel_school_3.csv", _rows_where(1, "26", {6: "1"})),  # Osaka is 43 km from school 3, in Kyoto
+        ("panel_school_3.csv", _rows_where(1, "0", {7: "1"})),  # Hokkaido
     ],
     ids=[
         "non-numeric entrants",
@@ -1458,6 +1478,8 @@ def _first_row_field_to(index, value="x"):
         "school panel regime differs",
         "panel seed rows interleaved",
         "outcome seed blocks swapped",
+        "school panel located_in differs",
+        "school panel within_100km differs",
     ],
 )
 def test_estimate_rejects_malformed_inputs(config_path, tmp_path, capsys, name, corrupt):
@@ -1477,28 +1499,49 @@ PANEL_FILES = ["panel_all.csv"] + [f"panel_school_{s}.csv" for s in range(1, 9)]
 _COUNT_RULE = "must be a whole number in 0..10000000"
 
 
+def _rebuilt(column, seed=0):
+    return (
+        f"column {column} differs, for seed {seed}, from the panels rebuilt from the school panels' entrants"
+        " and panel_all.csv's graduates"
+    )
+
+
 @pytest.mark.filterwarnings("ignore:cutoff iteration")
 @pytest.mark.parametrize(
-    "names, index, value, message",
+    "names, corrupt, message",
     [
-        *((PANEL_FILES, 10, v, f"middle_school_grads {_COUNT_RULE}") for v in ("nan", "inf", "-inf", "1e308", "-14.0", "14.5")),
-        (PANEL_FILES, 4, "-3", f"entrants {_COUNT_RULE}"),
-        (["panel_all.csv"], 4, lambda old: str(int(old) + 1), "entrants differ from the sum over the school panels"),
+        *(
+            (PANEL_FILES, _first_row_field_to(10, v), f"middle_school_grads {_COUNT_RULE}")
+            for v in ("nan", "inf", "-inf", "1e308", "-14.0", "14.5")
+        ),
+        (PANEL_FILES, _first_row_field_to(4, "-3"), f"entrants {_COUNT_RULE}"),
+        (["panel_all.csv"], _first_row_field_to(4, lambda old: str(int(old) + 1)), _rebuilt("entrants")),
+        (PANEL_FILES, _rows_where(2, "1901", {5: "1"}), _rebuilt("centralized")),
+        (PANEL_FILES, _rows_where(1, "13", {8: lambda f: f[9], 9: lambda f: f[8]}), _rebuilt("tokyo")),  # Kanagawa
     ],
-    ids=["nan", "inf", "-inf", "1e308", "negative", "fractional", "negative entrants", "entrants not the sum"],
+    ids=[
+        "nan",
+        "inf",
+        "-inf",
+        "1e308",
+        "negative",
+        "fractional",
+        "negative entrants",
+        "entrants not the sum",
+        "decentralized year centralized",
+        "tokyo and near_tokyo swapped",
+    ],
 )
-def test_estimate_rejects_panel_counts_no_run_writes(config_path, tmp_path, capsys, names, index, value, message):
-    # the same value in every panel file passes the shared-column check: a NaN
-    # or infinite count was blamed on collinear regressors (a config error),
-    # after a numpy warning for the infinities and 1e308, and the rest were estimated
+def test_estimate_rejects_panel_counts_no_run_writes(config_path, tmp_path, capsys, names, corrupt, message):
+    # the same edit of every panel file passes the shared-column check; without
+    # the count and rebuild checks a NaN or infinite count was blamed on
+    # collinear regressors (a config error), after a numpy warning for the
+    # infinities and 1e308, and the other edits were estimated
     out = tmp_path / "out"
     assert _run_cli(config_path, out, ("--seeds", "2", "--stages", "simulate,metrics")) == 0
     for name in names:
-        lines = (out / name).read_bytes().split(b"\r\n")
-        fields = lines[1].decode().split(",")
-        fields[index] = value(fields[index]) if callable(value) else value
-        lines[1] = ",".join(fields).encode()
-        (out / name).write_bytes(b"\r\n".join(lines))
+        path = out / name
+        path.write_text("".join(corrupt(path.read_text().splitlines(keepends=True))))
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1530,7 +1573,7 @@ def test_estimate_only_panels_share_read_only_columns(config_path, tmp_path, mon
         for school in range(1, 9):
             for c, col in panel[school].items():
                 if c in ("entrants", "located_in", "within_100km"):
-                    assert not col.flags.writeable  # a slice of its own file's column
+                    assert not col.flags.writeable  # its own column, which `build_panel` marks read-only
                 else:
                     assert col is panel[None][c]
         for c in ("year", "centralized", "middle_school_grads"):

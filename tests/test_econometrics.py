@@ -199,7 +199,7 @@ BATTERY = {
 def test_battery_fe_rows_match_dummy_ols_and_direct_cluster_cov():
     scenario = build_scenario(scale=0.05)
     result = simulate_seed(scenario, BehaviorParams(), 0)
-    panels = build_panel(result.records, scenario)
+    panels = build_panel(result.entrants, result.graduates, scenario)
     rows = [r for r in seed_regressions(panels, result.outcomes, 0) if not r.spec_id.startswith("trend_")]
     assert [r.spec_id for r in rows] == ["did_tokyo_area", "tokyo_gradient"] + [f"local_monopoly_s{s}" for s in range(1, 9)]
     for row in rows:
@@ -290,7 +290,8 @@ def test_fe_ols_takes_only_the_year_major_grid(edit):
 @pytest.mark.parametrize("scale", [1.0, 0.05])
 def test_fe_ols_takes_every_panel_of_a_seed(scale):
     scenario = build_scenario(scale=scale)
-    panels = build_panel(simulate_seed(scenario, BehaviorParams(), 0).records, scenario)
+    result = simulate_seed(scenario, BehaviorParams(), 0)
+    panels = build_panel(result.entrants, result.graduates, scenario)
     assert list(panels) == [None, *range(1, 9)]
     for panel in panels.values():
         assert did_centralization(panel).n_obs == 31 * 47

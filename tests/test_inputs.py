@@ -22,7 +22,11 @@ corrupts one field of one row of year_outcomes.csv or of one panel file, or
 `{"scale": 0.05}` simulate,metrics run, and runs `run --stages estimate` and
 `diff-regimes` on it. Each exits 0, 2 or 3, a failure with one
 `error: <category>: ` line and no regressions.csv, without a warning; a run
-that succeeds writes only finite numbers.
+that succeeds writes only finite numbers. Every field of a panel file follows
+from the school panels' entrants, panel_all.csv's graduates, the seeds and
+the lock, so `run --stages estimate` exits 2 whenever the corruption changes
+a panel file's bytes: each value it writes is rejected or differs from the
+field's.
 """
 
 import contextlib
@@ -38,7 +42,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meritmatch.cli import main
@@ -265,12 +269,14 @@ def _finite_numbers(text):
     column=st.integers(0, 10**6),
     value=st.sampled_from(CORRUPT_VALUES),
 )
+@example(target="panel_school_3.csv", row=0, other=25, column=6, value=None)  # Kyoto's located_in for Hokkaido's
 def test_every_corrupted_artifact_exits_with_a_documented_code(simulated, target, row, other, column, value):
     cfg, simulated_out, sizes = simulated
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         shutil.copytree(simulated_out, out)
         path = Path(out) / target
+        before = path.read_bytes()
         if target == "manifest.lock":
             _corrupt_lock(path, LOCK_KEYS[column % len(LOCK_KEYS)], value)
         else:
@@ -287,6 +293,8 @@ def test_every_corrupted_artifact_exits_with_a_documented_code(simulated, target
                     code = main(argv)
             assert [str(w.message) for w in caught] == [], argv
             assert code in (0, 2, 3), argv
+            if argv[0] == "run" and target in PANEL_FILES and path.read_bytes() != before:
+                assert code == 2, argv
             err = stderr.getvalue()
             if code == 0:
                 assert err == ""

@@ -13,20 +13,19 @@ from meritmatch.core import DomainError, Regime, RegimeKind, SeededRng, build_pr
 from meritmatch.mechanisms import Applications, PreferenceList, run_decentralized, run_meritocratic_boston
 
 from conftest import assignment_of, cohort_of, mk_applicant
-from oracles import csv_writer_panel_csv, panel_to_columns, row_build_panel, walked_year_outcome, walked_year_record
+from oracles import csv_writer_panel_csv, panel_to_columns, row_build_panel, walked_year_counts, walked_year_outcome
 from meritmatch.metrics import (
     PANEL_COLUMNS,
     PANEL_FLAGS,
     YEAR_OUTCOME_COLUMNS,
     YearOutcome,
-    YearRecord,
     build_panel,
     read_panel_csv,
     read_year_outcomes_csv,
     write_panel_csv,
     write_year_outcomes_csv,
+    year_counts,
     year_outcome,
-    year_record,
 )
 from meritmatch.popgen import generate_applicants
 from meritmatch.pipeline import simulate_seed
@@ -87,11 +86,9 @@ def _assert_match_placement_walk(apps, assignment, cohort, sc):
     got = year_outcome(apps, assignment, sc, cohort, 1900, RegimeKind.CENTRALIZED)
     want = walked_year_outcome(apps, assignment, *where, cohort, 1900, RegimeKind.CENTRALIZED)
     assert _bits(got) == _bits(want)
-    record = year_record(assignment, cohort, sc, 1900, RegimeKind.CENTRALIZED)
-    walked = walked_year_record(assignment, cohort, *where, 1900, RegimeKind.CENTRALIZED)
-    for name in ("entrants", "cohort"):
-        assert getattr(record, name).dtype == getattr(walked, name).dtype
-        assert np.array_equal(getattr(record, name), getattr(walked, name))
+    for counts, walked in zip(year_counts(assignment, cohort, sc), walked_year_counts(assignment, cohort, *where)):
+        assert counts.dtype == walked.dtype
+        assert np.array_equal(counts, walked)
 
 
 @st.composite
@@ -144,21 +141,22 @@ def _assert_columns_equal(got, expected):
         assert np.array_equal(got[name], col), name
 
 
-def _empty_records(sc):
-    empty = assignment_of()
-    return [year_record(empty, cohort_of([]), sc, r.year, r.kind) for r in sc.schedule]
+def _empty_counts(sc):
+    """The entrant and graduate counts of a seed of `sc` in which nobody applies."""
+    shape = (len(sc.schedule), *sc.school_km.shape)
+    return np.zeros(shape, dtype=np.int64), np.zeros(shape[:2], dtype=np.int64)
 
 
 @pytest.mark.parametrize("which", ["small_run", "empty"])
 def test_build_panel_matches_row_oracle(which, request):
     if which == "small_run":
         sc, res = request.getfixturevalue("small_run")
-        records = res.records
+        counts = res.entrants, res.graduates
     else:
         sc = build_scenario(0.01)
-        records = _empty_records(sc)
-    panels = build_panel(records, sc)
-    rows = row_build_panel(records, sc.prefectures, sc.schools)
+        counts = _empty_counts(sc)
+    panels = build_panel(*counts, sc)
+    rows = row_build_panel(*counts, sc.schedule, sc.prefectures, sc.schools)
     assert list(panels) == [None] + sorted(s.id for s in sc.schools)
     for key, cols in panels.items():
         _assert_columns_equal(cols, panel_to_columns([r for r in rows if r.school_id == key]))
@@ -166,16 +164,16 @@ def test_build_panel_matches_row_oracle(which, request):
 
 def test_accounting_identity(small_run):
     sc, res = small_run
-    panels = build_panel(res.records, sc)
+    panels = build_panel(res.entrants, res.graduates, sc)
     everyone = panels[None]
-    for rec, out in zip(res.records, res.outcomes):
-        total = everyone["entrants"][everyone["year"] == rec.year].sum()
+    for out in res.outcomes:
+        total = everyone["entrants"][everyone["year"] == out.year].sum()
         assert total == out.entrants_total
         # school panels add up to the all-school panel per prefecture
         for pid in range(0, 47, 7):
 
             def entrants_at(cols):
-                return cols["entrants"][(cols["year"] == rec.year) & (cols["prefecture_id"] == pid)].item()
+                return cols["entrants"][(cols["year"] == out.year) & (cols["prefecture_id"] == pid)].item()
 
             school_sum = sum(entrants_at(cols) for key, cols in panels.items() if key is not None)
             assert school_sum == entrants_at(everyone)
@@ -183,7 +181,7 @@ def test_accounting_identity(small_run):
 
 def test_flag_geometry(small_run):
     sc, res = small_run
-    panels = build_panel(res.records, sc)
+    panels = build_panel(res.entrants, res.graduates, sc)
     tokyo = next(i for i, p in enumerate(sc.prefectures) if p.name == "Tokyo")
     host_of_1 = next(s for s in sc.schools if s.id == 1).prefecture_id
     assert host_of_1 == tokyo
@@ -206,24 +204,21 @@ def test_panel_tokyo_area_is_urban_on_the_band_edge():
     rows[46] = ("Okinawa", 252.39960028128806, -34.31725703790303, *rows[46][3:])
     prefs = build_prefectures(rows)
     assert prefs[46].urban
-    records = [
-        YearRecord(year, kind, np.zeros((47, 8), dtype=np.int64), np.ones(47, dtype=np.int64))
-        for year, kind in ((1900, RegimeKind.DECENTRALIZED), (1901, RegimeKind.CENTRALIZED))
-    ]
-    cols = build_panel(records, build_scenario(0.05, prefectures=prefs))[None]
+    sc = build_scenario(0.05, {"year_start": 1901, "year_end": 1902}, prefectures=prefs)
+    cols = build_panel(*_empty_counts(sc), sc)[None]
     assert np.array_equal(cols["tokyo_area"], np.tile([float(p.urban) for p in prefs], 2))
     assert cols["near_tokyo"][46] == 1.0
 
 
 def test_centralized_flag_follows_schedule(small_run):
     sc, res = small_run
-    for cols in build_panel(res.records, sc).values():
+    for cols in build_panel(res.entrants, res.graduates, sc).values():
         assert np.array_equal(cols["centralized"] == 1.0, cols["year"] >= 1902)
 
 
 def test_panel_row_count_is_47_by_31():
     sc = build_scenario(0.01)
-    panels = build_panel(_empty_records(sc), sc)
+    panels = build_panel(*_empty_counts(sc), sc)
     assert len(panels[None]["year"]) == 1457  # 47 prefectures x 31 years
     assert len(panels) == 9  # plus one panel per school
     for cols in panels.values():
@@ -231,24 +226,22 @@ def test_panel_row_count_is_47_by_31():
 
 
 def test_build_panel_needs_both_regimes():
-    sc = build_scenario(0.01)
-    rec = year_record(
-        assignment_of(), cohort_of([]), sc, 1900, RegimeKind.DECENTRALIZED
-    )
-    with pytest.raises(DomainError):
-        build_panel([rec], sc)
-    with pytest.raises(DomainError):
-        build_panel([rec, rec], sc)  # duplicate years
+    # a schedule of decentralized years only (1900-1901), then of centralized years only
+    for start, end in ((1900, 1901), (1902, 1903)):
+        sc = build_scenario(0.01, {"year_start": start, "year_end": end})
+        with pytest.raises(DomainError, match="both centralized and decentralized"):
+            build_panel(*_empty_counts(sc), sc)
 
 
 def test_csv_roundtrip(tmp_path, small_run):
     sc, res = small_run
-    panels = build_panel(res.records, sc)
+    panels = build_panel(res.entrants, res.graduates, sc)
     panel_path = tmp_path / "panel_all.csv"
     write_panel_csv(panel_path, {0: panels[None]})
     loaded = read_panel_csv(panel_path)
+    assert set(loaded) == set(PANEL_COLUMNS) - {"school_id"}  # only the columns the file holds
     assert loaded.pop("seed").tolist() == [0] * len(panels[None]["year"])
-    _assert_columns_equal(loaded, panels[None])
+    _assert_columns_equal(loaded, {c: panels[None][c] for c in loaded})
 
     # the whole file's columns in row order, each seed's rows one slice
     school_path = tmp_path / "panel_school_3.csv"
@@ -257,7 +250,8 @@ def test_csv_roundtrip(tmp_path, small_run):
     size = len(panels[3]["year"])
     assert loaded.pop("seed").tolist() == [4] * size + [2] * size
     for k in range(2):
-        _assert_columns_equal({c: col[k * size : (k + 1) * size] for c, col in loaded.items()}, panels[3])
+        seed_rows = {c: col[k * size : (k + 1) * size] for c, col in loaded.items()}
+        _assert_columns_equal(seed_rows, {c: panels[3][c] for c in loaded})
     assert all(not col.flags.writeable for col in loaded.values())
     with pytest.raises(DomainError):
         read_panel_csv(school_path)  # written for school 3, read as the all-schools panel
@@ -276,7 +270,7 @@ def _same_panel_bytes(path, panels, school_id):
 @pytest.mark.parametrize("school_id", [None, 3])
 def test_panel_csv_bytes_match_csv_writer(tmp_path, small_run, school_id):
     sc, res = small_run
-    cols = build_panel(res.records, sc)[school_id]
+    cols = build_panel(res.entrants, res.graduates, sc)[school_id]
     grads = cols["middle_school_grads"].copy()
     grads[:3] = [0.0, 1e16, 123456789.0]
     for panels in ({}, {0: cols}, {7: cols, 2: {**cols, "middle_school_grads": grads}, -1: cols}):
@@ -451,7 +445,7 @@ def test_panel_reader_rejects_longer_school_id(tmp_path):
 
 def test_panel_tokyo_area(small_run):
     sc, res = small_run
-    cols = build_panel(res.records, sc)[None]
+    cols = build_panel(res.entrants, res.graduates, sc)[None]
     assert np.array_equal(
         cols["tokyo_area"], np.maximum(cols["tokyo"], cols["near_tokyo"])
     )

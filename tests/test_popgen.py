@@ -186,7 +186,7 @@ def test_scenario_arrays_are_read_only():
         for name in SCENARIO_ARRAYS:
             assert not getattr(copy, name).flags.writeable, name
     # every year of a seed reads the same arrays; an in-place write to one would raise here
-    assert len(simulate_seed(sc, BehaviorParams(), seed=0).records) == 31
+    assert len(simulate_seed(sc, BehaviorParams(), seed=0).entrants) == 31
 
 
 def test_simulate_seed_holds_one_year_at_a_time(monkeypatch):
@@ -203,4 +203,4 @@ def test_simulate_seed_holds_one_year_at_a_time(monkeypatch):
     monkeypatch.setattr(pipeline, "generate_applicants", tracked)
     sc = build_scenario(population={"year_end": 1903})
     assert {r.kind.is_centralized for r in sc.schedule} == {False, True}
-    assert len(simulate_seed(sc, BehaviorParams(), seed=0).records) == len(drawn) == 4
+    assert len(simulate_seed(sc, BehaviorParams(), seed=0).entrants) == len(drawn) == 4
